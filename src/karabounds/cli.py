@@ -9,6 +9,7 @@ serialized output); CSV output streams one row per checked inequality.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -251,15 +252,9 @@ def cmd_verify(cfg: dict) -> int:
             for j, row in enumerate(vf.verdict_csv_rows(sid, verdicts))
             if not (k > 0 and j == 0)  # single header
         )
-        if out_path:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in rows_iter:
-                    writer.writerow(row)
-        else:
-            writer = csv.writer(sys.stdout)
-            for row in rows_iter:
-                writer.writerow(row)
+        with (open(out_path, "w", encoding="utf-8", newline="") if out_path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            csv.writer(fh).writerows(rows_iter)
     else:
         _emit(vf.report_to_json(reports), cfg["out"])
     failures = sum(rep.failures for rep in reports)

@@ -5,10 +5,14 @@ A check never "fixes up" its inputs: hypothesis violations raise, and the
 margin of an operator inequality L <= R is the smallest eigenvalue of R - L
 (the tightest scalar witness).  Suites derive one RNG per trial from
 (seed, trial) through ``numpy.random.SeedSequence`` spawn keys, so reports
-are reproducible regardless of batching or execution order.  The heavy
-suites batch their eigendecompositions through ``eigh_stack`` per
-(dimension, function) group; per-trial results are identical to running the
-public checkers one instance at a time.
+are reproducible regardless of batching or execution order.
+
+Each inequality has one margin kernel that scores a batch of instances,
+with its eigendecompositions stacked per (dimension, function) group.  A
+suite runs the kernel on all its trials; the public ``check_*`` function
+validates its input and runs the same kernel on a batch of one, so its
+margins equal the suite's bit for bit
+(tests/test_verification.py::TestSuites::test_batched_suite_matches_per_instance_checker).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -64,8 +68,9 @@ SCALAR_TOL = 1e-9
 class InequalityVerdict:
     """One inequality check: margin >= -tol means pass.
 
-    For operator inequalities L <= R the margin is lambda_min(R - L) and the
-    summaries are the traces of both sides; for scalars it is simply R - L.
+    For operator inequalities L <= R the margin is lambda_min(R - L) and
+    lhs = rhs = 0.0; for scalars lhs and rhs are the two sides and the
+    margin is R - L.  Reports serialize only the margin and the context.
     """
 
     inequality_id: str
@@ -145,8 +150,13 @@ _REDRAW_CAP = 100_000
 
 def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generator):
     """(x, y, p) with positive p summing to 1, entries in [m, M], and equal
-    weighted means.  y is free; one coordinate of x is solved for, redrawing
-    until it lands inside the interval (cap 1e5)."""
+    weighted means.  y is free; x_0 is solved for, redrawing the other
+    coordinates until it lands inside the interval (cap 1e5).
+
+    A tiny p_0 can exhaust the cap.  Then x is built one coordinate at a
+    time in increasing weight, each drawn from the range that still lets the
+    remaining weight reach the target, and the heaviest is solved last.
+    """
     if n < 2:
         raise DomainError(f"need n >= 2 scalars, got {n}")
     p = rng.dirichlet(np.ones(n))
@@ -158,7 +168,18 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
         if iv.m <= x0 <= iv.M:
             x[0] = x0
             return x, y, p
-    raise GeneratorExhausted("could not solve a coordinate into the interval")
+    x = np.empty(n)
+    order = np.argsort(p)
+    rest = np.cumsum(p[order][::-1])[::-1]  # rest[k]: weight of order[k:]
+    fixed = 0.0
+    for k, i in enumerate(order[:-1]):
+        lo = max(iv.m, (target - fixed - iv.M * rest[k + 1]) / p[i])
+        hi = min(iv.M, (target - fixed - iv.m * rest[k + 1]) / p[i])
+        x[i] = min(max(rng.uniform(lo, hi), iv.m), iv.M)
+        fixed += p[i] * x[i]
+    last = order[-1]
+    x[last] = min(max((target - fixed) / p[last], iv.m), iv.M)
+    return x, y, p
 
 
 def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 200) -> np.ndarray:
@@ -247,30 +268,186 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator, transfers
 
 
 # ---------------------------------------------------------------------------
-# margin assembly helpers (shared by checkers and batched suites)
+# margin kernels (one per inequality, shared by checkers and batched suites)
 # ---------------------------------------------------------------------------
-
-
-def _lambda_min(mat: np.ndarray) -> float:
-    return float(oc.eigvals_stack(np.asarray(mat, dtype=complex)[None])[0][0])
-
-
-def _operator_verdict(inequality_id, lhs_mat, rhs_mat, tol, context) -> InequalityVerdict:
-    margin = _lambda_min(rhs_mat - lhs_mat)
-    return InequalityVerdict(
-        inequality_id=inequality_id,
-        lhs=float(np.trace(lhs_mat).real),
-        rhs=float(np.trace(rhs_mat).real),
-        margin=margin,
-        passed=margin >= -tol,
-        context=context,
-    )
 
 
 def _scalar_verdict(inequality_id, lhs, rhs, tol, context) -> InequalityVerdict:
     margin = float(rhs - lhs)
     return InequalityVerdict(inequality_id, float(lhs), float(rhs), margin,
                              margin >= -tol, context)
+
+
+def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
+    """Operator verdicts for (inequality_id, rhs - lhs, context) items, with
+    one lambda_min stack per dimension."""
+    by_dim = defaultdict(list)
+    for k, (_, mat, _) in enumerate(items):
+        by_dim[mat.shape[0]].append(k)
+    margins = [0.0] * len(items)
+    for idxs in by_dim.values():
+        w = oc.eigvals_stack(np.stack([np.asarray(items[k][1], dtype=complex) for k in idxs]))
+        for j, k in enumerate(idxs):
+            margins[k] = float(w[j, 0])
+    return [InequalityVerdict(name, 0.0, 0.0, m, m >= -tol, ctx)
+            for (name, _, ctx), m in zip(items, margins)]
+
+
+def _group_apply_function(instances, mats_of, f_of):
+    """Batch f over all matrices of all instances, grouped by (dim, f).
+
+    Returns {instance_index: [f(M) for M in mats_of(instance)]}.
+    """
+    groups = defaultdict(list)
+    for idx, inst in enumerate(instances):
+        mats = mats_of(inst)
+        dim = np.asarray(mats[0]).shape[0]
+        key = (dim, id(f_of(inst)))
+        groups[key].append((idx, mats))
+    images: Dict[int, list] = {}
+    for (dim, _), members in groups.items():
+        f = f_of(instances[members[0][0]])
+        stack = np.stack([np.asarray(M, dtype=complex) for _, mats in members for M in mats])
+        img = oc.apply_function_stack(f, stack)
+        pos = 0
+        for idx, mats in members:
+            images[idx] = [img[pos + j] for j in range(len(mats))]
+            pos += len(mats)
+    return images
+
+
+def _jensen_verdicts(instances, tol) -> List[InequalityVerdict]:
+    """Vector-state Jensen verdicts <Phi-sum of f(A) x, x> >= f(<Phi-sum of
+    A x, x>) for (family, mats, f, vectors, context) instances."""
+    images = _group_apply_function(instances, lambda t: t[1], lambda t: t[2])
+    verdicts = []
+    for idx, (family, mats, f, vecs, ctx) in enumerate(instances):
+        img = oc.apply_map_family(family, images[idx])
+        base = oc.apply_map_family(family, mats)
+        for j, x in enumerate(vecs):
+            mean = float(np.real(np.vdot(x, base @ x)))
+            mean = min(max(mean, f.domain.m), f.domain.M)
+            lifted = float(np.real(np.vdot(x, img @ x)))
+            verdicts.append(_scalar_verdict("lemma_jensen", f(mean), lifted, tol,
+                                            {**ctx, "vector": j}))
+    return verdicts
+
+
+def _map_sum_verdicts(instances, inequality_id, tol) -> List[InequalityVerdict]:
+    """Map-sum verdicts Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B)
+    for (family, As, Bs, f, alpha, context) instances."""
+    images_a = _group_apply_function(instances, lambda t: t[1], lambda t: t[3])
+    images_b = _group_apply_function(instances, lambda t: t[2], lambda t: t[3])
+    items = []
+    for idx, (family, _, _, f, alpha, ctx) in enumerate(instances):
+        beta = sb.beta_constant(f, f.domain, alpha)
+        lhs = oc.apply_map_family(family, images_a[idx])
+        rhs = beta * np.eye(family.output_dim, dtype=complex) \
+            + alpha * oc.apply_map_family(family, images_b[idx])
+        items.append((inequality_id, rhs - lhs, ctx))
+    return _margin_verdicts(items, tol)
+
+
+MEAN_FORMS_SOUND = (
+    "mean_ratio", "mean_diff",
+    "sr_k_form", "sr_k_form_x_both", "sr_c_form",
+)
+MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
+MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
+
+
+def _mean_margin_mats(Z, As, Bs, w, r, iv: Interval, include_limits: bool):
+    """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
+    bounds for Z-relative tuples As, Bs with weights w and spectra in iv,
+    built from P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.  With
+    ``include_limits`` the two r -> 0 limit claims are added."""
+    zs = oc.sqrtm_psd(Z)
+    P = oc.hermitize(zs @ sum(wi * oc.mat_power(A, r) for wi, A in zip(w, As)) @ zs)
+    Q = oc.hermitize(zs @ sum(wi * oc.mat_power(B, r) for wi, B in zip(w, Bs)) @ zs)
+    h = iv.M / iv.m
+    big_k = sb.kantorovich(h, r)
+    c_const = sb.c_of_hr(iv.m, h, r)
+    Zc = np.asarray(Z, dtype=complex)
+    if 0.0 < r < 1.0:
+        out = {"mean_ratio": P - big_k * Q, "mean_diff": P - c_const * Zc - Q}
+    else:
+        out = {"mean_ratio": big_k * Q - P, "mean_diff": c_const * Zc + Q - P}
+    sr_x = (P - Zc) / r
+    sr_y = (Q - Zc) / r
+    if r >= 1.0:
+        out["sr_k_form"] = (big_k * Q - Zc) / r - sr_x
+        out["sr_k_form_x_both"] = (big_k * P - Zc) / r - sr_x
+        out["sr_c_form"] = (c_const / r) * Zc + sr_y - sr_x
+    else:
+        # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on
+        # the right-hand side
+        out["sr_k_form"] = sr_x - (big_k * Q - Zc) / r
+        out["sr_k_form_x_both"] = sr_x - (big_k * P - Zc) / r
+        out["sr_c_form"] = sr_x - (c_const / r) * Zc - sr_y
+    if 0.0 < r < 1.0:
+        # C-term-on-the-left orientation; unsatisfiable at X = Y since
+        # C < 0 in this regime, so it is scored under its own id
+        out[MEAN_FORM_C_LHS] = sr_x + (c_const / r) * Zc - sr_y
+    if include_limits:
+        s0x = oc.hermitize(zs @ sum(wi * oc.mat_log(A) for wi, A in zip(w, As)) @ zs)
+        s0y = oc.hermitize(zs @ sum(wi * oc.mat_log(B) for wi, B in zip(w, Bs)) @ zs)
+        out["s0_nonneg"] = s0x
+        out["s0_pair_vs_z"] = s0x + s0y - Z
+    return out
+
+
+def _entropy_evals(instances):
+    """Spectra (w_A, w_B) of each instance's leading (A, B) pair, with one
+    eigvals_stack per dimension."""
+    per_dim = defaultdict(list)
+    for k, inst in enumerate(instances):
+        per_dim[inst[0].shape[0]].append(k)
+    out = [None] * len(instances)
+    for idxs in per_dim.values():
+        w = oc.eigvals_stack(np.stack([M for k in idxs for M in instances[k][:2]]))
+        for j, k in enumerate(idxs):
+            out[k] = (w[2 * j], w[2 * j + 1])
+    return out
+
+
+def _vn_verdicts(instances, tol) -> List[InequalityVerdict]:
+    """alpha H(B) <= H(A) + (alpha/e) dim and |H(A) - H(B)| <= dim/e for
+    (A, B, alpha, context) instances."""
+    verdicts = []
+    for (A, _, alpha, ctx), (wa, wb) in zip(instances, _entropy_evals(instances)):
+        ha = oc.von_neumann_entropy_from_evals(wa)
+        hb = oc.von_neumann_entropy_from_evals(wb)
+        dim = A.shape[0]
+        verdicts.append(_scalar_verdict("entropy_vn_alpha", alpha * hb,
+                                        ha + alpha / math.e * dim, tol, ctx))
+        verdicts.append(_scalar_verdict("entropy_vn_symmetric", abs(ha - hb),
+                                        dim / math.e, tol, ctx))
+    return verdicts
+
+
+def _tsallis_beta_factor(r: float) -> float:
+    return 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
+
+
+def _tsallis_verdicts(instances, tol) -> List[InequalityVerdict]:
+    """alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim and the symmetric
+    difference bound for (A, B, alpha, r, context) instances."""
+    verdicts = []
+    for (A, _, alpha, r, ctx), (wa, wb) in zip(instances, _entropy_evals(instances)):
+        ha = oc.tsallis_entropy_from_evals(wa, r)
+        hb = oc.tsallis_entropy_from_evals(wb, r)
+        fac = _tsallis_beta_factor(r)
+        dim = A.shape[0]
+        verdicts.append(_scalar_verdict("entropy_tsallis_alpha", alpha * hb,
+                                        ha + alpha * fac * dim, tol, ctx))
+        verdicts.append(_scalar_verdict("entropy_tsallis_symmetric", abs(ha - hb),
+                                        fac * dim, tol, ctx))
+    return verdicts
+
+
+# ---------------------------------------------------------------------------
+# checkers (single instance: validate, then run the kernel on a batch of one)
+# ---------------------------------------------------------------------------
 
 
 def _validate_equal_map_sum(family, As, Bs, tol=1e-8):
@@ -282,16 +459,11 @@ def _validate_equal_map_sum(family, As, Bs, tol=1e-8):
 
 
 def _validate_spectra(mats, iv: Interval):
-    w = oc.eigvals_stack(np.stack([np.asarray(M, dtype=complex) for M in mats]))
+    w = oc.eigvals_stack(np.stack([oc.assert_hermitian(M) for M in mats]))
     if w.min() < iv.m - 1e-9 or w.max() > iv.M + 1e-9:
         raise PreconditionError(
             f"spectra [{w.min():.6g}, {w.max():.6g}] escape [{iv.m}, {iv.M}]"
         )
-
-
-# ---------------------------------------------------------------------------
-# checkers (single instance)
-# ---------------------------------------------------------------------------
 
 
 def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
@@ -301,21 +473,12 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
     if not f.is_convex:
         raise PreconditionError("the vector-state Jensen bound needs convex f")
     _validate_spectra(mats, f.domain)
-    img = oc.apply_map_family(family, [oc.apply_function(f, A) for A in mats])
-    base = oc.apply_map_family(family, mats)
-    out = []
-    ctx = dict(context or {})
-    for j, x in enumerate(vectors):
-        x = np.asarray(x, dtype=complex)
+    vecs = [np.asarray(x, dtype=complex) for x in vectors]
+    for j, x in enumerate(vecs):
         nrm = np.linalg.norm(x)
         if abs(nrm - 1.0) > 1e-10:
             raise PreconditionError(f"vector {j} is not unit norm ({nrm})")
-        mean = float(np.real(np.vdot(x, base @ x)))
-        mean = min(max(mean, f.domain.m), f.domain.M)
-        lifted = float(np.real(np.vdot(x, img @ x)))
-        out.append(_scalar_verdict("lemma_jensen", f(mean), lifted, tol,
-                                   {**ctx, "vector": j}))
-    return out
+    return _jensen_verdicts([(family, mats, f, vecs, dict(context or {}))], tol)
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
@@ -326,13 +489,8 @@ def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: flo
         raise PreconditionError("check_theorem_beta needs convex f")
     _validate_spectra(list(As) + list(Bs), f.domain)
     _validate_equal_map_sum(family, As, Bs)
-    beta = sb.beta_constant(f, f.domain, alpha)
-    lhs = oc.apply_map_family(family, [oc.apply_function(f, A) for A in As])
-    rhs_sum = oc.apply_map_family(family, [oc.apply_function(f, B) for B in Bs])
-    eye = np.eye(family.output_dim, dtype=complex)
-    rhs = beta * eye + alpha * rhs_sum
-    return _operator_verdict("theorem_beta", lhs, rhs, tol,
-                             {**(context or {}), "alpha": alpha, "f": f.name})
+    ctx = {**(context or {}), "alpha": alpha, "f": f.name}
+    return _map_sum_verdicts([(family, As, Bs, f, alpha, ctx)], "theorem_beta", tol)[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
@@ -345,7 +503,7 @@ def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
     eye = np.eye(dim, dtype=complex)
     family = oc.MapFamily(tuple(oc.WeightedConjugation(float(p), eye) for p in ps), dim)
     v = check_theorem_beta(family, As, Bs, f, alpha, tol, context)
-    return InequalityVerdict("corollary_weighted", v.lhs, v.rhs, v.margin, v.passed, v.context)
+    return replace(v, inequality_id="corollary_weighted")
 
 
 MODE_EQUAL = "equal_mean"
@@ -410,25 +568,22 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     return out
 
 
+def _density_pair(A, B):
+    A = oc.assert_density(A, "A")
+    B = oc.assert_density(B, "B")
+    if A.shape != B.shape:
+        raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
+    return A, B
+
+
 def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
                              context: Optional[dict] = None):
     """alpha H(B) <= H(A) + (alpha/e) dim, plus |H(A) - H(B)| <= dim/e."""
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    A = oc.assert_density(A, "A")
-    B = oc.assert_density(B, "B")
-    dim = A.shape[0]
-    ha = oc.von_neumann_entropy(A)
-    hb = oc.von_neumann_entropy(B)
-    ctx = {**(context or {}), "dim": dim, "alpha": alpha}
-    return [
-        _scalar_verdict("entropy_vn_alpha", alpha * hb, ha + alpha / math.e * dim, tol, ctx),
-        _scalar_verdict("entropy_vn_symmetric", abs(ha - hb), dim / math.e, tol, ctx),
-    ]
-
-
-def _tsallis_beta_factor(r: float) -> float:
-    return 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
+    A, B = _density_pair(A, B)
+    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha}
+    return _vn_verdicts([(A, B, alpha, ctx)], tol)
 
 
 def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
@@ -439,17 +594,9 @@ def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
         raise DomainError(f"needs r in (0, 1], got {r}")
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    A = oc.assert_density(A, "A")
-    B = oc.assert_density(B, "B")
-    dim = A.shape[0]
-    ha = oc.quantum_tsallis_entropy(A, r)
-    hb = oc.quantum_tsallis_entropy(B, r)
-    fac = _tsallis_beta_factor(r)
-    ctx = {**(context or {}), "dim": dim, "alpha": alpha, "r": r}
-    return [
-        _scalar_verdict("entropy_tsallis_alpha", alpha * hb, ha + alpha * fac * dim, tol, ctx),
-        _scalar_verdict("entropy_tsallis_symmetric", abs(ha - hb), fac * dim, tol, ctx),
-    ]
+    A, B = _density_pair(A, B)
+    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, "r": r}
+    return _tsallis_verdicts([(A, B, alpha, r, ctx)], tol)
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -467,50 +614,6 @@ def check_fannes_comparison(dims: Sequence[int]):
             tighter = "ours" if ours < weak else "fannes_weak"
         rows.append({"dim": int(dim), "ours": ours, "fannes_weak": weak, "tighter": tighter})
     return rows
-
-
-MEAN_FORMS_SOUND = (
-    "mean_ratio", "mean_diff",
-    "sr_k_form", "sr_k_form_x_both", "sr_c_form",
-)
-MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
-
-
-def _mean_bound_margin_mats(Z, pow_a, pow_b, r, h, m):
-    """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
-    bounds, from Z and the aggregated conjugated powers
-    pow_a = Z^(1/2) (sum w A_i^r) Z^(1/2), pow_b likewise for B."""
-    big_k = sb.kantorovich(h, r)
-    c_const = sb.c_of_hr(m, h, r)
-    P, Q, Zc = pow_a, pow_b, np.asarray(Z, dtype=complex)
-    inside = 0.0 < r < 1.0
-    out = {}
-    if inside:
-        out["mean_ratio"] = P - big_k * Q
-        out["mean_diff"] = P - c_const * Zc - Q
-    else:
-        out["mean_ratio"] = big_k * Q - P
-        out["mean_diff"] = c_const * Zc + Q - P
-    sr_x = (P - Zc) / r
-    sr_y = (Q - Zc) / r
-    if r >= 1.0:
-        out["sr_k_form"] = (big_k * Q - Zc) / r - sr_x
-        out["sr_k_form_x_both"] = (big_k * P - Zc) / r - sr_x
-        out["sr_c_form"] = (c_const / r) * Zc + sr_y - sr_x
-    elif r < 0.0:
-        out["sr_k_form"] = sr_x - (big_k * Q - Zc) / r
-        out["sr_k_form_x_both"] = sr_x - (big_k * P - Zc) / r
-        out["sr_c_form"] = sr_x - (c_const / r) * Zc - sr_y
-    else:
-        out["sr_k_form"] = sr_x - (big_k * Q - Zc) / r
-        out["sr_k_form_x_both"] = sr_x - (big_k * P - Zc) / r
-        # derived orientation of the difference bound (division by r > 0
-        # keeps the C-term on the right-hand side)
-        out["sr_c_form"] = sr_x - (c_const / r) * Zc - sr_y
-        # C-term-on-the-left orientation; unsatisfiable at X = Y since
-        # C < 0 in this regime, so it is scored under its own id
-        out[MEAN_FORM_C_LHS] = sr_x + (c_const / r) * Zc - sr_y
-    return out
 
 
 def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
@@ -539,7 +642,6 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")
     zis = oc.invsqrtm_pd(Z)
-    zs = oc.sqrtm_psd(Z)
     As = [oc.hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
     Bs = [oc.hermitize(zis @ np.asarray(Y, dtype=complex) @ zis) for Y in Ys]
     _validate_spectra(As + Bs, iv)
@@ -547,24 +649,9 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     mean_b = sum(wi * Bi for wi, Bi in zip(w, Bs))
     if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
         raise PreconditionError("weighted A/B sums differ in Z-relative terms")
-    pow_a = oc.hermitize(zs @ sum(wi * oc.mat_power(Ai, r) for wi, Ai in zip(w, As)) @ zs)
-    pow_b = oc.hermitize(zs @ sum(wi * oc.mat_power(Bi, r) for wi, Bi in zip(w, Bs)) @ zs)
-    h = iv.M / iv.m
-    mats = _mean_bound_margin_mats(Z, pow_a, pow_b, r, h, iv.m)
+    mats = _mean_margin_mats(Z, As, Bs, w, r, iv, include_limits)
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
-    out = []
-    for name, mat in mats.items():
-        margin = _lambda_min(mat)
-        out.append(InequalityVerdict(name, 0.0, float(np.trace(mat).real), margin,
-                                     margin >= -tol, ctx))
-    if include_limits:
-        s0x = oc.hermitize(zs @ sum(wi * oc.mat_log(Ai) for wi, Ai in zip(w, As)) @ zs)
-        s0y = oc.hermitize(zs @ sum(wi * oc.mat_log(Bi) for wi, Bi in zip(w, Bs)) @ zs)
-        for name, mat in (("s0_nonneg", s0x), ("s0_pair_vs_z", s0x + s0y - Z)):
-            margin = _lambda_min(mat)
-            out.append(InequalityVerdict(name, 0.0, float(np.trace(mat).real), margin,
-                                         margin >= -tol, ctx))
-    return out
+    return _margin_verdicts([(name, mat, ctx) for name, mat in mats.items()], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -594,50 +681,27 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 # ---------------------------------------------------------------------------
 
 
-def _group_apply_function(instances, mats_of, f_of):
-    """Batch f over all matrices of all instances, grouped by (dim, f).
-
-    Returns {instance_index: [f(M) for M in mats_of(instance)]}.
-    """
-    groups = defaultdict(list)
-    for idx, inst in enumerate(instances):
-        mats = mats_of(inst)
-        dim = np.asarray(mats[0]).shape[0]
-        key = (dim, id(f_of(inst)))
-        groups[key].append((idx, mats))
-    images: Dict[int, list] = {}
-    for (dim, _), members in groups.items():
-        f = f_of(instances[members[0][0]])
-        stack = np.stack([np.asarray(M, dtype=complex) for _, mats in members for M in mats])
-        img = oc.apply_function_stack(f, stack)
-        pos = 0
-        for idx, mats in members:
-            images[idx] = [img[pos + j] for j in range(len(mats))]
-            pos += len(mats)
-    return images
-
-
-def _grouped_lambda_min(mats: List[np.ndarray]) -> List[float]:
-    """lambda_min per matrix, batching equal dimensions together."""
-    order = defaultdict(list)
-    for i, M in enumerate(mats):
-        order[np.asarray(M).shape[0]].append(i)
-    out = [0.0] * len(mats)
-    for dim, idxs in order.items():
-        stack = np.stack([np.asarray(mats[i], dtype=complex) for i in idxs])
-        w = oc.eigvals_stack(stack)
-        for j, i in enumerate(idxs):
-            out[i] = float(w[j, 0])
-    return out
-
-
 def _cycle(seq, i):
     return seq[i % len(seq)]
 
 
+def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
+    """(family, mats, vectors): n weighted unitary conjugations, n matrices
+    with spectra in iv, the standard basis plus 16 random unit vectors."""
+    weights = rng.dirichlet(np.ones(n))
+    maps = tuple(oc.WeightedConjugation(float(wi), oc.rand_unitary(dim, rng))
+                 for wi in weights)
+    family = oc.MapFamily(maps, dim)
+    mats = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
+    vecs = [v for v in np.eye(dim)]
+    raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
+    vecs += [v / np.linalg.norm(v) for v in raw]
+    return family, mats, vecs
+
+
 def _suite_lemma_jensen(trials, seed, params):
     dims = params.get("dims", (2, 3, 4, 6, 8))
-    n_ops = params.get("n", 3)
+    n = max(1, params.get("n", 3))
     fs = [function_catalog(name) for name in params.get("fs", _DEFAULT_FS)]
     tol = params.get("tol", SCALAR_TOL)
     instances = []
@@ -645,32 +709,40 @@ def _suite_lemma_jensen(trials, seed, params):
         rng = trial_rng(seed, i)
         dim = _cycle(dims, i)
         f = _cycle(fs, i)
-        n = max(1, n_ops)
-        weights = rng.dirichlet(np.ones(n))
-        maps = tuple(oc.WeightedConjugation(float(wi), oc.rand_unitary(dim, rng))
-                     for wi in weights)
-        family = oc.MapFamily(maps, dim)
-        mats = [oc.rand_hermitian_spectrum_in(dim, f.domain, rng) for _ in range(n)]
-        vecs = [v for v in np.eye(dim)]
-        raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
-        vecs += [v / np.linalg.norm(v) for v in raw]
-        instances.append((i, dim, f, family, mats, vecs))
-    images = _group_apply_function(instances, lambda t: t[4], lambda t: t[2])
-    verdicts = []
-    for idx, (i, dim, f, family, mats, vecs) in enumerate(instances):
-        img = oc.apply_map_family(family, images[idx])
-        base = oc.apply_map_family(family, mats)
+        family, mats, vecs = _gen_jensen_instance(n, dim, f.domain, rng)
         ctx = {"trial": i, "dim": dim, "f": f.name, "seed": seed}
-        for j, x in enumerate(vecs):
-            mean = float(np.real(np.vdot(x, base @ x)))
-            mean = min(max(mean, f.domain.m), f.domain.M)
-            lifted = float(np.real(np.vdot(x, img @ x)))
-            verdicts.append(_scalar_verdict("lemma_jensen", f(mean), lifted, tol,
-                                            {**ctx, "vector": j}))
-    return verdicts
+        instances.append((family, mats, f, vecs, ctx))
+    return _jensen_verdicts(instances, tol)
 
 
-def _run_map_sum_suite(trials, seed, params, weighted_only: bool, suite_name: str):
+_WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
+
+
+def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Generator):
+    """(As, Bs, family) with scalar-weight maps Phi_i(X) = w_i X.  B is the
+    all-equal-to-the-weighted-mean reduction (weights_v0), a copy of A
+    (weights_v1) or a doubly stochastic mix under uniform weights
+    (weights_v2)."""
+    w = rng.dirichlet(np.ones(n))
+    As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
+    if kind == "weights_v0":
+        mean = oc.hermitize(sum(wi * A for wi, A in zip(w, As)))
+        Bs = [mean] * n
+    elif kind == "weights_v1":
+        Bs = list(As)
+    else:
+        # doubly stochastic mixing preserves uniform-weight sums only
+        S = sinkhorn_doubly_stochastic(n, rng)
+        w = np.full(n, 1.0 / n)
+        Bs = [oc.hermitize(sum(S[k, j] * As[j] for j in range(n))) for k in range(n)]
+    eye = np.eye(dim, dtype=complex)
+    family = oc.MapFamily(tuple(oc.WeightedConjugation(float(wi), eye) for wi in w), dim)
+    return As, Bs, family
+
+
+def _run_map_sum_suite(trials, seed, params, suite_name, gen, kinds):
+    """Map-sum suite on instances gen(n, dim, f.domain, kind, rng) -> (As, Bs,
+    family), with kind cycling through ``kinds``."""
     dims = params.get("dims", (2, 4, 8))
     n_ops = params.get("n", 3)
     f_names = params.get("fs", _DEFAULT_FS)
@@ -681,61 +753,25 @@ def _run_map_sum_suite(trials, seed, params, weighted_only: bool, suite_name: st
     for i in range(trials):
         rng = trial_rng(seed, i)
         dim = _cycle(dims, i)
-        name = _cycle(f_names, i)
-        f = fs[name]
+        f = fs[_cycle(f_names, i)]
         alpha = _cycle(alphas, i)
-        if weighted_only:
-            # scalar-weight maps; include the all-equal-to-the-mean reduction
-            w = rng.dirichlet(np.ones(n_ops))
-            eye = np.eye(dim, dtype=complex)
-            family = oc.MapFamily(tuple(oc.WeightedConjugation(float(wi), eye) for wi in w), dim)
-            As = [oc.rand_hermitian_spectrum_in(dim, f.domain, rng) for _ in range(n_ops)]
-            variant = i % 3
-            if variant == 0:
-                # the all-equal-to-the-weighted-mean reduction
-                mean = oc.hermitize(sum(wi * A for wi, A in zip(w, As)))
-                Bs = [mean for _ in range(n_ops)]
-            elif variant == 1:
-                Bs = list(As)
-            else:
-                # doubly stochastic mixing preserves uniform-weight sums only
-                S = sinkhorn_doubly_stochastic(n_ops, rng)
-                family = oc.MapFamily(
-                    tuple(oc.WeightedConjugation(1.0 / n_ops, eye) for _ in range(n_ops)),
-                    dim)
-                Bs = [oc.hermitize(sum(S[k, j] * As[j] for j in range(n_ops)))
-                      for k in range(n_ops)]
-            kind = f"weights_v{variant}"
-        else:
-            kind = _cycle(params.get("families", ("uniform_permutation", "doubly_stochastic_mix")), i)
-            As, Bs, family = gen_equal_map_sum_operators(n_ops, dim, f.domain, kind, rng)
-        beta = sb.beta_constant(f, f.domain, alpha)
-        instances.append((i, dim, f, alpha, beta, family, As, Bs, kind))
-    images_a = _group_apply_function(instances, lambda t: t[6], lambda t: t[2])
-    images_b = _group_apply_function(instances, lambda t: t[7], lambda t: t[2])
-    margin_mats, metas = [], []
-    for idx, (i, dim, f, alpha, beta, family, As, Bs, kind) in enumerate(instances):
-        lhs = oc.apply_map_family(family, images_a[idx])
-        rhs = beta * np.eye(family.output_dim, dtype=complex) \
-            + alpha * oc.apply_map_family(family, images_b[idx])
-        margin_mats.append(rhs - lhs)
-        metas.append({"trial": i, "dim": dim, "f": f.name, "alpha": alpha,
-                      "family": kind, "seed": seed})
-    margins = _grouped_lambda_min(margin_mats)
-    return [
-        InequalityVerdict(suite_name, 0.0, 0.0, m, m >= -tol, meta)
-        for m, meta in zip(margins, metas)
-    ]
+        kind = _cycle(kinds, i)
+        As, Bs, family = gen(n_ops, dim, f.domain, kind, rng)
+        ctx = {"trial": i, "dim": dim, "f": f.name, "alpha": alpha,
+               "family": kind, "seed": seed}
+        instances.append((family, As, Bs, f, alpha, ctx))
+    return _map_sum_verdicts(instances, suite_name, tol)
 
 
 def _suite_theorem_beta(trials, seed, params):
-    return _run_map_sum_suite(trials, seed, params, weighted_only=False,
-                              suite_name="theorem_beta")
+    kinds = params.get("families", ("uniform_permutation", "doubly_stochastic_mix"))
+    return _run_map_sum_suite(trials, seed, params, "theorem_beta",
+                              gen_equal_map_sum_operators, kinds)
 
 
 def _suite_corollary_weighted(trials, seed, params):
-    return _run_map_sum_suite(trials, seed, params, weighted_only=True,
-                              suite_name="corollary_weighted")
+    return _run_map_sum_suite(trials, seed, params, "corollary_weighted",
+                              _gen_weighted_instance, _WEIGHT_VARIANTS)
 
 
 def _suite_scalar_corollary(trials, seed, params):
@@ -808,51 +844,26 @@ def _suite_moment(trials, seed, params):
 
 
 def _entropy_pairs(trials, seed, dims):
-    per_dim = defaultdict(list)
-    metas = []
+    """(trial, dim, A, B): two random density matrices per trial."""
+    pairs = []
     for i in range(trials):
         rng = trial_rng(seed, i)
         dim = _cycle(dims, i)
         A = oc.rand_density(dim, rng)
         B = oc.rand_density(dim, rng)
-        per_dim[dim].append(len(metas))
-        metas.append((i, dim, A, B))
-    entropies = {}
-    for dim, idxs in per_dim.items():
-        stack = np.stack([M for k in idxs for M in (metas[k][2], metas[k][3])])
-        w = oc.eigvals_stack(stack)
-        w = np.clip(w, 0.0, None)
-        for j, k in enumerate(idxs):
-            entropies[k] = (w[2 * j], w[2 * j + 1])
-    return metas, entropies
-
-
-def _vn_entropy_from_evals(w):
-    pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
-
-
-def _tsallis_entropy_from_evals(w, r):
-    pos = w[w > 0.0]
-    return float((np.sum(pos ** (1.0 - r)) - 1.0) / r)
+        pairs.append((i, dim, A, B))
+    return pairs
 
 
 def _suite_entropy_vn(trials, seed, params):
     dims = params.get("dims", (2, 3, 4, 5, 6, 7, 8))
     alphas = params.get("alphas", _DEFAULT_ALPHAS)
     tol = params.get("tol", SCALAR_TOL)
-    metas, evals = _entropy_pairs(trials, seed, dims)
-    verdicts = []
-    for k, (i, dim, _, _) in enumerate(metas):
-        wa, wb = evals[k]
-        ha, hb = _vn_entropy_from_evals(wa), _vn_entropy_from_evals(wb)
+    instances = []
+    for i, dim, A, B in _entropy_pairs(trials, seed, dims):
         alpha = _cycle(alphas, i)
-        ctx = {"trial": i, "dim": dim, "alpha": alpha, "seed": seed}
-        verdicts.append(_scalar_verdict("entropy_vn_alpha", alpha * hb,
-                                        ha + alpha / math.e * dim, tol, ctx))
-        verdicts.append(_scalar_verdict("entropy_vn_symmetric", abs(ha - hb),
-                                        dim / math.e, tol, ctx))
-    return verdicts
+        instances.append((A, B, alpha, {"trial": i, "dim": dim, "alpha": alpha, "seed": seed}))
+    return _vn_verdicts(instances, tol)
 
 
 def _suite_entropy_tsallis(trials, seed, params):
@@ -860,21 +871,13 @@ def _suite_entropy_tsallis(trials, seed, params):
     alphas = params.get("alphas", _DEFAULT_ALPHAS)
     rs = params.get("rs", (0.1, 0.5, 0.9))
     tol = params.get("tol", SCALAR_TOL)
-    metas, evals = _entropy_pairs(trials, seed, dims)
-    verdicts = []
-    for k, (i, dim, _, _) in enumerate(metas):
-        wa, wb = evals[k]
+    instances = []
+    for i, dim, A, B in _entropy_pairs(trials, seed, dims):
         alpha = _cycle(alphas, i)
         r = _cycle(rs, i)
-        ha = _tsallis_entropy_from_evals(wa, r)
-        hb = _tsallis_entropy_from_evals(wb, r)
-        fac = _tsallis_beta_factor(r)
         ctx = {"trial": i, "dim": dim, "alpha": alpha, "r": r, "seed": seed}
-        verdicts.append(_scalar_verdict("entropy_tsallis_alpha", alpha * hb,
-                                        ha + alpha * fac * dim, tol, ctx))
-        verdicts.append(_scalar_verdict("entropy_tsallis_symmetric", abs(ha - hb),
-                                        fac * dim, tol, ctx))
-    return verdicts
+        instances.append((A, B, alpha, r, ctx))
+    return _tsallis_verdicts(instances, tol)
 
 
 def _suite_info_inequality(trials, seed, params):
@@ -906,29 +909,12 @@ def _suite_info_inequality(trials, seed, params):
     return verdicts
 
 
-def _suite_reverse_shannon(trials, seed, params):
+def _run_reverse_suite(trials, seed, params, suite_name, rs, margins):
+    """Reverse-bound suite on conditioned pairs with alternating dominance
+    tags, scored by margins(p, q, eps, r, direction) -> (ratio, diff); r
+    cycles through ``rs`` and is left out of the context when None."""
     eps = params.get("eps", 0.05)
     sizes = params.get("sizes", (2, 3, 4, 6))
-    tol = params.get("tol", SCALAR_TOL)
-    verdicts = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        n = _cycle(sizes, i)
-        direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
-        p, q = gen_conditioned_prob_pair(n, eps, direction, rng)
-        ratio_m, diff_m = ce.reverse_shannon_margins(p, q, eps, direction)
-        ctx = {"trial": i, "dim": n, "eps": eps, "direction": direction, "seed": seed}
-        verdicts.append(InequalityVerdict("reverse_shannon_ratio", 0.0, ratio_m,
-                                          ratio_m, ratio_m >= -tol, ctx))
-        verdicts.append(InequalityVerdict("reverse_shannon_diff", 0.0, diff_m,
-                                          diff_m, diff_m >= -tol, ctx))
-    return verdicts
-
-
-def _suite_parametric_reverse(trials, seed, params):
-    eps = params.get("eps", 0.05)
-    sizes = params.get("sizes", (2, 3, 4, 6))
-    rs = params.get("rs", (0.1, 0.5, 1.0, 2.0))
     tol = params.get("tol", SCALAR_TOL)
     verdicts = []
     for i in range(trials):
@@ -937,13 +923,24 @@ def _suite_parametric_reverse(trials, seed, params):
         r = _cycle(rs, i)
         direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
         p, q = gen_conditioned_prob_pair(n, eps, direction, rng)
-        ratio_m, diff_m = ce.parametric_reverse_margins(p, q, eps, r, direction)
-        ctx = {"trial": i, "dim": n, "eps": eps, "r": r, "direction": direction, "seed": seed}
-        verdicts.append(InequalityVerdict("parametric_reverse_ratio", 0.0, ratio_m,
-                                          ratio_m, ratio_m >= -tol, ctx))
-        verdicts.append(InequalityVerdict("parametric_reverse_diff", 0.0, diff_m,
-                                          diff_m, diff_m >= -tol, ctx))
+        ctx = {"trial": i, "dim": n, "eps": eps, "direction": direction, "seed": seed}
+        if r is not None:
+            ctx["r"] = r
+        for form, m in zip(("_ratio", "_diff"), margins(p, q, eps, r, direction)):
+            verdicts.append(InequalityVerdict(suite_name + form, 0.0, m, m, m >= -tol, ctx))
     return verdicts
+
+
+def _suite_reverse_shannon(trials, seed, params):
+    return _run_reverse_suite(
+        trials, seed, params, "reverse_shannon", (None,),
+        lambda p, q, eps, _, direction: ce.reverse_shannon_margins(p, q, eps, direction))
+
+
+def _suite_parametric_reverse(trials, seed, params):
+    return _run_reverse_suite(trials, seed, params, "parametric_reverse",
+                              params.get("rs", (0.1, 0.5, 1.0, 2.0)),
+                              ce.parametric_reverse_margins)
 
 
 def _gen_mean_instance(rng, dim, iv, n):
@@ -959,54 +956,36 @@ def _gen_mean_instance(rng, dim, iv, n):
     return Z, As, Bs, w
 
 
-def _mean_margin_verdicts(trials, seed, params, rs, include_limits, sound_only):
+def _mean_margin_verdicts(trials, seed, params, rs, forms):
+    """Operator-mean suite scoring the named ``forms`` of each instance
+    (forms that do not apply at an instance's r are skipped)."""
     dims = params.get("dims", (2, 3, 4, 6))
     iv = Interval(*params.get("interval", (1.7, 5.1)))
     tol = params.get("tol", OPERATOR_TOL)
-    h = iv.M / iv.m
-    margin_mats, metas = [], []
+    include_limits = any(name in forms for name in MEAN_FORMS_LIMIT)
+    items = []
     for i in range(trials):
         rng = trial_rng(seed, i)
         dim = _cycle(dims, i)
         r = _cycle(rs, i)
         n = 1 if i % 2 == 0 else 2
         Z, As, Bs, w = _gen_mean_instance(rng, dim, iv, n)
-        zs = oc.sqrtm_psd(Z)
-        pow_a = oc.hermitize(zs @ sum(wi * oc.mat_power(A, r) for wi, A in zip(w, As)) @ zs)
-        pow_b = oc.hermitize(zs @ sum(wi * oc.mat_power(B, r) for wi, B in zip(w, Bs)) @ zs)
-        mats = _mean_bound_margin_mats(Z, pow_a, pow_b, r, h, iv.m)
+        mats = _mean_margin_mats(Z, As, Bs, w, r, iv, include_limits)
         ctx = {"trial": i, "dim": dim, "r": r, "n": n, "seed": seed}
-        for name, mat in mats.items():
-            if sound_only and name == MEAN_FORM_C_LHS:
-                continue
-            if not sound_only and name != MEAN_FORM_C_LHS:
-                continue
-            margin_mats.append(mat)
-            metas.append((name, ctx))
-        if include_limits:
-            s0x = oc.hermitize(zs @ sum(wi * oc.mat_log(A) for wi, A in zip(w, As)) @ zs)
-            s0y = oc.hermitize(zs @ sum(wi * oc.mat_log(B) for wi, B in zip(w, Bs)) @ zs)
-            margin_mats.append(s0x)
-            metas.append(("s0_nonneg", ctx))
-            margin_mats.append(s0x + s0y - Z)
-            metas.append(("s0_pair_vs_z", ctx))
-    margins = _grouped_lambda_min(margin_mats)
-    return [InequalityVerdict(name, 0.0, 0.0, m, m >= -tol, ctx)
-            for m, (name, ctx) in zip(margins, metas)]
+        items.extend((name, mats[name], ctx) for name in forms if name in mats)
+    return _margin_verdicts(items, tol)
 
 
 def _suite_operator_means(trials, seed, params):
     rs = params.get("rs", (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6))
-    return _mean_margin_verdicts(trials, seed, params, rs,
-                                 include_limits=False, sound_only=True)
+    return _mean_margin_verdicts(trials, seed, params, rs, MEAN_FORMS_SOUND)
 
 
 def _suite_mean_limits(trials, seed, params):
-    # m >= sqrt(e) so both r -> 0 limit claims hold (see module docs)
-    params = {**params, "interval": params.get("interval", (1.7, 5.1))}
+    # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
     rs = params.get("rs", (0.3,))
     return _mean_margin_verdicts(trials, seed, params, rs,
-                                 include_limits=True, sound_only=True)
+                                 MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT)
 
 
 def _suite_mean_c_lhs_variant(trials, seed, params):
@@ -1017,8 +996,7 @@ def _suite_mean_c_lhs_variant(trials, seed, params):
     separately for inspection.
     """
     rs = params.get("rs", (0.3, 0.6))
-    return _mean_margin_verdicts(trials, seed, params, rs,
-                                 include_limits=False, sound_only=False)
+    return _mean_margin_verdicts(trials, seed, params, rs, (MEAN_FORM_C_LHS,))
 
 
 def _suite_eigensolver(trials, seed, params):

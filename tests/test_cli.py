@@ -1,9 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from karabounds import cli
+from karabounds import verification as vf
+
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"
 
 
 def run(argv):
@@ -65,6 +69,15 @@ class TestVerifyCommand:
                            "alpha", "eps", "seed", "inequality_id"]
         assert len(rows) == 1 + 2 * 8  # two inequalities per trial
         assert all(row[3] == "1" for row in rows[1:])
+
+    def test_csv_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        argv = ["verify", "--suite", "moment", "--trials", "6", "--seed", "4",
+                "--format", "csv"]
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
     def test_dims_flag_restricts_dimensions(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -157,3 +170,25 @@ class TestOracleCommand:
         monkeypatch.setattr(vf.sb, "specht", lambda h: 1.0)
         out = tmp_path / "o.json"
         assert run(["oracle", "--out", str(out)]) == 1
+
+
+class TestReportSchema:
+    @pytest.fixture
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA_PATH.read_text())
+        return jsonschema.Draft202012Validator(schema)
+
+    def test_verify_all_report_matches_schema(self, tmp_path, validator):
+        out = tmp_path / "all.json"
+        assert run(["verify", "--suite", "all", "--trials", "2", "--seed", "0",
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [rep["suite_id"] for rep in payload] == vf.suite_ids()
+        validator.validate(payload)
+
+    def test_timed_report_matches_schema(self, validator):
+        reports = [vf.run_suite(sid, 2, 0) for sid in ("fuchs", "operator_means")]
+        payload = json.loads(vf.report_to_json(reports, include_timing=True))
+        assert all("elapsed_ms" in rep for rep in payload)
+        validator.validate(payload)

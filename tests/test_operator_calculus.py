@@ -45,6 +45,18 @@ class TestJacobiEigh:
             w, _ = oc.jacobi_eigh(stack[k])
             assert np.allclose(ws[k], w, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_stack_bitwise_matches_single_calls(self, dim):
+        # a matrix stops rotating once it converges, so the slowest matrix
+        # of a stack does not move the others' eigenvalues or eigenvectors
+        rng = np.random.default_rng(dim)
+        stack = np.stack([rand_herm(dim, rng) for _ in range(64)])
+        ws, Vs = oc.eigh_stack(stack)
+        for k in range(64):
+            w, V = oc.eigh_stack(stack[k:k + 1])
+            assert np.array_equal(ws[k], w[0])
+            assert np.array_equal(Vs[k], V[0])
+
     @pytest.mark.parametrize("dim", [2, 5, 9, 16])
     def test_eigenvalues_match_lapack(self, dim):
         # independent route: LAPACK's solver, compared eigenvalue by eigenvalue
@@ -254,6 +266,12 @@ class TestMatrixEntropies:
         rho = np.diag(p).astype(complex)
         assert oc.von_neumann_entropy(rho) == pytest.approx(ce.shannon_entropy(p),
                                                             abs=1e-12)
+
+    def test_from_evals_ignores_nonpositive_entries(self):
+        w = np.array([-1e-17, 0.0, 0.5, 0.5])
+        assert oc.von_neumann_entropy_from_evals(w) == pytest.approx(math.log(2.0))
+        assert oc.tsallis_entropy_from_evals(w, 0.5) == pytest.approx(
+            (2.0 * math.sqrt(0.5) - 1.0) / 0.5)
 
     def test_entropy_bridge_random(self):
         for _ in range(20):

@@ -5,7 +5,7 @@ import pytest
 
 from karabounds import operator_calculus as oc
 from karabounds import verification as vf
-from karabounds.errors import DomainError, GeneratorExhausted, PreconditionError
+from karabounds.errors import DomainError, GeneratorExhausted, PreconditionError, ShapeError
 from karabounds.functions import FunctionSpec, Interval
 
 
@@ -20,6 +20,18 @@ class TestGenerators:
             assert np.all((y >= iv.m) & (y <= iv.M))
             worst = max(worst, abs(float(p @ x) - float(p @ y)))
         assert worst <= 1e-12
+
+    def test_equal_weighted_mean_without_redraws(self, monkeypatch):
+        # with no redraws every draw takes the coordinate-wise construction
+        monkeypatch.setattr(vf, "_REDRAW_CAP", 0)
+        for name in vf._DEFAULT_FS:
+            iv = vf.function_catalog(name).domain
+            worst = 0.0
+            for i in range(2000):
+                x, y, p = vf.gen_equal_weighted_mean_scalars(4, iv, vf.trial_rng(13, i))
+                assert np.all((x >= iv.m) & (x <= iv.M))
+                worst = max(worst, abs(float(p @ x) - float(p @ y)))
+            assert worst <= 1e-12, name
 
     def test_two_point_solved_coordinate(self):
         iv = Interval(0.0, 1.0)
@@ -238,6 +250,14 @@ class TestCheckers:
         v_alpha, _ = vf.check_entropy_vonneumann(A, A, 1.0)
         assert v_alpha.margin == pytest.approx(3.0 / math.e, abs=1e-12)
 
+    def test_entropy_checkers_reject_mismatched_dimensions(self):
+        rng = vf.trial_rng(11, 3)
+        A, B = oc.rand_density(2, rng), oc.rand_density(3, rng)
+        with pytest.raises(ShapeError):
+            vf.check_entropy_vonneumann(A, B, 1.0)
+        with pytest.raises(ShapeError):
+            vf.check_entropy_tsallis(A, B, 1.0, 0.5)
+
     def test_entropy_tsallis_limit_matches_vn(self):
         rng = vf.trial_rng(11, 2)
         A, B = oc.rand_density(5, rng), oc.rand_density(5, rng)
@@ -329,22 +349,76 @@ class TestSuites:
         assert rep.min_margin < -1e-6
 
     def test_batched_suite_matches_per_instance_checker(self):
-        # the blocked theorem_beta pipeline must agree with check_theorem_beta
-        trials, seed = 12, 2024
-        rep = vf.run_suite("theorem_beta", trials, seed, keep_verdicts=True)
-        params_dims = (2, 4, 8)
-        fs = vf._DEFAULT_FS
-        alphas = vf._DEFAULT_ALPHAS
-        for v in rep.verdicts[:6]:
-            i = v.context["trial"]
-            rng = vf.trial_rng(seed, i)
-            dim = params_dims[i % len(params_dims)]
-            f = vf.function_catalog(fs[i % len(fs)])
-            alpha = alphas[i % len(alphas)]
-            kind = ("uniform_permutation", "doubly_stochastic_mix")[i % 2]
-            As, Bs, fam = vf.gen_equal_map_sum_operators(3, dim, f.domain, kind, rng)
-            direct = vf.check_theorem_beta(fam, As, Bs, f, alpha)
-            assert v.margin == pytest.approx(direct.margin, abs=1e-11)
+        # each suite and its checker share one kernel, and eigh_stack results
+        # do not depend on the stack, so a checker run on a suite's instance
+        # (a batch of one) reproduces the suite's margins bit for bit
+        seed = 2024
+        fs, alphas = vf._DEFAULT_FS, vf._DEFAULT_ALPHAS
+        map_kinds = ("uniform_permutation", "doubly_stochastic_mix")
+
+        def theorem_beta(i, rng):
+            f, alpha = vf.function_catalog(fs[i % 4]), alphas[i % 4]
+            As, Bs, fam = vf.gen_equal_map_sum_operators(3, (2, 4, 8)[i % 3], f.domain,
+                                                         map_kinds[i % 2], rng)
+            return [vf.check_theorem_beta(fam, As, Bs, f, alpha)]
+
+        def corollary_weighted(i, rng):
+            f, alpha = vf.function_catalog(fs[i % 4]), alphas[i % 4]
+            As, Bs, fam = vf._gen_weighted_instance(3, (2, 4, 8)[i % 3], f.domain,
+                                                    f"weights_v{i % 3}", rng)
+            ps = [phi.weight for phi in fam.maps]
+            return [vf.check_corollary_weighted(ps, As, Bs, f, alpha)]
+
+        def lemma_jensen(i, rng):
+            f = vf.function_catalog(fs[i % 4])
+            fam, mats, vecs = vf._gen_jensen_instance(3, (2, 3, 4, 6, 8)[i % 5],
+                                                      f.domain, rng)
+            return vf.check_lemma_jensen(fam, mats, f, vecs)
+
+        def entropy_vn(i, rng):
+            dim = (2, 3, 4, 5, 6, 7, 8)[i % 7]
+            A, B = oc.rand_density(dim, rng), oc.rand_density(dim, rng)
+            return vf.check_entropy_vonneumann(A, B, alphas[i % 4])
+
+        def entropy_tsallis(i, rng):
+            dim = (2, 3, 4, 5, 6, 7, 8)[i % 7]
+            A, B = oc.rand_density(dim, rng), oc.rand_density(dim, rng)
+            return vf.check_entropy_tsallis(A, B, alphas[i % 4], (0.1, 0.5, 0.9)[i % 3])
+
+        for checker, trials in ((theorem_beta, 48), (corollary_weighted, 48),
+                                (lemma_jensen, 40), (entropy_vn, 56),
+                                (entropy_tsallis, 84)):
+            rep = vf.run_suite(checker.__name__, trials, seed, keep_verdicts=True)
+            direct = [v for i in range(trials) for v in checker(i, vf.trial_rng(seed, i))]
+            assert [(v.inequality_id, v.margin) for v in rep.verdicts] == \
+                [(v.inequality_id, v.margin) for v in direct], checker.__name__
+
+    def test_batched_operator_means_match_checker(self):
+        # the checker rebuilds A = Z^(-1/2) X Z^(-1/2) from X = Z^(1/2) A Z^(1/2),
+        # which moves the margins by rounding only
+        trials, seed = 28, 2024
+        iv = Interval(1.7, 5.1)
+        rs = (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)
+        rep = vf.run_suite("operator_means", trials, seed, keep_verdicts=True)
+        direct = []
+        for i in range(trials):
+            Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), (2, 3, 4, 6)[i % 4],
+                                                 iv, 1 if i % 2 == 0 else 2)
+            zs = oc.sqrtm_psd(Z)
+            Xs = [oc.hermitize(zs @ A @ zs) for A in As]
+            Ys = [oc.hermitize(zs @ B @ zs) for B in Bs]
+            direct += [v for v in vf.check_operator_mean_bounds(Z, Xs, Ys, w, iv, rs[i % 7])
+                       if v.inequality_id in vf.MEAN_FORMS_SOUND]
+        assert [v.inequality_id for v in rep.verdicts] == [v.inequality_id for v in direct]
+        for a, b in zip(rep.verdicts, direct):
+            assert a.margin == pytest.approx(b.margin, abs=1e-10)
+
+    def test_scalar_corollary_sampler_seeds_that_exhausted_redraws(self):
+        # trial 167 of seed 1016 draws p_0 = 3.96e-7; the redraw loop runs
+        # out and the coordinate-wise construction takes over
+        for seed in (1016, 107004):
+            rep = vf.run_suite("scalar_corollary", 384, seed)
+            assert rep.failures == 0
 
     def test_soundness_halved_beta_fails(self, monkeypatch):
         orig = vf.sb.beta_constant
