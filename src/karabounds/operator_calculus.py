@@ -7,7 +7,9 @@ same-sized matrices: each matrix in the stack gets its own rotation angles
 while sharing the (data-independent) pivot schedule, and stops rotating once
 it has converged, so batching changes throughput, not results
 (tests/test_operator_calculus.py::TestJacobiEigh::test_stack_bitwise_matches_single_calls).
-Everything else is built on top of it.
+``eigvals_stack`` runs the same rotations without accumulating eigenvectors,
+so its eigenvalues equal ``eigh_stack``'s bit for bit.  Everything else is
+built on top of it.
 """
 
 from __future__ import annotations
@@ -118,13 +120,21 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     matrix has off-diagonal Frobenius mass <= 1e-14 * ||A||_F; exceeding the
     sweep cap raises ConvergenceError with the worst residual.
     """
+    return _jacobi(mats, max_sweeps, vectors=True)
+
+
+def _jacobi(mats, max_sweeps: int, vectors: bool):
+    """eigh_stack's iteration; without ``vectors`` the rotations are not
+    accumulated and None is returned in place of the eigenvectors."""
     A = np.array(mats, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ShapeError(f"expected a stack (k, d, d), got {A.shape}")
     k, d, _ = A.shape
-    V = np.zeros_like(A)
     idx = np.arange(d)
-    V[:, idx, idx] = 1.0
+    V = None
+    if vectors:
+        V = np.zeros_like(A)
+        V[:, idx, idx] = 1.0
     if d == 1:
         return A[:, 0, 0].real.reshape(k, 1), V
 
@@ -174,10 +184,11 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
                 A[:, p, p] = A[:, p, p].real
                 A[:, q, q] = A[:, q, q].real
 
-                vp = V[:, :, p].copy()
-                vq = V[:, :, q].copy()
-                V[:, :, p] = c[:, None] * vp - np.conj(sp)[:, None] * vq
-                V[:, :, q] = sp[:, None] * vp + c[:, None] * vq
+                if V is not None:
+                    vp = V[:, :, p].copy()
+                    vq = V[:, :, q].copy()
+                    V[:, :, p] = c[:, None] * vp - np.conj(sp)[:, None] * vq
+                    V[:, :, q] = sp[:, None] * vp + c[:, None] * vq
     if not converged and np.any(off_mass() > OFF_DIAG_TARGET * scale):
         worst = float((off_mass() / scale).max())
         raise ConvergenceError(
@@ -187,7 +198,8 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     evals = np.diagonal(A, axis1=1, axis2=2).real.copy()
     order = np.argsort(evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    if V is not None:
+        V = np.take_along_axis(V, order[:, None, :], axis=2)
     return evals, V
 
 
@@ -200,7 +212,7 @@ def jacobi_eigh(A):
 
 def eigvals_stack(mats: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of Hermitian matrices."""
-    return eigh_stack(mats)[0]
+    return _jacobi(mats, MAX_SWEEPS, vectors=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +375,32 @@ def _power_of_psd(w: np.ndarray, r: float, floor_pd: bool) -> np.ndarray:
     return w ** r
 
 
-def sqrtm_psd(A: np.ndarray) -> np.ndarray:
-    w, V = jacobi_eigh(A)
+def _sqrt_of_psd(w: np.ndarray) -> np.ndarray:
     if w.min() < -1e-10:
         raise DomainError(f"sqrtm needs a PSD matrix, min eigenvalue {w.min():.3e}")
-    return _recompose(np.sqrt(np.maximum(w, 0.0)), V)
+    return np.sqrt(np.maximum(w, 0.0))
+
+
+def _invsqrt_of_pd(w: np.ndarray) -> np.ndarray:
+    if w.min() < EIG_FLOOR:
+        raise DomainError(f"invsqrtm needs eigenvalues > {EIG_FLOOR}, got {w.min():.3e}")
+    return 1.0 / np.sqrt(w)
+
+
+def _log_of_pd(w: np.ndarray) -> np.ndarray:
+    if w.min() < EIG_FLOOR:
+        raise DomainError(f"log needs eigenvalues > {EIG_FLOOR}, got {w.min():.3e}")
+    return np.log(w)
+
+
+def sqrtm_psd(A: np.ndarray) -> np.ndarray:
+    w, V = jacobi_eigh(A)
+    return _recompose(_sqrt_of_psd(w), V)
+
 
 def invsqrtm_pd(A: np.ndarray) -> np.ndarray:
     w, V = jacobi_eigh(A)
-    if w.min() < EIG_FLOOR:
-        raise DomainError(f"invsqrtm needs eigenvalues > {EIG_FLOOR}, got {w.min():.3e}")
-    return _recompose(1.0 / np.sqrt(w), V)
+    return _recompose(_invsqrt_of_pd(w), V)
 
 
 def mat_power(A: np.ndarray, r: float) -> np.ndarray:
@@ -384,9 +411,7 @@ def mat_power(A: np.ndarray, r: float) -> np.ndarray:
 
 def mat_log(A: np.ndarray) -> np.ndarray:
     w, V = jacobi_eigh(A)
-    if w.min() < EIG_FLOOR:
-        raise DomainError(f"log needs eigenvalues > {EIG_FLOOR}, got {w.min():.3e}")
-    return _recompose(np.log(w), V)
+    return _recompose(_log_of_pd(w), V)
 
 
 def natural_power_mean(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:

@@ -356,43 +356,76 @@ MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _mean_margin_mats(Z, As, Bs, w, r, iv: Interval, include_limits: bool):
+def _eigh_distinct(mats):
+    """{id(M): (w, V)} for each distinct matrix object M of ``mats``, with one
+    eigh_stack per dimension; a matrix passed twice is decomposed once."""
+    by_dim = defaultdict(dict)
+    for M in mats:
+        by_dim[M.shape[0]].setdefault(id(M), M)
+    eig = {}
+    for group in by_dim.values():
+        w, V = oc.eigh_stack(np.stack(list(group.values())))
+        eig.update(zip(group, zip(w, V)))
+    return eig
+
+
+def _mean_margin_mats(instances, include_limits: bool, eig=None):
     """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
-    bounds for Z-relative tuples As, Bs with weights w and spectra in iv,
-    built from P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.  With
-    ``include_limits`` the two r -> 0 limit claims are added."""
-    zs = oc.sqrtm_psd(Z)
-    P = oc.hermitize(zs @ sum(wi * oc.mat_power(A, r) for wi, A in zip(w, As)) @ zs)
-    Q = oc.hermitize(zs @ sum(wi * oc.mat_power(B, r) for wi, B in zip(w, Bs)) @ zs)
-    h = iv.M / iv.m
-    big_k = sb.kantorovich(h, r)
-    c_const = sb.c_of_hr(iv.m, h, r)
-    Zc = np.asarray(Z, dtype=complex)
-    if 0.0 < r < 1.0:
-        out = {"mean_ratio": P - big_k * Q, "mean_diff": P - c_const * Zc - Q}
-    else:
-        out = {"mean_ratio": big_k * Q - P, "mean_diff": c_const * Zc + Q - P}
-    sr_x = (P - Zc) / r
-    sr_y = (Q - Zc) / r
-    if r >= 1.0:
-        out["sr_k_form"] = (big_k * Q - Zc) / r - sr_x
-        out["sr_k_form_x_both"] = (big_k * P - Zc) / r - sr_x
-        out["sr_c_form"] = (c_const / r) * Zc + sr_y - sr_x
-    else:
-        # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on
-        # the right-hand side
-        out["sr_k_form"] = sr_x - (big_k * Q - Zc) / r
-        out["sr_k_form_x_both"] = sr_x - (big_k * P - Zc) / r
-        out["sr_c_form"] = sr_x - (c_const / r) * Zc - sr_y
-    if 0.0 < r < 1.0:
-        # C-term-on-the-left orientation; unsatisfiable at X = Y since
-        # C < 0 in this regime, so it is scored under its own id
-        out[MEAN_FORM_C_LHS] = sr_x + (c_const / r) * Zc - sr_y
-    if include_limits:
-        s0x = oc.hermitize(zs @ sum(wi * oc.mat_log(A) for wi, A in zip(w, As)) @ zs)
-        s0y = oc.hermitize(zs @ sum(wi * oc.mat_log(B) for wi, B in zip(w, Bs)) @ zs)
-        out["s0_nonneg"] = s0x
-        out["s0_pair_vs_z"] = s0x + s0y - Z
+    bounds, one dict per (Z, As, Bs, w, r, iv) instance: Z-relative tuples
+    As, Bs with weights w and spectra in iv, built from
+    P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.  With
+    ``include_limits`` the two r -> 0 limit claims are added.
+
+    Z^(1/2), A_i^r and log A_i all come from one decomposition per matrix
+    object, taken in one eigh_stack per dimension over the whole batch
+    (``eig`` holds those the caller already has).  Instances with n = 1 pass
+    B as the same object as A, so it is decomposed once.  Each image is
+    recomposed on its own, so the margins do not depend on the batch."""
+    eig = dict(eig or {})
+    eig.update(_eigh_distinct([M for Z, As, Bs, *_ in instances
+                               for M in (Z, *As, *Bs) if id(M) not in eig]))
+
+    def image(M, spectral_map, *args):
+        w, V = eig[id(M)]
+        return oc._recompose(spectral_map(w, *args), V)
+
+    out = []
+    for Z, As, Bs, w, r, iv in instances:
+        zs = image(Z, oc._sqrt_of_psd)
+        P = oc.hermitize(zs @ sum(wi * image(A, oc._power_of_psd, r, True)
+                                  for wi, A in zip(w, As)) @ zs)
+        Q = oc.hermitize(zs @ sum(wi * image(B, oc._power_of_psd, r, True)
+                                  for wi, B in zip(w, Bs)) @ zs)
+        h = iv.M / iv.m
+        big_k = sb.kantorovich(h, r)
+        c_const = sb.c_of_hr(iv.m, h, r)
+        Zc = np.asarray(Z, dtype=complex)
+        if 0.0 < r < 1.0:
+            mats = {"mean_ratio": P - big_k * Q, "mean_diff": P - c_const * Zc - Q}
+        else:
+            mats = {"mean_ratio": big_k * Q - P, "mean_diff": c_const * Zc + Q - P}
+        sr_x = (P - Zc) / r
+        sr_y = (Q - Zc) / r
+        if r >= 1.0:
+            mats["sr_k_form"] = (big_k * Q - Zc) / r - sr_x
+            mats["sr_k_form_x_both"] = (big_k * P - Zc) / r - sr_x
+            mats["sr_c_form"] = (c_const / r) * Zc + sr_y - sr_x
+        else:
+            # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on
+            # the right-hand side
+            mats["sr_k_form"] = sr_x - (big_k * Q - Zc) / r
+            mats["sr_k_form_x_both"] = sr_x - (big_k * P - Zc) / r
+            mats["sr_c_form"] = sr_x - (c_const / r) * Zc - sr_y
+        if 0.0 < r < 1.0:
+            # C-term-on-the-left orientation; unsatisfiable at X = Y since
+            # C < 0 in this regime, so it is scored under its own id
+            mats[MEAN_FORM_C_LHS] = sr_x + (c_const / r) * Zc - sr_y
+        if include_limits:
+            s0x = oc.hermitize(zs @ sum(wi * image(A, oc._log_of_pd) for wi, A in zip(w, As)) @ zs)
+            s0y = oc.hermitize(zs @ sum(wi * image(B, oc._log_of_pd) for wi, B in zip(w, Bs)) @ zs)
+            mats["s0_nonneg"] = s0x
+            mats["s0_pair_vs_z"] = s0x + s0y - Z
+        out.append(mats)
     return out
 
 
@@ -459,7 +492,10 @@ def _validate_equal_map_sum(family, As, Bs, tol=1e-8):
 
 
 def _validate_spectra(mats, iv: Interval):
-    w = oc.eigvals_stack(np.stack([oc.assert_hermitian(M) for M in mats]))
+    _check_spectra(oc.eigvals_stack(np.stack([oc.assert_hermitian(M) for M in mats])), iv)
+
+
+def _check_spectra(w, iv: Interval):
     if w.min() < iv.m - 1e-9 or w.max() > iv.M + 1e-9:
         raise PreconditionError(
             f"spectra [{w.min():.6g}, {w.max():.6g}] escape [{iv.m}, {iv.M}]"
@@ -641,15 +677,20 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
         raise PreconditionError("weights must be positive and sum to 1")
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")
-    zis = oc.invsqrtm_pd(Z)
+    # each input is decomposed once: Z for Z^(-1/2) here and Z^(1/2) in the
+    # kernel, the A_i and B_i for the spectra check here and the kernel
+    eig = _eigh_distinct([Z])
+    wz, vz = eig[id(Z)]
+    zis = oc._recompose(oc._invsqrt_of_pd(wz), vz)
     As = [oc.hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
     Bs = [oc.hermitize(zis @ np.asarray(Y, dtype=complex) @ zis) for Y in Ys]
-    _validate_spectra(As + Bs, iv)
+    eig.update(_eigh_distinct(As + Bs))
+    _check_spectra(np.concatenate([eig[id(M)][0] for M in As + Bs]), iv)
     mean_a = sum(wi * Ai for wi, Ai in zip(w, As))
     mean_b = sum(wi * Bi for wi, Bi in zip(w, Bs))
     if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
         raise PreconditionError("weighted A/B sums differ in Z-relative terms")
-    mats = _mean_margin_mats(Z, As, Bs, w, r, iv, include_limits)
+    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits, eig)[0]
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
     return _margin_verdicts([(name, mat, ctx) for name, mat in mats.items()], tol)
 
@@ -944,6 +985,10 @@ def _suite_parametric_reverse(trials, seed, params):
 
 
 def _gen_mean_instance(rng, dim, iv, n):
+    """(Z, As, Bs, w): Z with spectrum in [0.5, 2], n matrices A_i with
+    spectra in iv, and B_i with the same weighted sum.  With n = 1, B is the
+    same object as A (which lets _mean_margin_mats decompose it once);
+    otherwise B is a doubly stochastic mix of the A_i under uniform weights."""
     Z = oc.rand_hermitian_spectrum_in(dim, Interval(0.5, 2.0), rng)
     As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
     if n == 1:
@@ -963,15 +1008,17 @@ def _mean_margin_verdicts(trials, seed, params, rs, forms):
     iv = Interval(*params.get("interval", (1.7, 5.1)))
     tol = params.get("tol", OPERATOR_TOL)
     include_limits = any(name in forms for name in MEAN_FORMS_LIMIT)
-    items = []
+    instances, ctxs = [], []
     for i in range(trials):
         rng = trial_rng(seed, i)
         dim = _cycle(dims, i)
         r = _cycle(rs, i)
         n = 1 if i % 2 == 0 else 2
         Z, As, Bs, w = _gen_mean_instance(rng, dim, iv, n)
-        mats = _mean_margin_mats(Z, As, Bs, w, r, iv, include_limits)
-        ctx = {"trial": i, "dim": dim, "r": r, "n": n, "seed": seed}
+        instances.append((Z, As, Bs, w, r, iv))
+        ctxs.append({"trial": i, "dim": dim, "r": r, "n": n, "seed": seed})
+    items = []
+    for mats, ctx in zip(_mean_margin_mats(instances, include_limits), ctxs):
         items.extend((name, mats[name], ctx) for name in forms if name in mats)
     return _margin_verdicts(items, tol)
 

@@ -57,6 +57,15 @@ class TestJacobiEigh:
             assert np.array_equal(ws[k], w[0])
             assert np.array_equal(Vs[k], V[0])
 
+    @pytest.mark.parametrize("k", [1, 64])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_eigvals_bitwise_match_eigh(self, dim, k):
+        # eigvals_stack applies the same rotations without accumulating
+        # eigenvectors, so the eigenvalues are the same bits
+        rng = np.random.default_rng(100 + dim)
+        stack = np.stack([rand_herm(dim, rng) for _ in range(k)])
+        assert np.array_equal(oc.eigvals_stack(stack), oc.eigh_stack(stack)[0])
+
     @pytest.mark.parametrize("dim", [2, 5, 9, 16])
     def test_eigenvalues_match_lapack(self, dim):
         # independent route: LAPACK's solver, compared eigenvalue by eigenvalue

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -398,20 +399,68 @@ class TestSuites:
         # which moves the margins by rounding only
         trials, seed = 28, 2024
         iv = Interval(1.7, 5.1)
-        rs = (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)
-        rep = vf.run_suite("operator_means", trials, seed, keep_verdicts=True)
-        direct = []
+        for suite, rs, include_limits in (
+                ("operator_means", (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6), False),
+                ("mean_limits", (0.3,), True)):
+            rep = vf.run_suite(suite, trials, seed, keep_verdicts=True)
+            direct = []
+            for i in range(trials):
+                Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i),
+                                                     (2, 3, 4, 6)[i % 4], iv,
+                                                     1 if i % 2 == 0 else 2)
+                zs = oc.sqrtm_psd(Z)
+                Xs = [oc.hermitize(zs @ A @ zs) for A in As]
+                Ys = [oc.hermitize(zs @ B @ zs) for B in Bs]
+                direct += [v for v in vf.check_operator_mean_bounds(
+                               Z, Xs, Ys, w, iv, rs[i % len(rs)],
+                               include_limits=include_limits)
+                           if v.inequality_id != vf.MEAN_FORM_C_LHS]
+            assert [v.inequality_id for v in rep.verdicts] == \
+                [v.inequality_id for v in direct], suite
+            for a, b in zip(rep.verdicts, direct):
+                assert a.margin == pytest.approx(b.margin, abs=1e-10), suite
+
+    @pytest.mark.parametrize("suite, rs, forms", [
+        ("operator_means", (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6), vf.MEAN_FORMS_SOUND),
+        ("mean_limits", (0.3,), vf.MEAN_FORMS_SOUND + vf.MEAN_FORMS_LIMIT),
+        ("mean_c_lhs_variant", (0.3, 0.6), (vf.MEAN_FORM_C_LHS,)),
+    ])
+    def test_mean_suites_independent_of_batching(self, suite, rs, forms):
+        # a suite decomposes all its trials in one stack per dimension; the
+        # kernel run on each trial's instance alone gives the same margins
+        trials, seed = 28, 2024
+        iv = Interval(1.7, 5.1)
+        include_limits = any(name in vf.MEAN_FORMS_LIMIT for name in forms)
+        rep = vf.run_suite(suite, trials, seed, keep_verdicts=True)
+        alone = []
         for i in range(trials):
             Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), (2, 3, 4, 6)[i % 4],
                                                  iv, 1 if i % 2 == 0 else 2)
-            zs = oc.sqrtm_psd(Z)
-            Xs = [oc.hermitize(zs @ A @ zs) for A in As]
-            Ys = [oc.hermitize(zs @ B @ zs) for B in Bs]
-            direct += [v for v in vf.check_operator_mean_bounds(Z, Xs, Ys, w, iv, rs[i % 7])
-                       if v.inequality_id in vf.MEAN_FORMS_SOUND]
-        assert [v.inequality_id for v in rep.verdicts] == [v.inequality_id for v in direct]
-        for a, b in zip(rep.verdicts, direct):
-            assert a.margin == pytest.approx(b.margin, abs=1e-10)
+            mats = vf._mean_margin_mats([(Z, As, Bs, w, rs[i % len(rs)], iv)],
+                                        include_limits)[0]
+            alone += vf._margin_verdicts([(name, mats[name], {}) for name in forms
+                                          if name in mats], vf.OPERATOR_TOL)
+        assert [(v.inequality_id, v.margin) for v in rep.verdicts] == \
+            [(v.inequality_id, v.margin) for v in alone]
+
+    @pytest.mark.parametrize("suite", ["operator_means", "mean_limits"])
+    def test_mean_suites_decompose_each_matrix_once(self, suite, monkeypatch):
+        # 28 trials: 28 Z, one A (B is the same object) in each of the 14
+        # n = 1 trials and A_1, A_2, B_1, B_2 in each of the 14 n = 2 trials.
+        # Z^(1/2), A^r and log A all come from that one decomposition; the
+        # lambda_min reduction goes through eigvals_stack and is not counted.
+        sizes = defaultdict(list)
+        eigh_stack = oc.eigh_stack
+
+        def counting(mats, *args, **kwargs):
+            sizes[mats.shape[1]].append(mats.shape[0])
+            return eigh_stack(mats, *args, **kwargs)
+
+        monkeypatch.setattr(oc, "eigh_stack", counting)
+        vf.run_suite(suite, 28, 2024)
+        assert sum(sum(k) for k in sizes.values()) == 28 + 70
+        assert sorted(sizes) == [2, 3, 4, 6]
+        assert all(len(k) <= 2 for k in sizes.values())
 
     def test_scalar_corollary_sampler_seeds_that_exhausted_redraws(self):
         # trial 167 of seed 1016 draws p_0 = 3.96e-7; the redraw loop runs
