@@ -1,15 +1,24 @@
-"""Finite-dimensional Hermitian calculus: Jacobi eigensolver, f(A), positive
-map families, operator means, and the matrix entropies.
+"""Finite-dimensional Hermitian calculus: eigensolvers, f(A), positive map
+families, operator means, and the matrix entropies.
 
-The eigensolver is a cyclic-by-row complex Jacobi iteration with an explicit
-2x2 Hermitian rotation at each pivot.  It operates natively on stacks of
-same-sized matrices: each matrix in the stack gets its own rotation angles
-while sharing the (data-independent) pivot schedule, and stops rotating once
-it has converged, so batching changes throughput, not results
+Every eigensolve of the library goes through one LAPACK pair, the private
+``_eigh`` / ``_eigvalsh`` over ``numpy.linalg.eigh`` / ``eigvalsh``: the
+spectral functions, the entropies and the verification margins.  Applied
+to a stack, each matrix gets the same bits as on its own
+(tests/test_operator_calculus.py::TestLapackEigh::test_stack_bitwise_matches_single_calls).
+
+The in-tree eigensolver is kept as the independent oracle.  It is a
+cyclic-by-row complex Jacobi iteration with an explicit 2x2 Hermitian
+rotation at each pivot (``eigh_stack``, ``eigvals_stack``, ``jacobi_eigh``).
+It operates natively on stacks of same-sized matrices: each matrix in the
+stack gets its own rotation angles while sharing the (data-independent)
+pivot schedule, and stops rotating once it has converged, so batching
+changes throughput, not results
 (tests/test_operator_calculus.py::TestJacobiEigh::test_stack_bitwise_matches_single_calls).
 ``eigvals_stack`` runs the same rotations without accumulating eigenvectors,
-so its eigenvalues equal ``eigh_stack``'s bit for bit.  Everything else is
-built on top of it.
+so its eigenvalues equal ``eigh_stack``'s bit for bit.  The ``eigensolver``
+suite checks Jacobi's residuals, and ``eigensolver_crosscheck`` compares its
+eigenvalues with LAPACK's.
 """
 
 from __future__ import annotations
@@ -97,18 +106,70 @@ def hermitize(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def assert_density(rho, name: str = "density matrix") -> np.ndarray:
+    return _density_evals(rho, name)[0]
+
+
+def _density_evals(rho, name: str = "density matrix"):
+    """(rho, ascending spectrum) of a checked density matrix."""
     rho = assert_hermitian(rho, name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-10:
         raise DomainError(f"{name} must have unit trace, got {tr}")
-    evals = eigvals_stack(rho[None])[0]
+    evals = _eigvalsh(rho[None])[0]
     if evals.min() < -1e-10:
         raise DomainError(f"{name} has a negative eigenvalue {evals.min():.3e}")
-    return rho
+    return rho, evals
 
 
 # ---------------------------------------------------------------------------
-# cyclic complex Jacobi eigensolver (stack-native)
+# LAPACK eigensolver (the library's hot path)
+# ---------------------------------------------------------------------------
+
+
+def _checked_stack(mats) -> np.ndarray:
+    A = np.asarray(mats, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ShapeError(f"expected a stack (k, d, d), got {A.shape}")
+    if not np.isfinite(A).all():
+        # NaN off-diagonal mass compares as converged in Jacobi, and LAPACK
+        # returns NaN or fails; neither is a spectrum
+        raise DomainError("eigensolver input has non-finite entries")
+    return A
+
+
+def _lapack_stack(mats) -> np.ndarray:
+    # LAPACK reads one triangle only; (A + A*)/2 gives both triangles a say
+    # and leaves an exactly Hermitian matrix bit for bit unchanged
+    A = _checked_stack(mats)
+    return (A + np.swapaxes(A, 1, 2).conj()) / 2.0
+
+
+def _eigh(mats):
+    """Eigendecompositions (w ascending, V unitary) of a stack (k, d, d) of
+    Hermitian matrices by LAPACK."""
+    try:
+        w, V = np.linalg.eigh(_lapack_stack(mats))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+    return w, V
+
+
+def _eigvalsh(mats) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian matrices by LAPACK."""
+    try:
+        return np.linalg.eigvalsh(_lapack_stack(mats))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigvalsh did not converge: {exc}") from exc
+
+
+def _eigh_one(A):
+    """(w, V) of one matrix, asserted Hermitian first."""
+    w, V = _eigh(assert_hermitian(A)[None])
+    return w[0], V[0]
+
+
+# ---------------------------------------------------------------------------
+# cyclic complex Jacobi eigensolver (stack-native; the oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -126,9 +187,7 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
 def _jacobi(mats, max_sweeps: int, vectors: bool):
     """eigh_stack's iteration; without ``vectors`` the rotations are not
     accumulated and None is returned in place of the eigenvectors."""
-    A = np.array(mats, dtype=complex)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ShapeError(f"expected a stack (k, d, d), got {A.shape}")
+    A = _checked_stack(mats).copy()
     k, d, _ = A.shape
     idx = np.arange(d)
     V = None
@@ -232,8 +291,12 @@ def apply_function_stack(f, mats, domain: Interval | None = None) -> np.ndarray:
     the spectra must sit inside its domain (1e-10 slack, eigenvalues clipped
     back onto the boundary before evaluation).
     """
-    mats = np.asarray(mats, dtype=complex)
-    w, V = eigh_stack(mats)
+    return _function_image(f, *_eigh(mats), domain)
+
+
+def _function_image(f, w: np.ndarray, V: np.ndarray, domain: Interval | None = None):
+    """f(A) recomposed from A's (w, V), a single matrix's or a stack's, with
+    apply_function_stack's domain check."""
     if isinstance(f, FunctionSpec):
         domain = f.domain
     if domain is not None:
@@ -257,7 +320,7 @@ def apply_function(f, A, domain: Interval | None = None) -> np.ndarray:
 def spectrum_in(A, iv: Interval) -> bool:
     """True iff all eigenvalues lie in [m - 1e-10, M + 1e-10]."""
     A = assert_hermitian(A)
-    w = eigvals_stack(A[None])[0]
+    w = _eigvalsh(A[None])[0]
     return bool(w.min() >= iv.m - 1e-10 and w.max() <= iv.M + 1e-10)
 
 
@@ -394,23 +457,23 @@ def _log_of_pd(w: np.ndarray) -> np.ndarray:
 
 
 def sqrtm_psd(A: np.ndarray) -> np.ndarray:
-    w, V = jacobi_eigh(A)
+    w, V = _eigh_one(A)
     return _recompose(_sqrt_of_psd(w), V)
 
 
 def invsqrtm_pd(A: np.ndarray) -> np.ndarray:
-    w, V = jacobi_eigh(A)
+    w, V = _eigh_one(A)
     return _recompose(_invsqrt_of_pd(w), V)
 
 
 def mat_power(A: np.ndarray, r: float) -> np.ndarray:
     """A^r for positive definite A (any real r)."""
-    w, V = jacobi_eigh(A)
+    w, V = _eigh_one(A)
     return _recompose(_power_of_psd(w, r, floor_pd=True), V)
 
 
 def mat_log(A: np.ndarray) -> np.ndarray:
-    w, V = jacobi_eigh(A)
+    w, V = _eigh_one(A)
     return _recompose(_log_of_pd(w), V)
 
 
@@ -463,16 +526,14 @@ def tsallis_entropy_from_evals(w, r: float) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr[rho log rho] with 0 log 0 = 0; lives in [0, log dim]."""
-    rho = assert_density(rho)
-    return von_neumann_entropy_from_evals(eigvals_stack(rho[None])[0])
+    return von_neumann_entropy_from_evals(_density_evals(rho)[1])
 
 
 def quantum_tsallis_entropy(rho, r: float) -> float:
     """(Tr[rho^(1-r)] - 1)/r for r in (0, 1]; nonnegative, 0 on pure states."""
     if not 0.0 < r <= 1.0:
         raise DomainError(f"quantum_tsallis_entropy needs r in (0, 1], got {r}")
-    rho = assert_density(rho)
-    return tsallis_entropy_from_evals(eigvals_stack(rho[None])[0], r)
+    return tsallis_entropy_from_evals(_density_evals(rho)[1], r)
 
 
 def trace_distance_l1(A, B) -> float:
@@ -481,7 +542,7 @@ def trace_distance_l1(A, B) -> float:
     B = assert_hermitian(B, "B")
     if A.shape != B.shape:
         raise ShapeError("A and B must share a dimension")
-    w = eigvals_stack((A - B)[None])[0]
+    w = _eigvalsh((A - B)[None])[0]
     return float(np.abs(w).sum())
 
 

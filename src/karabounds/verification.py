@@ -7,12 +7,17 @@ margin of an operator inequality L <= R is the smallest eigenvalue of R - L
 (seed, trial) through ``numpy.random.SeedSequence`` spawn keys, so reports
 are reproducible regardless of batching or execution order.
 
-Each inequality has one margin kernel that scores a batch of instances,
-with its eigendecompositions stacked per (dimension, function) group.  A
-suite runs the kernel on all its trials; the public ``check_*`` function
-validates its input and runs the same kernel on a batch of one, so its
-margins equal the suite's bit for bit
+Each inequality has one margin kernel that scores a batch of instances.
+It decomposes each distinct input matrix once, in one LAPACK stack per
+dimension (``operator_calculus._eigh``), and takes every spectral image of
+that matrix from the same (w, V); the lambda_min reductions go through
+``operator_calculus._eigvalsh``.  A suite runs the kernel on all its trials;
+the public ``check_*`` function validates its input, keeping the
+decompositions the validation made, and runs the same kernel on a batch of
+one, so its margins equal the suite's bit for bit
 (tests/test_verification.py::TestSuites::test_batched_suite_matches_per_instance_checker).
+The Jacobi solver is not on this path; the ``eigensolver`` and
+``eigensolver_crosscheck`` suites exercise it.
 """
 
 from __future__ import annotations
@@ -184,13 +189,25 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
 
 def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 200) -> np.ndarray:
     """Doubly stochastic matrix via Sinkhorn normalization of a positive
-    random matrix (full support)."""
+    random matrix (full support): ``iters`` row-then-column sweeps and a
+    final row normalization.
+
+    A sweep is a function of the bits of its input, and in floating point
+    the iterates soon revisit an earlier state exactly (within 50 sweeps for
+    n <= 4) and cycle from there.  The loop stops at the first repeat and
+    takes the state the remaining sweeps would reach, so the result equals
+    the full loop's bit for bit."""
     S = rng.uniform(0.5, 1.5, size=(n, n))
-    for _ in range(iters):
-        S /= S.sum(axis=1, keepdims=True)
+    states, seen = [S], {S.tobytes(): 0}
+    for k in range(1, iters + 1):
+        S = S / S.sum(axis=1, keepdims=True)
         S /= S.sum(axis=0, keepdims=True)
-    S /= S.sum(axis=1, keepdims=True)
-    return S
+        start = seen.setdefault(S.tobytes(), k)
+        if start < k:
+            S = states[start + (iters - start) % (k - start)]
+            break
+        states.append(S)
+    return S / S.sum(axis=1, keepdims=True)
 
 
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
@@ -286,43 +303,47 @@ def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
         by_dim[mat.shape[0]].append(k)
     margins = [0.0] * len(items)
     for idxs in by_dim.values():
-        w = oc.eigvals_stack(np.stack([np.asarray(items[k][1], dtype=complex) for k in idxs]))
+        w = oc._eigvalsh(np.stack([np.asarray(items[k][1], dtype=complex) for k in idxs]))
         for j, k in enumerate(idxs):
             margins[k] = float(w[j, 0])
     return [InequalityVerdict(name, 0.0, 0.0, m, m >= -tol, ctx)
             for (name, _, ctx), m in zip(items, margins)]
 
 
-def _group_apply_function(instances, mats_of, f_of):
-    """Batch f over all matrices of all instances, grouped by (dim, f).
-
-    Returns {instance_index: [f(M) for M in mats_of(instance)]}.
-    """
-    groups = defaultdict(list)
-    for idx, inst in enumerate(instances):
-        mats = mats_of(inst)
-        dim = np.asarray(mats[0]).shape[0]
-        key = (dim, id(f_of(inst)))
-        groups[key].append((idx, mats))
-    images: Dict[int, list] = {}
-    for (dim, _), members in groups.items():
-        f = f_of(instances[members[0][0]])
-        stack = np.stack([np.asarray(M, dtype=complex) for _, mats in members for M in mats])
-        img = oc.apply_function_stack(f, stack)
-        pos = 0
-        for idx, mats in members:
-            images[idx] = [img[pos + j] for j in range(len(mats))]
-            pos += len(mats)
-    return images
+def _eigh_distinct(mats, eig=None):
+    """{id(M): (w, V)}: a copy of ``eig`` (the decompositions a caller already
+    has) plus each distinct matrix object M of ``mats`` that it lacks, with
+    one LAPACK stack per dimension; a matrix passed twice is decomposed once."""
+    eig = dict(eig or {})
+    by_dim = defaultdict(dict)
+    for M in mats:
+        if id(M) not in eig:
+            by_dim[M.shape[0]].setdefault(id(M), M)
+    for group in by_dim.values():
+        w, V = oc._eigh(np.stack(list(group.values())))
+        eig.update(zip(group, zip(w, V)))
+    return eig
 
 
-def _jensen_verdicts(instances, tol) -> List[InequalityVerdict]:
+def _function_images(eig, f, mats):
+    """{id(M): f(M)} for the distinct matrix objects of ``mats``, recomposed
+    from their (w, V) in one stack; callers pass one instance's matrices, so
+    an image does not depend on the rest of the batch."""
+    keys = list(dict.fromkeys(id(M) for M in mats))
+    img = oc._function_image(f, np.stack([eig[k][0] for k in keys]),
+                             np.stack([eig[k][1] for k in keys]))
+    return dict(zip(keys, img))
+
+
+def _jensen_verdicts(instances, tol, eig=None) -> List[InequalityVerdict]:
     """Vector-state Jensen verdicts <Phi-sum of f(A) x, x> >= f(<Phi-sum of
-    A x, x>) for (family, mats, f, vectors, context) instances."""
-    images = _group_apply_function(instances, lambda t: t[1], lambda t: t[2])
+    A x, x>) for (family, mats, f, vectors, context) instances; ``eig`` holds
+    the decompositions the caller already has."""
+    eig = _eigh_distinct([M for inst in instances for M in inst[1]], eig)
     verdicts = []
-    for idx, (family, mats, f, vecs, ctx) in enumerate(instances):
-        img = oc.apply_map_family(family, images[idx])
+    for family, mats, f, vecs, ctx in instances:
+        images = _function_images(eig, f, mats)
+        img = oc.apply_map_family(family, [images[id(M)] for M in mats])
         base = oc.apply_map_family(family, mats)
         for j, x in enumerate(vecs):
             mean = float(np.real(np.vdot(x, base @ x)))
@@ -333,17 +354,19 @@ def _jensen_verdicts(instances, tol) -> List[InequalityVerdict]:
     return verdicts
 
 
-def _map_sum_verdicts(instances, inequality_id, tol) -> List[InequalityVerdict]:
+def _map_sum_verdicts(instances, inequality_id, tol, eig=None) -> List[InequalityVerdict]:
     """Map-sum verdicts Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B)
-    for (family, As, Bs, f, alpha, context) instances."""
-    images_a = _group_apply_function(instances, lambda t: t[1], lambda t: t[3])
-    images_b = _group_apply_function(instances, lambda t: t[2], lambda t: t[3])
+    for (family, As, Bs, f, alpha, context) instances.  Each distinct matrix
+    object is decomposed once (a B_i that is an A_j object, or a repeated
+    B_i, shares its decomposition); ``eig`` holds those the caller has."""
+    eig = _eigh_distinct([M for _, As, Bs, *_ in instances for M in (*As, *Bs)], eig)
     items = []
-    for idx, (family, _, _, f, alpha, ctx) in enumerate(instances):
+    for family, As, Bs, f, alpha, ctx in instances:
         beta = sb.beta_constant(f, f.domain, alpha)
-        lhs = oc.apply_map_family(family, images_a[idx])
+        images = _function_images(eig, f, (*As, *Bs))
+        lhs = oc.apply_map_family(family, [images[id(A)] for A in As])
         rhs = beta * np.eye(family.output_dim, dtype=complex) \
-            + alpha * oc.apply_map_family(family, images_b[idx])
+            + alpha * oc.apply_map_family(family, [images[id(B)] for B in Bs])
         items.append((inequality_id, rhs - lhs, ctx))
     return _margin_verdicts(items, tol)
 
@@ -356,19 +379,6 @@ MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _eigh_distinct(mats):
-    """{id(M): (w, V)} for each distinct matrix object M of ``mats``, with one
-    eigh_stack per dimension; a matrix passed twice is decomposed once."""
-    by_dim = defaultdict(dict)
-    for M in mats:
-        by_dim[M.shape[0]].setdefault(id(M), M)
-    eig = {}
-    for group in by_dim.values():
-        w, V = oc.eigh_stack(np.stack(list(group.values())))
-        eig.update(zip(group, zip(w, V)))
-    return eig
-
-
 def _mean_margin_mats(instances, include_limits: bool, eig=None):
     """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
     bounds, one dict per (Z, As, Bs, w, r, iv) instance: Z-relative tuples
@@ -377,13 +387,11 @@ def _mean_margin_mats(instances, include_limits: bool, eig=None):
     ``include_limits`` the two r -> 0 limit claims are added.
 
     Z^(1/2), A_i^r and log A_i all come from one decomposition per matrix
-    object, taken in one eigh_stack per dimension over the whole batch
+    object, taken in one LAPACK stack per dimension over the whole batch
     (``eig`` holds those the caller already has).  Instances with n = 1 pass
     B as the same object as A, so it is decomposed once.  Each image is
     recomposed on its own, so the margins do not depend on the batch."""
-    eig = dict(eig or {})
-    eig.update(_eigh_distinct([M for Z, As, Bs, *_ in instances
-                               for M in (Z, *As, *Bs) if id(M) not in eig]))
+    eig = _eigh_distinct([M for Z, As, Bs, *_ in instances for M in (Z, *As, *Bs)], eig)
 
     def image(M, spectral_map, *args):
         w, V = eig[id(M)]
@@ -431,23 +439,24 @@ def _mean_margin_mats(instances, include_limits: bool, eig=None):
 
 def _entropy_evals(instances):
     """Spectra (w_A, w_B) of each instance's leading (A, B) pair, with one
-    eigvals_stack per dimension."""
+    LAPACK eigenvalue stack per dimension."""
     per_dim = defaultdict(list)
     for k, inst in enumerate(instances):
         per_dim[inst[0].shape[0]].append(k)
     out = [None] * len(instances)
     for idxs in per_dim.values():
-        w = oc.eigvals_stack(np.stack([M for k in idxs for M in instances[k][:2]]))
+        w = oc._eigvalsh(np.stack([M for k in idxs for M in instances[k][:2]]))
         for j, k in enumerate(idxs):
             out[k] = (w[2 * j], w[2 * j + 1])
     return out
 
 
-def _vn_verdicts(instances, tol) -> List[InequalityVerdict]:
+def _vn_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
     """alpha H(B) <= H(A) + (alpha/e) dim and |H(A) - H(B)| <= dim/e for
-    (A, B, alpha, context) instances."""
+    (A, B, alpha, context) instances; ``evals`` holds the spectra (w_A, w_B)
+    when the caller already has them."""
     verdicts = []
-    for (A, _, alpha, ctx), (wa, wb) in zip(instances, _entropy_evals(instances)):
+    for (A, _, alpha, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
         ha = oc.von_neumann_entropy_from_evals(wa)
         hb = oc.von_neumann_entropy_from_evals(wb)
         dim = A.shape[0]
@@ -462,11 +471,12 @@ def _tsallis_beta_factor(r: float) -> float:
     return 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
 
 
-def _tsallis_verdicts(instances, tol) -> List[InequalityVerdict]:
+def _tsallis_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
     """alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim and the symmetric
-    difference bound for (A, B, alpha, r, context) instances."""
+    difference bound for (A, B, alpha, r, context) instances; ``evals`` as
+    in _vn_verdicts."""
     verdicts = []
-    for (A, _, alpha, r, ctx), (wa, wb) in zip(instances, _entropy_evals(instances)):
+    for (A, _, alpha, r, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
         ha = oc.tsallis_entropy_from_evals(wa, r)
         hb = oc.tsallis_entropy_from_evals(wb, r)
         fac = _tsallis_beta_factor(r)
@@ -491,15 +501,17 @@ def _validate_equal_map_sum(family, As, Bs, tol=1e-8):
         raise PreconditionError(f"map sums differ: residual {res:.3e}")
 
 
-def _validate_spectra(mats, iv: Interval):
-    _check_spectra(oc.eigvals_stack(np.stack([oc.assert_hermitian(M) for M in mats])), iv)
-
-
-def _check_spectra(w, iv: Interval):
+def _validate_spectra(mats, iv: Interval, eig=None):
+    """Decompositions {id(M): (w, V)} of the Hermitian matrices ``mats``
+    (added to ``eig``), after checking that every spectrum lies in iv; the
+    margin kernel reuses them."""
+    eig = _eigh_distinct(mats, eig)
+    w = np.concatenate([eig[id(M)][0] for M in mats])
     if w.min() < iv.m - 1e-9 or w.max() > iv.M + 1e-9:
         raise PreconditionError(
             f"spectra [{w.min():.6g}, {w.max():.6g}] escape [{iv.m}, {iv.M}]"
         )
+    return eig
 
 
 def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
@@ -508,13 +520,14 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
     for each unit vector x; nonnegative for convex f."""
     if not f.is_convex:
         raise PreconditionError("the vector-state Jensen bound needs convex f")
-    _validate_spectra(mats, f.domain)
+    mats = [oc.assert_hermitian(M) for M in mats]
+    eig = _validate_spectra(mats, f.domain)
     vecs = [np.asarray(x, dtype=complex) for x in vectors]
     for j, x in enumerate(vecs):
         nrm = np.linalg.norm(x)
         if abs(nrm - 1.0) > 1e-10:
             raise PreconditionError(f"vector {j} is not unit norm ({nrm})")
-    return _jensen_verdicts([(family, mats, f, vecs, dict(context or {}))], tol)
+    return _jensen_verdicts([(family, mats, f, vecs, dict(context or {}))], tol, eig)
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
@@ -523,10 +536,12 @@ def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: flo
     given equal map-sums, spectra in the domain interval, convex f."""
     if not f.is_convex:
         raise PreconditionError("check_theorem_beta needs convex f")
-    _validate_spectra(list(As) + list(Bs), f.domain)
+    As = [oc.assert_hermitian(A) for A in As]
+    Bs = [oc.assert_hermitian(B) for B in Bs]
+    eig = _validate_spectra(As + Bs, f.domain)
     _validate_equal_map_sum(family, As, Bs)
     ctx = {**(context or {}), "alpha": alpha, "f": f.name}
-    return _map_sum_verdicts([(family, As, Bs, f, alpha, ctx)], "theorem_beta", tol)[0]
+    return _map_sum_verdicts([(family, As, Bs, f, alpha, ctx)], "theorem_beta", tol, eig)[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
@@ -605,11 +620,13 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
 
 
 def _density_pair(A, B):
-    A = oc.assert_density(A, "A")
-    B = oc.assert_density(B, "B")
+    """(A, B, [(w_A, w_B)]) for two checked density matrices of one
+    dimension; the kernels reuse the spectra the check computed."""
+    A, wa = oc._density_evals(A, "A")
+    B, wb = oc._density_evals(B, "B")
     if A.shape != B.shape:
         raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
-    return A, B
+    return A, B, [(wa, wb)]
 
 
 def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
@@ -617,9 +634,9 @@ def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
     """alpha H(B) <= H(A) + (alpha/e) dim, plus |H(A) - H(B)| <= dim/e."""
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    A, B = _density_pair(A, B)
+    A, B, evals = _density_pair(A, B)
     ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha}
-    return _vn_verdicts([(A, B, alpha, ctx)], tol)
+    return _vn_verdicts([(A, B, alpha, ctx)], tol, evals)
 
 
 def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
@@ -630,9 +647,9 @@ def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
         raise DomainError(f"needs r in (0, 1], got {r}")
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    A, B = _density_pair(A, B)
+    A, B, evals = _density_pair(A, B)
     ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, "r": r}
-    return _tsallis_verdicts([(A, B, alpha, r, ctx)], tol)
+    return _tsallis_verdicts([(A, B, alpha, r, ctx)], tol, evals)
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -684,8 +701,7 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     zis = oc._recompose(oc._invsqrt_of_pd(wz), vz)
     As = [oc.hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
     Bs = [oc.hermitize(zis @ np.asarray(Y, dtype=complex) @ zis) for Y in Ys]
-    eig.update(_eigh_distinct(As + Bs))
-    _check_spectra(np.concatenate([eig[id(M)][0] for M in As + Bs]), iv)
+    eig = _validate_spectra(As + Bs, iv, eig)
     mean_a = sum(wi * Ai for wi, Ai in zip(w, As))
     mean_b = sum(wi * Bi for wi, Bi in zip(w, Bs))
     if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
@@ -1046,26 +1062,32 @@ def _suite_mean_c_lhs_variant(trials, seed, params):
     return _mean_margin_verdicts(trials, seed, params, rs, (MEAN_FORM_C_LHS,))
 
 
-def _suite_eigensolver(trials, seed, params):
+def _eigensolver_stacks(trials, seed, params):
+    """{dim: (trials, stack)}: one random Hermitian (G + G*)/2 per trial, G
+    complex Gaussian, dimension cycling through the ``dims`` param."""
     dims = params.get("dims", tuple(range(2, 17)))
-    tol = params.get("tol", 1e-10)
     per_dim = defaultdict(list)
     for i in range(trials):
         rng = trial_rng(seed, i)
         dim = _cycle(dims, i)
         G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        A = (G + G.conj().T) / 2.0
-        per_dim[dim].append((i, A))
+        per_dim[dim].append((i, (G + G.conj().T) / 2.0))
+    return {dim: ([i for i, _ in items], np.stack([A for _, A in items]))
+            for dim, items in per_dim.items()}
+
+
+def _suite_eigensolver(trials, seed, params):
+    """Residuals of the Jacobi eigensolver: reconstruction and unitarity."""
+    tol = params.get("tol", 1e-10)
     verdicts = []
-    for dim, items in per_dim.items():
-        stack = np.stack([A for _, A in items])
+    for dim, (idxs, stack) in _eigensolver_stacks(trials, seed, params).items():
         w, V = oc.eigh_stack(stack)
         rec = V @ (w[:, :, None] * np.swapaxes(V, 1, 2).conj()) - stack
         eye = np.eye(dim)
         rec_res = np.linalg.norm(rec, axis=(1, 2)) / np.maximum(
             1.0, np.linalg.norm(stack, axis=(1, 2)))
         uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - eye, axis=(1, 2))
-        for j, (i, _) in enumerate(items):
+        for j, i in enumerate(idxs):
             ctx = {"trial": i, "dim": dim, "seed": seed}
             m1 = tol - float(rec_res[j])
             m2 = tol - float(uni_res[j])
@@ -1073,6 +1095,28 @@ def _suite_eigensolver(trials, seed, params):
                                               tol, m1, m1 >= 0.0, ctx))
             verdicts.append(InequalityVerdict("eig_unitarity", float(uni_res[j]),
                                               tol, m2, m2 >= 0.0, ctx))
+    return verdicts
+
+
+# Jacobi and LAPACK eigenvalues must agree within 16 d eps max(1, ||A||_F);
+# the worst difference measured on this suite's matrices is 2.2 d eps ||A||_F
+_CROSSCHECK_ULPS = 16.0
+
+
+def _suite_eigensolver_crosscheck(trials, seed, params):
+    """Jacobi (the oracle) against LAPACK (the margin path) on the eigensolver
+    suite's matrices: margin 16 d eps max(1, ||A||_F) - max_i |w_J,i - w_L,i|."""
+    eps = np.finfo(float).eps
+    verdicts = []
+    for dim, (idxs, stack) in _eigensolver_stacks(trials, seed, params).items():
+        diff = np.abs(oc.eigvals_stack(stack) - oc._eigvalsh(stack)).max(axis=1)
+        bound = _CROSSCHECK_ULPS * dim * eps * np.maximum(
+            1.0, np.linalg.norm(stack, axis=(1, 2)))
+        for j, i in enumerate(idxs):
+            m = float(bound[j] - diff[j])
+            verdicts.append(InequalityVerdict("eig_crosscheck", float(diff[j]),
+                                              float(bound[j]), m, m >= 0.0,
+                                              {"trial": i, "dim": dim, "seed": seed}))
     return verdicts
 
 
@@ -1091,6 +1135,7 @@ _SUITES: Dict[str, Callable] = {
     "operator_means": _suite_operator_means,
     "mean_limits": _suite_mean_limits,
     "eigensolver": _suite_eigensolver,
+    "eigensolver_crosscheck": _suite_eigensolver_crosscheck,
 }
 
 #: excluded from "all": the orientation is unsatisfiable at X = Y

@@ -61,7 +61,9 @@ class TestJacobiEigh:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_eigvals_bitwise_match_eigh(self, dim, k):
         # eigvals_stack applies the same rotations without accumulating
-        # eigenvectors, so the eigenvalues are the same bits
+        # eigenvectors, so the eigenvalues are the same bits.  This holds for
+        # Jacobi only: LAPACK's eigvalsh and eigh take different routes, and
+        # their eigenvalues differ in the last bits from d = 3 on
         rng = np.random.default_rng(100 + dim)
         stack = np.stack([rand_herm(dim, rng) for _ in range(k)])
         assert np.array_equal(oc.eigvals_stack(stack), oc.eigh_stack(stack)[0])
@@ -83,6 +85,89 @@ class TestJacobiEigh:
         with pytest.raises(ConvergenceError) as err:
             oc.eigh_stack(A[None], max_sweeps=1)
         assert err.value.residual is not None
+
+
+NON_FINITE = [np.array([[1.0, np.nan], [np.nan, 2.0]]),
+              np.array([[np.inf, 0.0], [0.0, 2.0]])]
+
+
+@pytest.mark.parametrize("solve", [
+    oc.eigh_stack, oc.eigvals_stack, oc._eigh, oc._eigvalsh,
+    lambda mats: oc.apply_function_stack(np.abs, mats),
+], ids=["eigh_stack", "eigvals_stack", "_eigh", "_eigvalsh", "apply_function_stack"])
+@pytest.mark.parametrize("A", NON_FINITE, ids=["nan", "inf"])
+def test_eigensolvers_reject_non_finite_input(solve, A):
+    # Jacobi used to read the NaN off-diagonal mass as converged and return
+    # the diagonal [1, 2]
+    with pytest.raises(DomainError, match="non-finite"):
+        solve(A[None])
+
+
+class TestLapackEigh:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_stack_bitwise_matches_single_calls(self, dim):
+        # the margin kernels decompose whole suites in one stack per
+        # dimension and the checkers one instance at a time; both must give
+        # each matrix the same bits
+        rng = np.random.default_rng(200 + dim)
+        stack = np.stack([rand_herm(dim, rng) for _ in range(64)])
+        ws, Vs = oc._eigh(stack)
+        vals = oc._eigvalsh(stack)
+        for k in range(64):
+            w, V = oc._eigh(stack[k:k + 1])
+            assert np.array_equal(ws[k], w[0])
+            assert np.array_equal(Vs[k], V[0])
+            assert np.array_equal(vals[k], oc._eigvalsh(stack[k:k + 1])[0])
+
+    @pytest.mark.parametrize("dim", [2, 5, 9, 16])
+    def test_eigenvalues_match_jacobi(self, dim):
+        stack = np.stack([rand_herm(dim) for _ in range(25)])
+        ref = oc.eigh_stack(stack)[0]
+        for w in (oc._eigh(stack)[0], oc._eigvalsh(stack)):
+            assert np.max(np.abs(w - ref)) <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    def test_reconstruction_and_unitarity(self):
+        stack = np.stack([rand_herm(6) for _ in range(20)])
+        w, V = oc._eigh(stack)
+        assert np.all(np.diff(w, axis=1) >= 0.0)
+        assert np.abs(oc._recompose(w, V) - stack).max() <= 1e-12
+        assert np.abs(V @ np.swapaxes(V, 1, 2).conj() - np.eye(6)).max() <= 1e-12
+
+    def test_symmetrizes_input(self):
+        # LAPACK reads one triangle; the wrapper decomposes (A + A*)/2
+        A = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+        for w in (oc._eigh(A[None])[0][0], oc._eigvalsh(A[None])[0]):
+            assert np.allclose(w, [0.0, 2.0], atol=1e-15)
+
+    def test_exactly_hermitian_input_unchanged(self):
+        stack = np.stack([rand_herm(5) for _ in range(8)])
+        w, V = oc._eigh(stack)
+        raw = np.linalg.eigh(stack)
+        assert np.array_equal(w, raw[0]) and np.array_equal(V, raw[1])
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.zeros((2, 2, 3))], ids=["2d", "non-square"])
+    def test_rejects_bad_shape(self, bad):
+        for solve in (oc._eigh, oc._eigvalsh):
+            with pytest.raises(ShapeError):
+                solve(bad)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(oc.np.linalg, "eigh", fail)
+        monkeypatch.setattr(oc.np.linalg, "eigvalsh", fail)
+        for solve in (oc._eigh, oc._eigvalsh):
+            with pytest.raises(ConvergenceError):
+                solve(rand_herm(3)[None])
+
+    @pytest.mark.parametrize("fn", [oc.sqrtm_psd, oc.invsqrtm_pd, oc.mat_log,
+                                    lambda A: oc.mat_power(A, 0.5)],
+                             ids=["sqrtm_psd", "invsqrtm_pd", "mat_log", "mat_power"])
+    def test_spectral_functions_reject_non_hermitian(self, fn):
+        # symmetrizing for LAPACK must not hide a non-Hermitian argument
+        with pytest.raises(DomainError, match="not Hermitian"):
+            fn(np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex))
 
 
 class TestApplyFunction:

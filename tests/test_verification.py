@@ -10,6 +10,19 @@ from karabounds.errors import DomainError, GeneratorExhausted, PreconditionError
 from karabounds.functions import FunctionSpec, Interval
 
 
+def count_eigh(monkeypatch, name="_eigh"):
+    """{dim: [stack sizes]} of the calls to the LAPACK routine ``name``."""
+    sizes = defaultdict(list)
+    solve = getattr(oc, name)
+
+    def counting(mats):
+        sizes[mats.shape[1]].append(mats.shape[0])
+        return solve(mats)
+
+    monkeypatch.setattr(oc, name, counting)
+    return sizes
+
+
 class TestGenerators:
     def test_equal_weighted_mean_contract(self):
         iv = Interval(0.1, 1.0)
@@ -46,6 +59,26 @@ class TestGenerators:
             assert np.allclose(S.sum(axis=0), 1.0, atol=1e-10)
             assert np.allclose(S.sum(axis=1), 1.0, atol=1e-10)
             assert np.all(S > 0.0)
+
+    def test_sinkhorn_cycle_stop_matches_plain_loop(self):
+        # the loop stops once an iterate repeats; the plain loop below runs
+        # every sweep, and both must give the same bits and leave the rng
+        # at the same point
+        def plain(n, rng, iters):
+            S = rng.uniform(0.5, 1.5, size=(n, n))
+            for _ in range(iters):
+                S /= S.sum(axis=1, keepdims=True)
+                S /= S.sum(axis=0, keepdims=True)
+            S /= S.sum(axis=1, keepdims=True)
+            return S
+
+        for n in (2, 3, 4, 5):
+            for i in range(500):
+                iters = (200, 0, 1, 37, 61)[i % 5]
+                rng_a, rng_b = vf.trial_rng(n, i), vf.trial_rng(n, i)
+                a = vf.sinkhorn_doubly_stochastic(n, rng_a, iters)
+                assert np.array_equal(a, plain(n, rng_b, iters)), (n, i, iters)
+                assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("kind", vf.FAMILY_KINDS)
     def test_equal_map_sum_contract(self, kind):
@@ -448,19 +481,113 @@ class TestSuites:
         # 28 trials: 28 Z, one A (B is the same object) in each of the 14
         # n = 1 trials and A_1, A_2, B_1, B_2 in each of the 14 n = 2 trials.
         # Z^(1/2), A^r and log A all come from that one decomposition; the
-        # lambda_min reduction goes through eigvals_stack and is not counted.
-        sizes = defaultdict(list)
-        eigh_stack = oc.eigh_stack
-
-        def counting(mats, *args, **kwargs):
-            sizes[mats.shape[1]].append(mats.shape[0])
-            return eigh_stack(mats, *args, **kwargs)
-
-        monkeypatch.setattr(oc, "eigh_stack", counting)
+        # lambda_min reduction goes through _eigvalsh and is not counted.
+        sizes = count_eigh(monkeypatch)
         vf.run_suite(suite, 28, 2024)
         assert sum(sum(k) for k in sizes.values()) == 28 + 70
         assert sorted(sizes) == [2, 3, 4, 6]
         assert all(len(k) <= 2 for k in sizes.values())
+
+    @pytest.mark.parametrize("suite, distinct", [("theorem_beta", 216),
+                                                 ("corollary_weighted", 208)])
+    def test_map_sum_suites_decompose_each_matrix_once(self, suite, distinct, monkeypatch):
+        # 48 trials of n = 3: a uniform_permutation B_i is an A_j object
+        # (3 matrices), a doubly_stochastic_mix has 6 (theorem_beta: 72 +
+        # 144); weights_v0 repeats the mean (4), weights_v1 reuses the A_i
+        # (3) and weights_v2 mixes them (6) (corollary_weighted: 64 + 48 + 96)
+        sizes = count_eigh(monkeypatch)
+        vf.run_suite(suite, 48, 1000)
+        assert sum(sum(k) for k in sizes.values()) == distinct
+        assert {d: len(k) for d, k in sizes.items()} == {2: 1, 4: 1, 8: 1}
+
+    def test_checkers_decompose_each_input_once(self, monkeypatch):
+        # validation decomposes the inputs and the kernel reuses them; only
+        # the margin matrix of an operator bound is solved again
+        eigh_sizes = count_eigh(monkeypatch)
+        eigvalsh_sizes = count_eigh(monkeypatch, "_eigvalsh")
+
+        def solved():
+            out = (sum(map(sum, eigh_sizes.values())), sum(map(sum, eigvalsh_sizes.values())))
+            eigh_sizes.clear()
+            eigvalsh_sizes.clear()
+            return out
+
+        rng = vf.trial_rng(21, 0)
+        f = vf.function_catalog("power2")
+        As, Bs, fam = vf.gen_equal_map_sum_operators(3, 4, f.domain,
+                                                     "doubly_stochastic_mix", rng)
+        vf.check_theorem_beta(fam, As, Bs, f, 1.0)
+        assert solved() == (6, 1)
+        vf.check_theorem_beta(fam, As, As, f, 1.0)
+        assert solved() == (3, 1)
+        vf.check_corollary_weighted(np.ones(3) / 3, As, Bs, f, 0.5)
+        assert solved() == (6, 1)
+        fam, mats, vecs = vf._gen_jensen_instance(3, 4, f.domain, rng)
+        vf.check_lemma_jensen(fam, mats, f, vecs)
+        assert solved() == (3, 0)
+        A, B = oc.rand_density(4, rng), oc.rand_density(4, rng)
+        vf.check_entropy_vonneumann(A, B, 1.0)
+        assert solved() == (0, 2)
+        vf.check_entropy_tsallis(A, B, 1.0, 0.5)
+        assert solved() == (0, 2)
+
+    def test_checkers_keep_their_typed_errors(self):
+        f = vf.function_catalog("power2")
+        rng = vf.trial_rng(21, 1)
+        As, Bs, fam = vf.gen_equal_map_sum_operators(2, 3, f.domain,
+                                                     "doubly_stochastic_mix", rng)
+        skew = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+        with pytest.raises(DomainError):
+            vf.check_theorem_beta(fam, [skew, As[1]], Bs, f, 1.0)
+        with pytest.raises(PreconditionError):
+            vf.check_theorem_beta(fam, [As[0] + 5.0 * np.eye(3), As[1]],
+                                  [Bs[0] + 5.0 * np.eye(3), Bs[1]], f, 1.0)
+        with pytest.raises(PreconditionError):
+            vf.check_lemma_jensen(fam, [10.0 * np.eye(3)] * 2, f, [np.eye(3)[0]])
+        with pytest.raises(DomainError):
+            vf.check_lemma_jensen(fam, [skew] * 2, f, [np.eye(3)[0]])
+        with pytest.raises(DomainError):
+            vf.check_entropy_vonneumann(np.eye(2, dtype=complex), np.eye(2) / 2, 1.0)
+        with pytest.raises(DomainError):
+            vf.check_entropy_tsallis(np.diag([1.5, -0.5]), np.eye(2) / 2, 1.0, 0.5)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1000])
+    def test_verdicts_agree_across_eigensolver_backends(self, seed, monkeypatch):
+        # margins come from LAPACK; swapping in the Jacobi solver must give
+        # the same verdicts with margins that move by rounding only
+        suites = (("theorem_beta", 48), ("corollary_weighted", 48), ("lemma_jensen", 40),
+                  ("entropy_vn", 56), ("entropy_tsallis", 84), ("operator_means", 28),
+                  ("mean_limits", 28))
+
+        def verdicts():
+            return {sid: vf.run_suite(sid, trials, seed, keep_verdicts=True).verdicts
+                    for sid, trials in suites}
+
+        lapack = verdicts()
+        monkeypatch.setattr(oc, "_eigh", oc.eigh_stack)
+        monkeypatch.setattr(oc, "_eigvalsh", oc.eigvals_stack)
+        jacobi = verdicts()
+        for sid, _ in suites:
+            assert [(v.inequality_id, v.context, v.passed) for v in lapack[sid]] == \
+                [(v.inequality_id, v.context, v.passed) for v in jacobi[sid]], sid
+            worst = max(abs(a.margin - b.margin) for a, b in zip(lapack[sid], jacobi[sid]))
+            assert worst <= 1e-11, (sid, worst)
+
+    def test_eigensolver_crosscheck_passes(self):
+        rep = vf.run_suite("eigensolver_crosscheck", 1500, 0)
+        assert rep.failures == 0
+        assert 0.0 < rep.min_margin
+
+    def test_eigensolver_crosscheck_catches_a_skewed_solver(self, monkeypatch):
+        # an eigenvalue off by 32 d eps max(1, ||A||_F) exceeds the bound
+        def skewed(mats):
+            w = np.linalg.eigvalsh(mats)
+            scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+            return w + 32.0 * mats.shape[1] * np.finfo(float).eps * scale[:, None]
+
+        monkeypatch.setattr(oc, "_eigvalsh", skewed)
+        rep = vf.run_suite("eigensolver_crosscheck", 30, 0)
+        assert rep.failures == 30
 
     def test_scalar_corollary_sampler_seeds_that_exhausted_redraws(self):
         # trial 167 of seed 1016 draws p_0 = 3.96e-7; the redraw loop runs
