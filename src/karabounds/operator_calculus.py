@@ -8,12 +8,19 @@ to a stack, each matrix gets the same bits as on its own
 (tests/test_operator_calculus.py::TestLapackEigh::test_stack_bitwise_matches_single_calls).
 
 The in-tree eigensolver is kept as the independent oracle.  It is a
-cyclic-by-row complex Jacobi iteration with an explicit 2x2 Hermitian
-rotation at each pivot (``eigh_stack``, ``eigvals_stack``, ``jacobi_eigh``).
-It operates natively on stacks of same-sized matrices: each matrix in the
-stack gets its own rotation angles while sharing the (data-independent)
-pivot schedule, and stops rotating once it has converged, so batching
-changes throughput, not results
+complex Jacobi iteration with explicit 2x2 Hermitian rotations
+(``eigh_stack``, ``eigvals_stack``, ``jacobi_eigh``) in round-robin order:
+the circle method splits each sweep's d(d-1)/2 pivot pairs into d - 1
+rounds (d for odd d) of floor(d/2) disjoint pairs.  Disjoint rotations
+commute, so a round computes all its angles from the current matrix and
+applies them to rows, columns and eigenvectors at once; the ordering keeps
+the quadratic convergence of the cyclic method (Brent & Luk, SIAM J. Sci.
+Stat. Comput. 6(1), 1985).  It operates natively on stacks of same-sized
+matrices, in chunks of max(64, 16384 // d**2) matrices (cache-sized
+temporaries at large d, a round loop shared by many matrices at small d):
+each matrix gets its own rotation angles while sharing the
+(data-independent) schedule, and stops rotating once it has converged, so
+neither the stack nor its chunking changes a matrix's bits
 (tests/test_operator_calculus.py::TestJacobiEigh::test_stack_bitwise_matches_single_calls).
 ``eigvals_stack`` runs the same rotations without accumulating eigenvectors,
 so its eigenvalues equal ``eigh_stack``'s bit for bit.  The ``eigensolver``
@@ -23,6 +30,7 @@ eigenvalues with LAPACK's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -169,25 +177,75 @@ def _eigh_one(A):
 
 
 # ---------------------------------------------------------------------------
-# cyclic complex Jacobi eigensolver (stack-native; the oracle)
+# round-robin complex Jacobi eigensolver (stack-native; the oracle)
 # ---------------------------------------------------------------------------
+
+# matrix entries per chunk: a stack is solved max(64, 16384 // d**2)
+# matrices at a time, so a round's (k, d/2, d) temporaries stay in cache on
+# large stacks while small d still amortizes the round loop over many matrices
+_JACOBI_CHUNK_ENTRIES = 16384
 
 
 def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     """Eigendecompositions of a stack (k, d, d) of Hermitian matrices.
 
     Returns (evals, vecs) with evals (k, d) ascending and vecs (k, d, d)
-    unitary columns satisfying A = V diag(w) V*.  Sweeps stop once every
-    matrix has off-diagonal Frobenius mass <= 1e-14 * ||A||_F; exceeding the
-    sweep cap raises ConvergenceError with the worst residual.
+    unitary columns satisfying A = V diag(w) V*.  Each sweep visits every
+    pivot pair once, in d - 1 rounds (d for odd d) of floor(d/2) disjoint
+    pairs that are rotated together.  Sweeps stop once a matrix has
+    off-diagonal Frobenius mass <= 1e-14 * ||A||_F; exceeding the sweep cap
+    raises ConvergenceError with the worst residual of the stack.  The
+    stack is solved in chunks of max(64, 16384 // d**2) matrices; since
+    every matrix gets its own angles and stops on its own, neither the
+    chunking nor the rest of the stack changes its result.
     """
     return _jacobi(mats, max_sweeps, vectors=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin(d: int):
+    """One sweep's rounds for dimension d by the circle method: a tuple of
+    (P, Q, PQ, QP) index arrays with P < Q elementwise, PQ = P ++ Q and
+    QP = Q ++ P.  Every pair p < q appears in exactly one round, and the
+    pairs of a round are disjoint.  For odd d a dummy index pads the circle
+    and the pair holding it is dropped, so one index idles each round."""
+    n = d + d % 2
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = sorted((min(a, b), max(a, b))
+                       for a, b in zip(ring[:n // 2], ring[::-1][:n // 2])
+                       if max(a, b) < d)
+        P = np.array([p for p, _ in pairs])
+        Q = np.array([q for _, q in pairs])
+        rounds.append((P, Q, np.concatenate([P, Q]), np.concatenate([Q, P])))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return tuple(rounds)
 
 
 def _jacobi(mats, max_sweeps: int, vectors: bool):
     """eigh_stack's iteration; without ``vectors`` the rotations are not
     accumulated and None is returned in place of the eigenvectors."""
-    A = _checked_stack(mats).copy()
+    A = _checked_stack(mats)
+    k, d, _ = A.shape
+    chunk = max(64, _JACOBI_CHUNK_ENTRIES // max(d * d, 1))
+    # an empty stack still runs one (empty) chunk, for the output shapes
+    parts = [_jacobi_chunk(A[s:s + chunk].copy(), max_sweeps, vectors)
+             for s in range(0, max(k, 1), chunk)]
+    residuals = [res for _, _, res in parts if res is not None]
+    if residuals:
+        raise ConvergenceError(
+            f"Jacobi sweeps did not converge in {max_sweeps} sweeps",
+            residual=max(residuals))
+    evals = np.concatenate([w for w, _, _ in parts])
+    V = np.concatenate([v for _, v, _ in parts]) if vectors else None
+    return evals, V
+
+
+def _jacobi_chunk(A, max_sweeps: int, vectors: bool):
+    """(evals, V or None, residual) of a stack A, rotated in place; the
+    residual is None on convergence, else the worst relative off-diagonal
+    mass left after ``max_sweeps`` sweeps."""
     k, d, _ = A.shape
     idx = np.arange(d)
     V = None
@@ -195,7 +253,7 @@ def _jacobi(mats, max_sweeps: int, vectors: bool):
         V = np.zeros_like(A)
         V[:, idx, idx] = 1.0
     if d == 1:
-        return A[:, 0, 0].real.reshape(k, 1), V
+        return A[:, 0, 0].real.reshape(k, 1), V, None
 
     scale = np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
 
@@ -204,6 +262,7 @@ def _jacobi(mats, max_sweeps: int, vectors: bool):
         m[:, idx, idx] = 0.0
         return np.sqrt(m.sum(axis=(1, 2)))
 
+    rounds = _round_robin(d)
     converged = False
     for _ in range(max_sweeps):
         # a converged matrix gets no more rotations, so its result does not
@@ -212,54 +271,56 @@ def _jacobi(mats, max_sweeps: int, vectors: bool):
         if not active.any():
             converged = True
             break
-        thresh = np.where(active, 1e-18 * scale, np.inf)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[:, p, q]
-                mag = np.abs(apq)
-                live = mag > thresh
-                if not live.any():
-                    continue
-                safe = np.where(live, mag, 1.0)
-                phase = np.where(live, apq / safe, 1.0)
-                tau = (A[:, q, q].real - A[:, p, p].real) / (2.0 * safe)
-                sgn = np.where(tau >= 0.0, 1.0, -1.0)
-                t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = np.where(live, t * c, 0.0)
-                c = np.where(live, c, 1.0)
-                sp = s * phase
+        thresh = np.where(active, 1e-18 * scale, np.inf)[:, None]
+        for P, Q, PQ, QP in rounds:
+            # the pairs of a round are disjoint, so no rotation touches
+            # another's a_pp, a_qq or a_pq: all angles come from the current
+            # A, and the round equals its rotations applied one by one
+            apq = A[:, P, Q]
+            mag = np.abs(apq)
+            live = mag > thresh
+            if not live.any():
+                continue
+            safe = np.where(live, mag, 1.0)
+            phase = np.where(live, apq / safe, 1.0)
+            tau = (A[:, Q, Q].real - A[:, P, P].real) / (2.0 * safe)
+            sgn = np.where(tau >= 0.0, 1.0, -1.0)
+            t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = np.where(live, t * c, 0.0)
+            c = np.where(live, c, 1.0)[..., None]
+            sp = (s * phase)[..., None]
+            spc = np.conj(sp)
 
-                rp = A[:, p, :].copy()
-                rq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rp - sp[:, None] * rq
-                A[:, q, :] = np.conj(sp)[:, None] * rp + c[:, None] * rq
-                cp = A[:, :, p].copy()
-                cq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * cp - np.conj(sp)[:, None] * cq
-                A[:, :, q] = sp[:, None] * cp + c[:, None] * cq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-                A[:, p, p] = A[:, p, p].real
-                A[:, q, q] = A[:, q, q].real
+            # fancy indexing gathers copies, so rp, rq (cp, cq) stay the old
+            # rows (columns) while P and Q are overwritten
+            rp = A[:, P, :]
+            rq = A[:, Q, :]
+            A[:, P, :] = c * rp - sp * rq
+            A[:, Q, :] = spc * rp + c * rq
+            cp = A[:, :, P]
+            cq = A[:, :, Q]
+            c, sp, spc = (np.swapaxes(x, 1, 2) for x in (c, sp, spc))
+            A[:, :, P] = c * cp - spc * cq
+            A[:, :, Q] = sp * cp + c * cq
+            A[:, PQ, QP] = 0.0
+            A[:, PQ, PQ] = A[:, PQ, PQ].real
 
-                if V is not None:
-                    vp = V[:, :, p].copy()
-                    vq = V[:, :, q].copy()
-                    V[:, :, p] = c[:, None] * vp - np.conj(sp)[:, None] * vq
-                    V[:, :, q] = sp[:, None] * vp + c[:, None] * vq
+            if V is not None:
+                vp = V[:, :, P]
+                vq = V[:, :, Q]
+                V[:, :, P] = c * vp - spc * vq
+                V[:, :, Q] = sp * vp + c * vq
+    residual = None
     if not converged and np.any(off_mass() > OFF_DIAG_TARGET * scale):
-        worst = float((off_mass() / scale).max())
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps", residual=worst
-        )
+        residual = float((off_mass() / scale).max())
 
     evals = np.diagonal(A, axis1=1, axis2=2).real.copy()
     order = np.argsort(evals, axis=1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=1)
     if V is not None:
         V = np.take_along_axis(V, order[:, None, :], axis=2)
-    return evals, V
+    return evals, V, residual
 
 
 def jacobi_eigh(A):

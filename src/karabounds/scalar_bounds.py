@@ -50,6 +50,9 @@ __all__ = [
 GRID_POINTS = 4096
 GOLDEN_XTOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# what an objective raises at a point where it is undefined; anything else
+# (a NameError, say) is a bug in the objective and propagates
+_EVAL_ERRORS = (TypeError, ValueError, ArithmeticError)
 
 
 def _eval_objective(g, ts):
@@ -59,6 +62,7 @@ def _eval_objective(g, ts):
         if vals.shape != ts.shape:
             vals = None
     except Exception:
+        # not vectorized (or a bug, which the pointwise calls raise again)
         vals = None
     if vals is None:
         # scalar fallback; pins the offending point on failure
@@ -66,7 +70,7 @@ def _eval_objective(g, ts):
         for i, t in enumerate(ts):
             try:
                 vals[i] = float(g(float(t)))
-            except Exception as exc:
+            except _EVAL_ERRORS as exc:
                 raise DomainError(f"objective undefined at t={float(t)!r}: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         bad = float(ts[np.flatnonzero(~np.isfinite(vals))[0]])

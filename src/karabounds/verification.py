@@ -345,13 +345,18 @@ def _jensen_verdicts(instances, tol, eig=None) -> List[InequalityVerdict]:
         images = _function_images(eig, f, mats)
         img = oc.apply_map_family(family, [images[id(M)] for M in mats])
         base = oc.apply_map_family(family, mats)
-        for j, x in enumerate(vecs):
-            mean = float(np.real(np.vdot(x, base @ x)))
-            mean = min(max(mean, f.domain.m), f.domain.M)
-            lifted = float(np.real(np.vdot(x, img @ x)))
-            verdicts.append(_scalar_verdict("lemma_jensen", f(mean), lifted, tol,
+        X = np.stack(vecs)
+        means = np.clip(_quadratic_forms(base, X), f.domain.m, f.domain.M)
+        lifted = _quadratic_forms(img, X)
+        for j, (lhs, rhs) in enumerate(zip(f(means), lifted)):
+            verdicts.append(_scalar_verdict("lemma_jensen", lhs, rhs, tol,
                                             {**ctx, "vector": j}))
     return verdicts
+
+
+def _quadratic_forms(M, X) -> np.ndarray:
+    """Re <M x, x> for each row x of X."""
+    return np.real(np.sum(X.conj() * (X @ M.T), axis=1))
 
 
 def _map_sum_verdicts(instances, inequality_id, tol, eig=None) -> List[InequalityVerdict]:
@@ -523,6 +528,8 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
     mats = [oc.assert_hermitian(M) for M in mats]
     eig = _validate_spectra(mats, f.domain)
     vecs = [np.asarray(x, dtype=complex) for x in vectors]
+    if not vecs:
+        raise PreconditionError("the vector-state Jensen bound needs at least one vector")
     for j, x in enumerate(vecs):
         nrm = np.linalg.norm(x)
         if abs(nrm - 1.0) > 1e-10:
@@ -1099,7 +1106,8 @@ def _suite_eigensolver(trials, seed, params):
 
 
 # Jacobi and LAPACK eigenvalues must agree within 16 d eps max(1, ||A||_F);
-# the worst difference measured on this suite's matrices is 2.2 d eps ||A||_F
+# the worst difference measured on this suite's matrices (1500 trials at
+# each of seeds 0, 7 and 1000) is 2.10 d eps ||A||_F
 _CROSSCHECK_ULPS = 16.0
 
 

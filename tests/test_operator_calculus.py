@@ -45,20 +45,70 @@ class TestJacobiEigh:
             w, _ = oc.jacobi_eigh(stack[k])
             assert np.allclose(ws[k], w, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_stack_bitwise_matches_single_calls(self, dim):
+    @staticmethod
+    def assert_stack_bitwise_matches_single_calls(dim, k):
         # a matrix stops rotating once it converges, so the slowest matrix
-        # of a stack does not move the others' eigenvalues or eigenvectors
+        # of a stack (or of its chunk) does not move the others' eigenvalues
+        # or eigenvectors
         rng = np.random.default_rng(dim)
-        stack = np.stack([rand_herm(dim, rng) for _ in range(64)])
+        stack = np.stack([rand_herm(dim, rng) for _ in range(k)])
         ws, Vs = oc.eigh_stack(stack)
-        for k in range(64):
-            w, V = oc.eigh_stack(stack[k:k + 1])
-            assert np.array_equal(ws[k], w[0])
-            assert np.array_equal(Vs[k], V[0])
+        for j in range(k):
+            w, V = oc.eigh_stack(stack[j:j + 1])
+            assert np.array_equal(ws[j], w[0])
+            assert np.array_equal(Vs[j], V[0])
+
+    # odd dimensions leave one index idle in every round of the schedule
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 9, 15, 16])
+    def test_stack_bitwise_matches_single_calls(self, dim):
+        self.assert_stack_bitwise_matches_single_calls(dim, 64)
+
+    # chunks hold max(64, 16384 // d**2) matrices: 256 at d = 8, 64 at d = 16
+    @pytest.mark.parametrize("dim, chunk", [(8, 256), (16, 64)])
+    def test_stack_bitwise_matches_single_calls_across_chunks(self, dim, chunk):
+        assert max(64, oc._JACOBI_CHUNK_ENTRIES // dim**2) == chunk
+        # two full chunks and a part of one
+        self.assert_stack_bitwise_matches_single_calls(dim, 2 * chunk + 2)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0, 0), (2, 0, 0)])
+    def test_empty_stacks_keep_their_shapes(self, shape):
+        w, V = oc.eigh_stack(np.zeros(shape, dtype=complex))
+        assert w.shape == shape[:2] and V.shape == shape
+        assert oc.eigvals_stack(np.zeros(shape, dtype=complex)).shape == shape[:2]
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_round_robin_schedule(self, dim):
+        rounds = oc._round_robin(dim)
+        assert len(rounds) == dim - 1 + dim % 2
+        seen = []
+        for P, Q, PQ, QP in rounds:
+            assert len(P) == len(Q) == dim // 2
+            assert np.all(P < Q)
+            assert len(set(PQ.tolist())) == 2 * len(P)  # disjoint pairs
+            assert np.array_equal(PQ, np.concatenate([P, Q]))
+            assert np.array_equal(QP, np.concatenate([Q, P]))
+            seen += zip(P.tolist(), Q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+
+    def test_repeated_eigenvalues(self):
+        rng = np.random.default_rng(7)
+        U = oc.rand_unitary(6, rng)
+        spectrum = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 5.0])
+        A = oc.hermitize(U @ np.diag(spectrum) @ U.conj().T)
+        w, V = oc.jacobi_eigh(A)
+        assert np.max(np.abs(w - spectrum)) <= 1e-13
+        assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - A) <= 1e-13
+        assert np.linalg.norm(V.conj().T @ V - np.eye(6)) <= 1e-13
+
+    def test_diagonal_input_is_returned_sorted(self):
+        diag = np.array([3.0, -1.0, 7.0, 0.5, 2.0])
+        w, V = oc.jacobi_eigh(np.diag(diag).astype(complex))
+        assert np.array_equal(w, np.sort(diag))
+        # no rotation runs: V is the permutation that sorts the diagonal
+        assert np.array_equal(V, np.eye(5)[:, np.argsort(diag)])
 
     @pytest.mark.parametrize("k", [1, 64])
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 9, 15, 16])
     def test_eigvals_bitwise_match_eigh(self, dim, k):
         # eigvals_stack applies the same rotations without accumulating
         # eigenvectors, so the eigenvalues are the same bits.  This holds for

@@ -50,6 +50,34 @@ class TestIntervalMax:
         with pytest.raises(DomainError, match="t="):
             sb.interval_max(g, Interval(0.0, 1.0), 1e-10)
 
+    def test_scalar_only_objective_falls_back_to_pointwise_calls(self):
+        # math.log rejects the grid array with a TypeError, so each point is
+        # evaluated on its own
+        arg, val = sb.interval_max(lambda t: -math.log(t) - t, Interval(0.5, 2.0), 1e-10)
+        assert arg == 0.5
+        assert val == pytest.approx(math.log(2.0) - 0.5, abs=1e-12)
+
+    def test_objective_failing_on_arrays_falls_back_to_pointwise_calls(self):
+        # float.hex exists on a float but not on the grid array, whose
+        # AttributeError only means that the objective is not vectorized
+        arg, val = sb.interval_max(lambda t: float.fromhex(t.hex()) * (1.0 - t),
+                                   Interval(0.0, 1.0), 1e-10)
+        assert arg == pytest.approx(0.5, abs=1e-6)
+        assert val == pytest.approx(0.25, abs=1e-12)
+
+    def test_non_finite_objective_is_domain_error(self):
+        with pytest.raises(DomainError, match="not finite"):
+            sb.interval_max(lambda t: np.where(np.asarray(t) > 0.5, np.inf, t),
+                            Interval(0.0, 1.0), 1e-10)
+
+    def test_programming_error_in_objective_propagates(self):
+        # a bug in the objective is not an "objective undefined" DomainError
+        def g(t):
+            return undefined_name * t  # noqa: F821
+
+        with pytest.raises(NameError):
+            sb.interval_max(g, Interval(0.0, 1.0), 1e-10)
+
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             sb.interval_max(lambda t: t, IV01, 0.0)

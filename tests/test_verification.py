@@ -546,6 +546,8 @@ class TestSuites:
             vf.check_lemma_jensen(fam, [10.0 * np.eye(3)] * 2, f, [np.eye(3)[0]])
         with pytest.raises(DomainError):
             vf.check_lemma_jensen(fam, [skew] * 2, f, [np.eye(3)[0]])
+        with pytest.raises(PreconditionError):
+            vf.check_lemma_jensen(fam, As, f, [])
         with pytest.raises(DomainError):
             vf.check_entropy_vonneumann(np.eye(2, dtype=complex), np.eye(2) / 2, 1.0)
         with pytest.raises(DomainError):
