@@ -304,7 +304,7 @@ def cmd_scan(cfg: dict, quantity: str) -> int:
 
 def cmd_oracle(cfg: dict) -> int:
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
-    rows, worst = vf.oracle_sweep(tol)
+    rows, worst = vf.oracle_sweep()
     payload = {"rows": rows, "worst_abs_diff": worst, "tol": tol,
                "pass": bool(worst <= tol)}
     if cfg["format"] == "csv":

@@ -5,7 +5,7 @@ over [m, M]; the multiplicative and difference constants K and C specialize
 it.  Power functions give the generalized Kantorovich constant K(h, r) and
 its difference companion C(h, r); -log gives log of the Specht ratio; the
 r-deformed logarithm gives ls_r.  Every closed form here is shadowed by
-``interval_max``, a dense-grid + golden-section maximizer used as the
+``interval_max``, a dense-grid scan refined by a grid zoom, used as the
 independent check.
 """
 
@@ -48,8 +48,12 @@ __all__ = [
 ]
 
 GRID_POINTS = 4096
-GOLDEN_XTOL = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points per zoom level: each level narrows the bracket 128-fold, so a unit
+# interval takes 5 levels.  Anywhere from 129 to 1025 points timed the same
+# oracle sweep within noise (fewer points need more levels, more points cost
+# more per level); 4096 was about 15% slower.
+ZOOM_POINTS = 257
+ZOOM_XTOL = 1e-12
 # what an objective raises at a point where it is undefined; anything else
 # (a NameError, say) is a bug in the objective and propagates
 _EVAL_ERRORS = (TypeError, ValueError, ArithmeticError)
@@ -79,55 +83,38 @@ def _eval_objective(g, ts):
 
 
 def interval_max(g, iv: Interval, tol: float = 1e-10):
-    """Maximize a scalar map on [m, M]: 4096-point grid scan, then
-    golden-section refinement of the best bracket.
+    """Maximize a scalar map on [m, M]: a 4096-point grid scan, then a grid
+    zoom that rescans the bracket between the best point's neighbours with
+    ZOOM_POINTS points until the bracket is at most ZOOM_XTOL (1e-12) wide.
 
-    Returns (argmax, value).  Ties break toward the smaller t.  Evaluation
-    failures raise DomainError carrying the offending point.
+    Returns (argmax, value), the best point of every scan.  Ties break
+    toward the smaller t.  Every point goes through the same evaluation, so
+    an undefined or non-finite value anywhere raises DomainError carrying
+    the offending point.  ``tol`` is only validated: the bracket always
+    stops at the fixed ZOOM_XTOL.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     ts = np.linspace(iv.m, iv.M, GRID_POINTS)
-    vals = _eval_objective(g, ts)
-    best = int(np.argmax(vals))  # first max: leftmost tie
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, GRID_POINTS - 1)]
-    arg, val = _golden_max(g, lo, hi)
-    if vals[best] > val:
-        arg, val = float(ts[best]), float(vals[best])
-    return arg, val
+    arg, val = None, -math.inf
+    while True:
+        vals = _eval_objective(g, ts)
+        best = int(np.argmax(vals))  # first max: leftmost tie
+        t, v = float(ts[best]), float(vals[best])
+        if v > val or (v == val and t < arg):
+            arg, val = t, v
+        lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
+        # stop at the target width, or once rounding keeps the bracket from
+        # shrinking (neighbouring points an ulp apart at a large t)
+        if hi - lo <= ZOOM_XTOL or hi - lo >= ts[-1] - ts[0]:
+            return arg, val
+        ts = np.linspace(lo, hi, ZOOM_POINTS)
 
 
 def interval_min(g, iv: Interval, tol: float = 1e-10):
     """Companion minimizer: interval_max of -g with the value sign restored."""
     arg, val = interval_max(lambda t: -np.asarray(g(t), dtype=float), iv, tol)
     return arg, -val
-
-
-def _golden_max(g, a: float, b: float):
-    h = b - a
-    if h <= GOLDEN_XTOL:
-        mid = a
-        return mid, float(g(mid))
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    yc = float(g(c))
-    yd = float(g(d))
-    n = max(1, int(math.ceil(math.log(GOLDEN_XTOL / h) / math.log(_INVPHI))))
-    for _ in range(n):
-        if yc >= yd:  # keep the left bracket on ties: smaller-t preference
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _INVPHI * h
-            yc = float(g(c))
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = float(g(d))
-    candidates = [(a, float(g(a))), (c, yc), (d, yd), (b, float(g(b)))]
-    arg, val = max(candidates, key=lambda cv: (cv[1], -cv[0]))
-    return float(arg), float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +135,8 @@ def _scan_interval(f: FunctionSpec, iv: Interval) -> Interval:
 def beta_oracle(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     """Brute-force value of max/min over [m, M] of chord(t) - alpha*f(t).
 
-    Independent of the closed forms in ``beta_constant``: pure grid +
-    golden-section search.  Concave f takes the dual minimum.
+    Independent of the closed forms in ``beta_constant``: pure grid scan +
+    grid zoom.  Concave f takes the dual minimum.
     """
     if alpha < 0.0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
@@ -169,7 +156,7 @@ def beta_constant(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     chord(t) - alpha*f(t) for convex f (min for concave f).
 
     Cataloged (f, interval) pairs return their closed forms; everything else
-    falls back to the grid/golden-section maximizer.
+    falls back to the grid-zoom maximizer.
     """
     if alpha < 0.0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
@@ -254,7 +241,7 @@ def ratio_constant(f: FunctionSpec, iv: Interval) -> float:
 
 
 def ratio_oracle(f: FunctionSpec, iv: Interval) -> float:
-    """Brute-force K(m, M, f): grid + golden-section on chord/f.
+    """Brute-force K(m, M, f): grid scan + grid zoom on chord/f.
 
     Endpoints where f vanishes are treated as open and clamped inward by
     1e-12 (the ratio extends continuously there).  The chord is evaluated

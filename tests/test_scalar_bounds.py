@@ -30,6 +30,12 @@ class TestIntervalMax:
         assert arg == 0.25
         assert val == 2.5
 
+    def test_plateau_ties_break_toward_its_left_edge(self):
+        # every point right of 0.5 ties; the refinement walks to the edge
+        arg, val = sb.interval_max(lambda t: np.minimum(np.asarray(t), 0.5), IV01, 1e-10)
+        assert val == 0.5
+        assert 0.5 <= arg <= 0.5 + 1e-9
+
     def test_neg_log_shannon_reverse_value(self):
         # max of chord - f for -log on [eps, 1] equals log of the Specht ratio
         eps = 0.2
@@ -69,6 +75,33 @@ class TestIntervalMax:
         with pytest.raises(DomainError, match="not finite"):
             sb.interval_max(lambda t: np.where(np.asarray(t) > 0.5, np.inf, t),
                             Interval(0.0, 1.0), 1e-10)
+
+    def test_nan_near_the_peak_is_domain_error(self):
+        # the NaN lies between grid points, so only the refinement meets it
+        def g(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(np.abs(t - 0.3) < 1e-6, np.nan, -(t - 0.3) ** 2)
+
+        with pytest.raises(DomainError, match="not finite at t="):
+            sb.interval_max(g, IV01, 1e-10)
+
+    def test_scalar_only_failure_near_the_peak_is_domain_error(self):
+        # a ValueError met during refinement names its point like one on the grid
+        def g(t):
+            if abs(t - 0.3) < 1e-6:
+                raise ValueError("undefined here")
+            return -(t - 0.3) ** 2
+
+        with pytest.raises(DomainError, match="undefined at t="):
+            sb.interval_max(g, IV01, 1e-10)
+
+    def test_peak_between_grid_points_is_located(self):
+        # pi/10 is no grid point of [0, 1]; no constant offset, so the values
+        # near the peak stay distinguishable down to the bracket width
+        t_star = 0.1 * math.pi
+        arg, val = sb.interval_max(lambda t: -(np.asarray(t) - t_star) ** 2, IV01, 1e-10)
+        assert abs(arg - t_star) <= 1e-9
+        assert val <= 0.0
 
     def test_programming_error_in_objective_propagates(self):
         # a bug in the objective is not an "objective undefined" DomainError

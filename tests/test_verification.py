@@ -47,6 +47,60 @@ class TestGenerators:
                 worst = max(worst, abs(float(p @ x) - float(p @ y)))
             assert worst <= 1e-12, name
 
+    @staticmethod
+    def plain_equal_weighted_mean(n, iv, rng):
+        # one redraw per loop pass, then the coordinate-wise construction
+        p = rng.dirichlet(np.ones(n))
+        y = rng.uniform(iv.m, iv.M, size=n)
+        target = float(np.dot(p, y))
+        for _ in range(vf._REDRAW_CAP):
+            x = rng.uniform(iv.m, iv.M, size=n)
+            x0 = (target - float(np.dot(p[1:], x[1:]))) / p[0]
+            if iv.m <= x0 <= iv.M:
+                x[0] = x0
+                return x, y, p
+        x = np.empty(n)
+        order = np.argsort(p)
+        rest = np.cumsum(p[order][::-1])[::-1]
+        fixed = 0.0
+        for k, i in enumerate(order[:-1]):
+            lo = max(iv.m, (target - fixed - iv.M * rest[k + 1]) / p[i])
+            hi = min(iv.M, (target - fixed - iv.m * rest[k + 1]) / p[i])
+            x[i] = min(max(rng.uniform(lo, hi), iv.m), iv.M)
+            fixed += p[i] * x[i]
+        last = order[-1]
+        x[last] = min(max((target - fixed) / p[last], iv.m), iv.M)
+        return x, y, p
+
+    def assert_matches_plain_loop(self, n, iv, seed, trial):
+        rng_a, rng_b = vf.trial_rng(seed, trial), vf.trial_rng(seed, trial)
+        got = vf.gen_equal_weighted_mean_scalars(n, iv, rng_a)
+        want = self.plain_equal_weighted_mean(n, iv, rng_b)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (n, seed, trial)
+        assert rng_a.random() == rng_b.random()
+
+    def test_block_redraws_match_plain_loop(self):
+        # seeds 1016 and 107004 of scalar_corollary include trials that need
+        # hundreds of redraws (1016/167 and 107004/139 exhaust the cap)
+        for seed, trials in ((1016, (20, 115, 167, 247, 366)), (107004, (2, 139, 220)),
+                             (0, range(200))):
+            for i in trials:
+                self.assert_matches_plain_loop(4, vf.function_catalog(
+                    vf._cycle(vf._DEFAULT_FS, i)).domain, seed, i)
+        for n in (2, 3, 7):
+            for i in range(100):
+                self.assert_matches_plain_loop(n, Interval(-1.0, 2.0), n, i)
+
+    def test_block_redraws_match_plain_loop_when_exhausted(self, monkeypatch):
+        # small caps end inside a block and on a block edge (1 + 2 + 4 rows);
+        # the construction after them must start from the same rng position
+        iv = Interval(0.1, 1.0)
+        for cap in (1, 5, 7):
+            monkeypatch.setattr(vf, "_REDRAW_CAP", cap)
+            for i in range(300):
+                self.assert_matches_plain_loop(4, iv, 5, i)
+
     def test_two_point_solved_coordinate(self):
         iv = Interval(0.0, 1.0)
         rng = vf.trial_rng(2, 0)
