@@ -82,7 +82,7 @@ def _eval_objective(g, ts):
     return vals
 
 
-def interval_max(g, iv: Interval, tol: float = 1e-10):
+def interval_max(g, iv: Interval):
     """Maximize a scalar map on [m, M]: a 4096-point grid scan, then a grid
     zoom that rescans the bracket between the best point's neighbours with
     ZOOM_POINTS points until the bracket is at most ZOOM_XTOL (1e-12) wide.
@@ -90,11 +90,8 @@ def interval_max(g, iv: Interval, tol: float = 1e-10):
     Returns (argmax, value), the best point of every scan.  Ties break
     toward the smaller t.  Every point goes through the same evaluation, so
     an undefined or non-finite value anywhere raises DomainError carrying
-    the offending point.  ``tol`` is only validated: the bracket always
-    stops at the fixed ZOOM_XTOL.
+    the offending point.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     ts = np.linspace(iv.m, iv.M, GRID_POINTS)
     arg, val = None, -math.inf
     while True:
@@ -111,9 +108,9 @@ def interval_max(g, iv: Interval, tol: float = 1e-10):
         ts = np.linspace(lo, hi, ZOOM_POINTS)
 
 
-def interval_min(g, iv: Interval, tol: float = 1e-10):
+def interval_min(g, iv: Interval):
     """Companion minimizer: interval_max of -g with the value sign restored."""
-    arg, val = interval_max(lambda t: -np.asarray(g(t), dtype=float), iv, tol)
+    arg, val = interval_max(lambda t: -np.asarray(g(t), dtype=float), iv)
     return arg, -val
 
 

@@ -3,21 +3,22 @@ checkers for every inequality, and deterministic report aggregation.
 
 A check never "fixes up" its inputs: hypothesis violations raise, and the
 margin of an operator inequality L <= R is the smallest eigenvalue of R - L
-(the tightest scalar witness).  Suites derive one RNG per trial from
-(seed, trial) through ``numpy.random.SeedSequence`` spawn keys, so reports
-are reproducible regardless of batching or execution order.
+(the tightest scalar witness).
 
-Each inequality has one margin kernel that scores a batch of instances.
-It decomposes each distinct input matrix once, in one LAPACK stack per
-dimension (``operator_calculus._eigh``), and takes every spectral image of
-that matrix from the same (w, V); the lambda_min reductions go through
-``operator_calculus._eigvalsh``.  A suite runs the kernel on all its trials;
-the public ``check_*`` function validates its input, keeping the
+``run_suite`` is the one trial loop.  A suite is a draw function, a score
+function and its default params.  The driver draws trial i's instance from
+its own generator, ``trial_rng(seed, i)`` (a ``numpy.random.SeedSequence``
+spawn key), then scores all the instances with one call of the suite's
+batch margin kernel.  A kernel decomposes each distinct input matrix once,
+in one LAPACK stack per dimension (``operator_calculus._eigh``), and takes
+every spectral image of that matrix from the same (w, V); the lambda_min
+reductions go through ``operator_calculus._eigvalsh``.  Both solvers give
+a matrix the same bits in any stack, so reports do not depend on batching.
+A public ``check_*`` function validates its input, keeping the
 decompositions the validation made, and runs the same kernel on a batch of
-one, so its margins equal the suite's bit for bit
-(tests/test_verification.py::TestSuites::test_batched_suite_matches_per_instance_checker).
-The Jacobi solver is not on this path; the ``eigensolver`` and
-``eigensolver_crosscheck`` suites exercise it.
+one, so its margins equal the suite's bit for bit.  The Jacobi solver is
+not on this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
+exercise it.
 """
 
 from __future__ import annotations
@@ -127,18 +128,9 @@ def verdict_csv_rows(suite_id: str, verdicts: Sequence[InequalityVerdict]):
     yield _CSV_FIELDS
     for v in verdicts:
         ctx = v.context
-        yield (
-            suite_id,
-            ctx.get("trial", ""),
-            repr(v.margin),
-            int(v.passed),
-            ctx.get("dim", ""),
-            ctx.get("r", ""),
-            ctx.get("alpha", ""),
-            ctx.get("eps", ""),
-            ctx.get("seed", ""),
-            v.inequality_id,
-        )
+        yield (suite_id, ctx.get("trial", ""), repr(v.margin), int(v.passed),
+               *(ctx.get(key, "") for key in ("dim", "r", "alpha", "eps", "seed")),
+               v.inequality_id)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -254,18 +246,15 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
     normalized_trace: trace maps with density-matrix inputs, where the
     constraint holds automatically.
     """
-    if family_kind == "uniform_permutation":
+    if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
         U = oc.rand_unitary(dim, rng)
         maps = tuple(oc.WeightedConjugation(1.0 / n, U) for _ in range(n))
         As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
-        perm = rng.permutation(n)
-        Bs = [As[j] for j in perm]
-    elif family_kind == "doubly_stochastic_mix":
-        U = oc.rand_unitary(dim, rng)
-        maps = tuple(oc.WeightedConjugation(1.0 / n, U) for _ in range(n))
-        As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
-        S = sinkhorn_doubly_stochastic(n, rng)
-        Bs = [oc.hermitize(sum(S[i, j] * As[j] for j in range(n))) for i in range(n)]
+        if family_kind == "uniform_permutation":
+            Bs = [As[j] for j in rng.permutation(n)]
+        else:
+            S = sinkhorn_doubly_stochastic(n, rng)
+            Bs = [oc.hermitize(sum(S[i, j] * As[j] for j in range(n))) for i in range(n)]
     elif family_kind == "normalized_trace":
         if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
             raise DomainError("normalized_trace inputs are density matrices; "
@@ -296,9 +285,9 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
     )
 
 
-def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator, transfers: int = None):
+def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     """(x, y, p) satisfying the weighted prefix conditions by construction:
-    y decreasing, p positive, and x built from y by repeatedly averaging
+    y decreasing, p positive, and x built from y by averaging n random
     adjacent pairs (weighted), which preserves the weighted total and can
     only lower prefix sums."""
     if n < 2:
@@ -306,7 +295,7 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator, transfers
     y = np.sort(rng.uniform(iv.m, iv.M, size=n))[::-1]
     p = rng.uniform(0.2, 1.0, size=n)
     x = y.copy()
-    for _ in range(transfers if transfers is not None else n):
+    for _ in range(n):
         i = int(rng.integers(0, n - 1))
         w = p[i] + p[i + 1]
         avg = (p[i] * x[i] + p[i + 1] * x[i + 1]) / w
@@ -326,17 +315,26 @@ def _scalar_verdict(inequality_id, lhs, rhs, tol, context) -> InequalityVerdict:
                              margin >= -tol, context)
 
 
+def _per_dim(solve, mats) -> list:
+    """The results of ``solve`` for each matrix of ``mats``, in that order,
+    from one call per dimension on the stack of that dimension's matrices
+    (``solve`` returns one entry per stacked matrix).  Both eigensolvers give
+    a matrix the same bits in any stack, so the grouping does not show."""
+    by_dim = defaultdict(list)
+    for k, M in enumerate(mats):
+        by_dim[M.shape[0]].append(k)
+    out = [None] * len(mats)
+    for idxs in by_dim.values():
+        for k, res in zip(idxs, solve(np.stack([mats[k] for k in idxs]))):
+            out[k] = res
+    return out
+
+
 def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
     """Operator verdicts for (inequality_id, rhs - lhs, context) items, with
     one lambda_min stack per dimension."""
-    by_dim = defaultdict(list)
-    for k, (_, mat, _) in enumerate(items):
-        by_dim[mat.shape[0]].append(k)
-    margins = [0.0] * len(items)
-    for idxs in by_dim.values():
-        w = oc._eigvalsh(np.stack([np.asarray(items[k][1], dtype=complex) for k in idxs]))
-        for j, k in enumerate(idxs):
-            margins[k] = float(w[j, 0])
+    evals = _per_dim(oc._eigvalsh, [np.asarray(mat, dtype=complex) for _, mat, _ in items])
+    margins = [float(w[0]) for w in evals]
     return [InequalityVerdict(name, 0.0, 0.0, m, m >= -tol, ctx)
             for (name, _, ctx), m in zip(items, margins)]
 
@@ -346,13 +344,8 @@ def _eigh_distinct(mats, eig=None):
     has) plus each distinct matrix object M of ``mats`` that it lacks, with
     one LAPACK stack per dimension; a matrix passed twice is decomposed once."""
     eig = dict(eig or {})
-    by_dim = defaultdict(dict)
-    for M in mats:
-        if id(M) not in eig:
-            by_dim[M.shape[0]].setdefault(id(M), M)
-    for group in by_dim.values():
-        w, V = oc._eigh(np.stack(list(group.values())))
-        eig.update(zip(group, zip(w, V)))
+    new = {id(M): M for M in mats if id(M) not in eig}
+    eig.update(zip(new, _per_dim(lambda S: list(zip(*oc._eigh(S))), list(new.values()))))
     return eig
 
 
@@ -407,10 +400,7 @@ def _map_sum_verdicts(instances, inequality_id, tol, eig=None) -> List[Inequalit
     return _margin_verdicts(items, tol)
 
 
-MEAN_FORMS_SOUND = (
-    "mean_ratio", "mean_diff",
-    "sr_k_form", "sr_k_form_x_both", "sr_c_form",
-)
+MEAN_FORMS_SOUND = ("mean_ratio", "mean_diff", "sr_k_form", "sr_k_form_x_both", "sr_c_form")
 MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
@@ -476,15 +466,8 @@ def _mean_margin_mats(instances, include_limits: bool, eig=None):
 def _entropy_evals(instances):
     """Spectra (w_A, w_B) of each instance's leading (A, B) pair, with one
     LAPACK eigenvalue stack per dimension."""
-    per_dim = defaultdict(list)
-    for k, inst in enumerate(instances):
-        per_dim[inst[0].shape[0]].append(k)
-    out = [None] * len(instances)
-    for idxs in per_dim.values():
-        w = oc._eigvalsh(np.stack([M for k in idxs for M in instances[k][:2]]))
-        for j, k in enumerate(idxs):
-            out[k] = (w[2 * j], w[2 * j + 1])
-    return out
+    w = _per_dim(oc._eigvalsh, [M for inst in instances for M in inst[:2]])
+    return list(zip(w[0::2], w[1::2]))
 
 
 def _vn_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
@@ -529,11 +512,11 @@ def _tsallis_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
 # ---------------------------------------------------------------------------
 
 
-def _validate_equal_map_sum(family, As, Bs, tol=1e-8):
+def _validate_equal_map_sum(family, As, Bs):
     lhs = oc.apply_map_family(family, As)
     rhs = oc.apply_map_family(family, Bs)
     res = float(np.linalg.norm(lhs - rhs))
-    if res > tol * max(1.0, float(np.linalg.norm(lhs))):
+    if res > 1e-8 * max(1.0, float(np.linalg.norm(lhs))):
         raise PreconditionError(f"map sums differ: residual {res:.3e}")
 
 
@@ -599,9 +582,9 @@ MODE_EQUAL = "equal_mean"
 MODE_RELAXED = "relaxed_decreasing"
 
 
-def _is_decreasing(f: FunctionSpec, iv: Interval, n: int = 257) -> bool:
+def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
     lo = iv.m if f.defined_at(iv.m) else iv.m + 1e-12
-    ts = np.linspace(lo, iv.M, n)
+    ts = np.linspace(lo, iv.M, 257)
     vals = np.asarray(f(ts), dtype=float)
     return bool(np.all(np.diff(vals) <= 1e-12))
 
@@ -699,10 +682,8 @@ def check_fannes_comparison(dims: Sequence[int]):
             raise DomainError(f"dims must be >= 1, got {dim}")
         ours = dim / math.e
         weak = math.log(dim) + 1.0 / math.e
-        if abs(ours - weak) <= 1e-12:
-            tighter = "equal"
-        else:
-            tighter = "ours" if ours < weak else "fannes_weak"
+        tighter = ("equal" if abs(ours - weak) <= 1e-12
+                   else "ours" if ours < weak else "fannes_weak")
         rows.append({"dim": int(dim), "ours": ours, "fannes_weak": weak, "tighter": tighter})
     return rows
 
@@ -772,8 +753,20 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# batched suite runners
+# suites: draw every trial's instance, then score them all in one batch
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """``draw(i, rng, params, ctx)`` builds trial i's instance from the
+    trial's own rng, given the base context {trial, seed}; ``score(instances,
+    params)`` runs the suite's batch kernel once on all the instances;
+    ``defaults`` fill in the params the caller leaves out."""
+
+    draw: Callable
+    score: Callable
+    defaults: dict
 
 
 def _cycle(seq, i):
@@ -794,20 +787,11 @@ def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     return family, mats, vecs
 
 
-def _suite_lemma_jensen(trials, seed, params):
-    dims = params.get("dims", (2, 3, 4, 6, 8))
-    n = max(1, params.get("n", 3))
-    fs = [function_catalog(name) for name in params.get("fs", _DEFAULT_FS)]
-    tol = params.get("tol", SCALAR_TOL)
-    instances = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        dim = _cycle(dims, i)
-        f = _cycle(fs, i)
-        family, mats, vecs = _gen_jensen_instance(n, dim, f.domain, rng)
-        ctx = {"trial": i, "dim": dim, "f": f.name, "seed": seed}
-        instances.append((family, mats, f, vecs, ctx))
-    return _jensen_verdicts(instances, tol)
+def _draw_jensen(i, rng, params, ctx):
+    dim = _cycle(params["dims"], i)
+    f = function_catalog(_cycle(params["fs"], i))
+    family, mats, vecs = _gen_jensen_instance(max(1, params["n"]), dim, f.domain, rng)
+    return family, mats, f, vecs, dict(ctx, dim=dim, f=f.name)
 
 
 _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
@@ -835,163 +819,99 @@ def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gener
     return As, Bs, family
 
 
-def _run_map_sum_suite(trials, seed, params, suite_name, gen, kinds):
-    """Map-sum suite on instances gen(n, dim, f.domain, kind, rng) -> (As, Bs,
-    family), with kind cycling through ``kinds``."""
-    dims = params.get("dims", (2, 4, 8))
-    n_ops = params.get("n", 3)
-    f_names = params.get("fs", _DEFAULT_FS)
-    alphas = params.get("alphas", _DEFAULT_ALPHAS)
-    tol = params.get("tol", OPERATOR_TOL)
-    fs = {name: function_catalog(name) for name in f_names}
-    instances = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        dim = _cycle(dims, i)
-        f = fs[_cycle(f_names, i)]
-        alpha = _cycle(alphas, i)
-        kind = _cycle(kinds, i)
-        As, Bs, family = gen(n_ops, dim, f.domain, kind, rng)
-        ctx = {"trial": i, "dim": dim, "f": f.name, "alpha": alpha,
-               "family": kind, "seed": seed}
-        instances.append((family, As, Bs, f, alpha, ctx))
-    return _map_sum_verdicts(instances, suite_name, tol)
+def _draw_map_sum(i, rng, params, ctx, gen, kind):
+    """A map-sum instance gen(n, dim, f.domain, kind, rng) -> (As, Bs, family)."""
+    dim = _cycle(params["dims"], i)
+    f = function_catalog(_cycle(params["fs"], i))
+    alpha = _cycle(params["alphas"], i)
+    As, Bs, family = gen(params["n"], dim, f.domain, kind, rng)
+    return family, As, Bs, f, alpha, dict(ctx, dim=dim, f=f.name, alpha=alpha, family=kind)
 
 
-def _suite_theorem_beta(trials, seed, params):
-    kinds = params.get("families", ("uniform_permutation", "doubly_stochastic_mix"))
-    return _run_map_sum_suite(trials, seed, params, "theorem_beta",
-                              gen_equal_map_sum_operators, kinds)
+def _draw_scalar_corollary(i, rng, params, ctx):
+    """Equal weighted means, or on odd trials with decreasing f the relaxed
+    sum p x <= sum p y."""
+    n = params["n"]
+    f = function_catalog(_cycle(params["fs"], i))
+    iv = f.domain
+    if i % 2 == 1 and _is_decreasing(f, iv):
+        x = rng.uniform(iv.m, iv.M, size=n)
+        y = rng.uniform(iv.m, iv.M, size=n)
+        p = rng.dirichlet(np.ones(n))
+        if float(np.dot(p, x)) > float(np.dot(p, y)):
+            x, y = y, x
+        mode = MODE_RELAXED
+    else:
+        x, y, p = gen_equal_weighted_mean_scalars(n, iv, rng)
+        mode = MODE_EQUAL
+    return p, x, y, f, _cycle(params["alphas"], i), mode, dict(ctx, dim=n)
 
 
-def _suite_corollary_weighted(trials, seed, params):
-    return _run_map_sum_suite(trials, seed, params, "corollary_weighted",
-                              _gen_weighted_instance, _WEIGHT_VARIANTS)
+def _score_scalar_corollary(instances, params):
+    return [v for *args, mode, ctx in instances
+            for v in check_scalar_corollary(*args, params["tol"], mode, ctx)]
 
 
-def _suite_scalar_corollary(trials, seed, params):
-    n = params.get("n", 4)
-    f_names = params.get("fs", _DEFAULT_FS)
-    alphas = params.get("alphas", _DEFAULT_ALPHAS)
-    tol = params.get("tol", SCALAR_TOL)
+def _draw_prefix_instance(i, rng, params, ctx):
+    n = params["n"]
+    x, y, p = gen_fuchs_instance(n, Interval(*params["interval"]), rng)
+    return x, y, p, dict(ctx, dim=n)
+
+
+def _score_fuchs(instances, params):
+    # a custom FunctionSpec runs a convexity scan when built: once per run
+    iv = Interval(*params["interval"])
+    dom = Interval(iv.m - 0.5, iv.M + 0.5)
+    fs = [FunctionSpec.custom(g, "convex", dom, name) for g, name in (
+        (lambda t: np.asarray(t, dtype=float) ** 2, "t^2"),
+        (lambda t: np.exp(np.asarray(t, dtype=float)), "exp(t)"),
+        (lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "|t-1|"))]
     verdicts = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        name = _cycle(f_names, i)
-        f = function_catalog(name)
-        alpha = _cycle(alphas, i)
-        relaxed = (i % 2 == 1) and _is_decreasing(f, f.domain)
-        if relaxed:
-            x = rng.uniform(f.domain.m, f.domain.M, size=n)
-            y = rng.uniform(f.domain.m, f.domain.M, size=n)
-            p = rng.dirichlet(np.ones(n))
-            if float(np.dot(p, x)) > float(np.dot(p, y)):
-                x, y = y, x
-            mode = MODE_RELAXED
-        else:
-            x, y, p = gen_equal_weighted_mean_scalars(n, f.domain, rng)
-            mode = MODE_EQUAL
-        ctx = {"trial": i, "dim": n, "seed": seed}
-        verdicts.extend(check_scalar_corollary(p, x, y, f, alpha, tol, mode, ctx))
+    for x, y, p, ctx in instances:
+        f = _cycle(fs, ctx["trial"])
+        verdicts.append(_scalar_verdict("fuchs_margin", 0.0, mj.fuchs_margin(f, x, y, p),
+                                        params["tol"], dict(ctx, f=f.name)))
     return verdicts
 
 
-def _suite_fuchs(trials, seed, params):
-    n = params.get("n", 5)
-    iv = Interval(*params.get("interval", (-1.0, 2.0)))
-    tol = params.get("tol", SCALAR_TOL)
-    fs = (
-        FunctionSpec.custom(lambda t: np.asarray(t, dtype=float) ** 2, "convex",
-                            Interval(iv.m - 0.5, iv.M + 0.5), "t^2"),
-        FunctionSpec.custom(lambda t: np.exp(np.asarray(t, dtype=float)), "convex",
-                            Interval(iv.m - 0.5, iv.M + 0.5), "exp(t)"),
-        FunctionSpec.custom(lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "convex",
-                            Interval(iv.m - 0.5, iv.M + 0.5), "|t-1|"),
-    )
+def _score_moment(instances, params):
     verdicts = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        f = _cycle(fs, i)
-        x, y, p = gen_fuchs_instance(n, iv, rng)
-        margin = mj.fuchs_margin(f, x, y, p)
-        verdicts.append(InequalityVerdict("fuchs_margin", 0.0, margin, margin,
-                                          margin >= -tol,
-                                          {"trial": i, "dim": n, "f": f.name, "seed": seed}))
+    for x, y, p, ctx in instances:
+        order = _cycle(params["orders"], ctx["trial"])
+        verdicts.append(_scalar_verdict("moment_margin", 0.0,
+                                        mj.moment_margin(p / p.sum(), x, y, order),
+                                        params["tol"], dict(ctx, r=order)))
     return verdicts
 
 
-def _suite_moment(trials, seed, params):
-    n = params.get("n", 5)
-    iv = Interval(*params.get("interval", (-1.0, 2.0)))
-    orders = params.get("orders", (1, 2, 4))
-    tol = params.get("tol", SCALAR_TOL)
+def _draw_density_pair(i, rng, params, ctx):
+    """(A, B, alpha, context): two random density matrices."""
+    dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
+    A = oc.rand_density(dim, rng)
+    B = oc.rand_density(dim, rng)
+    return A, B, alpha, dict(ctx, dim=dim, alpha=alpha)
+
+
+def _draw_tsallis_pair(i, rng, params, ctx):
+    A, B, alpha, ctx = _draw_density_pair(i, rng, params, ctx)
+    r = _cycle(params["rs"], i)
+    return A, B, alpha, r, dict(ctx, r=r)
+
+
+def _draw_prob_pair(i, rng, params, ctx):
+    """(p, q, r, context): two Dirichlet draws floored at 1e-12."""
+    n, r = _cycle(params["sizes"], i), _cycle(params["rs"], i)
+    p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
+    q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
+    return p / p.sum(), q / q.sum(), r, dict(ctx, dim=n, r=r)
+
+
+def _score_info_inequality(instances, params):
+    tol = params["tol"]
     verdicts = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        order = _cycle(orders, i)
-        x, y, p = gen_fuchs_instance(n, iv, rng)
-        p = p / p.sum()
-        margin = mj.moment_margin(p, x, y, order)
-        verdicts.append(InequalityVerdict("moment_margin", 0.0, margin, margin,
-                                          margin >= -tol,
-                                          {"trial": i, "dim": n, "r": order, "seed": seed}))
-    return verdicts
-
-
-def _entropy_pairs(trials, seed, dims):
-    """(trial, dim, A, B): two random density matrices per trial."""
-    pairs = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        dim = _cycle(dims, i)
-        A = oc.rand_density(dim, rng)
-        B = oc.rand_density(dim, rng)
-        pairs.append((i, dim, A, B))
-    return pairs
-
-
-def _suite_entropy_vn(trials, seed, params):
-    dims = params.get("dims", (2, 3, 4, 5, 6, 7, 8))
-    alphas = params.get("alphas", _DEFAULT_ALPHAS)
-    tol = params.get("tol", SCALAR_TOL)
-    instances = []
-    for i, dim, A, B in _entropy_pairs(trials, seed, dims):
-        alpha = _cycle(alphas, i)
-        instances.append((A, B, alpha, {"trial": i, "dim": dim, "alpha": alpha, "seed": seed}))
-    return _vn_verdicts(instances, tol)
-
-
-def _suite_entropy_tsallis(trials, seed, params):
-    dims = params.get("dims", (2, 3, 4, 5, 6, 7, 8))
-    alphas = params.get("alphas", _DEFAULT_ALPHAS)
-    rs = params.get("rs", (0.1, 0.5, 0.9))
-    tol = params.get("tol", SCALAR_TOL)
-    instances = []
-    for i, dim, A, B in _entropy_pairs(trials, seed, dims):
-        alpha = _cycle(alphas, i)
-        r = _cycle(rs, i)
-        ctx = {"trial": i, "dim": dim, "alpha": alpha, "r": r, "seed": seed}
-        instances.append((A, B, alpha, r, ctx))
-    return _tsallis_verdicts(instances, tol)
-
-
-def _suite_info_inequality(trials, seed, params):
-    sizes = params.get("sizes", (2, 3, 5, 8))
-    rs = params.get("rs", (0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
-    tol = params.get("tol", SCALAR_TOL)
-    verdicts = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        n = _cycle(sizes, i)
-        r = _cycle(rs, i)
-        p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
-        p = p / p.sum()
-        q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
-        q = q / q.sum()
-        ctx = {"trial": i, "dim": n, "r": r, "seed": seed}
-        margin = ce.information_inequality_margin(p, q)
-        verdicts.append(InequalityVerdict("info_inequality", 0.0, margin, margin,
-                                          margin >= -tol, ctx))
+    for p, q, r, ctx in instances:
+        verdicts.append(_scalar_verdict("info_inequality", 0.0,
+                                        ce.information_inequality_margin(p, q), tol, ctx))
         weighted_p = float(-np.sum(p ** (1.0 - r) * ln_r(r, p)))
         weighted_q, _ = ce.tsallis_cross_terms(p, q, r)
         verdicts.append(_scalar_verdict("r_extended_info_inequality",
@@ -1004,38 +924,26 @@ def _suite_info_inequality(trials, seed, params):
     return verdicts
 
 
-def _run_reverse_suite(trials, seed, params, suite_name, rs, margins):
-    """Reverse-bound suite on conditioned pairs with alternating dominance
-    tags, scored by margins(p, q, eps, r, direction) -> (ratio, diff); r
-    cycles through ``rs`` and is left out of the context when None."""
-    eps = params.get("eps", 0.05)
-    sizes = params.get("sizes", (2, 3, 4, 6))
-    tol = params.get("tol", SCALAR_TOL)
-    verdicts = []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        n = _cycle(sizes, i)
-        r = _cycle(rs, i)
-        direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
-        p, q = gen_conditioned_prob_pair(n, eps, direction, rng)
-        ctx = {"trial": i, "dim": n, "eps": eps, "direction": direction, "seed": seed}
-        if r is not None:
-            ctx["r"] = r
-        for form, m in zip(("_ratio", "_diff"), margins(p, q, eps, r, direction)):
-            verdicts.append(InequalityVerdict(suite_name + form, 0.0, m, m, m >= -tol, ctx))
-    return verdicts
+def _draw_conditioned_pair(i, rng, params, ctx):
+    """(p, q, context): a floored pair whose dominance tag alternates."""
+    n = _cycle(params["sizes"], i)
+    direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
+    p, q = gen_conditioned_prob_pair(n, params["eps"], direction, rng)
+    return p, q, dict(ctx, dim=n, eps=params["eps"], direction=direction)
 
 
-def _suite_reverse_shannon(trials, seed, params):
-    return _run_reverse_suite(
-        trials, seed, params, "reverse_shannon", (None,),
-        lambda p, q, eps, _, direction: ce.reverse_shannon_margins(p, q, eps, direction))
+def _draw_parametric_pair(i, rng, params, ctx):
+    p, q, ctx = _draw_conditioned_pair(i, rng, params, ctx)
+    return p, q, dict(ctx, r=_cycle(params["rs"], i))
 
 
-def _suite_parametric_reverse(trials, seed, params):
-    return _run_reverse_suite(trials, seed, params, "parametric_reverse",
-                              params.get("rs", (0.1, 0.5, 1.0, 2.0)),
-                              ce.parametric_reverse_margins)
+def _reverse_score(suite_name, margins):
+    """Score (p, q, context) instances by margins(p, q, context) -> (ratio, diff)."""
+    def score(instances, params):
+        return [_scalar_verdict(suite_name + form, 0.0, m, params["tol"], ctx)
+                for p, q, ctx in instances
+                for form, m in zip(("_ratio", "_diff"), margins(p, q, ctx))]
+    return score
 
 
 def _gen_mean_instance(rng, dim, iv, n):
@@ -1055,84 +963,59 @@ def _gen_mean_instance(rng, dim, iv, n):
     return Z, As, Bs, w
 
 
-def _mean_margin_verdicts(trials, seed, params, rs, forms):
-    """Operator-mean suite scoring the named ``forms`` of each instance
-    (forms that do not apply at an instance's r are skipped)."""
-    dims = params.get("dims", (2, 3, 4, 6))
-    iv = Interval(*params.get("interval", (1.7, 5.1)))
-    tol = params.get("tol", OPERATOR_TOL)
+def _draw_mean(i, rng, params, ctx):
+    dim, r = _cycle(params["dims"], i), _cycle(params["rs"], i)
+    n = 1 if i % 2 == 0 else 2
+    iv = Interval(*params["interval"])
+    Z, As, Bs, w = _gen_mean_instance(rng, dim, iv, n)
+    return (Z, As, Bs, w, r, iv), dict(ctx, dim=dim, r=r, n=n)
+
+
+def _mean_score(forms):
+    """Score the named ``forms`` of each operator-mean instance (forms that
+    do not apply at an instance's r are skipped)."""
     include_limits = any(name in forms for name in MEAN_FORMS_LIMIT)
-    instances, ctxs = [], []
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        dim = _cycle(dims, i)
-        r = _cycle(rs, i)
-        n = 1 if i % 2 == 0 else 2
-        Z, As, Bs, w = _gen_mean_instance(rng, dim, iv, n)
-        instances.append((Z, As, Bs, w, r, iv))
-        ctxs.append({"trial": i, "dim": dim, "r": r, "n": n, "seed": seed})
-    items = []
-    for mats, ctx in zip(_mean_margin_mats(instances, include_limits), ctxs):
-        items.extend((name, mats[name], ctx) for name in forms if name in mats)
-    return _margin_verdicts(items, tol)
+
+    def score(instances, params):
+        mats = _mean_margin_mats([inst for inst, _ in instances], include_limits)
+        return _margin_verdicts([(name, m[name], ctx) for m, (_, ctx) in zip(mats, instances)
+                                 for name in forms if name in m], params["tol"])
+    return score
 
 
-def _suite_operator_means(trials, seed, params):
-    rs = params.get("rs", (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6))
-    return _mean_margin_verdicts(trials, seed, params, rs, MEAN_FORMS_SOUND)
+def _draw_hermitian(i, rng, params, ctx):
+    """(G + G*)/2 with G complex Gaussian, dimension cycling through dims."""
+    dim = _cycle(params["dims"], i)
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (G + G.conj().T) / 2.0, dict(ctx, dim=dim)
 
 
-def _suite_mean_limits(trials, seed, params):
-    # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
-    rs = params.get("rs", (0.3,))
-    return _mean_margin_verdicts(trials, seed, params, rs,
-                                 MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT)
+def _solve_by_dim(solve, instances):
+    """(context, solve result) per (matrix, context) instance, grouped by
+    dimension in order of first appearance: the eigensolver suites' order."""
+    first = {}
+    instances = sorted(instances, key=lambda inst: first.setdefault(len(inst[0]), len(first)))
+    return zip([ctx for _, ctx in instances], _per_dim(solve, [A for A, _ in instances]))
 
 
-def _suite_mean_c_lhs_variant(trials, seed, params):
-    """The C-term-on-the-left orientation of the 0 < r < 1 difference bound.
-
-    Kept out of the 'all' aggregate: it fails by construction whenever
-    X = Y (the C-term is negative in this regime), and is reported
-    separately for inspection.
-    """
-    rs = params.get("rs", (0.3, 0.6))
-    return _mean_margin_verdicts(trials, seed, params, rs, (MEAN_FORM_C_LHS,))
-
-
-def _eigensolver_stacks(trials, seed, params):
-    """{dim: (trials, stack)}: one random Hermitian (G + G*)/2 per trial, G
-    complex Gaussian, dimension cycling through the ``dims`` param."""
-    dims = params.get("dims", tuple(range(2, 17)))
-    per_dim = defaultdict(list)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        dim = _cycle(dims, i)
-        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        per_dim[dim].append((i, (G + G.conj().T) / 2.0))
-    return {dim: ([i for i, _ in items], np.stack([A for _, A in items]))
-            for dim, items in per_dim.items()}
+def _jacobi_residuals(stack):
+    """(reconstruction, unitarity) residuals of the Jacobi eigensolver."""
+    w, V = oc.eigh_stack(stack)
+    rec = V @ (w[:, :, None] * np.swapaxes(V, 1, 2).conj()) - stack
+    rec_res = np.linalg.norm(rec, axis=(1, 2)) / np.maximum(
+        1.0, np.linalg.norm(stack, axis=(1, 2)))
+    uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - np.eye(stack.shape[1]),
+                             axis=(1, 2))
+    return list(zip(rec_res, uni_res))
 
 
-def _suite_eigensolver(trials, seed, params):
-    """Residuals of the Jacobi eigensolver: reconstruction and unitarity."""
-    tol = params.get("tol", 1e-10)
+def _score_eigensolver(instances, params):
+    tol = params["tol"]
     verdicts = []
-    for dim, (idxs, stack) in _eigensolver_stacks(trials, seed, params).items():
-        w, V = oc.eigh_stack(stack)
-        rec = V @ (w[:, :, None] * np.swapaxes(V, 1, 2).conj()) - stack
-        eye = np.eye(dim)
-        rec_res = np.linalg.norm(rec, axis=(1, 2)) / np.maximum(
-            1.0, np.linalg.norm(stack, axis=(1, 2)))
-        uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - eye, axis=(1, 2))
-        for j, i in enumerate(idxs):
-            ctx = {"trial": i, "dim": dim, "seed": seed}
-            m1 = tol - float(rec_res[j])
-            m2 = tol - float(uni_res[j])
-            verdicts.append(InequalityVerdict("eig_reconstruction", float(rec_res[j]),
-                                              tol, m1, m1 >= 0.0, ctx))
-            verdicts.append(InequalityVerdict("eig_unitarity", float(uni_res[j]),
-                                              tol, m2, m2 >= 0.0, ctx))
+    for ctx, res in _solve_by_dim(_jacobi_residuals, instances):
+        for name, r in zip(("eig_reconstruction", "eig_unitarity"), res):
+            m = tol - float(r)
+            verdicts.append(InequalityVerdict(name, float(r), tol, m, m >= 0.0, ctx))
     return verdicts
 
 
@@ -1142,45 +1025,89 @@ def _suite_eigensolver(trials, seed, params):
 _CROSSCHECK_ULPS = 16.0
 
 
-def _suite_eigensolver_crosscheck(trials, seed, params):
-    """Jacobi (the oracle) against LAPACK (the margin path) on the eigensolver
-    suite's matrices: margin 16 d eps max(1, ||A||_F) - max_i |w_J,i - w_L,i|."""
-    eps = np.finfo(float).eps
+def _crosscheck(stack):
+    """(max_i |w_J,i - w_L,i|, 16 d eps max(1, ||A||_F)): Jacobi (the oracle)
+    against LAPACK (the margin path) and the bound on their distance."""
+    diff = np.abs(oc.eigvals_stack(stack) - oc._eigvalsh(stack)).max(axis=1)
+    bound = _CROSSCHECK_ULPS * stack.shape[1] * np.finfo(float).eps * np.maximum(
+        1.0, np.linalg.norm(stack, axis=(1, 2)))
+    return list(zip(diff, bound))
+
+
+def _score_eigensolver_crosscheck(instances, params):
     verdicts = []
-    for dim, (idxs, stack) in _eigensolver_stacks(trials, seed, params).items():
-        diff = np.abs(oc.eigvals_stack(stack) - oc._eigvalsh(stack)).max(axis=1)
-        bound = _CROSSCHECK_ULPS * dim * eps * np.maximum(
-            1.0, np.linalg.norm(stack, axis=(1, 2)))
-        for j, i in enumerate(idxs):
-            m = float(bound[j] - diff[j])
-            verdicts.append(InequalityVerdict("eig_crosscheck", float(diff[j]),
-                                              float(bound[j]), m, m >= 0.0,
-                                              {"trial": i, "dim": dim, "seed": seed}))
+    for ctx, (diff, bound) in _solve_by_dim(_crosscheck, instances):
+        m = float(bound - diff)
+        verdicts.append(InequalityVerdict("eig_crosscheck", float(diff), float(bound),
+                                          m, m >= 0.0, ctx))
     return verdicts
 
 
-_SUITES: Dict[str, Callable] = {
-    "lemma_jensen": _suite_lemma_jensen,
-    "theorem_beta": _suite_theorem_beta,
-    "corollary_weighted": _suite_corollary_weighted,
-    "scalar_corollary": _suite_scalar_corollary,
-    "fuchs": _suite_fuchs,
-    "moment": _suite_moment,
-    "entropy_vn": _suite_entropy_vn,
-    "entropy_tsallis": _suite_entropy_tsallis,
-    "info_inequality": _suite_info_inequality,
-    "reverse_shannon": _suite_reverse_shannon,
-    "parametric_reverse": _suite_parametric_reverse,
-    "operator_means": _suite_operator_means,
-    "mean_limits": _suite_mean_limits,
-    "eigensolver": _suite_eigensolver,
-    "eigensolver_crosscheck": _suite_eigensolver_crosscheck,
+_MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "n": 3, "fs": _DEFAULT_FS,
+                     "alphas": _DEFAULT_ALPHAS, "tol": OPERATOR_TOL}
+_PREFIX_DEFAULTS = {"n": 5, "interval": (-1.0, 2.0), "tol": SCALAR_TOL}
+_DENSITY_DEFAULTS = {"dims": (2, 3, 4, 5, 6, 7, 8), "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}
+_REVERSE_DEFAULTS = {"eps": 0.05, "sizes": (2, 3, 4, 6), "tol": SCALAR_TOL}
+_MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1), "tol": OPERATOR_TOL}
+_EIG_DIMS = {"dims": tuple(range(2, 17))}
+
+# A suite reads only the params its draw and score name: the CLI passes one
+# params dict (dims, rs, alphas, eps, interval) to every suite, so
+# reverse_shannon keeps r unset, entropy_vn ignores rs and corollary_weighted
+# keeps its fixed weights_v* cycle whatever "families" says.
+_SUITES: Dict[str, _Suite] = {
+    "lemma_jensen": _Suite(
+        _draw_jensen, lambda insts, p: _jensen_verdicts(insts, p["tol"]),
+        {"dims": (2, 3, 4, 6, 8), "n": 3, "fs": _DEFAULT_FS, "tol": SCALAR_TOL}),
+    "theorem_beta": _Suite(
+        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, gen_equal_map_sum_operators,
+                                             _cycle(p["families"], i)),
+        lambda insts, p: _map_sum_verdicts(insts, "theorem_beta", p["tol"]),
+        {**_MAP_SUM_DEFAULTS, "families": ("uniform_permutation", "doubly_stochastic_mix")}),
+    "corollary_weighted": _Suite(
+        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _gen_weighted_instance,
+                                             _cycle(_WEIGHT_VARIANTS, i)),
+        lambda insts, p: _map_sum_verdicts(insts, "corollary_weighted", p["tol"]),
+        _MAP_SUM_DEFAULTS),
+    "scalar_corollary": _Suite(
+        _draw_scalar_corollary, _score_scalar_corollary,
+        {"n": 4, "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}),
+    "fuchs": _Suite(_draw_prefix_instance, _score_fuchs, _PREFIX_DEFAULTS),
+    "moment": _Suite(_draw_prefix_instance, _score_moment,
+                     {**_PREFIX_DEFAULTS, "orders": (1, 2, 4)}),
+    "entropy_vn": _Suite(_draw_density_pair, lambda insts, p: _vn_verdicts(insts, p["tol"]),
+                         _DENSITY_DEFAULTS),
+    "entropy_tsallis": _Suite(
+        _draw_tsallis_pair, lambda insts, p: _tsallis_verdicts(insts, p["tol"]),
+        {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)}),
+    "info_inequality": _Suite(
+        _draw_prob_pair, _score_info_inequality,
+        {"sizes": (2, 3, 5, 8), "rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),
+    "reverse_shannon": _Suite(
+        _draw_conditioned_pair,
+        _reverse_score("reverse_shannon", lambda p, q, ctx: ce.reverse_shannon_margins(
+            p, q, ctx["eps"], ctx["direction"])),
+        _REVERSE_DEFAULTS),
+    "parametric_reverse": _Suite(
+        _draw_parametric_pair,
+        _reverse_score("parametric_reverse", lambda p, q, ctx: ce.parametric_reverse_margins(
+            p, q, ctx["eps"], ctx["r"], ctx["direction"])),
+        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}),
+    "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
+                             {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)}),
+    # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
+    "mean_limits": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT),
+                          {**_MEAN_DEFAULTS, "rs": (0.3,)}),
+    "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, {**_EIG_DIMS, "tol": 1e-10}),
+    "eigensolver_crosscheck": _Suite(_draw_hermitian, _score_eigensolver_crosscheck, _EIG_DIMS),
 }
 
-#: excluded from "all": the orientation is unsatisfiable at X = Y
-#: (see _suite_mean_c_lhs_variant)
-_EXTRA_SUITES: Dict[str, Callable] = {
-    "mean_c_lhs_variant": _suite_mean_c_lhs_variant,
+#: excluded from "all": the C-term-on-the-left orientation of the 0 < r < 1
+#: difference bound fails by construction whenever X = Y (the C-term is
+#: negative in this regime), and is reported separately for inspection
+_EXTRA_SUITES: Dict[str, _Suite] = {
+    "mean_c_lhs_variant": _Suite(_draw_mean, _mean_score((MEAN_FORM_C_LHS,)),
+                                 {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)}),
 }
 
 
@@ -1193,25 +1120,27 @@ def suite_ids(include_extra: bool = False):
 
 def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = None,
               keep_verdicts: bool = False):
-    """Run a named suite: ``trials`` independent instances seeded from
-    (seed, trial).  Returns a TrialReport; with ``keep_verdicts`` the report
-    carries the full verdict list as ``report.verdicts``."""
-    runner = _SUITES.get(suite_id) or _EXTRA_SUITES.get(suite_id)
-    if runner is None:
+    """Run a named suite: draw ``trials`` independent instances, trial i from
+    its own ``trial_rng(seed, i)``, and score them in one batch.  Returns a
+    TrialReport; with ``keep_verdicts`` the report carries the full verdict
+    list as ``report.verdicts``."""
+    suite = _SUITES.get(suite_id) or _EXTRA_SUITES.get(suite_id)
+    if suite is None:
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
     if trials < 0:
         raise DomainError("trials must be >= 0")
-    params = dict(params or {})
+    params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
-    verdicts = runner(trials, seed, params) if trials > 0 else []
+    verdicts = []
+    if trials > 0:
+        instances = [suite.draw(i, trial_rng(seed, i), params, {"trial": i, "seed": seed})
+                     for i in range(trials)]
+        verdicts = suite.score(instances, params)
     elapsed = int((time.perf_counter() - t0) * 1000)
     failures = sum(0 if v.passed else 1 for v in verdicts)
-    if verdicts:
-        worst = min(verdicts, key=lambda v: v.margin)
-        min_margin, worst_context = worst.margin, dict(worst.context)
-    else:
-        min_margin, worst_context = None, {}
-    report = TrialReport(suite_id, trials, failures, min_margin, worst_context, elapsed)
+    worst = min(verdicts, key=lambda v: v.margin, default=None)
+    report = TrialReport(suite_id, trials, failures, worst.margin if worst else None,
+                         dict(worst.context) if worst else {}, elapsed)
     if keep_verdicts:
         report.verdicts = verdicts
     return report

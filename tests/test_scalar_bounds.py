@@ -20,19 +20,19 @@ class TestIntervalMax:
     def test_entropy_integrand_peak(self):
         arg, val = sb.interval_max(
             lambda t: -np.asarray(t) * np.log(np.maximum(np.asarray(t), 1e-300)),
-            Interval(1e-12, 1.0), 1e-10)
+            Interval(1e-12, 1.0))
         assert val == pytest.approx(1.0 / math.e, abs=1e-10)
         assert arg == pytest.approx(1.0 / math.e, abs=1e-6)
 
     def test_constant_map_ties_break_left(self):
         arg, val = sb.interval_max(lambda t: np.full_like(np.asarray(t, dtype=float), 2.5),
-                                   Interval(0.25, 4.0), 1e-10)
+                                   Interval(0.25, 4.0))
         assert arg == 0.25
         assert val == 2.5
 
     def test_plateau_ties_break_toward_its_left_edge(self):
         # every point right of 0.5 ties; the refinement walks to the edge
-        arg, val = sb.interval_max(lambda t: np.minimum(np.asarray(t), 0.5), IV01, 1e-10)
+        arg, val = sb.interval_max(lambda t: np.minimum(np.asarray(t), 0.5), IV01)
         assert val == 0.5
         assert 0.5 <= arg <= 0.5 + 1e-9
 
@@ -42,7 +42,7 @@ class TestIntervalMax:
         f = neg_log(eps)
         arg, val = sb.interval_max(
             lambda t: (math.log(eps) / (eps - 1.0)) * (1.0 - np.asarray(t)) + np.log(t),
-            Interval(eps, 1.0), 1e-10)
+            Interval(eps, 1.0))
         assert val == pytest.approx(math.log(sb.specht(eps)), abs=1e-10)
         assert arg == pytest.approx((eps - 1.0) / math.log(eps), abs=1e-6)
 
@@ -54,12 +54,12 @@ class TestIntervalMax:
             return t
 
         with pytest.raises(DomainError, match="t="):
-            sb.interval_max(g, Interval(0.0, 1.0), 1e-10)
+            sb.interval_max(g, Interval(0.0, 1.0))
 
     def test_scalar_only_objective_falls_back_to_pointwise_calls(self):
         # math.log rejects the grid array with a TypeError, so each point is
         # evaluated on its own
-        arg, val = sb.interval_max(lambda t: -math.log(t) - t, Interval(0.5, 2.0), 1e-10)
+        arg, val = sb.interval_max(lambda t: -math.log(t) - t, Interval(0.5, 2.0))
         assert arg == 0.5
         assert val == pytest.approx(math.log(2.0) - 0.5, abs=1e-12)
 
@@ -67,14 +67,14 @@ class TestIntervalMax:
         # float.hex exists on a float but not on the grid array, whose
         # AttributeError only means that the objective is not vectorized
         arg, val = sb.interval_max(lambda t: float.fromhex(t.hex()) * (1.0 - t),
-                                   Interval(0.0, 1.0), 1e-10)
+                                   Interval(0.0, 1.0))
         assert arg == pytest.approx(0.5, abs=1e-6)
         assert val == pytest.approx(0.25, abs=1e-12)
 
     def test_non_finite_objective_is_domain_error(self):
         with pytest.raises(DomainError, match="not finite"):
             sb.interval_max(lambda t: np.where(np.asarray(t) > 0.5, np.inf, t),
-                            Interval(0.0, 1.0), 1e-10)
+                            Interval(0.0, 1.0))
 
     def test_nan_near_the_peak_is_domain_error(self):
         # the NaN lies between grid points, so only the refinement meets it
@@ -83,7 +83,7 @@ class TestIntervalMax:
             return np.where(np.abs(t - 0.3) < 1e-6, np.nan, -(t - 0.3) ** 2)
 
         with pytest.raises(DomainError, match="not finite at t="):
-            sb.interval_max(g, IV01, 1e-10)
+            sb.interval_max(g, IV01)
 
     def test_scalar_only_failure_near_the_peak_is_domain_error(self):
         # a ValueError met during refinement names its point like one on the grid
@@ -93,13 +93,13 @@ class TestIntervalMax:
             return -(t - 0.3) ** 2
 
         with pytest.raises(DomainError, match="undefined at t="):
-            sb.interval_max(g, IV01, 1e-10)
+            sb.interval_max(g, IV01)
 
     def test_peak_between_grid_points_is_located(self):
         # pi/10 is no grid point of [0, 1]; no constant offset, so the values
         # near the peak stay distinguishable down to the bracket width
         t_star = 0.1 * math.pi
-        arg, val = sb.interval_max(lambda t: -(np.asarray(t) - t_star) ** 2, IV01, 1e-10)
+        arg, val = sb.interval_max(lambda t: -(np.asarray(t) - t_star) ** 2, IV01)
         assert abs(arg - t_star) <= 1e-9
         assert val <= 0.0
 
@@ -109,14 +109,10 @@ class TestIntervalMax:
             return undefined_name * t  # noqa: F821
 
         with pytest.raises(NameError):
-            sb.interval_max(g, Interval(0.0, 1.0), 1e-10)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            sb.interval_max(lambda t: t, IV01, 0.0)
+            sb.interval_max(g, Interval(0.0, 1.0))
 
     def test_interval_min_mirrors_max(self):
-        arg, val = sb.interval_min(lambda t: (np.asarray(t) - 0.3) ** 2, IV01, 1e-10)
+        arg, val = sb.interval_min(lambda t: (np.asarray(t) - 0.3) ** 2, IV01)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert arg == pytest.approx(0.3, abs=1e-6)
 

@@ -436,6 +436,38 @@ class TestSuites:
         assert rep.failures > 0
         assert rep.min_margin < -1e-6
 
+    @pytest.mark.parametrize("suite", vf.suite_ids(include_extra=True))
+    def test_suite_does_not_depend_on_its_batch(self, suite):
+        # trial i draws from its own rng and the kernels score each instance
+        # on its own, so the first 24 trials of a 48-trial run keep the
+        # margins of a 24-trial run
+        def margins(trials):
+            rep = vf.run_suite(suite, trials, 7, keep_verdicts=True)
+            kept = [v for v in rep.verdicts if v.context["trial"] < 24]
+            out = {(v.context["trial"], v.inequality_id, v.context.get("vector")): v.margin
+                   for v in kept}
+            assert len(out) == len(kept) > 0
+            return out
+
+        assert margins(24) == margins(48)
+
+    @pytest.mark.parametrize("suite, unread", [
+        ("reverse_shannon", {"rs": (0.7,)}),
+        ("entropy_vn", {"rs": (0.7,)}),
+        ("corollary_weighted", {"families": ("normalized_trace",)}),
+        ("scalar_corollary", {"dims": (3,)}),
+        ("fuchs", {"dims": (3,)}),
+        ("eigensolver_crosscheck", {"tol": -1.0}),
+    ])
+    def test_params_a_suite_does_not_read_leave_its_verdicts_unchanged(self, suite, unread):
+        # the CLI passes one params dict (dims, rs, alphas, eps, interval) to
+        # every suite, so a suite must ignore the keys it has no use for
+        def verdicts(params):
+            rep = vf.run_suite(suite, 24, 7, params, keep_verdicts=True)
+            return [(v.inequality_id, v.margin, v.passed, v.context) for v in rep.verdicts]
+
+        assert verdicts(unread) == verdicts(None)
+
     def test_batched_suite_matches_per_instance_checker(self):
         # each suite and its checker share one kernel, and eigh_stack results
         # do not depend on the stack, so a checker run on a suite's instance
