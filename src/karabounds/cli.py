@@ -71,8 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--m", type=float, default=None)
-        p.add_argument("--M", type=float, default=None)
+        p.add_argument("--m", type=float, default=None,
+                       help="verify: with --M, the spectral interval [m, M] of the "
+                            "operator-mean suites; constants: the m of C(h, r)")
+        p.add_argument("--M", type=float, default=None,
+                       help="verify: with --m, the spectral interval [m, M] of the "
+                            "operator-mean suites")
         p.add_argument("--dims", type=_parse_dims, default=None,
                        help="comma-separated dimensions, e.g. 2,4,8")
 

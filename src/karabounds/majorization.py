@@ -5,6 +5,12 @@ variant ``is_p_majorized`` keeps the given order and admits signed weights,
 so no internal sorting happens there.  ``fuchs_margin`` and ``moment_margin``
 return the slack of the corresponding convex-sum inequalities, raising
 precondition errors instead of reporting bogus negative margins.
+
+The weighted predicates and margins each have one kernel over (k, n)
+stacks, one tuple per row (``_fuchs_rows``, ``_moment_rows``); it validates
+the stack once and reduces rows with ``np.sum``/``np.cumsum`` along the last
+axis, which gives a row the bits of the 1-d call.  The public function is a
+batch of one of its kernel, so it equals the batched suites bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +63,23 @@ def is_majorized(x, y) -> bool:
     return bool(np.all(px[:-1] <= py[:-1] + tol))
 
 
+def _p_majorized_rows(X, Y, P) -> np.ndarray:
+    """``is_p_majorized`` for each row of the (k, n) stacks X, Y, P."""
+    if not (X.shape == Y.shape == P.shape):
+        raise ShapeError(f"length mismatch: x {X.shape[-1]}, y {Y.shape[-1]}, p {P.shape[-1]}")
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(Y), axis=-1),
+                                       np.max(np.abs(P * Y), axis=-1)))
+    tol = PREFIX_TOL * scale[:, None]
+    if np.any(X[:, :-1] < X[:, 1:] - tol):
+        raise PreconditionError("x must be non-increasing as given")
+    if np.any(Y[:, :-1] < Y[:, 1:] - tol):
+        raise PreconditionError("y must be non-increasing as given")
+    px = np.cumsum(P * X, axis=-1)
+    py = np.cumsum(P * Y, axis=-1)
+    return (np.abs(px[:, -1] - py[:, -1]) <= tol[:, 0]) & \
+        np.all(px[:, :-1] <= py[:, :-1] + tol, axis=-1)
+
+
 def is_p_majorized(x, y, p) -> bool:
     """Weighted prefix dominance for already-decreasing tuples.
 
@@ -68,19 +91,23 @@ def is_p_majorized(x, y, p) -> bool:
     x = _as_1d("x", x)
     y = _as_1d("y", y)
     p = _as_1d("p", p)
-    if not (x.shape == y.shape == p.shape):
-        raise ShapeError(f"length mismatch: x {x.size}, y {y.size}, p {p.size}")
-    scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(p * y))))
-    tol = PREFIX_TOL * scale
-    if np.any(x[:-1] < x[1:] - tol):
-        raise PreconditionError("x must be non-increasing as given")
-    if np.any(y[:-1] < y[1:] - tol):
-        raise PreconditionError("y must be non-increasing as given")
-    px = np.cumsum(p * x)
-    py = np.cumsum(p * y)
-    if abs(px[-1] - py[-1]) > tol:
-        return False
-    return bool(np.all(px[:-1] <= py[:-1] + tol))
+    return bool(_p_majorized_rows(x[None], y[None], p[None])[0])
+
+
+def _fuchs_rows(f: FunctionSpec, X, Y, P) -> np.ndarray:
+    """``fuchs_margin`` for each row of the (k, n) stacks X, Y, P."""
+    if not f.is_convex:
+        raise PreconditionError("fuchs_margin needs a convex function")
+    lo = float(min(X.min(), Y.min()))
+    hi = float(max(X.max(), Y.max()))
+    if not (f.domain.contains(lo, 1e-12) and f.domain.contains(hi, 1e-12)):
+        raise DomainError(
+            f"entries span [{lo}, {hi}], outside the function domain "
+            f"[{f.domain.m}, {f.domain.M}]"
+        )
+    if not np.all(_p_majorized_rows(X, Y, P)):
+        raise PreconditionError("weighted prefix conditions fail for (x, y, p)")
+    return np.sum(P * f(Y), axis=-1) - np.sum(P * f(X), axis=-1)
 
 
 def fuchs_margin(f: FunctionSpec, x, y, p) -> float:
@@ -94,18 +121,37 @@ def fuchs_margin(f: FunctionSpec, x, y, p) -> float:
     x = _as_1d("x", x)
     y = _as_1d("y", y)
     p = _as_1d("p", p)
-    if not f.is_convex:
-        raise PreconditionError("fuchs_margin needs a convex function")
-    lo = float(min(x.min(), y.min()))
-    hi = float(max(x.max(), y.max()))
-    if not (f.domain.contains(lo, 1e-12) and f.domain.contains(hi, 1e-12)):
-        raise DomainError(
-            f"entries span [{lo}, {hi}], outside the function domain "
-            f"[{f.domain.m}, {f.domain.M}]"
+    return float(_fuchs_rows(f, x[None], y[None], p[None])[0])
+
+
+def _moment_rows(P, X, Y, order: int) -> np.ndarray:
+    """``moment_margin`` for each row of the (k, n) stacks P, X, Y."""
+    if not (X.shape == Y.shape == P.shape):
+        raise ShapeError("x, y, p must share a length")
+    if order < 1:
+        raise DomainError(f"moment order must be >= 1, got {order}")
+    if np.any(P <= 0.0) or np.any(np.abs(np.sum(P, axis=-1) - 1.0) > 1e-12):
+        raise DomainError("p must be a probability vector (positive, sum 1)")
+    xc = X - np.sum(P * X, axis=-1, keepdims=True)
+    yc = Y - np.sum(P * Y, axis=-1, keepdims=True)
+    # simultaneous decreasing arrangement; the margin itself is order-free
+    idx = np.lexsort((-yc, -xc), axis=-1)
+    xs, ys, ps = (np.take_along_axis(A, idx, axis=-1) for A in (xc, yc, P))
+    scale = np.maximum(1.0, np.max(np.abs(ys), axis=-1, keepdims=True))
+    if np.any(ys[:, :-1] < ys[:, 1:] - PREFIX_TOL * scale):
+        raise PreconditionError(
+            "no simultaneous decreasing arrangement of the centered tuples"
         )
-    if not is_p_majorized(x, y, p):
-        raise PreconditionError("weighted prefix conditions fail for (x, y, p)")
-    return float(np.sum(p * f(y)) - np.sum(p * f(x)))
+    if not np.all(_p_majorized_rows(xs, ys, ps)):
+        raise PreconditionError("centered tuples fail the weighted prefix conditions")
+    if order >= 3 and order % 2 == 1:
+        lo = float(min(xc.min(), yc.min()))
+        if lo < -PREFIX_TOL:
+            raise PreconditionError(
+                f"odd moment order {order}: (t - mean)^{order} is not convex below "
+                f"the mean (smallest centered entry {lo})"
+            )
+    return np.sum(P * yc ** order, axis=-1) - np.sum(P * xc ** order, axis=-1)
 
 
 def moment_margin(p, x, y, order: int) -> float:
@@ -122,34 +168,7 @@ def moment_margin(p, x, y, order: int) -> float:
     x = _as_1d("x", x)
     y = _as_1d("y", y)
     p = _as_1d("p", p)
-    if not (x.shape == y.shape == p.shape):
-        raise ShapeError("x, y, p must share a length")
-    if order < 1:
-        raise DomainError(f"moment order must be >= 1, got {order}")
-    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError("p must be a probability vector (positive, sum 1)")
-    xbar = float(np.sum(p * x))
-    ybar = float(np.sum(p * y))
-    xc = x - xbar
-    yc = y - ybar
-    # simultaneous decreasing arrangement; the margin itself is order-free
-    idx = np.lexsort((-yc, -xc))
-    xs, ys, ps = xc[idx], yc[idx], p[idx]
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    if np.any(ys[:-1] < ys[1:] - PREFIX_TOL * scale):
-        raise PreconditionError(
-            "no simultaneous decreasing arrangement of the centered tuples"
-        )
-    if not is_p_majorized(xs, ys, ps):
-        raise PreconditionError("centered tuples fail the weighted prefix conditions")
-    if order >= 3 and order % 2 == 1:
-        lo = float(min(xc.min(), yc.min()))
-        if lo < -PREFIX_TOL:
-            raise PreconditionError(
-                f"odd moment order {order}: (t - mean)^{order} is not convex below "
-                f"the mean (smallest centered entry {lo})"
-            )
-    return float(np.sum(p * yc ** order) - np.sum(p * xc ** order))
+    return float(_moment_rows(p[None], x[None], y[None], order)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,18 @@ decompositions the validation made, and runs the same kernel on a batch of
 one, so its margins equal the suite's bit for bit.  The Jacobi solver is
 not on this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
 exercise it.
+
+The scalar and classical suites follow the same rule with vectors: trials
+are grouped by length and parameters, each group is stacked into (k, n)
+arrays (``_per_group``), validated once and scored in one pass by the
+stacked kernel of ``check_scalar_corollary``, ``majorization`` or
+``classical_entropy``, which computes its constants once per group.  Rows
+are reduced with ``np.sum``/``np.cumsum`` along the last axis, which gives
+a row the bits of the 1-d call, so ``check_scalar_corollary``,
+``fuchs_margin``, ``moment_margin`` and the classical margins, each a batch
+of one of its kernel, equal the suites bit for bit.  The conditioned pairs
+of the reverse suites are drawn in blocks and screened by row sums, with
+the one-pair check deciding, so they equal the one-pair-at-a-time draws.
 """
 
 from __future__ import annotations
@@ -146,6 +158,10 @@ _REDRAW_CAP = 100_000
 # most doubles one block of redraws holds: 32 KB keeps the screen's
 # temporaries small, and a run of all 1e5 redraws (n = 4) still takes ~8 ms
 _REDRAW_BLOCK = 1 << 12
+# first block of conditioned pairs: a Dirichlet call has a fixed cost of
+# about a hundred rows, and about one pair in nine is accepted; first blocks
+# of 8 to 32 pairs timed fastest on the reverse suites' draws (1 to 128 tried)
+_PAIR_BLOCK = 16
 
 
 def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generator):
@@ -272,14 +288,32 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
 def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random.Generator,
                               cap: int = _REDRAW_CAP):
     """(p, q) with components in [eps, 1] and the declared inner-product
-    condition; rejection sampling over floored Dirichlet draws (cap 1e5)."""
+    condition; rejection sampling over floored Dirichlet draws (cap 1e5
+    pairs).
+
+    Pairs are drawn in blocks of doubling size from _PAIR_BLOCK, p and q
+    interleaved (2k draws of size n give the same numbers as one (2k, n)
+    draw), and screened with row sums.  The one-row ``condition_tag_holds``
+    decides acceptance, and the rng ends where the one-pair-at-a-time loop
+    would."""
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
-    for _ in range(cap):
-        p = eps + (1.0 - n * eps) * rng.dirichlet(np.ones(n))
-        q = eps + (1.0 - n * eps) * rng.dirichlet(np.ones(n))
-        if ce.condition_tag_holds(p, q, direction):
-            return p, q
+    ones = np.ones(n)
+    done, k = 0, _PAIR_BLOCK
+    while done < cap:
+        k = min(k, cap - done, max(1, _REDRAW_BLOCK // (2 * n)))
+        state = rng.bit_generator.state
+        D = eps + (1.0 - n * eps) * rng.dirichlet(ones, size=2 * k)
+        P, Q = D[0::2], D[1::2]
+        gap = ce._condition_gap(P, Q, direction)
+        for j in np.flatnonzero(gap <= ce.PROB_TOL + ce.SCREEN_SLACK):
+            if ce.condition_tag_holds(P[j], Q[j], direction):
+                if j + 1 < k:  # give back the pairs after the accepted one
+                    rng.bit_generator.state = state
+                    rng.dirichlet(ones, size=2 * (j + 1))
+                return P[j].copy(), Q[j].copy()
+        done += k
+        k *= 2
     raise GeneratorExhausted(
         f"no ({direction}) pair with floor {eps} after {cap} draws"
     )
@@ -315,19 +349,37 @@ def _scalar_verdict(inequality_id, lhs, rhs, tol, context) -> InequalityVerdict:
                              margin >= -tol, context)
 
 
-def _per_dim(solve, mats) -> list:
-    """The results of ``solve`` for each matrix of ``mats``, in that order,
-    from one call per dimension on the stack of that dimension's matrices
-    (``solve`` returns one entry per stacked matrix).  Both eigensolvers give
-    a matrix the same bits in any stack, so the grouping does not show."""
-    by_dim = defaultdict(list)
-    for k, M in enumerate(mats):
-        by_dim[M.shape[0]].append(k)
-    out = [None] * len(mats)
-    for idxs in by_dim.values():
-        for k, res in zip(idxs, solve(np.stack([mats[k] for k in idxs]))):
-            out[k] = res
+def _stack(rows) -> np.ndarray:
+    """np.stack of ``rows``, except that 1-d rows which all run backwards in
+    memory (``[::-1]`` views, like ``gen_fuchs_instance``'s y) stack into a
+    (k, n) view that runs backwards as a whole.  numpy's exp and log take
+    another loop, with other last bits, on a negative stride, and they take
+    it on such a view too, so each row keeps the bits of a 1-d call."""
+    if all(r.ndim == 1 and r.strides[0] < 0 for r in rows):
+        return np.stack([r[::-1] for r in rows[::-1]])[::-1, ::-1]
+    return np.stack(rows)
+
+
+def _per_group(solve, keys, *columns) -> list:
+    """The results of ``solve(key, *stacks)`` for each row, in row order:
+    one call per distinct key, on the ``_stack`` of that key's entries of
+    each column (``solve`` returns one entry per stacked row).  Every kernel
+    gives a row the same bits in any stack, so the grouping does not show."""
+    groups = defaultdict(list)
+    for j, key in enumerate(keys):
+        groups[key].append(j)
+    out = [None] * len(keys)
+    for key, idxs in groups.items():
+        stacks = [_stack([col[j] for j in idxs]) for col in columns]
+        for j, res in zip(idxs, solve(key, *stacks)):
+            out[j] = res
     return out
+
+
+def _per_dim(solve, mats) -> list:
+    """The results of ``solve`` for each matrix of ``mats``, from one call
+    per dimension on the stack of that dimension's matrices."""
+    return _per_group(lambda _, stack: solve(stack), [M.shape[0] for M in mats], mats)
 
 
 def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
@@ -589,6 +641,57 @@ def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
     return bool(np.all(np.diff(vals) <= 1e-12))
 
 
+def _check_means(p, x, y, mode):
+    """The weighted-mean precondition of one (p, x, y) row, by np.dot."""
+    mx, my = float(np.dot(p, x)), float(np.dot(p, y))
+    if mode == MODE_EQUAL:
+        if abs(mx - my) > 1e-10 * max(1.0, abs(my)):
+            raise PreconditionError(f"weighted means differ: {mx} vs {my}")
+    elif mx > my + 1e-10 * max(1.0, abs(my)):
+        raise PreconditionError(f"relaxed mode needs sum p x <= sum p y ({mx} > {my})")
+
+
+def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str):
+    """``check_scalar_corollary``'s preconditions on (k, n) stacks of p, x
+    and y, one instance per row."""
+    if np.any(P <= 0.0) or np.any(np.abs(np.sum(P, axis=-1) - 1.0) > 1e-10):
+        raise PreconditionError("weights must be positive and sum to 1")
+    iv = f.domain
+    if min(X.min(), Y.min()) < iv.m - 1e-12 or max(X.max(), Y.max()) > iv.M + 1e-12:
+        raise PreconditionError("entries must lie in the function interval")
+    if mode not in (MODE_EQUAL, MODE_RELAXED):
+        raise DomainError(f"unknown mode {mode!r}")
+    # row sums screen the means; a row sum differs from np.dot by far less
+    # than 1e-12 of the terms' magnitude, and np.dot decides near the bound
+    mx, my = np.sum(P * X, axis=-1), np.sum(P * Y, axis=-1)
+    gap = np.abs(mx - my) if mode == MODE_EQUAL else mx - my
+    slack = 1e-12 * (np.sum(np.abs(P * X), axis=-1) + np.sum(np.abs(P * Y), axis=-1))
+    for j in np.flatnonzero(gap > 1e-10 * np.maximum(1.0, np.abs(my)) - slack):
+        _check_means(P[j], X[j], Y[j], mode)
+    if mode == MODE_RELAXED and not _is_decreasing(f, iv):
+        raise PreconditionError("relaxed mode needs monotone decreasing f")
+    if not f.is_convex:
+        raise PreconditionError("check_scalar_corollary needs convex f")
+
+
+def _scalar_corollary_rows(P, X, Y, f: FunctionSpec, alpha: float):
+    """[(form id, lhs, rhs)] of the beta, ratio and diff forms for each row
+    of checked (k, n) stacks of p, x and y; each constant is computed once.
+    The ratio form is left out when f is not strictly positive."""
+    iv = f.domain
+    sum_fy = np.sum(P * f(Y), axis=-1)
+    sum_fx = np.sum(P * f(X), axis=-1)
+    forms = [("scalar_beta_form", sb.beta_constant(f, iv, alpha) + alpha * sum_fx)]
+    try:
+        forms.append(("scalar_ratio_form", sb.ratio_constant(f, iv) * sum_fx))
+    except PreconditionError:
+        pass
+    forms.append(("scalar_diff_form", sb.diff_constant(f, iv) + sum_fx))
+    names = [name for name, _ in forms]
+    return [[(name, lhs, rhs) for name, rhs in zip(names, row)]
+            for lhs, *row in zip(sum_fy.tolist(), *(rhs.tolist() for _, rhs in forms))]
+
+
 def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
                            tol: float = SCALAR_TOL, mode: str = MODE_EQUAL,
                            context: Optional[dict] = None):
@@ -599,45 +702,13 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     Returns beta/ratio/diff verdicts; the ratio form is skipped when f is
     not strictly positive on the interval.
     """
-    p = np.asarray(p, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (p.shape == x.shape == y.shape):
+    P, X, Y = (np.asarray(a, dtype=float)[None] for a in (p, x, y))
+    if not (P.shape == X.shape == Y.shape):
         raise ShapeError("p, x, y must share a length")
-    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-10:
-        raise PreconditionError("weights must be positive and sum to 1")
-    iv = f.domain
-    entries = np.concatenate([x, y])
-    if entries.min() < iv.m - 1e-12 or entries.max() > iv.M + 1e-12:
-        raise PreconditionError("entries must lie in the function interval")
-    mx, my = float(np.dot(p, x)), float(np.dot(p, y))
-    if mode == MODE_EQUAL:
-        if abs(mx - my) > 1e-10 * max(1.0, abs(my)):
-            raise PreconditionError(f"weighted means differ: {mx} vs {my}")
-    elif mode == MODE_RELAXED:
-        if mx > my + 1e-10 * max(1.0, abs(my)):
-            raise PreconditionError(f"relaxed mode needs sum p x <= sum p y ({mx} > {my})")
-        if not _is_decreasing(f, iv):
-            raise PreconditionError("relaxed mode needs monotone decreasing f")
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    if not f.is_convex:
-        raise PreconditionError("check_scalar_corollary needs convex f")
-
-    sum_fy = float(np.sum(p * f(y)))
-    sum_fx = float(np.sum(p * f(x)))
+    _check_scalar_corollary_rows(P, X, Y, f, mode)
     ctx = {**(context or {}), "alpha": alpha, "f": f.name, "mode": mode}
-    beta = sb.beta_constant(f, iv, alpha)
-    out = [_scalar_verdict("scalar_beta_form", sum_fy, beta + alpha * sum_fx, tol, ctx)]
-    try:
-        big_k = sb.ratio_constant(f, iv)
-    except PreconditionError:
-        big_k = None
-    if big_k is not None:
-        out.append(_scalar_verdict("scalar_ratio_form", sum_fy, big_k * sum_fx, tol, ctx))
-    c_const = sb.diff_constant(f, iv)
-    out.append(_scalar_verdict("scalar_diff_form", sum_fy, c_const + sum_fx, tol, ctx))
-    return out
+    return [_scalar_verdict(name, lhs, rhs, tol, ctx)
+            for name, lhs, rhs in _scalar_corollary_rows(P, X, Y, f, alpha)[0]]
 
 
 def _density_pair(A, B):
@@ -762,11 +833,13 @@ class _Suite:
     """``draw(i, rng, params, ctx)`` builds trial i's instance from the
     trial's own rng, given the base context {trial, seed}; ``score(instances,
     params)`` runs the suite's batch kernel once on all the instances;
-    ``defaults`` fill in the params the caller leaves out."""
+    ``defaults`` fill in the params the caller leaves out, and ``prepare``
+    adds what a run derives from its params once, before the draws."""
 
     draw: Callable
     score: Callable
     defaults: dict
+    prepare: Callable = dict
 
 
 def _cycle(seq, i):
@@ -828,13 +901,20 @@ def _draw_map_sum(i, rng, params, ctx, gen, kind):
     return family, As, Bs, f, alpha, dict(ctx, dim=dim, f=f.name, alpha=alpha, family=kind)
 
 
+def _with_catalog(params):
+    """params plus "catalog": (FunctionSpec, is decreasing) for each name of
+    params["fs"], built once per run."""
+    specs = [function_catalog(name) for name in params["fs"]]
+    return {**params, "catalog": tuple((f, _is_decreasing(f, f.domain)) for f in specs)}
+
+
 def _draw_scalar_corollary(i, rng, params, ctx):
     """Equal weighted means, or on odd trials with decreasing f the relaxed
     sum p x <= sum p y."""
     n = params["n"]
-    f = function_catalog(_cycle(params["fs"], i))
+    f, decreasing = _cycle(params["catalog"], i)
     iv = f.domain
-    if i % 2 == 1 and _is_decreasing(f, iv):
+    if i % 2 == 1 and decreasing:
         x = rng.uniform(iv.m, iv.M, size=n)
         y = rng.uniform(iv.m, iv.M, size=n)
         p = rng.dirichlet(np.ones(n))
@@ -848,40 +928,59 @@ def _draw_scalar_corollary(i, rng, params, ctx):
 
 
 def _score_scalar_corollary(instances, params):
-    return [v for *args, mode, ctx in instances
-            for v in check_scalar_corollary(*args, params["tol"], mode, ctx)]
+    def solve(key, P, X, Y):
+        _, f, alpha, mode = key
+        _check_scalar_corollary_rows(P, X, Y, f, mode)
+        return _scalar_corollary_rows(P, X, Y, f, alpha)
+
+    p, x, y, *_ = zip(*instances)
+    keys = [(len(pi), f, alpha, mode) for pi, _, _, f, alpha, mode, _ in instances]
+    verdicts = []
+    for (*_, f, alpha, mode, ctx), forms in zip(instances, _per_group(solve, keys, p, x, y)):
+        ctx = {**ctx, "alpha": alpha, "f": f.name, "mode": mode}
+        verdicts += [_scalar_verdict(name, lhs, rhs, params["tol"], ctx)
+                     for name, lhs, rhs in forms]
+    return verdicts
 
 
 def _draw_prefix_instance(i, rng, params, ctx):
     n = params["n"]
-    x, y, p = gen_fuchs_instance(n, Interval(*params["interval"]), rng)
+    x, y, p = gen_fuchs_instance(n, Interval(*params["prefix_interval"]), rng)
     return x, y, p, dict(ctx, dim=n)
+
+
+def _prefix_verdicts(inequality_id, instances, params, kinds, margins):
+    """One verdict per (x, y, p, context) instance of the prefix suites:
+    trial i has kind ``kinds[i % len(kinds)]`` and, on the stacks of its
+    (n, kind) group, margin ``margins(kind, X, Y, P)``."""
+    x, y, p, ctx = zip(*instances)
+    keys = [(len(pi), c["trial"] % len(kinds)) for pi, c in zip(p, ctx)]
+    rows = _per_group(lambda key, X, Y, P: margins(kinds[key[1]], X, Y, P).tolist(),
+                      keys, x, y, p)
+    return [_scalar_verdict(inequality_id, 0.0, m, params["tol"], c)
+            for m, c in zip(rows, ctx)]
 
 
 def _score_fuchs(instances, params):
     # a custom FunctionSpec runs a convexity scan when built: once per run
-    iv = Interval(*params["interval"])
+    iv = Interval(*params["prefix_interval"])
     dom = Interval(iv.m - 0.5, iv.M + 0.5)
     fs = [FunctionSpec.custom(g, "convex", dom, name) for g, name in (
         (lambda t: np.asarray(t, dtype=float) ** 2, "t^2"),
         (lambda t: np.exp(np.asarray(t, dtype=float)), "exp(t)"),
         (lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "|t-1|"))]
-    verdicts = []
-    for x, y, p, ctx in instances:
-        f = _cycle(fs, ctx["trial"])
-        verdicts.append(_scalar_verdict("fuchs_margin", 0.0, mj.fuchs_margin(f, x, y, p),
-                                        params["tol"], dict(ctx, f=f.name)))
-    return verdicts
+    instances = [(x, y, p, dict(ctx, f=_cycle(fs, ctx["trial"]).name))
+                 for x, y, p, ctx in instances]
+    return _prefix_verdicts("fuchs_margin", instances, params, fs, mj._fuchs_rows)
 
 
 def _score_moment(instances, params):
-    verdicts = []
-    for x, y, p, ctx in instances:
-        order = _cycle(params["orders"], ctx["trial"])
-        verdicts.append(_scalar_verdict("moment_margin", 0.0,
-                                        mj.moment_margin(p / p.sum(), x, y, order),
-                                        params["tol"], dict(ctx, r=order)))
-    return verdicts
+    instances = [(x, y, p, dict(ctx, r=_cycle(params["orders"], ctx["trial"])))
+                 for x, y, p, ctx in instances]
+    return _prefix_verdicts(
+        "moment_margin", instances, params, params["orders"],
+        lambda order, X, Y, P: mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True),
+                                               X, Y, order))
 
 
 def _draw_density_pair(i, rng, params, ctx):
@@ -906,21 +1005,31 @@ def _draw_prob_pair(i, rng, params, ctx):
     return p / p.sum(), q / q.sum(), r, dict(ctx, dim=n, r=r)
 
 
+def _info_inequality_rows(P, Q, r):
+    """(information margin, -sum p^(1-r) ln_r p, -sum p^(1-r) ln_r q,
+    sum p ln_r(1/p)) for each row pair of the stacks P, Q."""
+    info = ce._information_rows(P, Q)
+    # ln_r rejects a zero of p, so every entry of p counts in the sums
+    weighted_p = -np.sum(P ** (1.0 - r) * ln_r(r, P), axis=-1)
+    weighted_q, _ = ce._tsallis_cross_rows(P, Q, r)
+    naive_p = np.sum(P * ln_r(r, 1.0 / P), axis=-1)
+    return list(zip(info.tolist(), weighted_p.tolist(), weighted_q.tolist(),
+                    naive_p.tolist()))
+
+
 def _score_info_inequality(instances, params):
     tol = params["tol"]
+    p, q, r, ctx = zip(*instances)
+    keys = [(len(pi), ri) for pi, ri in zip(p, r)]
+    rows = _per_group(lambda key, P, Q: _info_inequality_rows(P, Q, key[1]), keys, p, q)
     verdicts = []
-    for p, q, r, ctx in instances:
-        verdicts.append(_scalar_verdict("info_inequality", 0.0,
-                                        ce.information_inequality_margin(p, q), tol, ctx))
-        weighted_p = float(-np.sum(p ** (1.0 - r) * ln_r(r, p)))
-        weighted_q, _ = ce.tsallis_cross_terms(p, q, r)
-        verdicts.append(_scalar_verdict("r_extended_info_inequality",
-                                        weighted_p, weighted_q, tol, ctx))
-        pos = p[p > 0.0]
-        a = float(-np.sum(pos ** (1.0 - r) * ln_r(r, pos)))
-        b = float(np.sum(pos * ln_r(r, 1.0 / pos)))
-        verdicts.append(InequalityVerdict("tsallis_forms_agree", a, b,
-                                          1e-10 - abs(a - b), abs(a - b) <= 1e-10, ctx))
+    for (info, weighted_p, weighted_q, naive_p), c in zip(rows, ctx):
+        gap = abs(weighted_p - naive_p)
+        verdicts += [
+            _scalar_verdict("info_inequality", 0.0, info, tol, c),
+            _scalar_verdict("r_extended_info_inequality", weighted_p, weighted_q, tol, c),
+            InequalityVerdict("tsallis_forms_agree", weighted_p, naive_p,
+                              1e-10 - gap, gap <= 1e-10, c)]
     return verdicts
 
 
@@ -937,12 +1046,17 @@ def _draw_parametric_pair(i, rng, params, ctx):
     return p, q, dict(ctx, r=_cycle(params["rs"], i))
 
 
-def _reverse_score(suite_name, margins):
-    """Score (p, q, context) instances by margins(p, q, context) -> (ratio, diff)."""
+def _reverse_score(suite_name, margins, key):
+    """Score (p, q, context) instances by margins(key, P, Q) -> (ratio, diff)
+    arrays, on the stacks of each (n, key(context)) group."""
     def score(instances, params):
-        return [_scalar_verdict(suite_name + form, 0.0, m, params["tol"], ctx)
-                for p, q, ctx in instances
-                for form, m in zip(("_ratio", "_diff"), margins(p, q, ctx))]
+        p, q, ctx = zip(*instances)
+        keys = [(len(pi), key(c)) for pi, c in zip(p, ctx)]
+        rows = _per_group(lambda k, P, Q: list(zip(*(m.tolist() for m in margins(k[1], P, Q)))),
+                          keys, p, q)
+        return [_scalar_verdict(suite_name + form, 0.0, m, params["tol"], c)
+                for pair, c in zip(rows, ctx)
+                for form, m in zip(("_ratio", "_diff"), pair)]
     return score
 
 
@@ -1045,7 +1159,7 @@ def _score_eigensolver_crosscheck(instances, params):
 
 _MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "n": 3, "fs": _DEFAULT_FS,
                      "alphas": _DEFAULT_ALPHAS, "tol": OPERATOR_TOL}
-_PREFIX_DEFAULTS = {"n": 5, "interval": (-1.0, 2.0), "tol": SCALAR_TOL}
+_PREFIX_DEFAULTS = {"n": 5, "prefix_interval": (-1.0, 2.0), "tol": SCALAR_TOL}
 _DENSITY_DEFAULTS = {"dims": (2, 3, 4, 5, 6, 7, 8), "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}
 _REVERSE_DEFAULTS = {"eps": 0.05, "sizes": (2, 3, 4, 6), "tol": SCALAR_TOL}
 _MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1), "tol": OPERATOR_TOL}
@@ -1053,8 +1167,9 @@ _EIG_DIMS = {"dims": tuple(range(2, 17))}
 
 # A suite reads only the params its draw and score name: the CLI passes one
 # params dict (dims, rs, alphas, eps, interval) to every suite, so
-# reverse_shannon keeps r unset, entropy_vn ignores rs and corollary_weighted
-# keeps its fixed weights_v* cycle whatever "families" says.
+# reverse_shannon keeps r unset, entropy_vn ignores rs, corollary_weighted
+# keeps its fixed weights_v* cycle whatever "families" says, and fuchs and
+# moment draw from "prefix_interval", not the operator-mean "interval".
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
         _draw_jensen, lambda insts, p: _jensen_verdicts(insts, p["tol"]),
@@ -1071,7 +1186,8 @@ _SUITES: Dict[str, _Suite] = {
         _MAP_SUM_DEFAULTS),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _score_scalar_corollary,
-        {"n": 4, "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}),
+        {"n": 4, "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL},
+        _with_catalog),
     "fuchs": _Suite(_draw_prefix_instance, _score_fuchs, _PREFIX_DEFAULTS),
     "moment": _Suite(_draw_prefix_instance, _score_moment,
                      {**_PREFIX_DEFAULTS, "orders": (1, 2, 4)}),
@@ -1085,13 +1201,15 @@ _SUITES: Dict[str, _Suite] = {
         {"sizes": (2, 3, 5, 8), "rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),
     "reverse_shannon": _Suite(
         _draw_conditioned_pair,
-        _reverse_score("reverse_shannon", lambda p, q, ctx: ce.reverse_shannon_margins(
-            p, q, ctx["eps"], ctx["direction"])),
+        _reverse_score("reverse_shannon",
+                       lambda k, P, Q: ce._reverse_shannon_rows(P, Q, *k),
+                       lambda c: (c["eps"], c["direction"])),
         _REVERSE_DEFAULTS),
     "parametric_reverse": _Suite(
         _draw_parametric_pair,
-        _reverse_score("parametric_reverse", lambda p, q, ctx: ce.parametric_reverse_margins(
-            p, q, ctx["eps"], ctx["r"], ctx["direction"])),
+        _reverse_score("parametric_reverse",
+                       lambda k, P, Q: ce._parametric_reverse_rows(P, Q, *k),
+                       lambda c: (c["eps"], c["r"], c["direction"])),
         {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}),
     "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
                              {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)}),
@@ -1129,7 +1247,7 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
     if trials < 0:
         raise DomainError("trials must be >= 0")
-    params = {**suite.defaults, **(params or {})}
+    params = suite.prepare({**suite.defaults, **(params or {})})
     t0 = time.perf_counter()
     verdicts = []
     if trials > 0:

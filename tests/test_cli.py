@@ -58,6 +58,16 @@ class TestVerifyCommand:
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_operator_mean_interval_leaves_prefix_suites_alone(self, tmp_path):
+        # --m/--M set the interval of the operator-mean suites only
+        for suite in ("fuchs", "moment"):
+            a, b = tmp_path / f"{suite}_a.csv", tmp_path / f"{suite}_b.csv"
+            argv = ["verify", "--suite", suite, "--trials", "30", "--seed", "7",
+                    "--format", "csv"]
+            assert run(argv + ["--out", str(a)]) == 0
+            assert run(argv + ["--m", "1.8", "--M", "4", "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes(), suite
+
     def test_csv_streaming_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = run(["verify", "--suite", "entropy_vn", "--trials", "8", "--seed", "2",

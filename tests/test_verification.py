@@ -4,10 +4,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from karabounds import classical_entropy as ce
+from karabounds import majorization as mj
 from karabounds import operator_calculus as oc
 from karabounds import verification as vf
 from karabounds.errors import DomainError, GeneratorExhausted, PreconditionError, ShapeError
-from karabounds.functions import FunctionSpec, Interval
+from karabounds.functions import FunctionSpec, Interval, ln_r
 
 
 def count_eigh(monkeypatch, name="_eigh"):
@@ -175,6 +177,33 @@ class TestGenerators:
             p, q = vf.gen_conditioned_prob_pair(3, 0.05, direction, rng)
             assert ce.condition_tag_holds(p, q, direction)
             assert p.min() >= 0.05 - 1e-12 and q.min() >= 0.05 - 1e-12
+
+    @staticmethod
+    def plain_conditioned_pair(n, eps, direction, rng, cap):
+        # one pair per loop pass; None where the draws run out
+        for _ in range(cap):
+            p = eps + (1.0 - n * eps) * rng.dirichlet(np.ones(n))
+            q = eps + (1.0 - n * eps) * rng.dirichlet(np.ones(n))
+            if ce.condition_tag_holds(p, q, direction):
+                return p, q
+        return None
+
+    @pytest.mark.parametrize("cap", [vf._REDRAW_CAP, 0, 1, 5, 20])
+    def test_block_drawn_pairs_match_plain_loop(self, cap):
+        # a cap of 20 ends inside the second block; 0, 1 and 5 inside the first
+        for n in (2, 3, 4, 6):
+            for direction in (ce.SELF_DOMINATED, ce.CROSS_DOMINATED):
+                for seed in range(200):
+                    rng_a, rng_b = vf.trial_rng(seed, n), vf.trial_rng(seed, n)
+                    want = self.plain_conditioned_pair(n, 0.05, direction, rng_b, cap)
+                    if want is None:
+                        with pytest.raises(GeneratorExhausted):
+                            vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a, cap)
+                    else:
+                        got = vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a, cap)
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want)), \
+                            (n, direction, seed)
+                    assert rng_a.random() == rng_b.random(), (n, direction, seed)
 
     def test_conditioned_pair_infeasible_floor(self):
         with pytest.raises(DomainError):
@@ -457,6 +486,9 @@ class TestSuites:
         ("corollary_weighted", {"families": ("normalized_trace",)}),
         ("scalar_corollary", {"dims": (3,)}),
         ("fuchs", {"dims": (3,)}),
+        # --m/--M set the operator-mean interval, which the prefix suites ignore
+        ("fuchs", {"interval": (1.8, 4.0)}),
+        ("moment", {"interval": (1.8, 4.0)}),
         ("eigensolver_crosscheck", {"tol": -1.0}),
     ])
     def test_params_a_suite_does_not_read_leave_its_verdicts_unchanged(self, suite, unread):
@@ -505,13 +537,140 @@ class TestSuites:
             A, B = oc.rand_density(dim, rng), oc.rand_density(dim, rng)
             return vf.check_entropy_tsallis(A, B, alphas[i % 4], (0.1, 0.5, 0.9)[i % 3])
 
+        def scalar_corollary(i, rng):
+            f, alpha = vf.function_catalog(fs[i % 4]), alphas[i % 4]
+            iv = f.domain
+            if i % 2 == 1 and vf._is_decreasing(f, iv):
+                x = rng.uniform(iv.m, iv.M, size=4)
+                y = rng.uniform(iv.m, iv.M, size=4)
+                p = rng.dirichlet(np.ones(4))
+                if float(np.dot(p, x)) > float(np.dot(p, y)):
+                    x, y = y, x
+                return vf.check_scalar_corollary(p, x, y, f, alpha, mode=vf.MODE_RELAXED)
+            x, y, p = vf.gen_equal_weighted_mean_scalars(4, iv, rng)
+            return vf.check_scalar_corollary(p, x, y, f, alpha)
+
+        prefix_fs = [FunctionSpec.custom(g, "convex", Interval(-1.5, 2.5), name) for g, name in (
+            (lambda t: np.asarray(t, dtype=float) ** 2, "t^2"),
+            (lambda t: np.exp(np.asarray(t, dtype=float)), "exp(t)"),
+            (lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "|t-1|"))]
+
+        def fuchs(i, rng):
+            x, y, p = vf.gen_fuchs_instance(5, Interval(-1.0, 2.0), rng)
+            return [vf.InequalityVerdict("fuchs_margin", 0.0, 0.0,
+                                         mj.fuchs_margin(prefix_fs[i % 3], x, y, p), True)]
+
+        def moment(i, rng):
+            x, y, p = vf.gen_fuchs_instance(5, Interval(-1.0, 2.0), rng)
+            return [vf.InequalityVerdict("moment_margin", 0.0, 0.0,
+                                         mj.moment_margin(p / p.sum(), x, y, (1, 2, 4)[i % 3]),
+                                         True)]
+
+        def info_inequality(i, rng):
+            n, r = (2, 3, 5, 8)[i % 4], (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)[i % 6]
+            p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
+            q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
+            p, q = p / p.sum(), q / q.sum()
+            weighted_p, _ = ce.tsallis_cross_terms(p, p, r)
+            weighted_q, _ = ce.tsallis_cross_terms(p, q, r)
+            naive_p = float(np.sum(p * ln_r(r, 1.0 / p)))
+            return [vf.InequalityVerdict(name, 0.0, 0.0, m, True) for name, m in (
+                ("info_inequality", ce.information_inequality_margin(p, q)),
+                ("r_extended_info_inequality", weighted_q - weighted_p),
+                ("tsallis_forms_agree", 1e-10 - abs(weighted_p - naive_p)))]
+
+        def reverse_pair(i, rng):
+            direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
+            p, q = vf.gen_conditioned_prob_pair((2, 3, 4, 6)[i % 4], 0.05, direction, rng)
+            return p, q, direction
+
+        def reverse_shannon(i, rng):
+            p, q, direction = reverse_pair(i, rng)
+            return [vf.InequalityVerdict("reverse_shannon" + form, 0.0, 0.0, m, True)
+                    for form, m in zip(("_ratio", "_diff"),
+                                       ce.reverse_shannon_margins(p, q, 0.05, direction))]
+
+        def parametric_reverse(i, rng):
+            p, q, direction = reverse_pair(i, rng)
+            margins = ce.parametric_reverse_margins(p, q, 0.05, (0.1, 0.5, 1.0, 2.0)[i % 4],
+                                                    direction)
+            return [vf.InequalityVerdict("parametric_reverse" + form, 0.0, 0.0, m, True)
+                    for form, m in zip(("_ratio", "_diff"), margins)]
+
         for checker, trials in ((theorem_beta, 48), (corollary_weighted, 48),
                                 (lemma_jensen, 40), (entropy_vn, 56),
-                                (entropy_tsallis, 84)):
+                                (entropy_tsallis, 84), (scalar_corollary, 384), (fuchs, 384),
+                                (moment, 384), (info_inequality, 384), (reverse_shannon, 384),
+                                (parametric_reverse, 384)):
             rep = vf.run_suite(checker.__name__, trials, seed, keep_verdicts=True)
             direct = [v for i in range(trials) for v in checker(i, vf.trial_rng(seed, i))]
             assert [(v.inequality_id, v.margin) for v in rep.verdicts] == \
                 [(v.inequality_id, v.margin) for v in direct], checker.__name__
+
+    def test_scalar_suites_keep_the_one_row_arithmetic(self):
+        # inline copies of the one-instance formulas that the stacked kernels
+        # replaced: the suites' margins must keep their bits
+        seed, trials, eps = 11, 96, 0.05
+        fs, alphas = vf._DEFAULT_FS, vf._DEFAULT_ALPHAS
+        want = defaultdict(list)
+        for i in range(trials):
+            f, alpha = vf.function_catalog(fs[i % 4]), alphas[i % 4]
+            rng = vf.trial_rng(seed, i)
+            if i % 2 == 1 and vf._is_decreasing(f, f.domain):
+                x = rng.uniform(f.domain.m, f.domain.M, size=4)
+                y = rng.uniform(f.domain.m, f.domain.M, size=4)
+                p = rng.dirichlet(np.ones(4))
+                if float(np.dot(p, x)) > float(np.dot(p, y)):
+                    x, y = y, x
+            else:
+                x, y, p = vf.gen_equal_weighted_mean_scalars(4, f.domain, rng)
+            sum_fy, sum_fx = float(np.sum(p * f(y))), float(np.sum(p * f(x)))
+            rhs = [vf.sb.beta_constant(f, f.domain, alpha) + alpha * sum_fx]
+            if f.name in ("-log(t)", "t^2"):  # f > 0: the ratio form applies
+                rhs.append(vf.sb.ratio_constant(f, f.domain) * sum_fx)
+            rhs.append(vf.sb.diff_constant(f, f.domain) + sum_fx)
+            want["scalar_corollary"] += [float(r - sum_fy) for r in rhs]
+
+            x, y, p = vf.gen_fuchs_instance(5, Interval(-1.0, 2.0), vf.trial_rng(seed, i))
+            g = (np.square, np.exp, lambda t: np.abs(t - 1.0))[i % 3]
+            want["fuchs"].append(float(np.sum(p * g(y)) - np.sum(p * g(x))))
+            order, p = (1, 2, 4)[i % 3], p / p.sum()
+            xc, yc = x - float(np.sum(p * x)), y - float(np.sum(p * y))
+            want["moment"].append(float(np.sum(p * yc ** order) - np.sum(p * xc ** order)))
+
+            rng = vf.trial_rng(seed, i)
+            n, r = (2, 3, 5, 8)[i % 4], (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)[i % 6]
+            p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
+            q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
+            p, q = p / p.sum(), q / q.sum()
+            h, cross = float(-np.sum(p * np.log(p))), float(-np.sum(p * np.log(q)))
+            weighted_p = float(-np.sum(p ** (1.0 - r) * ln_r(r, p)))
+            weighted_q = float(-np.sum(p ** (1.0 - r) * ln_r(r, q)))
+            naive_p = float(np.sum(p * ln_r(r, 1.0 / p)))
+            want["info_inequality"] += [cross - h, weighted_q - weighted_p,
+                                        1e-10 - abs(weighted_p - naive_p)]
+
+            direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
+            self_dominated = direction == ce.SELF_DOMINATED
+            for suite in ("reverse_shannon", "parametric_reverse"):
+                p, q = vf.gen_conditioned_prob_pair((2, 3, 4, 6)[i % 4], eps, direction,
+                                                    vf.trial_rng(seed, i))
+                if suite == "reverse_shannon":
+                    h, cross = float(-np.sum(p * np.log(p))), float(-np.sum(p * np.log(q)))
+                    k, log_s = math.log(eps) / (eps - 1.0), math.log(vf.sb.specht(eps))
+                    want[suite] += ([k * cross - h, log_s + cross - h] if self_dominated
+                                    else [h - cross / k, h + log_s - cross])
+                else:
+                    r = (0.1, 0.5, 1.0, 2.0)[i % 4]
+                    c1 = ln_r(r, 1.0 / eps) / (1.0 - eps)
+                    c2 = vf.sb.ls_r_constant(eps, r)
+                    t_p = float(np.sum(p * np.expm1(-r * np.log(p)) / r))
+                    t_q = float(np.sum(p * np.expm1(-r * np.log(q)) / r))
+                    want[suite] += ([c1 * t_q - t_p, c2 + t_q - t_p] if self_dominated
+                                    else [t_p - t_q / c1, t_p - t_q + c2])
+        for suite, margins in want.items():
+            rep = vf.run_suite(suite, trials, seed, keep_verdicts=True)
+            assert [v.margin for v in rep.verdicts] == margins, suite
 
     def test_batched_operator_means_match_checker(self):
         # the checker rebuilds A = Z^(-1/2) X Z^(-1/2) from X = Z^(1/2) A Z^(1/2),
@@ -698,6 +857,15 @@ class TestSuites:
         monkeypatch.setattr(vf.sb, "diff_constant", lambda f, iv: 0.5 * orig_c(f, iv))
         rep = vf.run_suite("scalar_corollary", 60, 5)
         assert rep.failures > 0
+
+    def test_soundness_too_small_reverse_constants_fail(self, monkeypatch):
+        # log S(eps) -> 0 leaves the cross_dominated diff margin H(p) - cross,
+        # and ls_r -> -1 the self_dominated one t_q - t_p - 1: both fail on
+        # most draws, so the suites must take the constants they are given
+        monkeypatch.setattr(ce, "specht", lambda h: 1.0)
+        assert vf.run_suite("reverse_shannon", 60, 5).failures > 0
+        monkeypatch.setattr(ce, "ls_r_constant", lambda eps, r: -1.0)
+        assert vf.run_suite("parametric_reverse", 60, 5).failures > 0
 
     def test_csv_rows_shape(self):
         rep = vf.run_suite("entropy_vn", 5, 0, keep_verdicts=True)
