@@ -195,35 +195,59 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     return x, y, p
 
 
+def _first_accepted(rng, draw, candidates, accept, cap, first, width):
+    """The first item of up to ``cap`` draws that ``accept`` takes, or None;
+    the rng ends where the one-draw-at-a-time loop would.
+
+    ``draw(k)`` makes k draws in one call, which gives the same numbers as k
+    single draws, and returns them as a block.  Blocks start at ``first``
+    draws and double, capped at _REDRAW_BLOCK doubles of ``width`` per draw.
+    ``candidates(block)`` screens a block with slack and gives, in order,
+    the indices that may pass; ``accept(block, j)`` decides draw j with the
+    one-draw expression and returns its item or None.  After an accepted
+    draw j the rng is rewound and j + 1 draws are redone, which gives back
+    the draws after it."""
+    done, k = 0, first
+    while done < cap:
+        k = min(k, cap - done, max(1, _REDRAW_BLOCK // width))
+        state = rng.bit_generator.state
+        block = draw(k)
+        for j in candidates(block):
+            item = accept(block, j)
+            if item is not None:
+                if j + 1 < k:
+                    rng.bit_generator.state = state
+                    draw(j + 1)
+                return item
+        done += k
+        k *= 2
+    return None
+
+
 def _redraw_solved_x(n, iv, p, target, rng):
     """The first of up to _REDRAW_CAP draws x whose solved x_0 lies in
     [m, M], with x_0 set, or None; the rng ends where the one-draw-at-a-time
     loop would.
 
-    Rows are drawn in blocks of doubling size (k draws of size n give the
-    same numbers as one (k, n) draw) and screened with a matrix-vector
-    product.  The screen's slack is far above any rounding difference from
-    the one-row expression, which decides acceptance and sets x_0."""
-    done, k = 0, 1
-    while done < _REDRAW_CAP:
-        k = min(k, _REDRAW_CAP - done, max(1, _REDRAW_BLOCK // n))
-        state = rng.bit_generator.state
-        X = rng.uniform(iv.m, iv.M, size=(k, n))
+    A block of draws is screened with a matrix-vector product.  The screen's
+    slack is far above any rounding difference from the one-row expression,
+    which decides acceptance and sets x_0."""
+    def candidates(X):
         x0 = (target - X[:, 1:] @ p[1:]) / p[0]
         slack = 1e-9 * ((abs(target) + np.abs(X[:, 1:]) @ p[1:]) / p[0]
                         + max(abs(iv.m), abs(iv.M)))
-        for j in np.flatnonzero((x0 >= iv.m - slack) & (x0 <= iv.M + slack)):
-            x = X[j].copy()
-            x0j = (target - float(np.dot(p[1:], x[1:]))) / p[0]
-            if iv.m <= x0j <= iv.M:
-                if j + 1 < k:  # give back the rows after the accepted one
-                    rng.bit_generator.state = state
-                    rng.uniform(iv.m, iv.M, size=(j + 1, n))
-                x[0] = x0j
-                return x
-        done += k
-        k *= 2
-    return None
+        return np.flatnonzero((x0 >= iv.m - slack) & (x0 <= iv.M + slack))
+
+    def accept(X, j):
+        x0 = (target - float(np.dot(p[1:], X[j, 1:]))) / p[0]
+        if not iv.m <= x0 <= iv.M:
+            return None
+        x = X[j].copy()
+        x[0] = x0
+        return x
+
+    return _first_accepted(rng, lambda k: rng.uniform(iv.m, iv.M, size=(k, n)),
+                           candidates, accept, _REDRAW_CAP, 1, n)
 
 
 def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 200) -> np.ndarray:
@@ -299,21 +323,18 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
     ones = np.ones(n)
-    done, k = 0, _PAIR_BLOCK
-    while done < cap:
-        k = min(k, cap - done, max(1, _REDRAW_BLOCK // (2 * n)))
-        state = rng.bit_generator.state
-        D = eps + (1.0 - n * eps) * rng.dirichlet(ones, size=2 * k)
-        P, Q = D[0::2], D[1::2]
-        gap = ce._condition_gap(P, Q, direction)
-        for j in np.flatnonzero(gap <= ce.PROB_TOL + ce.SCREEN_SLACK):
-            if ce.condition_tag_holds(P[j], Q[j], direction):
-                if j + 1 < k:  # give back the pairs after the accepted one
-                    rng.bit_generator.state = state
-                    rng.dirichlet(ones, size=2 * (j + 1))
-                return P[j].copy(), Q[j].copy()
-        done += k
-        k *= 2
+
+    def accept(D, j):
+        p, q = D[2 * j], D[2 * j + 1]
+        return (p.copy(), q.copy()) if ce.condition_tag_holds(p, q, direction) else None
+
+    pair = _first_accepted(
+        rng, lambda k: eps + (1.0 - n * eps) * rng.dirichlet(ones, size=2 * k),
+        lambda D: np.flatnonzero(ce._condition_gap(D[0::2], D[1::2], direction)
+                                 <= ce.PROB_TOL + ce.SCREEN_SLACK),
+        accept, cap, _PAIR_BLOCK, 2 * n)
+    if pair is not None:
+        return pair
     raise GeneratorExhausted(
         f"no ({direction}) pair with floor {eps} after {cap} draws"
     )
@@ -651,9 +672,10 @@ def _check_means(p, x, y, mode):
         raise PreconditionError(f"relaxed mode needs sum p x <= sum p y ({mx} > {my})")
 
 
-def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str):
+def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing: bool):
     """``check_scalar_corollary``'s preconditions on (k, n) stacks of p, x
-    and y, one instance per row."""
+    and y, one instance per row; ``decreasing`` is ``_is_decreasing(f,
+    f.domain)``, which only relaxed mode reads."""
     if np.any(P <= 0.0) or np.any(np.abs(np.sum(P, axis=-1) - 1.0) > 1e-10):
         raise PreconditionError("weights must be positive and sum to 1")
     iv = f.domain
@@ -668,7 +690,7 @@ def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str):
     slack = 1e-12 * (np.sum(np.abs(P * X), axis=-1) + np.sum(np.abs(P * Y), axis=-1))
     for j in np.flatnonzero(gap > 1e-10 * np.maximum(1.0, np.abs(my)) - slack):
         _check_means(P[j], X[j], Y[j], mode)
-    if mode == MODE_RELAXED and not _is_decreasing(f, iv):
+    if mode == MODE_RELAXED and not decreasing:
         raise PreconditionError("relaxed mode needs monotone decreasing f")
     if not f.is_convex:
         raise PreconditionError("check_scalar_corollary needs convex f")
@@ -705,7 +727,8 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     P, X, Y = (np.asarray(a, dtype=float)[None] for a in (p, x, y))
     if not (P.shape == X.shape == Y.shape):
         raise ShapeError("p, x, y must share a length")
-    _check_scalar_corollary_rows(P, X, Y, f, mode)
+    _check_scalar_corollary_rows(P, X, Y, f, mode,
+                                 mode == MODE_RELAXED and _is_decreasing(f, f.domain))
     ctx = {**(context or {}), "alpha": alpha, "f": f.name, "mode": mode}
     return [_scalar_verdict(name, lhs, rhs, tol, ctx)
             for name, lhs, rhs in _scalar_corollary_rows(P, X, Y, f, alpha)[0]]
@@ -903,7 +926,7 @@ def _draw_map_sum(i, rng, params, ctx, gen, kind):
 
 def _with_catalog(params):
     """params plus "catalog": (FunctionSpec, is decreasing) for each name of
-    params["fs"], built once per run."""
+    params["fs"], built once per run; the draws and the score read it."""
     specs = [function_catalog(name) for name in params["fs"]]
     return {**params, "catalog": tuple((f, _is_decreasing(f, f.domain)) for f in specs)}
 
@@ -928,9 +951,11 @@ def _draw_scalar_corollary(i, rng, params, ctx):
 
 
 def _score_scalar_corollary(instances, params):
+    decreasing = dict(params["catalog"])
+
     def solve(key, P, X, Y):
         _, f, alpha, mode = key
-        _check_scalar_corollary_rows(P, X, Y, f, mode)
+        _check_scalar_corollary_rows(P, X, Y, f, mode, decreasing[f])
         return _scalar_corollary_rows(P, X, Y, f, alpha)
 
     p, x, y, *_ = zip(*instances)
@@ -943,9 +968,12 @@ def _score_scalar_corollary(instances, params):
     return verdicts
 
 
+_PREFIX_INTERVAL = Interval(-1.0, 2.0)
+
+
 def _draw_prefix_instance(i, rng, params, ctx):
     n = params["n"]
-    x, y, p = gen_fuchs_instance(n, Interval(*params["prefix_interval"]), rng)
+    x, y, p = gen_fuchs_instance(n, _PREFIX_INTERVAL, rng)
     return x, y, p, dict(ctx, dim=n)
 
 
@@ -963,7 +991,7 @@ def _prefix_verdicts(inequality_id, instances, params, kinds, margins):
 
 def _score_fuchs(instances, params):
     # a custom FunctionSpec runs a convexity scan when built: once per run
-    iv = Interval(*params["prefix_interval"])
+    iv = _PREFIX_INTERVAL
     dom = Interval(iv.m - 0.5, iv.M + 0.5)
     fs = [FunctionSpec.custom(g, "convex", dom, name) for g, name in (
         (lambda t: np.asarray(t, dtype=float) ** 2, "t^2"),
@@ -1159,7 +1187,7 @@ def _score_eigensolver_crosscheck(instances, params):
 
 _MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "n": 3, "fs": _DEFAULT_FS,
                      "alphas": _DEFAULT_ALPHAS, "tol": OPERATOR_TOL}
-_PREFIX_DEFAULTS = {"n": 5, "prefix_interval": (-1.0, 2.0), "tol": SCALAR_TOL}
+_PREFIX_DEFAULTS = {"n": 5, "tol": SCALAR_TOL}
 _DENSITY_DEFAULTS = {"dims": (2, 3, 4, 5, 6, 7, 8), "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}
 _REVERSE_DEFAULTS = {"eps": 0.05, "sizes": (2, 3, 4, 6), "tol": SCALAR_TOL}
 _MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1), "tol": OPERATOR_TOL}
@@ -1169,7 +1197,7 @@ _EIG_DIMS = {"dims": tuple(range(2, 17))}
 # params dict (dims, rs, alphas, eps, interval) to every suite, so
 # reverse_shannon keeps r unset, entropy_vn ignores rs, corollary_weighted
 # keeps its fixed weights_v* cycle whatever "families" says, and fuchs and
-# moment draw from "prefix_interval", not the operator-mean "interval".
+# moment draw from _PREFIX_INTERVAL, not the operator-mean "interval".
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
         _draw_jensen, lambda insts, p: _jensen_verdicts(insts, p["tol"]),
