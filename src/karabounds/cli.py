@@ -1,6 +1,14 @@
 """Command-line front end: constants, verification suites, parameter scans,
 and the closed-form-vs-oracle sweep.
 
+Every input reaches a command through one argparse parser.  Each command
+declares only the flags it reads, with their defaults, so a flag that a
+command does not read is a usage error.  ``--config FILE`` names a JSON
+object whose keys are flag names: ``{"trials": 4, "dims": [2, 4]}`` becomes
+``--trials=4 --dims=2,4``, placed after the command name and before the
+command line's own flags, and the whole is parsed again.  Config values are
+therefore checked exactly as flags are, and explicit flags win.
+
 Exit codes: 0 success, 1 inequality/oracle failures, 2 usage errors.
 Reports are deterministic for a fixed --seed (timing is kept out of the
 serialized output); CSV output streams one row per checked inequality.
@@ -11,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -25,30 +34,13 @@ from .functions import FunctionSpec, Interval
 
 USAGE_ERROR = 2
 
-_DEFAULTS = {
-    "trials": 100,
-    "seed": 0,
-    "dims": None,
-    "r": None,
-    "alpha": None,
-    "eps": None,
-    "m": None,
-    "M": None,
-    "out": None,
-    "format": "json",
-    "suite": "all",
-    "start": None,
-    "stop": None,
-    "steps": None,
-    "tol": 1e-7,
-}
+# default (start, stop) of each scan axis
+_SCAN_RANGES = {"ls_r": (0.1, 3.0), "specht": (1.1, 100.0), "kantorovich": (-2.0, 3.0)}
 
 
 def _parse_dims(text):
-    if text is None:
-        return None
     try:
-        dims = tuple(int(part) for part in str(text).replace(" ", "").split(",") if part)
+        dims = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dims list: {text!r}")
     if not dims or any(d < 1 or d > 64 for d in dims):
@@ -63,67 +55,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None, help="root RNG seed")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--m", type=float, default=None,
-                       help="verify: with --M, the spectral interval [m, M] of the "
-                            "operator-mean suites; constants: the m of C(h, r)")
-        p.add_argument("--M", type=float, default=None,
-                       help="verify: with --m, the spectral interval [m, M] of the "
-                            "operator-mean suites")
-        p.add_argument("--dims", type=_parse_dims, default=None,
-                       help="comma-separated dimensions, e.g. 2,4,8")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON object of flag values, keyed by flag "
+                                         "name and checked as flags; flags win")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
 
-    p_const = sub.add_parser("constants", help="closed forms with oracle cross-checks")
-    common(p_const)
-    p_const.add_argument("--h", type=float, default=None)
+    p = command("constants", cmd_constants, "closed forms with oracle cross-checks")
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--h", type=float, default=2.0)
+    p.add_argument("--m", type=float, default=1.0, help="the m of C(h, r)")
 
-    p_verify = sub.add_parser("verify", help="run randomized verification suites")
-    common(p_verify)
-    p_verify.add_argument("--suite", default=None,
-                          choices=["all"] + vf.suite_ids(include_extra=True))
-    p_verify.add_argument("--trials", type=int, default=None)
+    p = command("verify", cmd_verify, "run randomized verification suites")
+    p.add_argument("--suite", default="all",
+                   choices=["all"] + vf.suite_ids(include_extra=True))
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    p.add_argument("--r", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--m", type=float, help="with --M, the spectral interval [m, M] "
+                                           "of the operator-mean suites")
+    p.add_argument("--M", type=float, help="see --m")
+    p.add_argument("--dims", type=_parse_dims,
+                   help="comma-separated dimensions, e.g. 2,4,8")
 
-    p_scan = sub.add_parser("scan", help="sweep a quantity over a parameter axis")
-    common(p_scan)
-    p_scan.add_argument("quantity", choices=("fannes", "ls_r", "specht", "kantorovich"))
-    p_scan.add_argument("--start", type=float, default=None)
-    p_scan.add_argument("--stop", type=float, default=None)
-    p_scan.add_argument("--steps", type=int, default=None)
-    p_scan.add_argument("--h", type=float, default=None)
+    p = command("scan", cmd_scan, "sweep a quantity over a parameter axis")
+    p.add_argument("quantity", choices=("fannes", "ls_r", "specht", "kantorovich"))
+    p.add_argument("--eps", type=float, default=0.1, help="ls_r: the eps of ls_r")
+    p.add_argument("--start", type=float)
+    p.add_argument("--stop", type=float)
+    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--h", type=float, default=2.0, help="kantorovich: the h of K(h, r)")
+    p.add_argument("--dims", type=_parse_dims, default=tuple(range(1, 11)),
+                   help="fannes: comma-separated dimensions, e.g. 2,4,8")
 
-    p_oracle = sub.add_parser("oracle", help="closed-form vs grid-oracle sweep")
-    common(p_oracle)
-    p_oracle.add_argument("--tol", type=float, default=None)
+    p = command("oracle", cmd_oracle, "closed-form vs grid-oracle sweep")
+    p.add_argument("--tol", type=float, default=1e-7)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(_usage(f"cannot read config {path!r}: {exc}"))
-        if not isinstance(file_cfg, dict):
-            raise SystemExit(_usage("config file must hold a JSON object"))
-        if "dims" in file_cfg and file_cfg["dims"] is not None:
-            file_cfg["dims"] = tuple(int(d) for d in file_cfg["dims"])
-        cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
+    """The JSON object in ``path`` as ``--key=value`` flag tokens; a list
+    value is joined with commas."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {path!r}: {exc}")
+    if not isinstance(cfg, dict) or "config" in cfg:
+        parser.error(f"config {path!r} must hold a JSON object of flags other than config")
+    return [f"--{key}=" + (",".join(map(str, value)) if isinstance(value, list) else str(value))
+            for key, value in cfg.items()]
 
 
 def _usage(message: str) -> int:
@@ -139,18 +127,14 @@ def _emit(text: str, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _rows_to_output(rows, cfg, fieldnames=None) -> str:
-    if cfg["format"] == "csv":
-        import io
-
-        buf = io.StringIO()
+def _rows_to_output(rows, fmt: str) -> str:
+    if fmt == "csv":
         if not rows:
             return ""
-        names = fieldnames or list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=names)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         return buf.getvalue()
     return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
@@ -160,12 +144,8 @@ def _rows_to_output(rows, cfg, fieldnames=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: dict) -> int:
-    eps = cfg["eps"] if cfg["eps"] is not None else 0.1
-    r = cfg["r"] if cfg["r"] is not None else 0.5
-    alpha = cfg["alpha"] if cfg["alpha"] is not None else 1.0
-    h = cfg.get("h") if cfg.get("h") is not None else 2.0
-    m = cfg["m"] if cfg["m"] is not None else 1.0
+def cmd_constants(args: argparse.Namespace) -> int:
+    eps, r, alpha, h, m = args.eps, args.r, args.alpha, args.h, args.m
     if not 0.0 < eps < 1.0:
         return _usage(f"eps must be in (0, 1), got {eps}")
     if h <= 1.0:
@@ -213,70 +193,65 @@ def cmd_constants(cfg: dict) -> int:
         sb.ratio_oracle(f_lin, Interval(1.0, 2.0)))
     add("linear_diff_is_zero", {}, 0.0,
         sb.diff_oracle(f_lin, Interval(1.0, 2.0)))
-    _emit(_rows_to_output(rows, cfg), cfg["out"])
+    _emit(_rows_to_output(rows, args.format), args.out)
     return 0
 
 
-def cmd_verify(cfg: dict) -> int:
-    suite = cfg["suite"]
-    trials = cfg["trials"]
-    if trials < 0:
-        return _usage(f"trials must be >= 0, got {trials}")
-    known = vf.suite_ids(include_extra=True)
-    if suite == "all":
-        suites = vf.suite_ids(include_extra=False)
-    elif suite in known:
-        suites = [suite]
-    else:
-        return _usage(f"unknown suite {suite!r}; known: {['all'] + known}")
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        return _usage(f"trials must be >= 0, got {args.trials}")
+    suites = vf.suite_ids(include_extra=False) if args.suite == "all" else [args.suite]
     params = {}
-    if cfg["dims"]:
-        params["dims"] = tuple(cfg["dims"])
-    for key in ("r", "alpha", "eps"):
-        if cfg[key] is not None:
-            params_key = {"r": "rs", "alpha": "alphas"}.get(key, key)
-            params[params_key] = (cfg[key],) if params_key in ("rs", "alphas") else cfg[key]
-    if cfg["m"] is not None and cfg["M"] is not None:
-        if not 0.0 < cfg["m"] < cfg["M"]:
+    if args.dims:
+        params["dims"] = args.dims
+    if args.r is not None:
+        params["rs"] = (args.r,)
+    if args.alpha is not None:
+        params["alphas"] = (args.alpha,)
+    if args.eps is not None:
+        params["eps"] = args.eps
+    if (args.m is None) != (args.M is None):
+        return _usage("--m and --M go together")
+    if args.m is not None:
+        if not 0.0 < args.m < args.M:
             return _usage("need 0 < m < M")
-        params["interval"] = (cfg["m"], cfg["M"])
+        params["interval"] = (args.m, args.M)
     reports = []
     all_verdicts = []
     for sid in suites:
-        rep = vf.run_suite(sid, trials, cfg["seed"], params, keep_verdicts=True)
+        rep = vf.run_suite(sid, args.trials, args.seed, params, keep_verdicts=True)
         reports.append(rep)
         all_verdicts.append((sid, rep.verdicts))
         print(f"{sid}: trials={rep.trials} failures={rep.failures} "
               f"min_margin={rep.min_margin} ({rep.elapsed_ms} ms)", file=sys.stderr)
-    if cfg["format"] == "csv":
-        out_path = cfg["out"]
+    if args.format == "csv":
         rows_iter = (
             row
             for k, (sid, verdicts) in enumerate(all_verdicts)
             for j, row in enumerate(vf.verdict_csv_rows(sid, verdicts))
             if not (k > 0 and j == 0)  # single header
         )
-        with (open(out_path, "w", encoding="utf-8", newline="") if out_path
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             csv.writer(fh).writerows(rows_iter)
     else:
-        _emit(vf.report_to_json(reports), cfg["out"])
+        _emit(vf.report_to_json(reports), args.out)
     failures = sum(rep.failures for rep in reports)
     return 0 if failures == 0 else 1
 
 
-def cmd_scan(cfg: dict, quantity: str) -> int:
-    steps = cfg["steps"] if cfg["steps"] is not None else 50
+def cmd_scan(args: argparse.Namespace) -> int:
+    steps = args.steps
+    start, stop = _SCAN_RANGES.get(args.quantity, (None, None))
+    start = start if args.start is None else args.start
+    stop = stop if args.stop is None else args.stop
     if steps < 1:
         return _usage(f"steps must be >= 1, got {steps}")
     rows = []
-    if quantity == "fannes":
-        dims = cfg["dims"] or tuple(range(1, 11))
-        rows = vf.check_fannes_comparison(dims)
-    elif quantity == "ls_r":
-        eps = cfg["eps"] if cfg["eps"] is not None else 0.1
-        start = cfg["start"] if cfg["start"] is not None else 0.1
-        stop = cfg["stop"] if cfg["stop"] is not None else 3.0
+    if args.quantity == "fannes":
+        rows = vf.check_fannes_comparison(args.dims)
+    elif args.quantity == "ls_r":
+        eps = args.eps
         if not 0.0 < eps < 1.0 or start <= 0.0 or stop < start:
             return _usage("ls_r scan needs eps in (0,1) and 0 < start <= stop")
         for r in np.linspace(start, stop, steps):
@@ -284,9 +259,7 @@ def cmd_scan(cfg: dict, quantity: str) -> int:
             rows.append({"r": float(r), "eps": eps, "ls_r": val,
                          "upper_1_over_r": 1.0 / float(r),
                          "within_claimed_bounds": bool(0.0 <= val <= 1.0 / float(r) + 1e-12)})
-    elif quantity == "specht":
-        start = cfg["start"] if cfg["start"] is not None else 1.1
-        stop = cfg["stop"] if cfg["stop"] is not None else 100.0
+    elif args.quantity == "specht":
         if start <= 0.0 or stop < start:
             return _usage("specht scan needs 0 < start <= stop")
         for h in np.geomspace(start, stop, steps):
@@ -294,30 +267,28 @@ def cmd_scan(cfg: dict, quantity: str) -> int:
             s_inv = sb.specht(1.0 / float(h))
             rows.append({"h": float(h), "specht": s, "specht_inv": s_inv,
                          "symmetry_gap": abs(s - s_inv)})
-    elif quantity == "kantorovich":
-        h = cfg.get("h") if cfg.get("h") is not None else 2.0
-        start = cfg["start"] if cfg["start"] is not None else -2.0
-        stop = cfg["stop"] if cfg["stop"] is not None else 3.0
+    elif args.quantity == "kantorovich":
+        h = args.h
         if h <= 1.0 or stop < start:
             return _usage("kantorovich scan needs h > 1 and start <= stop")
         for r in np.linspace(start, stop, steps):
             rows.append({"h": h, "r": float(r), "kantorovich": sb.kantorovich(h, float(r))})
-    _emit(_rows_to_output(rows, cfg), cfg["out"])
+    _emit(_rows_to_output(rows, args.format), args.out)
     return 0
 
 
-def cmd_oracle(cfg: dict) -> int:
-    tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
+def cmd_oracle(args: argparse.Namespace) -> int:
+    tol = args.tol
     rows, worst = vf.oracle_sweep()
     payload = {"rows": rows, "worst_abs_diff": worst, "tol": tol,
                "pass": bool(worst <= tol)}
-    if cfg["format"] == "csv":
+    if args.format == "csv":
         flat = [{"name": r["name"], "params": json.dumps(r["params"], sort_keys=True),
                  "closed_form": r["closed_form"], "oracle_value": r["oracle_value"],
                  "abs_diff": r["abs_diff"]} for r in rows]
-        _emit(_rows_to_output(flat, cfg), cfg["out"])
+        _emit(_rows_to_output(flat, args.format), args.out)
     else:
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", cfg["out"])
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     print(f"oracle sweep: {len(rows)} comparisons, worst |diff| = {worst:.3e} "
           f"(tol {tol:g})", file=sys.stderr)
     return 0 if worst <= tol else 1
@@ -325,24 +296,16 @@ def cmd_oracle(cfg: dict) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if args.config:
+        # argv[0] is the command: config flags go after it and before the user's
+        args = parser.parse_args(argv[:1] + _config_flags(parser, args.config) + argv[1:])
     try:
-        cfg = _merge_config(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else USAGE_ERROR
-    try:
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.quantity)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
+        return args.run(args)
     except KaraboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -538,20 +538,27 @@ def mat_log(A: np.ndarray) -> np.ndarray:
     return _recompose(_log_of_pd(w), V)
 
 
+def _conjugate_by_root(X, Y, f) -> np.ndarray:
+    """X^(1/2) f(X^(-1/2) Y X^(-1/2)) X^(1/2) for positive definite X, Y, with
+    both roots of X recomposed from one eigendecomposition."""
+    X = assert_hermitian(X, "X")
+    Y = assert_hermitian(Y, "Y")
+    if X.shape != Y.shape:
+        raise ShapeError("X and Y must share a dimension")
+    w, V = _eigh_one(X)
+    xs = _recompose(_sqrt_of_psd(w), V)
+    xis = _recompose(_invsqrt_of_pd(w), V)
+    mid = hermitize(xis @ Y @ xis)
+    return hermitize(xs @ f(mid) @ xs)
+
+
 def natural_power_mean(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:
     """X^(1/2) (X^(-1/2) Y X^(-1/2))^r X^(1/2) for positive definite X, Y.
 
     For r in [0, 1] this is the weighted geometric mean; r = 0 gives X and
     r = 1 gives Y.
     """
-    X = assert_hermitian(X, "X")
-    Y = assert_hermitian(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeError("X and Y must share a dimension")
-    xs = sqrtm_psd(X)
-    xis = invsqrtm_pd(X)
-    mid = hermitize(xis @ Y @ xis)
-    return hermitize(xs @ mat_power(mid, r) @ xs)
+    return _conjugate_by_root(X, Y, lambda mid: mat_power(mid, r))
 
 
 def tsallis_relative_operator_entropy(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:
@@ -563,12 +570,7 @@ def tsallis_relative_operator_entropy(X: np.ndarray, Y: np.ndarray, r: float) ->
 
 
 def relative_operator_entropy(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    X = assert_hermitian(X, "X")
-    Y = assert_hermitian(Y, "Y")
-    xs = sqrtm_psd(X)
-    xis = invsqrtm_pd(X)
-    mid = hermitize(xis @ Y @ xis)
-    return hermitize(xs @ mat_log(mid) @ xs)
+    return _conjugate_by_root(X, Y, mat_log)
 
 
 def von_neumann_entropy_from_evals(w) -> float:

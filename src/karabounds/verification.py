@@ -273,6 +273,15 @@ def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 20
     return S / S.sum(axis=1, keepdims=True)
 
 
+def _doubly_stochastic_mix(As, rng: np.random.Generator) -> list:
+    """B_k = sum_j S[k, j] A_j for a Sinkhorn doubly stochastic S drawn from
+    rng: the B_k keep the uniform-weight sum of the A_j, and their spectra
+    stay inside any interval that holds the A_j's."""
+    n = len(As)
+    S = sinkhorn_doubly_stochastic(n, rng)
+    return [oc.hermitize(sum(S[k, j] * As[j] for j in range(n))) for k in range(n)]
+
+
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
 
 
@@ -293,8 +302,7 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
         if family_kind == "uniform_permutation":
             Bs = [As[j] for j in rng.permutation(n)]
         else:
-            S = sinkhorn_doubly_stochastic(n, rng)
-            Bs = [oc.hermitize(sum(S[i, j] * As[j] for j in range(n))) for i in range(n)]
+            Bs = _doubly_stochastic_mix(As, rng)
     elif family_kind == "normalized_trace":
         if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
             raise DomainError("normalized_trace inputs are density matrices; "
@@ -350,8 +358,7 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     y = np.sort(rng.uniform(iv.m, iv.M, size=n))[::-1]
     p = rng.uniform(0.2, 1.0, size=n)
     x = y.copy()
-    for _ in range(n):
-        i = int(rng.integers(0, n - 1))
+    for i in rng.integers(0, n - 1, size=n).tolist():
         w = p[i] + p[i + 1]
         avg = (p[i] * x[i] + p[i + 1] * x[i + 1]) / w
         x[i] = avg
@@ -907,9 +914,8 @@ def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gener
         Bs = list(As)
     else:
         # doubly stochastic mixing preserves uniform-weight sums only
-        S = sinkhorn_doubly_stochastic(n, rng)
+        Bs = _doubly_stochastic_mix(As, rng)
         w = np.full(n, 1.0 / n)
-        Bs = [oc.hermitize(sum(S[k, j] * As[j] for j in range(n))) for k in range(n)]
     eye = np.eye(dim, dtype=complex)
     family = oc.MapFamily(tuple(oc.WeightedConjugation(float(wi), eye) for wi in w), dim)
     return As, Bs, family
@@ -1099,8 +1105,7 @@ def _gen_mean_instance(rng, dim, iv, n):
         Bs = [As[0]]
         w = np.ones(1)
     else:
-        S = sinkhorn_doubly_stochastic(n, rng)
-        Bs = [oc.hermitize(sum(S[k, j] * As[j] for j in range(n))) for k in range(n)]
+        Bs = _doubly_stochastic_mix(As, rng)
         w = np.full(n, 1.0 / n)
     return Z, As, Bs, w
 

@@ -14,6 +14,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit a usage error raises."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestVerifyCommand:
     def test_single_suite_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -109,6 +117,94 @@ class TestVerifyCommand:
         assert run(["verify", "--config", str(cfg), "--trials", "7",
                     "--out", str(out2)]) == 0
         assert json.loads(out2.read_text())[0]["trials"] == 7
+
+
+class TestConfigIsParsedAsFlags:
+    @pytest.mark.parametrize("cfg", [
+        {"format": "xml"},      # not a --format choice
+        {"dims": [0]},          # outside [1, 64]
+        {"trails": 7},          # no such flag
+        {"seed": 1.5},          # not an int
+        {"seed": None},         # null is no flag value
+        {"config": "other.json"},
+        [4],                    # not an object
+    ], ids=["format", "dims", "typo", "seed_float", "null", "nested", "list"])
+    def test_bad_config_usage_error(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "rep.json"
+        argv = ["verify", "--suite", "fuchs", "--trials", "2", "--config", str(path),
+                "--out", str(out)]
+        assert exit_code(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json", "\udcff"])
+    def test_unreadable_config_usage_error(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert exit_code(["verify", "--config", str(path), "--trials", "0"]) == 2
+
+    def test_config_strings_parse_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "2", "dims": [2, 3], "format": "csv"}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["verify", "--suite", "entropy_vn", "--seed", "4"]
+        assert run(argv + ["--config", str(cfg), "--out", str(a)]) == 0
+        assert run(argv + ["--trials", "2", "--dims", "2,3", "--format", "csv",
+                           "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["constants"], ["scan", "ls_r"], ["scan", "kantorovich"], ["oracle"]])
+    def test_config_gives_flag_bytes(self, tmp_path, command):
+        flags = {"constants": {"eps": 0.3, "r": 2, "h": 5},
+                 "scan": {"start": 0.5, "stop": 2.5, "steps": 4},
+                 "oracle": {"tol": 1e-6, "format": "csv"}}[command[0]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        argv = [tok for key, value in flags.items() for tok in (f"--{key}", str(value))]
+        assert run(command + ["--config", str(cfg), "--out", str(a)]) == 0
+        assert run(command + argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestCommandsTakeOnlyTheirFlags:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--eps", "0.3"], ["oracle", "--seed", "5"], ["oracle", "--dims", "3"],
+        ["constants", "--seed", "1"], ["constants", "--M", "2"], ["constants", "--dims", "2"],
+        ["scan", "fannes", "--alpha", "1"], ["scan", "specht", "--seed", "1"],
+        ["scan", "ls_r", "--r", "0.5"], ["scan", "ls_r", "--m", "1"],
+    ])
+    def test_unread_flag_usage_error(self, argv):
+        assert exit_code(argv) == 2
+
+    def test_unread_config_key_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 0.3}))
+        assert exit_code(["oracle", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--m", "--M"])
+    def test_half_interval_usage_error(self, flag):
+        assert run(["verify", "--suite", "operator_means", "--trials", "1", flag, "2"]) == 2
+
+    def test_accepted_flags(self):
+        # the flags each command reads, and no other
+        want = {
+            "constants": {"config", "out", "format", "eps", "r", "alpha", "h", "m"},
+            "verify": {"config", "out", "format", "suite", "trials", "seed", "r", "alpha",
+                       "eps", "m", "M", "dims"},
+            "scan": {"config", "out", "format", "quantity", "eps", "start", "stop",
+                     "steps", "h", "dims"},
+            "oracle": {"config", "out", "format", "tol"},
+        }
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        got = {name: {a.dest for a in sub._actions if a.dest != "help"}
+               for name, sub in subparsers.items()}
+        assert got == want
 
 
 class TestConstantsCommand:

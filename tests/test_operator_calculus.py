@@ -394,6 +394,53 @@ class TestRelativeOperatorEntropy:
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
+class TestConjugateByRoot:
+    @staticmethod
+    def two_roots(X, Y, f):
+        # X^(1/2) and X^(-1/2) from two decompositions of X
+        xs = oc.sqrtm_psd(X)
+        xis = oc.invsqrtm_pd(X)
+        mid = oc.hermitize(xis @ Y @ xis)
+        return oc.hermitize(xs @ f(mid) @ xs)
+
+    def test_means_equal_two_root_composition(self):
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3, 5):
+            X = oc.rand_hermitian_spectrum_in(dim, Interval(0.3, 3.0), rng)
+            Y = oc.rand_hermitian_spectrum_in(dim, Interval(0.3, 3.0), rng)
+            for r in (-1.0, 0.0, 0.3, 0.5, 1.0, 2.5):
+                want = self.two_roots(X, Y, lambda mid: oc.mat_power(mid, r))
+                assert np.array_equal(oc.natural_power_mean(X, Y, r), want), (dim, r)
+                if r != 0.0:
+                    got = oc.tsallis_relative_operator_entropy(X, Y, r)
+                    assert np.array_equal(got, (want - X) / r), (dim, r)
+            assert np.array_equal(oc.relative_operator_entropy(X, Y),
+                                  self.two_roots(X, Y, oc.mat_log)), dim
+
+    def test_x_decomposed_once(self, monkeypatch):
+        X = oc.rand_hermitian_spectrum_in(3, Interval(0.5, 2.0), RNG)
+        Y = oc.rand_hermitian_spectrum_in(3, Interval(0.5, 2.0), RNG)
+        calls = []
+        solve = oc._eigh
+
+        def counting(mats):
+            calls.append(mats.shape[0])
+            return solve(mats)
+
+        monkeypatch.setattr(oc, "_eigh", counting)
+        for mean in (lambda: oc.natural_power_mean(X, Y, 0.4),
+                     lambda: oc.relative_operator_entropy(X, Y),
+                     lambda: oc.tsallis_relative_operator_entropy(X, Y, 0.4)):
+            calls.clear()
+            mean()
+            # one matrix for X, one for X^(-1/2) Y X^(-1/2)
+            assert sum(calls) == 2
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            oc.relative_operator_entropy(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+
 class TestMatrixEntropies:
     def test_maximally_mixed(self):
         for d in (2, 5):

@@ -224,6 +224,30 @@ class TestGenerators:
             assert np.all(np.diff(x) <= 1e-12)
             assert is_p_majorized(x, y, p)
 
+    @staticmethod
+    def plain_fuchs_instance(n, iv, rng):
+        # one rng.integers call per averaging step
+        y = np.sort(rng.uniform(iv.m, iv.M, size=n))[::-1]
+        p = rng.uniform(0.2, 1.0, size=n)
+        x = y.copy()
+        for _ in range(n):
+            i = int(rng.integers(0, n - 1))
+            w = p[i] + p[i + 1]
+            avg = (p[i] * x[i] + p[i + 1] * x[i + 1]) / w
+            x[i] = avg
+            x[i + 1] = avg
+        return x, y, p
+
+    def test_fuchs_indices_in_one_draw_match_plain_loop(self):
+        iv = Interval(-1.0, 2.0)
+        for n in (2, 3, 4, 5, 8):
+            for seed in range(300):
+                rng_a, rng_b = vf.trial_rng(seed, n), vf.trial_rng(seed, n)
+                got = vf.gen_fuchs_instance(n, iv, rng_a)
+                want = self.plain_fuchs_instance(n, iv, rng_b)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, seed)
+                assert rng_a.random() == rng_b.random(), (n, seed)
+
 
 class TestCheckers:
     def test_lemma_eigenvector_margin_zero(self):
