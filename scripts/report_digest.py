@@ -1,0 +1,85 @@
+"""Print a SHA-256 digest of every report in a fixed set of CLI runs.
+
+Run it from any directory, with no flags:
+
+    python3 scripts/report_digest.py > digests.txt
+
+karabounds is imported from the ``src/`` of the checkout that holds this
+script.  Each line is ``<sha256>  exit=<code>  <command line>``; runs made
+through ``--config`` are marked ``[config]`` and must give the digest of the
+same run made with flags.  Run the script in two checkouts and ``diff`` the
+two outputs: no difference means every report of the set is byte-identical.
+
+The set: ``verify --suite all`` as JSON and as CSV at 48 and 100 trials and
+seeds 0, 7 and 1000; ``verify`` with every suite parameter flag set;
+``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; and every
+``scan`` quantity, each at its defaults and with its own flags.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from karabounds import cli  # noqa: E402
+
+RUNS = [
+    *(["verify", "--suite", "all", "--trials", str(trials), "--seed", str(seed),
+       "--format", fmt]
+      for trials in (48, 100) for seed in (0, 7, 1000) for fmt in ("json", "csv")),
+    ["verify", "--suite", "all", "--trials", "40", "--seed", "7", "--r", "0.5",
+     "--alpha", "1", "--dims", "2,4", "--eps", "0.1", "--format", "csv"],
+    ["verify", "--suite", "operator_means", "--trials", "48", "--seed", "7",
+     "--m", "1.8", "--M", "4"],
+    ["verify", "--suite", "mean_c_lhs_variant", "--trials", "100", "--seed", "0"],
+    ["verify", "--suite", "mean_c_lhs_variant", "--trials", "100", "--seed", "0",
+     "--format", "csv"],
+    ["oracle"],
+    ["oracle", "--tol", "1e-6", "--format", "csv"],
+    ["constants"],
+    ["constants", "--eps", "0.3", "--r", "2", "--alpha", "0.5", "--h", "5", "--m", "2"],
+    ["constants", "--format", "csv"],
+    ["scan", "fannes"],
+    ["scan", "fannes", "--dims", "2,5,9", "--format", "csv"],
+    ["scan", "ls_r"],
+    ["scan", "ls_r", "--eps", "0.3", "--start", "0.2", "--stop", "2", "--steps", "7"],
+    ["scan", "specht"],
+    ["scan", "specht", "--start", "1.5", "--stop", "20", "--steps", "9", "--format", "csv"],
+    ["scan", "kantorovich"],
+    ["scan", "kantorovich", "--h", "3", "--start", "-1", "--stop", "2", "--steps", "6"],
+]
+
+
+def _split(argv):
+    """(command words, {flag: value}) of an argv of ``--flag value`` pairs."""
+    cut = next((k for k, tok in enumerate(argv) if tok.startswith("--")), len(argv))
+    flags = argv[cut:]
+    return argv[:cut], dict(zip(flags[0::2], flags[1::2]))
+
+
+def digest(argv, out):
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--out", str(out)])
+    return hashlib.sha256(out.read_bytes()).hexdigest(), code
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
+        for argv in RUNS:
+            sha, code = digest(argv, out)
+            print(f"{sha}  exit={code}  {' '.join(argv)}")
+            words, flags = _split(argv)
+            if flags:
+                cfg.write_text(json.dumps({key[2:]: value for key, value in flags.items()}))
+                sha, code = digest(words + ["--config", str(cfg)], out)
+                print(f"{sha}  exit={code}  {' '.join(argv)} [config]")
+
+
+if __name__ == "__main__":
+    main()

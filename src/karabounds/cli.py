@@ -1,13 +1,15 @@
 """Command-line front end: constants, verification suites, parameter scans,
 and the closed-form-vs-oracle sweep.
 
-Every input reaches a command through one argparse parser.  Each command
-declares only the flags it reads, with their defaults, so a flag that a
-command does not read is a usage error.  ``--config FILE`` names a JSON
-object whose keys are flag names: ``{"trials": 4, "dims": [2, 4]}`` becomes
-``--trials=4 --dims=2,4``, placed after the command name and before the
-command line's own flags, and the whole is parsed again.  Config values are
-therefore checked exactly as flags are, and explicit flags win.
+Every input reaches a command through one argparse parser.  Each command,
+and each ``scan`` quantity, declares only the flags it reads, with their
+defaults, so a flag that a command does not read is a usage error; flag
+names must be given in full, and every float flag must be finite.
+``--config FILE`` names a JSON object whose keys are flag names:
+``{"trials": 4, "dims": [2, 4]}`` becomes ``--trials=4 --dims=2,4``, placed
+after the command name (and a scan's quantity) and before the command line's
+own flags, and the whole is parsed again.  Config values are therefore
+checked exactly as flags are, and explicit flags win.
 
 Exit codes: 0 success, 1 inequality/oracle failures, 2 usage errors.
 Reports are deterministic for a fixed --seed (timing is kept out of the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -34,8 +37,15 @@ from .functions import FunctionSpec, Interval
 
 USAGE_ERROR = 2
 
-# default (start, stop) of each scan axis
-_SCAN_RANGES = {"ls_r": (0.1, 3.0), "specht": (1.1, 100.0), "kantorovich": (-2.0, 3.0)}
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
 
 
 def _parse_dims(text):
@@ -48,15 +58,17 @@ def _parse_dims(text):
     return dims
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: building it takes about 2 ms."""
     parser = argparse.ArgumentParser(
         prog="karabounds",
         description="Reverse Karamata/Jensen constants and inequality verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, run, help, parent=sub):
+        p = parent.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         p.add_argument("--config", help="JSON object of flag values, keyed by flag "
                                          "name and checked as flags; flags win")
@@ -65,38 +77,47 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("constants", cmd_constants, "closed forms with oracle cross-checks")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=2.0)
-    p.add_argument("--m", type=float, default=1.0, help="the m of C(h, r)")
+    p.add_argument("--eps", type=_finite_float, default=0.1)
+    p.add_argument("--r", type=_finite_float, default=0.5)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--h", type=_finite_float, default=2.0)
+    p.add_argument("--m", type=_finite_float, default=1.0, help="the m of C(h, r)")
 
     p = command("verify", cmd_verify, "run randomized verification suites")
     p.add_argument("--suite", default="all",
                    choices=["all"] + vf.suite_ids(include_extra=True))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument("--r", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--m", type=float, help="with --M, the spectral interval [m, M] "
-                                           "of the operator-mean suites")
-    p.add_argument("--M", type=float, help="see --m")
+    p.add_argument("--r", type=_finite_float)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--eps", type=_finite_float)
+    p.add_argument("--m", type=_finite_float, help="with --M, the spectral interval [m, M] "
+                                                   "of the operator-mean suites")
+    p.add_argument("--M", type=_finite_float, help="see --m")
     p.add_argument("--dims", type=_parse_dims,
                    help="comma-separated dimensions, e.g. 2,4,8")
 
-    p = command("scan", cmd_scan, "sweep a quantity over a parameter axis")
-    p.add_argument("quantity", choices=("fannes", "ls_r", "specht", "kantorovich"))
-    p.add_argument("--eps", type=float, default=0.1, help="ls_r: the eps of ls_r")
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--h", type=float, default=2.0, help="kantorovich: the h of K(h, r)")
+    scan = sub.add_parser("scan", help="sweep a quantity over a parameter axis",
+                          allow_abbrev=False).add_subparsers(dest="quantity", required=True)
+    p = command("fannes", cmd_scan, "dim/e against log(dim) + 1/e per dimension", scan)
     p.add_argument("--dims", type=_parse_dims, default=tuple(range(1, 11)),
-                   help="fannes: comma-separated dimensions, e.g. 2,4,8")
+                   help="comma-separated dimensions, e.g. 2,4,8")
+
+    def axis(name, help, start, stop):
+        p = command(name, cmd_scan, help, scan)
+        p.add_argument("--start", type=_finite_float, default=start)
+        p.add_argument("--stop", type=_finite_float, default=stop)
+        p.add_argument("--steps", type=int, default=50)
+        return p
+
+    axis("ls_r", "ls_r(eps) over r", 0.1, 3.0).add_argument(
+        "--eps", type=_finite_float, default=0.1, help="the eps of ls_r")
+    axis("specht", "S(h) and S(1/h) over h", 1.1, 100.0)
+    axis("kantorovich", "K(h, r) over r", -2.0, 3.0).add_argument(
+        "--h", type=_finite_float, default=2.0, help="the h of K(h, r)")
 
     p = command("oracle", cmd_oracle, "closed-form vs grid-oracle sweep")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_finite_float, default=1e-7)
     return parser
 
 
@@ -198,8 +219,6 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 0:
-        return _usage(f"trials must be >= 0, got {args.trials}")
     suites = vf.suite_ids(include_extra=False) if args.suite == "all" else [args.suite]
     params = {}
     if args.dims:
@@ -241,37 +260,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    steps = args.steps
-    start, stop = _SCAN_RANGES.get(args.quantity, (None, None))
-    start = start if args.start is None else args.start
-    stop = stop if args.stop is None else args.stop
-    if steps < 1:
-        return _usage(f"steps must be >= 1, got {steps}")
     rows = []
     if args.quantity == "fannes":
         rows = vf.check_fannes_comparison(args.dims)
+    elif args.steps < 1:
+        return _usage(f"steps must be >= 1, got {args.steps}")
     elif args.quantity == "ls_r":
-        eps = args.eps
+        eps, start, stop = args.eps, args.start, args.stop
         if not 0.0 < eps < 1.0 or start <= 0.0 or stop < start:
             return _usage("ls_r scan needs eps in (0,1) and 0 < start <= stop")
-        for r in np.linspace(start, stop, steps):
+        for r in np.linspace(start, stop, args.steps):
             val = sb.ls_r_constant(eps, float(r))
             rows.append({"r": float(r), "eps": eps, "ls_r": val,
                          "upper_1_over_r": 1.0 / float(r),
                          "within_claimed_bounds": bool(0.0 <= val <= 1.0 / float(r) + 1e-12)})
     elif args.quantity == "specht":
-        if start <= 0.0 or stop < start:
+        if args.start <= 0.0 or args.stop < args.start:
             return _usage("specht scan needs 0 < start <= stop")
-        for h in np.geomspace(start, stop, steps):
+        for h in np.geomspace(args.start, args.stop, args.steps):
             s = sb.specht(float(h))
             s_inv = sb.specht(1.0 / float(h))
             rows.append({"h": float(h), "specht": s, "specht_inv": s_inv,
                          "symmetry_gap": abs(s - s_inv)})
     elif args.quantity == "kantorovich":
         h = args.h
-        if h <= 1.0 or stop < start:
+        if h <= 1.0 or args.stop < args.start:
             return _usage("kantorovich scan needs h > 1 and start <= stop")
-        for r in np.linspace(start, stop, steps):
+        for r in np.linspace(args.start, args.stop, args.steps):
             rows.append({"h": h, "r": float(r), "kantorovich": sb.kantorovich(h, float(r))})
     _emit(_rows_to_output(rows, args.format), args.out)
     return 0
@@ -299,8 +314,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:
-        # argv[0] is the command: config flags go after it and before the user's
-        args = parser.parse_args(argv[:1] + _config_flags(parser, args.config) + argv[1:])
+        # config flags go after the command (and a scan's quantity) and
+        # before the user's own flags
+        cut = 2 if args.command == "scan" else 1
+        args = parser.parse_args(argv[:cut] + _config_flags(parser, args.config) + argv[cut:])
     try:
         return args.run(args)
     except KaraboundsError as exc:

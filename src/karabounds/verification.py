@@ -1,9 +1,11 @@
 """Randomized verification: hypothesis-respecting generators, margin
 checkers for every inequality, and deterministic report aggregation.
 
-A check never "fixes up" its inputs: hypothesis violations raise, and the
-margin of an operator inequality L <= R is the smallest eigenvalue of R - L
-(the tightest scalar witness).
+A verdict is its margin: R - L for a scalar inequality L <= R, and the
+smallest eigenvalue of R - L (the tightest scalar witness) for an operator
+one; it passes when the margin is at least -tol.  A check never "fixes up"
+its inputs: hypothesis violations raise, and so do parameters outside an
+inequality's domain, in the kernel that a suite and its checker share.
 
 ``run_suite`` is the one trial loop.  A suite is a draw function, a score
 function and its default params.  The driver draws trial i's instance from
@@ -20,21 +22,22 @@ one, so its margins equal the suite's bit for bit.  The Jacobi solver is
 not on this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
 exercise it.
 
-The scalar and classical suites follow the same rule with vectors: trials
-are grouped by length and parameters, each group is stacked into (k, n)
-arrays (``_per_group``), validated once and scored in one pass by the
-stacked kernel of ``check_scalar_corollary``, ``majorization`` or
-``classical_entropy``, which computes its constants once per group.  Rows
-are reduced with ``np.sum``/``np.cumsum`` along the last axis, which gives
-a row the bits of the 1-d call, so ``check_scalar_corollary``,
-``fuchs_margin``, ``moment_margin`` and the classical margins, each a batch
-of one of its kernel, equal the suites bit for bit.  The conditioned pairs
-of the reverse suites are drawn in blocks and screened by row sums, with
-the one-pair check deciding, so they equal the one-pair-at-a-time draws.
+The six scalar and classical suites share one score, ``_scalar_score``:
+trials are grouped by length and key, each group is stacked into (k, n)
+arrays, validated once and scored in one pass by the stacked kernel of
+``check_scalar_corollary``, ``majorization`` or ``classical_entropy``,
+which computes its constants once per group.  Rows are reduced with
+``np.sum``/``np.cumsum`` along the last axis, which gives a row the bits of
+the 1-d call, so ``check_scalar_corollary``, ``fuchs_margin``,
+``moment_margin`` and the classical margins, each a batch of one of its
+kernel, equal the suites bit for bit.  The conditioned pairs of the reverse
+suites are drawn in blocks and screened by row sums, with the one-pair
+check deciding, so they equal the one-pair-at-a-time draws.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -84,16 +87,11 @@ SCALAR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class InequalityVerdict:
-    """One inequality check: margin >= -tol means pass.
-
-    For operator inequalities L <= R the margin is lambda_min(R - L) and
-    lhs = rhs = 0.0; for scalars lhs and rhs are the two sides and the
-    margin is R - L.  Reports serialize only the margin and the context.
-    """
+    """One inequality check L <= R, scored by its margin: R - L for
+    scalars, lambda_min(R - L) for operators.  ``passed`` is margin >= -tol
+    (``_verdict``)."""
 
     inequality_id: str
-    lhs: float
-    rhs: float
     margin: float
     passed: bool
     context: dict = field(default_factory=dict)
@@ -371,10 +369,9 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_verdict(inequality_id, lhs, rhs, tol, context) -> InequalityVerdict:
-    margin = float(rhs - lhs)
-    return InequalityVerdict(inequality_id, float(lhs), float(rhs), margin,
-                             margin >= -tol, context)
+def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
+    margin = float(margin)
+    return InequalityVerdict(inequality_id, margin, margin >= -tol, context)
 
 
 def _stack(rows) -> np.ndarray:
@@ -414,9 +411,7 @@ def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
     """Operator verdicts for (inequality_id, rhs - lhs, context) items, with
     one lambda_min stack per dimension."""
     evals = _per_dim(oc._eigvalsh, [np.asarray(mat, dtype=complex) for _, mat, _ in items])
-    margins = [float(w[0]) for w in evals]
-    return [InequalityVerdict(name, 0.0, 0.0, m, m >= -tol, ctx)
-            for (name, _, ctx), m in zip(items, margins)]
+    return [_verdict(name, w[0], tol, ctx) for (name, _, ctx), w in zip(items, evals)]
 
 
 def _eigh_distinct(mats, eig=None):
@@ -452,9 +447,8 @@ def _jensen_verdicts(instances, tol, eig=None) -> List[InequalityVerdict]:
         X = np.stack(vecs)
         means = np.clip(_quadratic_forms(base, X), f.domain.m, f.domain.M)
         lifted = _quadratic_forms(img, X)
-        for j, (lhs, rhs) in enumerate(zip(f(means), lifted)):
-            verdicts.append(_scalar_verdict("lemma_jensen", lhs, rhs, tol,
-                                            {**ctx, "vector": j}))
+        verdicts += [_verdict("lemma_jensen", margin, tol, {**ctx, "vector": j})
+                     for j, margin in enumerate(lifted - f(means))]
     return verdicts
 
 
@@ -497,6 +491,11 @@ def _mean_margin_mats(instances, include_limits: bool, eig=None):
     (``eig`` holds those the caller already has).  Instances with n = 1 pass
     B as the same object as A, so it is decomposed once.  Each image is
     recomposed on its own, so the margins do not depend on the batch."""
+    for *_, r, iv in instances:
+        if abs(r) < 1e-12:
+            raise DomainError("r = 0 is degenerate here; use the limit checks")
+        if iv.m <= 0.0:
+            raise DomainError("the interval must be positive (m > 0)")
     eig = _eigh_distinct([M for Z, As, Bs, *_ in instances for M in (Z, *As, *Bs)], eig)
 
     def image(M, spectral_map, *args):
@@ -554,36 +553,35 @@ def _vn_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
     """alpha H(B) <= H(A) + (alpha/e) dim and |H(A) - H(B)| <= dim/e for
     (A, B, alpha, context) instances; ``evals`` holds the spectra (w_A, w_B)
     when the caller already has them."""
+    if any(inst[2] < 0.0 for inst in instances):
+        raise DomainError("alpha must be >= 0")
     verdicts = []
     for (A, _, alpha, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
         ha = oc.von_neumann_entropy_from_evals(wa)
         hb = oc.von_neumann_entropy_from_evals(wb)
         dim = A.shape[0]
-        verdicts.append(_scalar_verdict("entropy_vn_alpha", alpha * hb,
-                                        ha + alpha / math.e * dim, tol, ctx))
-        verdicts.append(_scalar_verdict("entropy_vn_symmetric", abs(ha - hb),
-                                        dim / math.e, tol, ctx))
+        verdicts.append(_verdict("entropy_vn_alpha",
+                                 ha + alpha / math.e * dim - alpha * hb, tol, ctx))
+        verdicts.append(_verdict("entropy_vn_symmetric", dim / math.e - abs(ha - hb), tol, ctx))
     return verdicts
-
-
-def _tsallis_beta_factor(r: float) -> float:
-    return 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
 
 
 def _tsallis_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
     """alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim and the symmetric
-    difference bound for (A, B, alpha, r, context) instances; ``evals`` as
-    in _vn_verdicts."""
+    difference bound for (A, B, alpha, r, context) instances, r in (0, 1];
+    ``evals`` as in _vn_verdicts."""
+    for _, _, alpha, r, _ in instances:
+        if alpha < 0.0 or not 0.0 < r <= 1.0:
+            raise DomainError(f"needs alpha >= 0 and r in (0, 1], got {alpha} and {r}")
     verdicts = []
     for (A, _, alpha, r, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
         ha = oc.tsallis_entropy_from_evals(wa, r)
         hb = oc.tsallis_entropy_from_evals(wb, r)
-        fac = _tsallis_beta_factor(r)
+        fac = 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
         dim = A.shape[0]
-        verdicts.append(_scalar_verdict("entropy_tsallis_alpha", alpha * hb,
-                                        ha + alpha * fac * dim, tol, ctx))
-        verdicts.append(_scalar_verdict("entropy_tsallis_symmetric", abs(ha - hb),
-                                        fac * dim, tol, ctx))
+        verdicts.append(_verdict("entropy_tsallis_alpha",
+                                 ha + alpha * fac * dim - alpha * hb, tol, ctx))
+        verdicts.append(_verdict("entropy_tsallis_symmetric", fac * dim - abs(ha - hb), tol, ctx))
     return verdicts
 
 
@@ -703,10 +701,10 @@ def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing
         raise PreconditionError("check_scalar_corollary needs convex f")
 
 
-def _scalar_corollary_rows(P, X, Y, f: FunctionSpec, alpha: float):
-    """[(form id, lhs, rhs)] of the beta, ratio and diff forms for each row
-    of checked (k, n) stacks of p, x and y; each constant is computed once.
-    The ratio form is left out when f is not strictly positive."""
+def _scalar_corollary_margins(P, X, Y, f: FunctionSpec, alpha: float):
+    """[(form id, margins)] of the beta, ratio and diff forms, one margin per
+    row of checked (k, n) stacks of p, x and y; each constant is computed
+    once.  The ratio form is left out when f is not strictly positive."""
     iv = f.domain
     sum_fy = np.sum(P * f(Y), axis=-1)
     sum_fx = np.sum(P * f(X), axis=-1)
@@ -716,9 +714,7 @@ def _scalar_corollary_rows(P, X, Y, f: FunctionSpec, alpha: float):
     except PreconditionError:
         pass
     forms.append(("scalar_diff_form", sb.diff_constant(f, iv) + sum_fx))
-    names = [name for name, _ in forms]
-    return [[(name, lhs, rhs) for name, rhs in zip(names, row)]
-            for lhs, *row in zip(sum_fy.tolist(), *(rhs.tolist() for _, rhs in forms))]
+    return [(name, rhs - sum_fy) for name, rhs in forms]
 
 
 def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
@@ -737,8 +733,8 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     _check_scalar_corollary_rows(P, X, Y, f, mode,
                                  mode == MODE_RELAXED and _is_decreasing(f, f.domain))
     ctx = {**(context or {}), "alpha": alpha, "f": f.name, "mode": mode}
-    return [_scalar_verdict(name, lhs, rhs, tol, ctx)
-            for name, lhs, rhs in _scalar_corollary_rows(P, X, Y, f, alpha)[0]]
+    return [_verdict(name, margins[0], tol, ctx)
+            for name, margins in _scalar_corollary_margins(P, X, Y, f, alpha)]
 
 
 def _density_pair(A, B):
@@ -754,8 +750,6 @@ def _density_pair(A, B):
 def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
                              context: Optional[dict] = None):
     """alpha H(B) <= H(A) + (alpha/e) dim, plus |H(A) - H(B)| <= dim/e."""
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
     A, B, evals = _density_pair(A, B)
     ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha}
     return _vn_verdicts([(A, B, alpha, ctx)], tol, evals)
@@ -765,10 +759,6 @@ def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
                           context: Optional[dict] = None):
     """Deformed analog: alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim,
     plus the symmetric difference bound."""
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"needs r in (0, 1], got {r}")
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
     A, B, evals = _density_pair(A, B)
     ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, "r": r}
     return _tsallis_verdicts([(A, B, alpha, r, ctx)], tol, evals)
@@ -800,10 +790,6 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     claims are checked as well (these need m >= 1 resp. m >= sqrt(e) to
     hold; the generator in the limits suite pins such intervals).
     """
-    if abs(r) < 1e-12:
-        raise DomainError("r = 0 is degenerate here; use the limit checks")
-    if iv.m <= 0.0:
-        raise DomainError("the interval must be positive (m > 0)")
     Z = oc.assert_hermitian(Z, "Z")
     if isinstance(Xs, np.ndarray) and Xs.ndim == 2:
         Xs = [Xs]
@@ -835,22 +821,25 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
 # function catalog used by the suites
 # ---------------------------------------------------------------------------
 
+_CATALOG = {
+    "t_log_t": FunctionSpec.t_log_t(Interval(0.0, 1.0)),
+    "neg_log": FunctionSpec.neg_log(Interval(0.05, 1.0)),
+    "power2": FunctionSpec.power(2.0, Interval(0.2, 2.0)),
+    "tsallis_05": FunctionSpec.tsallis_f(0.5, Interval(0.0, 1.0)),
+}
+
 
 def function_catalog(name: str) -> FunctionSpec:
     """Named convex test functions with their standard intervals."""
-    if name == "t_log_t":
-        return FunctionSpec.t_log_t(Interval(0.0, 1.0))
-    if name == "neg_log":
-        return FunctionSpec.neg_log(Interval(0.05, 1.0))
-    if name == "power2":
-        return FunctionSpec.power(2.0, Interval(0.2, 2.0))
-    if name == "tsallis_05":
-        return FunctionSpec.tsallis_f(0.5, Interval(0.0, 1.0))
-    raise DomainError(f"unknown catalog function {name!r}")
+    if name not in _CATALOG:
+        raise DomainError(f"unknown catalog function {name!r}")
+    return _CATALOG[name]
 
 
-_DEFAULT_FS = ("t_log_t", "neg_log", "power2", "tsallis_05")
+_DEFAULT_FS = tuple(_CATALOG)
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
+# relaxed mode needs a decreasing f: each catalog function is scanned once
+_DECREASING = {f: _is_decreasing(f, f.domain) for f in _CATALOG.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -863,17 +852,46 @@ class _Suite:
     """``draw(i, rng, params, ctx)`` builds trial i's instance from the
     trial's own rng, given the base context {trial, seed}; ``score(instances,
     params)`` runs the suite's batch kernel once on all the instances;
-    ``defaults`` fill in the params the caller leaves out, and ``prepare``
-    adds what a run derives from its params once, before the draws."""
+    ``defaults`` fill in the params the caller leaves out."""
 
     draw: Callable
     score: Callable
     defaults: dict
-    prepare: Callable = dict
 
 
 def _cycle(seq, i):
     return seq[i % len(seq)]
+
+
+# instance sizes no caller sets: matrices of a Jensen or map-sum instance,
+# entries of a scalar_corollary and of a prefix (fuchs, moment) instance,
+# and the cycled vector lengths of the probability suites
+_MAP_N = 3
+_SCALAR_N = 4
+_PREFIX_N = 5
+_INFO_SIZES = (2, 3, 5, 8)
+_REVERSE_SIZES = (2, 3, 4, 6)
+_BETA_FAMILIES = ("uniform_permutation", "doubly_stochastic_mix")
+_MOMENT_ORDERS = (1, 2, 4)
+
+
+def _scalar_score(kernel):
+    """The score of a scalar suite whose draw gives (rows, key, context):
+    trials are grouped by (row length, key) and stacked into (k, n) arrays,
+    and ``kernel(key, tol, *stacks)`` returns [(inequality id, margins,
+    tol)], one margin per stacked row.  A kernel gives a row the bits of a
+    batch of one, so the grouping does not show."""
+    def score(instances, params):
+        rows, keys, ctxs = zip(*instances)
+
+        def solve(key, *stacks):
+            return zip(*([(name, m, tol) for m in margins.tolist()]
+                         for name, margins, tol in kernel(key[1], params["tol"], *stacks)))
+
+        forms = _per_group(solve, [(len(r[0]), k) for r, k in zip(rows, keys)], *zip(*rows))
+        return [_verdict(name, m, tol, ctx)
+                for trial_forms, ctx in zip(forms, ctxs) for name, m, tol in trial_forms]
+    return score
 
 
 def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
@@ -893,7 +911,7 @@ def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
 def _draw_jensen(i, rng, params, ctx):
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
-    family, mats, vecs = _gen_jensen_instance(max(1, params["n"]), dim, f.domain, rng)
+    family, mats, vecs = _gen_jensen_instance(_MAP_N, dim, f.domain, rng)
     return family, mats, f, vecs, dict(ctx, dim=dim, f=f.name)
 
 
@@ -926,24 +944,17 @@ def _draw_map_sum(i, rng, params, ctx, gen, kind):
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
     alpha = _cycle(params["alphas"], i)
-    As, Bs, family = gen(params["n"], dim, f.domain, kind, rng)
+    As, Bs, family = gen(_MAP_N, dim, f.domain, kind, rng)
     return family, As, Bs, f, alpha, dict(ctx, dim=dim, f=f.name, alpha=alpha, family=kind)
-
-
-def _with_catalog(params):
-    """params plus "catalog": (FunctionSpec, is decreasing) for each name of
-    params["fs"], built once per run; the draws and the score read it."""
-    specs = [function_catalog(name) for name in params["fs"]]
-    return {**params, "catalog": tuple((f, _is_decreasing(f, f.domain)) for f in specs)}
 
 
 def _draw_scalar_corollary(i, rng, params, ctx):
     """Equal weighted means, or on odd trials with decreasing f the relaxed
     sum p x <= sum p y."""
-    n = params["n"]
-    f, decreasing = _cycle(params["catalog"], i)
+    n = _SCALAR_N
+    f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
-    if i % 2 == 1 and decreasing:
+    if i % 2 == 1 and _DECREASING[f]:
         x = rng.uniform(iv.m, iv.M, size=n)
         y = rng.uniform(iv.m, iv.M, size=n)
         p = rng.dirichlet(np.ones(n))
@@ -953,68 +964,39 @@ def _draw_scalar_corollary(i, rng, params, ctx):
     else:
         x, y, p = gen_equal_weighted_mean_scalars(n, iv, rng)
         mode = MODE_EQUAL
-    return p, x, y, f, _cycle(params["alphas"], i), mode, dict(ctx, dim=n)
+    return (p, x, y), (f, alpha, mode), dict(ctx, dim=n, alpha=alpha, f=f.name, mode=mode)
 
 
-def _score_scalar_corollary(instances, params):
-    decreasing = dict(params["catalog"])
-
-    def solve(key, P, X, Y):
-        _, f, alpha, mode = key
-        _check_scalar_corollary_rows(P, X, Y, f, mode, decreasing[f])
-        return _scalar_corollary_rows(P, X, Y, f, alpha)
-
-    p, x, y, *_ = zip(*instances)
-    keys = [(len(pi), f, alpha, mode) for pi, _, _, f, alpha, mode, _ in instances]
-    verdicts = []
-    for (*_, f, alpha, mode, ctx), forms in zip(instances, _per_group(solve, keys, p, x, y)):
-        ctx = {**ctx, "alpha": alpha, "f": f.name, "mode": mode}
-        verdicts += [_scalar_verdict(name, lhs, rhs, params["tol"], ctx)
-                     for name, lhs, rhs in forms]
-    return verdicts
+def _scalar_corollary_kernel(key, tol, P, X, Y):
+    f, alpha, mode = key
+    _check_scalar_corollary_rows(P, X, Y, f, mode, _DECREASING[f])
+    return [(name, m, tol) for name, m in _scalar_corollary_margins(P, X, Y, f, alpha)]
 
 
 _PREFIX_INTERVAL = Interval(-1.0, 2.0)
 
 
-def _draw_prefix_instance(i, rng, params, ctx):
-    n = params["n"]
-    x, y, p = gen_fuchs_instance(n, _PREFIX_INTERVAL, rng)
-    return x, y, p, dict(ctx, dim=n)
-
-
-def _prefix_verdicts(inequality_id, instances, params, kinds, margins):
-    """One verdict per (x, y, p, context) instance of the prefix suites:
-    trial i has kind ``kinds[i % len(kinds)]`` and, on the stacks of its
-    (n, kind) group, margin ``margins(kind, X, Y, P)``."""
-    x, y, p, ctx = zip(*instances)
-    keys = [(len(pi), c["trial"] % len(kinds)) for pi, c in zip(p, ctx)]
-    rows = _per_group(lambda key, X, Y, P: margins(kinds[key[1]], X, Y, P).tolist(),
-                      keys, x, y, p)
-    return [_scalar_verdict(inequality_id, 0.0, m, params["tol"], c)
-            for m, c in zip(rows, ctx)]
-
-
-def _score_fuchs(instances, params):
-    # a custom FunctionSpec runs a convexity scan when built: once per run
-    iv = _PREFIX_INTERVAL
-    dom = Interval(iv.m - 0.5, iv.M + 0.5)
-    fs = [FunctionSpec.custom(g, "convex", dom, name) for g, name in (
+@functools.lru_cache(maxsize=None)
+def _fuchs_fs():
+    """The fuchs functions, convex around _PREFIX_INTERVAL, built on first use:
+    a custom FunctionSpec's convexity scan imports numpy.random."""
+    dom = Interval(_PREFIX_INTERVAL.m - 0.5, _PREFIX_INTERVAL.M + 0.5)
+    return tuple(FunctionSpec.custom(g, "convex", dom, name) for g, name in (
         (lambda t: np.asarray(t, dtype=float) ** 2, "t^2"),
         (lambda t: np.exp(np.asarray(t, dtype=float)), "exp(t)"),
-        (lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "|t-1|"))]
-    instances = [(x, y, p, dict(ctx, f=_cycle(fs, ctx["trial"]).name))
-                 for x, y, p, ctx in instances]
-    return _prefix_verdicts("fuchs_margin", instances, params, fs, mj._fuchs_rows)
+        (lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "|t-1|")))
 
 
-def _score_moment(instances, params):
-    instances = [(x, y, p, dict(ctx, r=_cycle(params["orders"], ctx["trial"])))
-                 for x, y, p, ctx in instances]
-    return _prefix_verdicts(
-        "moment_margin", instances, params, params["orders"],
-        lambda order, X, Y, P: mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True),
-                                               X, Y, order))
+def _draw_fuchs(i, rng, params, ctx):
+    f = _cycle(_fuchs_fs(), i)
+    x_y_p = gen_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng)
+    return x_y_p, f, dict(ctx, dim=_PREFIX_N, f=f.name)
+
+
+def _draw_moment(i, rng, params, ctx):
+    order = _cycle(_MOMENT_ORDERS, i)
+    x_y_p = gen_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng)
+    return x_y_p, order, dict(ctx, dim=_PREFIX_N, r=order)
 
 
 def _draw_density_pair(i, rng, params, ctx):
@@ -1032,66 +1014,47 @@ def _draw_tsallis_pair(i, rng, params, ctx):
 
 
 def _draw_prob_pair(i, rng, params, ctx):
-    """(p, q, r, context): two Dirichlet draws floored at 1e-12."""
-    n, r = _cycle(params["sizes"], i), _cycle(params["rs"], i)
+    """((p, q), r, context): two Dirichlet draws floored at 1e-12."""
+    n, r = _cycle(_INFO_SIZES, i), _cycle(params["rs"], i)
     p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
     q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
-    return p / p.sum(), q / q.sum(), r, dict(ctx, dim=n, r=r)
+    return (p / p.sum(), q / q.sum()), r, dict(ctx, dim=n, r=r)
 
 
-def _info_inequality_rows(P, Q, r):
-    """(information margin, -sum p^(1-r) ln_r p, -sum p^(1-r) ln_r q,
-    sum p ln_r(1/p)) for each row pair of the stacks P, Q."""
+def _info_inequality_kernel(r, tol, P, Q):
+    """The information inequality, its r-extended form (weighted cross terms
+    -sum p^(1-r) ln_r q against q = p) and the agreement, within 1e-10, of
+    the two r-deformed forms of the self term."""
     info = ce._information_rows(P, Q)
     # ln_r rejects a zero of p, so every entry of p counts in the sums
     weighted_p = -np.sum(P ** (1.0 - r) * ln_r(r, P), axis=-1)
     weighted_q, _ = ce._tsallis_cross_rows(P, Q, r)
     naive_p = np.sum(P * ln_r(r, 1.0 / P), axis=-1)
-    return list(zip(info.tolist(), weighted_p.tolist(), weighted_q.tolist(),
-                    naive_p.tolist()))
-
-
-def _score_info_inequality(instances, params):
-    tol = params["tol"]
-    p, q, r, ctx = zip(*instances)
-    keys = [(len(pi), ri) for pi, ri in zip(p, r)]
-    rows = _per_group(lambda key, P, Q: _info_inequality_rows(P, Q, key[1]), keys, p, q)
-    verdicts = []
-    for (info, weighted_p, weighted_q, naive_p), c in zip(rows, ctx):
-        gap = abs(weighted_p - naive_p)
-        verdicts += [
-            _scalar_verdict("info_inequality", 0.0, info, tol, c),
-            _scalar_verdict("r_extended_info_inequality", weighted_p, weighted_q, tol, c),
-            InequalityVerdict("tsallis_forms_agree", weighted_p, naive_p,
-                              1e-10 - gap, gap <= 1e-10, c)]
-    return verdicts
+    return [("info_inequality", info, tol),
+            ("r_extended_info_inequality", weighted_q - weighted_p, tol),
+            ("tsallis_forms_agree", 1e-10 - np.abs(weighted_p - naive_p), 0.0)]
 
 
 def _draw_conditioned_pair(i, rng, params, ctx):
-    """(p, q, context): a floored pair whose dominance tag alternates."""
-    n = _cycle(params["sizes"], i)
+    """((p, q), (eps, direction), context): a floored pair whose dominance
+    tag alternates."""
+    n, eps = _cycle(_REVERSE_SIZES, i), params["eps"]
     direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
-    p, q = gen_conditioned_prob_pair(n, params["eps"], direction, rng)
-    return p, q, dict(ctx, dim=n, eps=params["eps"], direction=direction)
+    p, q = gen_conditioned_prob_pair(n, eps, direction, rng)
+    return (p, q), (eps, direction), dict(ctx, dim=n, eps=eps, direction=direction)
 
 
 def _draw_parametric_pair(i, rng, params, ctx):
-    p, q, ctx = _draw_conditioned_pair(i, rng, params, ctx)
-    return p, q, dict(ctx, r=_cycle(params["rs"], i))
+    pq, (eps, direction), ctx = _draw_conditioned_pair(i, rng, params, ctx)
+    r = _cycle(params["rs"], i)
+    return pq, (eps, r, direction), dict(ctx, r=r)
 
 
-def _reverse_score(suite_name, margins, key):
-    """Score (p, q, context) instances by margins(key, P, Q) -> (ratio, diff)
-    arrays, on the stacks of each (n, key(context)) group."""
-    def score(instances, params):
-        p, q, ctx = zip(*instances)
-        keys = [(len(pi), key(c)) for pi, c in zip(p, ctx)]
-        rows = _per_group(lambda k, P, Q: list(zip(*(m.tolist() for m in margins(k[1], P, Q)))),
-                          keys, p, q)
-        return [_scalar_verdict(suite_name + form, 0.0, m, params["tol"], c)
-                for pair, c in zip(rows, ctx)
-                for form, m in zip(("_ratio", "_diff"), pair)]
-    return score
+def _ratio_diff_kernel(suite_id, rows):
+    """The kernel of a reverse suite: ``rows(P, Q, *key)`` gives the ratio
+    and diff margins."""
+    return lambda key, tol, P, Q: [(suite_id + form, m, tol) for form, m in
+                                   zip(("_ratio", "_diff"), rows(P, Q, *key))]
 
 
 def _gen_mean_instance(rng, dim, iv, n):
@@ -1157,13 +1120,10 @@ def _jacobi_residuals(stack):
 
 
 def _score_eigensolver(instances, params):
-    tol = params["tol"]
-    verdicts = []
-    for ctx, res in _solve_by_dim(_jacobi_residuals, instances):
-        for name, r in zip(("eig_reconstruction", "eig_unitarity"), res):
-            m = tol - float(r)
-            verdicts.append(InequalityVerdict(name, float(r), tol, m, m >= 0.0, ctx))
-    return verdicts
+    # a residual passes when it is at most tol: the margin is tol - residual
+    return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
+            for ctx, res in _solve_by_dim(_jacobi_residuals, instances)
+            for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
 
 
 # Jacobi and LAPACK eigenvalues must agree within 16 d eps max(1, ||A||_F);
@@ -1181,68 +1141,60 @@ def _crosscheck(stack):
     return list(zip(diff, bound))
 
 
-def _score_eigensolver_crosscheck(instances, params):
-    verdicts = []
-    for ctx, (diff, bound) in _solve_by_dim(_crosscheck, instances):
-        m = float(bound - diff)
-        verdicts.append(InequalityVerdict("eig_crosscheck", float(diff), float(bound),
-                                          m, m >= 0.0, ctx))
-    return verdicts
-
-
-_MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "n": 3, "fs": _DEFAULT_FS,
-                     "alphas": _DEFAULT_ALPHAS, "tol": OPERATOR_TOL}
-_PREFIX_DEFAULTS = {"n": 5, "tol": SCALAR_TOL}
+_MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS,
+                     "tol": OPERATOR_TOL}
 _DENSITY_DEFAULTS = {"dims": (2, 3, 4, 5, 6, 7, 8), "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}
-_REVERSE_DEFAULTS = {"eps": 0.05, "sizes": (2, 3, 4, 6), "tol": SCALAR_TOL}
+_REVERSE_DEFAULTS = {"eps": 0.05, "tol": SCALAR_TOL}
 _MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1), "tol": OPERATOR_TOL}
 _EIG_DIMS = {"dims": tuple(range(2, 17))}
 
 # A suite reads only the params its draw and score name: the CLI passes one
 # params dict (dims, rs, alphas, eps, interval) to every suite, so
-# reverse_shannon keeps r unset, entropy_vn ignores rs, corollary_weighted
-# keeps its fixed weights_v* cycle whatever "families" says, and fuchs and
-# moment draw from _PREFIX_INTERVAL, not the operator-mean "interval".
+# reverse_shannon keeps r unset, entropy_vn ignores rs, and fuchs and moment
+# draw from _PREFIX_INTERVAL, not the operator-mean "interval".
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
         _draw_jensen, lambda insts, p: _jensen_verdicts(insts, p["tol"]),
-        {"dims": (2, 3, 4, 6, 8), "n": 3, "fs": _DEFAULT_FS, "tol": SCALAR_TOL}),
+        {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS, "tol": SCALAR_TOL}),
     "theorem_beta": _Suite(
         lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, gen_equal_map_sum_operators,
-                                             _cycle(p["families"], i)),
+                                             _cycle(_BETA_FAMILIES, i)),
         lambda insts, p: _map_sum_verdicts(insts, "theorem_beta", p["tol"]),
-        {**_MAP_SUM_DEFAULTS, "families": ("uniform_permutation", "doubly_stochastic_mix")}),
+        _MAP_SUM_DEFAULTS),
     "corollary_weighted": _Suite(
         lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _gen_weighted_instance,
                                              _cycle(_WEIGHT_VARIANTS, i)),
         lambda insts, p: _map_sum_verdicts(insts, "corollary_weighted", p["tol"]),
         _MAP_SUM_DEFAULTS),
     "scalar_corollary": _Suite(
-        _draw_scalar_corollary, _score_scalar_corollary,
-        {"n": 4, "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL},
-        _with_catalog),
-    "fuchs": _Suite(_draw_prefix_instance, _score_fuchs, _PREFIX_DEFAULTS),
-    "moment": _Suite(_draw_prefix_instance, _score_moment,
-                     {**_PREFIX_DEFAULTS, "orders": (1, 2, 4)}),
+        _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
+        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}),
+    "fuchs": _Suite(
+        _draw_fuchs,
+        _scalar_score(lambda f, tol, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
+                                                tol)]),
+        {"tol": SCALAR_TOL}),
+    "moment": _Suite(
+        _draw_moment,
+        _scalar_score(lambda order, tol, X, Y, P: [(
+            "moment_margin",
+            mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), tol)]),
+        {"tol": SCALAR_TOL}),
     "entropy_vn": _Suite(_draw_density_pair, lambda insts, p: _vn_verdicts(insts, p["tol"]),
                          _DENSITY_DEFAULTS),
     "entropy_tsallis": _Suite(
         _draw_tsallis_pair, lambda insts, p: _tsallis_verdicts(insts, p["tol"]),
         {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)}),
     "info_inequality": _Suite(
-        _draw_prob_pair, _score_info_inequality,
-        {"sizes": (2, 3, 5, 8), "rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),
+        _draw_prob_pair, _scalar_score(_info_inequality_kernel),
+        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),
     "reverse_shannon": _Suite(
         _draw_conditioned_pair,
-        _reverse_score("reverse_shannon",
-                       lambda k, P, Q: ce._reverse_shannon_rows(P, Q, *k),
-                       lambda c: (c["eps"], c["direction"])),
+        _scalar_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
         _REVERSE_DEFAULTS),
     "parametric_reverse": _Suite(
         _draw_parametric_pair,
-        _reverse_score("parametric_reverse",
-                       lambda k, P, Q: ce._parametric_reverse_rows(P, Q, *k),
-                       lambda c: (c["eps"], c["r"], c["direction"])),
+        _scalar_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
         {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}),
     "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
                              {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)}),
@@ -1250,7 +1202,9 @@ _SUITES: Dict[str, _Suite] = {
     "mean_limits": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT),
                           {**_MEAN_DEFAULTS, "rs": (0.3,)}),
     "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, {**_EIG_DIMS, "tol": 1e-10}),
-    "eigensolver_crosscheck": _Suite(_draw_hermitian, _score_eigensolver_crosscheck, _EIG_DIMS),
+    "eigensolver_crosscheck": _Suite(_draw_hermitian, lambda insts, p: [
+        _verdict("eig_crosscheck", bound - diff, 0.0, ctx)
+        for ctx, (diff, bound) in _solve_by_dim(_crosscheck, insts)], _EIG_DIMS),
 }
 
 #: excluded from "all": the C-term-on-the-left orientation of the 0 < r < 1
@@ -1263,10 +1217,7 @@ _EXTRA_SUITES: Dict[str, _Suite] = {
 
 
 def suite_ids(include_extra: bool = False):
-    ids = list(_SUITES)
-    if include_extra:
-        ids += list(_EXTRA_SUITES)
-    return ids
+    return list(_SUITES) + (list(_EXTRA_SUITES) if include_extra else [])
 
 
 def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = None,
@@ -1280,13 +1231,13 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
     if trials < 0:
         raise DomainError("trials must be >= 0")
-    params = suite.prepare({**suite.defaults, **(params or {})})
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
-    verdicts = []
-    if trials > 0:
-        instances = [suite.draw(i, trial_rng(seed, i), params, {"trial": i, "seed": seed})
-                     for i in range(trials)]
-        verdicts = suite.score(instances, params)
+    instances = [suite.draw(i, trial_rng(seed, i), params, {"trial": i, "seed": seed})
+                 for i in range(trials)]
+    verdicts = suite.score(instances, params) if instances else []
     elapsed = int((time.perf_counter() - t0) * 1000)
     failures = sum(0 if v.passed else 1 for v in verdicts)
     worst = min(verdicts, key=lambda v: v.margin, default=None)

@@ -22,6 +22,13 @@ def exit_code(argv):
         return exc.code
 
 
+def _traceless_usage_error(argv, capsys):
+    """Exit 2 with an ``error:`` line; any other exception propagates."""
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_single_suite_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -128,7 +135,10 @@ class TestConfigIsParsedAsFlags:
         {"seed": None},         # null is no flag value
         {"config": "other.json"},
         [4],                    # not an object
-    ], ids=["format", "dims", "typo", "seed_float", "null", "nested", "list"])
+        {"tri": 3},             # flag names are exact, not prefixes
+        {"alpha": "nan"},       # float flags are finite
+    ], ids=["format", "dims", "typo", "seed_float", "null", "nested", "list", "abbrev",
+            "nan"])
     def test_bad_config_usage_error(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -177,9 +187,14 @@ class TestCommandsTakeOnlyTheirFlags:
         ["constants", "--seed", "1"], ["constants", "--M", "2"], ["constants", "--dims", "2"],
         ["scan", "fannes", "--alpha", "1"], ["scan", "specht", "--seed", "1"],
         ["scan", "ls_r", "--r", "0.5"], ["scan", "ls_r", "--m", "1"],
+        # each scan quantity takes only its own flags
+        ["scan", "fannes", "--eps", "7", "--h", "0.5", "--steps", "2"],
+        ["scan", "fannes", "--start", "9"], ["scan", "ls_r", "--h", "3"],
+        ["scan", "ls_r", "--dims", "3"], ["scan", "specht", "--eps", "0.3"],
+        ["scan", "specht", "--h", "3"], ["scan", "kantorovich", "--eps", "0.3"],
     ])
-    def test_unread_flag_usage_error(self, argv):
-        assert exit_code(argv) == 2
+    def test_unread_flag_usage_error(self, argv, capsys):
+        _traceless_usage_error(argv, capsys)
 
     def test_unread_config_key_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -191,20 +206,68 @@ class TestCommandsTakeOnlyTheirFlags:
         assert run(["verify", "--suite", "operator_means", "--trials", "1", flag, "2"]) == 2
 
     def test_accepted_flags(self):
-        # the flags each command reads, and no other
+        # the flags each command, and each scan quantity, reads, and no other
+        axis = {"config", "out", "format", "start", "stop", "steps"}
         want = {
             "constants": {"config", "out", "format", "eps", "r", "alpha", "h", "m"},
             "verify": {"config", "out", "format", "suite", "trials", "seed", "r", "alpha",
                        "eps", "m", "M", "dims"},
-            "scan": {"config", "out", "format", "quantity", "eps", "start", "stop",
-                     "steps", "h", "dims"},
+            "scan fannes": {"config", "out", "format", "dims"},
+            "scan ls_r": axis | {"eps"},
+            "scan specht": axis,
+            "scan kantorovich": axis | {"h"},
             "oracle": {"config", "out", "format", "tol"},
         }
-        parser = cli.build_parser()
-        subparsers = next(a for a in parser._actions if a.dest == "command").choices
-        got = {name: {a.dest for a in sub._actions if a.dest != "help"}
-               for name, sub in subparsers.items()}
-        assert got == want
+
+        def flags(parser, path=()):
+            sub = [a for a in parser._actions if a.dest in ("command", "quantity")]
+            if not sub:
+                return {" ".join(path): {a.dest for a in parser._actions if a.dest != "help"}}
+            return {name: got for word, child in sub[0].choices.items()
+                    for name, got in flags(child, path + (word,)).items()}
+
+        assert flags(cli.build_parser()) == want
+
+
+class TestBadInputIsAUsageError:
+    @pytest.mark.parametrize("suite", ["all"] + vf.suite_ids(include_extra=True))
+    def test_negative_seed(self, suite, capsys):
+        _traceless_usage_error(["verify", "--suite", suite, "--trials", "2", "--seed", "-1"],
+                               capsys)
+
+    @pytest.mark.parametrize("suite, flags", [
+        ("entropy_tsallis", ["--r", "0"]),
+        ("entropy_tsallis", ["--r", "1.5"]),
+        ("operator_means", ["--r", "0"]),
+        ("mean_limits", ["--r", "0"]),
+        ("mean_c_lhs_variant", ["--r", "0"]),
+        ("entropy_vn", ["--alpha", "-1"]),
+        ("entropy_tsallis", ["--alpha", "-1"]),
+    ])
+    def test_out_of_domain_suite_param(self, suite, flags, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        _traceless_usage_error(["verify", "--suite", suite, "--trials", "4", "--out", str(out),
+                                *flags], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "entropy_vn", "--trials", "2", "--alpha", "nan"],
+        ["verify", "--suite", "entropy_tsallis", "--trials", "2", "--r", "nan"],
+        ["verify", "--suite", "parametric_reverse", "--trials", "2", "--r", "inf"],
+        ["oracle", "--tol", "nan"],
+        ["scan", "kantorovich", "--start=-inf"],
+    ])
+    def test_non_finite_float_flag(self, argv, capsys):
+        _traceless_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "fuchs", "--tri", "3"],
+        ["constants", "--al", "2"],
+        ["scan", "ls_r", "--ep", "0.3"],
+        ["oracle", "--to", "1e-6"],
+    ])
+    def test_abbreviated_flag(self, argv, capsys):
+        _traceless_usage_error(argv, capsys)
 
 
 class TestConstantsCommand:

@@ -466,6 +466,40 @@ class TestSuites:
         with pytest.raises(DomainError):
             vf.run_suite("nope", 10, 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            vf.run_suite("fuchs", 2, -1)
+
+    @pytest.mark.parametrize("suite, params, check", [
+        ("entropy_vn", {"alphas": (-1.0,)},
+         lambda A, B, Z, iv: vf.check_entropy_vonneumann(A, B, -1.0)),
+        # trial 0 of entropy_tsallis has alpha = 0 and r = 0.1 by default
+        ("entropy_tsallis", {"alphas": (-1.0,)},
+         lambda A, B, Z, iv: vf.check_entropy_tsallis(A, B, -1.0, 0.1)),
+        ("entropy_tsallis", {"rs": (0.0,)},
+         lambda A, B, Z, iv: vf.check_entropy_tsallis(A, B, 0.0, 0.0)),
+        ("entropy_tsallis", {"rs": (1.5,)},
+         lambda A, B, Z, iv: vf.check_entropy_tsallis(A, B, 0.0, 1.5)),
+        ("operator_means", {"rs": (0.0,)},
+         lambda A, B, Z, iv: vf.check_operator_mean_bounds(Z, Z, Z, [1.0], iv, 0.0)),
+        ("mean_limits", {"rs": (0.0,)}, None),
+        ("mean_c_lhs_variant", {"rs": (0.0,)}, None),
+        ("operator_means", {"interval": (0.0, 2.0)},
+         lambda A, B, Z, iv: vf.check_operator_mean_bounds(Z, Z, Z, [1.0], Interval(0.0, 2.0),
+                                                           0.5)),
+    ])
+    def test_suite_and_checker_reject_a_param_outside_the_domain(self, suite, params, check):
+        # the domain checks live in the kernel both share, so both raise the
+        # same DomainError instead of scoring the input
+        with pytest.raises(DomainError) as from_suite:
+            vf.run_suite(suite, 2, 0, params)
+        if check is not None:
+            rng = vf.trial_rng(5, 0)
+            A, B = oc.rand_density(2, rng), oc.rand_density(2, rng)
+            with pytest.raises(DomainError) as from_checker:
+                check(A, B, np.eye(2, dtype=complex), Interval(0.5, 2.0))
+            assert str(from_checker.value) == str(from_suite.value)
+
     def test_zero_trials_empty_report(self):
         rep = vf.run_suite("fuchs", 0, 123)
         assert rep.trials == 0
@@ -514,6 +548,15 @@ class TestSuites:
         ("fuchs", {"interval": (1.8, 4.0)}),
         ("moment", {"interval": (1.8, 4.0)}),
         ("eigensolver_crosscheck", {"tol": -1.0}),
+        # instance sizes, vector lengths, moment orders and map families are
+        # module constants, not params
+        ("theorem_beta", {"n": 7}),
+        ("scalar_corollary", {"n": 7}),
+        ("fuchs", {"n": 7}),
+        ("info_inequality", {"sizes": (9,)}),
+        ("reverse_shannon", {"sizes": (9,)}),
+        ("moment", {"orders": (3,)}),
+        ("theorem_beta", {"families": ("normalized_trace",)}),
     ])
     def test_params_a_suite_does_not_read_leave_its_verdicts_unchanged(self, suite, unread):
         # the CLI passes one params dict (dims, rs, alphas, eps, interval) to
@@ -581,12 +624,12 @@ class TestSuites:
 
         def fuchs(i, rng):
             x, y, p = vf.gen_fuchs_instance(5, Interval(-1.0, 2.0), rng)
-            return [vf.InequalityVerdict("fuchs_margin", 0.0, 0.0,
+            return [vf.InequalityVerdict("fuchs_margin",
                                          mj.fuchs_margin(prefix_fs[i % 3], x, y, p), True)]
 
         def moment(i, rng):
             x, y, p = vf.gen_fuchs_instance(5, Interval(-1.0, 2.0), rng)
-            return [vf.InequalityVerdict("moment_margin", 0.0, 0.0,
+            return [vf.InequalityVerdict("moment_margin",
                                          mj.moment_margin(p / p.sum(), x, y, (1, 2, 4)[i % 3]),
                                          True)]
 
@@ -598,7 +641,7 @@ class TestSuites:
             weighted_p, _ = ce.tsallis_cross_terms(p, p, r)
             weighted_q, _ = ce.tsallis_cross_terms(p, q, r)
             naive_p = float(np.sum(p * ln_r(r, 1.0 / p)))
-            return [vf.InequalityVerdict(name, 0.0, 0.0, m, True) for name, m in (
+            return [vf.InequalityVerdict(name, m, True) for name, m in (
                 ("info_inequality", ce.information_inequality_margin(p, q)),
                 ("r_extended_info_inequality", weighted_q - weighted_p),
                 ("tsallis_forms_agree", 1e-10 - abs(weighted_p - naive_p)))]
@@ -610,7 +653,7 @@ class TestSuites:
 
         def reverse_shannon(i, rng):
             p, q, direction = reverse_pair(i, rng)
-            return [vf.InequalityVerdict("reverse_shannon" + form, 0.0, 0.0, m, True)
+            return [vf.InequalityVerdict("reverse_shannon" + form, m, True)
                     for form, m in zip(("_ratio", "_diff"),
                                        ce.reverse_shannon_margins(p, q, 0.05, direction))]
 
@@ -618,7 +661,7 @@ class TestSuites:
             p, q, direction = reverse_pair(i, rng)
             margins = ce.parametric_reverse_margins(p, q, 0.05, (0.1, 0.5, 1.0, 2.0)[i % 4],
                                                     direction)
-            return [vf.InequalityVerdict("parametric_reverse" + form, 0.0, 0.0, m, True)
+            return [vf.InequalityVerdict("parametric_reverse" + form, m, True)
                     for form, m in zip(("_ratio", "_diff"), margins)]
 
         for checker, trials in ((theorem_beta, 48), (corollary_weighted, 48),
