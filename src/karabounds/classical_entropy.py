@@ -13,6 +13,7 @@ computes its constants once and reduces each row with
 ``np.sum(..., axis=-1)``, which gives a row the bits of the 1-d sum.  A
 public margin function checks that its arguments are 1-d and runs the
 kernel on a batch of one, so it equals the batched suites bit for bit.
+The inner-product condition, too, has one expression, ``_condition_gap``.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ SELF_DOMINATED = "self_dominated"    # sum p_i q_i <= sum p_i^2
 CROSS_DOMINATED = "cross_dominated"  # sum p_i^2  <= sum p_i q_i
 
 PROB_TOL = 1e-12
-# screen width for the row-sum form of the condition: it and the np.dot
-# form differ by at most about 4n * 1e-16 on probability vectors
-SCREEN_SLACK = 1e-9
 
 
 def _as_row(p) -> np.ndarray:
@@ -95,23 +93,16 @@ def as_prob_vector(p, floor: float | None = None) -> np.ndarray:
 
 
 def condition_tag_holds(p, q, tag: str) -> bool:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    pp = float(np.dot(p, p))
-    pq = float(np.dot(p, q))
-    if tag == SELF_DOMINATED:
-        return pq <= pp + PROB_TOL
-    if tag == CROSS_DOMINATED:
-        return pp <= pq + PROB_TOL
-    raise DomainError(f"unknown condition tag {tag!r}")
+    """Whether (p, q) meets the inner-product condition ``tag`` within
+    PROB_TOL: sum p_i q_i <= sum p_i^2 (``self_dominated``) or the reverse
+    (``cross_dominated``).  A batch of one of ``_condition_gap``."""
+    return bool(_condition_gap(_as_row(p), _as_row(q), tag)[0] <= PROB_TOL)
 
 
 def _condition_gap(P, Q, tag: str) -> np.ndarray:
     """Row-wise sum p(q - p) = sum pq - sum p^2 (``self_dominated``) or its
     negative (``cross_dominated``) of two stacks: the condition holds where
-    the gap is at most PROB_TOL.  This rounds differently from the two
-    np.dot of ``condition_tag_holds``, which decides wherever the gap is
-    within SCREEN_SLACK of the tolerance."""
+    the gap is at most PROB_TOL.  A row gets the same bits in any stack."""
     gap = np.sum(P * (Q - P), axis=-1)
     if tag == SELF_DOMINATED:
         return gap
@@ -124,9 +115,8 @@ def _check_reverse_rows(P, Q, eps: float, direction: str):
     """The reverse bounds' preconditions on the stacks P, Q: probability
     rows with components in [eps, 1] that meet the declared condition."""
     _check_pair_rows(P, Q, eps)
-    for j in np.flatnonzero(_condition_gap(P, Q, direction) > PROB_TOL - SCREEN_SLACK):
-        if not condition_tag_holds(P[j], Q[j], direction):
-            raise PreconditionError(f"declared condition {direction!r} does not hold")
+    if np.any(_condition_gap(P, Q, direction) > PROB_TOL):
+        raise PreconditionError(f"declared condition {direction!r} does not hold")
 
 
 def _entropy_rows(P) -> np.ndarray:
@@ -165,6 +155,14 @@ def cross_term(p, q) -> float:
     return float(_cross_rows(P, Q)[0])
 
 
+def _tsallis_rows(P, Q, r: float):
+    """Arrays (-sum p^(1-r) ln_r q, sum p ln_r(1/q)) for each row pair of
+    stacks of positive entries, r != 0; at Q = P, the two forms of H_r."""
+    weighted = -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1)
+    naive = np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
+    return weighted, naive
+
+
 def tsallis_entropy(p, r: float) -> float:
     """Deformed entropy H_r(p) for r in (0, 1].
 
@@ -175,9 +173,8 @@ def tsallis_entropy(p, r: float) -> float:
     p = as_prob_vector(p)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"tsallis_entropy needs r in (0, 1], got {r}")
-    pos = p[p > 0.0]
-    weighted = float(-np.sum(pos ** (1.0 - r) * ln_r(r, pos)))
-    naive = float(np.sum(pos * np.expm1(-r * np.log(pos)) / r))
+    pos = p[p > 0.0][None]
+    weighted, naive = (float(t[0]) for t in _tsallis_rows(pos, pos, r))
     if abs(weighted - naive) > 1e-8:
         raise ConsistencyError(
             f"Tsallis entropy forms disagree: {weighted} vs {naive}"
@@ -194,9 +191,7 @@ def _tsallis_cross_rows(P, Q, r: float):
     if abs(r) < 1e-15:
         cross = _cross_rows(P, Q)
         return cross, cross
-    weighted = -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1)
-    naive = np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
-    return weighted, naive
+    return _tsallis_rows(P, Q, r)
 
 
 def tsallis_cross_terms(p, q, r: float):

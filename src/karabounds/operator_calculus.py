@@ -489,13 +489,12 @@ def apply_map_family(family: MapFamily, mats: Sequence[np.ndarray]) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _power_of_psd(w: np.ndarray, r: float, floor_pd: bool) -> np.ndarray:
-    if floor_pd and w.min() < EIG_FLOOR:
+def _power_of_psd(w: np.ndarray, r: float) -> np.ndarray:
+    if w.min() < EIG_FLOOR:
         raise DomainError(
             f"matrix must be positive definite (eigenvalue floor {EIG_FLOOR}); "
             f"min eigenvalue {w.min():.3e}"
         )
-    w = np.maximum(w, 0.0) if not floor_pd else w
     return w ** r
 
 
@@ -530,7 +529,7 @@ def invsqrtm_pd(A: np.ndarray) -> np.ndarray:
 def mat_power(A: np.ndarray, r: float) -> np.ndarray:
     """A^r for positive definite A (any real r)."""
     w, V = _eigh_one(A)
-    return _recompose(_power_of_psd(w, r, floor_pd=True), V)
+    return _recompose(_power_of_psd(w, r), V)
 
 
 def mat_log(A: np.ndarray) -> np.ndarray:

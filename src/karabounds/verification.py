@@ -30,9 +30,9 @@ which computes its constants once per group.  Rows are reduced with
 ``np.sum``/``np.cumsum`` along the last axis, which gives a row the bits of
 the 1-d call, so ``check_scalar_corollary``, ``fuchs_margin``,
 ``moment_margin`` and the classical margins, each a batch of one of its
-kernel, equal the suites bit for bit.  The conditioned pairs of the reverse
-suites are drawn in blocks and screened by row sums, with the one-pair
-check deciding, so they equal the one-pair-at-a-time draws.
+kernel, equal the suites bit for bit.  A hypothesis, too, has one row-wise
+expression: weighted means are row sums, and the inner-product condition is
+``classical_entropy._condition_gap``, in a block of draws and for one pair.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from . import majorization as mj
 from . import operator_calculus as oc
 from . import scalar_bounds as sb
 from .errors import DomainError, GeneratorExhausted, PreconditionError, ShapeError
-from .functions import FunctionSpec, Interval, ln_r
+from .functions import FunctionSpec, Interval
 
 __all__ = [
     "InequalityVerdict",
@@ -200,9 +200,9 @@ def _first_accepted(rng, draw, candidates, accept, cap, first, width):
     ``draw(k)`` makes k draws in one call, which gives the same numbers as k
     single draws, and returns them as a block.  Blocks start at ``first``
     draws and double, capped at _REDRAW_BLOCK doubles of ``width`` per draw.
-    ``candidates(block)`` screens a block with slack and gives, in order,
-    the indices that may pass; ``accept(block, j)`` decides draw j with the
-    one-draw expression and returns its item or None.  After an accepted
+    ``candidates(block)`` gives, in order, the indices of a block that may
+    pass; ``accept(block, j)`` returns draw j's item, or None where the
+    one-draw expression rejects it.  After an accepted
     draw j the rng is rewound and j + 1 draws are redone, which gives back
     the draws after it."""
     done, k = 0, first
@@ -323,22 +323,17 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
 
     Pairs are drawn in blocks of doubling size from _PAIR_BLOCK, p and q
     interleaved (2k draws of size n give the same numbers as one (2k, n)
-    draw), and screened with row sums.  The one-row ``condition_tag_holds``
-    decides acceptance, and the rng ends where the one-pair-at-a-time loop
-    would."""
+    draw).  The first row whose ``ce._condition_gap`` is at most PROB_TOL is
+    taken, which is the pair ``condition_tag_holds`` takes, and the rng ends
+    where the one-pair-at-a-time loop would."""
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
     ones = np.ones(n)
-
-    def accept(D, j):
-        p, q = D[2 * j], D[2 * j + 1]
-        return (p.copy(), q.copy()) if ce.condition_tag_holds(p, q, direction) else None
-
     pair = _first_accepted(
         rng, lambda k: eps + (1.0 - n * eps) * rng.dirichlet(ones, size=2 * k),
         lambda D: np.flatnonzero(ce._condition_gap(D[0::2], D[1::2], direction)
-                                 <= ce.PROB_TOL + ce.SCREEN_SLACK),
-        accept, cap, _PAIR_BLOCK, 2 * n)
+                                 <= ce.PROB_TOL),
+        lambda D, j: (D[2 * j].copy(), D[2 * j + 1].copy()), cap, _PAIR_BLOCK, 2 * n)
     if pair is not None:
         return pair
     raise GeneratorExhausted(
@@ -350,10 +345,10 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     """(x, y, p) satisfying the weighted prefix conditions by construction:
     y decreasing, p positive, and x built from y by averaging n random
     adjacent pairs (weighted), which preserves the weighted total and can
-    only lower prefix sums."""
+    only lower prefix sums.  All three arrays are C-contiguous."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    y = np.sort(rng.uniform(iv.m, iv.M, size=n))[::-1]
+    y = np.sort(rng.uniform(iv.m, iv.M, size=n))[::-1].copy()
     p = rng.uniform(0.2, 1.0, size=n)
     x = y.copy()
     for i in rng.integers(0, n - 1, size=n).tolist():
@@ -374,20 +369,9 @@ def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
     return InequalityVerdict(inequality_id, margin, margin >= -tol, context)
 
 
-def _stack(rows) -> np.ndarray:
-    """np.stack of ``rows``, except that 1-d rows which all run backwards in
-    memory (``[::-1]`` views, like ``gen_fuchs_instance``'s y) stack into a
-    (k, n) view that runs backwards as a whole.  numpy's exp and log take
-    another loop, with other last bits, on a negative stride, and they take
-    it on such a view too, so each row keeps the bits of a 1-d call."""
-    if all(r.ndim == 1 and r.strides[0] < 0 for r in rows):
-        return np.stack([r[::-1] for r in rows[::-1]])[::-1, ::-1]
-    return np.stack(rows)
-
-
 def _per_group(solve, keys, *columns) -> list:
     """The results of ``solve(key, *stacks)`` for each row, in row order:
-    one call per distinct key, on the ``_stack`` of that key's entries of
+    one call per distinct key, on the ``np.stack`` of that key's entries of
     each column (``solve`` returns one entry per stacked row).  Every kernel
     gives a row the same bits in any stack, so the grouping does not show."""
     groups = defaultdict(list)
@@ -395,7 +379,7 @@ def _per_group(solve, keys, *columns) -> list:
         groups[key].append(j)
     out = [None] * len(keys)
     for key, idxs in groups.items():
-        stacks = [_stack([col[j] for j in idxs]) for col in columns]
+        stacks = [np.stack([col[j] for j in idxs]) for col in columns]
         for j, res in zip(idxs, solve(key, *stacks)):
             out[j] = res
     return out
@@ -505,9 +489,9 @@ def _mean_margin_mats(instances, include_limits: bool, eig=None):
     out = []
     for Z, As, Bs, w, r, iv in instances:
         zs = image(Z, oc._sqrt_of_psd)
-        P = oc.hermitize(zs @ sum(wi * image(A, oc._power_of_psd, r, True)
+        P = oc.hermitize(zs @ sum(wi * image(A, oc._power_of_psd, r)
                                   for wi, A in zip(w, As)) @ zs)
-        Q = oc.hermitize(zs @ sum(wi * image(B, oc._power_of_psd, r, True)
+        Q = oc.hermitize(zs @ sum(wi * image(B, oc._power_of_psd, r)
                                   for wi, B in zip(w, Bs)) @ zs)
         h = iv.M / iv.m
         big_k = sb.kantorovich(h, r)
@@ -667,16 +651,6 @@ def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
     return bool(np.all(np.diff(vals) <= 1e-12))
 
 
-def _check_means(p, x, y, mode):
-    """The weighted-mean precondition of one (p, x, y) row, by np.dot."""
-    mx, my = float(np.dot(p, x)), float(np.dot(p, y))
-    if mode == MODE_EQUAL:
-        if abs(mx - my) > 1e-10 * max(1.0, abs(my)):
-            raise PreconditionError(f"weighted means differ: {mx} vs {my}")
-    elif mx > my + 1e-10 * max(1.0, abs(my)):
-        raise PreconditionError(f"relaxed mode needs sum p x <= sum p y ({mx} > {my})")
-
-
 def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing: bool):
     """``check_scalar_corollary``'s preconditions on (k, n) stacks of p, x
     and y, one instance per row; ``decreasing`` is ``_is_decreasing(f,
@@ -688,13 +662,13 @@ def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing
         raise PreconditionError("entries must lie in the function interval")
     if mode not in (MODE_EQUAL, MODE_RELAXED):
         raise DomainError(f"unknown mode {mode!r}")
-    # row sums screen the means; a row sum differs from np.dot by far less
-    # than 1e-12 of the terms' magnitude, and np.dot decides near the bound
     mx, my = np.sum(P * X, axis=-1), np.sum(P * Y, axis=-1)
     gap = np.abs(mx - my) if mode == MODE_EQUAL else mx - my
-    slack = 1e-12 * (np.sum(np.abs(P * X), axis=-1) + np.sum(np.abs(P * Y), axis=-1))
-    for j in np.flatnonzero(gap > 1e-10 * np.maximum(1.0, np.abs(my)) - slack):
-        _check_means(P[j], X[j], Y[j], mode)
+    bad = np.flatnonzero(gap > 1e-10 * np.maximum(1.0, np.abs(my)))
+    if bad.size:
+        mx, my = mx[bad[0]], my[bad[0]]
+        raise PreconditionError(f"weighted means differ: {mx} vs {my}" if mode == MODE_EQUAL
+                                else f"relaxed mode needs sum p x <= sum p y ({mx} > {my})")
     if mode == MODE_RELAXED and not decreasing:
         raise PreconditionError("relaxed mode needs monotone decreasing f")
     if not f.is_convex:
@@ -1023,13 +997,14 @@ def _draw_prob_pair(i, rng, params, ctx):
 
 def _info_inequality_kernel(r, tol, P, Q):
     """The information inequality, its r-extended form (weighted cross terms
-    -sum p^(1-r) ln_r q against q = p) and the agreement, within 1e-10, of
-    the two r-deformed forms of the self term."""
+    -sum p^(1-r) ln_r q against q = p, false for r > 1) and the agreement,
+    within 1e-10, of the two r-deformed forms of the self term."""
+    if not 0.0 < r <= 1.0:
+        raise DomainError(f"info_inequality needs r in (0, 1], got {r}")
     info = ce._information_rows(P, Q)
     # ln_r rejects a zero of p, so every entry of p counts in the sums
-    weighted_p = -np.sum(P ** (1.0 - r) * ln_r(r, P), axis=-1)
+    weighted_p, naive_p = ce._tsallis_rows(P, P, r)
     weighted_q, _ = ce._tsallis_cross_rows(P, Q, r)
-    naive_p = np.sum(P * ln_r(r, 1.0 / P), axis=-1)
     return [("info_inequality", info, tol),
             ("r_extended_info_inequality", weighted_q - weighted_p, tol),
             ("tsallis_forms_agree", 1e-10 - np.abs(weighted_p - naive_p), 0.0)]
@@ -1100,14 +1075,6 @@ def _draw_hermitian(i, rng, params, ctx):
     return (G + G.conj().T) / 2.0, dict(ctx, dim=dim)
 
 
-def _solve_by_dim(solve, instances):
-    """(context, solve result) per (matrix, context) instance, grouped by
-    dimension in order of first appearance: the eigensolver suites' order."""
-    first = {}
-    instances = sorted(instances, key=lambda inst: first.setdefault(len(inst[0]), len(first)))
-    return zip([ctx for _, ctx in instances], _per_dim(solve, [A for A, _ in instances]))
-
-
 def _jacobi_residuals(stack):
     """(reconstruction, unitarity) residuals of the Jacobi eigensolver."""
     w, V = oc.eigh_stack(stack)
@@ -1121,8 +1088,9 @@ def _jacobi_residuals(stack):
 
 def _score_eigensolver(instances, params):
     # a residual passes when it is at most tol: the margin is tol - residual
+    mats, ctxs = zip(*instances)
     return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
-            for ctx, res in _solve_by_dim(_jacobi_residuals, instances)
+            for ctx, res in zip(ctxs, _per_dim(_jacobi_residuals, mats))
             for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
 
 
@@ -1204,7 +1172,8 @@ _SUITES: Dict[str, _Suite] = {
     "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, {**_EIG_DIMS, "tol": 1e-10}),
     "eigensolver_crosscheck": _Suite(_draw_hermitian, lambda insts, p: [
         _verdict("eig_crosscheck", bound - diff, 0.0, ctx)
-        for ctx, (diff, bound) in _solve_by_dim(_crosscheck, insts)], _EIG_DIMS),
+        for (_, ctx), (diff, bound) in zip(insts, _per_dim(_crosscheck, [A for A, _ in insts]))],
+        _EIG_DIMS),
 }
 
 #: excluded from "all": the C-term-on-the-left orientation of the 0 < r < 1

@@ -237,3 +237,56 @@ class TestParametricReverse:
         p, q = PAIR_EQ
         with pytest.raises(DomainError):
             ce.parametric_reverse_margins(p, q, 1.0 / 6.0, 0.0, ce.CROSS_DOMINATED)
+
+
+def boundary_pairs(direction, eps=0.05, ulps=6):
+    """(P, Q) lists of pairs whose condition gap straddles PROB_TOL: q is p
+    moved along e_0 - e_1 until sum p(q - p) is about +-PROB_TOL, then q_0
+    is moved by -ulps..ulps units in the last place."""
+    sign = 1.0 if direction == ce.SELF_DOMINATED else -1.0
+    P, Q = [], []
+    for i in range(40):
+        p = gen_conditioned_prob_pair((2, 3, 4, 6)[i % 4], eps, direction, trial_rng(31, i))[0]
+        t = sign * ce.PROB_TOL / (p[0] - p[1])
+        base = p.copy()
+        base[0] += t
+        base[1] -= t
+        for k in range(-ulps, ulps + 1):
+            q = base.copy()
+            q[0] += k * np.spacing(q[0])
+            P.append(p)
+            Q.append(q)
+    return P, Q
+
+
+class TestConditionPredicate:
+    @pytest.mark.parametrize("direction", [ce.SELF_DOMINATED, ce.CROSS_DOMINATED])
+    def test_one_pair_is_a_batch_of_one_of_the_row_gap(self, direction):
+        # rows within a few ulps of the tolerance decide the same way alone
+        # and in a stack, and both verdicts occur among them
+        by_length = {}
+        for p, q in zip(*boundary_pairs(direction)):
+            by_length.setdefault(p.size, []).append((p, q))
+        seen = set()
+        for pairs in by_length.values():
+            P, Q = np.stack([p for p, _ in pairs]), np.stack([q for _, q in pairs])
+            stacked = ce._condition_gap(P, Q, direction) <= ce.PROB_TOL
+            alone = [ce.condition_tag_holds(p, q, direction) for p, q in pairs]
+            assert alone == stacked.tolist()
+            seen.update(alone)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("direction", [ce.SELF_DOMINATED, ce.CROSS_DOMINATED])
+    def test_reverse_rows_reject_exactly_the_failing_rows(self, direction):
+        P, Q = boundary_pairs(direction)
+        for n in (2, 3, 4, 6):
+            pairs = [(p, q) for p, q in zip(P, Q) if p.size == n]
+            holds = [ce.condition_tag_holds(p, q, direction) for p, q in pairs]
+            good = [pair for pair, ok in zip(pairs, holds) if ok]
+            for (p, q), ok in zip(pairs, holds):
+                Ps, Qs = np.stack([p] + [a for a, _ in good]), np.stack([q] + [b for _, b in good])
+                if ok:
+                    ce._check_reverse_rows(Ps, Qs, 0.05, direction)
+                else:
+                    with pytest.raises(PreconditionError, match="declared condition"):
+                        ce._check_reverse_rows(Ps, Qs, 0.05, direction)

@@ -243,6 +243,9 @@ class TestBadInputIsAUsageError:
         ("mean_c_lhs_variant", ["--r", "0"]),
         ("entropy_vn", ["--alpha", "-1"]),
         ("entropy_tsallis", ["--alpha", "-1"]),
+        ("info_inequality", ["--r", "1.5"]),
+        ("info_inequality", ["--r", "0"]),
+        ("info_inequality", ["--r", "-1"]),
     ])
     def test_out_of_domain_suite_param(self, suite, flags, tmp_path, capsys):
         out = tmp_path / "rep.json"

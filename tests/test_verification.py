@@ -223,6 +223,7 @@ class TestGenerators:
             assert np.all(np.diff(y) <= 1e-12)
             assert np.all(np.diff(x) <= 1e-12)
             assert is_p_majorized(x, y, p)
+            assert x.flags.c_contiguous and y.flags.c_contiguous and p.flags.c_contiguous
 
     @staticmethod
     def plain_fuchs_instance(n, iv, rng):
@@ -378,6 +379,23 @@ class TestCheckers:
         verdicts = vf.check_scalar_corollary(p, x, y, f, 1.0, mode=vf.MODE_RELAXED)
         assert all(v.passed for v in verdicts)
 
+    @pytest.mark.parametrize("mode", [vf.MODE_EQUAL, vf.MODE_RELAXED])
+    def test_scalar_corollary_means_bound(self, mode):
+        # x = y + gap moves the weighted mean of x by gap: both modes reject
+        # sum p x - sum p y = 2e-10 and accept 5e-11 (the bound is 1e-10)
+        f = FunctionSpec.neg_log(Interval(0.05, 1.0))
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        y = np.array([0.3, 0.7, 0.5, 0.6])
+        with pytest.raises(PreconditionError):
+            vf.check_scalar_corollary(p, y + 2e-10, y, f, 1.0, mode=mode)
+        assert vf.check_scalar_corollary(p, y + 5e-11, y, f, 1.0, mode=mode)
+        assert vf.check_scalar_corollary(p, y - 5e-11, y, f, 1.0, mode=mode)
+        if mode == vf.MODE_EQUAL:
+            with pytest.raises(PreconditionError):
+                vf.check_scalar_corollary(p, y - 2e-10, y, f, 1.0, mode=mode)
+        else:
+            assert vf.check_scalar_corollary(p, y - 2e-10, y, f, 1.0, mode=mode)
+
     def test_entropy_vonneumann_nonnegativity_at_alpha_zero(self):
         rng = vf.trial_rng(11, 0)
         A, B = oc.rand_density(4, rng), oc.rand_density(4, rng)
@@ -487,6 +505,10 @@ class TestSuites:
         ("operator_means", {"interval": (0.0, 2.0)},
          lambda A, B, Z, iv: vf.check_operator_mean_bounds(Z, Z, Z, [1.0], Interval(0.0, 2.0),
                                                            0.5)),
+        # info_inequality needs r in (0, 1]: its r-extended form is false for r > 1
+        ("info_inequality", {"rs": (1.5,)}, None),
+        ("info_inequality", {"rs": (0.0,)}, None),
+        ("info_inequality", {"rs": (-1.0,)}, None),
     ])
     def test_suite_and_checker_reject_a_param_outside_the_domain(self, suite, params, check):
         # the domain checks live in the kernel both share, so both raise the
@@ -537,6 +559,12 @@ class TestSuites:
             return out
 
         assert margins(24) == margins(48)
+
+    @pytest.mark.parametrize("suite, forms", [("eigensolver", 2), ("eigensolver_crosscheck", 1)])
+    def test_eigensolver_suites_list_verdicts_in_trial_order(self, suite, forms):
+        rep = vf.run_suite(suite, 40, 3, keep_verdicts=True)
+        assert [v.context["trial"] for v in rep.verdicts] == \
+            [i for i in range(40) for _ in range(forms)]
 
     @pytest.mark.parametrize("suite, unread", [
         ("reverse_shannon", {"rs": (0.7,)}),
@@ -640,7 +668,7 @@ class TestSuites:
             p, q = p / p.sum(), q / q.sum()
             weighted_p, _ = ce.tsallis_cross_terms(p, p, r)
             weighted_q, _ = ce.tsallis_cross_terms(p, q, r)
-            naive_p = float(np.sum(p * ln_r(r, 1.0 / p)))
+            naive_p = float(np.sum(p * np.expm1(-r * np.log(p)) / r))
             return [vf.InequalityVerdict(name, m, True) for name, m in (
                 ("info_inequality", ce.information_inequality_margin(p, q)),
                 ("r_extended_info_inequality", weighted_q - weighted_p),
@@ -713,7 +741,7 @@ class TestSuites:
             h, cross = float(-np.sum(p * np.log(p))), float(-np.sum(p * np.log(q)))
             weighted_p = float(-np.sum(p ** (1.0 - r) * ln_r(r, p)))
             weighted_q = float(-np.sum(p ** (1.0 - r) * ln_r(r, q)))
-            naive_p = float(np.sum(p * ln_r(r, 1.0 / p)))
+            naive_p = float(np.sum(p * np.expm1(-r * np.log(p)) / r))
             want["info_inequality"] += [cross - h, weighted_q - weighted_p,
                                         1e-10 - abs(weighted_p - naive_p)]
 
