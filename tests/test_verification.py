@@ -975,6 +975,68 @@ class TestSuites:
         assert "elapsed_ms" in vf.report_to_json(rep, include_timing=True)
 
 
+# lambda_min is unitarily invariant and every form is built covariantly, so a
+# change of basis V moves a margin by rounding only: at most
+# _ROTATION_ULPS d eps max(1, ||M||_F) for the margin matrix M.  The worst
+# move measured is 20 d eps ||M||_F on the mean suites (3,000 trials at seeds
+# 11-13) and 3.1 on theorem_beta (960 trials at seeds 11 and 12).
+_ROTATION_ULPS = 64.0
+
+
+def _rotated(V, M):
+    return oc.hermitize(V @ M @ V.conj().T)
+
+
+def _rotation_bound(dim, M):
+    return _ROTATION_ULPS * dim * np.finfo(float).eps * max(1.0, float(np.linalg.norm(M)))
+
+
+class TestUnitaryInvariance:
+    @pytest.mark.parametrize("suite", ["operator_means", "mean_limits"])
+    @pytest.mark.parametrize("seed", [7, 1000])
+    def test_mean_margins_survive_a_change_of_basis(self, suite, seed):
+        # Z and every A_i and B_i move to V M V*; P = Z^(1/2) (sum w A_i^r) Z^(1/2)
+        # then moves to V P V*, and so does every margin matrix
+        params = vf._SUITES[suite].defaults
+        iv = Interval(*params["interval"])
+        include_limits = suite == "mean_limits"
+        for i in range(56):
+            dim, r = params["dims"][i % len(params["dims"])], params["rs"][i % len(params["rs"])]
+            n = 1 if i % 2 == 0 else 2
+            Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), dim, iv, n)
+            V = oc.rand_unitary(dim, vf.trial_rng(seed + 1, i))
+            moved_as = [_rotated(V, A) for A in As]
+            moved_bs = moved_as if n == 1 else [_rotated(V, B) for B in Bs]
+            mats, moved = (vf._mean_margin_mats([inst], include_limits)[0] for inst in (
+                (Z, As, Bs, w, r, iv), (_rotated(V, Z), moved_as, moved_bs, w, r, iv)))
+            assert list(mats) == list(moved)
+            for name, M in mats.items():
+                a, b = (vf._margin_verdicts([(name, m[name], {})], 0.0)[0].margin
+                        for m in (mats, moved))
+                assert abs(a - b) <= _rotation_bound(dim, M), (suite, i, name, a - b)
+
+    @pytest.mark.parametrize("seed", [7, 1000])
+    def test_theorem_beta_margins_survive_a_change_of_basis(self, seed):
+        # A_i -> V A_i V* and U_i -> V U_i leave every U_i* f(A_i) U_i as it was
+        params = vf._SUITES["theorem_beta"].defaults
+        for i in range(48):
+            dim = params["dims"][i % len(params["dims"])]
+            f, alpha = vf.function_catalog(params["fs"][i % 4]), params["alphas"][i % 4]
+            As, Bs, fam = vf.gen_equal_map_sum_operators(vf._MAP_N, dim, f.domain,
+                                                         vf._BETA_FAMILIES[i % 2],
+                                                         vf.trial_rng(seed, i))
+            V = oc.rand_unitary(dim, vf.trial_rng(seed + 1, i))
+            moved_fam = oc.MapFamily(tuple(oc.WeightedConjugation(phi.weight, V @ phi.unitary)
+                                           for phi in fam.maps), dim)
+            a = vf.check_theorem_beta(fam, As, Bs, f, alpha).margin
+            b = vf.check_theorem_beta(moved_fam, [_rotated(V, A) for A in As],
+                                      [_rotated(V, B) for B in Bs], f, alpha).margin
+            images = [oc.apply_map_family(fam, [oc.apply_function(f, M) for M in mats])
+                      for mats in (As, Bs)]
+            M = vf.sb.beta_constant(f, f.domain, alpha) * np.eye(dim) + alpha * images[1] - images[0]
+            assert abs(a - b) <= _rotation_bound(dim, M), (i, a - b)
+
+
 class TestOracleSweep:
     def test_sweep_passes(self):
         rows, worst = vf.oracle_sweep()
