@@ -57,6 +57,9 @@ def _as_row(p) -> np.ndarray:
 def _check_prob_rows(P, floor: float | None = None):
     """Raise ``as_prob_vector``'s error for the first row of the stack P
     that is not a probability vector (with components in [floor, 1])."""
+    if not np.isfinite(P).all():
+        # NaN fails no comparison below, so it would pass as a probability
+        raise DomainError(f"probabilities must be finite, got {P[~np.isfinite(P)][0]}")
     neg = np.any(P < -PROB_TOL, axis=-1)
     bad = neg | (np.abs(np.sum(P, axis=-1) - 1.0) > 1e-10)
     if bad.any():

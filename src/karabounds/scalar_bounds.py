@@ -135,8 +135,8 @@ def beta_oracle(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     Independent of the closed forms in ``beta_constant``: pure grid scan +
     grid zoom.  Concave f takes the dual minimum.
     """
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     ch = chord_coeffs(f, iv)
     scan = _scan_interval(f, iv)
 
@@ -155,8 +155,8 @@ def beta_constant(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     Cataloged (f, interval) pairs return their closed forms; everything else
     falls back to the grid-zoom maximizer.
     """
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     closed = _beta_closed_form(f, iv, alpha)
     if closed is not None:
         return closed
@@ -316,6 +316,8 @@ def kantorovich(h: float, r: float) -> float:
     """
     if not math.isfinite(h) or h <= 0.0:
         raise DomainError(f"kantorovich needs h > 1, got {h}")
+    if not math.isfinite(r):
+        raise DomainError(f"kantorovich needs a finite r, got {r}")
     if abs(h - 1.0) < SINGULAR_TOL:
         return 1.0
     if h < 1.0:
@@ -336,8 +338,10 @@ def c_of_hr(m: float, h: float, r: float) -> float:
     the corresponding minimum for r in (0, 1) (C <= 0).  Limits fill r in
     {0, 1} and h -> 1 (all zero).
     """
-    if not m > 0.0:
-        raise DomainError(f"c_of_hr needs m > 0, got {m}")
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"c_of_hr needs a finite m > 0, got {m}")
+    if not math.isfinite(r):
+        raise DomainError(f"c_of_hr needs a finite r, got {r}")
     if not math.isfinite(h) or h <= 0.0:
         raise DomainError(f"c_of_hr needs h > 1, got {h}")
     if abs(h - 1.0) < SINGULAR_TOL:
@@ -356,8 +360,8 @@ def specht(h: float) -> float:
 
     Computed as exp(u - 1)/u with u = log(h)/(h - 1), which makes the
     symmetry S(h) = S(1/h) explicit."""
-    if not h > 0.0:
-        raise DomainError(f"specht needs h > 0, got {h}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"specht needs a finite h > 0, got {h}")
     if abs(h - 1.0) < SINGULAR_TOL:
         return 1.0
     u = math.log(h) / (h - 1.0)
@@ -375,8 +379,8 @@ def ls_r_constant(eps: float, r: float) -> float:
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"ls_r_constant needs eps in (0, 1), got {eps}")
-    if not r > 0.0:
-        raise DomainError(f"ls_r_constant needs r > 0, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"ls_r_constant needs a finite r > 0, got {r}")
     c1 = ln_r(r, 1.0 / eps) / (1.0 - eps)
     root = c1 ** (1.0 / (r + 1.0))
     return c1 - c1 ** (r / (r + 1.0)) - ln_r(r, root)

@@ -537,8 +537,8 @@ def _vn_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
     """alpha H(B) <= H(A) + (alpha/e) dim and |H(A) - H(B)| <= dim/e for
     (A, B, alpha, context) instances; ``evals`` holds the spectra (w_A, w_B)
     when the caller already has them."""
-    if any(inst[2] < 0.0 for inst in instances):
-        raise DomainError("alpha must be >= 0")
+    if not all(0.0 <= inst[2] < math.inf for inst in instances):
+        raise DomainError("alpha must be finite and >= 0")
     verdicts = []
     for (A, _, alpha, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
         ha = oc.von_neumann_entropy_from_evals(wa)
@@ -555,8 +555,8 @@ def _tsallis_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
     difference bound for (A, B, alpha, r, context) instances, r in (0, 1];
     ``evals`` as in _vn_verdicts."""
     for _, _, alpha, r, _ in instances:
-        if alpha < 0.0 or not 0.0 < r <= 1.0:
-            raise DomainError(f"needs alpha >= 0 and r in (0, 1], got {alpha} and {r}")
+        if not (0.0 <= alpha < math.inf and 0.0 < r <= 1.0):
+            raise DomainError(f"needs a finite alpha >= 0 and r in (0, 1], got {alpha} and {r}")
     verdicts = []
     for (A, _, alpha, r, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
         ha = oc.tsallis_entropy_from_evals(wa, r)
@@ -631,7 +631,7 @@ def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
                              tol: float = OPERATOR_TOL, context: Optional[dict] = None) -> InequalityVerdict:
     """Scalar-weight specialization Phi_i(X) = p_i X of the map-sum bound."""
     ps = np.asarray(ps, dtype=float)
-    if np.any(ps <= 0.0) or abs(ps.sum() - 1.0) > 1e-10:
+    if not (np.all(ps > 0.0) and abs(ps.sum() - 1.0) <= 1e-10):
         raise PreconditionError("weights must be positive and sum to 1")
     dim = np.asarray(As[0]).shape[0]
     eye = np.eye(dim, dtype=complex)
@@ -654,11 +654,12 @@ def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
 def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing: bool):
     """``check_scalar_corollary``'s preconditions on (k, n) stacks of p, x
     and y, one instance per row; ``decreasing`` is ``_is_decreasing(f,
-    f.domain)``, which only relaxed mode reads."""
-    if np.any(P <= 0.0) or np.any(np.abs(np.sum(P, axis=-1) - 1.0) > 1e-10):
+    f.domain)``, which only relaxed mode reads.  Each test is written so that
+    a NaN fails it."""
+    if not (np.all(P > 0.0) and np.all(np.abs(np.sum(P, axis=-1) - 1.0) <= 1e-10)):
         raise PreconditionError("weights must be positive and sum to 1")
-    iv = f.domain
-    if min(X.min(), Y.min()) < iv.m - 1e-12 or max(X.max(), Y.max()) > iv.M + 1e-12:
+    lo, hi = f.domain.m - 1e-12, f.domain.M + 1e-12
+    if not all(np.all((lo <= S) & (S <= hi)) for S in (X, Y)):
         raise PreconditionError("entries must lie in the function interval")
     if mode not in (MODE_EQUAL, MODE_RELAXED):
         raise DomainError(f"unknown mode {mode!r}")
@@ -770,7 +771,7 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     if isinstance(Ys, np.ndarray) and Ys.ndim == 2:
         Ys = [Ys]
     w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-10:
+    if not (np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-10):
         raise PreconditionError("weights must be positive and sum to 1")
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")

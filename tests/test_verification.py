@@ -1037,6 +1037,42 @@ class TestUnitaryInvariance:
             assert abs(a - b) <= _rotation_bound(dim, M), (i, a - b)
 
 
+_NAN, _INF = float("nan"), float("inf")
+_PAIR = Interval(0.2, 2.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ce.as_prob_vector([_NAN]), DomainError),
+    (lambda: ce.shannon_entropy([_NAN, 0.5]), DomainError),
+    (lambda: ce.information_inequality_margin([0.5, _NAN], [0.5, 0.5]), DomainError),
+    (lambda: ce.tsallis_entropy([_NAN], 0.5), DomainError),
+    (lambda: ce.reverse_shannon_margins([0.5, _NAN], [0.5, 0.5], 0.1, ce.SELF_DOMINATED),
+     DomainError),
+    (lambda: vf.sb.beta_constant(FunctionSpec.power(2.0, _PAIR), _PAIR, _NAN), DomainError),
+    (lambda: vf.sb.beta_constant(FunctionSpec.power(2.0, _PAIR), _PAIR, _INF), DomainError),
+    (lambda: vf.sb.beta_oracle(FunctionSpec.power(2.0, _PAIR), _PAIR, _NAN), DomainError),
+    (lambda: vf.sb.kantorovich(2.0, _NAN), DomainError),
+    (lambda: vf.sb.c_of_hr(1.0, 2.0, _NAN), DomainError),
+    (lambda: vf.sb.c_of_hr(_INF, 2.0, 0.5), DomainError),
+    (lambda: vf.sb.specht(_INF), DomainError),
+    (lambda: vf.sb.ls_r_constant(_NAN, 0.5), DomainError),
+    (lambda: vf.sb.ls_r_constant(0.1, _INF), DomainError),
+    (lambda: vf.check_scalar_corollary([_NAN, 0.5], [0.5, 0.5], [0.5, 0.5],
+                                       vf.function_catalog("power2"), 1.0), PreconditionError),
+    (lambda: vf.check_scalar_corollary([0.5, 0.5], [_NAN, 0.5], [0.5, 0.5],
+                                       vf.function_catalog("power2"), 1.0), PreconditionError),
+    (lambda: vf.check_corollary_weighted([_NAN, 0.5], [np.eye(2)] * 2, [np.eye(2)] * 2,
+                                         vf.function_catalog("power2"), 1.0), PreconditionError),
+    (lambda: vf.check_entropy_vonneumann(np.eye(2) / 2, np.eye(2) / 2, _NAN), DomainError),
+    (lambda: vf.check_entropy_tsallis(np.eye(2) / 2, np.eye(2) / 2, _INF, 0.5), DomainError),
+])
+def test_non_finite_input_raises_a_typed_error(call, error):
+    # NaN compares false both ways, so a check that tests for the bad case
+    # (p < 0, alpha < 0) lets it through and the margin comes out NaN or 0
+    with pytest.raises(error):
+        call()
+
+
 class TestOracleSweep:
     def test_sweep_passes(self):
         rows, worst = vf.oracle_sweep()
