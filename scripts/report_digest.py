@@ -12,8 +12,10 @@ two outputs: no difference means every report of the set is byte-identical.
 
 The set: ``verify --suite all`` as JSON and as CSV at 48 and 100 trials and
 seeds 0, 7 and 1000; ``verify`` with every suite parameter flag set;
-``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; and every
-``scan`` quantity, each at its defaults and with its own flags.
+``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; every
+``scan`` quantity, each at its defaults and with its own flags; and every
+suite alone, as JSON and as CSV at seeds 0, 7 and 1000, at the trial count
+its benchmark workload runs (benchmarks/README.md).
 """
 
 import contextlib
@@ -26,7 +28,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from karabounds import cli  # noqa: E402
+from karabounds import cli, verification  # noqa: E402
+
+# trials per suite in the benchmark workloads; the two suites that no
+# workload runs take the count of the suite whose draws they share
+SUITE_TRIALS = {
+    "operator_means": 28, "mean_limits": 28, "mean_c_lhs_variant": 28,
+    "theorem_beta": 48, "corollary_weighted": 48, "lemma_jensen": 40,
+    "entropy_vn": 56, "entropy_tsallis": 84,
+    "eigensolver": 150, "eigensolver_crosscheck": 150,
+    **dict.fromkeys(("scalar_corollary", "fuchs", "moment", "info_inequality",
+                     "reverse_shannon", "parametric_reverse"), 384),
+}
 
 RUNS = [
     *(["verify", "--suite", "all", "--trials", str(trials), "--seed", str(seed),
@@ -52,6 +65,10 @@ RUNS = [
     ["scan", "specht", "--start", "1.5", "--stop", "20", "--steps", "9", "--format", "csv"],
     ["scan", "kantorovich"],
     ["scan", "kantorovich", "--h", "3", "--start", "-1", "--stop", "2", "--steps", "6"],
+    *(["verify", "--suite", suite, "--trials", str(SUITE_TRIALS[suite]), "--seed", str(seed),
+       "--format", fmt]
+      for suite in verification.suite_ids(include_extra=True)
+      for seed in (0, 7, 1000) for fmt in ("json", "csv")),
 ]
 
 

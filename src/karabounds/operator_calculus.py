@@ -105,12 +105,21 @@ def assert_hermitian(A, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Symmetrize (A + A*)/2, rejecting drift beyond tol."""
+    """Symmetrize (A + A*)/2 over the last two axes, so a matrix or a stack,
+    rejecting a matrix whose drift ||A - A*||_F exceeds tol max(1, ||A||_F).
+    The sum is elementwise, so a matrix gets the same bits in any stack."""
     A = np.asarray(A, dtype=complex)
-    drift = _frob(A - A.conj().T)
-    if drift > tol * max(1.0, _frob(A)):
-        raise DomainError(f"matrix drifted too far from Hermitian: {drift:.3e}")
-    return (A + A.conj().T) / 2.0
+    AH = np.swapaxes(A, -1, -2).conj()
+    drift = _frob_rows(A - AH)
+    if (drift > tol * np.maximum(1.0, _frob_rows(A))).any():
+        raise DomainError(f"matrix drifted too far from Hermitian: {np.max(drift):.3e}")
+    return (A + AH) / 2.0
+
+
+def _frob_rows(A: np.ndarray):
+    """Frobenius norm of each matrix of a stack (..., d, d)."""
+    flat = A.reshape(A.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", flat.conj(), flat).real)
 
 
 def assert_density(rho, name: str = "density matrix") -> np.ndarray:
@@ -609,30 +618,67 @@ def trace_distance_l1(A, B) -> float:
 
 
 # ---------------------------------------------------------------------------
-# random ensembles
+# random ensembles: drawn, then built in stacks
 # ---------------------------------------------------------------------------
+# A random matrix is made in two steps.  The draw makes the rng calls: a
+# complex Gaussian G, and for a spectrum its uniform eigenvalues.  The build
+# turns a stack of one dimension's draws into matrices, one stacked step
+# each: a QR with its phase fix, U diag(w) U*, G G*/tr and hermitize.  Each
+# step treats every matrix of a stack on its own (LAPACK and BLAS per
+# matrix, elementwise arithmetic otherwise), so a matrix gets the same bits
+# in any stack, and the public ensembles are batches of one
+# (tests/test_operator_calculus.py::TestEnsembleBuild).
+
+
+def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of every ensemble: a complex Gaussian (dim, dim) matrix."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _draw_spectrum(dim: int, iv: Interval, rng: np.random.Generator):
+    """The draw of ``rand_hermitian_spectrum_in``: a Gaussian G and a
+    spectrum w uniform in iv."""
+    return _gaussian(dim, rng), rng.uniform(iv.m, iv.M, size=dim)
+
+
+def _unitaries(G: np.ndarray) -> np.ndarray:
+    """Q of the QR of each matrix in the stack G, with each column's phase
+    fixed by R's diagonal (Haar unitaries for Gaussian G)."""
+    Q, R = np.linalg.qr(G)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]
+
+
+def _build_haar(Gu: np.ndarray, Gs: np.ndarray, w: np.ndarray):
+    """(unitaries (a, d, d), Hermitian matrices (b, d, d)) of one dimension's
+    draws: the unitaries of the Gaussians Gu, and U diag(w) U* for the
+    Gaussians Gs with spectra w (b, d), from one QR over Gu and Gs."""
+    a = len(Gu)
+    U = _unitaries(np.concatenate([Gu, Gs]))
+    V = U[a:]
+    return U[:a], hermitize(V @ (w[..., :, None] * np.swapaxes(V, -1, -2).conj()))
+
+
+def _build_densities(G: np.ndarray) -> np.ndarray:
+    """Density matrices G G*/Tr(G G*) of a stack of Gaussians G."""
+    rho = G @ np.swapaxes(G, -1, -2).conj()
+    return hermitize(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def rand_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary via orthonormalization of a complex Gaussian matrix."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    diag = np.diagonal(R)
-    return Q * (diag / np.abs(diag))
+    """Haar unitary via orthonormalization of a complex Gaussian matrix."""
+    return _unitaries(_gaussian(dim, rng)[None])[0]
 
 
 def rand_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random density matrix G G*/Tr(G G*) from a complex Gaussian G."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = G @ G.conj().T
-    return hermitize(rho / np.trace(rho).real)
+    return _build_densities(_gaussian(dim, rng)[None])[0]
 
 
 def rand_hermitian_spectrum_in(dim: int, iv: Interval, rng: np.random.Generator) -> np.ndarray:
     """U diag(uniform[m, M]) U* for a random unitary U."""
-    U = rand_unitary(dim, rng)
-    w = rng.uniform(iv.m, iv.M, size=dim)
-    return hermitize(U @ (w[:, None] * U.conj().T))
+    G, w = (x[None] for x in _draw_spectrum(dim, iv, rng))
+    return _build_haar(G[:0], G, w)[1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,25 @@ one; it passes when the margin is at least -tol.  A check never "fixes up"
 its inputs: hypothesis violations raise, and so do parameters outside an
 inequality's domain, in the kernel that a suite and its checker share.
 
-``run_suite`` is the one trial loop.  A suite is a draw function, a score
-function and its default params.  The driver draws trial i's instance from
-its own generator, ``trial_rng(seed, i)`` (a ``numpy.random.SeedSequence``
-spawn key), then scores all the instances with one call of the suite's
-batch margin kernel.  A kernel decomposes each distinct input matrix once,
-in one LAPACK stack per dimension (``operator_calculus._eigh``), and takes
-every spectral image of that matrix from the same (w, V); the lambda_min
-reductions go through ``operator_calculus._eigvalsh``.  Both solvers give
-a matrix the same bits in any stack, so reports do not depend on batching.
-A public ``check_*`` function validates its input, keeping the
-decompositions the validation made, and runs the same kernel on a batch of
-one, so its margins equal the suite's bit for bit.  The Jacobi solver is
-not on this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
-exercise it.
+``run_suite`` is the one trial loop.  A suite is a draw, a build and a
+score function and its default params, run in three phases.  The draw
+makes trial i's rng calls on its own generator, ``trial_rng(seed, i)`` (a
+``numpy.random.SeedSequence`` spawn key), and returns raw Gaussian and
+uniform arrays.  The build turns all the trials' draws into instances, one
+dimension's matrices in one stack per step (``operator_calculus._build_haar``
+and ``_build_densities``, then the Sinkhorn mixes and weighted means).  The
+score runs the suite's batch margin kernel once on all the instances.  A
+kernel decomposes each distinct input matrix once, in one LAPACK stack per
+dimension (``operator_calculus._eigh``), and takes every spectral image of
+that matrix from the same (w, V); the lambda_min reductions go through
+``operator_calculus._eigvalsh``.  Every build and kernel step gives a
+matrix the same bits in any stack, so reports do not depend on batching,
+and the public generators are batches of one of their draw and build.  A
+public ``check_*`` function validates its input and runs the same kernel on
+a batch of one, so its margins equal the suite's bit for bit.  The Jacobi
+solver is not on this path; the ``eigensolver`` and
+``eigensolver_crosscheck`` suites exercise it, on matrices they draw
+directly, and share one Jacobi run of the same draws.
 
 The six scalar and classical suites share one score, ``_scalar_score``:
 trials are grouped by length and key, each group is stacked into (k, n)
@@ -271,16 +276,103 @@ def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 20
     return S / S.sum(axis=1, keepdims=True)
 
 
-def _doubly_stochastic_mix(As, rng: np.random.Generator) -> list:
-    """B_k = sum_j S[k, j] A_j for a Sinkhorn doubly stochastic S drawn from
-    rng: the B_k keep the uniform-weight sum of the A_j, and their spectra
-    stay inside any interval that holds the A_j's."""
-    n = len(As)
-    S = sinkhorn_doubly_stochastic(n, rng)
-    return [oc.hermitize(sum(S[k, j] * As[j] for j in range(n))) for k in range(n)]
+def _weighted_sums(W, A) -> np.ndarray:
+    """hermitize(sum_j W[:, i, j] A[:, j]) for weights W (k, m, n) and matrices
+    A (k, n, d, d): a (k, m, d, d) stack, summed in j order from 0 as Python's
+    ``sum`` does.  With a doubly stochastic W the m = n sums keep the
+    uniform-weight sum of the A_j, and their spectra stay inside any interval
+    that holds the A_j's."""
+    return oc.hermitize(sum(W[:, :, j, None, None] * A[:, None, j] for j in range(A.shape[1])))
+
+
+def _per_dim_sums(Ws, As) -> list:
+    """``_weighted_sums`` of each pair (W, A) of the lists Ws, As, from one
+    call per dimension; None where W is None."""
+    return _per_group(lambda _, W, A: _weighted_sums(W, A),
+                      [None if W is None else A.shape[-1] for W, A in zip(Ws, As)], Ws, As)
+
+
+def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
+    """(G (k, d, d), w (k, d)): the draws of k = len(ivs) matrices with
+    spectra in the intervals ivs, one ``oc._draw_spectrum`` each."""
+    G, w = zip(*(oc._draw_spectrum(dim, iv, rng) for iv in ivs))
+    return np.stack(G), np.stack(w)
+
+
+def _per_dim_rows(build, *blocks) -> list:
+    """Each draw's row blocks of ``build``'s outputs, or None for a draw whose
+    first block is None.  build runs once per dimension, on the
+    concatenation of that dimension's blocks (draw j gives blocks[c][j]), and
+    its output c has the rows of input c.  The builds treat every row on its
+    own, so a draw's rows do not depend on the other draws."""
+    groups = defaultdict(list)
+    for j, first in enumerate(blocks[0]):
+        if first is not None:
+            groups[first.shape[-1]].append(j)
+    out = [None] * len(blocks[0])
+    for idxs in groups.values():
+        outputs = build(*(np.concatenate([col[j] for j in idxs]) for col in blocks))
+        cuts = [np.cumsum([len(col[j]) for j in idxs])[:-1] for col in blocks]
+        for j, rows in zip(idxs, zip(*(np.split(o, c) for o, c in zip(outputs, cuts)))):
+            out[j] = rows
+    return out
+
+
+def _per_dim_densities(Gs) -> list:
+    """The density matrices of each Gaussian stack of Gs, built in one call
+    per dimension; None where the stack is None."""
+    return [None if rows is None else rows[0]
+            for rows in _per_dim_rows(lambda G: (oc._build_densities(G),), Gs)]
 
 
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
+
+
+def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
+                        rng: np.random.Generator):
+    """The draws of ``gen_equal_map_sum_operators``: (kind, G, w, extra) with
+    the family's unitary and the A_i's Gaussians G and spectra w and the
+    permutation or Sinkhorn matrix extra; or, for normalized_trace, the
+    2n Gaussians G of the densities and the family weights w."""
+    if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
+        G = oc._gaussian(dim, rng)[None]
+        Gs, w = _draw_spectra(dim, (iv,) * n, rng)
+        extra = (rng.permutation(n) if family_kind == "uniform_permutation"
+                 else sinkhorn_doubly_stochastic(n, rng))
+        return family_kind, np.concatenate([G, Gs]), w, extra
+    if family_kind == "normalized_trace":
+        if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
+            raise DomainError("normalized_trace inputs are density matrices; "
+                              "the interval must cover [0, 1]")
+        w = rng.dirichlet(np.ones(n))
+        return family_kind, np.stack([oc._gaussian(dim, rng) for _ in range(2 * n)]), w, None
+    raise DomainError(f"unknown family kind {family_kind!r}")
+
+
+def _build_equal_map_sums(draws) -> list:
+    """(As, Bs, family) of each ``_draw_equal_map_sum`` draw.  A permuted B_i
+    is the A_j object itself."""
+    traced = [kind == "normalized_trace" for kind, *_ in draws]
+    haar = _per_dim_rows(oc._build_haar,
+                         [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
+                         [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
+    mixes = _per_dim_sums([extra if kind == "doubly_stochastic_mix" else None
+                           for kind, *_, extra in draws],
+                          [None if h is None else h[1] for h in haar])
+    densities = _per_dim_densities([G if t else None for t, (_, G, *_) in zip(traced, draws)])
+    out = []
+    for (kind, G, w, extra), h, B, rho in zip(draws, haar, mixes, densities):
+        n, dim = len(w), G.shape[-1]
+        if rho is not None:
+            maps = tuple(oc.NormalizedTrace(float(wi)) for wi in w)
+            As, Bs = list(rho[:n]), list(rho[n:])
+        else:
+            U, H = h
+            maps = tuple(oc.WeightedConjugation(1.0 / n, U[0]) for _ in range(n))
+            As = list(H)
+            Bs = [As[k] for k in extra] if B is None else list(B)
+        out.append((As, Bs, oc.MapFamily(maps, dim)))
+    return out
 
 
 def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str,
@@ -293,26 +385,7 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
     normalized_trace: trace maps with density-matrix inputs, where the
     constraint holds automatically.
     """
-    if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
-        U = oc.rand_unitary(dim, rng)
-        maps = tuple(oc.WeightedConjugation(1.0 / n, U) for _ in range(n))
-        As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
-        if family_kind == "uniform_permutation":
-            Bs = [As[j] for j in rng.permutation(n)]
-        else:
-            Bs = _doubly_stochastic_mix(As, rng)
-    elif family_kind == "normalized_trace":
-        if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
-            raise DomainError("normalized_trace inputs are density matrices; "
-                              "the interval must cover [0, 1]")
-        w = rng.dirichlet(np.ones(n))
-        maps = tuple(oc.NormalizedTrace(float(wi)) for wi in w)
-        As = [oc.rand_density(dim, rng) for _ in range(n)]
-        Bs = [oc.rand_density(dim, rng) for _ in range(n)]
-    else:
-        raise DomainError(f"unknown family kind {family_kind!r}")
-    family = oc.MapFamily(maps, dim)
-    return As, Bs, family
+    return _build_equal_map_sums([_draw_equal_map_sum(n, dim, iv, family_kind, rng)])[0]
 
 
 def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random.Generator,
@@ -372,11 +445,13 @@ def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
 def _per_group(solve, keys, *columns) -> list:
     """The results of ``solve(key, *stacks)`` for each row, in row order:
     one call per distinct key, on the ``np.stack`` of that key's entries of
-    each column (``solve`` returns one entry per stacked row).  Every kernel
-    gives a row the same bits in any stack, so the grouping does not show."""
+    each column (``solve`` returns one entry per stacked row); a row whose
+    key is None is left out and gets None.  Every kernel gives a row the
+    same bits in any stack, so the grouping does not show."""
     groups = defaultdict(list)
     for j, key in enumerate(keys):
-        groups[key].append(j)
+        if key is not None:
+            groups[key].append(j)
     out = [None] * len(keys)
     for key, idxs in groups.items():
         stacks = [np.stack([col[j] for j in idxs]) for col in columns]
@@ -420,11 +495,11 @@ def _function_images(eig, f, mats):
 
 def _jensen_verdicts(instances, tol, eig=None) -> List[InequalityVerdict]:
     """Vector-state Jensen verdicts <Phi-sum of f(A) x, x> >= f(<Phi-sum of
-    A x, x>) for (family, mats, f, vectors, context) instances; ``eig`` holds
+    A x, x>) for (family, mats, vectors, f, context) instances; ``eig`` holds
     the decompositions the caller already has."""
     eig = _eigh_distinct([M for inst in instances for M in inst[1]], eig)
     verdicts = []
-    for family, mats, f, vecs, ctx in instances:
+    for family, mats, vecs, f, ctx in instances:
         images = _function_images(eig, f, mats)
         img = oc.apply_map_family(family, [images[id(M)] for M in mats])
         base = oc.apply_map_family(family, mats)
@@ -443,12 +518,12 @@ def _quadratic_forms(M, X) -> np.ndarray:
 
 def _map_sum_verdicts(instances, inequality_id, tol, eig=None) -> List[InequalityVerdict]:
     """Map-sum verdicts Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B)
-    for (family, As, Bs, f, alpha, context) instances.  Each distinct matrix
+    for (As, Bs, family, f, alpha, context) instances.  Each distinct matrix
     object is decomposed once (a B_i that is an A_j object, or a repeated
     B_i, shares its decomposition); ``eig`` holds those the caller has."""
-    eig = _eigh_distinct([M for _, As, Bs, *_ in instances for M in (*As, *Bs)], eig)
+    eig = _eigh_distinct([M for As, Bs, *_ in instances for M in (*As, *Bs)], eig)
     items = []
-    for family, As, Bs, f, alpha, ctx in instances:
+    for As, Bs, family, f, alpha, ctx in instances:
         beta = sb.beta_constant(f, f.domain, alpha)
         images = _function_images(eig, f, (*As, *Bs))
         lhs = oc.apply_map_family(family, [images[id(A)] for A in As])
@@ -463,66 +538,136 @@ MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _mean_margin_mats(instances, include_limits: bool, eig=None):
-    """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
-    bounds, one dict per (Z, As, Bs, w, r, iv) instance: Z-relative tuples
-    As, Bs with weights w and spectra in iv, built from
+def _mean_margin_stacks(instances, include_limits: bool):
+    """The margin matrices (rhs - lhs) of the operator-mean and
+    relative-entropy bounds for (Z, As, Bs, w, r, iv) instances: Z-relative
+    tuples As, Bs with weights w and spectra in iv, built from
     P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.  With
     ``include_limits`` the two r -> 0 limit claims are added.
 
-    Z^(1/2), A_i^r and log A_i all come from one decomposition per matrix
-    object, taken in one LAPACK stack per dimension over the whole batch
-    (``eig`` holds those the caller already has).  Instances with n = 1 pass
-    B as the same object as A, so it is decomposed once.  Each image is
-    recomposed on its own, so the margins do not depend on the batch."""
+    Yields (idxs, forms) per dimension: the positions of that dimension's
+    instances and {form id: (row mask, margin stack)}, a form's mask marking
+    the instances whose r it applies to.  ``_mean_forms`` computes a
+    dimension's forms on stacks."""
     for *_, r, iv in instances:
         if abs(r) < 1e-12:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
         if iv.m <= 0.0:
             raise DomainError("the interval must be positive (m > 0)")
-    eig = _eigh_distinct([M for Z, As, Bs, *_ in instances for M in (Z, *As, *Bs)], eig)
+    groups = defaultdict(list)
+    for j, inst in enumerate(instances):
+        groups[np.shape(inst[0])[-1]].append(j)
+    for idxs in groups.values():
+        yield idxs, _mean_forms([instances[j] for j in idxs], include_limits)
 
-    def image(M, spectral_map, *args):
-        w, V = eig[id(M)]
-        return oc._recompose(spectral_map(w, *args), V)
 
-    out = []
-    for Z, As, Bs, w, r, iv in instances:
-        zs = image(Z, oc._sqrt_of_psd)
-        P = oc.hermitize(zs @ sum(wi * image(A, oc._power_of_psd, r)
-                                  for wi, A in zip(w, As)) @ zs)
-        Q = oc.hermitize(zs @ sum(wi * image(B, oc._power_of_psd, r)
-                                  for wi, B in zip(w, Bs)) @ zs)
-        h = iv.M / iv.m
-        big_k = sb.kantorovich(h, r)
-        c_const = sb.c_of_hr(iv.m, h, r)
-        Zc = np.asarray(Z, dtype=complex)
-        if 0.0 < r < 1.0:
-            mats = {"mean_ratio": P - big_k * Q, "mean_diff": P - c_const * Zc - Q}
-        else:
-            mats = {"mean_ratio": big_k * Q - P, "mean_diff": c_const * Zc + Q - P}
-        sr_x = (P - Zc) / r
-        sr_y = (Q - Zc) / r
-        if r >= 1.0:
-            mats["sr_k_form"] = (big_k * Q - Zc) / r - sr_x
-            mats["sr_k_form_x_both"] = (big_k * P - Zc) / r - sr_x
-            mats["sr_c_form"] = (c_const / r) * Zc + sr_y - sr_x
-        else:
-            # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on
-            # the right-hand side
-            mats["sr_k_form"] = sr_x - (big_k * Q - Zc) / r
-            mats["sr_k_form_x_both"] = sr_x - (big_k * P - Zc) / r
-            mats["sr_c_form"] = sr_x - (c_const / r) * Zc - sr_y
-        if 0.0 < r < 1.0:
-            # C-term-on-the-left orientation; unsatisfiable at X = Y since
-            # C < 0 in this regime, so it is scored under its own id
-            mats[MEAN_FORM_C_LHS] = sr_x + (c_const / r) * Zc - sr_y
-        if include_limits:
-            s0x = oc.hermitize(zs @ sum(wi * image(A, oc._log_of_pd) for wi, A in zip(w, As)) @ zs)
-            s0y = oc.hermitize(zs @ sum(wi * image(B, oc._log_of_pd) for wi, B in zip(w, Bs)) @ zs)
-            mats["s0_nonneg"] = s0x
-            mats["s0_pair_vs_z"] = s0x + s0y - Z
-        out.append(mats)
+def _conjugated_sums(zs, images, starts, counts, weights) -> np.ndarray:
+    """hermitize(Z^(1/2) (sum_i w_i X_i) Z^(1/2)) for each row of the stack zs
+    of roots: X_i = images[start + i] for the row's start and its count of
+    weights w, summed in i order from 0 as Python's ``sum`` is."""
+    wts = np.zeros((len(counts), counts.max()))
+    for row, w in enumerate(weights):
+        wts[row, :len(w)] = w
+    acc = 0 + wts[:, 0, None, None] * images[starts]
+    for i in range(1, counts.max()):
+        m = counts > i
+        acc[m] = acc[m] + wts[m, i, None, None] * images[starts[m] + i]
+    return oc.hermitize(zs @ acc @ zs)
+
+
+def _mean_forms(group, include_limits: bool) -> dict:
+    """``_mean_margin_stacks``' forms for the instances of one dimension.
+
+    One ``oc._eigh`` decomposes every Z, A_i and B_i; an instance whose Bs is
+    its As object (n = 1 in the suites) takes Q = P.  The spectra of the A_i
+    and B_i must lie in iv (1e-9 slack).  Z^(1/2), each A_i^r and B_i^r (on
+    the sub-stack of each r, since a scalar exponent and an array of them
+    may round differently) and log A_i, log B_i are recomposed in one stack.
+    P, Q and the forms are then assembled on the stack, with r and the
+    constants K(h, r), C(m, h, r) broadcast per row and each r regime a row
+    mask.  Every step treats a matrix on its own, so an instance's margins
+    do not depend on the rest of the batch."""
+    k = len(group)
+    Z = np.stack([np.asarray(inst[0], dtype=complex) for inst in group])
+    As = [np.asarray(inst[1], dtype=complex) for inst in group]
+    own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
+    n_a = np.array([len(A) for A in As])
+    n_b = n_a[own_b]
+    # rows: the k Z's, then the A_i of each instance, then the B_i of own_b
+    w, V = oc._eigh(np.concatenate([Z, *As, *(np.asarray(group[j][2], dtype=complex)
+                                               for j in own_b)]))
+    spectra = w[k:]
+    owner = np.concatenate([np.repeat(np.arange(k), n_a), np.repeat(own_b, n_b)]).astype(int)
+    ivs = [inst[5] for inst in group]
+    bad = ((spectra[:, 0] < np.array([iv.m for iv in ivs])[owner] - 1e-9)
+           | (spectra[:, -1] > np.array([iv.M for iv in ivs])[owner] + 1e-9))
+    if bad.any():
+        j = owner[np.argmax(bad)]
+        mine = spectra[owner == j]
+        raise PreconditionError(f"spectra [{mine.min():.6g}, {mine.max():.6g}] "
+                                f"escape [{ivs[j].m}, {ivs[j].M}]")
+
+    rs = [inst[4] for inst in group]
+    row_r = np.array(rs, dtype=float)[owner]
+    powers = np.empty_like(spectra)
+    for r in dict.fromkeys(rs):
+        powers[row_r == r] = oc._power_of_psd(spectra[row_r == r], r)
+    values, vectors = [oc._sqrt_of_psd(w[:k]), powers], [V]
+    if include_limits:
+        values.append(oc._log_of_pd(spectra))
+        vectors.append(V[k:])
+    images = oc._recompose(np.concatenate(values), np.concatenate(vectors))
+    zs = images[:k]
+    a_start = np.concatenate([[0], np.cumsum(n_a)[:-1]]).astype(int)
+    b_start = n_a.sum() + np.concatenate([[0], np.cumsum(n_b)[:-1]]).astype(int)
+    weights = [np.asarray(inst[3], dtype=float) for inst in group]
+
+    def pair(X):
+        """(P, Q) for the images X of the A_i and B_i laid out like spectra."""
+        P = _conjugated_sums(zs, X, a_start, n_a, weights)
+        Q = P.copy()
+        if own_b:
+            Q[own_b] = _conjugated_sums(zs[own_b], X, b_start, n_b, [weights[j] for j in own_b])
+        return P, Q
+
+    P, Q = pair(images[k:k + len(spectra)])
+    r = np.array(rs, dtype=float)[:, None, None]
+    h = [iv.M / iv.m for iv in ivs]
+    big_k = np.array([sb.kantorovich(hj, rj) for hj, rj in zip(h, rs)])[:, None, None]
+    c_const = np.array([sb.c_of_hr(iv.m, hj, rj)
+                        for iv, hj, rj in zip(ivs, h, rs)])[:, None, None]
+    inside = (0.0 < r) & (r < 1.0)
+    above = r >= 1.0
+    kq, cz = big_k * Q, c_const * Z
+    sr_x, sr_y = (P - Z) / r, (Q - Z) / r
+    k_q, k_p, c_r = (kq - Z) / r, (big_k * P - Z) / r, (c_const / r) * Z
+    every = np.ones(k, dtype=bool)
+    forms = {
+        "mean_ratio": (every, np.where(inside, P - kq, kq - P)),
+        "mean_diff": (every, np.where(inside, P - cz - Q, cz + Q - P)),
+        # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on the
+        # right-hand side
+        "sr_k_form": (every, np.where(above, k_q - sr_x, sr_x - k_q)),
+        "sr_k_form_x_both": (every, np.where(above, k_p - sr_x, sr_x - k_p)),
+        "sr_c_form": (every, np.where(above, c_r + sr_y - sr_x, sr_x - c_r - sr_y)),
+        # C-term-on-the-left orientation; unsatisfiable at X = Y since C < 0
+        # for 0 < r < 1, so it is scored under its own id
+        MEAN_FORM_C_LHS: (inside[:, 0, 0], sr_x + c_r - sr_y),
+    }
+    if include_limits:
+        s0x, s0y = pair(images[k + len(spectra):])
+        forms["s0_nonneg"] = (every, s0x)
+        forms["s0_pair_vs_z"] = (every, s0x + s0y - Z)
+    return forms
+
+
+def _mean_margin_mats(instances, include_limits: bool):
+    """{form id: margin matrix} of each (Z, As, Bs, w, r, iv) instance, the
+    instance's rows of ``_mean_margin_stacks``."""
+    out = [None] * len(instances)
+    for idxs, forms in _mean_margin_stacks(instances, include_limits):
+        for row, j in enumerate(idxs):
+            out[j] = {name: M[row] for name, (mask, M) in forms.items() if mask[row]}
     return out
 
 
@@ -610,7 +755,7 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
         nrm = np.linalg.norm(x)
         if abs(nrm - 1.0) > 1e-10:
             raise PreconditionError(f"vector {j} is not unit norm ({nrm})")
-    return _jensen_verdicts([(family, mats, f, vecs, dict(context or {}))], tol, eig)
+    return _jensen_verdicts([(family, mats, vecs, f, dict(context or {}))], tol, eig)
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
@@ -624,7 +769,7 @@ def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: flo
     eig = _validate_spectra(As + Bs, f.domain)
     _validate_equal_map_sum(family, As, Bs)
     ctx = {**(context or {}), "alpha": alpha, "f": f.name}
-    return _map_sum_verdicts([(family, As, Bs, f, alpha, ctx)], "theorem_beta", tol, eig)[0]
+    return _map_sum_verdicts([(As, Bs, family, f, alpha, ctx)], "theorem_beta", tol, eig)[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
@@ -763,7 +908,10 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     Xs/Ys may be single matrices or equal-length lists; weights must be
     positive and sum to 1.  With ``include_limits`` the two r -> 0 limit
     claims are checked as well (these need m >= 1 resp. m >= sqrt(e) to
-    hold; the generator in the limits suite pins such intervals).
+    hold; the generator in the limits suite pins such intervals).  The
+    margins come from the suites' kernel, ``_mean_margin_mats``, run on a
+    batch of one, which also checks that the spectra of the A_i and B_i lie
+    in iv.
     """
     Z = oc.assert_hermitian(Z, "Z")
     if isinstance(Xs, np.ndarray) and Xs.ndim == 2:
@@ -775,19 +923,15 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
         raise PreconditionError("weights must be positive and sum to 1")
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")
-    # each input is decomposed once: Z for Z^(-1/2) here and Z^(1/2) in the
-    # kernel, the A_i and B_i for the spectra check here and the kernel
-    eig = _eigh_distinct([Z])
-    wz, vz = eig[id(Z)]
-    zis = oc._recompose(oc._invsqrt_of_pd(wz), vz)
+    zis = oc.invsqrtm_pd(Z)
     As = [oc.hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
     Bs = [oc.hermitize(zis @ np.asarray(Y, dtype=complex) @ zis) for Y in Ys]
-    eig = _validate_spectra(As + Bs, iv, eig)
     mean_a = sum(wi * Ai for wi, Ai in zip(w, As))
     mean_b = sum(wi * Bi for wi, Bi in zip(w, Bs))
     if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
         raise PreconditionError("weighted A/B sums differ in Z-relative terms")
-    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits, eig)[0]
+    # the kernel checks the spectra of the A_i and B_i against iv
+    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits)[0]
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
     return _margin_verdicts([(name, mat, ctx) for name, mat in mats.items()], tol)
 
@@ -822,16 +966,34 @@ _DECREASING = {f: _is_decreasing(f, f.domain) for f in _CATALOG.values()}
 # ---------------------------------------------------------------------------
 
 
+def _as_drawn(draws):
+    return draws
+
+
 @dataclass(frozen=True)
 class _Suite:
-    """``draw(i, rng, params, ctx)`` builds trial i's instance from the
-    trial's own rng, given the base context {trial, seed}; ``score(instances,
-    params)`` runs the suite's batch kernel once on all the instances;
-    ``defaults`` fill in the params the caller leaves out."""
+    """``draw(i, rng, params, ctx)`` makes trial i's rng calls on the trial's
+    own rng, given the base context {trial, seed}, and returns the raw
+    arrays; ``build(draws)`` turns all the trials' draws into instances, one
+    dimension's matrices in one stack per step (the scalar and eigensolver
+    suites draw their instances directly); ``score(instances, params)`` runs
+    the suite's batch kernel once on all the instances; ``defaults`` fill in
+    the params the caller leaves out."""
 
     draw: Callable
     score: Callable
     defaults: dict
+    build: Callable = _as_drawn
+
+
+def _built(build):
+    """The build phase of a suite whose draws are (raw, *rest): ``build``
+    turns the list of raws into instance heads, and each instance is its
+    head followed by the draw's rest."""
+    def run(draws):
+        heads = build([raw for raw, *_ in draws])
+        return [(*head, *rest) for head, (_, *rest) in zip(heads, draws)]
+    return run
 
 
 def _cycle(seq, i):
@@ -869,28 +1031,73 @@ def _scalar_score(kernel):
     return score
 
 
+def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
+    """The draws of ``_gen_jensen_instance``: (weights, Gaussians of the n
+    unitaries, Gaussians and spectra of the n matrices, vectors)."""
+    weights = rng.dirichlet(np.ones(n))
+    Gu = np.stack([oc._gaussian(dim, rng) for _ in range(n)])
+    Gs, w = _draw_spectra(dim, (iv,) * n, rng)
+    raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
+    vecs = [v for v in np.eye(dim)] + [v / np.linalg.norm(v) for v in raw]
+    return weights, Gu, Gs, w, vecs
+
+
+def _build_jensen_instances(draws) -> list:
+    """(family, mats, vectors) of each ``_draw_jensen_instance`` draw."""
+    out = []
+    haar = _per_dim_rows(oc._build_haar, *zip(*(d[1:4] for d in draws)))
+    for (weights, *_, vecs), (U, H) in zip(draws, haar):
+        maps = tuple(oc.WeightedConjugation(float(wi), Ui) for wi, Ui in zip(weights, U))
+        out.append((oc.MapFamily(maps, U.shape[-1]), list(H), vecs))
+    return out
+
+
 def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     """(family, mats, vectors): n weighted unitary conjugations, n matrices
     with spectra in iv, the standard basis plus 16 random unit vectors."""
-    weights = rng.dirichlet(np.ones(n))
-    maps = tuple(oc.WeightedConjugation(float(wi), oc.rand_unitary(dim, rng))
-                 for wi in weights)
-    family = oc.MapFamily(maps, dim)
-    mats = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
-    vecs = [v for v in np.eye(dim)]
-    raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
-    vecs += [v / np.linalg.norm(v) for v in raw]
-    return family, mats, vecs
+    return _build_jensen_instances([_draw_jensen_instance(n, dim, iv, rng)])[0]
 
 
 def _draw_jensen(i, rng, params, ctx):
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
-    family, mats, vecs = _gen_jensen_instance(_MAP_N, dim, f.domain, rng)
-    return family, mats, f, vecs, dict(ctx, dim=dim, f=f.name)
+    return _draw_jensen_instance(_MAP_N, dim, f.domain, rng), f, dict(ctx, dim=dim, f=f.name)
 
 
 _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
+
+
+def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Generator):
+    """The draws of ``_gen_weighted_instance``: (kind, weights, Gaussians and
+    spectra of the A_i, Sinkhorn matrix of the weights_v2 mix or None)."""
+    w = rng.dirichlet(np.ones(n))
+    Gs, spectra = _draw_spectra(dim, (iv,) * n, rng)
+    S = None if kind in ("weights_v0", "weights_v1") else sinkhorn_doubly_stochastic(n, rng)
+    return kind, w, Gs, spectra, S
+
+
+def _build_weighted_instances(draws) -> list:
+    """(As, Bs, family) of each ``_draw_weighted_instance`` draw."""
+    kinds, ws, Gs, spectra, Ss = zip(*draws)
+    H = [h for _, h in _per_dim_rows(oc._build_haar, [G[:0] for G in Gs], Gs, spectra)]
+    means = _per_dim_sums([w[None] if kind == "weights_v0" else None
+                           for kind, w in zip(kinds, ws)], H)
+    out = []
+    for w, A, mean, mix in zip(ws, H, means, _per_dim_sums(Ss, H)):
+        As = list(A)
+        n, dim = len(As), A.shape[-1]
+        if mean is not None:
+            Bs = [mean[0]] * n
+        elif mix is not None:
+            # doubly stochastic mixing preserves uniform-weight sums only
+            Bs = list(mix)
+            w = np.full(n, 1.0 / n)
+        else:
+            Bs = list(As)
+        eye = np.eye(dim, dtype=complex)
+        out.append((As, Bs, oc.MapFamily(tuple(oc.WeightedConjugation(float(wi), eye)
+                                               for wi in w), dim)))
+    return out
 
 
 def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Generator):
@@ -898,29 +1105,17 @@ def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gener
     all-equal-to-the-weighted-mean reduction (weights_v0), a copy of A
     (weights_v1) or a doubly stochastic mix under uniform weights
     (weights_v2)."""
-    w = rng.dirichlet(np.ones(n))
-    As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
-    if kind == "weights_v0":
-        mean = oc.hermitize(sum(wi * A for wi, A in zip(w, As)))
-        Bs = [mean] * n
-    elif kind == "weights_v1":
-        Bs = list(As)
-    else:
-        # doubly stochastic mixing preserves uniform-weight sums only
-        Bs = _doubly_stochastic_mix(As, rng)
-        w = np.full(n, 1.0 / n)
-    eye = np.eye(dim, dtype=complex)
-    family = oc.MapFamily(tuple(oc.WeightedConjugation(float(wi), eye) for wi in w), dim)
-    return As, Bs, family
+    return _build_weighted_instances([_draw_weighted_instance(n, dim, iv, kind, rng)])[0]
 
 
-def _draw_map_sum(i, rng, params, ctx, gen, kind):
-    """A map-sum instance gen(n, dim, f.domain, kind, rng) -> (As, Bs, family)."""
+def _draw_map_sum(i, rng, params, ctx, draw, kind):
+    """A map-sum trial's draw(n, dim, f.domain, kind, rng), which the suite
+    builds into (As, Bs, family)."""
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
     alpha = _cycle(params["alphas"], i)
-    As, Bs, family = gen(_MAP_N, dim, f.domain, kind, rng)
-    return family, As, Bs, f, alpha, dict(ctx, dim=dim, f=f.name, alpha=alpha, family=kind)
+    return (draw(_MAP_N, dim, f.domain, kind, rng), f, alpha,
+            dict(ctx, dim=dim, f=f.name, alpha=alpha, family=kind))
 
 
 def _draw_scalar_corollary(i, rng, params, ctx):
@@ -975,17 +1170,17 @@ def _draw_moment(i, rng, params, ctx):
 
 
 def _draw_density_pair(i, rng, params, ctx):
-    """(A, B, alpha, context): two random density matrices."""
+    """(Gaussians of A and B, alpha, context): the draws of two random
+    density matrices, which the suite builds into (A, B)."""
     dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
-    A = oc.rand_density(dim, rng)
-    B = oc.rand_density(dim, rng)
-    return A, B, alpha, dict(ctx, dim=dim, alpha=alpha)
+    G = np.stack([oc._gaussian(dim, rng), oc._gaussian(dim, rng)])
+    return G, alpha, dict(ctx, dim=dim, alpha=alpha)
 
 
 def _draw_tsallis_pair(i, rng, params, ctx):
-    A, B, alpha, ctx = _draw_density_pair(i, rng, params, ctx)
+    G, alpha, ctx = _draw_density_pair(i, rng, params, ctx)
     r = _cycle(params["rs"], i)
-    return A, B, alpha, r, dict(ctx, r=r)
+    return G, alpha, r, dict(ctx, r=r)
 
 
 def _draw_prob_pair(i, rng, params, ctx):
@@ -1033,39 +1228,61 @@ def _ratio_diff_kernel(suite_id, rows):
                                    zip(("_ratio", "_diff"), rows(P, Q, *key))]
 
 
+def _draw_mean_instance(rng, dim, iv, n):
+    """The draws of ``_gen_mean_instance``: Gaussians and spectra of Z and the
+    A_i, and the Sinkhorn matrix of the B_i (None for n = 1)."""
+    G, w = _draw_spectra(dim, (Interval(0.5, 2.0),) + (iv,) * n, rng)
+    return G, w, sinkhorn_doubly_stochastic(n, rng) if n > 1 else None
+
+
+def _build_mean_instances(draws) -> list:
+    """(Z, As, Bs, w) of each ``_draw_mean_instance`` draw, with As and Bs
+    stacks (n, d, d).  With n = 1, Bs is the As object itself (which lets
+    ``_mean_margin_mats`` take Q = P); otherwise B is a doubly stochastic mix
+    of the A_i under uniform weights."""
+    G, w, S = zip(*draws)
+    H = [h for _, h in _per_dim_rows(oc._build_haar, [g[:0] for g in G], G, w)]
+    out = []
+    for h, B in zip(H, _per_dim_sums(S, [h[1:] for h in H])):
+        As = h[1:]
+        out.append((h[0], As, As, np.ones(1)) if B is None
+                   else (h[0], As, B, np.full(len(As), 1.0 / len(As))))
+    return out
+
+
 def _gen_mean_instance(rng, dim, iv, n):
     """(Z, As, Bs, w): Z with spectrum in [0.5, 2], n matrices A_i with
-    spectra in iv, and B_i with the same weighted sum.  With n = 1, B is the
-    same object as A (which lets _mean_margin_mats decompose it once);
-    otherwise B is a doubly stochastic mix of the A_i under uniform weights."""
-    Z = oc.rand_hermitian_spectrum_in(dim, Interval(0.5, 2.0), rng)
-    As = [oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(n)]
-    if n == 1:
-        Bs = [As[0]]
-        w = np.ones(1)
-    else:
-        Bs = _doubly_stochastic_mix(As, rng)
-        w = np.full(n, 1.0 / n)
-    return Z, As, Bs, w
+    spectra in iv, and B_i with the same weighted sum."""
+    return _build_mean_instances([_draw_mean_instance(rng, dim, iv, n)])[0]
 
 
 def _draw_mean(i, rng, params, ctx):
     dim, r = _cycle(params["dims"], i), _cycle(params["rs"], i)
     n = 1 if i % 2 == 0 else 2
     iv = Interval(*params["interval"])
-    Z, As, Bs, w = _gen_mean_instance(rng, dim, iv, n)
-    return (Z, As, Bs, w, r, iv), dict(ctx, dim=dim, r=r, n=n)
+    return _draw_mean_instance(rng, dim, iv, n), r, iv, dict(ctx, dim=dim, r=r, n=n)
 
 
 def _mean_score(forms):
-    """Score the named ``forms`` of each operator-mean instance (forms that
-    do not apply at an instance's r are skipped)."""
+    """Score the named ``forms`` of each built (Z, As, Bs, w, r, iv, context)
+    instance, with one lambda_min stack per dimension (forms that do not
+    apply at an instance's r are skipped)."""
     include_limits = any(name in forms for name in MEAN_FORMS_LIMIT)
 
     def score(instances, params):
-        mats = _mean_margin_mats([inst for inst, _ in instances], include_limits)
-        return _margin_verdicts([(name, m[name], ctx) for m, (_, ctx) in zip(mats, instances)
-                                 for name in forms if name in m], params["tol"])
+        margins = [{} for _ in instances]
+        for idxs, stacks in _mean_margin_stacks([inst[:-1] for inst in instances],
+                                                include_limits):
+            picked = [(name, *stacks[name]) for name in forms
+                      if name in stacks and stacks[name][0].any()]
+            if not picked:
+                continue
+            lam = oc._eigvalsh(np.concatenate([M[mask] for _, mask, M in picked]))[:, 0]
+            rows = [(name, idxs[row]) for name, mask, _ in picked for row in np.flatnonzero(mask)]
+            for (name, j), m in zip(rows, lam):
+                margins[j][name] = m
+        return [_verdict(name, m[name], params["tol"], inst[-1])
+                for m, inst in zip(margins, instances) for name in forms if name in m]
     return score
 
 
@@ -1076,13 +1293,28 @@ def _draw_hermitian(i, rng, params, ctx):
     return (G + G.conj().T) / 2.0, dict(ctx, dim=dim)
 
 
-def _jacobi_residuals(stack):
-    """(reconstruction, unitarity) residuals of the Jacobi eigensolver."""
-    w, V = oc.eigh_stack(stack)
-    rec = V @ (w[:, :, None] * np.swapaxes(V, 1, 2).conj()) - stack
+_jacobi_last = {}
+
+
+def _jacobi_by_dim(mats) -> list:
+    """(w, V) of each matrix by the Jacobi oracle ``oc.eigh_stack``, one stack
+    per dimension.  The last input and its result are kept: under ``--suite
+    all`` the eigensolver and eigensolver_crosscheck suites solve the same
+    draws, and Jacobi runs once (``oc.eigvals_stack`` gives ``eigh_stack``'s
+    eigenvalue bits, so the crosscheck reads the same numbers)."""
+    key = (oc.eigh_stack, tuple(M.tobytes() for M in mats))
+    if _jacobi_last.get("key") != key:
+        _jacobi_last.update(key=key, value=_per_dim(
+            lambda S: list(zip(*oc.eigh_stack(S))), mats))
+    return _jacobi_last["value"]
+
+
+def _jacobi_residuals(A, w, V):
+    """(reconstruction, unitarity) residuals of Jacobi's (w, V) for a stack A."""
+    rec = V @ (w[:, :, None] * np.swapaxes(V, 1, 2).conj()) - A
     rec_res = np.linalg.norm(rec, axis=(1, 2)) / np.maximum(
-        1.0, np.linalg.norm(stack, axis=(1, 2)))
-    uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - np.eye(stack.shape[1]),
+        1.0, np.linalg.norm(A, axis=(1, 2)))
+    uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - np.eye(A.shape[1]),
                              axis=(1, 2))
     return list(zip(rec_res, uni_res))
 
@@ -1090,8 +1322,10 @@ def _jacobi_residuals(stack):
 def _score_eigensolver(instances, params):
     # a residual passes when it is at most tol: the margin is tol - residual
     mats, ctxs = zip(*instances)
+    residuals = _per_group(lambda _, *stacks: _jacobi_residuals(*stacks),
+                           [M.shape[0] for M in mats], mats, *zip(*_jacobi_by_dim(mats)))
     return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
-            for ctx, res in zip(ctxs, _per_dim(_jacobi_residuals, mats))
+            for ctx, res in zip(ctxs, residuals)
             for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
 
 
@@ -1101,13 +1335,22 @@ def _score_eigensolver(instances, params):
 _CROSSCHECK_ULPS = 16.0
 
 
-def _crosscheck(stack):
-    """(max_i |w_J,i - w_L,i|, 16 d eps max(1, ||A||_F)): Jacobi (the oracle)
-    against LAPACK (the margin path) and the bound on their distance."""
-    diff = np.abs(oc.eigvals_stack(stack) - oc._eigvalsh(stack)).max(axis=1)
-    bound = _CROSSCHECK_ULPS * stack.shape[1] * np.finfo(float).eps * np.maximum(
-        1.0, np.linalg.norm(stack, axis=(1, 2)))
+def _crosscheck(A, w):
+    """(max_i |w_J,i - w_L,i|, 16 d eps max(1, ||A||_F)) for a stack A with
+    Jacobi eigenvalues w: Jacobi (the oracle) against LAPACK (the margin
+    path) and the bound on their distance."""
+    diff = np.abs(w - oc._eigvalsh(A)).max(axis=1)
+    bound = _CROSSCHECK_ULPS * A.shape[1] * np.finfo(float).eps * np.maximum(
+        1.0, np.linalg.norm(A, axis=(1, 2)))
     return list(zip(diff, bound))
+
+
+def _score_crosscheck(instances, params):
+    mats, ctxs = zip(*instances)
+    evals = [w for w, _ in _jacobi_by_dim(mats)]
+    return [_verdict("eig_crosscheck", bound - diff, 0.0, ctx) for ctx, (diff, bound) in zip(
+        ctxs, _per_group(lambda _, A, w: _crosscheck(A, w), [M.shape[0] for M in mats],
+                         mats, evals))]
 
 
 _MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS,
@@ -1124,17 +1367,18 @@ _EIG_DIMS = {"dims": tuple(range(2, 17))}
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
         _draw_jensen, lambda insts, p: _jensen_verdicts(insts, p["tol"]),
-        {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS, "tol": SCALAR_TOL}),
+        {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS, "tol": SCALAR_TOL},
+        _built(_build_jensen_instances)),
     "theorem_beta": _Suite(
-        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, gen_equal_map_sum_operators,
+        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_equal_map_sum,
                                              _cycle(_BETA_FAMILIES, i)),
         lambda insts, p: _map_sum_verdicts(insts, "theorem_beta", p["tol"]),
-        _MAP_SUM_DEFAULTS),
+        _MAP_SUM_DEFAULTS, _built(_build_equal_map_sums)),
     "corollary_weighted": _Suite(
-        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _gen_weighted_instance,
+        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_weighted_instance,
                                              _cycle(_WEIGHT_VARIANTS, i)),
         lambda insts, p: _map_sum_verdicts(insts, "corollary_weighted", p["tol"]),
-        _MAP_SUM_DEFAULTS),
+        _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
         {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}),
@@ -1150,10 +1394,10 @@ _SUITES: Dict[str, _Suite] = {
             mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), tol)]),
         {"tol": SCALAR_TOL}),
     "entropy_vn": _Suite(_draw_density_pair, lambda insts, p: _vn_verdicts(insts, p["tol"]),
-                         _DENSITY_DEFAULTS),
+                         _DENSITY_DEFAULTS, _built(_per_dim_densities)),
     "entropy_tsallis": _Suite(
         _draw_tsallis_pair, lambda insts, p: _tsallis_verdicts(insts, p["tol"]),
-        {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)}),
+        {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)}, _built(_per_dim_densities)),
     "info_inequality": _Suite(
         _draw_prob_pair, _scalar_score(_info_inequality_kernel),
         {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),
@@ -1166,15 +1410,13 @@ _SUITES: Dict[str, _Suite] = {
         _scalar_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
         {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}),
     "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
-                             {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)}),
+                             {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)},
+                             _built(_build_mean_instances)),
     # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
     "mean_limits": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT),
-                          {**_MEAN_DEFAULTS, "rs": (0.3,)}),
+                          {**_MEAN_DEFAULTS, "rs": (0.3,)}, _built(_build_mean_instances)),
     "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, {**_EIG_DIMS, "tol": 1e-10}),
-    "eigensolver_crosscheck": _Suite(_draw_hermitian, lambda insts, p: [
-        _verdict("eig_crosscheck", bound - diff, 0.0, ctx)
-        for (_, ctx), (diff, bound) in zip(insts, _per_dim(_crosscheck, [A for A, _ in insts]))],
-        _EIG_DIMS),
+    "eigensolver_crosscheck": _Suite(_draw_hermitian, _score_crosscheck, _EIG_DIMS),
 }
 
 #: excluded from "all": the C-term-on-the-left orientation of the 0 < r < 1
@@ -1182,7 +1424,8 @@ _SUITES: Dict[str, _Suite] = {
 #: negative in this regime), and is reported separately for inspection
 _EXTRA_SUITES: Dict[str, _Suite] = {
     "mean_c_lhs_variant": _Suite(_draw_mean, _mean_score((MEAN_FORM_C_LHS,)),
-                                 {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)}),
+                                 {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)},
+                                 _built(_build_mean_instances)),
 }
 
 
@@ -1192,10 +1435,11 @@ def suite_ids(include_extra: bool = False):
 
 def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = None,
               keep_verdicts: bool = False):
-    """Run a named suite: draw ``trials`` independent instances, trial i from
-    its own ``trial_rng(seed, i)``, and score them in one batch.  Returns a
-    TrialReport; with ``keep_verdicts`` the report carries the full verdict
-    list as ``report.verdicts``."""
+    """Run a named suite in three phases: draw ``trials`` independent
+    trials, trial i from its own ``trial_rng(seed, i)``; build their
+    instances, one dimension's matrices in one stack per step; and score
+    them in one batch.  Returns a TrialReport; with ``keep_verdicts`` the
+    report carries the full verdict list as ``report.verdicts``."""
     suite = _SUITES.get(suite_id) or _EXTRA_SUITES.get(suite_id)
     if suite is None:
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
@@ -1205,9 +1449,9 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
         raise DomainError("seed must be >= 0")
     params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
-    instances = [suite.draw(i, trial_rng(seed, i), params, {"trial": i, "seed": seed})
-                 for i in range(trials)]
-    verdicts = suite.score(instances, params) if instances else []
+    draws = [suite.draw(i, trial_rng(seed, i), params, {"trial": i, "seed": seed})
+             for i in range(trials)]
+    verdicts = suite.score(suite.build(draws), params) if draws else []
     elapsed = int((time.perf_counter() - t0) * 1000)
     failures = sum(0 if v.passed else 1 for v in verdicts)
     worst = min(verdicts, key=lambda v: v.margin, default=None)

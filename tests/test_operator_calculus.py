@@ -220,6 +220,60 @@ class TestLapackEigh:
             fn(np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex))
 
 
+def _bits(A):
+    return np.ascontiguousarray(A).view(np.uint64)
+
+
+class TestEnsembleBuild:
+    # the one-matrix arithmetic the stacked builds replaced
+    @staticmethod
+    def unitary(G):
+        Q, R = np.linalg.qr(G)
+        diag = np.diagonal(R)
+        return Q * (diag / np.abs(diag))
+
+    @staticmethod
+    def hermitize(A):
+        return (A + A.conj().T) / 2.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8, 16])
+    def test_public_ensembles_are_rows_of_one_stacked_build(self, dim):
+        # draw 40 triples as rand_unitary, rand_hermitian_spectrum_in and
+        # rand_density draw them, build each kind in one stack, and compare
+        # every row with the public call and with the one-matrix arithmetic
+        iv = Interval(0.3, 4.0)
+        Gu, Gs, w, Gd = [], [], [], []
+        for j in range(40):
+            rng = np.random.default_rng([dim, j])
+            Gu.append(oc._gaussian(dim, rng))
+            Gs.append(oc._gaussian(dim, rng))
+            w.append(rng.uniform(iv.m, iv.M, size=dim))
+            Gd.append(oc._gaussian(dim, rng))
+        U, H = oc._build_haar(np.stack(Gu), np.stack(Gs), np.stack(w))
+        rho = oc._build_densities(np.stack(Gd))
+        for j in range(40):
+            rng = np.random.default_rng([dim, j])
+            V = self.unitary(Gs[j])
+            gram = Gd[j] @ Gd[j].conj().T
+            for row, public, reference in (
+                    (U[j], oc.rand_unitary(dim, rng), self.unitary(Gu[j])),
+                    (H[j], oc.rand_hermitian_spectrum_in(dim, iv, rng),
+                     self.hermitize(V @ (w[j][:, None] * V.conj().T))),
+                    (rho[j], oc.rand_density(dim, rng),
+                     self.hermitize(gram / np.trace(gram).real))):
+                assert np.array_equal(_bits(row), _bits(public)), (dim, j)
+                assert np.array_equal(_bits(row), _bits(reference)), (dim, j)
+
+    def test_hermitize_checks_each_matrix_of_a_stack(self):
+        stack = np.stack([oc.rand_density(3, RNG) for _ in range(5)])
+        out = oc.hermitize(stack)
+        for A, B in zip(stack, out):
+            assert np.array_equal(_bits(B), _bits(self.hermitize(A)))
+        stack[3, 0, 1] += 1e-3
+        with pytest.raises(DomainError, match="drifted"):
+            oc.hermitize(stack)
+
+
 class TestApplyFunction:
     def test_identity_map(self):
         f = FunctionSpec.custom(lambda t: np.asarray(t, dtype=float), "convex",

@@ -931,6 +931,28 @@ class TestSuites:
         rep = vf.run_suite("eigensolver_crosscheck", 30, 0)
         assert rep.failures == 30
 
+    def test_eigensolver_pair_runs_jacobi_once(self, monkeypatch):
+        # under --suite all both suites solve the same draws: the crosscheck
+        # reads the eigenvalues of the eigensolver's Jacobi run
+        solved = []
+        solve = oc.eigh_stack
+
+        def counting(mats, *args):
+            solved.append(len(mats))
+            return solve(mats, *args)
+
+        monkeypatch.setattr(oc, "eigh_stack", counting)
+        monkeypatch.setattr(oc, "eigvals_stack", None)
+        vf.run_suite("eigensolver", 45, 3)
+        assert solved == [3] * 15
+        alone = vf.run_suite("eigensolver_crosscheck", 45, 3, keep_verdicts=True)
+        assert solved == [3] * 15
+        vf.run_suite("eigensolver", 30, 3)
+        assert len(solved) == 30
+        monkeypatch.setattr(oc, "eigh_stack", solve)
+        fresh = vf.run_suite("eigensolver_crosscheck", 45, 3, keep_verdicts=True)
+        assert [v.margin for v in alone.verdicts] == [v.margin for v in fresh.verdicts]
+
     def test_scalar_corollary_sampler_seeds_that_exhausted_redraws(self):
         # trial 167 of seed 1016 draws p_0 = 3.96e-7; the redraw loop runs
         # out and the coordinate-wise construction takes over
