@@ -662,8 +662,11 @@ def _mean_forms(group, include_limits: bool) -> dict:
 
 
 def _mean_margin_mats(instances, include_limits: bool):
-    """{form id: margin matrix} of each (Z, As, Bs, w, r, iv) instance, the
-    instance's rows of ``_mean_margin_stacks``."""
+    """{form id: margin matrix} of each (Z, As, Bs, w, r, iv) instance: the
+    instance's rows of the per-dimension kernel ``_mean_margin_stacks``.
+    The suites score the kernel's stacks directly, and
+    ``check_operator_mean_bounds`` runs it on a batch of one; an instance
+    gets the same bits in any batch."""
     out = [None] * len(instances)
     for idxs, forms in _mean_margin_stacks(instances, include_limits):
         for row, j in enumerate(idxs):
