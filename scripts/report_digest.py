@@ -15,7 +15,7 @@ seeds 0, 7 and 1000; ``verify`` with every suite parameter flag set;
 ``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; every
 ``scan`` quantity, each at its defaults and with its own flags; and every
 suite alone, as JSON and as CSV at seeds 0, 7 and 1000, at the trial count
-its benchmark workload runs (benchmarks/README.md).
+its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py).
 """
 
 import contextlib
@@ -26,19 +26,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
+import harness  # noqa: E402
 from karabounds import cli, verification  # noqa: E402
 
 # trials per suite in the benchmark workloads; the two suites that no
 # workload runs take the count of the suite whose draws they share
 SUITE_TRIALS = {
-    "operator_means": 28, "mean_limits": 28, "mean_c_lhs_variant": 28,
-    "theorem_beta": 48, "corollary_weighted": 48, "lemma_jensen": 40,
-    "entropy_vn": 56, "entropy_tsallis": 84,
-    "eigensolver": 150, "eigensolver_crosscheck": 150,
-    **dict.fromkeys(("scalar_corollary", "fuchs", "moment", "info_inequality",
-                     "reverse_shannon", "parametric_reverse"), 384),
+    **{suite: trials for workload in harness.WORKLOADS.values()
+       for suite, trials in workload.suites},
+    "mean_c_lhs_variant": 28, "eigensolver_crosscheck": 150,
 }
 
 RUNS = [

@@ -299,23 +299,12 @@ def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
     return np.stack(G), np.stack(w)
 
 
-def _per_dim_rows(build, *blocks) -> list:
-    """Each draw's row blocks of ``build``'s outputs, or None for a draw whose
-    first block is None.  build runs once per dimension, on the
-    concatenation of that dimension's blocks (draw j gives blocks[c][j]), and
-    its output c has the rows of input c.  The builds treat every row on its
-    own, so a draw's rows do not depend on the other draws."""
-    groups = defaultdict(list)
-    for j, first in enumerate(blocks[0]):
-        if first is not None:
-            groups[first.shape[-1]].append(j)
-    out = [None] * len(blocks[0])
-    for idxs in groups.values():
-        outputs = build(*(np.concatenate([col[j] for j in idxs]) for col in blocks))
-        cuts = [np.cumsum([len(col[j]) for j in idxs])[:-1] for col in blocks]
-        for j, rows in zip(idxs, zip(*(np.split(o, c) for o, c in zip(outputs, cuts)))):
-            out[j] = rows
-    return out
+def _per_dim_haar(Gus, Gs, ws) -> list:
+    """(U, H) of each draw, or None where Gu is None, from one
+    ``oc._build_haar`` per dimension: the unitaries of the Gaussians Gu, and
+    U diag(w) U* for the Gaussians Gs with spectra w."""
+    return [None if rows is None else rows[:2] for rows in _per_dim_rows(
+        lambda Gu, G, w: (*oc._build_haar(Gu, G, w), w), Gus, Gs, ws)]
 
 
 def _per_dim_densities(Gs) -> list:
@@ -353,8 +342,7 @@ def _build_equal_map_sums(draws) -> list:
     """(As, Bs, family) of each ``_draw_equal_map_sum`` draw.  A permuted B_i
     is the A_j object itself."""
     traced = [kind == "normalized_trace" for kind, *_ in draws]
-    haar = _per_dim_rows(oc._build_haar,
-                         [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
+    haar = _per_dim_haar([None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
                          [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
     mixes = _per_dim_sums([extra if kind == "doubly_stochastic_mix" else None
                            for kind, *_, extra in draws],
@@ -442,22 +430,38 @@ def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
     return InequalityVerdict(inequality_id, margin, margin >= -tol, context)
 
 
-def _per_group(solve, keys, *columns) -> list:
-    """The results of ``solve(key, *stacks)`` for each row, in row order:
-    one call per distinct key, on the ``np.stack`` of that key's entries of
-    each column (``solve`` returns one entry per stacked row); a row whose
-    key is None is left out and gets None.  Every kernel gives a row the
-    same bits in any stack, so the grouping does not show."""
+def _per_group(solve, keys, *columns, gather=np.stack) -> list:
+    """The results of ``solve(key, *gathered)`` for each entry, in entry
+    order: one call per distinct key, on ``gather`` of that key's entries of
+    each column (a stack by default), and ``solve`` returns one result per
+    entry it was given; an entry whose key is None is left out and gets
+    None.  Every kernel gives a row the same bits in any stack, so the
+    grouping does not show."""
     groups = defaultdict(list)
     for j, key in enumerate(keys):
         if key is not None:
             groups[key].append(j)
     out = [None] * len(keys)
     for key, idxs in groups.items():
-        stacks = [np.stack([col[j] for j in idxs]) for col in columns]
-        for j, res in zip(idxs, solve(key, *stacks)):
+        for j, res in zip(idxs, solve(key, *(gather([col[j] for j in idxs]) for col in columns))):
             out[j] = res
     return out
+
+
+def _per_dim_rows(build, *columns) -> list:
+    """Each entry's blocks of ``build``'s outputs, or None for an entry whose
+    first block is None.  An entry of a column is a block of rows of
+    matrices (d, d); build runs once per dimension d, on the concatenation
+    of that dimension's blocks of each column, and returns one array per
+    column with that column's rows, which are split back into the entries'
+    blocks.  The builds treat every row on its own, so an entry's rows do
+    not depend on the other entries."""
+    def solve(_, *blocks):
+        outputs = build(*map(np.concatenate, blocks))
+        return zip(*(np.split(out, np.cumsum([len(b) for b in col])[:-1])
+                     for out, col in zip(outputs, blocks, strict=True)))
+    return _per_group(solve, [None if b is None else b.shape[-1] for b in columns[0]],
+                      *columns, gather=list)
 
 
 def _per_dim(solve, mats) -> list:
@@ -538,27 +542,27 @@ MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _mean_margin_stacks(instances, include_limits: bool):
-    """The margin matrices (rhs - lhs) of the operator-mean and
-    relative-entropy bounds for (Z, As, Bs, w, r, iv) instances: Z-relative
-    tuples As, Bs with weights w and spectra in iv, built from
+def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
+    """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
+    bounds, one {form id: matrix} per (Z, As, Bs, w, r, iv) instance:
+    Z-relative tuples As, Bs with weights w and spectra in iv, built from
     P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.  With
-    ``include_limits`` the two r -> 0 limit claims are added.
+    ``include_limits`` the two r -> 0 limit claims are added; a form that
+    does not apply at an instance's r is left out.
 
-    Yields (idxs, forms) per dimension: the positions of that dimension's
-    instances and {form id: (row mask, margin stack)}, a form's mask marking
-    the instances whose r it applies to.  ``_mean_forms`` computes a
-    dimension's forms on stacks."""
+    A per-dimension kernel, ``_mean_forms``, decomposes, recomposes and
+    assembles each dimension's instances in stacks.  ``z_eigs`` holds the
+    (w, V) of every instance's Z when the caller has them.  The suites run
+    the kernel on all their built instances and ``check_operator_mean_bounds``
+    on a batch of one; an instance gets the same bits in any batch."""
     for *_, r, iv in instances:
         if abs(r) < 1e-12:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
         if iv.m <= 0.0:
             raise DomainError("the interval must be positive (m > 0)")
-    groups = defaultdict(list)
-    for j, inst in enumerate(instances):
-        groups[np.shape(inst[0])[-1]].append(j)
-    for idxs in groups.values():
-        yield idxs, _mean_forms([instances[j] for j in idxs], include_limits)
+    return _per_group(lambda _, group, zeig: _mean_forms(group, zeig, include_limits),
+                      [np.shape(inst[0])[-1] for inst in instances], instances,
+                      z_eigs or [None] * len(instances), gather=list)
 
 
 def _conjugated_sums(zs, images, starts, counts, weights) -> np.ndarray:
@@ -575,27 +579,32 @@ def _conjugated_sums(zs, images, starts, counts, weights) -> np.ndarray:
     return oc.hermitize(zs @ acc @ zs)
 
 
-def _mean_forms(group, include_limits: bool) -> dict:
-    """``_mean_margin_stacks``' forms for the instances of one dimension.
+def _mean_forms(group, z_eigs, include_limits: bool) -> list:
+    """``_mean_margin_mats`` of the instances of one dimension.
 
-    One ``oc._eigh`` decomposes every Z, A_i and B_i; an instance whose Bs is
-    its As object (n = 1 in the suites) takes Q = P.  The spectra of the A_i
-    and B_i must lie in iv (1e-9 slack).  Z^(1/2), each A_i^r and B_i^r (on
-    the sub-stack of each r, since a scalar exponent and an array of them
-    may round differently) and log A_i, log B_i are recomposed in one stack.
-    P, Q and the forms are then assembled on the stack, with r and the
-    constants K(h, r), C(m, h, r) broadcast per row and each r regime a row
-    mask.  Every step treats a matrix on its own, so an instance's margins
-    do not depend on the rest of the batch."""
+    One ``oc._eigh`` decomposes every Z (unless ``z_eigs`` holds their
+    (w, V)), A_i and B_i; an instance whose Bs is its As object (n = 1 in
+    the suites) takes Q = P.  The spectra of the A_i and B_i must lie in iv
+    (1e-9 slack).  Z^(1/2), each A_i^r and B_i^r (on the sub-stack of each
+    r, since a scalar exponent and an array of them may round differently)
+    and log A_i, log B_i are recomposed in one stack.  P, Q and the forms
+    are then assembled on the stack, with r and the constants K(h, r),
+    C(m, h, r) broadcast per row and each r regime a row mask.  Every step
+    treats a matrix on its own, so an instance's margins do not depend on
+    the rest of the batch."""
     k = len(group)
     Z = np.stack([np.asarray(inst[0], dtype=complex) for inst in group])
     As = [np.asarray(inst[1], dtype=complex) for inst in group]
     own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
     n_a = np.array([len(A) for A in As])
     n_b = n_a[own_b]
-    # rows: the k Z's, then the A_i of each instance, then the B_i of own_b
-    w, V = oc._eigh(np.concatenate([Z, *As, *(np.asarray(group[j][2], dtype=complex)
-                                               for j in own_b)]))
+    # rows of (w, V): the k Z's, then the A_i of each instance, then the B_i
+    # of own_b
+    rows = np.concatenate([*As, *(np.asarray(group[j][2], dtype=complex) for j in own_b)])
+    if z_eigs[0] is None:
+        w, V = oc._eigh(np.concatenate([Z, rows]))
+    else:
+        w, V = (np.concatenate([np.stack(z), x]) for z, x in zip(zip(*z_eigs), oc._eigh(rows)))
     spectra = w[k:]
     owner = np.concatenate([np.repeat(np.arange(k), n_a), np.repeat(own_b, n_b)]).astype(int)
     ivs = [inst[5] for inst in group]
@@ -641,37 +650,24 @@ def _mean_forms(group, include_limits: bool) -> dict:
     kq, cz = big_k * Q, c_const * Z
     sr_x, sr_y = (P - Z) / r, (Q - Z) / r
     k_q, k_p, c_r = (kq - Z) / r, (big_k * P - Z) / r, (c_const / r) * Z
-    every = np.ones(k, dtype=bool)
     forms = {
-        "mean_ratio": (every, np.where(inside, P - kq, kq - P)),
-        "mean_diff": (every, np.where(inside, P - cz - Q, cz + Q - P)),
+        "mean_ratio": np.where(inside, P - kq, kq - P),
+        "mean_diff": np.where(inside, P - cz - Q, cz + Q - P),
         # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on the
         # right-hand side
-        "sr_k_form": (every, np.where(above, k_q - sr_x, sr_x - k_q)),
-        "sr_k_form_x_both": (every, np.where(above, k_p - sr_x, sr_x - k_p)),
-        "sr_c_form": (every, np.where(above, c_r + sr_y - sr_x, sr_x - c_r - sr_y)),
-        # C-term-on-the-left orientation; unsatisfiable at X = Y since C < 0
-        # for 0 < r < 1, so it is scored under its own id
-        MEAN_FORM_C_LHS: (inside[:, 0, 0], sr_x + c_r - sr_y),
+        "sr_k_form": np.where(above, k_q - sr_x, sr_x - k_q),
+        "sr_k_form_x_both": np.where(above, k_p - sr_x, sr_x - k_p),
+        "sr_c_form": np.where(above, c_r + sr_y - sr_x, sr_x - c_r - sr_y),
+        # C-term-on-the-left orientation, for 0 < r < 1 only; unsatisfiable
+        # at X = Y since C < 0 there, so it is scored under its own id
+        MEAN_FORM_C_LHS: sr_x + c_r - sr_y,
     }
     if include_limits:
         s0x, s0y = pair(images[k + len(spectra):])
-        forms["s0_nonneg"] = (every, s0x)
-        forms["s0_pair_vs_z"] = (every, s0x + s0y - Z)
-    return forms
-
-
-def _mean_margin_mats(instances, include_limits: bool):
-    """{form id: margin matrix} of each (Z, As, Bs, w, r, iv) instance: the
-    instance's rows of the per-dimension kernel ``_mean_margin_stacks``.
-    The suites score the kernel's stacks directly, and
-    ``check_operator_mean_bounds`` runs it on a batch of one; an instance
-    gets the same bits in any batch."""
-    out = [None] * len(instances)
-    for idxs, forms in _mean_margin_stacks(instances, include_limits):
-        for row, j in enumerate(idxs):
-            out[j] = {name: M[row] for name, (mask, M) in forms.items() if mask[row]}
-    return out
+        forms["s0_nonneg"] = s0x
+        forms["s0_pair_vs_z"] = s0x + s0y - Z
+    return [{name: M[j] for name, M in forms.items()
+             if name != MEAN_FORM_C_LHS or inside[j, 0, 0]} for j in range(k)]
 
 
 def _entropy_evals(instances):
@@ -926,7 +922,9 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
         raise PreconditionError("weights must be positive and sum to 1")
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")
-    zis = oc.invsqrtm_pd(Z)
+    # one decomposition of Z gives Z^(-1/2) here and Z^(1/2) in the kernel
+    wz, Vz = oc._eigh(Z[None])
+    zis = oc._recompose(oc._invsqrt_of_pd(wz), Vz)[0]
     As = [oc.hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
     Bs = [oc.hermitize(zis @ np.asarray(Y, dtype=complex) @ zis) for Y in Ys]
     mean_a = sum(wi * Ai for wi, Ai in zip(w, As))
@@ -934,7 +932,7 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
         raise PreconditionError("weighted A/B sums differ in Z-relative terms")
     # the kernel checks the spectra of the A_i and B_i against iv
-    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits)[0]
+    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits, [(wz[0], Vz[0])])[0]
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
     return _margin_verdicts([(name, mat, ctx) for name, mat in mats.items()], tol)
 
@@ -1048,7 +1046,7 @@ def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
 def _build_jensen_instances(draws) -> list:
     """(family, mats, vectors) of each ``_draw_jensen_instance`` draw."""
     out = []
-    haar = _per_dim_rows(oc._build_haar, *zip(*(d[1:4] for d in draws)))
+    haar = _per_dim_haar(*zip(*(d[1:4] for d in draws)))
     for (weights, *_, vecs), (U, H) in zip(draws, haar):
         maps = tuple(oc.WeightedConjugation(float(wi), Ui) for wi, Ui in zip(weights, U))
         out.append((oc.MapFamily(maps, U.shape[-1]), list(H), vecs))
@@ -1082,7 +1080,7 @@ def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gene
 def _build_weighted_instances(draws) -> list:
     """(As, Bs, family) of each ``_draw_weighted_instance`` draw."""
     kinds, ws, Gs, spectra, Ss = zip(*draws)
-    H = [h for _, h in _per_dim_rows(oc._build_haar, [G[:0] for G in Gs], Gs, spectra)]
+    H = [h for _, h in _per_dim_haar([G[:0] for G in Gs], Gs, spectra)]
     means = _per_dim_sums([w[None] if kind == "weights_v0" else None
                            for kind, w in zip(kinds, ws)], H)
     out = []
@@ -1244,7 +1242,7 @@ def _build_mean_instances(draws) -> list:
     ``_mean_margin_mats`` take Q = P); otherwise B is a doubly stochastic mix
     of the A_i under uniform weights."""
     G, w, S = zip(*draws)
-    H = [h for _, h in _per_dim_rows(oc._build_haar, [g[:0] for g in G], G, w)]
+    H = [h for _, h in _per_dim_haar([g[:0] for g in G], G, w)]
     out = []
     for h, B in zip(H, _per_dim_sums(S, [h[1:] for h in H])):
         As = h[1:]
@@ -1268,24 +1266,13 @@ def _draw_mean(i, rng, params, ctx):
 
 def _mean_score(forms):
     """Score the named ``forms`` of each built (Z, As, Bs, w, r, iv, context)
-    instance, with one lambda_min stack per dimension (forms that do not
-    apply at an instance's r are skipped)."""
+    instance (forms that do not apply at an instance's r are skipped)."""
     include_limits = any(name in forms for name in MEAN_FORMS_LIMIT)
 
     def score(instances, params):
-        margins = [{} for _ in instances]
-        for idxs, stacks in _mean_margin_stacks([inst[:-1] for inst in instances],
-                                                include_limits):
-            picked = [(name, *stacks[name]) for name in forms
-                      if name in stacks and stacks[name][0].any()]
-            if not picked:
-                continue
-            lam = oc._eigvalsh(np.concatenate([M[mask] for _, mask, M in picked]))[:, 0]
-            rows = [(name, idxs[row]) for name, mask, _ in picked for row in np.flatnonzero(mask)]
-            for (name, j), m in zip(rows, lam):
-                margins[j][name] = m
-        return [_verdict(name, m[name], params["tol"], inst[-1])
-                for m, inst in zip(margins, instances) for name in forms if name in m]
+        mats = _mean_margin_mats([inst[:-1] for inst in instances], include_limits)
+        return _margin_verdicts([(name, m[name], inst[-1]) for m, inst in zip(mats, instances)
+                                 for name in forms if name in m], params["tol"])
     return score
 
 

@@ -870,6 +870,17 @@ class TestSuites:
         assert solved() == (0, 2)
         vf.check_entropy_tsallis(A, B, 1.0, 0.5)
         assert solved() == (0, 2)
+        iv = Interval(1.7, 5.1)
+        Z, As, Bs, w = vf._gen_mean_instance(rng, 3, iv, 2)
+        zs = oc.sqrtm_psd(Z)
+        Xs, Ys = ([oc.hermitize(zs @ M @ zs) for M in Ms] for Ms in (As, Bs))
+        solved()
+        # Z, A_1, A_2, B_1 and B_2 once; one lambda_min per form (five at
+        # r = 1.7; at r = 0.3 also the C-term-on-the-left form and two limits)
+        vf.check_operator_mean_bounds(Z, Xs, Ys, w, iv, 1.7)
+        assert solved() == (5, 5)
+        vf.check_operator_mean_bounds(Z, Xs, Ys, w, iv, 0.3, include_limits=True)
+        assert solved() == (5, 8)
 
     def test_checkers_keep_their_typed_errors(self):
         f = vf.function_catalog("power2")
