@@ -450,12 +450,12 @@ def _per_group(solve, keys, *columns, gather=np.stack) -> list:
 
 def _per_dim_rows(build, *columns) -> list:
     """Each entry's blocks of ``build``'s outputs, or None for an entry whose
-    first block is None.  An entry of a column is a block of rows of
-    matrices (d, d); build runs once per dimension d, on the concatenation
-    of that dimension's blocks of each column, and returns one array per
-    column with that column's rows, which are split back into the entries'
-    blocks.  The builds treat every row on its own, so an entry's rows do
-    not depend on the other entries."""
+    first block is None.  An entry of a column is a block of rows; build
+    runs once per dimension d (the last axis of an entry's first block), on
+    the concatenation of that dimension's blocks of each column, and returns
+    one array per column with that column's rows, which are split back into
+    the entries' blocks.  The builds treat every row on its own, so an
+    entry's rows do not depend on the other entries."""
     def solve(_, *blocks):
         outputs = build(*map(np.concatenate, blocks))
         return zip(*(np.split(out, np.cumsum([len(b) for b in col])[:-1])
