@@ -552,9 +552,10 @@ def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
 
     A per-dimension kernel, ``_mean_forms``, decomposes, recomposes and
     assembles each dimension's instances in stacks.  ``z_eigs`` holds the
-    (w, V) of every instance's Z when the caller has them.  The suites run
-    the kernel on all their built instances and ``check_operator_mean_bounds``
-    on a batch of one; an instance gets the same bits in any batch."""
+    (w, V) of every instance's Z when the caller has them.  A mean suite's
+    score phase runs it on all the instances its build phase made, and
+    ``check_operator_mean_bounds`` on a batch of one; an instance gets the
+    same bits in any batch."""
     for *_, r, iv in instances:
         if abs(r) < 1e-12:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
