@@ -165,55 +165,55 @@ def _rows_to_output(rows, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _constant_cases(eps, r, alpha, h, m):
+    """(name, params, closed form, oracle value) of each constant that
+    ``constants`` reports at the given parameters."""
+    iv01 = Interval(0.0, 1.0)
+    ive = Interval(eps, 1.0)
+    f_tlogt = FunctionSpec.t_log_t(iv01)
+    f_neglog = FunctionSpec.neg_log(ive)
+    yield ("beta_t_log_t", {"alpha": alpha},
+           sb.beta_constant(f_tlogt, iv01, alpha), sb.beta_oracle(f_tlogt, iv01, alpha))
+    if 0.0 < r <= 1.0:
+        f_ts = FunctionSpec.tsallis_f(r, iv01)
+        yield ("beta_tsallis", {"alpha": alpha, "r": r},
+               sb.beta_constant(f_ts, iv01, alpha), sb.beta_oracle(f_ts, iv01, alpha))
+    yield ("ratio_neg_log", {"eps": eps},
+           sb.ratio_constant(f_neglog, ive), sb.ratio_oracle(f_neglog, ive))
+    yield ("diff_neg_log_logS", {"eps": eps},
+           math.log(sb.specht(eps)), sb.diff_oracle(f_neglog, ive))
+    if r > 0.0:
+        f_lnr = FunctionSpec.ln_r_reciprocal(r, ive)
+        yield ("ratio_ln_r", {"eps": eps, "r": r},
+               sb.ratio_constant(f_lnr, ive), sb.ratio_oracle(f_lnr, ive))
+        yield ("ls_r", {"eps": eps, "r": r},
+               sb.ls_r_constant(eps, r), sb.diff_oracle(f_lnr, ive))
+    ivh = Interval(m, m * h)
+    f_pow = FunctionSpec.power(r if r not in (0.0, 1.0) else 2.0, ivh)
+    yield ("kantorovich", {"h": h, "r": f_pow.r},
+           sb.kantorovich(h, f_pow.r), sb.ratio_oracle(f_pow, ivh))
+    yield ("c_of_hr", {"h": h, "r": f_pow.r, "m": m},
+           sb.c_of_hr(m, h, f_pow.r), sb.diff_oracle(f_pow, ivh))
+    yield ("kantorovich_r_to_0", {"h": h, "r": 1e-6},
+           1.0, sb.kantorovich(h, 1e-6))
+    yield ("specht", {"h": h},
+           sb.specht(h), math.exp(sb.diff_oracle(FunctionSpec.neg_log(Interval(1.0 / h, 1.0)),
+                                                 Interval(1.0 / h, 1.0))))
+    f_lin = FunctionSpec.custom(lambda t: 2.0 * np.asarray(t, dtype=float) + 1.0,
+                                "convex", Interval(1.0, 2.0), "2t+1")
+    yield ("linear_ratio_is_one", {}, 1.0,
+           sb.ratio_oracle(f_lin, Interval(1.0, 2.0)))
+    yield ("linear_diff_is_zero", {}, 0.0,
+           sb.diff_oracle(f_lin, Interval(1.0, 2.0)))
+
+
 def cmd_constants(args: argparse.Namespace) -> int:
     eps, r, alpha, h, m = args.eps, args.r, args.alpha, args.h, args.m
     if not 0.0 < eps < 1.0:
         return _usage(f"eps must be in (0, 1), got {eps}")
     if h <= 1.0:
         return _usage(f"h must be > 1, got {h}")
-    rows = []
-
-    def add(name, params, closed, oracle):
-        rows.append({"name": name, "params": params, "closed_form": float(closed),
-                     "oracle_value": float(oracle), "abs_diff": abs(closed - oracle)})
-
-    iv01 = Interval(0.0, 1.0)
-    ive = Interval(eps, 1.0)
-    f_tlogt = FunctionSpec.t_log_t(iv01)
-    f_neglog = FunctionSpec.neg_log(ive)
-    add("beta_t_log_t", {"alpha": alpha},
-        sb.beta_constant(f_tlogt, iv01, alpha), sb.beta_oracle(f_tlogt, iv01, alpha))
-    if 0.0 < r <= 1.0:
-        f_ts = FunctionSpec.tsallis_f(r, iv01)
-        add("beta_tsallis", {"alpha": alpha, "r": r},
-            sb.beta_constant(f_ts, iv01, alpha), sb.beta_oracle(f_ts, iv01, alpha))
-    add("ratio_neg_log", {"eps": eps},
-        sb.ratio_constant(f_neglog, ive), sb.ratio_oracle(f_neglog, ive))
-    add("diff_neg_log_logS", {"eps": eps},
-        math.log(sb.specht(eps)), sb.diff_oracle(f_neglog, ive))
-    if r > 0.0:
-        f_lnr = FunctionSpec.ln_r_reciprocal(r, ive)
-        add("ratio_ln_r", {"eps": eps, "r": r},
-            sb.ratio_constant(f_lnr, ive), sb.ratio_oracle(f_lnr, ive))
-        add("ls_r", {"eps": eps, "r": r},
-            sb.ls_r_constant(eps, r), sb.diff_oracle(f_lnr, ive))
-    ivh = Interval(m, m * h)
-    f_pow = FunctionSpec.power(r if r not in (0.0, 1.0) else 2.0, ivh)
-    add("kantorovich", {"h": h, "r": f_pow.r},
-        sb.kantorovich(h, f_pow.r), sb.ratio_oracle(f_pow, ivh))
-    add("c_of_hr", {"h": h, "r": f_pow.r, "m": m},
-        sb.c_of_hr(m, h, f_pow.r), sb.diff_oracle(f_pow, ivh))
-    add("kantorovich_r_to_0", {"h": h, "r": 1e-6},
-        1.0, sb.kantorovich(h, 1e-6))
-    add("specht", {"h": h},
-        sb.specht(h), math.exp(sb.diff_oracle(FunctionSpec.neg_log(Interval(1.0 / h, 1.0)),
-                                              Interval(1.0 / h, 1.0))))
-    f_lin = FunctionSpec.custom(lambda t: 2.0 * np.asarray(t, dtype=float) + 1.0,
-                                "convex", Interval(1.0, 2.0), "2t+1")
-    add("linear_ratio_is_one", {}, 1.0,
-        sb.ratio_oracle(f_lin, Interval(1.0, 2.0)))
-    add("linear_diff_is_zero", {}, 0.0,
-        sb.diff_oracle(f_lin, Interval(1.0, 2.0)))
+    rows = [vf.oracle_row(*case) for case in _constant_cases(eps, r, alpha, h, m)]
     _emit(_rows_to_output(rows, args.format), args.out)
     return 0
 

@@ -16,16 +16,16 @@ dimension's matrices in one stack per step (``operator_calculus._build_haar``
 and ``_build_densities``, then the Sinkhorn mixes and weighted means).  The
 score runs the suite's batch margin kernel once on all the instances.  A
 kernel decomposes each distinct input matrix once, in one LAPACK stack per
-dimension (``operator_calculus._eigh``), and takes every spectral image of
-that matrix from the same (w, V); the lambda_min reductions go through
-``operator_calculus._eigvalsh``.  Every build and kernel step gives a
-matrix the same bits in any stack, so reports do not depend on batching,
-and the public generators are batches of one of their draw and build.  A
-public ``check_*`` function validates its input and runs the same kernel on
-a batch of one, so its margins equal the suite's bit for bit.  The Jacobi
-solver is not on this path; the ``eigensolver`` and
-``eigensolver_crosscheck`` suites exercise it, on matrices they draw
-directly, and share one Jacobi run of the same draws.
+dimension (``operator_calculus._eigh``), rejects a spectrum outside its
+interval, and takes every spectral image of that matrix from the same
+(w, V); the lambda_min reductions go through ``operator_calculus._eigvalsh``.
+Every build and kernel step gives a matrix the same bits in any stack, so
+reports do not depend on batching, and the public generators are batches of
+one of their draw and build.  A public ``check_*`` function validates the
+rest of its input and runs the same kernel on a batch of one, so its
+margins and spectral errors equal the suite's.  The Jacobi solver is not on
+this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
+exercise it, on matrices they draw directly, and share one Jacobi run.
 
 The six scalar and classical suites share one score, ``_scalar_score``:
 trials are grouped by length and key, each group is stacked into (k, n)
@@ -81,6 +81,7 @@ __all__ = [
     "function_catalog",
     "run_suite",
     "suite_ids",
+    "oracle_row",
     "oracle_sweep",
     "report_to_json",
     "verdict_csv_rows",
@@ -477,39 +478,43 @@ def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
     return [_verdict(name, w[0], tol, ctx) for (name, _, ctx), w in zip(items, evals)]
 
 
-def _eigh_distinct(mats, eig=None):
-    """{id(M): (w, V)}: a copy of ``eig`` (the decompositions a caller already
-    has) plus each distinct matrix object M of ``mats`` that it lacks, with
-    one LAPACK stack per dimension; a matrix passed twice is decomposed once."""
-    eig = dict(eig or {})
-    new = {id(M): M for M in mats if id(M) not in eig}
-    eig.update(zip(new, _per_dim(lambda S: list(zip(*oc._eigh(S))), list(new.values()))))
-    return eig
+def _function_images(entries) -> list:
+    """[f(M) for M in mats] for each (mats, f) entry.  Each distinct matrix
+    object is decomposed once, in one ``oc._eigh`` per dimension; a spectrum
+    more than 1e-10 (``oc._function_image``'s slack) outside f's interval
+    raises PreconditionError; the images are recomposed in one
+    ``oc._function_image`` per (dimension, f).  Each step treats a matrix on
+    its own, so an image does not depend on the rest of the batch."""
+    # objects are keyed by id(), which hashes faster than a FunctionSpec
+    distinct = {id(M): M for mats, _ in entries for M in mats}
+    fs = {id(f): f for _, f in entries}
+    eig = dict(zip(distinct, _per_dim(lambda S: list(zip(*oc._eigh(S))), list(distinct.values()))))
+    keys = list(dict.fromkeys((id(M), id(f)) for mats, f in entries for M in mats))
+
+    def images(key, w, V):
+        f = fs[key[1]]
+        bad = (w[:, 0] < f.domain.m - 1e-10) | (w[:, -1] > f.domain.M + 1e-10)
+        if bad.any():
+            j = np.argmax(bad)
+            raise PreconditionError(f"spectrum [{w[j, 0]:.6g}, {w[j, -1]:.6g}] "
+                                    f"escapes [{f.domain.m}, {f.domain.M}]")
+        return oc._function_image(f, w, V)
+
+    image = dict(zip(keys, _per_group(images, [(len(eig[i][0]), j) for i, j in keys],
+                                      *zip(*(eig[i] for i, _ in keys)))))
+    return [[image[id(M), id(f)] for M in mats] for mats, f in entries]
 
 
-def _function_images(eig, f, mats):
-    """{id(M): f(M)} for the distinct matrix objects of ``mats``, recomposed
-    from their (w, V) in one stack; callers pass one instance's matrices, so
-    an image does not depend on the rest of the batch."""
-    keys = list(dict.fromkeys(id(M) for M in mats))
-    img = oc._function_image(f, np.stack([eig[k][0] for k in keys]),
-                             np.stack([eig[k][1] for k in keys]))
-    return dict(zip(keys, img))
-
-
-def _jensen_verdicts(instances, tol, eig=None) -> List[InequalityVerdict]:
+def _jensen_verdicts(instances, tol) -> List[InequalityVerdict]:
     """Vector-state Jensen verdicts <Phi-sum of f(A) x, x> >= f(<Phi-sum of
-    A x, x>) for (family, mats, vectors, f, context) instances; ``eig`` holds
-    the decompositions the caller already has."""
-    eig = _eigh_distinct([M for inst in instances for M in inst[1]], eig)
+    A x, x>) for (family, mats, vectors, f, context) instances."""
+    images = _function_images([(mats, f) for _, mats, _, f, _ in instances])
     verdicts = []
-    for family, mats, vecs, f, ctx in instances:
-        images = _function_images(eig, f, mats)
-        img = oc.apply_map_family(family, [images[id(M)] for M in mats])
+    for (family, mats, vecs, f, ctx), img in zip(instances, images):
         base = oc.apply_map_family(family, mats)
         X = np.stack(vecs)
         means = np.clip(_quadratic_forms(base, X), f.domain.m, f.domain.M)
-        lifted = _quadratic_forms(img, X)
+        lifted = _quadratic_forms(oc.apply_map_family(family, img), X)
         verdicts += [_verdict("lemma_jensen", margin, tol, {**ctx, "vector": j})
                      for j, margin in enumerate(lifted - f(means))]
     return verdicts
@@ -520,19 +525,16 @@ def _quadratic_forms(M, X) -> np.ndarray:
     return np.real(np.sum(X.conj() * (X @ M.T), axis=1))
 
 
-def _map_sum_verdicts(instances, inequality_id, tol, eig=None) -> List[InequalityVerdict]:
+def _map_sum_verdicts(instances, inequality_id, tol) -> List[InequalityVerdict]:
     """Map-sum verdicts Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B)
-    for (As, Bs, family, f, alpha, context) instances.  Each distinct matrix
-    object is decomposed once (a B_i that is an A_j object, or a repeated
-    B_i, shares its decomposition); ``eig`` holds those the caller has."""
-    eig = _eigh_distinct([M for As, Bs, *_ in instances for M in (*As, *Bs)], eig)
+    for (As, Bs, family, f, alpha, context) instances."""
+    images = _function_images([((*As, *Bs), f) for As, Bs, _, f, *_ in instances])
     items = []
-    for As, Bs, family, f, alpha, ctx in instances:
+    for (As, Bs, family, f, alpha, ctx), img in zip(instances, images):
         beta = sb.beta_constant(f, f.domain, alpha)
-        images = _function_images(eig, f, (*As, *Bs))
-        lhs = oc.apply_map_family(family, [images[id(A)] for A in As])
+        lhs = oc.apply_map_family(family, img[:len(As)])
         rhs = beta * np.eye(family.output_dim, dtype=complex) \
-            + alpha * oc.apply_map_family(family, [images[id(B)] for B in Bs])
+            + alpha * oc.apply_map_family(family, img[len(As):])
         items.append((inequality_id, rhs - lhs, ctx))
     return _margin_verdicts(items, tol)
 
@@ -557,6 +559,8 @@ def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
     ``check_operator_mean_bounds`` on a batch of one; an instance gets the
     same bits in any batch."""
     for *_, r, iv in instances:
+        if not math.isfinite(r):
+            raise DomainError(f"r must be finite, got {r}")
         if abs(r) < 1e-12:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
         if iv.m <= 0.0:
@@ -715,7 +719,8 @@ def _tsallis_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
 
 
 # ---------------------------------------------------------------------------
-# checkers (single instance: validate, then run the kernel on a batch of one)
+# checkers (single instance: validate what the kernel does not check, then
+# run the kernel on a batch of one; the kernel checks the spectra)
 # ---------------------------------------------------------------------------
 
 
@@ -727,19 +732,6 @@ def _validate_equal_map_sum(family, As, Bs):
         raise PreconditionError(f"map sums differ: residual {res:.3e}")
 
 
-def _validate_spectra(mats, iv: Interval, eig=None):
-    """Decompositions {id(M): (w, V)} of the Hermitian matrices ``mats``
-    (added to ``eig``), after checking that every spectrum lies in iv; the
-    margin kernel reuses them."""
-    eig = _eigh_distinct(mats, eig)
-    w = np.concatenate([eig[id(M)][0] for M in mats])
-    if w.min() < iv.m - 1e-9 or w.max() > iv.M + 1e-9:
-        raise PreconditionError(
-            f"spectra [{w.min():.6g}, {w.max():.6g}] escape [{iv.m}, {iv.M}]"
-        )
-    return eig
-
-
 def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
                        tol: float = SCALAR_TOL, context: Optional[dict] = None):
     """Vector-state Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
@@ -747,15 +739,19 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
     if not f.is_convex:
         raise PreconditionError("the vector-state Jensen bound needs convex f")
     mats = [oc.assert_hermitian(M) for M in mats]
-    eig = _validate_spectra(mats, f.domain)
     vecs = [np.asarray(x, dtype=complex) for x in vectors]
     if not vecs:
         raise PreconditionError("the vector-state Jensen bound needs at least one vector")
+    dim = family.output_dim
     for j, x in enumerate(vecs):
+        if x.shape != (dim,):
+            raise ShapeError(f"vector {j} has shape {x.shape}, expected ({dim},)")
+        if not np.isfinite(x).all():
+            raise DomainError(f"vector {j} has non-finite entries")
         nrm = np.linalg.norm(x)
         if abs(nrm - 1.0) > 1e-10:
             raise PreconditionError(f"vector {j} is not unit norm ({nrm})")
-    return _jensen_verdicts([(family, mats, vecs, f, dict(context or {}))], tol, eig)
+    return _jensen_verdicts([(family, mats, vecs, f, dict(context or {}))], tol)
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
@@ -766,10 +762,9 @@ def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: flo
         raise PreconditionError("check_theorem_beta needs convex f")
     As = [oc.assert_hermitian(A) for A in As]
     Bs = [oc.assert_hermitian(B) for B in Bs]
-    eig = _validate_spectra(As + Bs, f.domain)
     _validate_equal_map_sum(family, As, Bs)
     ctx = {**(context or {}), "alpha": alpha, "f": f.name}
-    return _map_sum_verdicts([(As, Bs, family, f, alpha, ctx)], "theorem_beta", tol, eig)[0]
+    return _map_sum_verdicts([(As, Bs, family, f, alpha, ctx)], "theorem_beta", tol)[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
@@ -1462,53 +1457,52 @@ _R_GRID = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
 _H_GRID = (1.1, 1.5, 2.0, 5.0, 10.0, 50.0, 100.0)
 
 
-def oracle_sweep():
-    """Every cataloged closed form against the grid-zoom oracle
-    ``scalar_bounds.interval_max``.
+def oracle_row(name: str, params: dict, closed, oracle) -> dict:
+    """A closed-form vs oracle row, both values as floats, and their distance."""
+    closed, oracle = float(closed), float(oracle)
+    return {"name": name, "params": params, "closed_form": closed,
+            "oracle_value": oracle, "abs_diff": abs(closed - oracle)}
 
-    Returns (rows, worst_abs_diff); each row carries name, params, both
-    values and the absolute difference.  Two closed forms of one oracle
-    value (log S(eps) and C(eps, -log)) share one oracle call.
-    """
-    rows = []
 
-    def add(name, params, closed, oracle):
-        rows.append({
-            "name": name, "params": params,
-            "closed_form": float(closed), "oracle_value": float(oracle),
-            "abs_diff": abs(float(closed) - float(oracle)),
-        })
-
+def _sweep_cases():
+    """(name, params, closed form, oracle value) of every cataloged closed
+    form.  Two closed forms of one oracle value (log S(eps) and C(eps, -log))
+    share one oracle call."""
     iv01 = Interval(0.0, 1.0)
     f_tlogt = FunctionSpec.t_log_t(iv01)
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        add("beta_t_log_t", {"alpha": alpha},
-            sb.beta_constant(f_tlogt, iv01, alpha), sb.beta_oracle(f_tlogt, iv01, alpha))
+        yield ("beta_t_log_t", {"alpha": alpha},
+               sb.beta_constant(f_tlogt, iv01, alpha), sb.beta_oracle(f_tlogt, iv01, alpha))
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
             f = FunctionSpec.tsallis_f(r, iv01)
-            add("beta_tsallis", {"alpha": alpha, "r": r},
-                sb.beta_constant(f, iv01, alpha), sb.beta_oracle(f, iv01, alpha))
+            yield ("beta_tsallis", {"alpha": alpha, "r": r},
+                   sb.beta_constant(f, iv01, alpha), sb.beta_oracle(f, iv01, alpha))
     for eps in _EPS_GRID:
         ive = Interval(eps, 1.0)
         f = FunctionSpec.neg_log(ive)
-        add("ratio_neg_log", {"eps": eps},
-            sb.ratio_constant(f, ive), sb.ratio_oracle(f, ive))
+        yield ("ratio_neg_log", {"eps": eps},
+               sb.ratio_constant(f, ive), sb.ratio_oracle(f, ive))
         diff = sb.diff_oracle(f, ive)
-        add("diff_neg_log", {"eps": eps}, sb.diff_constant(f, ive), diff)
-        add("log_specht_via_diff", {"eps": eps}, math.log(sb.specht(eps)), diff)
+        yield ("diff_neg_log", {"eps": eps}, sb.diff_constant(f, ive), diff)
+        yield ("log_specht_via_diff", {"eps": eps}, math.log(sb.specht(eps)), diff)
         for r in _R_GRID:
             fr = FunctionSpec.ln_r_reciprocal(r, ive)
-            add("ratio_ln_r", {"eps": eps, "r": r},
-                sb.ratio_constant(fr, ive), sb.ratio_oracle(fr, ive))
-            add("ls_r_via_diff", {"eps": eps, "r": r},
-                sb.ls_r_constant(eps, r), sb.diff_oracle(fr, ive))
+            yield ("ratio_ln_r", {"eps": eps, "r": r},
+                   sb.ratio_constant(fr, ive), sb.ratio_oracle(fr, ive))
+            yield ("ls_r_via_diff", {"eps": eps, "r": r},
+                   sb.ls_r_constant(eps, r), sb.diff_oracle(fr, ive))
     for h in _H_GRID:
         for r in (-2.0, -1.0, 0.3, 0.5, 0.7, 2.0, 3.0):
             ivh = Interval(1.0, h)
             fp = FunctionSpec.power(r, ivh)
-            add("kantorovich", {"h": h, "r": r},
-                sb.kantorovich(h, r), sb.ratio_oracle(fp, ivh))
-            add("c_of_hr", {"h": h, "r": r, "m": 1.0},
-                sb.c_of_hr(1.0, h, r), sb.diff_oracle(fp, ivh))
-    worst = max(row["abs_diff"] for row in rows)
-    return rows, worst
+            yield ("kantorovich", {"h": h, "r": r},
+                   sb.kantorovich(h, r), sb.ratio_oracle(fp, ivh))
+            yield ("c_of_hr", {"h": h, "r": r, "m": 1.0},
+                   sb.c_of_hr(1.0, h, r), sb.diff_oracle(fp, ivh))
+
+
+def oracle_sweep():
+    """(``oracle_row`` of every cataloged closed form against the grid-zoom
+    oracle ``scalar_bounds.interval_max``, worst abs_diff)."""
+    rows = [oracle_row(*case) for case in _sweep_cases()]
+    return rows, max(row["abs_diff"] for row in rows)

@@ -840,6 +840,25 @@ class TestSuites:
         assert sum(sum(k) for k in sizes.values()) == distinct
         assert {d: len(k) for d, k in sizes.items()} == {2: 1, 4: 1, 8: 1}
 
+    @pytest.mark.parametrize("suite, trials, groups", [
+        ("theorem_beta", 48, 12), ("corollary_weighted", 48, 12), ("lemma_jensen", 40, 20)])
+    def test_map_sum_suites_recompose_once_per_dimension_and_function(
+            self, suite, trials, groups, monkeypatch):
+        # dims and functions cycle together: 3 dims by 4 functions give 12
+        # (d, f) pairs, and the Jensen suite's 5 dims give 20
+        calls = []
+        image = oc._function_image
+
+        def counting(f, w, V, *args):
+            calls.append((w.shape[1], f))
+            return image(f, w, V, *args)
+
+        monkeypatch.setattr(oc, "_function_image", counting)
+        sizes = count_eigh(monkeypatch)
+        vf.run_suite(suite, trials, 1000)
+        assert len(calls) == len(set(calls)) == groups
+        assert all(len(k) == 1 for k in sizes.values())
+
     def test_checkers_decompose_each_input_once(self, monkeypatch):
         # validation decomposes the inputs and the kernel reuses them; only
         # the margin matrix of an operator bound is solved again
@@ -1012,7 +1031,9 @@ class TestSuites:
 # change of basis V moves a margin by rounding only: at most
 # _ROTATION_ULPS d eps max(1, ||M||_F) for the margin matrix M.  The worst
 # move measured is 20 d eps ||M||_F on the mean suites (3,000 trials at seeds
-# 11-13) and 3.1 on theorem_beta (960 trials at seeds 11 and 12).
+# 11-13), 3.1 on theorem_beta (960 trials at seeds 11 and 12) and 5.9
+# d eps max(1, ||f(A_i)||_F) on lemma_jensen (1,040 trials at seeds 7, 11,
+# 12 and 1000).
 _ROTATION_ULPS = 64.0
 
 
@@ -1069,9 +1090,43 @@ class TestUnitaryInvariance:
             M = vf.sb.beta_constant(f, f.domain, alpha) * np.eye(dim) + alpha * images[1] - images[0]
             assert abs(a - b) <= _rotation_bound(dim, M), (i, a - b)
 
+    @pytest.mark.parametrize("seed", [7, 1000])
+    def test_lemma_jensen_margins_survive_a_change_of_basis(self, seed):
+        # A_i -> V A_i V*, U_i -> V U_i W and x -> W* x turn the Phi-sums of
+        # f(A) and of A into W* S W, and leave every <S x, x> as it was
+        params = vf._SUITES["lemma_jensen"].defaults
+        for i in range(40):
+            dim = params["dims"][i % len(params["dims"])]
+            f = vf.function_catalog(params["fs"][i % len(params["fs"])])
+            fam, mats, vecs = vf._gen_jensen_instance(vf._MAP_N, dim, f.domain,
+                                                      vf.trial_rng(seed, i))
+            V = oc.rand_unitary(dim, vf.trial_rng(seed + 1, i))
+            W = oc.rand_unitary(dim, vf.trial_rng(seed + 2, i))
+            moved_fam = oc.MapFamily(tuple(oc.WeightedConjugation(phi.weight,
+                                                                  V @ phi.unitary @ W)
+                                           for phi in fam.maps), dim)
+            a = [v.margin for v in vf.check_lemma_jensen(fam, mats, f, vecs)]
+            b = [v.margin for v in vf.check_lemma_jensen(
+                moved_fam, [_rotated(V, A) for A in mats], f, [W.conj().T @ x for x in vecs])]
+            M = max((oc.apply_function(f, A) for A in mats), key=np.linalg.norm)
+            worst = max(abs(x - y) for x, y in zip(a, b))
+            assert worst <= _rotation_bound(dim, M), (i, worst)
+
 
 _NAN, _INF = float("nan"), float("inf")
 _PAIR = Interval(0.2, 2.0)
+_EYE2 = np.eye(2, dtype=complex)
+
+
+def _jensen_on(x):
+    """check_lemma_jensen of one vector x under the identity map on I_2."""
+    fam = oc.MapFamily((oc.WeightedConjugation(1.0, _EYE2),), 2)
+    return vf.check_lemma_jensen(fam, [_EYE2], vf.function_catalog("power2"), [x])
+
+
+def _mean_bounds_at(r):
+    return vf.check_operator_mean_bounds(_EYE2, [2.0 * _EYE2], [2.0 * _EYE2], [1.0],
+                                         Interval(1.7, 5.1), r)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -1098,12 +1153,39 @@ _PAIR = Interval(0.2, 2.0)
                                          vf.function_catalog("power2"), 1.0), PreconditionError),
     (lambda: vf.check_entropy_vonneumann(np.eye(2) / 2, np.eye(2) / 2, _NAN), DomainError),
     (lambda: vf.check_entropy_tsallis(np.eye(2) / 2, np.eye(2) / 2, _INF, 0.5), DomainError),
+    (lambda: _jensen_on(np.array([_NAN, 0.0])), DomainError),
+    (lambda: _jensen_on(np.array([1.0, 0.0, 0.0])), ShapeError),
+    (lambda: _jensen_on(np.array([[1.0], [0.0]])), ShapeError),
+    (lambda: _mean_bounds_at(_NAN), DomainError),
+    (lambda: _mean_bounds_at(_INF), DomainError),
+    (lambda: _mean_bounds_at(-_INF), DomainError),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_input_raises_a_typed_error(call, error):
     # NaN compares false both ways, so a check that tests for the bad case
-    # (p < 0, alpha < 0) lets it through and the margin comes out NaN or 0
+    # (p < 0, alpha < 0) lets it through and the margin comes out NaN or 0;
+    # the typed error comes before any arithmetic on the bad value warns
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("delta, error", [(5e-11, None), (5e-10, PreconditionError),
+                                          (2e-9, PreconditionError)])
+def test_spectra_have_one_threshold(delta, error):
+    # a spectrum may leave f's interval [0.2, 2] by 1e-10, the slack of the
+    # spectral image; beyond it the kernel raises PreconditionError, before
+    # the image's own DomainError can
+    f = vf.function_catalog("power2")
+    mats = [np.diag([2.0 + delta, 1.0]).astype(complex), np.diag([1.0, 0.5]).astype(complex)]
+    fam = oc.MapFamily(tuple(oc.WeightedConjugation(0.5, _EYE2) for _ in mats), 2)
+    calls = (lambda: [vf.check_theorem_beta(fam, mats, mats, f, 1.0)],
+             lambda: vf.check_lemma_jensen(fam, mats, f, list(_EYE2)))
+    for call in calls:
+        if error is None:
+            assert all(v.passed for v in call())
+        else:
+            with pytest.raises(error):
+                call()
 
 
 class TestOracleSweep:
