@@ -13,9 +13,11 @@ two outputs: no difference means every report of the set is byte-identical.
 The set: ``verify --suite all`` as JSON and as CSV at 48 and 100 trials and
 seeds 0, 7 and 1000; ``verify`` with every suite parameter flag set;
 ``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; every
-``scan`` quantity, each at its defaults and with its own flags; and every
+``scan`` quantity, each at its defaults and with its own flags; every
 suite alone, as JSON and as CSV at seeds 0, 7 and 1000, at the trial count
-its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py).
+its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py); and
+the two quantum entropy suites at dimensions 9, 12 and 16, whose spectra
+are longer than the eight entries of numpy's unrolled pairwise sum.
 """
 
 import contextlib
@@ -68,6 +70,9 @@ RUNS = [
        "--format", fmt]
       for suite in verification.suite_ids(include_extra=True)
       for seed in (0, 7, 1000) for fmt in ("json", "csv")),
+    *(["verify", "--suite", suite, "--trials", str(SUITE_TRIALS[suite]), "--seed", "7",
+       "--dims", "9,12,16", "--format", fmt]
+      for suite in ("entropy_vn", "entropy_tsallis") for fmt in ("json", "csv")),
 ]
 
 

@@ -122,19 +122,10 @@ def _check_reverse_rows(P, Q, eps: float, direction: str):
         raise PreconditionError(f"declared condition {direction!r} does not hold")
 
 
-def _entropy_rows(P) -> np.ndarray:
-    """-sum p log p of each row of a probability stack (0 log 0 = 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.sum(P * np.log(P), axis=-1)
-    # a row with a zero sums only its positive entries, as a 1-d call would
-    for j in np.flatnonzero(np.any(P <= 0.0, axis=-1)):
-        pos = P[j][P[j] > 0.0]
-        out[j] = -np.sum(pos * np.log(pos))
-    return out
-
-
 def _cross_rows(P, Q) -> np.ndarray:
-    """-sum p log q of each row pair; +inf where some q_i = 0 meets p_i > 0."""
+    """-sum p log q of each row pair; +inf where some q_i = 0 meets p_i > 0.
+    A row sums only its entries with p_i > 0, as a 1-d call on them would,
+    so at Q = P it is the entropy -sum p log p with 0 log 0 = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -np.sum(P * np.log(Q), axis=-1)
     for j in np.flatnonzero(np.any((P <= 0.0) | (Q <= 0.0), axis=-1)):
@@ -148,7 +139,7 @@ def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log p_i with 0 log 0 = 0; lives in [0, log n]."""
     P = _as_row(p)
     _check_prob_rows(P)
-    return float(_entropy_rows(P)[0])
+    return float(_cross_rows(P, P)[0])
 
 
 def cross_term(p, q) -> float:
@@ -211,7 +202,7 @@ def tsallis_cross_terms(p, q, r: float):
 def _information_rows(P, Q) -> np.ndarray:
     """``information_inequality_margin`` for each row pair of the stacks P, Q."""
     _check_pair_rows(P, Q)
-    return _cross_rows(P, Q) - _entropy_rows(P)
+    return _cross_rows(P, Q) - _cross_rows(P, P)
 
 
 def information_inequality_margin(p, q) -> float:
@@ -225,7 +216,7 @@ def _reverse_shannon_rows(P, Q, eps: float, direction: str):
     _check_reverse_rows(P, Q, eps, direction)
     big_k = math.log(eps) / (eps - 1.0)
     log_s = math.log(specht(eps))
-    h = _entropy_rows(P)
+    h = _cross_rows(P, P)
     cross = _cross_rows(P, Q)
     if direction == CROSS_DOMINATED:
         return h - cross / big_k, h + log_s - cross

@@ -36,6 +36,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .classical_entropy import _cross_rows
 from .errors import ConvergenceError, DomainError, ShapeError
 from .functions import FunctionSpec, Interval
 
@@ -582,17 +583,27 @@ def relative_operator_entropy(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy_from_evals(w) -> float:
-    """-sum w log w over the positive entries of a spectrum (0 log 0 = 0)."""
-    w = np.asarray(w, dtype=float)
-    pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    """-sum w log w over the positive entries of a spectrum (0 log 0 = 0): a
+    batch of one of the Shannon row kernel ``_cross_rows(W, W)``."""
+    W = np.asarray(w, dtype=float).reshape(1, -1)
+    return float(_cross_rows(W, W)[0])
+
+
+def _tsallis_spectra_rows(W, r: float) -> np.ndarray:
+    """(sum w^(1-r) - 1)/r of each row of a stack of spectra, summed over
+    the row's positive entries as a 1-d call on them would."""
+    with np.errstate(invalid="ignore"):
+        out = (np.sum(W ** (1.0 - r), axis=-1) - 1.0) / r
+    for j in np.flatnonzero(np.any(W <= 0.0, axis=-1)):
+        pos = W[j][W[j] > 0.0]
+        out[j] = (np.sum(pos ** (1.0 - r)) - 1.0) / r
+    return out
 
 
 def tsallis_entropy_from_evals(w, r: float) -> float:
-    """(sum w^(1-r) - 1)/r over the positive entries of a spectrum."""
-    w = np.asarray(w, dtype=float)
-    pos = w[w > 0.0]
-    return float((np.sum(pos ** (1.0 - r)) - 1.0) / r)
+    """(sum w^(1-r) - 1)/r over the positive entries of a spectrum: a batch
+    of one of ``_tsallis_spectra_rows``."""
+    return float(_tsallis_spectra_rows(np.asarray(w, dtype=float).reshape(1, -1), r)[0])
 
 
 def von_neumann_entropy(rho) -> float:

@@ -27,16 +27,18 @@ margins and spectral errors equal the suite's.  The Jacobi solver is not on
 this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
 exercise it, on matrices they draw directly, and share one Jacobi run.
 
-The six scalar and classical suites share one score, ``_scalar_score``:
-trials are grouped by length and key, each group is stacked into (k, n)
-arrays, validated once and scored in one pass by the stacked kernel of
-``check_scalar_corollary``, ``majorization`` or ``classical_entropy``,
-which computes its constants once per group.  Rows are reduced with
-``np.sum``/``np.cumsum`` along the last axis, which gives a row the bits of
-the 1-d call, so ``check_scalar_corollary``, ``fuchs_margin``,
-``moment_margin`` and the classical margins, each a batch of one of its
-kernel, equal the suites bit for bit.  A hypothesis, too, has one row-wise
-expression: weighted means are row sums, and the inner-product condition is
+Eight suites share one score, ``_scalar_score``: the six scalar and
+classical suites, and the two entropy suites, built into spectra.  Trials
+are grouped by length and key, each group is stacked into (k, n) arrays,
+validated once and scored in one pass by the stacked kernel of
+``check_scalar_corollary``, ``majorization``, ``classical_entropy`` or
+``_entropy_kernel``, which computes its constants once per group.  Rows
+are reduced with ``np.sum``/``np.cumsum`` along the last axis, which gives
+a row the bits of the 1-d call, so ``check_scalar_corollary``,
+``fuchs_margin``, ``moment_margin``, the classical margins and the entropy
+checkers, each a batch of one of its kernel, equal the suites bit for
+bit.  A hypothesis, too, has one row-wise expression: weighted means are
+row sums, and the inner-product condition is
 ``classical_entropy._condition_gap``, in a block of draws and for one pair.
 """
 
@@ -478,11 +480,22 @@ def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
     return [_verdict(name, w[0], tol, ctx) for (name, _, ctx), w in zip(items, evals)]
 
 
+def _check_spectra(w, lo, hi):
+    """Raise PreconditionError for the first row of the ascending spectra w
+    (k, d) more than 1e-10 (``oc._function_image``'s slack) outside its
+    interval [lo, hi]; the bounds are scalars or one per row."""
+    bad = (w[:, 0] < lo - 1e-10) | (w[:, -1] > hi + 1e-10)
+    if bad.any():
+        j = np.argmax(bad)
+        lo, hi = np.broadcast_to(lo, bad.shape)[j], np.broadcast_to(hi, bad.shape)[j]
+        raise PreconditionError(f"spectrum [{w[j, 0]:.6g}, {w[j, -1]:.6g}] escapes [{lo}, {hi}]")
+
+
 def _function_images(entries) -> list:
     """[f(M) for M in mats] for each (mats, f) entry.  Each distinct matrix
     object is decomposed once, in one ``oc._eigh`` per dimension; a spectrum
-    more than 1e-10 (``oc._function_image``'s slack) outside f's interval
-    raises PreconditionError; the images are recomposed in one
+    outside f's interval raises PreconditionError (``_check_spectra``); the
+    images are recomposed in one
     ``oc._function_image`` per (dimension, f).  Each step treats a matrix on
     its own, so an image does not depend on the rest of the batch."""
     # objects are keyed by id(), which hashes faster than a FunctionSpec
@@ -493,11 +506,7 @@ def _function_images(entries) -> list:
 
     def images(key, w, V):
         f = fs[key[1]]
-        bad = (w[:, 0] < f.domain.m - 1e-10) | (w[:, -1] > f.domain.M + 1e-10)
-        if bad.any():
-            j = np.argmax(bad)
-            raise PreconditionError(f"spectrum [{w[j, 0]:.6g}, {w[j, -1]:.6g}] "
-                                    f"escapes [{f.domain.m}, {f.domain.M}]")
+        _check_spectra(w, f.domain.m, f.domain.M)
         return oc._function_image(f, w, V)
 
     image = dict(zip(keys, _per_group(images, [(len(eig[i][0]), j) for i, j in keys],
@@ -529,9 +538,12 @@ def _map_sum_verdicts(instances, inequality_id, tol) -> List[InequalityVerdict]:
     """Map-sum verdicts Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B)
     for (As, Bs, family, f, alpha, context) instances."""
     images = _function_images([((*As, *Bs), f) for As, Bs, _, f, *_ in instances])
+    # one constant per (f, alpha); id(f) hashes faster than a FunctionSpec
+    betas = {(id(f), alpha): (f, alpha) for _, _, _, f, alpha, _ in instances}
+    betas = {key: sb.beta_constant(f, f.domain, alpha) for key, (f, alpha) in betas.items()}
     items = []
     for (As, Bs, family, f, alpha, ctx), img in zip(instances, images):
-        beta = sb.beta_constant(f, f.domain, alpha)
+        beta = betas[id(f), alpha]
         lhs = oc.apply_map_family(family, img[:len(As)])
         rhs = beta * np.eye(family.output_dim, dtype=complex) \
             + alpha * oc.apply_map_family(family, img[len(As):])
@@ -590,9 +602,9 @@ def _mean_forms(group, z_eigs, include_limits: bool) -> list:
     One ``oc._eigh`` decomposes every Z (unless ``z_eigs`` holds their
     (w, V)), A_i and B_i; an instance whose Bs is its As object (n = 1 in
     the suites) takes Q = P.  The spectra of the A_i and B_i must lie in iv
-    (1e-9 slack).  Z^(1/2), each A_i^r and B_i^r (on the sub-stack of each
-    r, since a scalar exponent and an array of them may round differently)
-    and log A_i, log B_i are recomposed in one stack.  P, Q and the forms
+    (``_check_spectra``).  Z^(1/2), each A_i^r and B_i^r (on the sub-stack
+    of each r, since a scalar exponent and an array of them may round
+    differently) and log A_i, log B_i are recomposed in one stack.  P, Q and the forms
     are then assembled on the stack, with r and the constants K(h, r),
     C(m, h, r) broadcast per row and each r regime a row mask.  Every step
     treats a matrix on its own, so an instance's margins do not depend on
@@ -613,13 +625,7 @@ def _mean_forms(group, z_eigs, include_limits: bool) -> list:
     spectra = w[k:]
     owner = np.concatenate([np.repeat(np.arange(k), n_a), np.repeat(own_b, n_b)]).astype(int)
     ivs = [inst[5] for inst in group]
-    bad = ((spectra[:, 0] < np.array([iv.m for iv in ivs])[owner] - 1e-9)
-           | (spectra[:, -1] > np.array([iv.M for iv in ivs])[owner] + 1e-9))
-    if bad.any():
-        j = owner[np.argmax(bad)]
-        mine = spectra[owner == j]
-        raise PreconditionError(f"spectra [{mine.min():.6g}, {mine.max():.6g}] "
-                                f"escape [{ivs[j].m}, {ivs[j].M}]")
+    _check_spectra(spectra, *np.array([(iv.m, iv.M) for iv in ivs])[owner].T)
 
     rs = [inst[4] for inst in group]
     row_r = np.array(rs, dtype=float)[owner]
@@ -675,47 +681,28 @@ def _mean_forms(group, z_eigs, include_limits: bool) -> list:
              if name != MEAN_FORM_C_LHS or inside[j, 0, 0]} for j in range(k)]
 
 
-def _entropy_evals(instances):
-    """Spectra (w_A, w_B) of each instance's leading (A, B) pair, with one
-    LAPACK eigenvalue stack per dimension."""
-    w = _per_dim(oc._eigvalsh, [M for inst in instances for M in inst[:2]])
-    return list(zip(w[0::2], w[1::2]))
-
-
-def _vn_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
-    """alpha H(B) <= H(A) + (alpha/e) dim and |H(A) - H(B)| <= dim/e for
-    (A, B, alpha, context) instances; ``evals`` holds the spectra (w_A, w_B)
-    when the caller already has them."""
-    if not all(0.0 <= inst[2] < math.inf for inst in instances):
-        raise DomainError("alpha must be finite and >= 0")
-    verdicts = []
-    for (A, _, alpha, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
-        ha = oc.von_neumann_entropy_from_evals(wa)
-        hb = oc.von_neumann_entropy_from_evals(wb)
-        dim = A.shape[0]
-        verdicts.append(_verdict("entropy_vn_alpha",
-                                 ha + alpha / math.e * dim - alpha * hb, tol, ctx))
-        verdicts.append(_verdict("entropy_vn_symmetric", dim / math.e - abs(ha - hb), tol, ctx))
-    return verdicts
-
-
-def _tsallis_verdicts(instances, tol, evals=None) -> List[InequalityVerdict]:
-    """alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim and the symmetric
-    difference bound for (A, B, alpha, r, context) instances, r in (0, 1];
-    ``evals`` as in _vn_verdicts."""
-    for _, _, alpha, r, _ in instances:
-        if not (0.0 <= alpha < math.inf and 0.0 < r <= 1.0):
-            raise DomainError(f"needs a finite alpha >= 0 and r in (0, 1], got {alpha} and {r}")
-    verdicts = []
-    for (A, _, alpha, r, ctx), (wa, wb) in zip(instances, evals or _entropy_evals(instances)):
-        ha = oc.tsallis_entropy_from_evals(wa, r)
-        hb = oc.tsallis_entropy_from_evals(wb, r)
-        fac = 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
-        dim = A.shape[0]
-        verdicts.append(_verdict("entropy_tsallis_alpha",
-                                 ha + alpha * fac * dim - alpha * hb, tol, ctx))
-        verdicts.append(_verdict("entropy_tsallis_symmetric", fac * dim - abs(ha - hb), tol, ctx))
-    return verdicts
+def _entropy_kernel(r, tol, WA, WB, alpha):
+    """alpha H(B) <= H(A) + alpha c dim and |H(A) - H(B)| <= c dim for the
+    stacks WA, WB (k, dim) of the spectra of density pairs (A, B), with one
+    alpha per row: von Neumann's H with c = 1/e (r = None), or the Tsallis
+    H_r, r in (0, 1], with c = (1-r)^((1-r)/r).  H is the classical row
+    kernel of the spectra, ``ce._cross_rows(W, W)`` or
+    ``oc._tsallis_spectra_rows``, so a row gets the bits of a batch of one."""
+    bad = ~((0.0 <= alpha) & (alpha < math.inf)) | (r is not None and not 0.0 < r <= 1.0)
+    dim, W = WA.shape[-1], np.concatenate([WA, WB])
+    if r is None:
+        if bad.any():
+            raise DomainError("alpha must be finite and >= 0")
+        ha, hb = ce._cross_rows(W, W).reshape(2, -1)
+        return [("entropy_vn_alpha", ha + alpha / math.e * dim - alpha * hb, tol),
+                ("entropy_vn_symmetric", dim / math.e - np.abs(ha - hb), tol)]
+    if bad.any():
+        raise DomainError(f"needs a finite alpha >= 0 and r in (0, 1], "
+                          f"got {alpha[np.argmax(bad)]} and {r}")
+    ha, hb = oc._tsallis_spectra_rows(W, r).reshape(2, -1)
+    fac = 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
+    return [("entropy_tsallis_alpha", ha + alpha * fac * dim - alpha * hb, tol),
+            ("entropy_tsallis_symmetric", fac * dim - np.abs(ha - hb), tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -852,31 +839,29 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
             for name, margins in _scalar_corollary_margins(P, X, Y, f, alpha)]
 
 
-def _density_pair(A, B):
-    """(A, B, [(w_A, w_B)]) for two checked density matrices of one
-    dimension; the kernels reuse the spectra the check computed."""
+def _entropy_verdicts(A, B, alpha, r, tol, context):
+    """``_entropy_kernel`` on a batch of one, with the spectra that the
+    density checks of A and B computed."""
     A, wa = oc._density_evals(A, "A")
     B, wb = oc._density_evals(B, "B")
     if A.shape != B.shape:
         raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
-    return A, B, [(wa, wb)]
+    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
+    return [_verdict(name, margins[0], t, ctx)
+            for name, margins, t in _entropy_kernel(r, tol, wa[None], wb[None], np.array([alpha]))]
 
 
 def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
                              context: Optional[dict] = None):
     """alpha H(B) <= H(A) + (alpha/e) dim, plus |H(A) - H(B)| <= dim/e."""
-    A, B, evals = _density_pair(A, B)
-    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha}
-    return _vn_verdicts([(A, B, alpha, ctx)], tol, evals)
+    return _entropy_verdicts(A, B, alpha, None, tol, context)
 
 
 def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
                           context: Optional[dict] = None):
     """Deformed analog: alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim,
     plus the symmetric difference bound."""
-    A, B, evals = _density_pair(A, B)
-    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, "r": r}
-    return _tsallis_verdicts([(A, B, alpha, r, ctx)], tol, evals)
+    return _entropy_verdicts(A, B, alpha, r, tol, context)
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -1010,7 +995,7 @@ _MOMENT_ORDERS = (1, 2, 4)
 
 
 def _scalar_score(kernel):
-    """The score of a scalar suite whose draw gives (rows, key, context):
+    """The score of a suite whose instances are (rows, key, context):
     trials are grouped by (row length, key) and stacked into (k, n) arrays,
     and ``kernel(key, tol, *stacks)`` returns [(inequality id, margins,
     tol)], one margin per stacked row.  A kernel gives a row the bits of a
@@ -1167,17 +1152,26 @@ def _draw_moment(i, rng, params, ctx):
 
 
 def _draw_density_pair(i, rng, params, ctx):
-    """(Gaussians of A and B, alpha, context): the draws of two random
-    density matrices, which the suite builds into (A, B)."""
+    """(Gaussians of A and B, alpha, r = None, context): the draws of two
+    random density matrices, which the suite builds into their spectra."""
     dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
     G = np.stack([oc._gaussian(dim, rng), oc._gaussian(dim, rng)])
-    return G, alpha, dict(ctx, dim=dim, alpha=alpha)
+    return G, alpha, None, dict(ctx, dim=dim, alpha=alpha)
 
 
 def _draw_tsallis_pair(i, rng, params, ctx):
-    G, alpha, ctx = _draw_density_pair(i, rng, params, ctx)
+    G, alpha, _, ctx = _draw_density_pair(i, rng, params, ctx)
     r = _cycle(params["rs"], i)
     return G, alpha, r, dict(ctx, r=r)
+
+
+def _build_entropy_instances(draws) -> list:
+    """((w_A, w_B, alpha), r, context) of each (G, alpha, r, context) draw:
+    the spectra of its density pair, from one ``oc._build_densities`` and
+    one ``oc._eigvalsh`` per dimension."""
+    spectra = _per_dim_rows(lambda G: (oc._eigvalsh(oc._build_densities(G)),),
+                            [G for G, *_ in draws])
+    return [((wa, wb, alpha), r, ctx) for ((wa, wb),), (_, alpha, r, ctx) in zip(spectra, draws)]
 
 
 def _draw_prob_pair(i, rng, params, ctx):
@@ -1379,11 +1373,11 @@ _SUITES: Dict[str, _Suite] = {
             "moment_margin",
             mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), tol)]),
         {"tol": SCALAR_TOL}),
-    "entropy_vn": _Suite(_draw_density_pair, lambda insts, p: _vn_verdicts(insts, p["tol"]),
-                         _DENSITY_DEFAULTS, _built(_per_dim_densities)),
-    "entropy_tsallis": _Suite(
-        _draw_tsallis_pair, lambda insts, p: _tsallis_verdicts(insts, p["tol"]),
-        {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)}, _built(_per_dim_densities)),
+    "entropy_vn": _Suite(_draw_density_pair, _scalar_score(_entropy_kernel), _DENSITY_DEFAULTS,
+                         _build_entropy_instances),
+    "entropy_tsallis": _Suite(_draw_tsallis_pair, _scalar_score(_entropy_kernel),
+                              {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)},
+                              _build_entropy_instances),
     "info_inequality": _Suite(
         _draw_prob_pair, _scalar_score(_info_inequality_kernel),
         {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import defaultdict
 
@@ -767,6 +768,54 @@ class TestSuites:
             rep = vf.run_suite(suite, trials, seed, keep_verdicts=True)
             assert [v.margin for v in rep.verdicts] == margins, suite
 
+    def test_entropy_row_kernels_keep_the_one_row_arithmetic(self):
+        # inline copies of the one-spectrum formulas that the row kernels
+        # replaced.  The spectra have exact zeros and -1e-17 entries, which
+        # take the per-row fallback to the positive entries, and d up to 16,
+        # where numpy's pairwise sum unrolls; no suite draw reaches either
+        def vn(w):
+            pos = w[w > 0.0]
+            return float(-np.sum(pos * np.log(pos)))
+
+        def tsallis(w, r):
+            pos = w[w > 0.0]
+            return float((np.sum(pos ** (1 - r)) - 1) / r)
+
+        rng = np.random.default_rng(18)
+        alphas = np.array([0.0, 0.5, 1.0, 2.0])
+        fallbacks = 0
+        for d in range(2, 17):
+            lows = [low for low in ([], [0.0], [-1e-17, 0.0], [-1e-17, 0.0, 0.0]) if len(low) < d]
+            W = np.stack([np.sort(np.concatenate([low, rng.dirichlet(np.ones(d - len(low)))]))
+                          for low in lows])
+            fallbacks += int(np.sum(np.any(W <= 0.0, axis=-1)))
+            WA, WB, alpha = W, np.roll(W, 1, axis=0), alphas[:len(W)]
+            for r in (None, 0.1, 0.5, 0.9, 1.0):
+                if r is None:
+                    h, names = vn, ("entropy_vn_alpha", "entropy_vn_symmetric")
+                    assert [oc.von_neumann_entropy_from_evals(w) for w in W] == list(map(vn, W))
+                else:
+                    h = functools.partial(tsallis, r=r)
+                    fac = 1.0 if r == 1.0 else (1.0 - r) ** ((1.0 - r) / r)
+                    names = ("entropy_tsallis_alpha", "entropy_tsallis_symmetric")
+                    assert [oc.tsallis_entropy_from_evals(w, r) for w in W] == list(map(h, W))
+                want = []
+                for wa, wb, a in zip(WA, WB, alpha.tolist()):
+                    ha, hb = h(wa), h(wb)
+                    if r is None:
+                        want.append([ha + a / math.e * d - a * hb, d / math.e - abs(ha - hb)])
+                    else:
+                        want.append([ha + a * fac * d - a * hb, fac * d - abs(ha - hb)])
+                kernel = vf._entropy_kernel(r, 0.0, WA, WB, alpha)
+                assert [name for name, *_ in kernel] == list(names)
+                assert [list(row) for row in zip(*(m.tolist() for _, m, _ in kernel))] == want
+                for wa, wb, a, margins in zip(WA, WB, alpha.tolist(), want):
+                    A, B = np.diag(wa).astype(complex), np.diag(wb).astype(complex)
+                    verdicts = (vf.check_entropy_vonneumann(A, B, a) if r is None
+                                else vf.check_entropy_tsallis(A, B, a, r))
+                    assert [v.margin for v in verdicts] == margins, (d, r)
+        assert fallbacks == 42
+
     def test_batched_operator_means_match_checker(self):
         # the checker rebuilds A = Z^(-1/2) X Z^(-1/2) from X = Z^(1/2) A Z^(1/2),
         # which moves the margins by rounding only
@@ -860,8 +909,10 @@ class TestSuites:
         assert all(len(k) == 1 for k in sizes.values())
 
     def test_checkers_decompose_each_input_once(self, monkeypatch):
-        # validation decomposes the inputs and the kernel reuses them; only
-        # the margin matrix of an operator bound is solved again
+        # the map-sum and Jensen kernels decompose their own inputs; the
+        # density checks hand their spectra to the entropy kernel, and the
+        # mean checker hands Z's (w, V) to its kernel; each margin matrix of
+        # an operator bound gets one lambda_min solve
         eigh_sizes = count_eigh(monkeypatch)
         eigvalsh_sizes = count_eigh(monkeypatch, "_eigvalsh")
 
@@ -1174,12 +1225,14 @@ def test_non_finite_input_raises_a_typed_error(call, error):
 def test_spectra_have_one_threshold(delta, error):
     # a spectrum may leave f's interval [0.2, 2] by 1e-10, the slack of the
     # spectral image; beyond it the kernel raises PreconditionError, before
-    # the image's own DomainError can
+    # the image's own DomainError can.  The operator-mean kernel checks its
+    # A_i and B_i against iv with the same slack
     f = vf.function_catalog("power2")
     mats = [np.diag([2.0 + delta, 1.0]).astype(complex), np.diag([1.0, 0.5]).astype(complex)]
     fam = oc.MapFamily(tuple(oc.WeightedConjugation(0.5, _EYE2) for _ in mats), 2)
     calls = (lambda: [vf.check_theorem_beta(fam, mats, mats, f, 1.0)],
-             lambda: vf.check_lemma_jensen(fam, mats, f, list(_EYE2)))
+             lambda: vf.check_lemma_jensen(fam, mats, f, list(_EYE2)),
+             lambda: vf.check_operator_mean_bounds(_EYE2, mats[0], mats[0], [1.0], f.domain, 1.7))
     for call in calls:
         if error is None:
             assert all(v.passed for v in call())
