@@ -15,9 +15,11 @@ seeds 0, 7 and 1000; ``verify`` with every suite parameter flag set;
 ``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; every
 ``scan`` quantity, each at its defaults and with its own flags; every
 suite alone, as JSON and as CSV at seeds 0, 7 and 1000, at the trial count
-its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py); and
-the two quantum entropy suites at dimensions 9, 12 and 16, whose spectra
-are longer than the eight entries of numpy's unrolled pairwise sum.
+its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py); the
+two quantum entropy suites at dimensions 9, 12 and 16, whose spectra are
+longer than the eight entries of numpy's unrolled pairwise sum; and the
+three operator-mean suites at dimensions 2, 3 and 5, where every
+dimension holds tuples of both lengths n = 1 and n = 2.
 """
 
 import contextlib
@@ -73,6 +75,10 @@ RUNS = [
     *(["verify", "--suite", suite, "--trials", str(SUITE_TRIALS[suite]), "--seed", "7",
        "--dims", "9,12,16", "--format", fmt]
       for suite in ("entropy_vn", "entropy_tsallis") for fmt in ("json", "csv")),
+    *(["verify", "--suite", suite, "--trials", "56", "--seed", str(seed), "--dims", "2,3,5",
+       "--format", fmt]
+      for suite in ("operator_means", "mean_limits", "mean_c_lhs_variant")
+      for seed in (0, 7) for fmt in ("json", "csv")),
 ]
 
 

@@ -246,6 +246,13 @@ def chord_coeffs(f: FunctionSpec, iv: Interval) -> ChordCoeffs:
     return ChordCoeffs(slope, intercept)
 
 
+def _open_interval(f: FunctionSpec, iv: Interval) -> Interval:
+    """iv with each endpoint that f cannot take moved 1e-12 inward (the
+    open-interval convention)."""
+    return Interval(iv.m if f.defined_at(iv.m) else iv.m + 1e-12,
+                    iv.M if f.defined_at(iv.M) else iv.M - 1e-12)
+
+
 def _midpoint_convex(eval_fn, lo: float, hi: float, n_samples: int) -> bool:
     rng = np.random.default_rng(0x5EED)
     s = rng.uniform(lo, hi, size=n_samples)
@@ -269,10 +276,6 @@ def convexity_check(f, iv: Interval, n_samples: int) -> bool:
     """
     if n_samples < 3:
         raise DomainError(f"convexity_check needs n_samples >= 3, got {n_samples}")
-    lo, hi = iv.m, iv.M
     if isinstance(f, FunctionSpec):
-        if not f.defined_at(lo):
-            lo = lo + 1e-12
-        if not f.defined_at(hi):
-            hi = hi - 1e-12
-    return _midpoint_convex(f, lo, hi, n_samples)
+        iv = _open_interval(f, iv)
+    return _midpoint_convex(f, iv.m, iv.M, n_samples)

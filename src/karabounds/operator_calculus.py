@@ -22,8 +22,7 @@ each matrix gets its own rotation angles while sharing the
 (data-independent) schedule, and stops rotating once it has converged, so
 neither the stack nor its chunking changes a matrix's bits
 (tests/test_operator_calculus.py::TestJacobiEigh::test_stack_bitwise_matches_single_calls).
-``eigvals_stack`` runs the same rotations without accumulating eigenvectors,
-so its eigenvalues equal ``eigh_stack``'s bit for bit.  The ``eigensolver``
+``eigvals_stack`` is ``eigh_stack``'s eigenvalues.  The ``eigensolver``
 suite checks Jacobi's residuals, and ``eigensolver_crosscheck`` compares its
 eigenvalues with LAPACK's.
 """
@@ -105,14 +104,14 @@ def assert_hermitian(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def hermitize(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def hermitize(A: np.ndarray) -> np.ndarray:
     """Symmetrize (A + A*)/2 over the last two axes, so a matrix or a stack,
-    rejecting a matrix whose drift ||A - A*||_F exceeds tol max(1, ||A||_F).
+    rejecting a matrix whose drift ||A - A*||_F exceeds 1e-8 max(1, ||A||_F).
     The sum is elementwise, so a matrix gets the same bits in any stack."""
     A = np.asarray(A, dtype=complex)
     AH = np.swapaxes(A, -1, -2).conj()
     drift = _frob_rows(A - AH)
-    if (drift > tol * np.maximum(1.0, _frob_rows(A))).any():
+    if (drift > 1e-8 * np.maximum(1.0, _frob_rows(A))).any():
         raise DomainError(f"matrix drifted too far from Hermitian: {np.max(drift):.3e}")
     return (A + AH) / 2.0
 
@@ -209,7 +208,18 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     every matrix gets its own angles and stops on its own, neither the
     chunking nor the rest of the stack changes its result.
     """
-    return _jacobi(mats, max_sweeps, vectors=True)
+    A = _checked_stack(mats)
+    k, d, _ = A.shape
+    chunk = max(64, _JACOBI_CHUNK_ENTRIES // max(d * d, 1))
+    # an empty stack still runs one (empty) chunk, for the output shapes
+    parts = [_jacobi_chunk(A[s:s + chunk].copy(), max_sweeps)
+             for s in range(0, max(k, 1), chunk)]
+    residuals = [res for _, _, res in parts if res is not None]
+    if residuals:
+        raise ConvergenceError(
+            f"Jacobi sweeps did not converge in {max_sweeps} sweeps",
+            residual=max(residuals))
+    return np.concatenate([w for w, _, _ in parts]), np.concatenate([v for _, v, _ in parts])
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,35 +243,14 @@ def _round_robin(d: int):
     return tuple(rounds)
 
 
-def _jacobi(mats, max_sweeps: int, vectors: bool):
-    """eigh_stack's iteration; without ``vectors`` the rotations are not
-    accumulated and None is returned in place of the eigenvectors."""
-    A = _checked_stack(mats)
-    k, d, _ = A.shape
-    chunk = max(64, _JACOBI_CHUNK_ENTRIES // max(d * d, 1))
-    # an empty stack still runs one (empty) chunk, for the output shapes
-    parts = [_jacobi_chunk(A[s:s + chunk].copy(), max_sweeps, vectors)
-             for s in range(0, max(k, 1), chunk)]
-    residuals = [res for _, _, res in parts if res is not None]
-    if residuals:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps",
-            residual=max(residuals))
-    evals = np.concatenate([w for w, _, _ in parts])
-    V = np.concatenate([v for _, v, _ in parts]) if vectors else None
-    return evals, V
-
-
-def _jacobi_chunk(A, max_sweeps: int, vectors: bool):
-    """(evals, V or None, residual) of a stack A, rotated in place; the
-    residual is None on convergence, else the worst relative off-diagonal
-    mass left after ``max_sweeps`` sweeps."""
+def _jacobi_chunk(A, max_sweeps: int):
+    """(evals, V, residual) of a stack A, rotated in place; the residual is
+    None on convergence, else the worst relative off-diagonal mass left
+    after ``max_sweeps`` sweeps."""
     k, d, _ = A.shape
     idx = np.arange(d)
-    V = None
-    if vectors:
-        V = np.zeros_like(A)
-        V[:, idx, idx] = 1.0
+    V = np.zeros_like(A)
+    V[:, idx, idx] = 1.0
     if d == 1:
         return A[:, 0, 0].real.reshape(k, 1), V, None
 
@@ -316,21 +305,18 @@ def _jacobi_chunk(A, max_sweeps: int, vectors: bool):
             A[:, PQ, QP] = 0.0
             A[:, PQ, PQ] = A[:, PQ, PQ].real
 
-            if V is not None:
-                vp = V[:, :, P]
-                vq = V[:, :, Q]
-                V[:, :, P] = c * vp - spc * vq
-                V[:, :, Q] = sp * vp + c * vq
+            vp = V[:, :, P]
+            vq = V[:, :, Q]
+            V[:, :, P] = c * vp - spc * vq
+            V[:, :, Q] = sp * vp + c * vq
     residual = None
     if not converged and np.any(off_mass() > OFF_DIAG_TARGET * scale):
         residual = float((off_mass() / scale).max())
 
     evals = np.diagonal(A, axis1=1, axis2=2).real.copy()
     order = np.argsort(evals, axis=1, kind="stable")
-    evals = np.take_along_axis(evals, order, axis=1)
-    if V is not None:
-        V = np.take_along_axis(V, order[:, None, :], axis=2)
-    return evals, V, residual
+    return (np.take_along_axis(evals, order, axis=1),
+            np.take_along_axis(V, order[:, None, :], axis=2), residual)
 
 
 def jacobi_eigh(A):
@@ -341,8 +327,8 @@ def jacobi_eigh(A):
 
 
 def eigvals_stack(mats: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of Hermitian matrices."""
-    return _jacobi(mats, MAX_SWEEPS, vectors=False)[0]
+    """Ascending eigenvalues of a stack of Hermitian matrices by Jacobi."""
+    return eigh_stack(mats)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +341,21 @@ def _recompose(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (out + np.swapaxes(out, -1, -2).conj()) / 2.0
 
 
-def apply_function_stack(f, mats, domain: Interval | None = None) -> np.ndarray:
+def apply_function_stack(f, mats) -> np.ndarray:
     """f applied spectrally to each matrix in a stack.
 
     f is a FunctionSpec or a vectorized scalar callable; with a FunctionSpec
     the spectra must sit inside its domain (1e-10 slack, eigenvalues clipped
     back onto the boundary before evaluation).
     """
-    return _function_image(f, *_eigh(mats), domain)
+    return _function_image(f, *_eigh(mats))
 
 
-def _function_image(f, w: np.ndarray, V: np.ndarray, domain: Interval | None = None):
+def _function_image(f, w: np.ndarray, V: np.ndarray):
     """f(A) recomposed from A's (w, V), a single matrix's or a stack's, with
     apply_function_stack's domain check."""
     if isinstance(f, FunctionSpec):
-        domain = f.domain
-    if domain is not None:
-        lo, hi = domain.m, domain.M
+        lo, hi = f.domain.m, f.domain.M
         if w.min() < lo - 1e-10 or w.max() > hi + 1e-10:
             bad = float(w.min() if w.min() < lo - 1e-10 else w.max())
             raise DomainError(
@@ -382,10 +366,10 @@ def _function_image(f, w: np.ndarray, V: np.ndarray, domain: Interval | None = N
     return _recompose(fw, V)
 
 
-def apply_function(f, A, domain: Interval | None = None) -> np.ndarray:
+def apply_function(f, A) -> np.ndarray:
     """Spectral image f(A) = U diag(f(lambda)) U* of a Hermitian matrix."""
     A = assert_hermitian(A)
-    return apply_function_stack(f, A[None], domain)[0]
+    return apply_function_stack(f, A[None])[0]
 
 
 def spectrum_in(A, iv: Interval) -> bool:
@@ -633,11 +617,12 @@ def trace_distance_l1(A, B) -> float:
 # ---------------------------------------------------------------------------
 # A random matrix is made in two steps.  The draw makes the rng calls: a
 # complex Gaussian G, and for a spectrum its uniform eigenvalues.  The build
-# turns a stack of one dimension's draws into matrices, one stacked step
-# each: a QR with its phase fix, U diag(w) U*, G G*/tr and hermitize.  Each
-# step treats every matrix of a stack on its own (LAPACK and BLAS per
-# matrix, elementwise arithmetic otherwise), so a matrix gets the same bits
-# in any stack, and the public ensembles are batches of one
+# turns a stack of draws, with any leading batch axes (say, one block of
+# equal shape per trial), into matrices, one stacked step each: a QR with
+# its phase fix, U diag(w) U*, G G*/tr and hermitize.  Each step treats
+# every matrix of a stack on its own (LAPACK and BLAS per matrix,
+# elementwise arithmetic otherwise), so a matrix gets the same bits in any
+# stack, and the public ensembles are batches of one
 # (tests/test_operator_calculus.py::TestEnsembleBuild).
 
 
@@ -661,13 +646,13 @@ def _unitaries(G: np.ndarray) -> np.ndarray:
 
 
 def _build_haar(Gu: np.ndarray, Gs: np.ndarray, w: np.ndarray):
-    """(unitaries (a, d, d), Hermitian matrices (b, d, d)) of one dimension's
-    draws: the unitaries of the Gaussians Gu, and U diag(w) U* for the
-    Gaussians Gs with spectra w (b, d), from one QR over Gu and Gs."""
-    a = len(Gu)
-    U = _unitaries(np.concatenate([Gu, Gs]))
-    V = U[a:]
-    return U[:a], hermitize(V @ (w[..., :, None] * np.swapaxes(V, -1, -2).conj()))
+    """(unitaries (..., a, d, d), Hermitian matrices (..., b, d, d)) of
+    stacked draws: the unitaries of the Gaussians Gu, and U diag(w) U* for
+    the Gaussians Gs with spectra w (..., b, d), from one QR over Gu and Gs."""
+    a = Gu.shape[-3]
+    U = _unitaries(np.concatenate([Gu, Gs], axis=-3))
+    V = U[..., a:, :, :]
+    return U[..., :a, :, :], hermitize(V @ (w[..., :, None] * np.swapaxes(V, -1, -2).conj()))
 
 
 def _build_densities(G: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .functions import (
     FunctionSpec,
     Interval,
     SINGULAR_TOL,
+    _open_interval,
     chord_coeffs,
     convexity_check,
     ln_r,
@@ -119,16 +120,6 @@ def interval_min(g, iv: Interval):
 # ---------------------------------------------------------------------------
 
 
-def _scan_interval(f: FunctionSpec, iv: Interval) -> Interval:
-    # clamp endpoints the evaluator cannot take (open-interval convention)
-    lo, hi = iv.m, iv.M
-    if not f.defined_at(lo):
-        lo = lo + 1e-12
-    if not f.defined_at(hi):
-        hi = hi - 1e-12
-    return Interval(lo, hi)
-
-
 def beta_oracle(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     """Brute-force value of max/min over [m, M] of chord(t) - alpha*f(t).
 
@@ -138,7 +129,7 @@ def beta_oracle(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     if not 0.0 <= alpha < math.inf:
         raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     ch = chord_coeffs(f, iv)
-    scan = _scan_interval(f, iv)
+    scan = _open_interval(f, iv)
 
     def objective(t):
         return ch(t) - alpha * np.asarray(f(t), dtype=float)
@@ -257,7 +248,7 @@ def ratio_oracle(f: FunctionSpec, iv: Interval) -> float:
                         fm + ch.slope * (t - iv.m),
                         fM + ch.slope * (t - iv.M))
 
-    scan = _scan_interval(f, iv)
+    scan = _open_interval(f, iv)
     lo, hi = scan.m, scan.M
     # a zero of f at an endpoint is a removable 0/0 of the ratio: step one ulp
     # inward so the scan value tracks the limit instead of biasing it
@@ -276,7 +267,7 @@ def ratio_oracle(f: FunctionSpec, iv: Interval) -> float:
 
 
 def _validate_positive(f: FunctionSpec, iv: Interval, n: int = 1024):
-    scan = _scan_interval(f, iv)
+    scan = _open_interval(f, iv)
     ts = np.linspace(scan.m, scan.M, n)[1:-1]  # endpoint zeros are tolerated
     vals = np.asarray(f(ts), dtype=float)
     if np.any(vals <= 0.0):

@@ -11,14 +11,16 @@ inequality's domain, in the kernel that a suite and its checker share.
 score function and its default params, run in three phases.  The draw
 makes trial i's rng calls on its own generator, ``trial_rng(seed, i)`` (a
 ``numpy.random.SeedSequence`` spawn key), and returns raw Gaussian and
-uniform arrays.  The build turns all the trials' draws into instances, one
-dimension's matrices in one stack per step (``operator_calculus._build_haar``
-and ``_build_densities``, then the Sinkhorn mixes and weighted means).  The
-score runs the suite's batch margin kernel once on all the instances.  A
-kernel decomposes each distinct input matrix once, in one LAPACK stack per
-dimension (``operator_calculus._eigh``), rejects a spectrum outside its
-interval, and takes every spectral image of that matrix from the same
-(w, V); the lambda_min reductions go through ``operator_calculus._eigvalsh``.
+uniform arrays.  The build turns all the trials' draws into instances, the
+blocks of one shape (say, the n matrices of each trial's tuple) in one
+stack per step (``operator_calculus._build_haar`` and ``_build_densities``,
+then the Sinkhorn mixes and weighted means).  The score runs the suite's
+batch margin kernel once on all the instances.  A kernel decomposes each
+distinct input matrix once, in one LAPACK stack per dimension, or per tuple
+shape (n, d) for the operator means (``operator_calculus._eigh``), rejects
+a spectrum outside its interval, and takes every spectral image of that
+matrix from the same (w, V); the lambda_min reductions go through
+``operator_calculus._eigvalsh``.
 Every build and kernel step gives a matrix the same bits in any stack, so
 reports do not depend on batching, and the public generators are batches of
 one of their draw and build.  A public ``check_*`` function validates the
@@ -290,9 +292,9 @@ def _weighted_sums(W, A) -> np.ndarray:
 
 def _per_dim_sums(Ws, As) -> list:
     """``_weighted_sums`` of each pair (W, A) of the lists Ws, As, from one
-    call per dimension; None where W is None."""
+    call per pair of shapes; None where W is None."""
     return _per_group(lambda _, W, A: _weighted_sums(W, A),
-                      [None if W is None else A.shape[-1] for W, A in zip(Ws, As)], Ws, As)
+                      [None if W is None else (W.shape, A.shape) for W, A in zip(Ws, As)], Ws, As)
 
 
 def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
@@ -304,17 +306,18 @@ def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
 
 def _per_dim_haar(Gus, Gs, ws) -> list:
     """(U, H) of each draw, or None where Gu is None, from one
-    ``oc._build_haar`` per dimension: the unitaries of the Gaussians Gu, and
-    U diag(w) U* for the Gaussians Gs with spectra w."""
-    return [None if rows is None else rows[:2] for rows in _per_dim_rows(
-        lambda Gu, G, w: (*oc._build_haar(Gu, G, w), w), Gus, Gs, ws)]
+    ``oc._build_haar`` per pair of block shapes: the unitaries of the
+    Gaussians Gu, and U diag(w) U* for the Gaussians Gs with spectra w."""
+    return _per_group(lambda _, Gu, G, w: zip(*oc._build_haar(Gu, G, w)),
+                      [None if Gu is None else (Gu.shape, G.shape) for Gu, G in zip(Gus, Gs)],
+                      Gus, Gs, ws)
 
 
 def _per_dim_densities(Gs) -> list:
     """The density matrices of each Gaussian stack of Gs, built in one call
-    per dimension; None where the stack is None."""
-    return [None if rows is None else rows[0]
-            for rows in _per_dim_rows(lambda G: (oc._build_densities(G),), Gs)]
+    per block shape; None where the stack is None."""
+    return _per_group(lambda _, G: oc._build_densities(G),
+                      [None if G is None else G.shape for G in Gs], Gs)
 
 
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
@@ -433,44 +436,29 @@ def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
     return InequalityVerdict(inequality_id, margin, margin >= -tol, context)
 
 
-def _per_group(solve, keys, *columns, gather=np.stack) -> list:
-    """The results of ``solve(key, *gathered)`` for each entry, in entry
-    order: one call per distinct key, on ``gather`` of that key's entries of
-    each column (a stack by default), and ``solve`` returns one result per
-    entry it was given; an entry whose key is None is left out and gets
-    None.  Every kernel gives a row the same bits in any stack, so the
-    grouping does not show."""
+def _per_group(solve, keys, *columns) -> list:
+    """The results of ``solve(key, *stacks)`` for each entry, in entry
+    order: one call per distinct key, on the ``np.stack`` of that key's
+    entries of each column, and ``solve`` returns one result per entry it
+    was given; an entry whose key is None is left out and gets None.  A key
+    fixes the shape of its entries, so each stack is rectangular.  Every
+    kernel gives a row the same bits in any stack, so the grouping does not
+    show."""
     groups = defaultdict(list)
     for j, key in enumerate(keys):
         if key is not None:
             groups[key].append(j)
     out = [None] * len(keys)
     for key, idxs in groups.items():
-        for j, res in zip(idxs, solve(key, *(gather([col[j] for j in idxs]) for col in columns))):
+        for j, res in zip(idxs, solve(key, *(np.stack([col[j] for j in idxs]) for col in columns))):
             out[j] = res
     return out
-
-
-def _per_dim_rows(build, *columns) -> list:
-    """Each entry's blocks of ``build``'s outputs, or None for an entry whose
-    first block is None.  An entry of a column is a block of rows; build
-    runs once per dimension d (the last axis of an entry's first block), on
-    the concatenation of that dimension's blocks of each column, and returns
-    one array per column with that column's rows, which are split back into
-    the entries' blocks.  The builds treat every row on its own, so an
-    entry's rows do not depend on the other entries."""
-    def solve(_, *blocks):
-        outputs = build(*map(np.concatenate, blocks))
-        return zip(*(np.split(out, np.cumsum([len(b) for b in col])[:-1])
-                     for out, col in zip(outputs, blocks, strict=True)))
-    return _per_group(solve, [None if b is None else b.shape[-1] for b in columns[0]],
-                      *columns, gather=list)
 
 
 def _per_dim(solve, mats) -> list:
     """The results of ``solve`` for each matrix of ``mats``, from one call
     per dimension on the stack of that dimension's matrices."""
-    return _per_group(lambda _, stack: solve(stack), [M.shape[0] for M in mats], mats)
+    return _per_group(lambda _, stack: solve(stack), [M.shape for M in mats], mats)
 
 
 def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
@@ -564,10 +552,10 @@ def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
     ``include_limits`` the two r -> 0 limit claims are added; a form that
     does not apply at an instance's r is left out.
 
-    A per-dimension kernel, ``_mean_forms``, decomposes, recomposes and
-    assembles each dimension's instances in stacks.  ``z_eigs`` holds the
-    (w, V) of every instance's Z when the caller has them.  A mean suite's
-    score phase runs it on all the instances its build phase made, and
+    A kernel per tuple shape (n, d), ``_mean_forms``, decomposes, recomposes
+    and assembles those instances in stacks.  ``z_eigs`` holds the (w, V)
+    of every instance's Z when the caller has them.  A mean suite's score
+    phase runs it on all the instances its build phase made, and
     ``check_operator_mean_bounds`` on a batch of one; an instance gets the
     same bits in any batch."""
     for *_, r, iv in instances:
@@ -577,27 +565,14 @@ def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
         if iv.m <= 0.0:
             raise DomainError("the interval must be positive (m > 0)")
-    return _per_group(lambda _, group, zeig: _mean_forms(group, zeig, include_limits),
-                      [np.shape(inst[0])[-1] for inst in instances], instances,
-                      z_eigs or [None] * len(instances), gather=list)
-
-
-def _conjugated_sums(zs, images, starts, counts, weights) -> np.ndarray:
-    """hermitize(Z^(1/2) (sum_i w_i X_i) Z^(1/2)) for each row of the stack zs
-    of roots: X_i = images[start + i] for the row's start and its count of
-    weights w, summed in i order from 0 as Python's ``sum`` is."""
-    wts = np.zeros((len(counts), counts.max()))
-    for row, w in enumerate(weights):
-        wts[row, :len(w)] = w
-    acc = 0 + wts[:, 0, None, None] * images[starts]
-    for i in range(1, counts.max()):
-        m = counts > i
-        acc[m] = acc[m] + wts[m, i, None, None] * images[starts[m] + i]
-    return oc.hermitize(zs @ acc @ zs)
+    return _per_group(lambda _, idx: _mean_forms([instances[j] for j in idx],
+                                                 z_eigs and [z_eigs[j] for j in idx],
+                                                 include_limits),
+                      [np.shape(inst[1]) for inst in instances], range(len(instances)))
 
 
 def _mean_forms(group, z_eigs, include_limits: bool) -> list:
-    """``_mean_margin_mats`` of the instances of one dimension.
+    """``_mean_margin_mats`` of instances whose tuples share one shape (n, d).
 
     One ``oc._eigh`` decomposes every Z (unless ``z_eigs`` holds their
     (w, V)), A_i and B_i; an instance whose Bs is its As object (n = 1 in
@@ -611,24 +586,25 @@ def _mean_forms(group, z_eigs, include_limits: bool) -> list:
     the rest of the batch."""
     k = len(group)
     Z = np.stack([np.asarray(inst[0], dtype=complex) for inst in group])
-    As = [np.asarray(inst[1], dtype=complex) for inst in group]
     own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
-    n_a = np.array([len(A) for A in As])
-    n_b = n_a[own_b]
-    # rows of (w, V): the k Z's, then the A_i of each instance, then the B_i
-    # of own_b
-    rows = np.concatenate([*As, *(np.asarray(group[j][2], dtype=complex) for j in own_b)])
-    if z_eigs[0] is None:
+    # the (n, d, d) tuples: each instance's As, then the Bs of own_b, with
+    # the instance that owns each
+    tuples = np.stack([np.asarray(inst[1], dtype=complex) for inst in group]
+                      + [np.asarray(group[j][2], dtype=complex) for j in own_b])
+    owner = np.array([*range(k), *own_b])
+    n, d = tuples.shape[1:3]
+    # rows of (w, V): the k Z's, then the tuples' matrices
+    rows = tuples.reshape(-1, d, d)
+    if z_eigs is None:
         w, V = oc._eigh(np.concatenate([Z, rows]))
     else:
         w, V = (np.concatenate([np.stack(z), x]) for z, x in zip(zip(*z_eigs), oc._eigh(rows)))
     spectra = w[k:]
-    owner = np.concatenate([np.repeat(np.arange(k), n_a), np.repeat(own_b, n_b)]).astype(int)
     ivs = [inst[5] for inst in group]
-    _check_spectra(spectra, *np.array([(iv.m, iv.M) for iv in ivs])[owner].T)
+    _check_spectra(spectra, *np.repeat(np.array([(iv.m, iv.M) for iv in ivs])[owner], n, 0).T)
 
     rs = [inst[4] for inst in group]
-    row_r = np.array(rs, dtype=float)[owner]
+    row_r = np.repeat(np.array(rs, dtype=float)[owner], n)
     powers = np.empty_like(spectra)
     for r in dict.fromkeys(rs):
         powers[row_r == r] = oc._power_of_psd(spectra[row_r == r], r)
@@ -637,18 +613,19 @@ def _mean_forms(group, z_eigs, include_limits: bool) -> list:
         values.append(oc._log_of_pd(spectra))
         vectors.append(V[k:])
     images = oc._recompose(np.concatenate(values), np.concatenate(vectors))
-    zs = images[:k]
-    a_start = np.concatenate([[0], np.cumsum(n_a)[:-1]]).astype(int)
-    b_start = n_a.sum() + np.concatenate([[0], np.cumsum(n_b)[:-1]]).astype(int)
-    weights = [np.asarray(inst[3], dtype=float) for inst in group]
+    zs = images[:k][owner]
+    weights = np.stack([np.asarray(inst[3], dtype=float) for inst in group])[owner]
+    # each instance's row of B-tuple sums: its own, or its A-tuple's
+    b_row = np.arange(k)
+    b_row[own_b] = k + np.arange(len(own_b))
 
     def pair(X):
-        """(P, Q) for the images X of the A_i and B_i laid out like spectra."""
-        P = _conjugated_sums(zs, X, a_start, n_a, weights)
-        Q = P.copy()
-        if own_b:
-            Q[own_b] = _conjugated_sums(zs[own_b], X, b_start, n_b, [weights[j] for j in own_b])
-        return P, Q
+        """(P, Q) from the images X of the tuples' matrices, laid out like
+        spectra: hermitize(Z^(1/2) (sum_i w_i X_i) Z^(1/2)) of each tuple,
+        summed in i order from 0 as Python's ``sum`` is."""
+        X = X.reshape(tuples.shape)
+        S = oc.hermitize(zs @ sum(weights[:, i, None, None] * X[:, i] for i in range(n)) @ zs)
+        return S[:k], S[b_row]
 
     P, Q = pair(images[k:k + len(spectra)])
     r = np.array(rs, dtype=float)[:, None, None]
@@ -956,8 +933,8 @@ def _as_drawn(draws):
 class _Suite:
     """``draw(i, rng, params, ctx)`` makes trial i's rng calls on the trial's
     own rng, given the base context {trial, seed}, and returns the raw
-    arrays; ``build(draws)`` turns all the trials' draws into instances, one
-    dimension's matrices in one stack per step (the scalar and eigensolver
+    arrays; ``build(draws)`` turns all the trials' draws into instances, the
+    blocks of one shape in one stack per step (the scalar and eigensolver
     suites draw their instances directly); ``score(instances, params)`` runs
     the suite's batch kernel once on all the instances; ``defaults`` fill in
     the params the caller leaves out."""
@@ -1168,10 +1145,12 @@ def _draw_tsallis_pair(i, rng, params, ctx):
 def _build_entropy_instances(draws) -> list:
     """((w_A, w_B, alpha), r, context) of each (G, alpha, r, context) draw:
     the spectra of its density pair, from one ``oc._build_densities`` and
-    one ``oc._eigvalsh`` per dimension."""
-    spectra = _per_dim_rows(lambda G: (oc._eigvalsh(oc._build_densities(G)),),
-                            [G for G, *_ in draws])
-    return [((wa, wb, alpha), r, ctx) for ((wa, wb),), (_, alpha, r, ctx) in zip(spectra, draws)]
+    one ``oc._eigvalsh`` per dimension, on a (k, 2, d, d) stack."""
+    def spectra(_, G):
+        rho = oc._build_densities(G)
+        return oc._eigvalsh(rho.reshape(-1, *rho.shape[-2:])).reshape(G.shape[:-1])
+    return [((wa, wb, alpha), r, ctx) for (wa, wb), (_, alpha, r, ctx) in zip(
+        _per_group(spectra, [G.shape for G, *_ in draws], [G for G, *_ in draws]), draws)]
 
 
 def _draw_prob_pair(i, rng, params, ctx):
@@ -1303,7 +1282,7 @@ def _score_eigensolver(instances, params):
     # a residual passes when it is at most tol: the margin is tol - residual
     mats, ctxs = zip(*instances)
     residuals = _per_group(lambda _, *stacks: _jacobi_residuals(*stacks),
-                           [M.shape[0] for M in mats], mats, *zip(*_jacobi_by_dim(mats)))
+                           [M.shape for M in mats], mats, *zip(*_jacobi_by_dim(mats)))
     return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
             for ctx, res in zip(ctxs, residuals)
             for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
@@ -1329,7 +1308,7 @@ def _score_crosscheck(instances, params):
     mats, ctxs = zip(*instances)
     evals = [w for w, _ in _jacobi_by_dim(mats)]
     return [_verdict("eig_crosscheck", bound - diff, 0.0, ctx) for ctx, (diff, bound) in zip(
-        ctxs, _per_group(lambda _, A, w: _crosscheck(A, w), [M.shape[0] for M in mats],
+        ctxs, _per_group(lambda _, A, w: _crosscheck(A, w), [M.shape for M in mats],
                          mats, evals))]
 
 
@@ -1417,7 +1396,7 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
               keep_verdicts: bool = False):
     """Run a named suite in three phases: draw ``trials`` independent
     trials, trial i from its own ``trial_rng(seed, i)``; build their
-    instances, one dimension's matrices in one stack per step; and score
+    instances, the blocks of one shape in one stack per step; and score
     them in one batch.  Returns a TrialReport; with ``keep_verdicts`` the
     report carries the full verdict list as ``report.verdicts``."""
     suite = _SUITES.get(suite_id) or _EXTRA_SUITES.get(suite_id)

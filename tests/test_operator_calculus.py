@@ -110,9 +110,9 @@ class TestJacobiEigh:
     @pytest.mark.parametrize("k", [1, 64])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 9, 15, 16])
     def test_eigvals_bitwise_match_eigh(self, dim, k):
-        # eigvals_stack applies the same rotations without accumulating
-        # eigenvectors, so the eigenvalues are the same bits.  This holds for
-        # Jacobi only: LAPACK's eigvalsh and eigh take different routes, and
+        # eigvals_stack returns eigh_stack's eigenvalues, so they are the same
+        # bits.  This holds for Jacobi only: LAPACK's eigvalsh and eigh take
+        # different routes, and
         # their eigenvalues differ in the last bits from d = 3 on
         rng = np.random.default_rng(100 + dim)
         stack = np.stack([rand_herm(dim, rng) for _ in range(k)])
@@ -240,7 +240,9 @@ class TestEnsembleBuild:
     def test_public_ensembles_are_rows_of_one_stacked_build(self, dim):
         # draw 40 triples as rand_unitary, rand_hermitian_spectrum_in and
         # rand_density draw them, build each kind in one stack, and compare
-        # every row with the public call and with the one-matrix arithmetic
+        # every row with the public call and with the one-matrix arithmetic;
+        # the same draws as 8 blocks of 5 (leading batch axes) build the
+        # same bits
         iv = Interval(0.3, 4.0)
         Gu, Gs, w, Gd = [], [], [], []
         for j in range(40):
@@ -251,6 +253,11 @@ class TestEnsembleBuild:
             Gd.append(oc._gaussian(dim, rng))
         U, H = oc._build_haar(np.stack(Gu), np.stack(Gs), np.stack(w))
         rho = oc._build_densities(np.stack(Gd))
+        blocks = [np.stack(x).reshape(8, 5, *x[0].shape) for x in (Gu, Gs, w, Gd)]
+        for flat, block in zip((U, H, rho), (*oc._build_haar(*blocks[:3]),
+                                             oc._build_densities(blocks[3]))):
+            assert block.shape == (8, 5, dim, dim)
+            assert np.array_equal(_bits(block.reshape(flat.shape)), _bits(flat)), dim
         for j in range(40):
             rng = np.random.default_rng([dim, j])
             V = self.unitary(Gs[j])

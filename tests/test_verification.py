@@ -470,6 +470,28 @@ class TestCheckers:
         expected = (K - 1.0) * float(oc.eigvals_stack(mean[None])[0][0])
         assert verdicts["mean_ratio"].margin == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("r", [2.0, -0.8, 0.3])
+    def test_operator_mean_bounds_match_power_means_of_distinct_tuples(self, r):
+        # n = 2 with B a mix of A: P and Q are the weighted sums of the
+        # natural power means Z #_r X_i and Z #_r Y_i, which another path
+        # (one decomposition per mean) computes
+        from karabounds.scalar_bounds import c_of_hr, kantorovich
+        iv = Interval(1.7, 5.1)
+        Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(12, 3), 3, iv, 2)
+        zs = oc.sqrtm_psd(Z)
+        Xs, Ys = ([oc.hermitize(zs @ M @ zs) for M in Ms] for Ms in (As, Bs))
+        P, Q = (sum(wi * oc.natural_power_mean(Z, X, r) for wi, X in zip(w, Ms))
+                for Ms in (Xs, Ys))
+        K, C = kantorovich(iv.M / iv.m, r), c_of_hr(iv.m, iv.M / iv.m, r)
+        sign = 1.0 if 0.0 < r < 1.0 else -1.0
+        expected = {"mean_ratio": sign * (P - K * Q), "mean_diff": sign * (P - C * Z - Q),
+                    "sr_c_form": (1.0 if r < 1.0 else -1.0) * (P - C * Z - Q) / r}
+        verdicts = {v.inequality_id: v.margin
+                    for v in vf.check_operator_mean_bounds(Z, Xs, Ys, w, iv, r)}
+        for name, mat in expected.items():
+            want = float(np.linalg.eigvalsh(oc.hermitize(mat))[0])
+            assert verdicts[name] == pytest.approx(want, abs=1e-9), (name, r)
+
     def test_operator_mean_rejects_mismatched_sums(self):
         iv = Interval(1.5, 3.0)
         rng = vf.trial_rng(12, 2)
@@ -848,22 +870,26 @@ class TestSuites:
         ("mean_c_lhs_variant", (0.3, 0.6), (vf.MEAN_FORM_C_LHS,)),
     ])
     def test_mean_suites_independent_of_batching(self, suite, rs, forms):
-        # a suite decomposes all its trials in one stack per dimension; the
-        # kernel run on each trial's instance alone gives the same margins
-        trials, seed = 28, 2024
+        # a suite decomposes all its trials in one stack per tuple shape
+        # (n, d); the kernel run on each trial's instance alone gives the
+        # same margins.  Dims (2, 3, 5) against the even/odd n = 1, 2 cycle
+        # put both tuple lengths into every dimension; the default dims never
+        # mix them
         iv = Interval(1.7, 5.1)
         include_limits = any(name in vf.MEAN_FORMS_LIMIT for name in forms)
-        rep = vf.run_suite(suite, trials, seed, keep_verdicts=True)
-        alone = []
-        for i in range(trials):
-            Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), (2, 3, 4, 6)[i % 4],
-                                                 iv, 1 if i % 2 == 0 else 2)
-            mats = vf._mean_margin_mats([(Z, As, Bs, w, rs[i % len(rs)], iv)],
-                                        include_limits)[0]
-            alone += vf._margin_verdicts([(name, mats[name], {}) for name in forms
-                                          if name in mats], vf.OPERATOR_TOL)
-        assert [(v.inequality_id, v.margin) for v in rep.verdicts] == \
-            [(v.inequality_id, v.margin) for v in alone]
+        for dims, trials, seed in (((2, 3, 4, 6), 28, 2024), ((2, 3, 5), 30, 0),
+                                   ((2, 3, 5), 30, 2024)):
+            rep = vf.run_suite(suite, trials, seed, {"dims": dims}, keep_verdicts=True)
+            alone = []
+            for i in range(trials):
+                Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), dims[i % len(dims)],
+                                                     iv, 1 if i % 2 == 0 else 2)
+                mats = vf._mean_margin_mats([(Z, As, Bs, w, rs[i % len(rs)], iv)],
+                                            include_limits)[0]
+                alone += vf._margin_verdicts([(name, mats[name], {}) for name in forms
+                                              if name in mats], vf.OPERATOR_TOL)
+            assert [(v.inequality_id, v.margin) for v in rep.verdicts] == \
+                [(v.inequality_id, v.margin) for v in alone], (dims, seed)
 
     @pytest.mark.parametrize("suite", ["operator_means", "mean_limits"])
     def test_mean_suites_decompose_each_matrix_once(self, suite, monkeypatch):
