@@ -68,11 +68,15 @@ def ln_r(r: float, t):
     """r-logarithm (t^r - 1)/r, with the r -> 0 limit log t.
 
     Computed as expm1(r log t)/r, which is uniformly accurate down to the
-    branch switch at |r| < 1e-12.  t must be strictly positive.
+    branch switch at |r| < 1e-12.  r must be finite and t finite and
+    strictly positive.
     """
+    if not math.isfinite(r):
+        raise DomainError(f"ln_r requires a finite r, got {r}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise DomainError(f"ln_r requires t > 0, got min {t_arr.min()}")
+    ok = (t_arr > 0.0) & (t_arr < math.inf)
+    if not np.all(ok):
+        raise DomainError(f"ln_r requires finite t > 0, got {t_arr[~ok].flat[0]}")
     if abs(r) < SINGULAR_TOL:
         out = np.log(t_arr)
     else:

@@ -585,8 +585,10 @@ def _tsallis_spectra_rows(W, r: float) -> np.ndarray:
 
 
 def tsallis_entropy_from_evals(w, r: float) -> float:
-    """(sum w^(1-r) - 1)/r over the positive entries of a spectrum: a batch
-    of one of ``_tsallis_spectra_rows``."""
+    """(sum w^(1-r) - 1)/r over the positive entries of a spectrum, for r in
+    (0, 1]: a batch of one of ``_tsallis_spectra_rows``."""
+    if not 0.0 < r <= 1.0:
+        raise DomainError(f"Tsallis entropy needs r in (0, 1], got {r}")
     return float(_tsallis_spectra_rows(np.asarray(w, dtype=float).reshape(1, -1), r)[0])
 
 
@@ -597,8 +599,6 @@ def von_neumann_entropy(rho) -> float:
 
 def quantum_tsallis_entropy(rho, r: float) -> float:
     """(Tr[rho^(1-r)] - 1)/r for r in (0, 1]; nonnegative, 0 on pure states."""
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"quantum_tsallis_entropy needs r in (0, 1], got {r}")
     return tsallis_entropy_from_evals(_density_evals(rho)[1], r)
 
 

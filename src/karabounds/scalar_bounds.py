@@ -205,16 +205,10 @@ def _beta_closed_form(f: FunctionSpec, iv: Interval, alpha: float):
         ratio = ch.slope / (alpha * r) if alpha > 0.0 else None
         if ratio is not None and ratio > 0.0:
             t_star = _clip(ratio ** (1.0 / (r - 1.0)), iv.m, iv.M)
-        elif f.is_convex:
-            # objective is monotone; maximum at an endpoint
-            gm = ch(iv.m) - alpha * f(iv.m)
-            gM = ch(iv.M) - alpha * f(iv.M)
-            return float(max(gm, gM))
-        else:
-            gm = ch(iv.m) - alpha * f(iv.m)
-            gM = ch(iv.M) - alpha * f(iv.M)
-            return float(min(gm, gM))
-        return float(ch(t_star) - alpha * f(t_star))
+            return float(ch(t_star) - alpha * f(t_star))
+        # objective is monotone: its max (convex f) or min sits at an endpoint
+        ends = [ch(t) - alpha * f(t) for t in (iv.m, iv.M)]
+        return float(max(ends) if f.is_convex else min(ends))
     return None
 
 

@@ -15,15 +15,17 @@ uniform arrays.  The build turns all the trials' draws into instances, the
 blocks of one shape (say, the n matrices of each trial's tuple) in one
 stack per step (``operator_calculus._build_haar`` and ``_build_densities``,
 then the Sinkhorn mixes and weighted means).  The score runs the suite's
-batch margin kernel once on all the instances.  A kernel decomposes each
-distinct input matrix once, in one LAPACK stack per dimension, or per tuple
-shape (n, d) for the operator means (``operator_calculus._eigh``), rejects
-a spectrum outside its interval, and takes every spectral image of that
-matrix from the same (w, V); the lambda_min reductions go through
-``operator_calculus._eigvalsh``.
-Every build and kernel step gives a matrix the same bits in any stack, so
-reports do not depend on batching, and the public generators are batches of
-one of their draw and build.  A public ``check_*`` function validates the
+batch margin kernel once on all the instances.  Every stacked step groups
+its entries through ``_per_group``, by an optional key and by the shapes of
+the entries, so a stack is rectangular and no caller builds a shape key.
+A kernel decomposes each distinct input matrix once, in one LAPACK stack
+per dimension, or per tuple shape (n, d) for the operator means
+(``operator_calculus._eigh``), rejects a spectrum outside its interval, and
+takes every spectral image of that matrix from the same (w, V); the
+lambda_min reductions go through ``operator_calculus._eigvalsh``.  Every
+build and kernel step gives a matrix the same bits in any stack, so reports
+do not depend on batching, and the public generators are batches of one of
+their draw and build.  A public ``check_*`` function validates the
 rest of its input and runs the same kernel on a batch of one, so its
 margins and spectral errors equal the suite's.  The Jacobi solver is not on
 this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
@@ -31,7 +33,7 @@ exercise it, on matrices they draw directly, and share one Jacobi run.
 
 Eight suites share one score, ``_scalar_score``: the six scalar and
 classical suites, and the two entropy suites, built into spectra.  Trials
-are grouped by length and key, each group is stacked into (k, n) arrays,
+are grouped by key and row length, each group is stacked into (k, n) arrays,
 validated once and scored in one pass by the stacked kernel of
 ``check_scalar_corollary``, ``majorization``, ``classical_entropy`` or
 ``_entropy_kernel``, which computes its constants once per group.  Rows
@@ -290,34 +292,11 @@ def _weighted_sums(W, A) -> np.ndarray:
     return oc.hermitize(sum(W[:, :, j, None, None] * A[:, None, j] for j in range(A.shape[1])))
 
 
-def _per_dim_sums(Ws, As) -> list:
-    """``_weighted_sums`` of each pair (W, A) of the lists Ws, As, from one
-    call per pair of shapes; None where W is None."""
-    return _per_group(lambda _, W, A: _weighted_sums(W, A),
-                      [None if W is None else (W.shape, A.shape) for W, A in zip(Ws, As)], Ws, As)
-
-
 def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
     """(G (k, d, d), w (k, d)): the draws of k = len(ivs) matrices with
     spectra in the intervals ivs, one ``oc._draw_spectrum`` each."""
     G, w = zip(*(oc._draw_spectrum(dim, iv, rng) for iv in ivs))
     return np.stack(G), np.stack(w)
-
-
-def _per_dim_haar(Gus, Gs, ws) -> list:
-    """(U, H) of each draw, or None where Gu is None, from one
-    ``oc._build_haar`` per pair of block shapes: the unitaries of the
-    Gaussians Gu, and U diag(w) U* for the Gaussians Gs with spectra w."""
-    return _per_group(lambda _, Gu, G, w: zip(*oc._build_haar(Gu, G, w)),
-                      [None if Gu is None else (Gu.shape, G.shape) for Gu, G in zip(Gus, Gs)],
-                      Gus, Gs, ws)
-
-
-def _per_dim_densities(Gs) -> list:
-    """The density matrices of each Gaussian stack of Gs, built in one call
-    per block shape; None where the stack is None."""
-    return _per_group(lambda _, G: oc._build_densities(G),
-                      [None if G is None else G.shape for G in Gs], Gs)
 
 
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
@@ -348,12 +327,14 @@ def _build_equal_map_sums(draws) -> list:
     """(As, Bs, family) of each ``_draw_equal_map_sum`` draw.  A permuted B_i
     is the A_j object itself."""
     traced = [kind == "normalized_trace" for kind, *_ in draws]
-    haar = _per_dim_haar([None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
-                         [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
-    mixes = _per_dim_sums([extra if kind == "doubly_stochastic_mix" else None
-                           for kind, *_, extra in draws],
-                          [None if h is None else h[1] for h in haar])
-    densities = _per_dim_densities([G if t else None for t, (_, G, *_) in zip(traced, draws)])
+    haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
+                      [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
+                      [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
+    mixes = _per_group(_weighted_sums, None, [extra if kind == "doubly_stochastic_mix" else None
+                                              for kind, *_, extra in draws],
+                       [None if h is None else h[1] for h in haar])
+    densities = _per_group(oc._build_densities, None,
+                           [G if t else None for t, (_, G, *_) in zip(traced, draws)])
     out = []
     for (kind, G, w, extra), h, B, rho in zip(draws, haar, mixes, densities):
         n, dim = len(w), G.shape[-1]
@@ -437,34 +418,33 @@ def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
 
 
 def _per_group(solve, keys, *columns) -> list:
-    """The results of ``solve(key, *stacks)`` for each entry, in entry
-    order: one call per distinct key, on the ``np.stack`` of that key's
-    entries of each column, and ``solve`` returns one result per entry it
-    was given; an entry whose key is None is left out and gets None.  A key
-    fixes the shape of its entries, so each stack is rectangular.  Every
-    kernel gives a row the same bits in any stack, so the grouping does not
-    show."""
+    """The results of ``solve(*stacks)``, or ``solve(key, *stacks)`` when
+    ``keys`` are given, for each entry, in entry order.  An entry's group is
+    its key and the shapes of its values, one per column; ``solve`` is
+    called once per group, on the ``np.stack`` of the group's entries of
+    each column, and returns one result per entry it was given.  Each stack
+    is rectangular by construction.  An entry whose first value is None is
+    left out and gets None.  Every kernel gives a row the same bits in any
+    stack, so the grouping does not show."""
+    out = [None] * len(columns[0])
+    heads = [()] * len(out) if keys is None else [(key,) for key in keys]
     groups = defaultdict(list)
-    for j, key in enumerate(keys):
-        if key is not None:
-            groups[key].append(j)
-    out = [None] * len(keys)
-    for key, idxs in groups.items():
-        for j, res in zip(idxs, solve(key, *(np.stack([col[j] for j in idxs]) for col in columns))):
+    # an array's own .shape: np.shape's dispatch would cost more per entry
+    # than the rest of the grouping
+    shapes = ([v.shape if type(v) is np.ndarray else np.shape(v) for v in col] for col in columns)
+    for j, group in enumerate(zip(heads, *shapes)):
+        if columns[0][j] is not None:
+            groups[group].append(j)
+    for (head, *_), idxs in groups.items():
+        for j, res in zip(idxs, solve(*head, *(np.stack([col[j] for j in idxs]) for col in columns))):
             out[j] = res
     return out
-
-
-def _per_dim(solve, mats) -> list:
-    """The results of ``solve`` for each matrix of ``mats``, from one call
-    per dimension on the stack of that dimension's matrices."""
-    return _per_group(lambda _, stack: solve(stack), [M.shape for M in mats], mats)
 
 
 def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
     """Operator verdicts for (inequality_id, rhs - lhs, context) items, with
     one lambda_min stack per dimension."""
-    evals = _per_dim(oc._eigvalsh, [np.asarray(mat, dtype=complex) for _, mat, _ in items])
+    evals = _per_group(oc._eigvalsh, None, [np.asarray(mat, dtype=complex) for _, mat, _ in items])
     return [_verdict(name, w[0], tol, ctx) for (name, _, ctx), w in zip(items, evals)]
 
 
@@ -489,15 +469,16 @@ def _function_images(entries) -> list:
     # objects are keyed by id(), which hashes faster than a FunctionSpec
     distinct = {id(M): M for mats, _ in entries for M in mats}
     fs = {id(f): f for _, f in entries}
-    eig = dict(zip(distinct, _per_dim(lambda S: list(zip(*oc._eigh(S))), list(distinct.values()))))
+    eig = dict(zip(distinct, _per_group(lambda S: list(zip(*oc._eigh(S))), None,
+                                        list(distinct.values()))))
     keys = list(dict.fromkeys((id(M), id(f)) for mats, f in entries for M in mats))
 
     def images(key, w, V):
-        f = fs[key[1]]
+        f = fs[key]
         _check_spectra(w, f.domain.m, f.domain.M)
         return oc._function_image(f, w, V)
 
-    image = dict(zip(keys, _per_group(images, [(len(eig[i][0]), j) for i, j in keys],
+    image = dict(zip(keys, _per_group(images, [j for _, j in keys],
                                       *zip(*(eig[i] for i, _ in keys)))))
     return [[image[id(M), id(f)] for M in mats] for mats, f in entries]
 
@@ -565,14 +546,15 @@ def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
         if iv.m <= 0.0:
             raise DomainError("the interval must be positive (m > 0)")
-    return _per_group(lambda _, idx: _mean_forms([instances[j] for j in idx],
-                                                 z_eigs and [z_eigs[j] for j in idx],
-                                                 include_limits),
-                      [np.shape(inst[1]) for inst in instances], range(len(instances)))
+    return _per_group(lambda idx, As: _mean_forms([instances[j] for j in idx], As,
+                                                  z_eigs and [z_eigs[j] for j in idx],
+                                                  include_limits),
+                      None, range(len(instances)), [inst[1] for inst in instances])
 
 
-def _mean_forms(group, z_eigs, include_limits: bool) -> list:
-    """``_mean_margin_mats`` of instances whose tuples share one shape (n, d).
+def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
+    """``_mean_margin_mats`` of instances whose tuples share one shape (n, d),
+    with As the (k, n, d, d) stack of their A tuples.
 
     One ``oc._eigh`` decomposes every Z (unless ``z_eigs`` holds their
     (w, V)), A_i and B_i; an instance whose Bs is its As object (n = 1 in
@@ -589,8 +571,8 @@ def _mean_forms(group, z_eigs, include_limits: bool) -> list:
     own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
     # the (n, d, d) tuples: each instance's As, then the Bs of own_b, with
     # the instance that owns each
-    tuples = np.stack([np.asarray(inst[1], dtype=complex) for inst in group]
-                      + [np.asarray(group[j][2], dtype=complex) for j in own_b])
+    tuples = np.concatenate([np.asarray(As, dtype=complex)]
+                            + [np.asarray(group[j][2], dtype=complex)[None] for j in own_b])
     owner = np.array([*range(k), *own_b])
     n, d = tuples.shape[1:3]
     # rows of (w, V): the k Z's, then the tuples' matrices
@@ -748,6 +730,7 @@ MODE_EQUAL = "equal_mean"
 MODE_RELAXED = "relaxed_decreasing"
 
 
+@functools.lru_cache(maxsize=None)
 def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
     lo = iv.m if f.defined_at(iv.m) else iv.m + 1e-12
     ts = np.linspace(lo, iv.M, 257)
@@ -755,11 +738,10 @@ def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
     return bool(np.all(np.diff(vals) <= 1e-12))
 
 
-def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing: bool):
+def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str):
     """``check_scalar_corollary``'s preconditions on (k, n) stacks of p, x
-    and y, one instance per row; ``decreasing`` is ``_is_decreasing(f,
-    f.domain)``, which only relaxed mode reads.  Each test is written so that
-    a NaN fails it."""
+    and y, one instance per row.  Each test is written so that a NaN fails
+    it."""
     if not (np.all(P > 0.0) and np.all(np.abs(np.sum(P, axis=-1) - 1.0) <= 1e-10)):
         raise PreconditionError("weights must be positive and sum to 1")
     lo, hi = f.domain.m - 1e-12, f.domain.M + 1e-12
@@ -774,16 +756,19 @@ def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str, decreasing
         mx, my = mx[bad[0]], my[bad[0]]
         raise PreconditionError(f"weighted means differ: {mx} vs {my}" if mode == MODE_EQUAL
                                 else f"relaxed mode needs sum p x <= sum p y ({mx} > {my})")
-    if mode == MODE_RELAXED and not decreasing:
+    if mode == MODE_RELAXED and not _is_decreasing(f, f.domain):
         raise PreconditionError("relaxed mode needs monotone decreasing f")
     if not f.is_convex:
         raise PreconditionError("check_scalar_corollary needs convex f")
 
 
-def _scalar_corollary_margins(P, X, Y, f: FunctionSpec, alpha: float):
-    """[(form id, margins)] of the beta, ratio and diff forms, one margin per
-    row of checked (k, n) stacks of p, x and y; each constant is computed
-    once.  The ratio form is left out when f is not strictly positive."""
+def _scalar_corollary_kernel(key, tol, P, X, Y):
+    """[(form id, margins, tol)] of the beta, ratio and diff forms for the
+    key (f, alpha, mode), one margin per row of (k, n) stacks of p, x and y,
+    after ``_check_scalar_corollary_rows``; each constant is computed once.
+    The ratio form is left out when f is not strictly positive."""
+    f, alpha, mode = key
+    _check_scalar_corollary_rows(P, X, Y, f, mode)
     iv = f.domain
     sum_fy = np.sum(P * f(Y), axis=-1)
     sum_fx = np.sum(P * f(X), axis=-1)
@@ -793,7 +778,7 @@ def _scalar_corollary_margins(P, X, Y, f: FunctionSpec, alpha: float):
     except PreconditionError:
         pass
     forms.append(("scalar_diff_form", sb.diff_constant(f, iv) + sum_fx))
-    return [(name, rhs - sum_fy) for name, rhs in forms]
+    return [(name, rhs - sum_fy, tol) for name, rhs in forms]
 
 
 def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
@@ -809,11 +794,9 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     P, X, Y = (np.asarray(a, dtype=float)[None] for a in (p, x, y))
     if not (P.shape == X.shape == Y.shape):
         raise ShapeError("p, x, y must share a length")
-    _check_scalar_corollary_rows(P, X, Y, f, mode,
-                                 mode == MODE_RELAXED and _is_decreasing(f, f.domain))
     ctx = {**(context or {}), "alpha": alpha, "f": f.name, "mode": mode}
-    return [_verdict(name, margins[0], tol, ctx)
-            for name, margins in _scalar_corollary_margins(P, X, Y, f, alpha)]
+    return [_verdict(name, margins[0], t, ctx)
+            for name, margins, t in _scalar_corollary_kernel((f, alpha, mode), tol, P, X, Y)]
 
 
 def _entropy_verdicts(A, B, alpha, r, tol, context):
@@ -916,8 +899,6 @@ def function_catalog(name: str) -> FunctionSpec:
 
 _DEFAULT_FS = tuple(_CATALOG)
 _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
-# relaxed mode needs a decreasing f: each catalog function is scanned once
-_DECREASING = {f: _is_decreasing(f, f.domain) for f in _CATALOG.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +954,7 @@ _MOMENT_ORDERS = (1, 2, 4)
 
 def _scalar_score(kernel):
     """The score of a suite whose instances are (rows, key, context):
-    trials are grouped by (row length, key) and stacked into (k, n) arrays,
+    trials are grouped by key and row shape and stacked into (k, n) arrays,
     and ``kernel(key, tol, *stacks)`` returns [(inequality id, margins,
     tol)], one margin per stacked row.  A kernel gives a row the bits of a
     batch of one, so the grouping does not show."""
@@ -982,9 +963,9 @@ def _scalar_score(kernel):
 
         def solve(key, *stacks):
             return zip(*([(name, m, tol) for m in margins.tolist()]
-                         for name, margins, tol in kernel(key[1], params["tol"], *stacks)))
+                         for name, margins, tol in kernel(key, params["tol"], *stacks)))
 
-        forms = _per_group(solve, [(len(r[0]), k) for r, k in zip(rows, keys)], *zip(*rows))
+        forms = _per_group(solve, keys, *zip(*rows))
         return [_verdict(name, m, tol, ctx)
                 for trial_forms, ctx in zip(forms, ctxs) for name, m, tol in trial_forms]
     return score
@@ -1004,7 +985,8 @@ def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
 def _build_jensen_instances(draws) -> list:
     """(family, mats, vectors) of each ``_draw_jensen_instance`` draw."""
     out = []
-    haar = _per_dim_haar(*zip(*(d[1:4] for d in draws)))
+    haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
+                      *zip(*(d[1:4] for d in draws)))
     for (weights, *_, vecs), (U, H) in zip(draws, haar):
         maps = tuple(oc.WeightedConjugation(float(wi), Ui) for wi, Ui in zip(weights, U))
         out.append((oc.MapFamily(maps, U.shape[-1]), list(H), vecs))
@@ -1038,11 +1020,13 @@ def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gene
 def _build_weighted_instances(draws) -> list:
     """(As, Bs, family) of each ``_draw_weighted_instance`` draw."""
     kinds, ws, Gs, spectra, Ss = zip(*draws)
-    H = [h for _, h in _per_dim_haar([G[:0] for G in Gs], Gs, spectra)]
-    means = _per_dim_sums([w[None] if kind == "weights_v0" else None
-                           for kind, w in zip(kinds, ws)], H)
+    H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
+                                  [G[:0] for G in Gs], Gs, spectra)]
+    means = _per_group(_weighted_sums, None,
+                       [w[None] if kind == "weights_v0" else None for kind, w in zip(kinds, ws)], H)
+    mixes = _per_group(_weighted_sums, None, Ss, H)
     out = []
-    for w, A, mean, mix in zip(ws, H, means, _per_dim_sums(Ss, H)):
+    for w, A, mean, mix in zip(ws, H, means, mixes):
         As = list(A)
         n, dim = len(As), A.shape[-1]
         if mean is not None:
@@ -1083,7 +1067,7 @@ def _draw_scalar_corollary(i, rng, params, ctx):
     n = _SCALAR_N
     f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
-    if i % 2 == 1 and _DECREASING[f]:
+    if i % 2 == 1 and _is_decreasing(f, iv):
         x = rng.uniform(iv.m, iv.M, size=n)
         y = rng.uniform(iv.m, iv.M, size=n)
         p = rng.dirichlet(np.ones(n))
@@ -1094,12 +1078,6 @@ def _draw_scalar_corollary(i, rng, params, ctx):
         x, y, p = gen_equal_weighted_mean_scalars(n, iv, rng)
         mode = MODE_EQUAL
     return (p, x, y), (f, alpha, mode), dict(ctx, dim=n, alpha=alpha, f=f.name, mode=mode)
-
-
-def _scalar_corollary_kernel(key, tol, P, X, Y):
-    f, alpha, mode = key
-    _check_scalar_corollary_rows(P, X, Y, f, mode, _DECREASING[f])
-    return [(name, m, tol) for name, m in _scalar_corollary_margins(P, X, Y, f, alpha)]
 
 
 _PREFIX_INTERVAL = Interval(-1.0, 2.0)
@@ -1146,11 +1124,11 @@ def _build_entropy_instances(draws) -> list:
     """((w_A, w_B, alpha), r, context) of each (G, alpha, r, context) draw:
     the spectra of its density pair, from one ``oc._build_densities`` and
     one ``oc._eigvalsh`` per dimension, on a (k, 2, d, d) stack."""
-    def spectra(_, G):
+    def spectra(G):
         rho = oc._build_densities(G)
         return oc._eigvalsh(rho.reshape(-1, *rho.shape[-2:])).reshape(G.shape[:-1])
     return [((wa, wb, alpha), r, ctx) for (wa, wb), (_, alpha, r, ctx) in zip(
-        _per_group(spectra, [G.shape for G, *_ in draws], [G for G, *_ in draws]), draws)]
+        _per_group(spectra, None, [G for G, *_ in draws]), draws)]
 
 
 def _draw_prob_pair(i, rng, params, ctx):
@@ -1211,9 +1189,11 @@ def _build_mean_instances(draws) -> list:
     ``_mean_margin_mats`` take Q = P); otherwise B is a doubly stochastic mix
     of the A_i under uniform weights."""
     G, w, S = zip(*draws)
-    H = [h for _, h in _per_dim_haar([g[:0] for g in G], G, w)]
+    H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
+                                  [g[:0] for g in G], G, w)]
+    mixes = _per_group(_weighted_sums, None, S, [h[1:] for h in H])
     out = []
-    for h, B in zip(H, _per_dim_sums(S, [h[1:] for h in H])):
+    for h, B in zip(H, mixes):
         As = h[1:]
         out.append((h[0], As, As, np.ones(1)) if B is None
                    else (h[0], As, B, np.full(len(As), 1.0 / len(As))))
@@ -1263,8 +1243,8 @@ def _jacobi_by_dim(mats) -> list:
     eigenvalue bits, so the crosscheck reads the same numbers)."""
     key = (oc.eigh_stack, tuple(M.tobytes() for M in mats))
     if _jacobi_last.get("key") != key:
-        _jacobi_last.update(key=key, value=_per_dim(
-            lambda S: list(zip(*oc.eigh_stack(S))), mats))
+        _jacobi_last.update(key=key, value=_per_group(
+            lambda S: list(zip(*oc.eigh_stack(S))), None, mats))
     return _jacobi_last["value"]
 
 
@@ -1281,8 +1261,7 @@ def _jacobi_residuals(A, w, V):
 def _score_eigensolver(instances, params):
     # a residual passes when it is at most tol: the margin is tol - residual
     mats, ctxs = zip(*instances)
-    residuals = _per_group(lambda _, *stacks: _jacobi_residuals(*stacks),
-                           [M.shape for M in mats], mats, *zip(*_jacobi_by_dim(mats)))
+    residuals = _per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_by_dim(mats)))
     return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
             for ctx, res in zip(ctxs, residuals)
             for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
@@ -1308,8 +1287,7 @@ def _score_crosscheck(instances, params):
     mats, ctxs = zip(*instances)
     evals = [w for w, _ in _jacobi_by_dim(mats)]
     return [_verdict("eig_crosscheck", bound - diff, 0.0, ctx) for ctx, (diff, bound) in zip(
-        ctxs, _per_group(lambda _, A, w: _crosscheck(A, w), [M.shape for M in mats],
-                         mats, evals))]
+        ctxs, _per_group(_crosscheck, None, mats, evals))]
 
 
 _MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS,

@@ -583,6 +583,27 @@ class TestSuites:
 
         assert margins(24) == margins(48)
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_per_group_stacks_each_shape_apart(self, seed):
+        # one key over rows of lengths 2 and 3: one solve per length, on a
+        # rectangular stack, results in entry order (shuffled but for seed
+        # None), and None for the entry whose first value is None
+        rows = [np.arange(n, dtype=float) + j for j, n in enumerate((2, 3, 2, 3, 3))] + [None]
+        order = range(len(rows)) if seed is None else \
+            np.random.default_rng(seed).permutation(len(rows)).tolist()
+        calls = []
+
+        def solve(key, X, tags):
+            calls.append((key, X.shape))
+            return [(key, x.tolist(), t) for x, t in zip(X, tags.tolist())]
+
+        out = vf._per_group(solve, ["k"] * len(rows), [rows[j] for j in order], list(order))
+        assert sorted(calls) == [("k", (2, 2)), ("k", (3, 3))]
+        assert out == [None if rows[j] is None else ("k", rows[j].tolist(), j) for j in order]
+        # without keys, solve gets the stacks alone
+        sums = vf._per_group(lambda X: X.sum(axis=-1).tolist(), None, [rows[j] for j in order])
+        assert sums == [None if rows[j] is None else rows[j].sum() for j in order]
+
     @pytest.mark.parametrize("suite, forms", [("eigensolver", 2), ("eigensolver_crosscheck", 1)])
     def test_eigensolver_suites_list_verdicts_in_trial_order(self, suite, forms):
         rep = vf.run_suite(suite, 40, 3, keep_verdicts=True)
@@ -1222,6 +1243,13 @@ def _mean_bounds_at(r):
     (lambda: vf.sb.specht(_INF), DomainError),
     (lambda: vf.sb.ls_r_constant(_NAN, 0.5), DomainError),
     (lambda: vf.sb.ls_r_constant(0.1, _INF), DomainError),
+    (lambda: ln_r(0.5, _NAN), DomainError),
+    (lambda: ln_r(_NAN, 2.0), DomainError),
+    (lambda: ln_r(0.5, _INF), DomainError),
+    (lambda: ln_r(0.5, np.array([2.0, _NAN])), DomainError),
+    (lambda: ce.tsallis_cross_terms([0.5, 0.5], [0.5, 0.5], _NAN), DomainError),
+    (lambda: oc.tsallis_entropy_from_evals([0.5, 0.5], _NAN), DomainError),
+    (lambda: oc.quantum_tsallis_entropy(np.eye(2) / 2, _NAN), DomainError),
     (lambda: vf.check_scalar_corollary([_NAN, 0.5], [0.5, 0.5], [0.5, 0.5],
                                        vf.function_catalog("power2"), 1.0), PreconditionError),
     (lambda: vf.check_scalar_corollary([0.5, 0.5], [_NAN, 0.5], [0.5, 0.5],
