@@ -19,7 +19,9 @@ its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py); the
 two quantum entropy suites at dimensions 9, 12 and 16, whose spectra are
 longer than the eight entries of numpy's unrolled pairwise sum; and the
 three operator-mean suites at dimensions 2, 3 and 5, where every
-dimension holds tuples of both lengths n = 1 and n = 2.
+dimension holds tuples of both lengths n = 1 and n = 2; and the two
+eigensolver suites at dimensions 1, 2, 3 and at 5, 6, 15, 16, where the
+Jacobi oracle solves odd and even dimensions in one ring-size stack.
 """
 
 import contextlib
@@ -79,6 +81,9 @@ RUNS = [
        "--format", fmt]
       for suite in ("operator_means", "mean_limits", "mean_c_lhs_variant")
       for seed in (0, 7) for fmt in ("json", "csv")),
+    *(["verify", "--suite", suite, "--trials", "60", "--seed", str(seed), "--dims", dims]
+      for suite in ("eigensolver", "eigensolver_crosscheck")
+      for dims in ("1,2,3", "5,6,15,16") for seed in (0, 7)),
 ]
 
 

@@ -15,21 +15,29 @@ rounds (d for odd d) of floor(d/2) disjoint pairs.  Disjoint rotations
 commute, so a round computes all its angles from the current matrix and
 applies them to rows, columns and eigenvectors at once; the ordering keeps
 the quadratic convergence of the cyclic method (Brent & Luk, SIAM J. Sci.
-Stat. Comput. 6(1), 1985).  It operates natively on stacks of same-sized
-matrices, in chunks of max(64, 16384 // d**2) matrices (cache-sized
-temporaries at large d, a round loop shared by many matrices at small d):
-each matrix gets its own rotation angles while sharing the
-(data-independent) schedule, and stops rotating once it has converged, so
-neither the stack nor its chunking changes a matrix's bits
-(tests/test_operator_calculus.py::TestJacobiEigh::test_stack_bitwise_matches_single_calls).
-``eigvals_stack`` is ``eigh_stack``'s eigenvalues.  The ``eigensolver``
-suite checks Jacobi's residuals, and ``eigensolver_crosscheck`` compares its
+Stat. Comput. 6(1), 1985).  Stacks are keyed by the circle's ring size
+n = d + d % 2: an odd d's rounds are those of d + 1 without the pairs on
+index d, so its matrices ride zero-padded with those of d + 1 (the
+``dims`` of ``eigh_stack``), and their pad pairs hold exact zeros and
+never rotate.  The private ``_jacobi`` takes matrices of any dimensions,
+one ring stack per ring size.  A stack runs in chunks of
+max(64, 16384 // n**2) matrices (cache-sized temporaries at large n, a
+round loop shared by many matrices at small n): each matrix gets its own
+rotation angles while sharing the (data-independent) schedule, reduces its
+stopping test over its own d x d block, and stops rotating once it has
+converged, so neither the stack, its padding nor its chunking changes a
+matrix's bits
+(tests/test_operator_calculus.py::TestJacobiEigh::test_stack_bitwise_matches_single_calls
+and ::test_mixed_dimensions_match_single_calls_bitwise).  ``eigvals_stack``
+is ``eigh_stack``'s eigenvalues.  The ``eigensolver`` suite checks
+Jacobi's residuals, and ``eigensolver_crosscheck`` compares its
 eigenvalues with LAPACK's.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -189,37 +197,88 @@ def _eigh_one(A):
 # round-robin complex Jacobi eigensolver (stack-native; the oracle)
 # ---------------------------------------------------------------------------
 
-# matrix entries per chunk: a stack is solved max(64, 16384 // d**2)
-# matrices at a time, so a round's (k, d/2, d) temporaries stay in cache on
-# large stacks while small d still amortizes the round loop over many matrices
+# matrix entries per chunk: a stack is solved max(64, 16384 // n**2)
+# matrices at a time, so a round's (k, 2n, n/2) temporaries stay in cache on
+# large stacks while small n still amortizes the round loop over many matrices
 _JACOBI_CHUNK_ENTRIES = 16384
 
 
-def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS):
-    """Eigendecompositions of a stack (k, d, d) of Hermitian matrices.
+def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS, dims=None):
+    """Eigendecompositions of a stack (k, n, n) of Hermitian matrices.
 
-    Returns (evals, vecs) with evals (k, d) ascending and vecs (k, d, d)
+    Returns (evals, vecs) with evals (k, n) ascending and vecs (k, n, n)
     unitary columns satisfying A = V diag(w) V*.  Each sweep visits every
-    pivot pair once, in d - 1 rounds (d for odd d) of floor(d/2) disjoint
+    pivot pair once, in n - 1 rounds (n for odd n) of floor(n/2) disjoint
     pairs that are rotated together.  Sweeps stop once a matrix has
     off-diagonal Frobenius mass <= 1e-14 * ||A||_F; exceeding the sweep cap
     raises ConvergenceError with the worst residual of the stack.  The
-    stack is solved in chunks of max(64, 16384 // d**2) matrices; since
-    every matrix gets its own angles and stops on its own, neither the
-    chunking nor the rest of the stack changes its result.
+    stack is solved in chunks of max(64, 16384 // n**2) matrices.
+
+    ``dims`` holds one dimension per matrix, n - 1 or n (default n): a
+    matrix of dimension d = n - 1 is its leading d x d block, zero-padded.
+    Its rounds are those of d + 1 without the pairs on index d, and those
+    pairs hold exact zeros, so they never rotate.  Its eigenvalues are
+    w[:d] and its eigenvectors V[:d, :d]; the pad keeps its eigenpair
+    (0, e_d) last.  Every matrix gets its own angles, reduces its stopping
+    test over its own block and stops on its own, so neither the chunking,
+    the rest of the stack nor the padding changes its result.
     """
     A = _checked_stack(mats)
-    k, d, _ = A.shape
-    chunk = max(64, _JACOBI_CHUNK_ENTRIES // max(d * d, 1))
+    k, n, _ = A.shape
+    if dims is None:
+        dims = np.full(k, n)
+    else:
+        dims = np.asarray(dims)
+        if dims.shape != (k,) or not ((dims == n) | ((dims == n - 1) & (n > 0))).all():
+            raise ShapeError(f"dims must give {n - 1} or {n} for each of {k} matrices")
+        pad = dims < n
+        if pad.any() and (A[pad, n - 1].any() or A[pad, :, n - 1].any()):
+            raise DomainError(f"a matrix of dimension {n - 1} must be zero-padded to {n}")
+    chunk = max(64, _JACOBI_CHUNK_ENTRIES // max(n * n, 1))
     # an empty stack still runs one (empty) chunk, for the output shapes
-    parts = [_jacobi_chunk(A[s:s + chunk].copy(), max_sweeps)
+    parts = [_jacobi_chunk(A[s:s + chunk], dims[s:s + chunk], max_sweeps)
              for s in range(0, max(k, 1), chunk)]
-    residuals = [res for _, _, res in parts if res is not None]
+    _raise_unconverged([res for _, _, res in parts if res is not None], max_sweeps)
+    return np.concatenate([w for w, _, _ in parts]), np.concatenate([v for _, v, _ in parts])
+
+
+def _raise_unconverged(residuals, max_sweeps: int):
     if residuals:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge in {max_sweeps} sweeps",
             residual=max(residuals))
-    return np.concatenate([w for w, _, _ in parts]), np.concatenate([v for _, v, _ in parts])
+
+
+def _jacobi(mats, max_sweeps: int = MAX_SWEEPS) -> list:
+    """(w, V) of each Hermitian matrix of the sequence ``mats``, of any
+    dimensions, with one ``eigh_stack`` per ring size n = d + d % 2 of the
+    circle method: an odd d rides zero-padded with d + 1.  Each matrix
+    gets the bits of its own ``eigh_stack(M[None])``; exceeding the sweep
+    cap raises ConvergenceError with the worst residual of all rings."""
+    rings = defaultdict(list)
+    for j, M in enumerate(mats):
+        shape = np.shape(M)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ShapeError(f"expected a square matrix, got shape {shape}")
+        rings[shape[0] + shape[0] % 2].append(j)
+    out = [None] * len(mats)
+    residuals = []
+    for n, idxs in rings.items():
+        # the odd dimension first, so that most chunks hold one dimension
+        idxs.sort(key=lambda j: len(mats[j]))
+        dims = [len(mats[j]) for j in idxs]
+        ring = np.zeros((len(idxs), n, n), dtype=complex)
+        for i, (j, d) in enumerate(zip(idxs, dims)):
+            ring[i, :d, :d] = mats[j]
+        try:
+            w, V = eigh_stack(ring, max_sweeps, dims)
+        except ConvergenceError as err:
+            residuals.append(err.residual)
+            continue
+        for i, (j, d) in enumerate(zip(idxs, dims)):
+            out[j] = w[i, :d], V[i, :d, :d]
+    _raise_unconverged(residuals, max_sweeps)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +287,8 @@ def _round_robin(d: int):
     (P, Q, PQ, QP) index arrays with P < Q elementwise, PQ = P ++ Q and
     QP = Q ++ P.  Every pair p < q appears in exactly one round, and the
     pairs of a round are disjoint.  For odd d a dummy index pads the circle
-    and the pair holding it is dropped, so one index idles each round."""
+    and the pair holding it is dropped, so one index idles each round: the
+    rounds are those of d + 1 without the pairs on index d."""
     n = d + d % 2
     ring = list(range(n))
     rounds = []
@@ -243,25 +303,38 @@ def _round_robin(d: int):
     return tuple(rounds)
 
 
-def _jacobi_chunk(A, max_sweeps: int):
-    """(evals, V, residual) of a stack A, rotated in place; the residual is
-    None on convergence, else the worst relative off-diagonal mass left
-    after ``max_sweeps`` sweeps."""
-    k, d, _ = A.shape
-    idx = np.arange(d)
-    V = np.zeros_like(A)
-    V[:, idx, idx] = 1.0
-    if d == 1:
-        return A[:, 0, 0].real.reshape(k, 1), V, None
-
-    scale = np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
+def _jacobi_chunk(A, dims, max_sweeps: int):
+    """(evals, V, residual) of a chunk A (k, n, n) of ``eigh_stack``'s stack
+    with dimensions ``dims``, rotated on the schedule of its largest
+    dimension m: a chunk of dimension n - 1 alone is solved unpadded.  A
+    sits on top of V in one (k, 2m, m) buffer, so one column update rotates
+    both.  The residual is None on convergence, else the worst relative
+    off-diagonal mass left after ``max_sweeps`` sweeps."""
+    k, n, _ = A.shape
+    m = int(dims.max()) if k else n
+    AV = np.zeros((k, 2 * m, m), dtype=complex)
+    AV[:, :m] = A[:, :m, :m]
+    idx = np.arange(m)
+    AV[:, m + idx, idx] = 1.0
+    # a matrix's norms reduce over its own d x d block: a padded reduction
+    # would sum its rows in another order
+    groups = [(np.flatnonzero(dims == d), d) for d in sorted(set(dims.tolist()))]
+    if len(groups) == 1:
+        groups = [(slice(None), m)]
+    scale = np.empty(k)
+    for g, d in groups:
+        scale[g] = np.linalg.norm(A[g, :d, :d], axis=(1, 2))
+    scale = np.maximum(scale, 1e-300)
 
     def off_mass():
-        m = np.abs(A) ** 2
-        m[:, idx, idx] = 0.0
-        return np.sqrt(m.sum(axis=(1, 2)))
+        out = np.empty(k)
+        for g, d in groups:
+            mass = np.abs(AV[g, :d, :d]) ** 2
+            mass[:, idx[:d], idx[:d]] = 0.0
+            out[g] = np.sqrt(mass.sum(axis=(1, 2)))
+        return out
 
-    rounds = _round_robin(d)
+    rounds = _round_robin(m)
     converged = False
     for _ in range(max_sweeps):
         # a converged matrix gets no more rotations, so its result does not
@@ -275,14 +348,16 @@ def _jacobi_chunk(A, max_sweeps: int):
             # the pairs of a round are disjoint, so no rotation touches
             # another's a_pp, a_qq or a_pq: all angles come from the current
             # A, and the round equals its rotations applied one by one
-            apq = A[:, P, Q]
+            h = len(P)
+            apq = AV[:, P, Q]
             mag = np.abs(apq)
             live = mag > thresh
             if not live.any():
                 continue
+            diag = AV[:, PQ, PQ].real
             safe = np.where(live, mag, 1.0)
             phase = np.where(live, apq / safe, 1.0)
-            tau = (A[:, Q, Q].real - A[:, P, P].real) / (2.0 * safe)
+            tau = (diag[:, h:] - diag[:, :h]) / (2.0 * safe)
             sgn = np.where(tau >= 0.0, 1.0, -1.0)
             t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
@@ -291,32 +366,36 @@ def _jacobi_chunk(A, max_sweeps: int):
             sp = (s * phase)[..., None]
             spc = np.conj(sp)
 
-            # fancy indexing gathers copies, so rp, rq (cp, cq) stay the old
-            # rows (columns) while P and Q are overwritten
-            rp = A[:, P, :]
-            rq = A[:, Q, :]
-            A[:, P, :] = c * rp - sp * rq
-            A[:, Q, :] = spc * rp + c * rq
-            cp = A[:, :, P]
-            cq = A[:, :, Q]
+            # fancy indexing gathers a copy, so rp, rq (cp, cq) stay the old
+            # rows (columns) while P and Q are overwritten; the columns run
+            # down A and V alike
+            rows_pq = AV[:, PQ, :]
+            rp, rq = rows_pq[:, :h], rows_pq[:, h:]
+            AV[:, P, :] = c * rp - sp * rq
+            AV[:, Q, :] = spc * rp + c * rq
+            cp = AV[:, :, P]
+            cq = AV[:, :, Q]
             c, sp, spc = (np.swapaxes(x, 1, 2) for x in (c, sp, spc))
-            A[:, :, P] = c * cp - spc * cq
-            A[:, :, Q] = sp * cp + c * cq
-            A[:, PQ, QP] = 0.0
-            A[:, PQ, PQ] = A[:, PQ, PQ].real
-
-            vp = V[:, :, P]
-            vq = V[:, :, Q]
-            V[:, :, P] = c * vp - spc * vq
-            V[:, :, Q] = sp * vp + c * vq
+            AV[:, :, P] = c * cp - spc * cq
+            AV[:, :, Q] = sp * cp + c * cq
+            AV[:, PQ, QP] = 0.0
+            AV[:, PQ, PQ] = AV[:, PQ, PQ].real
     residual = None
     if not converged and np.any(off_mass() > OFF_DIAG_TARGET * scale):
         residual = float((off_mass() / scale).max())
 
-    evals = np.diagonal(A, axis1=1, axis2=2).real.copy()
-    order = np.argsort(evals, axis=1, kind="stable")
-    return (np.take_along_axis(evals, order, axis=1),
-            np.take_along_axis(V, order[:, None, :], axis=2), residual)
+    # each matrix sorts its own eigenpairs; a pad keeps (0, e_d) last
+    evals = np.diagonal(AV[:, :m], axis1=1, axis2=2).real.copy()
+    w = np.zeros((k, n))
+    V = np.zeros((k, n, n), dtype=complex)
+    pad = dims < n
+    if pad.any():
+        V[pad, n - 1, n - 1] = 1.0
+    for g, d in groups:
+        order = np.argsort(evals[g, :d], axis=1, kind="stable")
+        w[g, :d] = np.take_along_axis(evals[g, :d], order, axis=1)
+        V[g, :d, :d] = np.take_along_axis(AV[g, m:m + d, :d], order[:, None, :], axis=2)
+    return w, V, residual
 
 
 def jacobi_eigh(A):
@@ -549,8 +628,10 @@ def natural_power_mean(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:
     """X^(1/2) (X^(-1/2) Y X^(-1/2))^r X^(1/2) for positive definite X, Y.
 
     For r in [0, 1] this is the weighted geometric mean; r = 0 gives X and
-    r = 1 gives Y.
+    r = 1 gives Y.  r must be finite.
     """
+    if not np.isfinite(r):
+        raise DomainError(f"natural power mean needs a finite r, got {r}")
     return _conjugate_by_root(X, Y, lambda mid: mat_power(mid, r))
 
 
@@ -566,10 +647,20 @@ def relative_operator_entropy(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _conjugate_by_root(X, Y, mat_log)
 
 
+def _spectrum_row(w) -> np.ndarray:
+    """w as one row (1, d), rejecting a non-finite entry or one below -1e-10,
+    the slack of ``_density_evals``: no density matrix has such a spectrum."""
+    W = np.asarray(w, dtype=float).reshape(1, -1)
+    bad = ~np.isfinite(W) | (W < -1e-10)
+    if bad.any():
+        raise DomainError(f"spectrum entries must be finite and >= -1e-10, got {W[bad][0]}")
+    return W
+
+
 def von_neumann_entropy_from_evals(w) -> float:
     """-sum w log w over the positive entries of a spectrum (0 log 0 = 0): a
     batch of one of the Shannon row kernel ``_cross_rows(W, W)``."""
-    W = np.asarray(w, dtype=float).reshape(1, -1)
+    W = _spectrum_row(w)
     return float(_cross_rows(W, W)[0])
 
 
@@ -589,7 +680,7 @@ def tsallis_entropy_from_evals(w, r: float) -> float:
     (0, 1]: a batch of one of ``_tsallis_spectra_rows``."""
     if not 0.0 < r <= 1.0:
         raise DomainError(f"Tsallis entropy needs r in (0, 1], got {r}")
-    return float(_tsallis_spectra_rows(np.asarray(w, dtype=float).reshape(1, -1), r)[0])
+    return float(_tsallis_spectra_rows(_spectrum_row(w), r)[0])
 
 
 def von_neumann_entropy(rho) -> float:
@@ -700,4 +791,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     im = np.asarray(obj["im"], dtype=float)
     if re.size != dim * dim or im.size != dim * dim:
         raise ShapeError(f"re/im length must be dim^2 = {dim * dim}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DomainError("matrix entries must be finite")
     return (re + 1j * im).reshape(dim, dim)

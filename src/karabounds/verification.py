@@ -1235,16 +1235,15 @@ def _draw_hermitian(i, rng, params, ctx):
 _jacobi_last = {}
 
 
-def _jacobi_by_dim(mats) -> list:
-    """(w, V) of each matrix by the Jacobi oracle ``oc.eigh_stack``, one stack
-    per dimension.  The last input and its result are kept: under ``--suite
-    all`` the eigensolver and eigensolver_crosscheck suites solve the same
-    draws, and Jacobi runs once (``oc.eigvals_stack`` gives ``eigh_stack``'s
-    eigenvalue bits, so the crosscheck reads the same numbers)."""
-    key = (oc.eigh_stack, tuple(M.tobytes() for M in mats))
+def _jacobi_cached(mats) -> list:
+    """(w, V) of each matrix by the Jacobi oracle, in one ``oc._jacobi`` call
+    (one ``oc.eigh_stack`` per ring size).  The last input and its result
+    are kept: under ``--suite all`` the eigensolver and
+    eigensolver_crosscheck suites solve the same draws, and Jacobi runs
+    once."""
+    key = (oc._jacobi, oc.eigh_stack, tuple(M.tobytes() for M in mats))
     if _jacobi_last.get("key") != key:
-        _jacobi_last.update(key=key, value=_per_group(
-            lambda S: list(zip(*oc.eigh_stack(S))), None, mats))
+        _jacobi_last.update(key=key, value=oc._jacobi(mats))
     return _jacobi_last["value"]
 
 
@@ -1261,7 +1260,7 @@ def _jacobi_residuals(A, w, V):
 def _score_eigensolver(instances, params):
     # a residual passes when it is at most tol: the margin is tol - residual
     mats, ctxs = zip(*instances)
-    residuals = _per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_by_dim(mats)))
+    residuals = _per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_cached(mats)))
     return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
             for ctx, res in zip(ctxs, residuals)
             for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
@@ -1285,7 +1284,7 @@ def _crosscheck(A, w):
 
 def _score_crosscheck(instances, params):
     mats, ctxs = zip(*instances)
-    evals = [w for w, _ in _jacobi_by_dim(mats)]
+    evals = [w for w, _ in _jacobi_cached(mats)]
     return [_verdict("eig_crosscheck", bound - diff, 0.0, ctx) for ctx, (diff, bound) in zip(
         ctxs, _per_group(_crosscheck, None, mats, evals))]
 

@@ -90,11 +90,75 @@ class TestJacobiEigh:
             seen += zip(P.tolist(), Q.tolist())
         assert sorted(seen) == [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
-    def test_repeated_eigenvalues(self):
+    @pytest.mark.parametrize("dim", range(3, 16, 2))
+    def test_odd_rounds_are_the_next_ring_without_its_pad_index(self, dim):
+        # an odd d is solved zero-padded in the ring of d + 1, on that ring's
+        # rounds; its own rounds drop just the pairs on the pad index d
+        rounds, ring = oc._round_robin(dim), oc._round_robin(dim + 1)
+        assert len(rounds) == len(ring)
+        for (P, Q, _, _), (P1, Q1, _, _) in zip(rounds, ring):
+            keep = Q1 < dim
+            assert np.array_equal(P, P1[keep]) and np.array_equal(Q, Q1[keep])
+
+    @staticmethod
+    def repeated_eigenvalue_input():
         rng = np.random.default_rng(7)
         U = oc.rand_unitary(6, rng)
         spectrum = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 5.0])
-        A = oc.hermitize(U @ np.diag(spectrum) @ U.conj().T)
+        return oc.hermitize(U @ np.diag(spectrum) @ U.conj().T), spectrum
+
+    def test_mixed_dimensions_match_single_calls_bitwise(self):
+        # one call solves every dimension in ring-size stacks, an odd d
+        # zero-padded with d + 1 (d = 15 and 16 fill more than one chunk of
+        # 64); each matrix still gets the bytes of its own call, also one
+        # that never rotates while the rest of its stack does
+        rng = np.random.default_rng(2026)
+        mats = [rand_herm(d, rng) for d in range(1, 17) for _ in range(3)]
+        mats += [rand_herm(d, rng) for d in (15, 16) for _ in range(35)]
+        mats += [np.diag(rng.standard_normal(d)).astype(complex) for d in (1, 4, 5, 9)]
+        mats += [np.zeros((d, d), dtype=complex) for d in (1, 2, 3, 7)]
+        mats.append(self.repeated_eigenvalue_input()[0])
+        mats = [mats[j] for j in rng.permutation(len(mats))]
+        for M, (w, V) in zip(mats, oc._jacobi(mats), strict=True):
+            w1, V1 = oc.eigh_stack(M[None])
+            assert w.tobytes() == w1[0].tobytes()
+            assert V.tobytes() == V1[0].tobytes()
+
+    def test_dims_solve_a_zero_padded_ring_stack(self):
+        # a 5 x 5 matrix padded to 6 gets its own eigenpairs in the leading
+        # block, and the pad keeps its eigenpair (0, e_5) last
+        rng = np.random.default_rng(9)
+        A, B = rand_herm(5, rng), rand_herm(6, rng)
+        ring = np.zeros((2, 6, 6), dtype=complex)
+        ring[0, :5, :5], ring[1] = A, B
+        w, V = oc.eigh_stack(ring, dims=[5, 6])
+        wa, Va = oc.eigh_stack(A[None])
+        assert w[0, :5].tobytes() == wa[0].tobytes()
+        assert V[0, :5, :5].tobytes() == Va[0].tobytes()
+        assert w[0, 5] == 0.0 and np.array_equal(V[0, :, 5], np.eye(6)[5])
+        assert not V[0, 5, :5].any()
+        with pytest.raises(ShapeError):
+            oc.eigh_stack(ring, dims=[4, 6])
+        ring[0, 5, 0] = 1e-300
+        with pytest.raises(DomainError):
+            oc.eigh_stack(ring, dims=[5, 6])
+
+    def test_mixed_dimensions_sweep_cap_raises_the_worst_residual(self):
+        rng = np.random.default_rng(5)
+        mats = [rand_herm(d, rng) for d in (2, 3, 6, 7)]
+        single = []
+        for M in mats:
+            try:
+                oc.eigh_stack(M[None], max_sweeps=1)
+            except ConvergenceError as err:
+                single.append(err.residual)
+        assert len(single) == 3  # one sweep solves a 2 x 2 matrix exactly
+        with pytest.raises(ConvergenceError) as err:
+            oc._jacobi(mats, max_sweeps=1)
+        assert err.value.residual == max(single)
+
+    def test_repeated_eigenvalues(self):
+        A, spectrum = self.repeated_eigenvalue_input()
         w, V = oc.jacobi_eigh(A)
         assert np.max(np.abs(w - spectrum)) <= 1e-13
         assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - A) <= 1e-13

@@ -1060,24 +1060,32 @@ class TestSuites:
         assert rep.failures == 30
 
     def test_eigensolver_pair_runs_jacobi_once(self, monkeypatch):
-        # under --suite all both suites solve the same draws: the crosscheck
-        # reads the eigenvalues of the eigensolver's Jacobi run
-        solved = []
-        solve = oc.eigh_stack
+        # a draw set is solved in one Jacobi call over all its dimensions,
+        # with one eigh_stack per ring size n = d + d % 2; under --suite all
+        # both suites solve the same draws, and the crosscheck reads the
+        # eigenvalues of the eigensolver's Jacobi run
+        solved, rings = [], []
+        solve, stack = oc._jacobi, oc.eigh_stack
 
         def counting(mats, *args):
             solved.append(len(mats))
             return solve(mats, *args)
 
-        monkeypatch.setattr(oc, "eigh_stack", counting)
+        def ring(mats, *args):
+            rings.append(mats.shape)
+            return stack(mats, *args)
+
+        monkeypatch.setattr(oc, "_jacobi", counting)
+        monkeypatch.setattr(oc, "eigh_stack", ring)
         monkeypatch.setattr(oc, "eigvals_stack", None)
         vf.run_suite("eigensolver", 45, 3)
-        assert solved == [3] * 15
+        assert solved == [45]
+        assert sorted(rings) == [(3, 2, 2)] + [(6, n, n) for n in range(4, 17, 2)]
         alone = vf.run_suite("eigensolver_crosscheck", 45, 3, keep_verdicts=True)
-        assert solved == [3] * 15
+        assert solved == [45]
         vf.run_suite("eigensolver", 30, 3)
-        assert len(solved) == 30
-        monkeypatch.setattr(oc, "eigh_stack", solve)
+        assert solved == [45, 30]
+        monkeypatch.setattr(oc, "_jacobi", solve)
         fresh = vf.run_suite("eigensolver_crosscheck", 45, 3, keep_verdicts=True)
         assert [v.margin for v in alone.verdicts] == [v.margin for v in fresh.verdicts]
 
@@ -1214,6 +1222,7 @@ class TestUnitaryInvariance:
 _NAN, _INF = float("nan"), float("inf")
 _PAIR = Interval(0.2, 2.0)
 _EYE2 = np.eye(2, dtype=complex)
+_DIAG23, _DIAG41 = np.diag([2.0, 3.0]).astype(complex), np.diag([4.0, 1.0]).astype(complex)
 
 
 def _jensen_on(x):
@@ -1264,6 +1273,13 @@ def _mean_bounds_at(r):
     (lambda: _mean_bounds_at(_NAN), DomainError),
     (lambda: _mean_bounds_at(_INF), DomainError),
     (lambda: _mean_bounds_at(-_INF), DomainError),
+    (lambda: oc.von_neumann_entropy_from_evals([-0.5, 1.5]), DomainError),
+    (lambda: oc.von_neumann_entropy_from_evals([_NAN, 1.0]), DomainError),
+    (lambda: oc.tsallis_entropy_from_evals([-0.5, 1.5], 0.5), DomainError),
+    (lambda: oc.tsallis_entropy_from_evals([_NAN, 1.0], 0.5), DomainError),
+    (lambda: oc.natural_power_mean(_DIAG23, _DIAG41, _NAN), DomainError),
+    (lambda: oc.tsallis_relative_operator_entropy(_DIAG23, _DIAG41, _INF), DomainError),
+    (lambda: oc.matrix_from_json({"dim": 1, "re": [_NAN], "im": [0.0]}), DomainError),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_input_raises_a_typed_error(call, error):
