@@ -263,7 +263,10 @@ def _jacobi(mats, max_sweeps: int = MAX_SWEEPS) -> list:
         rings[shape[0] + shape[0] % 2].append(j)
     out = [None] * len(mats)
     residuals = []
-    for n, idxs in rings.items():
+    # the largest ring first, while no other ring's results are held: the
+    # peak of a call is its largest ring's working set
+    for n in sorted(rings, reverse=True):
+        idxs = rings[n]
         # the odd dimension first, so that most chunks hold one dimension
         idxs.sort(key=lambda j: len(mats[j]))
         dims = [len(mats[j]) for j in idxs]
