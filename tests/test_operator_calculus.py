@@ -144,15 +144,16 @@ class TestJacobiEigh:
             oc.eigh_stack(ring, dims=[5, 6])
 
     def test_mixed_dimensions_sweep_cap_raises_the_worst_residual(self):
+        # rings 4 and 8 each hold an odd and an even dimension
         rng = np.random.default_rng(5)
-        mats = [rand_herm(d, rng) for d in (2, 3, 6, 7)]
+        mats = [rand_herm(d, rng) for d in (2, 3, 4, 7, 8)]
         single = []
         for M in mats:
             try:
                 oc.eigh_stack(M[None], max_sweeps=1)
             except ConvergenceError as err:
                 single.append(err.residual)
-        assert len(single) == 3  # one sweep solves a 2 x 2 matrix exactly
+        assert len(single) == 4  # one sweep solves a 2 x 2 matrix exactly
         with pytest.raises(ConvergenceError) as err:
             oc._jacobi(mats, max_sweeps=1)
         assert err.value.residual == max(single)
