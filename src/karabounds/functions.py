@@ -84,22 +84,6 @@ def ln_r(r: float, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def _tlogt(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError("t log t requires t >= 0")
-    # convention 0 log 0 = 0
-    safe = np.where(t > 0.0, t, 1.0)
-    return np.where(t > 0.0, t * np.log(safe), 0.0)
-
-
-def _neglog(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("-log t requires t > 0")
-    return -np.log(t)
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     """A scalar function on an interval, with declared convexity.
@@ -177,44 +161,45 @@ class FunctionSpec:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
+        """f(t) for a scalar or an array t.  A built-in kind rejects t outside
+        its domain with DomainError, in one check that NaN fails: every kind
+        needs a finite t, and ``neg_log``, ``ln_r_reciprocal`` and ``power``
+        with r < 0 need t > 0, ``t_log_t``, ``tsallis_f`` and ``power`` with
+        r >= 0 need t >= 0.  ``custom`` evaluators are not checked."""
         t_in = t
         t = np.asarray(t, dtype=float)
-        if self.kind == "t_log_t":
-            out = _tlogt(t)
-        elif self.kind == "neg_log":
-            out = _neglog(t)
-        elif self.kind == "power":
-            out = self._eval_power(t)
-        elif self.kind == "tsallis_f":
-            out = self._eval_tsallis(t)
-        elif self.kind == "ln_r_reciprocal":
+        kind, r = self.kind, self.r
+        if kind != "custom" and t.size:
+            lo, hi = t.min(), t.max()
+            if kind == "central_moment":
+                rule, ok = "finite t", lo > -math.inf
+            elif kind in ("neg_log", "ln_r_reciprocal") or kind == "power" and r < 0.0:
+                rule, ok = "finite t > 0", lo > 0.0
+            else:
+                rule, ok = "finite t >= 0", lo >= 0.0
+            if not (ok and hi < math.inf):
+                raise DomainError(f"{self.name or kind} requires {rule}, got {hi if ok else lo}")
+        if kind == "t_log_t":
+            # convention 0 log 0 = 0
+            safe = np.where(t > 0.0, t, 1.0)
+            out = np.where(t > 0.0, t * np.log(safe), 0.0)
+        elif kind == "neg_log":
+            out = -np.log(t)
+        elif kind == "power":
+            out = np.ones_like(t) if 0.0 <= r < SINGULAR_TOL else t ** r
+        elif kind == "tsallis_f":
+            # f_r(t) = (t - t^(1-r))/r for t > 0, with the continuity convention
+            # f_r(0) = 0 (exact for r < 1, limiting value at r = 1)
+            safe = np.where(t > 0.0, t, 1.0)
+            out = np.where(t > 0.0, (safe - safe ** (1.0 - r)) / r, 0.0)
+        elif kind == "ln_r_reciprocal":
             # ln_r(1/t) = expm1(-r log t)/r: avoids the 1/t rounding noise near t = 1
-            out = np.expm1(-self.r * np.log(_strictly_positive(t, self.name))) / self.r
-        elif self.kind == "central_moment":
+            out = np.expm1(-r * np.log(t)) / r
+        elif kind == "central_moment":
             out = (t - self.center) ** self.moment_order
         else:
             out = np.asarray(self.evaluator(t), dtype=float)
         return float(out) if np.isscalar(t_in) or t.ndim == 0 else out
-
-    def _eval_power(self, t):
-        r = self.r
-        if r < 0.0:
-            return _strictly_positive(t, self.name) ** r
-        if np.any(t < 0.0):
-            raise DomainError(f"t^{r:g} requires t >= 0 here")
-        if abs(r) < SINGULAR_TOL:
-            return np.ones_like(t)
-        return t ** r
-
-    def _eval_tsallis(self, t):
-        # f_r(t) = (t - t^(1-r))/r for t > 0, with the continuity convention
-        # f_r(0) = 0 (exact for r < 1, limiting value at r = 1)
-        r = self.r
-        if np.any(t < 0.0):
-            raise DomainError("tsallis_f requires t >= 0")
-        safe = np.where(t > 0.0, t, 1.0)
-        val = (safe - safe ** (1.0 - r)) / r
-        return np.where(t > 0.0, val, 0.0)
 
     def defined_at(self, t: float) -> bool:
         """True when the evaluator accepts t (convention points included)."""
@@ -227,13 +212,6 @@ class FunctionSpec:
     @property
     def is_convex(self) -> bool:
         return self.convexity == "convex"
-
-
-def _strictly_positive(t, name):
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError(f"{name or 'function'} requires t > 0")
-    return t
 
 
 def chord_coeffs(f: FunctionSpec, iv: Interval) -> ChordCoeffs:

@@ -20,7 +20,8 @@ n = d + d % 2: an odd d's rounds are those of d + 1 without the pairs on
 index d, so its matrices ride zero-padded with those of d + 1 (the
 ``dims`` of ``eigh_stack``), and their pad pairs hold exact zeros and
 never rotate.  The private ``_jacobi`` takes matrices of any dimensions,
-one ring stack per ring size.  A stack runs in chunks of
+one ring stack per ring size when its two dimensions fit one chunk, else
+one stack per dimension.  A stack runs in chunks of
 max(64, 16384 // n**2) matrices (cache-sized temporaries at large n, a
 round loop shared by many matrices at small n): each matrix gets its own
 rotation angles while sharing the (data-independent) schedule, reduces its
@@ -203,6 +204,11 @@ def _eigh_one(A):
 _JACOBI_CHUNK_ENTRIES = 16384
 
 
+def _jacobi_chunk_size(n: int) -> int:
+    """Matrices per chunk of an n x n Jacobi stack: max(64, 16384 // n**2)."""
+    return max(64, _JACOBI_CHUNK_ENTRIES // max(n * n, 1))
+
+
 def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS, dims=None):
     """Eigendecompositions of a stack (k, n, n) of Hermitian matrices.
 
@@ -234,7 +240,7 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS, dims=None):
         pad = dims < n
         if pad.any() and (A[pad, n - 1].any() or A[pad, :, n - 1].any()):
             raise DomainError(f"a matrix of dimension {n - 1} must be zero-padded to {n}")
-    chunk = max(64, _JACOBI_CHUNK_ENTRIES // max(n * n, 1))
+    chunk = _jacobi_chunk_size(n)
     # an empty stack still runs one (empty) chunk, for the output shapes
     parts = [_jacobi_chunk(A[s:s + chunk], dims[s:s + chunk], max_sweeps)
              for s in range(0, max(k, 1), chunk)]
@@ -251,10 +257,13 @@ def _raise_unconverged(residuals, max_sweeps: int):
 
 def _jacobi(mats, max_sweeps: int = MAX_SWEEPS) -> list:
     """(w, V) of each Hermitian matrix of the sequence ``mats``, of any
-    dimensions, with one ``eigh_stack`` per ring size n = d + d % 2 of the
-    circle method: an odd d rides zero-padded with d + 1.  Each matrix
-    gets the bits of its own ``eigh_stack(M[None])``; exceeding the sweep
-    cap raises ConvergenceError with the worst residual of all rings."""
+    dimensions.  The matrices of a ring size n = d + d % 2 of the circle
+    method share one ``eigh_stack`` when both dimensions n - 1 and n are
+    present and fit one chunk (the odd d zero-padded, through ``dims``);
+    otherwise each dimension gets its own stack, since a chunk holding both
+    pads every odd-d matrix in it.  Each matrix gets the bits of its own
+    ``eigh_stack(M[None])``; exceeding the sweep cap raises
+    ConvergenceError with the worst residual of all stacks."""
     rings = defaultdict(list)
     for j, M in enumerate(mats):
         shape = np.shape(M)
@@ -267,19 +276,22 @@ def _jacobi(mats, max_sweeps: int = MAX_SWEEPS) -> list:
     # peak of a call is its largest ring's working set
     for n in sorted(rings, reverse=True):
         idxs = rings[n]
-        # the odd dimension first, so that most chunks hold one dimension
-        idxs.sort(key=lambda j: len(mats[j]))
-        dims = [len(mats[j]) for j in idxs]
-        ring = np.zeros((len(idxs), n, n), dtype=complex)
-        for i, (j, d) in enumerate(zip(idxs, dims)):
-            ring[i, :d, :d] = mats[j]
-        try:
-            w, V = eigh_stack(ring, max_sweeps, dims)
-        except ConvergenceError as err:
-            residuals.append(err.residual)
-            continue
-        for i, (j, d) in enumerate(zip(idxs, dims)):
-            out[j] = w[i, :d], V[i, :d, :d]
+        parts = [[j for j in idxs if len(mats[j]) == d] for d in (n, n - 1)]
+        stacks = ([idxs] if all(parts) and len(idxs) <= _jacobi_chunk_size(n)
+                  else [p for p in parts if p])
+        for stack in stacks:
+            dims = [len(mats[j]) for j in stack]
+            size = max(dims)
+            A = np.zeros((len(stack), size, size), dtype=complex)
+            for i, (j, d) in enumerate(zip(stack, dims)):
+                A[i, :d, :d] = mats[j]
+            try:
+                w, V = eigh_stack(A, max_sweeps, dims)
+            except ConvergenceError as err:
+                residuals.append(err.residual)
+                continue
+            for i, (j, d) in enumerate(zip(stack, dims)):
+                out[j] = w[i, :d], V[i, :d, :d]
     _raise_unconverged(residuals, max_sweeps)
     return out
 
@@ -427,15 +439,10 @@ def apply_function_stack(f, mats) -> np.ndarray:
     """f applied spectrally to each matrix in a stack.
 
     f is a FunctionSpec or a vectorized scalar callable; with a FunctionSpec
-    the spectra must sit inside its domain (1e-10 slack, eigenvalues clipped
-    back onto the boundary before evaluation).
+    the spectra must sit inside its domain (1e-10 slack, else DomainError;
+    eigenvalues clipped back onto the boundary before evaluation).
     """
-    return _function_image(f, *_eigh(mats))
-
-
-def _function_image(f, w: np.ndarray, V: np.ndarray):
-    """f(A) recomposed from A's (w, V), a single matrix's or a stack's, with
-    apply_function_stack's domain check."""
+    w, V = _eigh(mats)
     if isinstance(f, FunctionSpec):
         lo, hi = f.domain.m, f.domain.M
         if w.min() < lo - 1e-10 or w.max() > hi + 1e-10:
@@ -443,7 +450,15 @@ def _function_image(f, w: np.ndarray, V: np.ndarray):
             raise DomainError(
                 f"eigenvalue {bad!r} outside the function domain [{lo}, {hi}]"
             )
-        w = np.clip(w, lo, hi)
+    return _function_image(f, w, V)
+
+
+def _function_image(f, w: np.ndarray, V: np.ndarray):
+    """f(A) recomposed from A's (w, V), a single matrix's or a stack's; a
+    FunctionSpec's spectra are clipped onto its domain, which the caller has
+    checked them against."""
+    if isinstance(f, FunctionSpec):
+        w = np.clip(w, f.domain.m, f.domain.M)
     fw = np.asarray(f(w), dtype=float)
     return _recompose(fw, V)
 

@@ -63,7 +63,7 @@ from . import majorization as mj
 from . import operator_calculus as oc
 from . import scalar_bounds as sb
 from .errors import DomainError, GeneratorExhausted, PreconditionError, ShapeError
-from .functions import FunctionSpec, Interval
+from .functions import FunctionSpec, Interval, _open_interval
 
 __all__ = [
     "InequalityVerdict",
@@ -450,7 +450,7 @@ def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
 
 def _check_spectra(w, lo, hi):
     """Raise PreconditionError for the first row of the ascending spectra w
-    (k, d) more than 1e-10 (``oc._function_image``'s slack) outside its
+    (k, d) more than 1e-10 (``oc.apply_function_stack``'s slack) outside its
     interval [lo, hi]; the bounds are scalars or one per row."""
     bad = (w[:, 0] < lo - 1e-10) | (w[:, -1] > hi + 1e-10)
     if bad.any():
@@ -732,8 +732,8 @@ MODE_RELAXED = "relaxed_decreasing"
 
 @functools.lru_cache(maxsize=None)
 def _is_decreasing(f: FunctionSpec, iv: Interval) -> bool:
-    lo = iv.m if f.defined_at(iv.m) else iv.m + 1e-12
-    ts = np.linspace(lo, iv.M, 257)
+    scan = _open_interval(f, iv)
+    ts = np.linspace(scan.m, scan.M, 257)
     vals = np.asarray(f(ts), dtype=float)
     return bool(np.all(np.diff(vals) <= 1e-12))
 

@@ -118,6 +118,47 @@ class TestFunctionSpecs:
                             "concave", IV01, "-t^2")
 
 
+def _formula(f, t):
+    """Each built-in kind's formula on an in-domain array t, as written
+    before its domain checks folded into FunctionSpec.__call__."""
+    r = f.r
+    if f.kind == "t_log_t":
+        safe = np.where(t > 0.0, t, 1.0)
+        return np.where(t > 0.0, t * np.log(safe), 0.0)
+    if f.kind == "neg_log":
+        return -np.log(t)
+    if f.kind == "power":
+        if r < 0.0:
+            return t ** r
+        return np.ones_like(t) if abs(r) < 1e-12 else t ** r
+    if f.kind == "tsallis_f":
+        safe = np.where(t > 0.0, t, 1.0)
+        return np.where(t > 0.0, (safe - safe ** (1.0 - r)) / r, 0.0)
+    if f.kind == "ln_r_reciprocal":
+        return np.expm1(-r * np.log(t)) / r
+    return (t - f.center) ** f.moment_order
+
+
+@pytest.mark.parametrize("f", [
+    FunctionSpec.t_log_t(IV01),
+    FunctionSpec.neg_log(Interval(0.05, 1.0)),
+    *(FunctionSpec.power(r, Interval(0.0, 2.0)) for r in (2.0, 0.5, 1.0, 0.0, 1e-13)),
+    *(FunctionSpec.power(r, Interval(0.2, 2.0)) for r in (-1.0, -2.5, -1e-13)),
+    *(FunctionSpec.tsallis_f(r, IV01) for r in (0.3, 1.0)),
+    FunctionSpec.ln_r_reciprocal(0.7, Interval(0.1, 1.0)),
+    FunctionSpec.central_moment(3, 0.4, Interval(-1.0, 2.0)),
+], ids=lambda f: f.name)
+def test_formulas_keep_their_bits(f):
+    # the grid holds both interval ends, t = 0 where the kind is defined
+    # there, and interior points; a scalar call gets the bits of a 0-d one
+    iv = f.domain
+    t = np.unique(np.concatenate([[iv.m, iv.M], np.linspace(iv.m, iv.M, 37),
+                                  [0.0] if f.defined_at(0.0) else []]))
+    assert f(t).tobytes() == _formula(f, t).tobytes()
+    for x in t:
+        assert np.float64(f(float(x))).tobytes() == _formula(f, np.asarray(x)).tobytes()
+
+
 class TestChordCoeffs:
     def test_t_log_t_chord_vanishes(self):
         ch = chord_coeffs(FunctionSpec.t_log_t(IV01), IV01)

@@ -109,9 +109,10 @@ class TestJacobiEigh:
 
     def test_mixed_dimensions_match_single_calls_bitwise(self):
         # one call solves every dimension in ring-size stacks, an odd d
-        # zero-padded with d + 1 (d = 15 and 16 fill more than one chunk of
-        # 64); each matrix still gets the bytes of its own call, also one
-        # that never rotates while the rest of its stack does
+        # zero-padded with d + 1 (d = 15 and 16 together fill more than one
+        # chunk of 64, so each gets its own stack, and d = 16 two chunks);
+        # each matrix still gets the bytes of its own call, also one that
+        # never rotates while the rest of its stack does
         rng = np.random.default_rng(2026)
         mats = [rand_herm(d, rng) for d in range(1, 17) for _ in range(3)]
         mats += [rand_herm(d, rng) for d in (15, 16) for _ in range(35)]
@@ -123,6 +124,24 @@ class TestJacobiEigh:
             w1, V1 = oc.eigh_stack(M[None])
             assert w.tobytes() == w1[0].tobytes()
             assert V.tobytes() == V1[0].tobytes()
+
+    def test_two_dimensions_share_a_stack_only_within_one_chunk(self, monkeypatch):
+        # ring 4 is solved in chunks of 1,024: 10 + 10 matrices of d = 3 and
+        # 4 ride in one stack, d = 3 zero-padded, while 1,000 + 1,000 get a
+        # stack each, so that no d = 3 matrix is padded
+        solve, seen = oc.eigh_stack, []
+
+        def spy(A, max_sweeps, dims):
+            seen.append((A.shape, sorted(dims)))
+            return solve(A, max_sweeps, dims)
+
+        monkeypatch.setattr(oc, "eigh_stack", spy)
+        rng = np.random.default_rng(12)
+        for count, calls in [(10, [((20, 4, 4), [3] * 10 + [4] * 10)]),
+                             (1000, [((1000, 4, 4), [4] * 1000), ((1000, 3, 3), [3] * 1000)])]:
+            seen.clear()
+            oc._jacobi([rand_herm(d, rng) for d in (3, 4) for _ in range(count)])
+            assert seen == calls
 
     def test_dims_solve_a_zero_padded_ring_stack(self):
         # a 5 x 5 matrix padded to 6 gets its own eigenpairs in the leading
@@ -384,8 +403,11 @@ class TestApplyFunction:
 
     def test_domain_violation_names_eigenvalue(self):
         f = FunctionSpec.neg_log(Interval(0.5, 1.0))
+        A = np.diag([0.1, 0.6]).astype(complex)
         with pytest.raises(DomainError, match="eigenvalue"):
-            oc.apply_function(f, np.diag([0.1, 0.6]).astype(complex))
+            oc.apply_function(f, A)
+        with pytest.raises(DomainError, match="eigenvalue"):
+            oc.apply_function_stack(f, np.stack([np.diag([0.7, 0.6]).astype(complex), A]))
 
 
 class TestSpectrumIn:
