@@ -11,7 +11,8 @@ same run made with flags.  Run the script in two checkouts and ``diff`` the
 two outputs: no difference means every report of the set is byte-identical.
 
 The set: ``verify --suite all`` as JSON and as CSV at 48 and 100 trials and
-seeds 0, 7 and 1000; ``verify`` with every suite parameter flag set;
+seeds 0, 7 and 1000, and at 48 trials and the seeds of two and three 32-bit
+words 4294967296 and 18446744073709551619; ``verify`` with every suite parameter flag set;
 ``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; every
 ``scan`` quantity, each at its defaults and with its own flags; every
 suite alone, as JSON and as CSV at seeds 0, 7 and 1000, at the trial count
@@ -50,6 +51,8 @@ RUNS = [
     *(["verify", "--suite", "all", "--trials", str(trials), "--seed", str(seed),
        "--format", fmt]
       for trials in (48, 100) for seed in (0, 7, 1000) for fmt in ("json", "csv")),
+    *(["verify", "--suite", "all", "--trials", "48", "--seed", str(seed), "--format", fmt]
+      for seed in (2**32, 2**64 + 3) for fmt in ("json", "csv")),
     ["verify", "--suite", "all", "--trials", "40", "--seed", "7", "--r", "0.5",
      "--alpha", "1", "--dims", "2,4", "--eps", "0.1", "--format", "csv"],
     ["verify", "--suite", "operator_means", "--trials", "48", "--seed", "7",

@@ -90,7 +90,8 @@ class FunctionSpec:
 
     ``kind`` is one of ``t_log_t``, ``neg_log``, ``power``, ``tsallis_f``,
     ``ln_r_reciprocal``, ``central_moment`` or ``custom``.  Parametric kinds
-    carry ``r`` (exponent/deformation) or ``moment_order``/``center``.
+    carry ``r`` (exponent/deformation) or ``moment_order``/``center``, and
+    reject a non-finite ``r`` or ``center`` with DomainError.
     Custom functions supply ``evaluator`` and must declare their convexity,
     which is validated by a midpoint convexity scan on ``domain``.
     """
@@ -107,6 +108,11 @@ class FunctionSpec:
     def __post_init__(self):
         if self.convexity not in ("convex", "concave"):
             raise DomainError(f"convexity must be 'convex' or 'concave', got {self.convexity!r}")
+        if self.kind in ("power", "tsallis_f", "ln_r_reciprocal") and not (
+                self.r is not None and math.isfinite(self.r)):
+            raise DomainError(f"{self.kind} needs a finite r, got {self.r}")
+        if self.kind == "central_moment" and not math.isfinite(self.center):
+            raise DomainError(f"central_moment needs a finite center, got {self.center}")
         if self.kind == "tsallis_f" and not (0.0 < self.r <= 1.0):
             raise DomainError(f"tsallis_f needs r in (0, 1], got {self.r}")
         if self.kind == "ln_r_reciprocal" and not self.r > 0.0:

@@ -443,7 +443,7 @@ def apply_function_stack(f, mats) -> np.ndarray:
     eigenvalues clipped back onto the boundary before evaluation).
     """
     w, V = _eigh(mats)
-    if isinstance(f, FunctionSpec):
+    if isinstance(f, FunctionSpec) and w.size:
         lo, hi = f.domain.m, f.domain.M
         if w.min() < lo - 1e-10 or w.max() > hi + 1e-10:
             bad = float(w.min() if w.min() < lo - 1e-10 else w.max())

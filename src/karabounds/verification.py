@@ -9,13 +9,17 @@ inequality's domain, in the kernel that a suite and its checker share.
 
 ``run_suite`` is the one trial loop.  A suite is a draw, a build and a
 score function and its default params, run in three phases.  The draw
-makes trial i's rng calls on its own generator, ``trial_rng(seed, i)`` (a
-``numpy.random.SeedSequence`` spawn key), and returns raw Gaussian and
-uniform arrays.  The build turns all the trials' draws into instances, the
-blocks of one shape (say, the n matrices of each trial's tuple) in one
-stack per step (``operator_calculus._build_haar`` and ``_build_densities``,
-then the Sinkhorn mixes and weighted means).  The score runs the suite's
-batch margin kernel once on all the instances.  Every stacked step groups
+makes trial i's rng calls on its own stream, that of
+``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and returns raw
+Gaussian and uniform arrays.  A suite seeds all its trials in one pass
+(``_trial_rngs``): it hashes the seed once, the trials' spawn keys as whole
+uint32 arrays, and sets each trial's PCG64 state on one reused Generator;
+``trial_rng(seed, i)`` is a batch of one of it.  The build turns all the
+trials' draws into instances, the blocks of one shape (say, the n matrices
+of each trial's tuple) in one stack per step
+(``operator_calculus._build_haar`` and ``_build_densities``, then the
+Sinkhorn mixes and weighted means).  The score runs the suite's batch
+margin kernel once on all the instances.  Every stacked step groups
 its entries through ``_per_group``, by an optional key and by the shapes of
 the entries, so a stack is rectangular and no caller builds a shape key.
 A kernel decomposes each distinct input matrix once, in one LAPACK stack
@@ -156,8 +160,129 @@ def verdict_csv_rows(suite_id: str, verdicts: Sequence[InequalityVerdict]):
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator: SeedSequence(seed) split by spawn key (trial,)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),)))
+    """Per-trial generator: SeedSequence(seed) split by spawn key (trial,).
+
+    A fresh Generator with the stream of ``np.random.default_rng(
+    np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))``, seeded as a
+    batch of one of the suites' seeder.  Its bit generator holds no
+    SeedSequence, so ``spawn`` raises TypeError: spawn children from the
+    trial's SeedSequence directly."""
+    return next(_trial_rngs(int(seed), range(int(trial), int(trial) + 1)))
+
+
+# numpy.random.SeedSequence's hash constants, whose outputs NEP 19 keeps
+# fixed, and PCG64's 128-bit LCG multiplier
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(start: int, mult: int, count: int):
+    """start and the next ``count`` hash constants, each mult times the last."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of value with the hash constant before (xor)
+    and after (mult) its step; value is an int or a uint32 array."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words, ints or uint32 arrays."""
+    out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return out ^ out >> 16
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int):
+    """(pool, next hash constant) of SeedSequence(seed) once all the seed's
+    words are mixed in: the part of every trial's hashing that does not
+    depend on the trial.  The seed's 32-bit words are zero-padded to the
+    four pool words, as SeedSequence pads them before a spawn key.  Cached,
+    for callers of ``trial_rng`` that loop over the trials of one seed."""
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    words += [0] * (4 - len(words))
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        xor, hc = hc, hc * _MULT_A & _MASK32
+        return _hashmix(value, xor, hc)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    return tuple(pool), hc
+
+
+@functools.lru_cache(maxsize=None)
+def _unseeded():
+    """A seed sequence of zero words, for a bit generator whose state is set
+    afterwards.  It cannot spawn, so no child of a made-up SeedSequence can
+    come from that bit generator.  Made on first use: importing
+    numpy.random is a cost of every cold start."""
+
+    class Unseeded(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return Unseeded()
+
+
+def _trial_rngs(seed: int, trials: range):
+    """Yield one Generator, reused, set in turn to the stream of each trial
+    of ``trials``: that of ``np.random.default_rng(np.random.SeedSequence(
+    entropy=seed, spawn_key=(trial,)))``, bit for bit.
+
+    The seed's words are hashed once, in ints.  Each trial's spawn-key words
+    are mixed into that pool, and SeedSequence's ``generate_state(4,
+    np.uint64)`` run, as whole-array uint32 steps over the trials whose keys
+    have the same number of words.  PCG64 then seeds from the four words:
+    state 0, inc = (initseq << 1) | 1, one step, state += initstate, one
+    step.  Setting a trial's state also drops the 32-bit half that the last
+    trial may have buffered."""
+    if seed < 0 or trials.start < 0:
+        raise DomainError(f"seed and trial must be >= 0, got seed {seed} and trial {trials.start}")
+    if not trials:
+        return
+    pool0, hc = _seed_pool(seed)
+    pool0 = np.array(pool0, dtype=np.uint32)[:, None]
+    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    rng = np.random.Generator(np.random.PCG64(_unseeded()))
+    bit_gen = rng.bit_generator
+    start = trials.start
+    while start < trials.stop:
+        n_words = max(1, (start.bit_length() + 31) // 32)
+        stop = min(trials.stop, 1 << 32 * n_words)
+        keys = np.arange(start, stop, dtype=object)
+        consts = np.array(_hash_constants(hc, _MULT_A, 4 * n_words), dtype=np.uint32)[:, None]
+        pool = pool0
+        for j in range(n_words):
+            word = (keys >> 32 * j & _MASK32).astype(np.uint32)
+            pool = _mix(pool, _hashmix(word, consts[4 * j:4 * j + 4], consts[4 * j + 1:4 * j + 5]))
+        words = _hashmix(np.concatenate((pool, pool)), out_consts[:-1], out_consts[1:])
+        words = words.astype(np.uint64)
+        for init_hi, init_lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = (((init_hi << 64 | init_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield rng
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -1372,7 +1497,8 @@ def suite_ids(include_extra: bool = False):
 def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = None,
               keep_verdicts: bool = False):
     """Run a named suite in three phases: draw ``trials`` independent
-    trials, trial i from its own ``trial_rng(seed, i)``; build their
+    trials, trial i from the stream of ``SeedSequence(seed,
+    spawn_key=(i,))``, all the trials seeded in one pass; build their
     instances, the blocks of one shape in one stack per step; and score
     them in one batch.  Returns a TrialReport; with ``keep_verdicts`` the
     report carries the full verdict list as ``report.verdicts``."""
@@ -1385,8 +1511,8 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
         raise DomainError("seed must be >= 0")
     params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
-    draws = [suite.draw(i, trial_rng(seed, i), params, {"trial": i, "seed": seed})
-             for i in range(trials)]
+    draws = [suite.draw(i, rng, params, {"trial": i, "seed": seed})
+             for i, rng in enumerate(_trial_rngs(seed, range(trials)))]
     verdicts = suite.score(suite.build(draws), params) if draws else []
     elapsed = int((time.perf_counter() - t0) * 1000)
     failures = sum(0 if v.passed else 1 for v in verdicts)

@@ -76,6 +76,12 @@ class TestJacobiEigh:
         assert w.shape == shape[:2] and V.shape == shape
         assert oc.eigvals_stack(np.zeros(shape, dtype=complex)).shape == shape[:2]
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0, 0), (2, 0, 0)])
+    def test_empty_stacks_have_empty_function_images(self, shape):
+        # the spectrum check of a FunctionSpec reduces over no eigenvalues
+        for f in (FunctionSpec.power(2.0, Interval(0.0, 1.0)), np.abs):
+            assert oc.apply_function_stack(f, np.zeros(shape, dtype=complex)).shape == shape
+
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_round_robin_schedule(self, dim):
         rounds = oc._round_robin(dim)

@@ -1,5 +1,7 @@
 import functools
 import math
+import subprocess
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -249,6 +251,80 @@ class TestGenerators:
                 want = self.plain_fuchs_instance(n, iv, rng_b)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, seed)
                 assert rng_a.random() == rng_b.random(), (n, seed)
+
+
+def _seed_sequence_rng(seed, trial):
+    """The generator numpy seeds for a trial, the seeder's reference."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+class TestTrialSeeds:
+    # one-word seeds and seeds of two, three and five 32-bit words (the
+    # last is longer than SeedSequence's four-word pool)
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11)
+    # spawn keys of one word and of two
+    TRIALS = (0, 1, 383, 2**32 - 1, 2**32)
+
+    @staticmethod
+    def assert_same_stream(rng, seed, trial):
+        want = _seed_sequence_rng(seed, trial)
+        assert rng.bit_generator.state == want.bit_generator.state, (seed, trial)
+        for draw in (lambda g: g.standard_normal(3), lambda g: g.dirichlet(np.ones(4)),
+                     lambda g: g.integers(0, 1000, size=5)):
+            assert draw(rng).tolist() == draw(want).tolist(), (seed, trial)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeder_matches_seed_sequence(self, seed):
+        # one batch per word count, and one batch that holds both
+        for trials in (range(384), range(2**32 - 1, 2**32 + 1), range(2**32 - 2, 2**32 + 2)):
+            for trial, rng in zip(trials, vf._trial_rngs(seed, trials)):
+                self.assert_same_stream(rng, seed, trial)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trial_rng_matches_seed_sequence(self, seed):
+        for trial in self.TRIALS:
+            self.assert_same_stream(vf.trial_rng(seed, trial), seed, trial)
+
+    def test_a_buffered_32_bit_half_does_not_reach_the_next_trial(self):
+        # three float32 draws use one and a half 64-bit outputs, so PCG64
+        # holds the other half of the second for the next 32-bit draw
+        for trial, rng in enumerate(vf._trial_rngs(7, range(5))):
+            want = _seed_sequence_rng(7, trial)
+            assert rng.random(3, dtype=np.float32).tolist() == \
+                want.random(3, dtype=np.float32).tolist(), trial
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_trial_rng_returns_independent_generators(self):
+        rng_a, rng_b = vf.trial_rng(5, 3), vf.trial_rng(5, 3)
+        assert rng_a is not rng_b and rng_a.bit_generator is not rng_b.bit_generator
+        want = _seed_sequence_rng(5, 3).standard_normal(8).tolist()
+        head = rng_a.standard_normal(4).tolist()
+        vf.trial_rng(5, 4).standard_normal(4)
+        # drawing from rng_a left rng_b alone, and neither the draws nor
+        # another trial's generator moved rng_a
+        assert rng_b.standard_normal(8).tolist() == want
+        assert head + rng_a.standard_normal(4).tolist() == want
+
+    def test_a_cold_run_of_no_trials_does_not_import_numpy_random(self, tmp_path):
+        # the benchmark's setup_s times a cold `verify --trials 0`, and
+        # importing numpy.random adds about 10 ms to it
+        out = str(tmp_path / "report.json")
+        code = ("import sys; from karabounds import cli; "
+                f"code = cli.main(['verify', '--suite', 'all', '--trials', '0', '--out', {out!r}]); "
+                "sys.exit(code or 'numpy.random' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_trial_rng_cannot_spawn(self):
+        # its bit generator was not seeded by the trial's SeedSequence, so
+        # any children it made would not be the trial's
+        with pytest.raises(TypeError):
+            vf.trial_rng(5, 3).spawn(1)
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-(2**40), 2**40)])
+    def test_negative_seed_or_trial_raises_a_typed_error(self, seed, trial):
+        # numpy's SeedSequence raises a bare ValueError here
+        with pytest.raises(DomainError):
+            vf.trial_rng(seed, trial)
 
 
 class TestCheckers:
@@ -1330,6 +1406,14 @@ _CHECKED_SPECS = {
     "central_moment": FunctionSpec.central_moment(2, 1.0, _PAIR),
 }
 _NON_FINITE = {"nan": _NAN, "inf": _INF, "-inf": -_INF}
+# every FunctionSpec parameter that a built-in kind reads, by kind, as a
+# function of the parameter
+_SPEC_PARAMETERS = {
+    "power(r": lambda r: FunctionSpec.power(r, _PAIR),
+    "tsallis_f(r": lambda r: FunctionSpec.tsallis_f(r),
+    "ln_r_reciprocal(r": lambda r: FunctionSpec.ln_r_reciprocal(r, _PAIR),
+    "central_moment(center": lambda c: FunctionSpec.central_moment(2, c, _PAIR),
+}
 
 
 @pytest.mark.parametrize("call, error", [
@@ -1379,6 +1463,8 @@ _NON_FINITE = {"nan": _NAN, "inf": _INF, "-inf": -_INF}
     *(pytest.param(lambda f=f, t=t: f(t), DomainError, id=f"{name}({label}){form}")
       for name, f in _CHECKED_SPECS.items() for label, x in _NON_FINITE.items()
       for form, t in (("", x), ("-array", np.array([0.5, x])))),
+    *(pytest.param(lambda make=make, x=x: make(x)(1.0), DomainError, id=f"{name}={label})")
+      for name, make in _SPEC_PARAMETERS.items() for label, x in _NON_FINITE.items()),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_input_raises_a_typed_error(call, error):
