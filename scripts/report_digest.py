@@ -11,10 +11,11 @@ same run made with flags.  Run the script in two checkouts and ``diff`` the
 two outputs: no difference means every report of the set is byte-identical.
 
 The set: ``verify --suite all`` as JSON and as CSV at 48 and 100 trials and
-seeds 0, 7 and 1000, and at 48 trials and the seeds of two and three 32-bit
-words 4294967296 and 18446744073709551619; ``verify`` with every suite parameter flag set;
-``verify --suite mean_c_lhs_variant``; ``oracle``; ``constants``; every
-``scan`` quantity, each at its defaults and with its own flags; every
+seeds 0, 7 and 1000, and at 48 trials and the seeds 4294967296 and
+18446744073709551619, of two and three 32-bit words; ``verify`` with every
+suite parameter flag set; ``verify --suite mean_c_lhs_variant``;
+``oracle``; ``constants``; every ``scan`` quantity, each at its defaults
+and with its own flags; every
 suite alone, as JSON and as CSV at seeds 0, 7 and 1000, at the trial count
 its benchmark workload runs (``WORKLOADS`` in benchmarks/harness.py); the
 two quantum entropy suites at dimensions 9, 12 and 16, whose spectra are
