@@ -24,6 +24,14 @@ three operator-mean suites at dimensions 2, 3 and 5, where every
 dimension holds tuples of both lengths n = 1 and n = 2; and the two
 eigensolver suites at dimensions 1, 2, 3 and at 5, 6, 15, 16, where the
 Jacobi oracle solves odd and even dimensions in one ring-size stack.
+
+Last come the verdict lists, which no CLI report shows whole: for every
+suite, at its benchmark trial count and seed 7, the digest of
+``run_suite(..., keep_verdicts=True).verdicts``, one line per verdict with
+its inequality id, ``repr(margin)``, ``passed`` and its context with sorted
+keys (so Jensen's ``vector``, the map sums' ``family`` and the mean suites'
+``n`` count).  Each such line reads ``<sha256>  verdicts  <suite> trials=<n>
+seed=7``.
 """
 
 import contextlib
@@ -104,6 +112,12 @@ def digest(argv, out):
     return hashlib.sha256(out.read_bytes()).hexdigest(), code
 
 
+def verdict_digest(suite, trials, seed):
+    rows = (f"{v.inequality_id}\t{v.margin!r}\t{v.passed}\t{sorted(v.context.items())!r}\n"
+            for v in verification.run_suite(suite, trials, seed, keep_verdicts=True).verdicts)
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
@@ -115,6 +129,9 @@ def main():
                 cfg.write_text(json.dumps({key[2:]: value for key, value in flags.items()}))
                 sha, code = digest(words + ["--config", str(cfg)], out)
                 print(f"{sha}  exit={code}  {' '.join(argv)} [config]")
+    for suite in verification.suite_ids(include_extra=True):
+        trials = SUITE_TRIALS[suite]
+        print(f"{verdict_digest(suite, trials, 7)}  verdicts  {suite} trials={trials} seed=7")
 
 
 if __name__ == "__main__":

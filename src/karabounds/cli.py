@@ -236,18 +236,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _usage("need 0 < m < M")
         params["interval"] = (args.m, args.M)
     reports = []
-    all_verdicts = []
     for sid in suites:
-        rep = vf.run_suite(sid, args.trials, args.seed, params, keep_verdicts=True)
+        # only CSV lists the verdicts
+        rep = vf.run_suite(sid, args.trials, args.seed, params, keep_verdicts=args.format == "csv")
         reports.append(rep)
-        all_verdicts.append((sid, rep.verdicts))
         print(f"{sid}: trials={rep.trials} failures={rep.failures} "
               f"min_margin={rep.min_margin} ({rep.elapsed_ms} ms)", file=sys.stderr)
     if args.format == "csv":
         rows_iter = (
             row
-            for k, (sid, verdicts) in enumerate(all_verdicts)
-            for j, row in enumerate(vf.verdict_csv_rows(sid, verdicts))
+            for k, rep in enumerate(reports)
+            for j, row in enumerate(vf.verdict_csv_rows(rep.suite_id, rep.verdicts))
             if not (k > 0 and j == 0)  # single header
         )
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out

@@ -91,7 +91,9 @@ class FunctionSpec:
     ``kind`` is one of ``t_log_t``, ``neg_log``, ``power``, ``tsallis_f``,
     ``ln_r_reciprocal``, ``central_moment`` or ``custom``.  Parametric kinds
     carry ``r`` (exponent/deformation) or ``moment_order``/``center``, and
-    reject a non-finite ``r`` or ``center`` with DomainError.
+    reject a non-finite ``r`` or ``center`` with DomainError; a
+    ``central_moment`` order must be an integer >= 1 and its declared
+    convexity the one ``_moment_convexity`` gives.
     Custom functions supply ``evaluator`` and must declare their convexity,
     which is validated by a midpoint convexity scan on ``domain``.
     """
@@ -111,14 +113,14 @@ class FunctionSpec:
         if self.kind in ("power", "tsallis_f", "ln_r_reciprocal") and not (
                 self.r is not None and math.isfinite(self.r)):
             raise DomainError(f"{self.kind} needs a finite r, got {self.r}")
-        if self.kind == "central_moment" and not math.isfinite(self.center):
-            raise DomainError(f"central_moment needs a finite center, got {self.center}")
         if self.kind == "tsallis_f" and not (0.0 < self.r <= 1.0):
             raise DomainError(f"tsallis_f needs r in (0, 1], got {self.r}")
         if self.kind == "ln_r_reciprocal" and not self.r > 0.0:
             raise DomainError(f"ln_r_reciprocal needs r > 0, got {self.r}")
-        if self.kind == "central_moment" and self.moment_order < 1:
-            raise DomainError(f"central_moment needs order >= 1, got {self.moment_order}")
+        if self.kind == "central_moment" and self.convexity != _moment_convexity(
+                self.moment_order, self.center, self.domain):
+            raise PreconditionError(f"(t-{self.center:g})^{self.moment_order} is not "
+                                    f"{self.convexity} on [{self.domain.m}, {self.domain.M}]")
         if self.kind == "custom":
             if self.evaluator is None:
                 raise DomainError("custom FunctionSpec needs an evaluator")
@@ -156,8 +158,8 @@ class FunctionSpec:
     @staticmethod
     def central_moment(order: int, mean: float, domain: Interval) -> "FunctionSpec":
         return FunctionSpec(
-            "central_moment", domain, "convex", moment_order=order, center=mean,
-            name=f"(t-{mean:g})^{order}",
+            "central_moment", domain, _moment_convexity(order, mean, domain),
+            moment_order=order, center=mean, name=f"(t-{mean:g})^{order}",
         )
 
     @staticmethod
@@ -218,6 +220,24 @@ class FunctionSpec:
     @property
     def is_convex(self) -> bool:
         return self.convexity == "convex"
+
+
+def _moment_convexity(order, center: float, iv: Interval) -> str:
+    """The convexity of (t - center)^order on iv: convex for order 1 and for
+    even orders; an odd order >= 3 is convex when m >= center and concave
+    when M <= center.  An order that is not an integer >= 1 or a non-finite
+    center raises DomainError, and an odd order >= 3 whose center lies
+    inside iv, where the curvature changes sign, PreconditionError."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise DomainError(f"central_moment needs an integer order >= 1, got {order!r}")
+    if not math.isfinite(center):
+        raise DomainError(f"central_moment needs a finite center, got {center}")
+    if order == 1 or order % 2 == 0 or iv.m >= center:
+        return "convex"
+    if iv.M <= center:
+        return "concave"
+    raise PreconditionError(f"(t-{center:g})^{order} is neither convex nor concave on "
+                            f"[{iv.m}, {iv.M}], which holds its center")
 
 
 def chord_coeffs(f: FunctionSpec, iv: Interval) -> ChordCoeffs:

@@ -40,14 +40,16 @@ classical suites, and the two entropy suites, built into spectra.  Trials
 are grouped by key and row length, each group is stacked into (k, n) arrays,
 validated once and scored in one pass by the stacked kernel of
 ``check_scalar_corollary``, ``majorization``, ``classical_entropy`` or
-``_entropy_kernel``, which computes its constants once per group.  Rows
-are reduced with ``np.sum``/``np.cumsum`` along the last axis, which gives
-a row the bits of the 1-d call, so ``check_scalar_corollary``,
-``fuchs_margin``, ``moment_margin``, the classical margins and the entropy
-checkers, each a batch of one of its kernel, equal the suites bit for
-bit.  A hypothesis, too, has one row-wise expression: weighted means are
-row sums, and the inner-product condition is
+``_entropy_kernel``, which computes its constants once per group and
+returns (inequality id, margins, tol) columns.  Rows are reduced with
+``np.sum``/``np.cumsum`` along the last axis, which gives a row the bits of
+the 1-d call, so the checkers, each a batch of one of its kernel, equal the
+suites bit for bit.  A hypothesis, too, has one row-wise expression:
+weighted means are row sums, and the inner-product condition is
 ``classical_entropy._condition_gap``, in a block of draws and for one pair.
+Every score returns such columns plus each row's trial (an operator margin
+is a ``_lambda_min``), ``_table`` sorts them into trial order, ``run_suite``
+reduces them, and ``_view`` alone builds ``InequalityVerdict`` objects.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import json
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -104,8 +106,8 @@ SCALAR_TOL = 1e-9
 @dataclass(frozen=True)
 class InequalityVerdict:
     """One inequality check L <= R, scored by its margin: R - L for
-    scalars, lambda_min(R - L) for operators.  ``passed`` is margin >= -tol
-    (``_verdict``)."""
+    scalars, lambda_min(R - L) for operators.  ``passed`` is margin >= -tol.
+    Built only by ``_view``, from the columns of a scored batch."""
 
     inequality_id: str
     margin: float
@@ -537,9 +539,31 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _verdict(inequality_id, margin, tol, context) -> InequalityVerdict:
-    margin = float(margin)
-    return InequalityVerdict(inequality_id, margin, margin >= -tol, context)
+def _table(blocks):
+    """Score blocks (trials, inequality id, margins, tol[, vectors]) as columns (trial, id,
+    margin, tol, vector), sorted stably by trial; vector is None unless blocks carry it."""
+    trials, ids, margins, tols, *vectors = zip(*blocks)
+    sizes = [len(m) for m in margins]
+    order = np.argsort(np.concatenate(trials), kind="stable")
+    return (np.concatenate(trials)[order],
+            [ids[b] for b in np.repeat(np.arange(len(sizes)), sizes)[order].tolist()],
+            np.concatenate(margins)[order], np.repeat(tols, sizes)[order],
+            np.concatenate(vectors[0])[order] if vectors else None)
+
+
+def _contexts(contexts, table, rows=slice(None)):
+    """The context of each of the table's ``rows``: its trial's, plus its vector index if any."""
+    trial, *_, vector = table
+    if vector is None:
+        return [contexts[t] for t in trial[rows].tolist()]
+    return [{**contexts[t], "vector": j} for t, j in zip(trial[rows].tolist(), vector[rows].tolist())]
+
+
+def _view(table, contexts) -> List[InequalityVerdict]:
+    """Each row of a ``_table`` as an InequalityVerdict: the one place that builds them."""
+    _, ids, margins, tols, _ = table
+    return [InequalityVerdict(*row) for row in zip(
+        ids, margins.tolist(), (margins >= -tols).tolist(), _contexts(contexts, table))]
 
 
 def _per_group(solve, keys, *columns) -> list:
@@ -566,11 +590,9 @@ def _per_group(solve, keys, *columns) -> list:
     return out
 
 
-def _margin_verdicts(items, tol) -> List[InequalityVerdict]:
-    """Operator verdicts for (inequality_id, rhs - lhs, context) items, with
-    one lambda_min stack per dimension."""
-    evals = _per_group(oc._eigvalsh, None, [np.asarray(mat, dtype=complex) for _, mat, _ in items])
-    return [_verdict(name, w[0], tol, ctx) for (name, _, ctx), w in zip(items, evals)]
+def _lambda_min(mats) -> np.ndarray:
+    """lambda_min of each margin matrix rhs - lhs, one ``oc._eigvalsh`` per dimension."""
+    return np.array(_per_group(lambda S: oc._eigvalsh(S)[:, 0], None, mats), dtype=float)
 
 
 def _check_spectra(w, lo, hi):
@@ -608,19 +630,18 @@ def _function_images(entries) -> list:
     return [[image[id(M), id(f)] for M in mats] for mats, f in entries]
 
 
-def _jensen_verdicts(instances, tol) -> List[InequalityVerdict]:
-    """Vector-state Jensen verdicts <Phi-sum of f(A) x, x> >= f(<Phi-sum of
-    A x, x>) for (family, mats, vectors, f, context) instances."""
-    images = _function_images([(mats, f) for _, mats, _, f, _ in instances])
-    verdicts = []
-    for (family, mats, vecs, f, ctx), img in zip(instances, images):
+def _jensen_blocks(instances, tol) -> list:
+    """A block of Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
+    and vector indices per (family, mats, vectors, f, ...) instance."""
+    images = _function_images([(mats, f) for _, mats, _, f, *_ in instances])
+    blocks = []
+    for j, ((family, mats, vecs, f, *_), img) in enumerate(zip(instances, images)):
         base = oc.apply_map_family(family, mats)
         X = np.stack(vecs)
         means = np.clip(_quadratic_forms(base, X), f.domain.m, f.domain.M)
         lifted = _quadratic_forms(oc.apply_map_family(family, img), X)
-        verdicts += [_verdict("lemma_jensen", margin, tol, {**ctx, "vector": j})
-                     for j, margin in enumerate(lifted - f(means))]
-    return verdicts
+        blocks.append((np.full(len(X), j), "lemma_jensen", lifted - f(means), tol, range(len(X))))
+    return blocks
 
 
 def _quadratic_forms(M, X) -> np.ndarray:
@@ -628,21 +649,29 @@ def _quadratic_forms(M, X) -> np.ndarray:
     return np.real(np.sum(X.conj() * (X @ M.T), axis=1))
 
 
-def _map_sum_verdicts(instances, inequality_id, tol) -> List[InequalityVerdict]:
-    """Map-sum verdicts Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B)
-    for (As, Bs, family, f, alpha, context) instances."""
+def _map_sum_blocks(instances, inequality_id, tol) -> list:
+    """The block of map-sum margins lambda_min(beta*I + alpha * Phi-sum of
+    f(B) - Phi-sum of f(A)) of (As, Bs, family, f, alpha, ...) instances."""
     images = _function_images([((*As, *Bs), f) for As, Bs, _, f, *_ in instances])
     # one constant per (f, alpha); id(f) hashes faster than a FunctionSpec
-    betas = {(id(f), alpha): (f, alpha) for _, _, _, f, alpha, _ in instances}
+    betas = {(id(f), alpha): (f, alpha) for _, _, _, f, alpha, *_ in instances}
     betas = {key: sb.beta_constant(f, f.domain, alpha) for key, (f, alpha) in betas.items()}
-    items = []
-    for (As, Bs, family, f, alpha, ctx), img in zip(instances, images):
-        beta = betas[id(f), alpha]
+    mats = []
+    for (As, Bs, family, f, alpha, *_), img in zip(instances, images):
         lhs = oc.apply_map_family(family, img[:len(As)])
-        rhs = beta * np.eye(family.output_dim, dtype=complex) \
+        rhs = betas[id(f), alpha] * np.eye(family.output_dim, dtype=complex) \
             + alpha * oc.apply_map_family(family, img[len(As):])
-        items.append((inequality_id, rhs - lhs, ctx))
-    return _margin_verdicts(items, tol)
+        mats.append(rhs - lhs)
+    return [(np.arange(len(mats)), inequality_id, _lambda_min(mats), tol)]
+
+
+def _form_blocks(mats, forms, tol) -> list:
+    """A block per id in ``forms`` of the instances' {id: rhs - lhs}, in one ``_lambda_min``."""
+    have = [[j for j, m in enumerate(mats) if name in m] for name in forms]
+    margins = _lambda_min([mats[j][name] for name, js in zip(forms, have) for j in js])
+    cuts = np.cumsum([len(js) for js in have])[:-1]
+    return [(np.array(js, dtype=int), name, m, tol)
+            for name, js, m in zip(forms, have, np.split(margins, cuts))]
 
 
 MEAN_FORMS_SOUND = ("mean_ratio", "mean_diff", "sr_k_form", "sr_k_form_x_both", "sr_c_form")
@@ -822,20 +851,26 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
         nrm = np.linalg.norm(x)
         if abs(nrm - 1.0) > 1e-10:
             raise PreconditionError(f"vector {j} is not unit norm ({nrm})")
-    return _jensen_verdicts([(family, mats, vecs, f, dict(context or {}))], tol)
+    return _view(_table(_jensen_blocks([(family, mats, vecs, f)], tol)), [dict(context or {})])
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
                        tol: float = OPERATOR_TOL, context: Optional[dict] = None) -> InequalityVerdict:
     """Map-sum reverse bound: Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B),
     given equal map-sums, spectra in the domain interval, convex f."""
+    return _check_map_sum("theorem_beta", family, As, Bs, f, alpha, tol, context)
+
+
+def _check_map_sum(inequality_id, family, As, Bs, f, alpha, tol, context) -> InequalityVerdict:
+    """``check_theorem_beta``, scored under ``inequality_id``."""
     if not f.is_convex:
         raise PreconditionError("check_theorem_beta needs convex f")
     As = [oc.assert_hermitian(A) for A in As]
     Bs = [oc.assert_hermitian(B) for B in Bs]
     _validate_equal_map_sum(family, As, Bs)
     ctx = {**(context or {}), "alpha": alpha, "f": f.name}
-    return _map_sum_verdicts([(As, Bs, family, f, alpha, ctx)], "theorem_beta", tol)[0]
+    return _view(_table(_map_sum_blocks([(As, Bs, family, f, alpha)], inequality_id, tol)),
+                 [ctx])[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
@@ -847,8 +882,7 @@ def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
     dim = np.asarray(As[0]).shape[0]
     eye = np.eye(dim, dtype=complex)
     family = oc.MapFamily(tuple(oc.WeightedConjugation(float(p), eye) for p in ps), dim)
-    v = check_theorem_beta(family, As, Bs, f, alpha, tol, context)
-    return replace(v, inequality_id="corollary_weighted")
+    return _check_map_sum("corollary_weighted", family, As, Bs, f, alpha, tol, context)
 
 
 MODE_EQUAL = "equal_mean"
@@ -916,37 +950,32 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     Returns beta/ratio/diff verdicts; the ratio form is skipped when f is
     not strictly positive on the interval.
     """
-    P, X, Y = (np.asarray(a, dtype=float)[None] for a in (p, x, y))
-    if not (P.shape == X.shape == Y.shape):
+    row = tuple(np.asarray(a, dtype=float) for a in (p, x, y))
+    if not (row[0].shape == row[1].shape == row[2].shape):
         raise ShapeError("p, x, y must share a length")
     ctx = {**(context or {}), "alpha": alpha, "f": f.name, "mode": mode}
-    return [_verdict(name, margins[0], t, ctx)
-            for name, margins, t in _scalar_corollary_kernel((f, alpha, mode), tol, P, X, Y)]
-
-
-def _entropy_verdicts(A, B, alpha, r, tol, context):
-    """``_entropy_kernel`` on a batch of one, with the spectra that the
-    density checks of A and B computed."""
-    A, wa = oc._density_evals(A, "A")
-    B, wb = oc._density_evals(B, "B")
-    if A.shape != B.shape:
-        raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
-    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
-    return [_verdict(name, margins[0], t, ctx)
-            for name, margins, t in _entropy_kernel(r, tol, wa[None], wb[None], np.array([alpha]))]
+    blocks = _scalar_score(_scalar_corollary_kernel)([(row, (f, alpha, mode))], {"tol": tol})
+    return _view(_table(blocks), [ctx])
 
 
 def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
                              context: Optional[dict] = None):
     """alpha H(B) <= H(A) + (alpha/e) dim, plus |H(A) - H(B)| <= dim/e."""
-    return _entropy_verdicts(A, B, alpha, None, tol, context)
+    return check_entropy_tsallis(A, B, alpha, None, tol, context)
 
 
 def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
                           context: Optional[dict] = None):
     """Deformed analog: alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim,
-    plus the symmetric difference bound."""
-    return _entropy_verdicts(A, B, alpha, r, tol, context)
+    plus the symmetric difference bound; r = None gives von Neumann's.  The
+    kernel runs on the spectra that the density checks of A and B compute."""
+    A, wa = oc._density_evals(A, "A")
+    B, wb = oc._density_evals(B, "B")
+    if A.shape != B.shape:
+        raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
+    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
+    blocks = _scalar_score(_entropy_kernel)([((wa, wb, alpha), r)], {"tol": tol})
+    return _view(_table(blocks), [ctx])
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -998,9 +1027,9 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
         raise PreconditionError("weighted A/B sums differ in Z-relative terms")
     # the kernel checks the spectra of the A_i and B_i against iv
-    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits, [(wz[0], Vz[0])])[0]
+    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits, [(wz[0], Vz[0])])
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
-    return _margin_verdicts([(name, mat, ctx) for name, mat in mats.items()], tol)
+    return _view(_table(_form_blocks(mats, tuple(mats[0]), tol)), [ctx])
 
 
 # ---------------------------------------------------------------------------
@@ -1037,13 +1066,12 @@ def _as_drawn(draws):
 
 @dataclass(frozen=True)
 class _Suite:
-    """``draw(i, rng, params, ctx)`` makes trial i's rng calls on the trial's
-    own rng, given the base context {trial, seed}, and returns the raw
-    arrays; ``build(draws)`` turns all the trials' draws into instances, the
-    blocks of one shape in one stack per step (the scalar and eigensolver
-    suites draw their instances directly); ``score(instances, params)`` runs
-    the suite's batch kernel once on all the instances; ``defaults`` fill in
-    the params the caller leaves out."""
+    """``draw(i, rng, params, ctx)`` makes trial i's rng calls on its own rng,
+    given the base context {trial, seed}, and returns the raw arrays, then the
+    trial's context; ``build(draws)`` turns the draws into instances, one stack
+    per step (scalar and eigensolver draws are instances); ``score(instances,
+    params)`` runs the batch kernel once on them all and returns ``_table``
+    blocks, instance i as trial i; ``defaults`` fill in the params left out."""
 
     draw: Callable
     score: Callable
@@ -1078,21 +1106,21 @@ _MOMENT_ORDERS = (1, 2, 4)
 
 
 def _scalar_score(kernel):
-    """The score of a suite whose instances are (rows, key, context):
-    trials are grouped by key and row shape and stacked into (k, n) arrays,
-    and ``kernel(key, tol, *stacks)`` returns [(inequality id, margins,
-    tol)], one margin per stacked row.  A kernel gives a row the bits of a
-    batch of one, so the grouping does not show."""
+    """The score of a suite whose instances are (rows, key, ...): trials
+    are grouped by key and row shape and stacked into (k, n) arrays, and
+    ``kernel(key, tol, *stacks)`` returns [(inequality id, margins, tol)],
+    one margin per stacked row, which become the group's blocks.  A kernel
+    gives a row the bits of a batch of one, so the grouping does not show."""
     def score(instances, params):
-        rows, keys, ctxs = zip(*instances)
+        rows, keys, *_ = zip(*instances)
+        forms = []
 
         def solve(key, *stacks):
-            return zip(*([(name, m, tol) for m in margins.tolist()]
-                         for name, margins, tol in kernel(key, params["tol"], *stacks)))
+            forms.append(kernel(key, params["tol"], *stacks))
+            return [len(forms) - 1] * len(stacks[0])
 
-        forms = _per_group(solve, keys, *zip(*rows))
-        return [_verdict(name, m, tol, ctx)
-                for trial_forms, ctx in zip(forms, ctxs) for name, m, tol in trial_forms]
+        group = np.array(_per_group(solve, keys, *zip(*rows)))
+        return [(np.flatnonzero(group == g), *form) for g, fs in enumerate(forms) for form in fs]
     return score
 
 
@@ -1345,8 +1373,7 @@ def _mean_score(forms):
 
     def score(instances, params):
         mats = _mean_margin_mats([inst[:-1] for inst in instances], include_limits)
-        return _margin_verdicts([(name, m[name], inst[-1]) for m, inst in zip(mats, instances)
-                                 for name in forms if name in m], params["tol"])
+        return _form_blocks(mats, forms, params["tol"])
     return score
 
 
@@ -1379,16 +1406,15 @@ def _jacobi_residuals(A, w, V):
         1.0, np.linalg.norm(A, axis=(1, 2)))
     uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - np.eye(A.shape[1]),
                              axis=(1, 2))
-    return list(zip(rec_res, uni_res))
+    return np.stack([rec_res, uni_res], axis=1)
 
 
 def _score_eigensolver(instances, params):
     # a residual passes when it is at most tol: the margin is tol - residual
-    mats, ctxs = zip(*instances)
-    residuals = _per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_cached(mats)))
-    return [_verdict(name, params["tol"] - float(r), 0.0, ctx)
-            for ctx, res in zip(ctxs, residuals)
-            for name, r in zip(("eig_reconstruction", "eig_unitarity"), res)]
+    mats = [M for M, *_ in instances]
+    residuals = np.array(_per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_cached(mats))))
+    return [(np.arange(len(mats)), name, params["tol"] - res, 0.0)
+            for name, res in zip(("eig_reconstruction", "eig_unitarity"), residuals.T)]
 
 
 # Jacobi and LAPACK eigenvalues must agree within 16 d eps max(1, ||A||_F);
@@ -1404,14 +1430,14 @@ def _crosscheck(A, w):
     diff = np.abs(w - oc._eigvalsh(A)).max(axis=1)
     bound = _CROSSCHECK_ULPS * A.shape[1] * np.finfo(float).eps * np.maximum(
         1.0, np.linalg.norm(A, axis=(1, 2)))
-    return list(zip(diff, bound))
+    return np.stack([diff, bound], axis=1)
 
 
 def _score_crosscheck(instances, params):
-    mats, ctxs = zip(*instances)
+    mats = [M for M, *_ in instances]
     evals = [w for w, _ in _jacobi_cached(mats)]
-    return [_verdict("eig_crosscheck", bound - diff, 0.0, ctx) for ctx, (diff, bound) in zip(
-        ctxs, _per_group(_crosscheck, None, mats, evals))]
+    diff, bound = np.array(_per_group(_crosscheck, None, mats, evals)).T
+    return [(np.arange(len(mats)), "eig_crosscheck", bound - diff, 0.0)]
 
 
 _MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS,
@@ -1427,18 +1453,18 @@ _EIG_DIMS = {"dims": tuple(range(2, 17))}
 # draw from _PREFIX_INTERVAL, not the operator-mean "interval".
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
-        _draw_jensen, lambda insts, p: _jensen_verdicts(insts, p["tol"]),
+        _draw_jensen, lambda insts, p: _jensen_blocks(insts, p["tol"]),
         {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS, "tol": SCALAR_TOL},
         _built(_build_jensen_instances)),
     "theorem_beta": _Suite(
         lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_equal_map_sum,
                                              _cycle(_BETA_FAMILIES, i)),
-        lambda insts, p: _map_sum_verdicts(insts, "theorem_beta", p["tol"]),
+        lambda insts, p: _map_sum_blocks(insts, "theorem_beta", p["tol"]),
         _MAP_SUM_DEFAULTS, _built(_build_equal_map_sums)),
     "corollary_weighted": _Suite(
         lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_weighted_instance,
                                              _cycle(_WEIGHT_VARIANTS, i)),
-        lambda insts, p: _map_sum_verdicts(insts, "corollary_weighted", p["tol"]),
+        lambda insts, p: _map_sum_blocks(insts, "corollary_weighted", p["tol"]),
         _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
@@ -1513,14 +1539,18 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     t0 = time.perf_counter()
     draws = [suite.draw(i, rng, params, {"trial": i, "seed": seed})
              for i, rng in enumerate(_trial_rngs(seed, range(trials)))]
-    verdicts = suite.score(suite.build(draws), params) if draws else []
+    table = _, _, margins, tols, _ = _table(suite.score(suite.build(draws), params) if draws
+                                            else [(np.zeros(0, dtype=int), "", np.zeros(0), 0.0)])
     elapsed = int((time.perf_counter() - t0) * 1000)
-    failures = sum(0 if v.passed else 1 for v in verdicts)
-    worst = min(verdicts, key=lambda v: v.margin, default=None)
-    report = TrialReport(suite_id, trials, failures, worst.margin if worst else None,
-                         dict(worst.context) if worst else {}, elapsed)
+    contexts = [draw[-1] for draw in draws]
+    report = TrialReport(suite_id, trials, int(np.count_nonzero(~(margins >= -tols))), None, {},
+                         elapsed)
+    if margins.size:  # the worst row: the first least margin in trial order
+        worst = int(np.argmin(margins))
+        report.min_margin = float(margins[worst])
+        report.worst_context = dict(*_contexts(contexts, table, slice(worst, worst + 1)))
     if keep_verdicts:
-        report.verdicts = verdicts
+        report.verdicts = _view(table, contexts)
     return report
 
 

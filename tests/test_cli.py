@@ -104,6 +104,24 @@ class TestVerifyCommand:
         assert run(argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
+    def test_only_csv_builds_verdicts(self, tmp_path, monkeypatch):
+        # a JSON report is reduced from the margin columns, so it builds no
+        # InequalityVerdict; CSV builds one per row
+        built, verdict = [], vf.InequalityVerdict
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return verdict(*args, **kwargs)
+
+        monkeypatch.setattr(vf, "InequalityVerdict", counting)
+        argv = ["verify", "--suite", "all", "--trials", "20", "--seed", "3"]
+        assert run(argv + ["--out", str(tmp_path / "rep.json")]) == 0
+        assert built == []
+        out = tmp_path / "rows.csv"
+        assert run(argv + ["--format", "csv", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert len(built) == len(list(csv.reader(fh))) - 1 > 0
+
     def test_dims_flag_restricts_dimensions(self, tmp_path):
         out = tmp_path / "rows.csv"
         run(["verify", "--suite", "entropy_vn", "--trials", "6", "--seed", "2",

@@ -109,6 +109,43 @@ class TestFunctionSpecs:
         assert f(3.0) == pytest.approx(4.0)
         assert f(-1.0) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("order, iv, convexity", [
+        (1, Interval(-3.0, 3.0), "convex"),
+        (2, Interval(-3.0, 3.0), "convex"),
+        (np.int64(4), Interval(-3.0, 3.0), "convex"),
+        (3, Interval(1.0, 2.0), "convex"),
+        (5, Interval(1.5, 2.0), "convex"),
+        (3, Interval(-1.0, 1.0), "concave"),
+        (5, Interval(-2.0, 0.5), "concave"),
+    ])
+    def test_central_moment_declares_its_convexity(self, order, iv, convexity):
+        # (t - 1)^k: convex for k = 1 and even k; an odd k >= 3 is convex
+        # right of the center and concave left of it
+        f = FunctionSpec.central_moment(order, 1.0, iv)
+        assert f.convexity == convexity
+        sign = 1.0 if f.is_convex else -1.0
+        assert convexity_check(lambda t: sign * f(t), iv, 1000)
+
+    @pytest.mark.parametrize("order, error", [
+        (None, DomainError), (2.5, DomainError), (2.0, DomainError), (0, DomainError),
+        (-2, DomainError), (True, DomainError),
+        # odd orders whose center 1 lies inside [0.5, 2], where the curvature
+        # changes sign
+        (3, PreconditionError), (7, PreconditionError),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_central_moment_rejects_bad_orders(self, order, error):
+        with pytest.raises(error):
+            FunctionSpec.central_moment(order, 1.0, Interval(0.5, 2.0))
+
+    def test_central_moment_spec_checks_its_declared_convexity(self):
+        iv = Interval(0.5, 2.0)
+        with pytest.raises(DomainError):
+            FunctionSpec("central_moment", iv, moment_order=None)
+        with pytest.raises(PreconditionError):
+            FunctionSpec("central_moment", iv, "convex", moment_order=3, center=3.0)
+        assert FunctionSpec("central_moment", iv, "concave", moment_order=3, center=3.0)(1.0) == -8.0
+
     def test_custom_validates_declared_convexity(self):
         with pytest.raises(PreconditionError):
             FunctionSpec.custom(lambda t: -np.asarray(t, dtype=float) ** 2,
@@ -146,7 +183,7 @@ def _formula(f, t):
     *(FunctionSpec.power(r, Interval(0.2, 2.0)) for r in (-1.0, -2.5, -1e-13)),
     *(FunctionSpec.tsallis_f(r, IV01) for r in (0.3, 1.0)),
     FunctionSpec.ln_r_reciprocal(0.7, Interval(0.1, 1.0)),
-    FunctionSpec.central_moment(3, 0.4, Interval(-1.0, 2.0)),
+    FunctionSpec.central_moment(3, 0.4, Interval(0.4, 2.0)),
 ], ids=lambda f: f.name)
 def test_formulas_keep_their_bits(f):
     # the grid holds both interval ends, t = 0 where the kind is defined

@@ -659,6 +659,35 @@ class TestSuites:
 
         assert margins(24) == margins(48)
 
+    @pytest.mark.parametrize("suite", vf.suite_ids(include_extra=True))
+    @pytest.mark.parametrize("seed", [7, 1000])
+    def test_report_is_the_reduction_of_its_verdicts(self, suite, seed):
+        # run_suite reduces the margin columns; a plain reduction of its own
+        # verdict list gives the same report, the worst row being the first
+        # least margin in list order.  mean_c_lhs_variant has failing rows
+        rep = vf.run_suite(suite, 24, seed, keep_verdicts=True)
+        least = min(v.margin for v in rep.verdicts)
+        worst = next(v for v in rep.verdicts if v.margin == least)
+        assert rep.failures == sum(not v.passed for v in rep.verdicts)
+        assert repr(rep.min_margin) == repr(worst.margin)
+        assert rep.worst_context == dict(worst.context)
+        assert (rep.failures > 0) == (suite == "mean_c_lhs_variant")
+
+    def test_rows_are_sorted_by_trial_and_ties_go_to_the_first(self, monkeypatch):
+        # blocks may list their trials in any order: the rows are sorted by
+        # trial, each trial's rows in block order, and of equal least
+        # margins the first in that order is the worst
+        def score(instances, params):
+            return [(np.array([1, 0]), "a", np.array([-1.0, 0.0]), 0.0),
+                    (np.array([0, 1]), "b", np.array([-1.0, -1.0]), 0.0)]
+
+        monkeypatch.setitem(vf._SUITES, "ties", vf._Suite(lambda i, rng, p, ctx: (ctx,), score, {}))
+        rep = vf.run_suite("ties", 2, 0, keep_verdicts=True)
+        assert [(v.context["trial"], v.inequality_id, v.margin, v.passed) for v in rep.verdicts] \
+            == [(0, "a", 0.0, True), (0, "b", -1.0, False), (1, "a", -1.0, False),
+                (1, "b", -1.0, False)]
+        assert (rep.failures, rep.min_margin, rep.worst_context) == (3, -1.0, {"trial": 0, "seed": 0})
+
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_per_group_stacks_each_shape_apart(self, seed):
         # one key over rows of lengths 2 and 3: one solve per length, on a
@@ -983,10 +1012,9 @@ class TestSuites:
                                                      iv, 1 if i % 2 == 0 else 2)
                 mats = vf._mean_margin_mats([(Z, As, Bs, w, rs[i % len(rs)], iv)],
                                             include_limits)[0]
-                alone += vf._margin_verdicts([(name, mats[name], {}) for name in forms
-                                              if name in mats], vf.OPERATOR_TOL)
-            assert [(v.inequality_id, v.margin) for v in rep.verdicts] == \
-                [(v.inequality_id, v.margin) for v in alone], (dims, seed)
+                names = [name for name in forms if name in mats]
+                alone += zip(names, vf._lambda_min([mats[name] for name in names]).tolist())
+            assert [(v.inequality_id, v.margin) for v in rep.verdicts] == alone, (dims, seed)
 
     @pytest.mark.parametrize("suite", ["operator_means", "mean_limits"])
     def test_mean_suites_decompose_each_matrix_once(self, suite, monkeypatch):
@@ -1247,8 +1275,7 @@ class TestUnitaryInvariance:
                 (Z, As, Bs, w, r, iv), (_rotated(V, Z), moved_as, moved_bs, w, r, iv)))
             assert list(mats) == list(moved)
             for name, M in mats.items():
-                a, b = (vf._margin_verdicts([(name, m[name], {})], 0.0)[0].margin
-                        for m in (mats, moved))
+                a, b = vf._lambda_min([mats[name], moved[name]])
                 assert abs(a - b) <= _rotation_bound(dim, M), (suite, i, name, a - b)
 
     @pytest.mark.parametrize("seed", [7, 1000])
@@ -1413,6 +1440,7 @@ _SPEC_PARAMETERS = {
     "tsallis_f(r": lambda r: FunctionSpec.tsallis_f(r),
     "ln_r_reciprocal(r": lambda r: FunctionSpec.ln_r_reciprocal(r, _PAIR),
     "central_moment(center": lambda c: FunctionSpec.central_moment(2, c, _PAIR),
+    "central_moment(order": lambda k: FunctionSpec.central_moment(k, 1.0, _PAIR),
 }
 
 
