@@ -32,6 +32,15 @@ its inequality id, ``repr(margin)``, ``passed`` and its context with sorted
 keys (so Jensen's ``vector``, the map sums' ``family`` and the mean suites'
 ``n`` count).  Each such line reads ``<sha256>  verdicts  <suite> trials=<n>
 seed=7``.
+
+Then come the public batches of one of two build and score kernels, on
+draws from ``trial_rng(7, i)``: per family kind of ``FAMILY_KINDS``, the
+bytes of the As and Bs of ``gen_equal_map_sum_operators`` (n = 3, the
+dimension cycling through 2, 3, 4 and 8) and of ``apply_map_family`` on
+each, in a line ``<sha256>  apply_map_family  <kind> trials=60 seed=7``;
+and per n = 2..5 and iters 0, 1, 61 and 200, the bytes of
+``sinkhorn_doubly_stochastic``, in a line ``<sha256>
+sinkhorn_doubly_stochastic  n=<n> iters=<iters> trials=60 seed=7``.
 """
 
 import contextlib
@@ -47,6 +56,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import harness  # noqa: E402
 from karabounds import cli, verification  # noqa: E402
+from karabounds import operator_calculus as oc  # noqa: E402
+from karabounds.functions import Interval  # noqa: E402
 
 # trials per suite in the benchmark workloads; the two suites that no
 # workload runs take the count of the suite whose draws they share
@@ -118,6 +129,26 @@ def verdict_digest(suite, trials, seed):
     return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
+def map_sum_digest(kind, trials, seed):
+    iv = Interval(0.0, 1.0) if kind == "normalized_trace" else Interval(0.2, 1.5)
+    sha = hashlib.sha256()
+    for i in range(trials):
+        As, Bs, family = verification.gen_equal_map_sum_operators(
+            3, (2, 3, 4, 8)[i % 4], iv, kind, verification.trial_rng(seed, i))
+        for mats in (As, Bs):
+            for M in (*mats, oc.apply_map_family(family, mats)):
+                sha.update(M.tobytes())
+    return sha.hexdigest()
+
+
+def sinkhorn_digest(n, iters, trials, seed):
+    sha = hashlib.sha256()
+    for i in range(trials):
+        sha.update(verification.sinkhorn_doubly_stochastic(
+            n, verification.trial_rng(seed, i), iters).tobytes())
+    return sha.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
@@ -132,6 +163,12 @@ def main():
     for suite in verification.suite_ids(include_extra=True):
         trials = SUITE_TRIALS[suite]
         print(f"{verdict_digest(suite, trials, 7)}  verdicts  {suite} trials={trials} seed=7")
+    for kind in verification.FAMILY_KINDS:
+        print(f"{map_sum_digest(kind, 60, 7)}  apply_map_family  {kind} trials=60 seed=7")
+    for n in (2, 3, 4, 5):
+        for iters in (0, 1, 61, 200):
+            print(f"{sinkhorn_digest(n, iters, 60, 7)}  sinkhorn_doubly_stochastic  "
+                  f"n={n} iters={iters} trials=60 seed=7")
 
 
 if __name__ == "__main__":

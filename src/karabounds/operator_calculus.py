@@ -115,13 +115,15 @@ def assert_hermitian(A, name: str = "matrix") -> np.ndarray:
 
 def hermitize(A: np.ndarray) -> np.ndarray:
     """Symmetrize (A + A*)/2 over the last two axes, so a matrix or a stack,
-    rejecting a matrix whose drift ||A - A*||_F exceeds 1e-8 max(1, ||A||_F).
-    The sum is elementwise, so a matrix gets the same bits in any stack."""
+    rejecting a matrix whose drift ||A - A*||_F exceeds 1e-8 max(1, ||A||_F);
+    the error names the largest drift among the matrices rejected.  The sum
+    is elementwise, so a matrix gets the same bits in any stack."""
     A = np.asarray(A, dtype=complex)
     AH = np.swapaxes(A, -1, -2).conj()
     drift = _frob_rows(A - AH)
-    if (drift > 1e-8 * np.maximum(1.0, _frob_rows(A))).any():
-        raise DomainError(f"matrix drifted too far from Hermitian: {np.max(drift):.3e}")
+    bad = drift > 1e-8 * np.maximum(1.0, _frob_rows(A))
+    if bad.any():
+        raise DomainError(f"matrix drifted too far from Hermitian: {drift[bad].max():.3e}")
     return (A + AH) / 2.0
 
 
@@ -481,6 +483,14 @@ def spectrum_in(A, iv: Interval) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Each map kind applies its maps to a stack: ``_apply_stack(maps, X)`` is
+# (Phi_j(X_j)) for the maps Phi_j of one kind whose operands share their
+# shapes (``_key``) and the matrices X_j of a stack X (k, d, d).  A map's
+# __call__ is a batch of one of it.  Every step treats each matrix on its own
+# (BLAS per matrix, with the operands laid out as for a single matrix, and
+# elementwise arithmetic), so a matrix gets the same bits in any stack.
+
+
 @dataclass(frozen=True)
 class WeightedConjugation:
     """X -> weight * U* X U for a positive weight and unitary U."""
@@ -489,8 +499,17 @@ class WeightedConjugation:
     unitary: np.ndarray
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        U = self.unitary
-        return self.weight * (U.conj().T @ X @ U)
+        return self._apply_stack((self,), np.asarray(X)[None])[0]
+
+    @staticmethod
+    def _apply_stack(maps, X) -> np.ndarray:
+        U = np.stack([phi.unitary for phi in maps])
+        w = np.array([phi.weight for phi in maps], dtype=float)[:, None, None]
+        return w * (np.swapaxes(U.conj(), -1, -2) @ X @ U)
+
+    @property
+    def _key(self) -> tuple:
+        return type(self), self.unitary.shape
 
     def on_identity(self, dim: int) -> np.ndarray:
         return self.weight * np.eye(dim, dtype=complex)
@@ -506,7 +525,17 @@ class KrausMap:
     operators: tuple
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        return sum(V.conj().T @ X @ V for V in self.operators)
+        return self._apply_stack((self,), np.asarray(X)[None])[0]
+
+    @staticmethod
+    def _apply_stack(maps, X) -> np.ndarray:
+        # Python's sum, from 0, over each map's k-th operators in k order
+        return sum(np.swapaxes(V.conj(), -1, -2) @ X @ V
+                   for V in map(np.stack, zip(*(phi.operators for phi in maps))))
+
+    @property
+    def _key(self) -> tuple:
+        return (type(self), *(V.shape for V in self.operators))
 
     def on_identity(self, dim: int) -> np.ndarray:
         return sum(V.conj().T @ V for V in self.operators)
@@ -522,8 +551,17 @@ class NormalizedTrace:
     weight: float
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        dim = X.shape[0]
-        return np.array([[self.weight * np.trace(X) / dim]], dtype=complex)
+        return self._apply_stack((self,), np.asarray(X)[None])[0]
+
+    @staticmethod
+    def _apply_stack(maps, X) -> np.ndarray:
+        w = np.array([phi.weight for phi in maps], dtype=float)
+        trace = np.trace(X, axis1=-2, axis2=-1)
+        return (w * trace / X.shape[-1]).astype(complex)[:, None, None]
+
+    @property
+    def _key(self) -> tuple:
+        return (type(self),)
 
     def on_identity(self, dim: int) -> np.ndarray:
         return np.array([[self.weight]], dtype=complex)
@@ -559,20 +597,39 @@ class MapFamily:
         return _frob(np.asarray(total) - eye)
 
 
+def _family_key(family: MapFamily) -> tuple:
+    """What the families of one ``_map_family_sums`` stack share: the input
+    dimension, and per map its kind and the shapes of its operands."""
+    return family.input_dim, tuple(phi._key for phi in family.maps)
+
+
+def _map_family_sums(families, mats) -> np.ndarray:
+    """hermitize(sum_i Phi_i(A_i)) of each family of ``families`` on its row
+    of the (k, n, d, d) stack ``mats``, as a (k, e, e) stack.  The families
+    share one ``_family_key``.  Each map index i runs one ``_apply_stack`` of
+    its k maps on the stack of the k A_i's, the terms are added in map
+    order, and the sum is hermitized in one stack (with a drift threshold
+    per matrix), so a family's sum does not depend on the rest of the stack."""
+    out = None
+    for i, maps in enumerate(zip(*(family.maps for family in families))):
+        term = type(maps[0])._apply_stack(maps, mats[:, i])
+        out = term if out is None else out + term
+    return hermitize(out)
+
+
 def apply_map_family(family: MapFamily, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i Phi_i(A_i) for matching lists of maps and Hermitian matrices."""
+    """sum_i Phi_i(A_i) for matching lists of maps and Hermitian matrices,
+    hermitized: a batch of one of ``_map_family_sums``, the kernel that the
+    map-sum and Jensen suites run on the families of one key."""
     if len(mats) != len(family.maps):
         raise ShapeError(
             f"family has {len(family.maps)} maps but got {len(mats)} matrices"
         )
-    out = None
-    for phi, A in zip(family.maps, mats):
-        A = np.asarray(A, dtype=complex)
+    mats = [np.asarray(A, dtype=complex) for A in mats]
+    for A in mats:
         if A.shape != (family.input_dim, family.input_dim):
             raise ShapeError(f"matrix shape {A.shape} does not match dim {family.input_dim}")
-        term = phi(A)
-        out = term if out is None else out + term
-    return hermitize(out)
+    return _map_family_sums([family], np.stack(mats)[None])[0]
 
 
 # ---------------------------------------------------------------------------

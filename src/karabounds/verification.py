@@ -392,22 +392,52 @@ def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 20
     random matrix (full support): ``iters`` row-then-column sweeps and a
     final row normalization.
 
+    The draw is ``_sinkhorn_start``; the sweeps are a batch of one of
+    ``_sinkhorn``, which the suites run in their build phase on the start
+    matrices of all their trials of one n."""
+    return _sinkhorn(_sinkhorn_start(n, rng)[None], iters)[0]
+
+
+def _sinkhorn_start(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of ``sinkhorn_doubly_stochastic``: a positive (n, n) matrix."""
+    return rng.uniform(0.5, 1.5, size=(n, n))
+
+
+def _sinkhorns(starts) -> list:
+    """The Sinkhorn matrix of each start matrix (None gives None), in one
+    ``_sinkhorn`` stack per n."""
+    return _per_group(_sinkhorn, None, starts)
+
+
+# the lags at which ``_sinkhorn`` compares a stack with its earlier states.
+# The sweeps of an n <= 4 matrix settle into a cycle of period 1 or 2, and a
+# few percent of n = 3 and 4 matrices into one of period 3 to 5 (6,000
+# matrices sampled); 12 and 60 are multiples of each such period.
+_SINKHORN_LAGS = (2, 12, 60)
+
+
+def _sinkhorn(S, iters: int = 200) -> np.ndarray:
+    """``iters`` row-then-column Sinkhorn sweeps and a final row
+    normalization of each matrix of a positive (k, n, n) stack, bit for bit
+    the plain loop run on each matrix alone.
+
     A sweep is a function of the bits of its input, and in floating point
-    the iterates soon revisit an earlier state exactly (within 50 sweeps for
-    n <= 4) and cycle from there.  The loop stops at the first repeat and
-    takes the state the remaining sweeps would reach, so the result equals
-    the full loop's bit for bit."""
-    S = rng.uniform(0.5, 1.5, size=(n, n))
-    states, seen = [S], {S.tobytes(): 0}
+    the iterates soon revisit an earlier state exactly and cycle from there.
+    Once every matrix equals its own state from ``lag`` sweeps back, for a
+    lag of ``_SINKHORN_LAGS``, the stack repeats its last ``lag`` states,
+    and the loop stops with the one that sweep ``iters`` reaches.  A stack
+    that does not, say one that holds a matrix of a longer period, runs all
+    the sweeps."""
+    recent = [S]  # the states of the last max(lags) sweeps, oldest first
     for k in range(1, iters + 1):
-        S = S / S.sum(axis=1, keepdims=True)
-        S /= S.sum(axis=0, keepdims=True)
-        start = seen.setdefault(S.tobytes(), k)
-        if start < k:
-            S = states[start + (iters - start) % (k - start)]
-            break
-        states.append(S)
-    return S / S.sum(axis=1, keepdims=True)
+        S = S / S.sum(axis=-1, keepdims=True)
+        S /= S.sum(axis=-2, keepdims=True)
+        for lag in _SINKHORN_LAGS:
+            if lag <= len(recent) and np.array_equal(S, recent[-lag]):
+                S = recent[-lag + (iters - k) % lag]
+                return S / S.sum(axis=-1, keepdims=True)
+        recent = recent[1 - _SINKHORN_LAGS[-1]:] + [S]
+    return S / S.sum(axis=-1, keepdims=True)
 
 
 def _weighted_sums(W, A) -> np.ndarray:
@@ -433,13 +463,14 @@ def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
                         rng: np.random.Generator):
     """The draws of ``gen_equal_map_sum_operators``: (kind, G, w, extra) with
     the family's unitary and the A_i's Gaussians G and spectra w and the
-    permutation or Sinkhorn matrix extra; or, for normalized_trace, the
-    2n Gaussians G of the densities and the family weights w."""
+    permutation or the Sinkhorn start matrix extra; or, for
+    normalized_trace, the 2n Gaussians G of the densities and the family
+    weights w."""
     if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
         G = oc._gaussian(dim, rng)[None]
         Gs, w = _draw_spectra(dim, (iv,) * n, rng)
         extra = (rng.permutation(n) if family_kind == "uniform_permutation"
-                 else sinkhorn_doubly_stochastic(n, rng))
+                 else _sinkhorn_start(n, rng))
         return family_kind, np.concatenate([G, Gs]), w, extra
     if family_kind == "normalized_trace":
         if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
@@ -457,8 +488,9 @@ def _build_equal_map_sums(draws) -> list:
     haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                       [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
                       [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
-    mixes = _per_group(_weighted_sums, None, [extra if kind == "doubly_stochastic_mix" else None
-                                              for kind, *_, extra in draws],
+    mixes = _per_group(_weighted_sums, None,
+                       _sinkhorns([extra if kind == "doubly_stochastic_mix" else None
+                                   for kind, *_, extra in draws]),
                        [None if h is None else h[1] for h in haar])
     densities = _per_group(oc._build_densities, None,
                            [G if t else None for t, (_, G, *_) in zip(traced, draws)])
@@ -580,7 +612,8 @@ def _per_group(solve, keys, *columns) -> list:
     groups = defaultdict(list)
     # an array's own .shape: np.shape's dispatch would cost more per entry
     # than the rest of the grouping
-    shapes = ([v.shape if type(v) is np.ndarray else np.shape(v) for v in col] for col in columns)
+    shapes = ([v.shape if type(v) is np.ndarray else () if type(v) in (float, int) else np.shape(v)
+               for v in col] for col in columns)
     for j, group in enumerate(zip(heads, *shapes)):
         if columns[0][j] is not None:
             groups[group].append(j)
@@ -632,37 +665,61 @@ def _function_images(entries) -> list:
 
 def _jensen_blocks(instances, tol) -> list:
     """A block of Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
-    and vector indices per (family, mats, vectors, f, ...) instance."""
+    and vector indices per (family, mats, vectors, f, ...) instance.  The
+    instances of one family key and vector count are scored in one stack:
+    their map sums of A and of f(A) (``oc._map_family_sums``), the quadratic
+    forms on the (k, vectors, d) stack of their vectors, and f on the rows
+    of each f."""
     images = _function_images([(mats, f) for _, mats, _, f, *_ in instances])
-    blocks = []
-    for j, ((family, mats, vecs, f, *_), img) in enumerate(zip(instances, images)):
-        base = oc.apply_map_family(family, mats)
-        X = np.stack(vecs)
-        means = np.clip(_quadratic_forms(base, X), f.domain.m, f.domain.M)
-        lifted = _quadratic_forms(oc.apply_map_family(family, img), X)
-        blocks.append((np.full(len(X), j), "lemma_jensen", lifted - f(means), tol, range(len(X))))
-    return blocks
+
+    def margins(_, idx):
+        group = [instances[j] for j in idx.tolist()]
+        families = [family for family, *_ in group]
+        X = np.array([vecs for _, _, vecs, *_ in group], dtype=complex)
+        means = _quadratic_forms(oc._map_family_sums(families, np.array([m for _, m, *_ in group])), X)
+        lifted = _quadratic_forms(oc._map_family_sums(families, np.array([images[j] for j in idx])), X)
+        fs = [f for _, _, _, f, *_ in group]
+        for f in {id(f): f for f in fs}.values():
+            rows = np.array([g is f for g in fs])
+            lifted[rows] -= f(np.clip(means[rows], f.domain.m, f.domain.M))
+        return lifted
+
+    keys = [(oc._family_key(family), len(vecs)) for family, _, vecs, *_ in instances]
+    return [(np.full(len(m), j), "lemma_jensen", m, tol, range(len(m)))
+            for j, m in enumerate(_per_group(margins, keys, range(len(instances))))]
 
 
 def _quadratic_forms(M, X) -> np.ndarray:
-    """Re <M x, x> for each row x of X."""
-    return np.real(np.sum(X.conj() * (X @ M.T), axis=1))
+    """Re <M x, x> for each row x of X, or of each X (k, m, d) with its M (k, d, d)."""
+    return np.real(np.sum(X.conj() * (X @ np.swapaxes(M, -1, -2)), axis=-1))
 
 
 def _map_sum_blocks(instances, inequality_id, tol) -> list:
     """The block of map-sum margins lambda_min(beta*I + alpha * Phi-sum of
-    f(B) - Phi-sum of f(A)) of (As, Bs, family, f, alpha, ...) instances."""
+    f(B) - Phi-sum of f(A)) of (As, Bs, family, f, alpha, ...) instances.
+    The instances of one family key (dimension and map kinds) are scored in
+    one stack: two ``oc._map_family_sums``, beta and alpha broadcast per
+    row, and one lambda_min."""
     images = _function_images([((*As, *Bs), f) for As, Bs, _, f, *_ in instances])
     # one constant per (f, alpha); id(f) hashes faster than a FunctionSpec
     betas = {(id(f), alpha): (f, alpha) for _, _, _, f, alpha, *_ in instances}
     betas = {key: sb.beta_constant(f, f.domain, alpha) for key, (f, alpha) in betas.items()}
-    mats = []
-    for (As, Bs, family, f, alpha, *_), img in zip(instances, images):
-        lhs = oc.apply_map_family(family, img[:len(As)])
-        rhs = betas[id(f), alpha] * np.eye(family.output_dim, dtype=complex) \
-            + alpha * oc.apply_map_family(family, img[len(As):])
-        mats.append(rhs - lhs)
-    return [(np.arange(len(mats)), inequality_id, _lambda_min(mats), tol)]
+
+    def margins(_, idx):
+        group = [instances[j] for j in idx.tolist()]
+        families = [family for _, _, family, *_ in group]
+        n = len(families[0].maps)
+        img = np.array([images[j] for j in idx])
+        beta, alpha = (np.array(col, dtype=float)[:, None, None] for col in zip(
+            *((betas[id(f), alpha], alpha) for _, _, _, f, alpha, *_ in group)))
+        lhs = oc._map_family_sums(families, img[:, :n])
+        rhs = beta * np.eye(lhs.shape[-1], dtype=complex) \
+            + alpha * oc._map_family_sums(families, img[:, n:])
+        return oc._eigvalsh(rhs - lhs)[:, 0]
+
+    keys = [oc._family_key(family) for _, _, family, *_ in instances]
+    return [(np.arange(len(instances)), inequality_id,
+             np.array(_per_group(margins, keys, range(len(instances))), dtype=float), tol)]
 
 
 def _form_blocks(mats, forms, tol) -> list:
@@ -1163,10 +1220,11 @@ _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
 
 def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Generator):
     """The draws of ``_gen_weighted_instance``: (kind, weights, Gaussians and
-    spectra of the A_i, Sinkhorn matrix of the weights_v2 mix or None)."""
+    spectra of the A_i, Sinkhorn start matrix of the weights_v2 mix or
+    None)."""
     w = rng.dirichlet(np.ones(n))
     Gs, spectra = _draw_spectra(dim, (iv,) * n, rng)
-    S = None if kind in ("weights_v0", "weights_v1") else sinkhorn_doubly_stochastic(n, rng)
+    S = None if kind in ("weights_v0", "weights_v1") else _sinkhorn_start(n, rng)
     return kind, w, Gs, spectra, S
 
 
@@ -1177,7 +1235,7 @@ def _build_weighted_instances(draws) -> list:
                                   [G[:0] for G in Gs], Gs, spectra)]
     means = _per_group(_weighted_sums, None,
                        [w[None] if kind == "weights_v0" else None for kind, w in zip(kinds, ws)], H)
-    mixes = _per_group(_weighted_sums, None, Ss, H)
+    mixes = _per_group(_weighted_sums, None, _sinkhorns(Ss), H)
     out = []
     for w, A, mean, mix in zip(ws, H, means, mixes):
         As = list(A)
@@ -1331,9 +1389,9 @@ def _ratio_diff_kernel(suite_id, rows):
 
 def _draw_mean_instance(rng, dim, iv, n):
     """The draws of ``_gen_mean_instance``: Gaussians and spectra of Z and the
-    A_i, and the Sinkhorn matrix of the B_i (None for n = 1)."""
+    A_i, and the Sinkhorn start matrix of the B_i (None for n = 1)."""
     G, w = _draw_spectra(dim, (Interval(0.5, 2.0),) + (iv,) * n, rng)
-    return G, w, sinkhorn_doubly_stochastic(n, rng) if n > 1 else None
+    return G, w, _sinkhorn_start(n, rng) if n > 1 else None
 
 
 def _build_mean_instances(draws) -> list:
@@ -1344,7 +1402,7 @@ def _build_mean_instances(draws) -> list:
     G, w, S = zip(*draws)
     H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                                   [g[:0] for g in G], G, w)]
-    mixes = _per_group(_weighted_sums, None, S, [h[1:] for h in H])
+    mixes = _per_group(_weighted_sums, None, _sinkhorns(S), [h[1:] for h in H])
     out = []
     for h, B in zip(H, mixes):
         As = h[1:]

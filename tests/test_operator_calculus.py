@@ -476,6 +476,72 @@ class TestMapFamilies:
         with pytest.raises(DomainError):
             oc.MapFamily((oc.WeightedConjugation(0.5, eye),), 2)
 
+    @staticmethod
+    def family(kind, dim, rng):
+        """A unital family of three maps of one kind, or of two kinds
+        (``mixed``), on dim x dim matrices."""
+        w = rng.dirichlet(np.ones(3))
+        if kind == "conjugation":
+            maps = tuple(oc.WeightedConjugation(float(x), oc.rand_unitary(dim, rng)) for x in w)
+        elif kind == "kraus":
+            maps = tuple(oc.KrausMap((math.sqrt(x / 2) * oc.rand_unitary(dim, rng),
+                                      math.sqrt(x / 2) * oc.rand_unitary(dim, rng))) for x in w)
+        elif kind == "trace":
+            maps = tuple(oc.NormalizedTrace(float(x)) for x in w)
+        else:
+            maps = (oc.WeightedConjugation(float(w[0]), oc.rand_unitary(dim, rng)),
+                    oc.KrausMap((math.sqrt(w[1]) * oc.rand_unitary(dim, rng),)),
+                    oc.WeightedConjugation(float(w[2]), oc.rand_unitary(dim, rng)))
+        return oc.MapFamily(maps, dim)
+
+    @staticmethod
+    def term(phi, A):
+        """Phi(A), written out for one matrix."""
+        if isinstance(phi, oc.WeightedConjugation):
+            return phi.weight * (phi.unitary.conj().T @ A @ phi.unitary)
+        if isinstance(phi, oc.KrausMap):
+            return sum(V.conj().T @ A @ V for V in phi.operators)
+        return np.array([[phi.weight * np.trace(A) / A.shape[0]]], dtype=complex)
+
+    def unhermitized_sum(self, family, mats):
+        """sum_i Phi_i(A_i), added in map order."""
+        out = self.term(family.maps[0], mats[0])
+        for phi, A in zip(family.maps[1:], mats[1:]):
+            out = out + self.term(phi, A)
+        return out
+
+    @pytest.mark.parametrize("kind", ["conjugation", "kraus", "trace", "mixed"])
+    def test_public_call_is_a_row_of_the_stacked_kernel(self, kind):
+        # every row of a stack of families gets the bits of its own public
+        # call, which are those of the terms written out and added in map order
+        rng = np.random.default_rng(11)
+        for dim in (2, 3, 5):
+            fams = [self.family(kind, dim, rng) for _ in range(9)]
+            mats = np.stack([[rand_herm(dim, rng) for _ in range(3)] for _ in fams])
+            stack = oc._map_family_sums(fams, mats)
+            for fam, row, A in zip(fams, stack, mats):
+                public = oc.apply_map_family(fam, list(A))
+                assert np.array_equal(_bits(row), _bits(public)), (kind, dim)
+                want = oc.hermitize(self.unhermitized_sum(fam, A))
+                assert np.array_equal(_bits(public), _bits(want)), (kind, dim)
+                for phi, X in zip(fam.maps, A):
+                    assert np.array_equal(_bits(phi(X)), _bits(self.term(phi, X)))
+
+    @pytest.mark.parametrize("kind", ["conjugation", "kraus", "trace", "mixed"])
+    def test_one_drifting_row_of_a_stack_raises_and_names_its_drift(self, kind):
+        rng = np.random.default_rng(12)
+        fams = [self.family(kind, 3, rng) for _ in range(6)]
+        mats = np.stack([[rand_herm(3, rng) for _ in range(3)] for _ in fams])
+        mats[4, 1, 0, 0] += 1e-3j  # one non-Hermitian input, in row 4
+        total = self.unhermitized_sum(fams[4], mats[4])
+        drift = np.linalg.norm(total - total.conj().T)
+        assert drift > 1e-8 * max(1.0, np.linalg.norm(total))
+        with pytest.raises(DomainError, match=f"drifted too far from Hermitian: {drift:.3e}"):
+            oc._map_family_sums(fams, mats)
+        with pytest.raises(DomainError, match=f"drifted too far from Hermitian: {drift:.3e}"):
+            oc.apply_map_family(fams[4], list(mats[4]))
+        oc._map_family_sums(fams[:4] + fams[5:], np.delete(mats, 4, axis=0))
+
     def test_shape_mismatch(self):
         eye = np.eye(2, dtype=complex)
         fam = oc.MapFamily((oc.WeightedConjugation(1.0, eye),), 2)

@@ -139,6 +139,60 @@ class TestGenerators:
                 assert np.array_equal(a, plain(n, rng_b, iters)), (n, i, iters)
                 assert rng_a.random() == rng_b.random()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stacked_sinkhorn_matches_one_call_per_matrix(self, n):
+        # a k-stack of start matrices, swept whole or cut into slices in any
+        # order, gives each matrix the bits of its own public call
+        for iters in (0, 1, 2, 37, 61, 200):
+            for seed in range(6):
+                k = 2 + 7 * seed
+                alone = np.stack([vf.sinkhorn_doubly_stochastic(n, vf.trial_rng(seed, i), iters)
+                                  for i in range(k)])
+                starts = np.stack([vf._sinkhorn_start(n, vf.trial_rng(seed, i)) for i in range(k)])
+                order = np.random.default_rng(seed).permutation(k)
+                for cuts in ((0, k), (0, 1, k), (0, k // 3, k // 2, k)):
+                    got = np.empty_like(starts)
+                    for a, b in zip(cuts, cuts[1:]):
+                        got[order[a:b]] = vf._sinkhorn(starts[order[a:b]], iters)
+                    assert np.array_equal(got, alone), (n, iters, seed, cuts)
+
+    @staticmethod
+    def _sinkhorn_states(S, iters):
+        """The plain loop's states 0..iters of one start matrix."""
+        states = [S]
+        for _ in range(iters):
+            S = S / S.sum(axis=1, keepdims=True)
+            S /= S.sum(axis=0, keepdims=True)
+            states.append(S)
+        return states
+
+    def test_stacked_sinkhorn_runs_every_sweep_of_a_stack_that_does_not_cycle(self, monkeypatch):
+        # at 6 sweeps no matrix has come back to an earlier state; and with
+        # lag 2 alone, a stack that holds a matrix of period 3 never stops
+        # early: both run the plain loop to its end
+        starts = np.stack([vf._sinkhorn_start(3, vf.trial_rng(5, i)) for i in range(40)])
+        for S in starts:
+            states = [s.tobytes() for s in self._sinkhorn_states(S, 6)]
+            assert len(set(states)) == len(states)
+        plain = [s[-1] / s[-1].sum(axis=1, keepdims=True)
+                 for s in map(lambda S: self._sinkhorn_states(S, 6), starts)]
+        assert np.array_equal(vf._sinkhorn(starts, 6), np.stack(plain))
+
+        period3 = None
+        for i in range(2000):
+            S = vf._sinkhorn_start(3, vf.trial_rng(6, i))
+            states = self._sinkhorn_states(S, 200)
+            tail = [s.tobytes() for s in states[-6:]]
+            if tail[0] == tail[3] and tail[0] != tail[2] and tail[0] != tail[1]:
+                period3 = S
+                break
+        assert period3 is not None
+        stack = np.concatenate([period3[None], starts])
+        want = np.stack([s[-1] / s[-1].sum(axis=1, keepdims=True)
+                         for s in map(lambda S: self._sinkhorn_states(S, 200), stack)])
+        monkeypatch.setattr(vf, "_SINKHORN_LAGS", (2,))
+        assert np.array_equal(vf._sinkhorn(stack, 200), want)
+
     @pytest.mark.parametrize("kind", vf.FAMILY_KINDS)
     def test_equal_map_sum_contract(self, kind):
         # 3334 draws per family kind (10^4 across the three); spectra checked
