@@ -17,11 +17,14 @@ uint32 arrays, and sets each trial's PCG64 state on one reused Generator;
 ``trial_rng(seed, i)`` is a batch of one of it.  The build turns all the
 trials' draws into instances, the blocks of one shape (say, the n matrices
 of each trial's tuple) in one stack per step
-(``operator_calculus._build_haar`` and ``_build_densities``, then the
-Sinkhorn mixes and weighted means).  The score runs the suite's batch
-margin kernel once on all the instances.  Every stacked step groups
-its entries through ``_per_group``, by an optional key and by the shapes of
-the entries, so a stack is rectangular and no caller builds a shape key.
+(``operator_calculus._build_haar`` and ``_build_densities``, the Sinkhorn
+sweeps of all the start matrices of one n, then the mixes and weighted
+means).  The score runs the suite's batch margin kernel once on all the
+instances; the map sums of the map-sum and Jensen suites run in one stack
+per family key (``operator_calculus._map_family_sums``).  Every stacked
+step groups its entries through ``_per_group``, by an optional key and by
+the shapes of the entries, so a stack is rectangular and no caller builds a
+shape key.
 A kernel decomposes each distinct input matrix once, in one LAPACK stack
 per dimension, or per tuple shape (n, d) for the operator means
 (``operator_calculus._eigh``), rejects a spectrum outside its interval, and
@@ -403,12 +406,6 @@ def _sinkhorn_start(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.5, 1.5, size=(n, n))
 
 
-def _sinkhorns(starts) -> list:
-    """The Sinkhorn matrix of each start matrix (None gives None), in one
-    ``_sinkhorn`` stack per n."""
-    return _per_group(_sinkhorn, None, starts)
-
-
 # the lags at which ``_sinkhorn`` compares a stack with its earlier states.
 # The sweeps of an n <= 4 matrix settle into a cycle of period 1 or 2, and a
 # few percent of n = 3 and 4 matrices into one of period 3 to 5 (6,000
@@ -488,9 +485,8 @@ def _build_equal_map_sums(draws) -> list:
     haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                       [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
                       [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
-    mixes = _per_group(_weighted_sums, None,
-                       _sinkhorns([extra if kind == "doubly_stochastic_mix" else None
-                                   for kind, *_, extra in draws]),
+    starts = [extra if kind == "doubly_stochastic_mix" else None for kind, *_, extra in draws]
+    mixes = _per_group(_weighted_sums, None, _per_group(_sinkhorn, None, starts),
                        [None if h is None else h[1] for h in haar])
     densities = _per_group(oc._build_densities, None,
                            [G if t else None for t, (_, G, *_) in zip(traced, draws)])
@@ -676,8 +672,10 @@ def _jensen_blocks(instances, tol) -> list:
         group = [instances[j] for j in idx.tolist()]
         families = [family for family, *_ in group]
         X = np.array([vecs for _, _, vecs, *_ in group], dtype=complex)
-        means = _quadratic_forms(oc._map_family_sums(families, np.array([m for _, m, *_ in group])), X)
-        lifted = _quadratic_forms(oc._map_family_sums(families, np.array([images[j] for j in idx])), X)
+        A = np.array([mats for _, mats, *_ in group])
+        FA = np.array([images[j] for j in idx])
+        means = _quadratic_forms(oc._map_family_sums(families, A), X)
+        lifted = _quadratic_forms(oc._map_family_sums(families, FA), X)
         fs = [f for _, _, _, f, *_ in group]
         for f in {id(f): f for f in fs}.values():
             rows = np.array([g is f for g in fs])
@@ -710,10 +708,10 @@ def _map_sum_blocks(instances, inequality_id, tol) -> list:
         families = [family for _, _, family, *_ in group]
         n = len(families[0].maps)
         img = np.array([images[j] for j in idx])
-        beta, alpha = (np.array(col, dtype=float)[:, None, None] for col in zip(
-            *((betas[id(f), alpha], alpha) for _, _, _, f, alpha, *_ in group)))
+        beta = np.array([betas[id(inst[3]), inst[4]] for inst in group], dtype=float)
+        alpha = np.array([inst[4] for inst in group], dtype=float)[:, None, None]
         lhs = oc._map_family_sums(families, img[:, :n])
-        rhs = beta * np.eye(lhs.shape[-1], dtype=complex) \
+        rhs = beta[:, None, None] * np.eye(lhs.shape[-1], dtype=complex) \
             + alpha * oc._map_family_sums(families, img[:, n:])
         return oc._eigvalsh(rhs - lhs)[:, 0]
 
@@ -1235,7 +1233,7 @@ def _build_weighted_instances(draws) -> list:
                                   [G[:0] for G in Gs], Gs, spectra)]
     means = _per_group(_weighted_sums, None,
                        [w[None] if kind == "weights_v0" else None for kind, w in zip(kinds, ws)], H)
-    mixes = _per_group(_weighted_sums, None, _sinkhorns(Ss), H)
+    mixes = _per_group(_weighted_sums, None, _per_group(_sinkhorn, None, Ss), H)
     out = []
     for w, A, mean, mix in zip(ws, H, means, mixes):
         As = list(A)
@@ -1402,7 +1400,8 @@ def _build_mean_instances(draws) -> list:
     G, w, S = zip(*draws)
     H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                                   [g[:0] for g in G], G, w)]
-    mixes = _per_group(_weighted_sums, None, _sinkhorns(S), [h[1:] for h in H])
+    mixes = _per_group(_weighted_sums, None, _per_group(_sinkhorn, None, S),
+                       [h[1:] for h in H])
     out = []
     for h, B in zip(H, mixes):
         As = h[1:]
