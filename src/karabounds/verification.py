@@ -13,18 +13,20 @@ makes trial i's rng calls on its own stream, that of
 ``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and returns raw
 Gaussian and uniform arrays.  A suite seeds all its trials in one pass
 (``_trial_rngs``): it hashes the seed once, the trials' spawn keys as whole
-uint32 arrays, and sets each trial's PCG64 state on one reused Generator;
-``trial_rng(seed, i)`` is a batch of one of it.  The build turns all the
-trials' draws into instances, the blocks of one shape (say, the n matrices
-of each trial's tuple) in one stack per step
+uint32 arrays, and sets each trial's PCG64 state on one reused Generator,
+bit for bit the stream of numpy's own seeding, which ``trial_rng(seed, i)``
+uses.  The build turns all the trials' draws into instances, the blocks of
+one shape (say, the n matrices of each trial's tuple) in one stack per step
 (``operator_calculus._build_haar`` and ``_build_densities``, the Sinkhorn
 sweeps of all the start matrices of one n, then the mixes and weighted
 means).  The score runs the suite's batch margin kernel once on all the
 instances; the map sums of the map-sum and Jensen suites run in one stack
-per family key (``operator_calculus._map_family_sums``).  Every stacked
-step groups its entries through ``_per_group``, by an optional key and by
-the shapes of the entries, so a stack is rectangular and no caller builds a
-shape key.
+per family key (``operator_calculus._map_family_sums``), and their two
+kernels check the bounds' hypotheses on each: f convex, each family unital
+(``_check_unital``), and unit vectors (Jensen) or equal map sums of A and B
+(map-sum).  Every stacked step groups its entries through ``_per_group``,
+by an optional key and by the shapes of the entries, so a stack is
+rectangular and no caller builds a shape key.
 A kernel decomposes each distinct input matrix once, in one LAPACK stack
 per dimension, or per tuple shape (n, d) for the operator means
 (``operator_calculus._eigh``), rejects a spectrum outside its interval, and
@@ -32,8 +34,9 @@ takes every spectral image of that matrix from the same (w, V); the
 lambda_min reductions go through ``operator_calculus._eigvalsh``.  Every
 build and kernel step gives a matrix the same bits in any stack, so reports
 do not depend on batching, and the public generators are batches of one of
-their draw and build.  A public ``check_*`` function validates the
-rest of its input and runs the same kernel on a batch of one, so its
+their draw and build.  A public ``check_*`` function validates the rest
+of its input (the map checkers: Hermitian matrices, shapes, one matrix per
+map, finite vectors) and runs the same kernel on a batch of one, so its
 margins and spectral errors equal the suite's.  The Jacobi solver is not on
 this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
 exercise it, on matrices they draw directly, and share one Jacobi run.
@@ -165,14 +168,11 @@ def verdict_csv_rows(suite_id: str, verdicts: Sequence[InequalityVerdict]):
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator: SeedSequence(seed) split by spawn key (trial,).
-
-    A fresh Generator with the stream of ``np.random.default_rng(
-    np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))``, seeded as a
-    batch of one of the suites' seeder.  Its bit generator holds no
-    SeedSequence, so ``spawn`` raises TypeError: spawn children from the
-    trial's SeedSequence directly."""
-    return next(_trial_rngs(int(seed), range(int(trial), int(trial) + 1)))
+    """numpy's ``default_rng(SeedSequence(seed, spawn_key=(trial,)))``, the stream
+    of trial ``trial`` in ``run_suite``, which spawns that sequence's children."""
+    if seed < 0 or trial < 0:
+        raise DomainError(f"seed and trial must be >= 0, got seed {seed} and trial {trial}")
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(trial),)))
 
 
 # numpy.random.SeedSequence's hash constants, whose outputs NEP 19 keeps
@@ -205,13 +205,11 @@ def _mix(x, y):
     return out ^ out >> 16
 
 
-@functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int):
     """(pool, next hash constant) of SeedSequence(seed) once all the seed's
     words are mixed in: the part of every trial's hashing that does not
     depend on the trial.  The seed's 32-bit words are zero-padded to the
-    four pool words, as SeedSequence pads them before a spawn key.  Cached,
-    for callers of ``trial_rng`` that loop over the trials of one seed."""
+    four pool words, as SeedSequence pads them before a spawn key."""
     words = [seed & _MASK32]
     while seed >> 32 * len(words):
         words.append(seed >> 32 * len(words) & _MASK32)
@@ -260,8 +258,6 @@ def _trial_rngs(seed: int, trials: range):
     state 0, inc = (initseq << 1) | 1, one step, state += initstate, one
     step.  Setting a trial's state also drops the 32-bit half that the last
     trial may have buffered."""
-    if seed < 0 or trials.start < 0:
-        raise DomainError(f"seed and trial must be >= 0, got seed {seed} and trial {trials.start}")
     if not trials:
         return
     pool0, hc = _seed_pool(seed)
@@ -659,19 +655,32 @@ def _function_images(entries) -> list:
     return [[image[id(M), id(f)] for M in mats] for mats, f in entries]
 
 
+def _check_unital(families):
+    """DomainError unless each family of a stack has ||sum_i Phi_i(I) - I||_F <= 1e-10."""
+    res = oc._unital_residuals(families)
+    if not (res <= 1e-10).all():  # so NaN fails
+        raise DomainError(f"map family is not unital-sum: residual {res.max():.3e}")
+
+
 def _jensen_blocks(instances, tol) -> list:
     """A block of Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
     and vector indices per (family, mats, vectors, f, ...) instance.  The
-    instances of one family key and vector count are scored in one stack:
-    their map sums of A and of f(A) (``oc._map_family_sums``), the quadratic
-    forms on the (k, vectors, d) stack of their vectors, and f on the rows
-    of each f."""
+    instances of one family key and vector count are scored in one stack,
+    after the hypotheses' checks: their map sums of A and of f(A)
+    (``oc._map_family_sums``), the quadratic forms on the (k, vectors, d)
+    stack of their vectors, and f on the rows of each f."""
+    if not all(f.is_convex for _, _, _, f, *_ in instances):
+        raise PreconditionError("the vector-state Jensen bound needs convex f")
     images = _function_images([(mats, f) for _, mats, _, f, *_ in instances])
 
     def margins(_, idx):
         group = [instances[j] for j in idx.tolist()]
         families = [family for family, *_ in group]
+        _check_unital(families)
         X = np.array([vecs for _, _, vecs, *_ in group], dtype=complex)
+        off = np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-10
+        if off.any():
+            raise PreconditionError(f"vector {np.argwhere(off)[0, 1]} is not unit norm")
         A = np.array([mats for _, mats, *_ in group])
         FA = np.array([images[j] for j in idx])
         means = _quadratic_forms(oc._map_family_sums(families, A), X)
@@ -696,8 +705,10 @@ def _map_sum_blocks(instances, inequality_id, tol) -> list:
     """The block of map-sum margins lambda_min(beta*I + alpha * Phi-sum of
     f(B) - Phi-sum of f(A)) of (As, Bs, family, f, alpha, ...) instances.
     The instances of one family key (dimension and map kinds) are scored in
-    one stack: two ``oc._map_family_sums``, beta and alpha broadcast per
-    row, and one lambda_min."""
+    one stack: the hypotheses' three ``oc._map_family_sums`` and the
+    margins' two, beta and alpha broadcast per row, and one lambda_min."""
+    if not all(f.is_convex for _, _, _, f, *_ in instances):
+        raise PreconditionError("the map-sum reverse bound needs convex f")
     images = _function_images([((*As, *Bs), f) for As, Bs, _, f, *_ in instances])
     # one constant per (f, alpha); id(f) hashes faster than a FunctionSpec
     betas = {(id(f), alpha): (f, alpha) for _, _, _, f, alpha, *_ in instances}
@@ -707,6 +718,13 @@ def _map_sum_blocks(instances, inequality_id, tol) -> list:
         group = [instances[j] for j in idx.tolist()]
         families = [family for _, _, family, *_ in group]
         n = len(families[0].maps)
+        _check_unital(families)
+        sum_a, sum_b = (oc._map_family_sums(families, np.array([inst[j] for inst in group]))
+                        for j in (0, 1))
+        res = oc._frob_rows(sum_a - sum_b)
+        unequal = res > 1e-8 * np.maximum(1.0, oc._frob_rows(sum_a))
+        if unequal.any():
+            raise PreconditionError(f"map sums differ: residual {res[unequal].max():.3e}")
         img = np.array([images[j] for j in idx])
         beta = np.array([betas[id(inst[3]), inst[4]] for inst in group], dtype=float)
         alpha = np.array([inst[4] for inst in group], dtype=float)[:, None, None]
@@ -875,25 +893,15 @@ def _entropy_kernel(r, tol, WA, WB, alpha):
 
 # ---------------------------------------------------------------------------
 # checkers (single instance: validate what the kernel does not check, then
-# run the kernel on a batch of one; the kernel checks the spectra)
+# run it on a batch of one; kernels check spectra, map kernels hypotheses)
 # ---------------------------------------------------------------------------
-
-
-def _validate_equal_map_sum(family, As, Bs):
-    lhs = oc.apply_map_family(family, As)
-    rhs = oc.apply_map_family(family, Bs)
-    res = float(np.linalg.norm(lhs - rhs))
-    if res > 1e-8 * max(1.0, float(np.linalg.norm(lhs))):
-        raise PreconditionError(f"map sums differ: residual {res:.3e}")
 
 
 def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
                        tol: float = SCALAR_TOL, context: Optional[dict] = None):
     """Vector-state Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
-    for each unit vector x; nonnegative for convex f."""
-    if not f.is_convex:
-        raise PreconditionError("the vector-state Jensen bound needs convex f")
-    mats = [oc.assert_hermitian(M) for M in mats]
+    for each unit vector x; nonnegative for convex f and a unital family."""
+    mats = oc._family_operands(family, [oc.assert_hermitian(M) for M in mats])
     vecs = [np.asarray(x, dtype=complex) for x in vectors]
     if not vecs:
         raise PreconditionError("the vector-state Jensen bound needs at least one vector")
@@ -903,26 +911,20 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
             raise ShapeError(f"vector {j} has shape {x.shape}, expected ({dim},)")
         if not np.isfinite(x).all():
             raise DomainError(f"vector {j} has non-finite entries")
-        nrm = np.linalg.norm(x)
-        if abs(nrm - 1.0) > 1e-10:
-            raise PreconditionError(f"vector {j} is not unit norm ({nrm})")
     return _view(_table(_jensen_blocks([(family, mats, vecs, f)], tol)), [dict(context or {})])
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
                        tol: float = OPERATOR_TOL, context: Optional[dict] = None) -> InequalityVerdict:
     """Map-sum reverse bound: Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B),
-    given equal map-sums, spectra in the domain interval, convex f."""
+    given a unital family, equal map-sums, spectra in f's interval, convex f."""
     return _check_map_sum("theorem_beta", family, As, Bs, f, alpha, tol, context)
 
 
 def _check_map_sum(inequality_id, family, As, Bs, f, alpha, tol, context) -> InequalityVerdict:
     """``check_theorem_beta``, scored under ``inequality_id``."""
-    if not f.is_convex:
-        raise PreconditionError("check_theorem_beta needs convex f")
-    As = [oc.assert_hermitian(A) for A in As]
-    Bs = [oc.assert_hermitian(B) for B in Bs]
-    _validate_equal_map_sum(family, As, Bs)
+    As = oc._family_operands(family, [oc.assert_hermitian(A) for A in As])
+    Bs = oc._family_operands(family, [oc.assert_hermitian(B) for B in Bs])
     ctx = {**(context or {}), "alpha": alpha, "f": f.name}
     return _view(_table(_map_sum_blocks([(As, Bs, family, f, alpha)], inequality_id, tol)),
                  [ctx])[0]
@@ -932,8 +934,8 @@ def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
                              tol: float = OPERATOR_TOL, context: Optional[dict] = None) -> InequalityVerdict:
     """Scalar-weight specialization Phi_i(X) = p_i X of the map-sum bound."""
     ps = np.asarray(ps, dtype=float)
-    if not (np.all(ps > 0.0) and abs(ps.sum() - 1.0) <= 1e-10):
-        raise PreconditionError("weights must be positive and sum to 1")
+    if not np.all(ps > 0.0):  # their sum is the family's unitality, a kernel check
+        raise PreconditionError("weights must be positive")
     dim = np.asarray(As[0]).shape[0]
     eye = np.eye(dim, dtype=complex)
     family = oc.MapFamily(tuple(oc.WeightedConjugation(float(p), eye) for p in ps), dim)

@@ -6,6 +6,7 @@ import pytest
 
 from karabounds import classical_entropy as ce
 from karabounds import operator_calculus as oc
+from karabounds import verification as vf
 from karabounds.errors import ConvergenceError, DomainError, ShapeError
 from karabounds.functions import FunctionSpec, Interval
 
@@ -472,9 +473,20 @@ class TestMapFamilies:
             assert oc.eigvals_stack(oc.apply_map_family(fam, mats)[None])[0].min() >= -1e-10
 
     def test_rejects_non_unital(self):
+        # unitality is a hypothesis of the map-sum and Jensen bounds, checked
+        # by their kernels where a bound uses the family; the constructor and
+        # apply_map_family take any family, and its residual is that of its
+        # own map sum on I: conjugation by 2I maps I to 4I
         eye = np.eye(2, dtype=complex)
-        with pytest.raises(DomainError):
-            oc.MapFamily((oc.WeightedConjugation(0.5, eye),), 2)
+        half = oc.MapFamily((oc.WeightedConjugation(0.5, eye),), 2)
+        doubled = oc.MapFamily((oc.WeightedConjugation(1.0, 2.0 * eye),), 2)
+        assert np.array_equal(oc.apply_map_family(half, [eye]), 0.5 * eye)
+        assert half.unital_residual() == pytest.approx(0.5 * math.sqrt(2.0))
+        assert doubled.unital_residual() == pytest.approx(3.0 * math.sqrt(2.0))
+        f = FunctionSpec.power(2.0, Interval(0.2, 2.0))
+        for fam in (half, doubled):
+            with pytest.raises(DomainError, match="not unital-sum"):
+                vf.check_theorem_beta(fam, [eye], [eye], f, 1.0)
 
     @staticmethod
     def family(kind, dim, rng):

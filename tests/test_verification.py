@@ -336,8 +336,12 @@ class TestTrialSeeds:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_rng_matches_seed_sequence(self, seed):
+        # trial_rng is numpy's own seeding, and the seeder run on the one
+        # trial gives the same stream
         for trial in self.TRIALS:
             self.assert_same_stream(vf.trial_rng(seed, trial), seed, trial)
+            self.assert_same_stream(next(vf._trial_rngs(seed, range(trial, trial + 1))),
+                                    seed, trial)
 
     def test_a_buffered_32_bit_half_does_not_reach_the_next_trial(self):
         # three float32 draws use one and a half 64-bit outputs, so PCG64
@@ -368,11 +372,13 @@ class TestTrialSeeds:
                 "sys.exit(code or 'numpy.random' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
-    def test_trial_rng_cannot_spawn(self):
-        # its bit generator was not seeded by the trial's SeedSequence, so
-        # any children it made would not be the trial's
-        with pytest.raises(TypeError):
-            vf.trial_rng(5, 3).spawn(1)
+    def test_trial_rng_spawns_the_children_of_its_seed_sequence(self):
+        children = vf.trial_rng(5, 3).spawn(2)
+        want = np.random.SeedSequence(5, spawn_key=(3,)).spawn(2)
+        assert len(children) == 2
+        for got, seq in zip(children, want):
+            assert got.standard_normal(4).tolist() == \
+                np.random.default_rng(seq).standard_normal(4).tolist()
 
     @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-(2**40), 2**40)])
     def test_negative_seed_or_trial_raises_a_typed_error(self, seed, trial):
@@ -438,6 +444,34 @@ class TestCheckers:
         B = A + 0.05 * np.eye(2)
         with pytest.raises(PreconditionError):
             vf.check_theorem_beta(fam, [A], [B], f, 1.0)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_checkers_need_one_matrix_per_map(self, count):
+        f = vf.function_catalog("power2")
+        fam = oc.MapFamily((oc.WeightedConjugation(1.0, np.eye(2, dtype=complex)),), 2)
+        mats = [np.diag([1.0, 1.5]).astype(complex)] * count
+        with pytest.raises(ShapeError):
+            vf.check_lemma_jensen(fam, mats, f, list(np.eye(2)))
+        with pytest.raises(ShapeError):
+            vf.check_theorem_beta(fam, mats, mats, f, 1.0)
+
+    @pytest.mark.parametrize("maps", [
+        pytest.param(lambda: (oc.WeightedConjugation(1.0, 2.0 * _EYE2),), id="U=2I"),
+        pytest.param(lambda: (oc.WeightedConjugation(1.0, 0.5 * _EYE2),), id="U=I/2"),
+        pytest.param(lambda: (oc.WeightedConjugation(_NAN, _EYE2),), id="nan-weight"),
+        pytest.param(lambda: (oc.KrausMap((0.6 * _EYE2, 0.6 * _EYE2)),), id="kraus-0.72I"),
+        pytest.param(lambda: (oc.NormalizedTrace(0.4), oc.NormalizedTrace(0.5)), id="trace-0.9"),
+    ])
+    def test_non_unital_family_raises(self, maps):
+        # sum_i Phi_i(I) != I in the maps' own Phi(I), although the weights
+        # of the first two sum to 1
+        f = vf.function_catalog("power2")
+        fam = oc.MapFamily(maps(), 2)
+        mats = [np.diag([1.0, 1.5]).astype(complex)] * len(fam.maps)
+        with pytest.raises(DomainError):
+            vf.check_theorem_beta(fam, mats, mats, f, 1.0)
+        with pytest.raises(DomainError):
+            vf.check_lemma_jensen(fam, mats, f, list(np.eye(fam.output_dim)))
 
     def test_theorem_beta_kraus_family_surface(self):
         f = vf.function_catalog("tsallis_05")
@@ -680,6 +714,14 @@ class TestSuites:
         assert rep.trials == 0
         assert rep.failures == 0
         assert rep.min_margin is None
+
+    def test_suite_rejects_unequal_map_sums(self, monkeypatch):
+        # row-stochastic mixes keep the B_i's spectra in f's interval but
+        # not the uniform-weight map sum, which the kernel checks per stack
+        monkeypatch.setattr(vf, "_sinkhorn",
+                            lambda S, iters=200: S / S.sum(axis=-1, keepdims=True))
+        with pytest.raises(PreconditionError, match="map sums differ"):
+            vf.run_suite("theorem_beta", 4, 0)
 
     def test_determinism_byte_identical(self):
         a = vf.run_suite("theorem_beta", 30, 42)
@@ -1471,6 +1513,11 @@ def _jensen_on(x):
     return vf.check_lemma_jensen(fam, [_EYE2], vf.function_catalog("power2"), [x])
 
 
+def _map_sum_of(*maps):
+    """apply_map_family of the family of ``maps`` on I_2, one I_2 per map."""
+    return oc.apply_map_family(oc.MapFamily(maps, 2), [_EYE2] * len(maps))
+
+
 def _mean_bounds_at(r):
     return vf.check_operator_mean_bounds(_EYE2, [2.0 * _EYE2], [2.0 * _EYE2], [1.0],
                                          Interval(1.7, 5.1), r)
@@ -1532,6 +1579,9 @@ _SPEC_PARAMETERS = {
     (lambda: _jensen_on(np.array([_NAN, 0.0])), DomainError),
     (lambda: _jensen_on(np.array([1.0, 0.0, 0.0])), ShapeError),
     (lambda: _jensen_on(np.array([[1.0], [0.0]])), ShapeError),
+    (lambda: _map_sum_of(oc.WeightedConjugation(_NAN, _EYE2)), DomainError),
+    (lambda: _map_sum_of(oc.WeightedConjugation(1.0, np.full((2, 2), _NAN))), DomainError),
+    (lambda: _map_sum_of(oc.KrausMap((np.diag([_INF, 1.0]),))), DomainError),
     (lambda: _mean_bounds_at(_NAN), DomainError),
     (lambda: _mean_bounds_at(_INF), DomainError),
     (lambda: _mean_bounds_at(-_INF), DomainError),
