@@ -41,6 +41,12 @@ each, in a line ``<sha256>  apply_map_family  <kind> trials=60 seed=7``;
 and per n = 2..5 and iters 0, 1, 61 and 200, the bytes of
 ``sinkhorn_doubly_stochastic``, in a line ``<sha256>
 sinkhorn_doubly_stochastic  n=<n> iters=<iters> trials=60 seed=7``.
+
+Last, the public operator means, each a batch of one of the mean step of
+the operator-mean suites: per mean of ``MEANS``, the bytes of its value on
+positive definite pairs (X, Y) drawn from ``trial_rng(7, i)`` (spectra in
+[0.3, 3], the dimension cycling through 1, 2, 3, 5 and 8) at every r of
+``MEAN_RS``, in a line ``<sha256>  <mean>  trials=60 seed=7``.
 """
 
 import contextlib
@@ -149,6 +155,27 @@ def sinkhorn_digest(n, iters, trials, seed):
     return sha.hexdigest()
 
 
+MEAN_RS = (-1.0, 0.0, 1e-13, 0.3, 0.5, 1.0, 2.5)
+MEANS = {
+    "natural_power_mean": lambda X, Y: [oc.natural_power_mean(X, Y, r) for r in MEAN_RS],
+    "relative_operator_entropy": lambda X, Y: [oc.relative_operator_entropy(X, Y)],
+    "tsallis_relative_operator_entropy":
+        lambda X, Y: [oc.tsallis_relative_operator_entropy(X, Y, r) for r in MEAN_RS],
+}
+
+
+def mean_digest(mean, trials, seed):
+    iv = Interval(0.3, 3.0)
+    sha = hashlib.sha256()
+    for i in range(trials):
+        rng = verification.trial_rng(seed, i)
+        dim = (1, 2, 3, 5, 8)[i % 5]
+        X, Y = (oc.rand_hermitian_spectrum_in(dim, iv, rng) for _ in range(2))
+        for M in MEANS[mean](X, Y):
+            sha.update(M.tobytes())
+    return sha.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
@@ -169,6 +196,8 @@ def main():
         for iters in (0, 1, 61, 200):
             print(f"{sinkhorn_digest(n, iters, 60, 7)}  sinkhorn_doubly_stochastic  "
                   f"n={n} iters={iters} trials=60 seed=7")
+    for mean in MEANS:
+        print(f"{mean_digest(mean, 60, 7)}  {mean}  trials=60 seed=7")
 
 
 if __name__ == "__main__":

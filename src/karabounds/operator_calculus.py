@@ -683,18 +683,47 @@ def mat_log(A: np.ndarray) -> np.ndarray:
     return _recompose(_log_of_pd(w), V)
 
 
-def _conjugate_by_root(X, Y, f) -> np.ndarray:
-    """X^(1/2) f(X^(-1/2) Y X^(-1/2)) X^(1/2) for positive definite X, Y, with
-    both roots of X recomposed from one eigendecomposition."""
+def _z_relative(Z, Xs):
+    """((w, V) of Z, [hermitize(Z^(-1/2) X Z^(-1/2)) for X in Xs]) from one
+    decomposition of the positive definite Z."""
+    w, V = _eigh(Z[None])
+    zis = _recompose(_invsqrt_of_pd(w), V)[0]
+    return (w[0], V[0]), [hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
+
+
+def _mean_step(zw, zV, w, V, weights, rs) -> np.ndarray:
+    """hermitize(Z^(1/2) (sum_i w_i A_i^r) Z^(1/2)) of each row, from the
+    (w, V) of its Z, (k, d) and (k, d, d), and of its Z-relative tuple
+    A_1..A_n, (k, n, d) and (k, n, d, d), with its weights (k, n) and its r;
+    r = None takes log A_i for A_i^r (the r -> 0 limits).  The powers are
+    taken on the sub-stack of each r (a scalar exponent and an array of them
+    may round differently), the roots and images recomposed in one stack and
+    each sum taken in i order from 0, as Python's ``sum`` is.  Every step
+    treats a matrix on its own, so a row gets the bits of a batch of one."""
+    k, n, d = w.shape
+    spectra = w.reshape(-1, d)
+    keys = list(dict.fromkeys(rs))
+    row_key = np.repeat([keys.index(r) for r in rs], n)
+    images = np.empty_like(spectra)
+    for j, r in enumerate(keys):
+        rows = row_key == j
+        images[rows] = _log_of_pd(spectra[rows]) if r is None else _power_of_psd(spectra[rows], r)
+    X = _recompose(np.concatenate([_sqrt_of_psd(zw), images]),
+                   np.concatenate([zV, V.reshape(-1, d, d)]))
+    zs, X = X[:k], X[k:].reshape(k, n, d, d)
+    return hermitize(zs @ sum(weights[:, i, None, None] * X[:, i] for i in range(n)) @ zs)
+
+
+def _mean_of_one(X, Y, r) -> np.ndarray:
+    """``_mean_step`` on the batch of one (X, Y, r): X #_r Y, or
+    X^(1/2) log(X^(-1/2) Y X^(-1/2)) X^(1/2) for r = None."""
     X = assert_hermitian(X, "X")
     Y = assert_hermitian(Y, "Y")
     if X.shape != Y.shape:
         raise ShapeError("X and Y must share a dimension")
-    w, V = _eigh_one(X)
-    xs = _recompose(_sqrt_of_psd(w), V)
-    xis = _recompose(_invsqrt_of_pd(w), V)
-    mid = hermitize(xis @ Y @ xis)
-    return hermitize(xs @ f(mid) @ xs)
+    (wx, Vx), (mid,) = _z_relative(X, [Y])
+    w, V = _eigh(mid[None])
+    return _mean_step(wx[None], Vx[None], w[None], V[None], np.ones((1, 1)), [r])[0]
 
 
 def natural_power_mean(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:
@@ -705,7 +734,7 @@ def natural_power_mean(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:
     """
     if not np.isfinite(r):
         raise DomainError(f"natural power mean needs a finite r, got {r}")
-    return _conjugate_by_root(X, Y, lambda mid: mat_power(mid, r))
+    return _mean_of_one(X, Y, r)
 
 
 def tsallis_relative_operator_entropy(X: np.ndarray, Y: np.ndarray, r: float) -> np.ndarray:
@@ -717,7 +746,7 @@ def tsallis_relative_operator_entropy(X: np.ndarray, Y: np.ndarray, r: float) ->
 
 
 def relative_operator_entropy(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return _conjugate_by_root(X, Y, mat_log)
+    return _mean_of_one(X, Y, None)
 
 
 def _spectrum_row(w) -> np.ndarray:

@@ -24,9 +24,11 @@ instances; the map sums of the map-sum and Jensen suites run in one stack
 per family key (``operator_calculus._map_family_sums``), and their two
 kernels check the bounds' hypotheses on each: f convex, each family unital
 (``_check_unital``), and unit vectors (Jensen) or equal map sums of A and B
-(map-sum).  Every stacked step groups its entries through ``_per_group``,
-by an optional key and by the shapes of the entries, so a stack is
-rectangular and no caller builds a shape key.
+(map-sum); the operator-mean kernel checks equal weighted sums of the
+Z-relative A_i and B_i per tuple shape, and its mean step is that of the
+public means (``operator_calculus._mean_step``).  Every stacked step groups
+its entries through ``_per_group``, by an optional key and by the shapes of
+the entries, so a stack is rectangular and no caller builds a shape key.
 A kernel decomposes each distinct input matrix once, in one LAPACK stack
 per dimension, or per tuple shape (n, d) for the operator means
 (``operator_calculus._eigh``), rejects a spectrum outside its interval, and
@@ -194,42 +196,15 @@ def _hash_constants(start: int, mult: int, count: int):
 
 def _hashmix(value, xor, mult):
     """SeedSequence's hashmix of value with the hash constant before (xor)
-    and after (mult) its step; value is an int or a uint32 array."""
+    and after (mult) its step, on uint32 arrays."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two pool words, ints or uint32 arrays."""
+    """SeedSequence's mix of two uint32 arrays of pool words."""
     out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return out ^ out >> 16
-
-
-def _seed_pool(seed: int):
-    """(pool, next hash constant) of SeedSequence(seed) once all the seed's
-    words are mixed in: the part of every trial's hashing that does not
-    depend on the trial.  The seed's 32-bit words are zero-padded to the
-    four pool words, as SeedSequence pads them before a spawn key."""
-    words = [seed & _MASK32]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & _MASK32)
-    words += [0] * (4 - len(words))
-    hc = _INIT_A
-
-    def hashmix(value):
-        nonlocal hc
-        xor, hc = hc, hc * _MULT_A & _MASK32
-        return _hashmix(value, xor, hc)
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    return tuple(pool), hc
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,7 +226,9 @@ def _trial_rngs(seed: int, trials: range):
     of ``trials``: that of ``np.random.default_rng(np.random.SeedSequence(
     entropy=seed, spawn_key=(trial,)))``, bit for bit.
 
-    The seed's words are hashed once, in ints.  Each trial's spawn-key words
+    The seed's w = max(4, seed words) words are hashed once, by
+    ``SeedSequence(seed)``: its pool, and a hash constant 16 + 4 (w - 4)
+    steps on.  Each trial's spawn-key words
     are mixed into that pool, and SeedSequence's ``generate_state(4,
     np.uint64)`` run, as whole-array uint32 steps over the trials whose keys
     have the same number of words.  PCG64 then seeds from the four words:
@@ -260,8 +237,9 @@ def _trial_rngs(seed: int, trials: range):
     trial may have buffered."""
     if not trials:
         return
-    pool0, hc = _seed_pool(seed)
-    pool0 = np.array(pool0, dtype=np.uint32)[:, None]
+    pool0 = np.random.SeedSequence(seed).pool[:, None]
+    seed_words = max(4, (int(seed).bit_length() + 31) // 32)
+    hc = _INIT_A * pow(_MULT_A, 16 + 4 * (seed_words - 4), 1 << 32) & _MASK32
     out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
     rng = np.random.Generator(np.random.PCG64(_unseeded()))
     bit_gen = rng.bit_generator
@@ -755,14 +733,14 @@ MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
     """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
     bounds, one {form id: matrix} per (Z, As, Bs, w, r, iv) instance:
-    Z-relative tuples As, Bs with weights w and spectra in iv, built from
-    P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.  With
-    ``include_limits`` the two r -> 0 limit claims are added; a form that
-    does not apply at an instance's r is left out.
+    Z-relative tuples As, Bs with weights w, equal weighted sums and spectra
+    in iv, built from P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.
+    With ``include_limits`` the two r -> 0 limit claims are added; a form
+    that does not apply at an instance's r is left out.
 
-    A kernel per tuple shape (n, d), ``_mean_forms``, decomposes, recomposes
-    and assembles those instances in stacks.  ``z_eigs`` holds the (w, V)
-    of every instance's Z when the caller has them.  A mean suite's score
+    A kernel per tuple shape (n, d), ``_mean_forms``, checks the sums and
+    assembles those instances in stacks.  ``z_eigs`` holds the (w, V) of
+    every instance's Z when the caller has them.  A mean suite's score
     phase runs it on all the instances its build phase made, and
     ``check_operator_mean_bounds`` on a batch of one; an instance gets the
     same bits in any batch."""
@@ -783,16 +761,17 @@ def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
     """``_mean_margin_mats`` of instances whose tuples share one shape (n, d),
     with As the (k, n, d, d) stack of their A tuples.
 
-    One ``oc._eigh`` decomposes every Z (unless ``z_eigs`` holds their
-    (w, V)), A_i and B_i; an instance whose Bs is its As object (n = 1 in
-    the suites) takes Q = P.  The spectra of the A_i and B_i must lie in iv
-    (``_check_spectra``).  Z^(1/2), each A_i^r and B_i^r (on the sub-stack
-    of each r, since a scalar exponent and an array of them may round
-    differently) and log A_i, log B_i are recomposed in one stack.  P, Q and the forms
-    are then assembled on the stack, with r and the constants K(h, r),
-    C(m, h, r) broadcast per row and each r regime a row mask.  Every step
-    treats a matrix on its own, so an instance's margins do not depend on
-    the rest of the batch."""
+    An instance whose Bs is its As object (n = 1 in the suites) takes
+    Q = P; every other must have equal weighted sums sum w_i A_i and
+    sum w_i B_i, within 1e-8 max(1, ||sum w_i A_i||_F), else
+    PreconditionError.  One ``oc._eigh`` decomposes every Z (unless
+    ``z_eigs`` holds their (w, V)), A_i and B_i; the spectra of the A_i and
+    B_i must lie in iv (``_check_spectra``).  P, Q and, with the limits, their
+    log variants come from one ``oc._mean_step``; the forms are then
+    assembled on the stack, with r and the constants K(h, r), C(m, h, r)
+    broadcast per row and each r regime a row mask.  Every step treats a
+    matrix on its own, so an instance's margins do not depend on the rest of
+    the batch."""
     k = len(group)
     Z = np.stack([np.asarray(inst[0], dtype=complex) for inst in group])
     own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
@@ -802,6 +781,13 @@ def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
                             + [np.asarray(group[j][2], dtype=complex)[None] for j in own_b])
     owner = np.array([*range(k), *own_b])
     n, d = tuples.shape[1:3]
+    weights = np.stack([np.asarray(inst[3], dtype=float) for inst in group])[owner]
+    if own_b:
+        sums = sum(weights[:, i, None, None] * tuples[:, i] for i in range(n))
+        sum_a = sums[own_b]
+        res = oc._frob_rows(sum_a - sums[k:])
+        if not (res <= 1e-8 * np.maximum(1.0, oc._frob_rows(sum_a))).all():  # so NaN fails
+            raise PreconditionError("weighted A/B sums differ in Z-relative terms")
     # rows of (w, V): the k Z's, then the tuples' matrices
     rows = tuples.reshape(-1, d, d)
     if z_eigs is None:
@@ -812,31 +798,17 @@ def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
     ivs = [inst[5] for inst in group]
     _check_spectra(spectra, *np.repeat(np.array([(iv.m, iv.M) for iv in ivs])[owner], n, 0).T)
 
-    rs = [inst[4] for inst in group]
-    row_r = np.repeat(np.array(rs, dtype=float)[owner], n)
-    powers = np.empty_like(spectra)
-    for r in dict.fromkeys(rs):
-        powers[row_r == r] = oc._power_of_psd(spectra[row_r == r], r)
-    values, vectors = [oc._sqrt_of_psd(w[:k]), powers], [V]
-    if include_limits:
-        values.append(oc._log_of_pd(spectra))
-        vectors.append(V[k:])
-    images = oc._recompose(np.concatenate(values), np.concatenate(vectors))
-    zs = images[:k][owner]
-    weights = np.stack([np.asarray(inst[3], dtype=float) for inst in group])[owner]
-    # each instance's row of B-tuple sums: its own, or its A-tuple's
+    # one step row per tuple and exponent: each tuple's r, then with the
+    # limits each tuple's log; each instance's B row is its own or its A's
+    rs, m = [inst[4] for inst in group], len(owner)
+    tile = np.arange(m * (2 if include_limits else 1)) % m
+    z_row = owner[tile]
+    S = oc._mean_step(w[z_row], V[z_row], spectra.reshape(m, n, d)[tile],
+                      V[k:].reshape(m, n, d, d)[tile], weights[tile],
+                      [rs[j] for j in owner] + [None] * (len(tile) - m))
     b_row = np.arange(k)
     b_row[own_b] = k + np.arange(len(own_b))
-
-    def pair(X):
-        """(P, Q) from the images X of the tuples' matrices, laid out like
-        spectra: hermitize(Z^(1/2) (sum_i w_i X_i) Z^(1/2)) of each tuple,
-        summed in i order from 0 as Python's ``sum`` is."""
-        X = X.reshape(tuples.shape)
-        S = oc.hermitize(zs @ sum(weights[:, i, None, None] * X[:, i] for i in range(n)) @ zs)
-        return S[:k], S[b_row]
-
-    P, Q = pair(images[k:k + len(spectra)])
+    P, Q = S[:k], S[b_row]
     r = np.array(rs, dtype=float)[:, None, None]
     h = [iv.M / iv.m for iv in ivs]
     big_k = np.array([sb.kantorovich(hj, rj) for hj, rj in zip(h, rs)])[:, None, None]
@@ -860,7 +832,7 @@ def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
         MEAN_FORM_C_LHS: sr_x + c_r - sr_y,
     }
     if include_limits:
-        s0x, s0y = pair(images[k + len(spectra):])
+        s0x, s0y = S[m:][:k], S[m:][b_row]
         forms["s0_nonneg"] = s0x
         forms["s0_pair_vs_z"] = s0x + s0y - Z
     return [{name: M[j] for name, M in forms.items()
@@ -936,10 +908,16 @@ def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
     ps = np.asarray(ps, dtype=float)
     if not np.all(ps > 0.0):  # their sum is the family's unitality, a kernel check
         raise PreconditionError("weights must be positive")
-    dim = np.asarray(As[0]).shape[0]
-    eye = np.eye(dim, dtype=complex)
-    family = oc.MapFamily(tuple(oc.WeightedConjugation(float(p), eye) for p in ps), dim)
+    As = [oc.assert_hermitian(A) for A in As]
+    # with no matrices, a family of dimension 0 fails the count check
+    family = _scalar_weight_family(ps, As[0].shape[0] if As else 0)
     return _check_map_sum("corollary_weighted", family, As, Bs, f, alpha, tol, context)
+
+
+def _scalar_weight_family(weights, dim: int) -> oc.MapFamily:
+    """The family Phi_i(X) = w_i X on dim x dim matrices."""
+    eye = np.eye(dim, dtype=complex)
+    return oc.MapFamily(tuple(oc.WeightedConjugation(float(w), eye) for w in weights), dim)
 
 
 MODE_EQUAL = "equal_mean"
@@ -1059,10 +1037,12 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     Xs/Ys may be single matrices or equal-length lists; weights must be
     positive and sum to 1.  With ``include_limits`` the two r -> 0 limit
     claims are checked as well (these need m >= 1 resp. m >= sqrt(e) to
-    hold; the generator in the limits suite pins such intervals).  The
-    margins come from the suites' kernel, ``_mean_margin_mats``, run on a
-    batch of one, which also checks that the spectra of the A_i and B_i lie
-    in iv.
+    hold; the generator in the limits suite pins such intervals).  One
+    decomposition of Z gives the A_i = Z^(-1/2) X_i Z^(-1/2) and B_i
+    (``oc._z_relative``) and Z^(1/2).  The margins come from the suites'
+    kernel, ``_mean_margin_mats``, run on a batch of one, which also checks
+    the equal weighted sums and that the spectra of the A_i and B_i lie in
+    iv.
     """
     Z = oc.assert_hermitian(Z, "Z")
     if isinstance(Xs, np.ndarray) and Xs.ndim == 2:
@@ -1074,17 +1054,8 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
         raise PreconditionError("weights must be positive and sum to 1")
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")
-    # one decomposition of Z gives Z^(-1/2) here and Z^(1/2) in the kernel
-    wz, Vz = oc._eigh(Z[None])
-    zis = oc._recompose(oc._invsqrt_of_pd(wz), Vz)[0]
-    As = [oc.hermitize(zis @ np.asarray(X, dtype=complex) @ zis) for X in Xs]
-    Bs = [oc.hermitize(zis @ np.asarray(Y, dtype=complex) @ zis) for Y in Ys]
-    mean_a = sum(wi * Ai for wi, Ai in zip(w, As))
-    mean_b = sum(wi * Bi for wi, Bi in zip(w, Bs))
-    if float(np.linalg.norm(mean_a - mean_b)) > 1e-8 * max(1.0, float(np.linalg.norm(mean_a))):
-        raise PreconditionError("weighted A/B sums differ in Z-relative terms")
-    # the kernel checks the spectra of the A_i and B_i against iv
-    mats = _mean_margin_mats([(Z, As, Bs, w, r, iv)], include_limits, [(wz[0], Vz[0])])
+    z_eig, rel = oc._z_relative(Z, [*Xs, *Ys])
+    mats = _mean_margin_mats([(Z, rel[:w.size], rel[w.size:], w, r, iv)], include_limits, [z_eig])
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
     return _view(_table(_form_blocks(mats, tuple(mats[0]), tol)), [ctx])
 
@@ -1248,9 +1219,7 @@ def _build_weighted_instances(draws) -> list:
             w = np.full(n, 1.0 / n)
         else:
             Bs = list(As)
-        eye = np.eye(dim, dtype=complex)
-        out.append((As, Bs, oc.MapFamily(tuple(oc.WeightedConjugation(float(wi), eye)
-                                               for wi in w), dim)))
+        out.append((As, Bs, _scalar_weight_family(w, dim)))
     return out
 
 

@@ -673,6 +673,26 @@ class TestConjugateByRoot:
             oc.relative_operator_entropy(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
+class TestMeanStep:
+    def test_stack_rows_match_the_public_means_bytewise(self):
+        # one stack of (X, Y, r) rows with mixed r, the log variant (None)
+        # among them, gives each row the bytes of its own public call
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3, 5):
+            pairs = [(oc.rand_hermitian_spectrum_in(dim, Interval(0.3, 3.0), rng),
+                      oc.rand_hermitian_spectrum_in(dim, Interval(0.3, 3.0), rng))
+                     for _ in range(7)]
+            rs = [0.3, None, -1.0, 0.3, 2.5, 0.0, None]
+            zs, mids = zip(*(oc._z_relative(X, [Y]) for X, Y in pairs))
+            zw, zV = (np.stack(x) for x in zip(*zs))
+            w, V = oc._eigh(np.stack([mid for mid, in mids]))
+            S = oc._mean_step(zw, zV, w[:, None], V[:, None], np.ones((7, 1)), rs)
+            for (X, Y), r, got in zip(pairs, rs, S):
+                want = (oc.relative_operator_entropy(X, Y) if r is None
+                        else oc.natural_power_mean(X, Y, r))
+                assert got.tobytes() == want.tobytes(), (dim, r)
+
+
 class TestMatrixEntropies:
     def test_maximally_mixed(self):
         for d in (2, 5):

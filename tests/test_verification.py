@@ -454,6 +454,8 @@ class TestCheckers:
             vf.check_lemma_jensen(fam, mats, f, list(np.eye(2)))
         with pytest.raises(ShapeError):
             vf.check_theorem_beta(fam, mats, mats, f, 1.0)
+        with pytest.raises(ShapeError):
+            vf.check_corollary_weighted([1.0], mats, mats, f, 1.0)
 
     @pytest.mark.parametrize("maps", [
         pytest.param(lambda: (oc.WeightedConjugation(1.0, 2.0 * _EYE2),), id="U=2I"),
@@ -715,13 +717,18 @@ class TestSuites:
         assert rep.failures == 0
         assert rep.min_margin is None
 
-    def test_suite_rejects_unequal_map_sums(self, monkeypatch):
-        # row-stochastic mixes keep the B_i's spectra in f's interval but
-        # not the uniform-weight map sum, which the kernel checks per stack
+    @pytest.mark.parametrize("suite, message", [
+        ("theorem_beta", "map sums differ"),
+        ("operator_means", "weighted A/B sums differ"),
+        ("mean_limits", "weighted A/B sums differ"),
+    ], ids=["theorem_beta", "operator_means", "mean_limits"])
+    def test_suite_rejects_unequal_map_sums(self, monkeypatch, suite, message):
+        # row-stochastic mixes keep the B_i's spectra in their interval but
+        # not the uniform-weight sum, which the kernel checks per stack
         monkeypatch.setattr(vf, "_sinkhorn",
                             lambda S, iters=200: S / S.sum(axis=-1, keepdims=True))
-        with pytest.raises(PreconditionError, match="map sums differ"):
-            vf.run_suite("theorem_beta", 4, 0)
+        with pytest.raises(PreconditionError, match=message):
+            vf.run_suite(suite, 4, 0)
 
     def test_determinism_byte_identical(self):
         a = vf.run_suite("theorem_beta", 30, 42)
