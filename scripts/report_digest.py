@@ -47,11 +47,21 @@ the operator-mean suites: per mean of ``MEANS``, the bytes of its value on
 positive definite pairs (X, Y) drawn from ``trial_rng(7, i)`` (spectra in
 [0.3, 3], the dimension cycling through 1, 2, 3, 5 and 8) at every r of
 ``MEAN_RS``, in a line ``<sha256>  <mean>  trials=60 seed=7``.
+
+Last of all, the verdicts of ``check_operator_mean_bounds``, a batch of one
+of the operator-mean suites' kernel, one line per verdict with its
+inequality id, ``repr(margin)`` and ``passed``: on the instances of the
+mean suites' generator drawn from ``trial_rng(7, i)`` with interval
+(1.7, 5.1), one per dimension 2, 3 and 5, tuple length n = 1 and 2 and r of
+``MEAN_CHECK_RS``, given as X_i = Z^(1/2) A_i Z^(1/2) and Y_i likewise, in a
+line ``<sha256>  check_operator_mean_bounds  limits=<bool> trials=24
+seed=7`` without and with the r -> 0 limit claims.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -176,6 +186,22 @@ def mean_digest(mean, trials, seed):
     return sha.hexdigest()
 
 
+MEAN_CHECK_RS = (-0.8, 0.3, 0.6, 1.7)
+
+
+def mean_check_digest(include_limits, seed):
+    iv = Interval(1.7, 5.1)
+    rows = []
+    for i, (dim, n, r) in enumerate(itertools.product((2, 3, 5), (1, 2), MEAN_CHECK_RS)):
+        Z, As, Bs, w = verification._gen_mean_instance(verification.trial_rng(seed, i), dim, iv, n)
+        zs = oc.sqrtm_psd(Z)
+        Xs, Ys = ([oc.hermitize(zs @ M @ zs) for M in mats] for mats in (As, Bs))
+        rows += (f"{v.inequality_id}\t{v.margin!r}\t{v.passed}\n"
+                 for v in verification.check_operator_mean_bounds(
+                     Z, Xs, Ys, w, iv, r, include_limits=include_limits))
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
@@ -198,6 +224,9 @@ def main():
                   f"n={n} iters={iters} trials=60 seed=7")
     for mean in MEANS:
         print(f"{mean_digest(mean, 60, 7)}  {mean}  trials=60 seed=7")
+    for limits in (False, True):
+        print(f"{mean_check_digest(limits, 7)}  check_operator_mean_bounds  "
+              f"limits={limits} trials=24 seed=7")
 
 
 if __name__ == "__main__":

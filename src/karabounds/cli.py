@@ -237,21 +237,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         params["interval"] = (args.m, args.M)
     reports = []
     for sid in suites:
-        # only CSV lists the verdicts
-        rep = vf.run_suite(sid, args.trials, args.seed, params, keep_verdicts=args.format == "csv")
+        rep = vf.run_suite(sid, args.trials, args.seed, params)
         reports.append(rep)
         print(f"{sid}: trials={rep.trials} failures={rep.failures} "
               f"min_margin={rep.min_margin} ({rep.elapsed_ms} ms)", file=sys.stderr)
     if args.format == "csv":
-        rows_iter = (
-            row
-            for k, rep in enumerate(reports)
-            for j, row in enumerate(vf.verdict_csv_rows(rep.suite_id, rep.verdicts))
-            if not (k > 0 and j == 0)  # single header
-        )
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
-            csv.writer(fh).writerows(rows_iter)
+            csv.writer(fh).writerows(vf.verdict_csv_rows(reports))
     else:
         _emit(vf.report_to_json(reports), args.out)
     failures = sum(rep.failures for rep in reports)

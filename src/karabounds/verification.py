@@ -55,9 +55,9 @@ the 1-d call, so the checkers, each a batch of one of its kernel, equal the
 suites bit for bit.  A hypothesis, too, has one row-wise expression:
 weighted means are row sums, and the inner-product condition is
 ``classical_entropy._condition_gap``, in a block of draws and for one pair.
-Every score returns such columns plus each row's trial (an operator margin
-is a ``_lambda_min``), ``_table`` sorts them into trial order, ``run_suite``
-reduces them, and ``_view`` alone builds ``InequalityVerdict`` objects.
+Every score returns such columns plus each row's trial, ``_table`` sorts
+them into trial order, ``run_suite`` reduces them and keeps them for
+``verdict_csv_rows``, and ``_view`` alone builds ``InequalityVerdict``s.
 """
 
 from __future__ import annotations
@@ -125,12 +125,16 @@ class InequalityVerdict:
 
 @dataclass
 class TrialReport:
+    """A suite's summary; ``_scored`` keeps its ``_table`` and trial contexts
+    for ``verdict_csv_rows``, and ``to_dict`` leaves it out."""
+
     suite_id: str
     trials: int
     failures: int
     min_margin: Optional[float]
     worst_context: dict
     elapsed_ms: int
+    _scored: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -158,15 +162,18 @@ _CSV_FIELDS = ("suite_id", "trial", "margin", "pass",
                "dim", "r", "alpha", "eps", "seed", "inequality_id")
 
 
-def verdict_csv_rows(suite_id: str, verdicts: Sequence[InequalityVerdict]):
-    """Streaming-friendly CSV rows (header first); the documented columns
-    come first, with the inequality id appended for disambiguation."""
+def verdict_csv_rows(reports: Sequence[TrialReport]):
+    """Streaming-friendly CSV rows of ``run_suite`` reports, the header once,
+    then each report's rows from its scored columns and each trial's context
+    cells; the inequality id comes last, after the documented columns."""
     yield _CSV_FIELDS
-    for v in verdicts:
-        ctx = v.context
-        yield (suite_id, ctx.get("trial", ""), repr(v.margin), int(v.passed),
-               *(ctx.get(key, "") for key in ("dim", "r", "alpha", "eps", "seed")),
-               v.inequality_id)
+    for rep in reports:
+        (trial, ids, margins, tols, _), contexts = rep._scored
+        head = [(rep.suite_id, ctx.get("trial", "")) for ctx in contexts]
+        tail = [tuple(ctx.get(key, "") for key in _CSV_FIELDS[4:9]) for ctx in contexts]
+        for t, name, margin, passed in zip(trial.tolist(), ids, margins.tolist(),
+                                           (margins >= -tols).tolist()):
+            yield (*head[t], repr(margin), int(passed), *tail[t], name)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -593,11 +600,6 @@ def _per_group(solve, keys, *columns) -> list:
     return out
 
 
-def _lambda_min(mats) -> np.ndarray:
-    """lambda_min of each margin matrix rhs - lhs, one ``oc._eigvalsh`` per dimension."""
-    return np.array(_per_group(lambda S: oc._eigvalsh(S)[:, 0], None, mats), dtype=float)
-
-
 def _check_spectra(w, lo, hi):
     """Raise PreconditionError for the first row of the ascending spectra w
     (k, d) more than 1e-10 (``oc.apply_function_stack``'s slack) outside its
@@ -716,32 +718,21 @@ def _map_sum_blocks(instances, inequality_id, tol) -> list:
              np.array(_per_group(margins, keys, range(len(instances))), dtype=float), tol)]
 
 
-def _form_blocks(mats, forms, tol) -> list:
-    """A block per id in ``forms`` of the instances' {id: rhs - lhs}, in one ``_lambda_min``."""
-    have = [[j for j, m in enumerate(mats) if name in m] for name in forms]
-    margins = _lambda_min([mats[j][name] for name, js in zip(forms, have) for j in js])
-    cuts = np.cumsum([len(js) for js in have])[:-1]
-    return [(np.array(js, dtype=int), name, m, tol)
-            for name, js, m in zip(forms, have, np.split(margins, cuts))]
-
-
 MEAN_FORMS_SOUND = ("mean_ratio", "mean_diff", "sr_k_form", "sr_k_form_x_both", "sr_c_form")
 MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
-    """Margin matrices (rhs - lhs) of the operator-mean and relative-entropy
-    bounds, one {form id: matrix} per (Z, As, Bs, w, r, iv) instance:
-    Z-relative tuples As, Bs with weights w, equal weighted sums and spectra
-    in iv, built from P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q likewise for B.
-    With ``include_limits`` the two r -> 0 limit claims are added; a form
-    that does not apply at an instance's r is left out.
-
-    A kernel per tuple shape (n, d), ``_mean_forms``, checks the sums and
-    assembles those instances in stacks.  ``z_eigs`` holds the (w, V) of
-    every instance's Z when the caller has them.  A mean suite's score
-    phase runs it on all the instances its build phase made, and
+def _mean_blocks(instances, forms, tol, z_eigs=None) -> list:
+    """A block of margins lambda_min(rhs - lhs) per named form of the
+    operator-mean and relative-entropy bounds on (Z, As, Bs, w, r, iv)
+    instances: Z-relative tuples As, Bs with weights w, equal weighted sums
+    and spectra in iv, built from P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q
+    likewise for B.  A form that does not apply at an instance's r gets no
+    row for it.  The instances of one tuple shape (n, d) are scored in one
+    stack: ``_mean_forms``, then one ``oc._eigvalsh`` over its stacks.
+    ``z_eigs`` holds the (w, V) of every instance's Z when the caller has
+    them.  The mean suites' score runs it on all their instances, and
     ``check_operator_mean_bounds`` on a batch of one; an instance gets the
     same bits in any batch."""
     for *_, r, iv in instances:
@@ -751,28 +742,39 @@ def _mean_margin_mats(instances, include_limits: bool, z_eigs=None) -> list:
             raise DomainError("r = 0 is degenerate here; use the limit checks")
         if iv.m <= 0.0:
             raise DomainError("the interval must be positive (m > 0)")
-    return _per_group(lambda idx, As: _mean_forms([instances[j] for j in idx], As,
-                                                  z_eigs and [z_eigs[j] for j in idx],
-                                                  include_limits),
-                      None, range(len(instances)), [inst[1] for inst in instances])
+    blocks = []
+
+    def solve(idx, As):
+        stacks = _mean_forms([instances[j] for j in idx], As, z_eigs and [z_eigs[j] for j in idx],
+                             forms)
+        margins = oc._eigvalsh(np.concatenate([M for *_, M in stacks]))[:, 0]
+        cuts = np.cumsum([len(M) for *_, M in stacks])[:-1]
+        blocks.extend((idx[rows], name, m, tol)
+                      for (name, rows, _), m in zip(stacks, np.split(margins, cuts)))
+        return idx
+
+    _per_group(solve, None, range(len(instances)), [inst[1] for inst in instances])
+    return blocks
 
 
-def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
-    """``_mean_margin_mats`` of instances whose tuples share one shape (n, d),
-    with As the (k, n, d, d) stack of their A tuples.
+def _mean_forms(group, As, z_eigs, forms) -> list:
+    """(form id, rows, stack of margin matrices rhs - lhs) of each named form,
+    for ``_mean_blocks``' instances of one tuple shape (n, d), with As the
+    (k, n, d, d) stack of their A tuples.  The rows are all k but for the
+    C-term-on-the-left form, which applies at 0 < r < 1 only.
 
     An instance whose Bs is its As object (n = 1 in the suites) takes
     Q = P; every other must have equal weighted sums sum w_i A_i and
     sum w_i B_i, within 1e-8 max(1, ||sum w_i A_i||_F), else
     PreconditionError.  One ``oc._eigh`` decomposes every Z (unless
     ``z_eigs`` holds their (w, V)), A_i and B_i; the spectra of the A_i and
-    B_i must lie in iv (``_check_spectra``).  P, Q and, with the limits, their
-    log variants come from one ``oc._mean_step``; the forms are then
+    B_i must lie in iv (``_check_spectra``).  P, Q and, if a limit form is
+    named, their log variants come from one ``oc._mean_step``; the forms are
     assembled on the stack, with r and the constants K(h, r), C(m, h, r)
     broadcast per row and each r regime a row mask.  Every step treats a
     matrix on its own, so an instance's margins do not depend on the rest of
     the batch."""
-    k = len(group)
+    k, include_limits = len(group), any(name in MEAN_FORMS_LIMIT for name in forms)
     Z = np.stack([np.asarray(inst[0], dtype=complex) for inst in group])
     own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
     # the (n, d, d) tuples: each instance's As, then the Bs of own_b, with
@@ -819,7 +821,7 @@ def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
     kq, cz = big_k * Q, c_const * Z
     sr_x, sr_y = (P - Z) / r, (Q - Z) / r
     k_q, k_p, c_r = (kq - Z) / r, (big_k * P - Z) / r, (c_const / r) * Z
-    forms = {
+    mats = {
         "mean_ratio": np.where(inside, P - kq, kq - P),
         "mean_diff": np.where(inside, P - cz - Q, cz + Q - P),
         # r < 0 or 0 < r < 1: the derived orientation keeps the C-term on the
@@ -833,10 +835,11 @@ def _mean_forms(group, As, z_eigs, include_limits: bool) -> list:
     }
     if include_limits:
         s0x, s0y = S[m:][:k], S[m:][b_row]
-        forms["s0_nonneg"] = s0x
-        forms["s0_pair_vs_z"] = s0x + s0y - Z
-    return [{name: M[j] for name, M in forms.items()
-             if name != MEAN_FORM_C_LHS or inside[j, 0, 0]} for j in range(k)]
+        mats["s0_nonneg"] = s0x
+        mats["s0_pair_vs_z"] = s0x + s0y - Z
+    c_lhs = np.flatnonzero(inside[:, 0, 0])
+    return [(name, c_lhs, mats[name][c_lhs]) if name == MEAN_FORM_C_LHS
+            else (name, slice(None), mats[name]) for name in forms]
 
 
 def _entropy_kernel(r, tol, WA, WB, alpha):
@@ -1037,12 +1040,13 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     Xs/Ys may be single matrices or equal-length lists; weights must be
     positive and sum to 1.  With ``include_limits`` the two r -> 0 limit
     claims are checked as well (these need m >= 1 resp. m >= sqrt(e) to
-    hold; the generator in the limits suite pins such intervals).  One
-    decomposition of Z gives the A_i = Z^(-1/2) X_i Z^(-1/2) and B_i
-    (``oc._z_relative``) and Z^(1/2).  The margins come from the suites'
-    kernel, ``_mean_margin_mats``, run on a batch of one, which also checks
-    the equal weighted sums and that the spectra of the A_i and B_i lie in
-    iv.
+    hold; the generator in the limits suite pins such intervals).  X_i and
+    Y_i must be Hermitian, finite and of Z's shape.  One decomposition of Z
+    gives the A_i = Z^(-1/2) X_i Z^(-1/2) and B_i (``oc._z_relative``) and
+    Z^(1/2).  The verdicts, the sound forms, the C-term-on-the-left form at
+    0 < r < 1, then the limit forms, come from the suites' kernel,
+    ``_mean_blocks``, on a batch of one, which also checks the equal
+    weighted sums and that the spectra of the A_i and B_i lie in iv.
     """
     Z = oc.assert_hermitian(Z, "Z")
     if isinstance(Xs, np.ndarray) and Xs.ndim == 2:
@@ -1054,10 +1058,15 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
         raise PreconditionError("weights must be positive and sum to 1")
     if not (len(Xs) == len(Ys) == w.size):
         raise ShapeError("Xs, Ys, weights must share a length")
-    z_eig, rel = oc._z_relative(Z, [*Xs, *Ys])
-    mats = _mean_margin_mats([(Z, rel[:w.size], rel[w.size:], w, r, iv)], include_limits, [z_eig])
+    mats = [oc.assert_hermitian(M, f"{name}_{i}")
+            for name, tup in (("X", Xs), ("Y", Ys)) for i, M in enumerate(tup)]
+    if any(M.shape != Z.shape for M in mats):
+        raise ShapeError(f"every X_i and Y_i must have Z's shape {Z.shape}")
+    z_eig, rel = oc._z_relative(Z, mats)
+    forms = MEAN_FORMS_SOUND + (MEAN_FORM_C_LHS,) + (MEAN_FORMS_LIMIT if include_limits else ())
+    blocks = _mean_blocks([(Z, rel[:w.size], rel[w.size:], w, r, iv)], forms, tol, [z_eig])
     ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
-    return _view(_table(_form_blocks(mats, tuple(mats[0]), tol)), [ctx])
+    return _view(_table(blocks), [ctx])
 
 
 # ---------------------------------------------------------------------------
@@ -1137,18 +1146,19 @@ def _scalar_score(kernel):
     """The score of a suite whose instances are (rows, key, ...): trials
     are grouped by key and row shape and stacked into (k, n) arrays, and
     ``kernel(key, tol, *stacks)`` returns [(inequality id, margins, tol)],
-    one margin per stacked row, which become the group's blocks.  A kernel
-    gives a row the bits of a batch of one, so the grouping does not show."""
+    one margin per stacked row, which become the group's blocks with its
+    trials, stacked as one more column.  A kernel gives a row the bits of a
+    batch of one, so the grouping does not show."""
     def score(instances, params):
         rows, keys, *_ = zip(*instances)
-        forms = []
+        blocks = []
 
-        def solve(key, *stacks):
-            forms.append(kernel(key, params["tol"], *stacks))
-            return [len(forms) - 1] * len(stacks[0])
+        def solve(key, trials, *stacks):
+            blocks.extend((trials, *form) for form in kernel(key, params["tol"], *stacks))
+            return trials
 
-        group = np.array(_per_group(solve, keys, *zip(*rows)))
-        return [(np.flatnonzero(group == g), *form) for g, fs in enumerate(forms) for form in fs]
+        _per_group(solve, keys, range(len(rows)), *zip(*rows))
+        return blocks
     return score
 
 
@@ -1366,7 +1376,7 @@ def _draw_mean_instance(rng, dim, iv, n):
 def _build_mean_instances(draws) -> list:
     """(Z, As, Bs, w) of each ``_draw_mean_instance`` draw, with As and Bs
     stacks (n, d, d).  With n = 1, Bs is the As object itself (which lets
-    ``_mean_margin_mats`` take Q = P); otherwise B is a doubly stochastic mix
+    ``_mean_forms`` take Q = P); otherwise B is a doubly stochastic mix
     of the A_i under uniform weights."""
     G, w, S = zip(*draws)
     H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
@@ -1396,13 +1406,10 @@ def _draw_mean(i, rng, params, ctx):
 
 def _mean_score(forms):
     """Score the named ``forms`` of each built (Z, As, Bs, w, r, iv, context)
-    instance (forms that do not apply at an instance's r are skipped)."""
-    include_limits = any(name in forms for name in MEAN_FORMS_LIMIT)
-
-    def score(instances, params):
-        mats = _mean_margin_mats([inst[:-1] for inst in instances], include_limits)
-        return _form_blocks(mats, forms, params["tol"])
-    return score
+    instance, in ``_mean_blocks`` (forms that do not apply at an instance's r
+    are skipped)."""
+    return lambda instances, params: _mean_blocks([inst[:-1] for inst in instances], forms,
+                                                  params["tol"])
 
 
 def _draw_hermitian(i, rng, params, ctx):
@@ -1554,8 +1561,8 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     trials, trial i from the stream of ``SeedSequence(seed,
     spawn_key=(i,))``, all the trials seeded in one pass; build their
     instances, the blocks of one shape in one stack per step; and score
-    them in one batch.  Returns a TrialReport; with ``keep_verdicts`` the
-    report carries the full verdict list as ``report.verdicts``."""
+    them in one batch.  Returns a TrialReport that keeps the scored columns;
+    with ``keep_verdicts`` it carries the verdict list as ``report.verdicts``."""
     suite = _SUITES.get(suite_id) or _EXTRA_SUITES.get(suite_id)
     if suite is None:
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
@@ -1572,7 +1579,7 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     elapsed = int((time.perf_counter() - t0) * 1000)
     contexts = [draw[-1] for draw in draws]
     report = TrialReport(suite_id, trials, int(np.count_nonzero(~(margins >= -tols))), None, {},
-                         elapsed)
+                         elapsed, (table, contexts))
     if margins.size:  # the worst row: the first least margin in trial order
         worst = int(np.argmin(margins))
         report.min_margin = float(margins[worst])

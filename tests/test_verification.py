@@ -1105,7 +1105,6 @@ class TestSuites:
         # put both tuple lengths into every dimension; the default dims never
         # mix them
         iv = Interval(1.7, 5.1)
-        include_limits = any(name in vf.MEAN_FORMS_LIMIT for name in forms)
         for dims, trials, seed in (((2, 3, 4, 6), 28, 2024), ((2, 3, 5), 30, 0),
                                    ((2, 3, 5), 30, 2024)):
             rep = vf.run_suite(suite, trials, seed, {"dims": dims}, keep_verdicts=True)
@@ -1113,10 +1112,9 @@ class TestSuites:
             for i in range(trials):
                 Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), dims[i % len(dims)],
                                                      iv, 1 if i % 2 == 0 else 2)
-                mats = vf._mean_margin_mats([(Z, As, Bs, w, rs[i % len(rs)], iv)],
-                                            include_limits)[0]
-                names = [name for name in forms if name in mats]
-                alone += zip(names, vf._lambda_min([mats[name] for name in names]).tolist())
+                blocks = vf._mean_blocks([(Z, As, Bs, w, rs[i % len(rs)], iv)], forms, 0.0)
+                alone += [(name, margin) for _, name, margins, _ in blocks
+                          for margin in margins.tolist()]
             assert [(v.inequality_id, v.margin) for v in rep.verdicts] == alone, (dims, seed)
 
     @pytest.mark.parametrize("suite", ["operator_means", "mean_limits"])
@@ -1329,10 +1327,25 @@ class TestSuites:
 
     def test_csv_rows_shape(self):
         rep = vf.run_suite("entropy_vn", 5, 0, keep_verdicts=True)
-        rows = list(vf.verdict_csv_rows("entropy_vn", rep.verdicts))
+        rows = list(vf.verdict_csv_rows([rep]))
         assert rows[0] == ("suite_id", "trial", "margin", "pass", "dim", "r",
                            "alpha", "eps", "seed", "inequality_id")
         assert len(rows) == 1 + len(rep.verdicts)
+
+    def test_csv_rows_match_the_verdicts(self):
+        # the rows come from each report's scored columns; they equal the
+        # rows written from its verdict list, one verdict at a time
+        suites = vf.suite_ids(include_extra=True)
+        for seed in (0, 7):
+            reports = [vf.run_suite(suite, 14, seed, keep_verdicts=True) for suite in suites]
+            want = [("suite_id", "trial", "margin", "pass", "dim", "r",
+                     "alpha", "eps", "seed", "inequality_id")]
+            for rep in reports:
+                want += [(rep.suite_id, v.context.get("trial", ""), repr(v.margin), int(v.passed),
+                          *(v.context.get(key, "") for key in ("dim", "r", "alpha", "eps", "seed")),
+                          v.inequality_id) for v in rep.verdicts]
+            assert list(vf.verdict_csv_rows(reports)) == want
+            assert {row[0] for row in want[1:]} == set(suites)
 
     def test_report_json_excludes_timing_by_default(self):
         rep = vf.run_suite("fuchs", 5, 0)
@@ -1366,7 +1379,8 @@ class TestUnitaryInvariance:
         # then moves to V P V*, and so does every margin matrix
         params = vf._SUITES[suite].defaults
         iv = Interval(*params["interval"])
-        include_limits = suite == "mean_limits"
+        forms = vf.MEAN_FORMS_SOUND + (vf.MEAN_FORM_C_LHS,) \
+            + (vf.MEAN_FORMS_LIMIT if suite == "mean_limits" else ())
         for i in range(56):
             dim, r = params["dims"][i % len(params["dims"])], params["rs"][i % len(params["rs"])]
             n = 1 if i % 2 == 0 else 2
@@ -1374,12 +1388,14 @@ class TestUnitaryInvariance:
             V = oc.rand_unitary(dim, vf.trial_rng(seed + 1, i))
             moved_as = [_rotated(V, A) for A in As]
             moved_bs = moved_as if n == 1 else [_rotated(V, B) for B in Bs]
-            mats, moved = (vf._mean_margin_mats([inst], include_limits)[0] for inst in (
-                (Z, As, Bs, w, r, iv), (_rotated(V, Z), moved_as, moved_bs, w, r, iv)))
-            assert list(mats) == list(moved)
-            for name, M in mats.items():
-                a, b = vf._lambda_min([mats[name], moved[name]])
-                assert abs(a - b) <= _rotation_bound(dim, M), (suite, i, name, a - b)
+            mats, moved = (vf._mean_forms([inst], np.array([inst[1]]), None, forms)
+                           for inst in ((Z, As, Bs, w, r, iv),
+                                        (_rotated(V, Z), moved_as, moved_bs, w, r, iv)))
+            assert [(name, len(M)) for name, _, M in mats] == \
+                [(name, len(M)) for name, _, M in moved]
+            for (name, _, Ms), (_, _, Ns) in zip(mats, moved):
+                for M, a, b in zip(Ms, oc._eigvalsh(Ms)[:, 0], oc._eigvalsh(Ns)[:, 0]):
+                    assert abs(a - b) <= _rotation_bound(dim, M), (suite, i, name, a - b)
 
     @pytest.mark.parametrize("seed", [7, 1000])
     def test_theorem_beta_margins_survive_a_change_of_basis(self, seed):
@@ -1525,9 +1541,8 @@ def _map_sum_of(*maps):
     return oc.apply_map_family(oc.MapFamily(maps, 2), [_EYE2] * len(maps))
 
 
-def _mean_bounds_at(r):
-    return vf.check_operator_mean_bounds(_EYE2, [2.0 * _EYE2], [2.0 * _EYE2], [1.0],
-                                         Interval(1.7, 5.1), r)
+def _mean_bounds_at(r, X=2.0 * _EYE2, Y=2.0 * _EYE2):
+    return vf.check_operator_mean_bounds(_EYE2, [X], [Y], [1.0], Interval(1.7, 5.1), r)
 
 
 # every built-in FunctionSpec kind with a domain check, by name
@@ -1592,6 +1607,12 @@ _SPEC_PARAMETERS = {
     (lambda: _mean_bounds_at(_NAN), DomainError),
     (lambda: _mean_bounds_at(_INF), DomainError),
     (lambda: _mean_bounds_at(-_INF), DomainError),
+    (lambda: _mean_bounds_at(0.5, X=np.diag([2.0, _NAN])), DomainError),
+    (lambda: _mean_bounds_at(0.5, Y=np.full((2, 2), _NAN)), DomainError),
+    (lambda: _mean_bounds_at(0.5, X=2.0 * np.eye(3), Y=2.0 * np.eye(3)), ShapeError),
+    (lambda: _mean_bounds_at(0.5, Y=2.0 * np.eye(3)), ShapeError),
+    (lambda: _mean_bounds_at(0.5, X=np.array([2.0, 2.0])), ShapeError),
+    (lambda: _mean_bounds_at(0.5, Y=np.array([2.0, 2.0])), ShapeError),
     (lambda: oc.von_neumann_entropy_from_evals([-0.5, 1.5]), DomainError),
     (lambda: oc.von_neumann_entropy_from_evals([_NAN, 1.0]), DomainError),
     (lambda: oc.tsallis_entropy_from_evals([-0.5, 1.5], 0.5), DomainError),
