@@ -55,7 +55,13 @@ mean suites' generator drawn from ``trial_rng(7, i)`` with interval
 (1.7, 5.1), one per dimension 2, 3 and 5, tuple length n = 1 and 2 and r of
 ``MEAN_CHECK_RS``, given as X_i = Z^(1/2) A_i Z^(1/2) and Y_i likewise, in a
 line ``<sha256>  check_operator_mean_bounds  limits=<bool> trials=24
-seed=7`` without and with the r -> 0 limit claims.
+seed=7`` without and with the r -> 0 limit claims.  Then the same digest of
+each other checker of ``CHECKERS``, each a batch of one of its suite's
+kernel, on 24 instances drawn from ``trial_rng(7, i)`` as its suite draws
+trial i (the generators' instance sizes, the suite's default dims, f, alpha
+and r cycles), in a line ``<sha256>  <checker>  trials=24 seed=7``.  Their
+arguments are passed by position, and ``mode`` by name, which every version
+of the checkers takes.
 """
 
 import contextlib
@@ -66,6 +72,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
@@ -202,6 +210,73 @@ def mean_check_digest(include_limits, seed):
     return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
+FS, ALPHAS = ("t_log_t", "neg_log", "power2", "tsallis_05"), (0.0, 0.5, 1.0, 2.0)
+
+
+def _f_alpha(i):
+    return verification.function_catalog(FS[i % 4]), ALPHAS[i % 4]
+
+
+def _theorem_beta(i, rng):
+    (f, alpha), kind = _f_alpha(i), ("uniform_permutation", "doubly_stochastic_mix")[i % 2]
+    As, Bs, family = verification.gen_equal_map_sum_operators(3, (2, 4, 8)[i % 3], f.domain,
+                                                              kind, rng)
+    return [verification.check_theorem_beta(family, As, Bs, f, alpha)]
+
+
+def _corollary_weighted(i, rng):
+    f, alpha = _f_alpha(i)
+    As, Bs, family = verification._gen_weighted_instance(3, (2, 4, 8)[i % 3], f.domain,
+                                                         f"weights_v{i % 3}", rng)
+    ps = [phi.weight for phi in family.maps]
+    return [verification.check_corollary_weighted(ps, As, Bs, f, alpha)]
+
+
+def _lemma_jensen(i, rng):
+    f, _ = _f_alpha(i)
+    family, mats, vecs = verification._gen_jensen_instance(3, (2, 3, 4, 6, 8)[i % 5],
+                                                           f.domain, rng)
+    return verification.check_lemma_jensen(family, mats, f, vecs)
+
+
+def _scalar_corollary(i, rng):
+    # odd trials with a decreasing f take the relaxed mode, as the suite does
+    f, alpha = _f_alpha(i)
+    iv = f.domain
+    if i % 2 == 1 and verification._is_decreasing(f, iv):
+        x, y = rng.uniform(iv.m, iv.M, size=4), rng.uniform(iv.m, iv.M, size=4)
+        p = rng.dirichlet(np.ones(4))
+        if float(np.dot(p, x)) > float(np.dot(p, y)):
+            x, y = y, x
+        return verification.check_scalar_corollary(p, x, y, f, alpha,
+                                                   mode=verification.MODE_RELAXED)
+    x, y, p = verification.gen_equal_weighted_mean_scalars(4, iv, rng)
+    return verification.check_scalar_corollary(p, x, y, f, alpha)
+
+
+def _density_pair(i, rng):
+    dim = (2, 3, 4, 5, 6, 7, 8)[i % 7]
+    return oc.rand_density(dim, rng), oc.rand_density(dim, rng)
+
+
+CHECKERS = {
+    "check_theorem_beta": _theorem_beta,
+    "check_corollary_weighted": _corollary_weighted,
+    "check_lemma_jensen": _lemma_jensen,
+    "check_scalar_corollary": _scalar_corollary,
+    "check_entropy_vonneumann": lambda i, rng: verification.check_entropy_vonneumann(
+        *_density_pair(i, rng), ALPHAS[i % 4]),
+    "check_entropy_tsallis": lambda i, rng: verification.check_entropy_tsallis(
+        *_density_pair(i, rng), ALPHAS[i % 4], (0.1, 0.5, 0.9)[i % 3]),
+}
+
+
+def checker_digest(checker, trials, seed):
+    rows = (f"{v.inequality_id}\t{v.margin!r}\t{v.passed}\n" for i in range(trials)
+            for v in CHECKERS[checker](i, verification.trial_rng(seed, i)))
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
@@ -227,6 +302,8 @@ def main():
     for limits in (False, True):
         print(f"{mean_check_digest(limits, 7)}  check_operator_mean_bounds  "
               f"limits={limits} trials=24 seed=7")
+    for checker in CHECKERS:
+        print(f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7")
 
 
 if __name__ == "__main__":

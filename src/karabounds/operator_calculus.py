@@ -94,9 +94,17 @@ def _frob(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
+def _check_finite(A: np.ndarray, name: str = "matrix") -> None:
+    """DomainError naming A's first non-finite entries, before arithmetic on them warns."""
+    if not np.isfinite(A).all():
+        where = [tuple(ix) for ix in np.argwhere(~np.isfinite(A))[:4].tolist()]
+        raise DomainError(f"{name} has non-finite entries at {where}")
+
+
 def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """Square, finite and ||A - A*||_F <= tol max(1, ||A||_F)."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
         return False
     return _frob(A - A.conj().T) <= tol * max(1.0, _frob(A))
 
@@ -105,20 +113,19 @@ def assert_hermitian(A, name: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {A.shape}")
+    _check_finite(A, name)
     if not is_hermitian(A):
-        raise DomainError(
-            f"{name} is not Hermitian (residual "
-            f"{_frob(A - A.conj().T):.3e})"
-        )
+        raise DomainError(f"{name} is not Hermitian (residual {_frob(A - A.conj().T):.3e})")
     return A
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
     """Symmetrize (A + A*)/2 over the last two axes, so a matrix or a stack,
-    rejecting a matrix whose drift ||A - A*||_F exceeds 1e-8 max(1, ||A||_F);
-    the error names the largest drift among the matrices rejected.  The sum
-    is elementwise, so a matrix gets the same bits in any stack."""
+    after a DomainError naming any non-finite entries, or the largest drift
+    ||A - A*||_F above 1e-8 max(1, ||A||_F) among the matrices.  The sum is
+    elementwise, so a matrix gets the same bits in any stack."""
     A = np.asarray(A, dtype=complex)
+    _check_finite(A)
     AH = np.swapaxes(A, -1, -2).conj()
     drift = _frob_rows(A - AH)
     bad = drift > 1e-8 * np.maximum(1.0, _frob_rows(A))
@@ -593,14 +600,12 @@ def _map_family_sums(families, mats) -> np.ndarray:
     its k maps on the stack of the k A_i's, the terms are added in map
     order, and the sum is hermitized in one stack (with a drift threshold
     per matrix), so a family's sum does not depend on the rest of the stack.
-    A non-finite sum raises DomainError, in place of numpy's warnings."""
+    A non-finite sum raises ``hermitize``'s DomainError, not numpy's warnings."""
     out = None
     with np.errstate(invalid="ignore", over="ignore"):
         for i, maps in enumerate(zip(*(family.maps for family in families))):
             term = type(maps[0])._apply_stack(maps, mats[:, i])
             out = term if out is None else out + term
-    if not np.isfinite(out).all():
-        raise DomainError("map family sum has non-finite entries")
     return hermitize(out)
 
 
@@ -819,9 +824,11 @@ def trace_distance_l1(A, B) -> float:
 # (tests/test_operator_calculus.py::TestEnsembleBuild).
 
 
-def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The draw of every ensemble: a complex Gaussian (dim, dim) matrix."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _gaussian(dim: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """The draw of every ensemble: a complex Gaussian (dim, dim) matrix, or
+    k of them as a (k, dim, dim) stack from one rng call, the numbers of k draws."""
+    X = rng.standard_normal((2, dim, dim) if k is None else (k, 2, dim, dim))
+    return X[0] + 1j * X[1] if k is None else X[:, 0] + 1j * X[:, 1]
 
 
 def _draw_spectrum(dim: int, iv: Interval, rng: np.random.Generator):

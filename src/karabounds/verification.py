@@ -2,10 +2,12 @@
 checkers for every inequality, and deterministic report aggregation.
 
 A verdict is its margin: R - L for a scalar inequality L <= R, and the
-smallest eigenvalue of R - L (the tightest scalar witness) for an operator
-one; it passes when the margin is at least -tol.  A check never "fixes up"
-its inputs: hypothesis violations raise, and so do parameters outside an
-inequality's domain, in the kernel that a suite and its checker share.
+smallest eigenvalue of R - L for an operator one.  It passes when the margin
+is at least -tol, a constant of its kernel: OPERATOR_TOL for the map-sum and
+mean forms, 0 for a margin that subtracts its own bound, SCALAR_TOL for the
+rest.  A check never "fixes up" its inputs: hypothesis violations raise, and
+so do parameters outside an inequality's domain, in the kernel that a suite
+and its checker share.
 
 ``run_suite`` is the one trial loop.  A suite is a draw, a build and a
 score function and its default params, run in three phases.  The draw
@@ -109,13 +111,14 @@ __all__ = [
 
 OPERATOR_TOL = 1e-8   # eigensolver residual dominates operator margins
 SCALAR_TOL = 1e-9
+_EIG_RESIDUAL_TOL = 1e-10  # the largest Jacobi residual the eigensolver suite passes
 
 
 @dataclass(frozen=True)
 class InequalityVerdict:
     """One inequality check L <= R, scored by its margin: R - L for
-    scalars, lambda_min(R - L) for operators.  ``passed`` is margin >= -tol.
-    Built only by ``_view``, from the columns of a scored batch."""
+    scalars, lambda_min(R - L) for operators.  ``passed`` is margin >= -tol,
+    tol its kernel's constant; built only by ``_view``, from scored columns."""
 
     inequality_id: str
     margin: float
@@ -165,9 +168,12 @@ _CSV_FIELDS = ("suite_id", "trial", "margin", "pass",
 def verdict_csv_rows(reports: Sequence[TrialReport]):
     """Streaming-friendly CSV rows of ``run_suite`` reports, the header once,
     then each report's rows from its scored columns and each trial's context
-    cells; the inequality id comes last, after the documented columns."""
+    cells; the inequality id comes last, after the documented columns.  A
+    report that ``run_suite`` did not make has no columns: DomainError."""
     yield _CSV_FIELDS
     for rep in reports:
+        if rep._scored is None:
+            raise DomainError(f"suite {rep.suite_id!r}: only run_suite's reports have CSV rows")
         (trial, ids, margins, tols, _), contexts = rep._scored
         head = [(rep.suite_id, ctx.get("trial", "")) for ctx in contexts]
         tail = [tuple(ctx.get(key, "") for key in _CSV_FIELDS[4:9]) for ctx in contexts]
@@ -445,7 +451,7 @@ def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
     normalized_trace, the 2n Gaussians G of the densities and the family
     weights w."""
     if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
-        G = oc._gaussian(dim, rng)[None]
+        G = oc._gaussian(dim, rng, 1)
         Gs, w = _draw_spectra(dim, (iv,) * n, rng)
         extra = (rng.permutation(n) if family_kind == "uniform_permutation"
                  else _sinkhorn_start(n, rng))
@@ -455,7 +461,7 @@ def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
             raise DomainError("normalized_trace inputs are density matrices; "
                               "the interval must cover [0, 1]")
         w = rng.dirichlet(np.ones(n))
-        return family_kind, np.stack([oc._gaussian(dim, rng) for _ in range(2 * n)]), w, None
+        return family_kind, oc._gaussian(dim, rng, 2 * n), w, None
     raise DomainError(f"unknown family kind {family_kind!r}")
 
 
@@ -549,8 +555,8 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
 
 
 def _table(blocks):
-    """Score blocks (trials, inequality id, margins, tol[, vectors]) as columns (trial, id,
-    margin, tol, vector), sorted stably by trial; vector is None unless blocks carry it."""
+    """Score blocks (trials, inequality id, margins, its kernel's tol[, vectors]) as columns
+    (trial, id, margin, tol, vector) sorted stably by trial; vector None unless blocks have it."""
     trials, ids, margins, tols, *vectors = zip(*blocks)
     sizes = [len(m) for m in margins]
     order = np.argsort(np.concatenate(trials), kind="stable")
@@ -642,7 +648,7 @@ def _check_unital(families):
         raise DomainError(f"map family is not unital-sum: residual {res.max():.3e}")
 
 
-def _jensen_blocks(instances, tol) -> list:
+def _jensen_blocks(instances) -> list:
     """A block of Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
     and vector indices per (family, mats, vectors, f, ...) instance.  The
     instances of one family key and vector count are scored in one stack,
@@ -672,7 +678,7 @@ def _jensen_blocks(instances, tol) -> list:
         return lifted
 
     keys = [(oc._family_key(family), len(vecs)) for family, _, vecs, *_ in instances]
-    return [(np.full(len(m), j), "lemma_jensen", m, tol, range(len(m)))
+    return [(np.full(len(m), j), "lemma_jensen", m, SCALAR_TOL, range(len(m)))
             for j, m in enumerate(_per_group(margins, keys, range(len(instances))))]
 
 
@@ -681,7 +687,7 @@ def _quadratic_forms(M, X) -> np.ndarray:
     return np.real(np.sum(X.conj() * (X @ np.swapaxes(M, -1, -2)), axis=-1))
 
 
-def _map_sum_blocks(instances, inequality_id, tol) -> list:
+def _map_sum_blocks(instances, inequality_id) -> list:
     """The block of map-sum margins lambda_min(beta*I + alpha * Phi-sum of
     f(B) - Phi-sum of f(A)) of (As, Bs, family, f, alpha, ...) instances.
     The instances of one family key (dimension and map kinds) are scored in
@@ -714,8 +720,8 @@ def _map_sum_blocks(instances, inequality_id, tol) -> list:
         return oc._eigvalsh(rhs - lhs)[:, 0]
 
     keys = [oc._family_key(family) for _, _, family, *_ in instances]
-    return [(np.arange(len(instances)), inequality_id,
-             np.array(_per_group(margins, keys, range(len(instances))), dtype=float), tol)]
+    lam_min = np.array(_per_group(margins, keys, range(len(instances))), dtype=float)
+    return [(np.arange(len(instances)), inequality_id, lam_min, OPERATOR_TOL)]
 
 
 MEAN_FORMS_SOUND = ("mean_ratio", "mean_diff", "sr_k_form", "sr_k_form_x_both", "sr_c_form")
@@ -723,7 +729,7 @@ MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _mean_blocks(instances, forms, tol, z_eigs=None) -> list:
+def _mean_blocks(instances, forms, z_eigs=None) -> list:
     """A block of margins lambda_min(rhs - lhs) per named form of the
     operator-mean and relative-entropy bounds on (Z, As, Bs, w, r, iv)
     instances: Z-relative tuples As, Bs with weights w, equal weighted sums
@@ -749,7 +755,7 @@ def _mean_blocks(instances, forms, tol, z_eigs=None) -> list:
                              forms)
         margins = oc._eigvalsh(np.concatenate([M for *_, M in stacks]))[:, 0]
         cuts = np.cumsum([len(M) for *_, M in stacks])[:-1]
-        blocks.extend((idx[rows], name, m, tol)
+        blocks.extend((idx[rows], name, m, OPERATOR_TOL)
                       for (name, rows, _), m in zip(stacks, np.split(margins, cuts)))
         return idx
 
@@ -842,7 +848,7 @@ def _mean_forms(group, As, z_eigs, forms) -> list:
             else (name, slice(None), mats[name]) for name in forms]
 
 
-def _entropy_kernel(r, tol, WA, WB, alpha):
+def _entropy_kernel(r, WA, WB, alpha):
     """alpha H(B) <= H(A) + alpha c dim and |H(A) - H(B)| <= c dim for the
     stacks WA, WB (k, dim) of the spectra of density pairs (A, B), with one
     alpha per row: von Neumann's H with c = 1/e (r = None), or the Tsallis
@@ -855,25 +861,25 @@ def _entropy_kernel(r, tol, WA, WB, alpha):
         if bad.any():
             raise DomainError("alpha must be finite and >= 0")
         ha, hb = ce._cross_rows(W, W).reshape(2, -1)
-        return [("entropy_vn_alpha", ha + alpha / math.e * dim - alpha * hb, tol),
-                ("entropy_vn_symmetric", dim / math.e - np.abs(ha - hb), tol)]
+        return [("entropy_vn_alpha", ha + alpha / math.e * dim - alpha * hb, SCALAR_TOL),
+                ("entropy_vn_symmetric", dim / math.e - np.abs(ha - hb), SCALAR_TOL)]
     if bad.any():
         raise DomainError(f"needs a finite alpha >= 0 and r in (0, 1], "
                           f"got {alpha[np.argmax(bad)]} and {r}")
     ha, hb = oc._tsallis_spectra_rows(W, r).reshape(2, -1)
     fac = 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
-    return [("entropy_tsallis_alpha", ha + alpha * fac * dim - alpha * hb, tol),
-            ("entropy_tsallis_symmetric", fac * dim - np.abs(ha - hb), tol)]
+    return [("entropy_tsallis_alpha", ha + alpha * fac * dim - alpha * hb, SCALAR_TOL),
+            ("entropy_tsallis_symmetric", fac * dim - np.abs(ha - hb), SCALAR_TOL)]
 
 
 # ---------------------------------------------------------------------------
 # checkers (single instance: validate what the kernel does not check, then
-# run it on a batch of one; kernels check spectra, map kernels hypotheses)
+# run it on a batch of one, which sets the tolerance; kernels check spectra,
+# map kernels hypotheses; a verdict's context is its checker's own keys)
 # ---------------------------------------------------------------------------
 
 
-def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
-                       tol: float = SCALAR_TOL, context: Optional[dict] = None):
+def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors):
     """Vector-state Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
     for each unit vector x; nonnegative for convex f and a unital family."""
     mats = oc._family_operands(family, [oc.assert_hermitian(M) for M in mats])
@@ -886,27 +892,25 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors,
             raise ShapeError(f"vector {j} has shape {x.shape}, expected ({dim},)")
         if not np.isfinite(x).all():
             raise DomainError(f"vector {j} has non-finite entries")
-    return _view(_table(_jensen_blocks([(family, mats, vecs, f)], tol)), [dict(context or {})])
+    return _view(_table(_jensen_blocks([(family, mats, vecs, f)])), [{}])
 
 
-def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec, alpha: float,
-                       tol: float = OPERATOR_TOL, context: Optional[dict] = None) -> InequalityVerdict:
+def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec,
+                       alpha: float) -> InequalityVerdict:
     """Map-sum reverse bound: Phi-sum of f(A) <= beta*I + alpha * Phi-sum of f(B),
     given a unital family, equal map-sums, spectra in f's interval, convex f."""
-    return _check_map_sum("theorem_beta", family, As, Bs, f, alpha, tol, context)
+    return _check_map_sum("theorem_beta", family, As, Bs, f, alpha)
 
 
-def _check_map_sum(inequality_id, family, As, Bs, f, alpha, tol, context) -> InequalityVerdict:
+def _check_map_sum(inequality_id, family, As, Bs, f, alpha) -> InequalityVerdict:
     """``check_theorem_beta``, scored under ``inequality_id``."""
     As = oc._family_operands(family, [oc.assert_hermitian(A) for A in As])
     Bs = oc._family_operands(family, [oc.assert_hermitian(B) for B in Bs])
-    ctx = {**(context or {}), "alpha": alpha, "f": f.name}
-    return _view(_table(_map_sum_blocks([(As, Bs, family, f, alpha)], inequality_id, tol)),
-                 [ctx])[0]
+    return _view(_table(_map_sum_blocks([(As, Bs, family, f, alpha)], inequality_id)),
+                 [{"alpha": alpha, "f": f.name}])[0]
 
 
-def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
-                             tol: float = OPERATOR_TOL, context: Optional[dict] = None) -> InequalityVerdict:
+def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float) -> InequalityVerdict:
     """Scalar-weight specialization Phi_i(X) = p_i X of the map-sum bound."""
     ps = np.asarray(ps, dtype=float)
     if not np.all(ps > 0.0):  # their sum is the family's unitality, a kernel check
@@ -914,7 +918,7 @@ def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float,
     As = [oc.assert_hermitian(A) for A in As]
     # with no matrices, a family of dimension 0 fails the count check
     family = _scalar_weight_family(ps, As[0].shape[0] if As else 0)
-    return _check_map_sum("corollary_weighted", family, As, Bs, f, alpha, tol, context)
+    return _check_map_sum("corollary_weighted", family, As, Bs, f, alpha)
 
 
 def _scalar_weight_family(weights, dim: int) -> oc.MapFamily:
@@ -959,8 +963,8 @@ def _check_scalar_corollary_rows(P, X, Y, f: FunctionSpec, mode: str):
         raise PreconditionError("check_scalar_corollary needs convex f")
 
 
-def _scalar_corollary_kernel(key, tol, P, X, Y):
-    """[(form id, margins, tol)] of the beta, ratio and diff forms for the
+def _scalar_corollary_kernel(key, P, X, Y):
+    """[(form id, margins, SCALAR_TOL)] of the beta, ratio and diff forms for the
     key (f, alpha, mode), one margin per row of (k, n) stacks of p, x and y,
     after ``_check_scalar_corollary_rows``; each constant is computed once.
     The ratio form is left out when f is not strictly positive."""
@@ -975,12 +979,10 @@ def _scalar_corollary_kernel(key, tol, P, X, Y):
     except PreconditionError:
         pass
     forms.append(("scalar_diff_form", sb.diff_constant(f, iv) + sum_fx))
-    return [(name, rhs - sum_fy, tol) for name, rhs in forms]
+    return [(name, rhs - sum_fy, SCALAR_TOL) for name, rhs in forms]
 
 
-def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
-                           tol: float = SCALAR_TOL, mode: str = MODE_EQUAL,
-                           context: Optional[dict] = None):
+def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float, mode: str = MODE_EQUAL):
     """Scalar reverse bounds sum p f(y) <= {beta + alpha sum p f(x),
     K * sum p f(x), C + sum p f(x)} under equal weighted means (or
     sum p x <= sum p y with monotone decreasing f in relaxed mode).
@@ -991,19 +993,16 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float,
     row = tuple(np.asarray(a, dtype=float) for a in (p, x, y))
     if not (row[0].shape == row[1].shape == row[2].shape):
         raise ShapeError("p, x, y must share a length")
-    ctx = {**(context or {}), "alpha": alpha, "f": f.name, "mode": mode}
-    blocks = _scalar_score(_scalar_corollary_kernel)([(row, (f, alpha, mode))], {"tol": tol})
-    return _view(_table(blocks), [ctx])
+    blocks = _scalar_score(_scalar_corollary_kernel)([(row, (f, alpha, mode))])
+    return _view(_table(blocks), [{"alpha": alpha, "f": f.name, "mode": mode}])
 
 
-def check_entropy_vonneumann(A, B, alpha: float, tol: float = SCALAR_TOL,
-                             context: Optional[dict] = None):
+def check_entropy_vonneumann(A, B, alpha: float):
     """alpha H(B) <= H(A) + (alpha/e) dim, plus |H(A) - H(B)| <= dim/e."""
-    return check_entropy_tsallis(A, B, alpha, None, tol, context)
+    return check_entropy_tsallis(A, B, alpha, None)
 
 
-def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
-                          context: Optional[dict] = None):
+def check_entropy_tsallis(A, B, alpha: float, r: float):
     """Deformed analog: alpha H_r(B) <= H_r(A) + alpha (1-r)^((1-r)/r) dim,
     plus the symmetric difference bound; r = None gives von Neumann's.  The
     kernel runs on the spectra that the density checks of A and B compute."""
@@ -1011,9 +1010,8 @@ def check_entropy_tsallis(A, B, alpha: float, r: float, tol: float = SCALAR_TOL,
     B, wb = oc._density_evals(B, "B")
     if A.shape != B.shape:
         raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
-    ctx = {**(context or {}), "dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
-    blocks = _scalar_score(_entropy_kernel)([((wa, wb, alpha), r)], {"tol": tol})
-    return _view(_table(blocks), [ctx])
+    ctx = {"dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
+    return _view(_table(_scalar_score(_entropy_kernel)([((wa, wb, alpha), r)])), [ctx])
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -1032,7 +1030,6 @@ def check_fannes_comparison(dims: Sequence[int]):
 
 
 def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
-                               tol: float = OPERATOR_TOL, context: Optional[dict] = None,
                                include_limits: bool = False):
     """Margins of the conjugation-mean bounds for weighted tuples with
     m Z <= X_i, Y_i <= M Z and equal weighted A/B sums in Z-relative terms.
@@ -1064,9 +1061,8 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
         raise ShapeError(f"every X_i and Y_i must have Z's shape {Z.shape}")
     z_eig, rel = oc._z_relative(Z, mats)
     forms = MEAN_FORMS_SOUND + (MEAN_FORM_C_LHS,) + (MEAN_FORMS_LIMIT if include_limits else ())
-    blocks = _mean_blocks([(Z, rel[:w.size], rel[w.size:], w, r, iv)], forms, tol, [z_eig])
-    ctx = {**(context or {}), "r": r, "m": iv.m, "M": iv.M}
-    return _view(_table(blocks), [ctx])
+    blocks = _mean_blocks([(Z, rel[:w.size], rel[w.size:], w, r, iv)], forms, [z_eig])
+    return _view(_table(blocks), [{"r": r, "m": iv.m, "M": iv.M}])
 
 
 # ---------------------------------------------------------------------------
@@ -1097,10 +1093,6 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 # ---------------------------------------------------------------------------
 
 
-def _as_drawn(draws):
-    return draws
-
-
 @dataclass(frozen=True)
 class _Suite:
     """``draw(i, rng, params, ctx)`` makes trial i's rng calls on its own rng,
@@ -1112,8 +1104,8 @@ class _Suite:
 
     draw: Callable
     score: Callable
-    defaults: dict
-    build: Callable = _as_drawn
+    defaults: dict = field(default_factory=dict)
+    build: Callable = lambda draws: draws
 
 
 def _built(build):
@@ -1145,16 +1137,16 @@ _MOMENT_ORDERS = (1, 2, 4)
 def _scalar_score(kernel):
     """The score of a suite whose instances are (rows, key, ...): trials
     are grouped by key and row shape and stacked into (k, n) arrays, and
-    ``kernel(key, tol, *stacks)`` returns [(inequality id, margins, tol)],
-    one margin per stacked row, which become the group's blocks with its
-    trials, stacked as one more column.  A kernel gives a row the bits of a
-    batch of one, so the grouping does not show."""
-    def score(instances, params):
+    ``kernel(key, *stacks)`` returns [(inequality id, margins, tol)], one
+    margin per stacked row and the kernel's own tol, which become the
+    group's blocks with its trials, stacked as one more column.  A kernel
+    gives a row the bits of a batch of one, so the grouping does not show."""
+    def score(instances, params=None):
         rows, keys, *_ = zip(*instances)
         blocks = []
 
         def solve(key, trials, *stacks):
-            blocks.extend((trials, *form) for form in kernel(key, params["tol"], *stacks))
+            blocks.extend((trials, *form) for form in kernel(key, *stacks))
             return trials
 
         _per_group(solve, keys, range(len(rows)), *zip(*rows))
@@ -1166,7 +1158,7 @@ def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     """The draws of ``_gen_jensen_instance``: (weights, Gaussians of the n
     unitaries, Gaussians and spectra of the n matrices, vectors)."""
     weights = rng.dirichlet(np.ones(n))
-    Gu = np.stack([oc._gaussian(dim, rng) for _ in range(n)])
+    Gu = oc._gaussian(dim, rng, n)
     Gs, w = _draw_spectra(dim, (iv,) * n, rng)
     raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
     vecs = [v for v in np.eye(dim)] + [v / np.linalg.norm(v) for v in raw]
@@ -1300,8 +1292,7 @@ def _draw_density_pair(i, rng, params, ctx):
     """(Gaussians of A and B, alpha, r = None, context): the draws of two
     random density matrices, which the suite builds into their spectra."""
     dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
-    G = np.stack([oc._gaussian(dim, rng), oc._gaussian(dim, rng)])
-    return G, alpha, None, dict(ctx, dim=dim, alpha=alpha)
+    return oc._gaussian(dim, rng, 2), alpha, None, dict(ctx, dim=dim, alpha=alpha)
 
 
 def _draw_tsallis_pair(i, rng, params, ctx):
@@ -1329,7 +1320,7 @@ def _draw_prob_pair(i, rng, params, ctx):
     return (p / p.sum(), q / q.sum()), r, dict(ctx, dim=n, r=r)
 
 
-def _info_inequality_kernel(r, tol, P, Q):
+def _info_inequality_kernel(r, P, Q):
     """The information inequality, its r-extended form (weighted cross terms
     -sum p^(1-r) ln_r q against q = p, false for r > 1) and the agreement,
     within 1e-10, of the two r-deformed forms of the self term."""
@@ -1339,8 +1330,8 @@ def _info_inequality_kernel(r, tol, P, Q):
     # ln_r rejects a zero of p, so every entry of p counts in the sums
     weighted_p, naive_p = ce._tsallis_rows(P, P, r)
     weighted_q, _ = ce._tsallis_cross_rows(P, Q, r)
-    return [("info_inequality", info, tol),
-            ("r_extended_info_inequality", weighted_q - weighted_p, tol),
+    return [("info_inequality", info, SCALAR_TOL),
+            ("r_extended_info_inequality", weighted_q - weighted_p, SCALAR_TOL),
             ("tsallis_forms_agree", 1e-10 - np.abs(weighted_p - naive_p), 0.0)]
 
 
@@ -1362,8 +1353,8 @@ def _draw_parametric_pair(i, rng, params, ctx):
 def _ratio_diff_kernel(suite_id, rows):
     """The kernel of a reverse suite: ``rows(P, Q, *key)`` gives the ratio
     and diff margins."""
-    return lambda key, tol, P, Q: [(suite_id + form, m, tol) for form, m in
-                                   zip(("_ratio", "_diff"), rows(P, Q, *key))]
+    return lambda key, P, Q: [(suite_id + form, m, SCALAR_TOL) for form, m in
+                              zip(("_ratio", "_diff"), rows(P, Q, *key))]
 
 
 def _draw_mean_instance(rng, dim, iv, n):
@@ -1408,14 +1399,13 @@ def _mean_score(forms):
     """Score the named ``forms`` of each built (Z, As, Bs, w, r, iv, context)
     instance, in ``_mean_blocks`` (forms that do not apply at an instance's r
     are skipped)."""
-    return lambda instances, params: _mean_blocks([inst[:-1] for inst in instances], forms,
-                                                  params["tol"])
+    return lambda instances, params: _mean_blocks([inst[:-1] for inst in instances], forms)
 
 
 def _draw_hermitian(i, rng, params, ctx):
     """(G + G*)/2 with G complex Gaussian, dimension cycling through dims."""
     dim = _cycle(params["dims"], i)
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = oc._gaussian(dim, rng)
     return (G + G.conj().T) / 2.0, dict(ctx, dim=dim)
 
 
@@ -1445,10 +1435,10 @@ def _jacobi_residuals(A, w, V):
 
 
 def _score_eigensolver(instances, params):
-    # a residual passes when it is at most tol: the margin is tol - residual
+    # the margin is _EIG_RESIDUAL_TOL - residual, with tol 0
     mats = [M for M, *_ in instances]
     residuals = np.array(_per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_cached(mats))))
-    return [(np.arange(len(mats)), name, params["tol"] - res, 0.0)
+    return [(np.arange(len(mats)), name, _EIG_RESIDUAL_TOL - res, 0.0)
             for name, res in zip(("eig_reconstruction", "eig_unitarity"), residuals.T)]
 
 
@@ -1475,46 +1465,43 @@ def _score_crosscheck(instances, params):
     return [(np.arange(len(mats)), "eig_crosscheck", bound - diff, 0.0)]
 
 
-_MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS,
-                     "tol": OPERATOR_TOL}
-_DENSITY_DEFAULTS = {"dims": (2, 3, 4, 5, 6, 7, 8), "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}
-_REVERSE_DEFAULTS = {"eps": 0.05, "tol": SCALAR_TOL}
-_MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1), "tol": OPERATOR_TOL}
+_MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}
+_DENSITY_DEFAULTS = {"dims": (2, 3, 4, 5, 6, 7, 8), "alphas": _DEFAULT_ALPHAS}
+_REVERSE_DEFAULTS = {"eps": 0.05}
+_MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1)}
 _EIG_DIMS = {"dims": tuple(range(2, 17))}
 
-# A suite reads only the params its draw and score name: the CLI passes one
-# params dict (dims, rs, alphas, eps, interval) to every suite, so
-# reverse_shannon keeps r unset, entropy_vn ignores rs, and fuchs and moment
-# draw from _PREFIX_INTERVAL, not the operator-mean "interval".
+# A suite's draw reads only the params it names, and no score reads any: the
+# CLI passes one params dict (dims, rs, alphas, eps, interval) to every suite,
+# so reverse_shannon keeps r unset, entropy_vn ignores rs, and fuchs and
+# moment draw from _PREFIX_INTERVAL, not the operator-mean "interval".
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
-        _draw_jensen, lambda insts, p: _jensen_blocks(insts, p["tol"]),
-        {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS, "tol": SCALAR_TOL},
+        _draw_jensen, lambda insts, p: _jensen_blocks(insts),
+        {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS},
         _built(_build_jensen_instances)),
     "theorem_beta": _Suite(
         lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_equal_map_sum,
                                              _cycle(_BETA_FAMILIES, i)),
-        lambda insts, p: _map_sum_blocks(insts, "theorem_beta", p["tol"]),
+        lambda insts, p: _map_sum_blocks(insts, "theorem_beta"),
         _MAP_SUM_DEFAULTS, _built(_build_equal_map_sums)),
     "corollary_weighted": _Suite(
         lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_weighted_instance,
                                              _cycle(_WEIGHT_VARIANTS, i)),
-        lambda insts, p: _map_sum_blocks(insts, "corollary_weighted", p["tol"]),
+        lambda insts, p: _map_sum_blocks(insts, "corollary_weighted"),
         _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
-        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS, "tol": SCALAR_TOL}),
+        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}),
     "fuchs": _Suite(
         _draw_fuchs,
-        _scalar_score(lambda f, tol, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
-                                                tol)]),
-        {"tol": SCALAR_TOL}),
+        _scalar_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
+                                           SCALAR_TOL)])),
     "moment": _Suite(
         _draw_moment,
-        _scalar_score(lambda order, tol, X, Y, P: [(
+        _scalar_score(lambda order, X, Y, P: [(
             "moment_margin",
-            mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), tol)]),
-        {"tol": SCALAR_TOL}),
+            mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)])),
     "entropy_vn": _Suite(_draw_density_pair, _scalar_score(_entropy_kernel), _DENSITY_DEFAULTS,
                          _build_entropy_instances),
     "entropy_tsallis": _Suite(_draw_tsallis_pair, _scalar_score(_entropy_kernel),
@@ -1522,7 +1509,7 @@ _SUITES: Dict[str, _Suite] = {
                               _build_entropy_instances),
     "info_inequality": _Suite(
         _draw_prob_pair, _scalar_score(_info_inequality_kernel),
-        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0), "tol": SCALAR_TOL}),
+        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)}),
     "reverse_shannon": _Suite(
         _draw_conditioned_pair,
         _scalar_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
@@ -1537,7 +1524,7 @@ _SUITES: Dict[str, _Suite] = {
     # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
     "mean_limits": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT),
                           {**_MEAN_DEFAULTS, "rs": (0.3,)}, _built(_build_mean_instances)),
-    "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, {**_EIG_DIMS, "tol": 1e-10}),
+    "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, _EIG_DIMS),
     "eigensolver_crosscheck": _Suite(_draw_hermitian, _score_crosscheck, _EIG_DIMS),
 }
 

@@ -362,6 +362,25 @@ class TestEnsembleBuild:
                 assert np.array_equal(_bits(row), _bits(public)), (dim, j)
                 assert np.array_equal(_bits(row), _bits(reference)), (dim, j)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_k_gaussians_are_k_single_draws(self, dim, k):
+        # one k-draw makes the numbers of k single draws, each a real and
+        # then an imaginary (dim, dim) call, bit for bit, and leaves the rng
+        # where they do
+        for seed in range(25):
+            rng, one, two = (np.random.default_rng([seed, k, dim]) for _ in range(3))
+            stack = oc._gaussian(dim, rng, k)
+            singles = np.stack([oc._gaussian(dim, one) for _ in range(k)])
+            calls = np.stack([two.standard_normal((dim, dim)) + 1j * two.standard_normal((dim, dim))
+                              for _ in range(k)])
+            assert stack.shape == (k, dim, dim)
+            assert np.array_equal(_bits(stack), _bits(singles))
+            assert np.array_equal(_bits(stack), _bits(calls))
+            nxt = _bits(oc._gaussian(dim, rng))
+            assert np.array_equal(nxt, _bits(oc._gaussian(dim, one)))
+            assert np.array_equal(nxt, _bits(oc._gaussian(dim, two)))
+
     def test_hermitize_checks_each_matrix_of_a_stack(self):
         stack = np.stack([oc.rand_density(3, RNG) for _ in range(5)])
         out = oc.hermitize(stack)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -668,6 +669,14 @@ class TestCheckers:
             vf.check_operator_mean_bounds(Z, X, Y, [1.0], iv, 2.0)
 
 
+# the verdict ids of the operator bounds, whose lambda_min margins pass at
+# -1e-8, and of the margins that subtract their own bound and pass at 0; the
+# rest pass at -1e-9
+_OPERATOR_IDS = {"theorem_beta", "corollary_weighted", *vf.MEAN_FORMS_SOUND,
+                 *vf.MEAN_FORMS_LIMIT, vf.MEAN_FORM_C_LHS}
+_EXACT_IDS = {"eig_reconstruction", "eig_unitarity", "eig_crosscheck", "tsallis_forms_agree"}
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
@@ -837,6 +846,11 @@ class TestSuites:
         ("reverse_shannon", {"sizes": (9,)}),
         ("moment", {"orders": (3,)}),
         ("theorem_beta", {"families": ("normalized_trace",)}),
+        # each kernel owns its tolerance, so a "tol" param moves no passed
+        # flag and no eigensolver margin
+        ("theorem_beta", {"tol": -1.0}),
+        ("entropy_vn", {"tol": -1.0}),
+        ("eigensolver", {"tol": 1e-6}),
     ])
     def test_params_a_suite_does_not_read_leave_its_verdicts_unchanged(self, suite, unread):
         # the CLI passes one params dict (dims, rs, alphas, eps, interval) to
@@ -1057,7 +1071,7 @@ class TestSuites:
                         want.append([ha + a / math.e * d - a * hb, d / math.e - abs(ha - hb)])
                     else:
                         want.append([ha + a * fac * d - a * hb, fac * d - abs(ha - hb)])
-                kernel = vf._entropy_kernel(r, 0.0, WA, WB, alpha)
+                kernel = vf._entropy_kernel(r, WA, WB, alpha)
                 assert [name for name, *_ in kernel] == list(names)
                 assert [list(row) for row in zip(*(m.tolist() for _, m, _ in kernel))] == want
                 for wa, wb, a, margins in zip(WA, WB, alpha.tolist(), want):
@@ -1112,7 +1126,7 @@ class TestSuites:
             for i in range(trials):
                 Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), dims[i % len(dims)],
                                                      iv, 1 if i % 2 == 0 else 2)
-                blocks = vf._mean_blocks([(Z, As, Bs, w, rs[i % len(rs)], iv)], forms, 0.0)
+                blocks = vf._mean_blocks([(Z, As, Bs, w, rs[i % len(rs)], iv)], forms)
                 alone += [(name, margin) for _, name, margins, _ in blocks
                           for margin in margins.tolist()]
             assert [(v.inequality_id, v.margin) for v in rep.verdicts] == alone, (dims, seed)
@@ -1347,6 +1361,27 @@ class TestSuites:
             assert list(vf.verdict_csv_rows(reports)) == want
             assert {row[0] for row in want[1:]} == set(suites)
 
+    def test_csv_rows_of_a_report_without_columns_raise_a_typed_error(self):
+        # only run_suite keeps a report's scored columns
+        with pytest.raises(DomainError, match="'fuchs'"):
+            list(vf.verdict_csv_rows([vf.TrialReport("fuchs", 0, 0, None, {}, 0)]))
+
+    @pytest.mark.parametrize("suite", vf.suite_ids(include_extra=True))
+    def test_each_verdict_passes_by_its_inequalitys_fixed_tolerance(self, suite):
+        # the pass rule margin >= -tol has one tol per inequality id, fixed
+        # in its kernel
+        def tol(inequality_id):
+            return (1e-8 if inequality_id in _OPERATOR_IDS
+                    else 0.0 if inequality_id in _EXACT_IDS else 1e-9)
+
+        for seed in (0, 7):
+            rep = vf.run_suite(suite, 24, seed, keep_verdicts=True)
+            assert rep.verdicts
+            assert [v.passed for v in rep.verdicts] == \
+                [v.margin >= -tol(v.inequality_id) for v in rep.verdicts]
+            (_, ids, _, tols, _), _ = rep._scored
+            assert tols.tolist() == [tol(name) for name in ids]
+
     def test_report_json_excludes_timing_by_default(self):
         rep = vf.run_suite("fuchs", 5, 0)
         assert "elapsed_ms" not in vf.report_to_json(rep)
@@ -1530,10 +1565,10 @@ _EYE2 = np.eye(2, dtype=complex)
 _DIAG23, _DIAG41 = np.diag([2.0, 3.0]).astype(complex), np.diag([4.0, 1.0]).astype(complex)
 
 
-def _jensen_on(x):
-    """check_lemma_jensen of one vector x under the identity map on I_2."""
+def _jensen_on(x, A=_EYE2):
+    """check_lemma_jensen of one vector x under the identity map on A."""
     fam = oc.MapFamily((oc.WeightedConjugation(1.0, _EYE2),), 2)
-    return vf.check_lemma_jensen(fam, [_EYE2], vf.function_catalog("power2"), [x])
+    return vf.check_lemma_jensen(fam, [A], vf.function_catalog("power2"), [x])
 
 
 def _map_sum_of(*maps):
@@ -1556,6 +1591,12 @@ _CHECKED_SPECS = {
     "central_moment": FunctionSpec.central_moment(2, 1.0, _PAIR),
 }
 _NON_FINITE = {"nan": _NAN, "inf": _INF, "-inf": -_INF}
+# 2 x 2 matrices with a non-finite value on the diagonal, above it only, or
+# above and below it, by name
+_NON_FINITE_MATRICES = {
+    f"{label}-{where}": M for label, x in _NON_FINITE.items() for where, M in (
+        ("diagonal", np.diag([x, 1.0])), ("upper", np.array([[1.0, x], [0.0, 1.0]])),
+        ("both", np.array([[1.0, x], [x, 1.0]])))}
 # a FunctionSpec of each built-in kind as a function of each parameter it
 # reads, keyed by the start of the test id
 _SPEC_PARAMETERS = {
@@ -1620,6 +1661,12 @@ _SPEC_PARAMETERS = {
     (lambda: oc.natural_power_mean(_DIAG23, _DIAG41, _NAN), DomainError),
     (lambda: oc.tsallis_relative_operator_entropy(_DIAG23, _DIAG41, _INF), DomainError),
     (lambda: oc.matrix_from_json({"dim": 1, "re": [_NAN], "im": [0.0]}), DomainError),
+    *(pytest.param(lambda M=M: oc.assert_hermitian(M), DomainError, id=f"assert_hermitian-{name}")
+      for name, M in _NON_FINITE_MATRICES.items()),
+    *(pytest.param(lambda M=M: oc.hermitize(np.stack([_EYE2, M])), DomainError,
+                   id=f"hermitize-{name}") for name, M in _NON_FINITE_MATRICES.items()),
+    *(pytest.param(lambda M=M: _jensen_on(_EYE2[0], M), DomainError,
+                   id=f"check_lemma_jensen-{name}") for name, M in _NON_FINITE_MATRICES.items()),
     *(pytest.param(lambda f=f, t=t: f(t), DomainError, id=f"{name}({label}){form}")
       for name, f in _CHECKED_SPECS.items() for label, x in _NON_FINITE.items()
       for form, t in (("", x), ("-array", np.array([0.5, x])))),
@@ -1633,6 +1680,20 @@ def test_non_finite_input_raises_a_typed_error(call, error):
     # the typed error comes before any arithmetic on the bad value warns
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("name", _NON_FINITE_MATRICES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_boundary_names_the_non_finite_entries(name):
+    # a non-finite matrix is not Hermitian, and the boundary checks name its
+    # non-finite entries where a residual of inf or NaN would compare false
+    M = _NON_FINITE_MATRICES[name]
+    where = re.escape(str([tuple(ix) for ix in np.argwhere(~np.isfinite(M)).tolist()]))
+    assert not oc.is_hermitian(M)
+    for call in (lambda: oc.assert_hermitian(M, "A"), lambda: oc.hermitize(M),
+                 lambda: _jensen_on(_EYE2[0], M)):
+        with pytest.raises(DomainError, match=f"has non-finite entries at {where}"):
+            call()
 
 
 @pytest.mark.parametrize("name", _CHECKED_SPECS)
