@@ -5,7 +5,12 @@ Run it from any directory, with no flags:
     python3 scripts/report_digest.py > digests.txt
 
 karabounds is imported from the ``src/`` of the checkout that holds this
-script.  Each line is ``<sha256>  exit=<code>  <command line>``; runs made
+script.  The first line names what the report bytes depend on besides the
+source: ``numpy=<version>  dispatch=<targets>  openblas=<core>``, the numpy
+dispatch targets of ``__cpu_dispatch__`` that this CPU enables, and the core
+of numpy's bundled OpenBLAS (``unknown`` when it cannot be asked).  Diff
+two outputs only when their first lines agree.  Each later line is
+``<sha256>  exit=<code>  <command line>``; runs made
 through ``--config`` are marked ``[config]`` and must give the digest of the
 same run made with flags.  Run the script in two checkouts and ``diff`` the
 two outputs: no difference means every report of the set is byte-identical.
@@ -65,6 +70,7 @@ of the checkers takes.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import itertools
@@ -277,7 +283,31 @@ def checker_digest(checker, trials, seed):
     return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
+def _openblas_core():
+    """The core name of numpy's bundled OpenBLAS, or ``unknown``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            fn = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        fn.restype = ctypes.c_char_p
+        fn.argtypes = []
+        return fn().decode()
+    return "unknown"
+
+
+def header():
+    """numpy's version, its enabled dispatch targets and the OpenBLAS core."""
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return (f"numpy={np.__version__}  dispatch={','.join(enabled) or 'none'}  "
+            f"openblas={_openblas_core()}")
+
+
 def main():
+    print(header())
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
         for argv in RUNS:

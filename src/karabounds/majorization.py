@@ -175,11 +175,11 @@ def moment_margin(p, x, y, order: int) -> float:
 # brute-force Karamata machinery (grid checks and convex witnesses)
 # ---------------------------------------------------------------------------
 
-_FORWARD_FAMILY = (
-    lambda t: t ** 2,
-    lambda t: np.exp(t),
-    lambda t: np.abs(t - 1.0),
-)
+_FORWARD_FAMILY = {
+    "t^2": lambda t: t ** 2,
+    "exp(t)": lambda t: np.exp(t),
+    "|t-1|": lambda t: np.abs(t - 1.0),
+}
 
 
 def karamata_forward_holds(x, y) -> bool:
@@ -187,7 +187,8 @@ def karamata_forward_holds(x, y) -> bool:
     half of the majorization equivalence."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return all(float(np.sum(f(x))) <= float(np.sum(f(y))) + 1e-9 for f in _FORWARD_FAMILY)
+    return all(float(np.sum(f(x))) <= float(np.sum(f(y))) + 1e-9
+               for f in _FORWARD_FAMILY.values())
 
 
 def karamata_witness(x, y):

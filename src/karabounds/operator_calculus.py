@@ -101,12 +101,12 @@ def _check_finite(A: np.ndarray, name: str = "matrix") -> None:
         raise DomainError(f"{name} has non-finite entries at {where}")
 
 
-def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Square, finite and ||A - A*||_F <= tol max(1, ||A||_F)."""
+def is_hermitian(A: np.ndarray) -> bool:
+    """Square, finite and ||A - A*||_F <= HERMITIAN_TOL max(1, ||A||_F)."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
         return False
-    return _frob(A - A.conj().T) <= tol * max(1.0, _frob(A))
+    return _frob(A - A.conj().T) <= HERMITIAN_TOL * max(1.0, _frob(A))
 
 
 def assert_hermitian(A, name: str = "matrix") -> np.ndarray:
@@ -218,14 +218,14 @@ def _jacobi_chunk_size(n: int) -> int:
     return max(64, _JACOBI_CHUNK_ENTRIES // max(n * n, 1))
 
 
-def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS, dims=None):
+def eigh_stack(mats: np.ndarray, dims=None):
     """Eigendecompositions of a stack (k, n, n) of Hermitian matrices.
 
     Returns (evals, vecs) with evals (k, n) ascending and vecs (k, n, n)
     unitary columns satisfying A = V diag(w) V*.  Each sweep visits every
     pivot pair once, in n - 1 rounds (n for odd n) of floor(n/2) disjoint
     pairs that are rotated together.  Sweeps stop once a matrix has
-    off-diagonal Frobenius mass <= 1e-14 * ||A||_F; exceeding the sweep cap
+    off-diagonal Frobenius mass <= 1e-14 * ||A||_F; exceeding MAX_SWEEPS
     raises ConvergenceError with the worst residual of the stack.  The
     stack is solved in chunks of max(64, 16384 // n**2) matrices.
 
@@ -251,20 +251,19 @@ def eigh_stack(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS, dims=None):
             raise DomainError(f"a matrix of dimension {n - 1} must be zero-padded to {n}")
     chunk = _jacobi_chunk_size(n)
     # an empty stack still runs one (empty) chunk, for the output shapes
-    parts = [_jacobi_chunk(A[s:s + chunk], dims[s:s + chunk], max_sweeps)
-             for s in range(0, max(k, 1), chunk)]
-    _raise_unconverged([res for _, _, res in parts if res is not None], max_sweeps)
+    parts = [_jacobi_chunk(A[s:s + chunk], dims[s:s + chunk]) for s in range(0, max(k, 1), chunk)]
+    _raise_unconverged([res for _, _, res in parts if res is not None])
     return np.concatenate([w for w, _, _ in parts]), np.concatenate([v for _, v, _ in parts])
 
 
-def _raise_unconverged(residuals, max_sweeps: int):
+def _raise_unconverged(residuals):
     if residuals:
         raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps",
+            f"Jacobi sweeps did not converge in {MAX_SWEEPS} sweeps",
             residual=max(residuals))
 
 
-def _jacobi(mats, max_sweeps: int = MAX_SWEEPS) -> list:
+def _jacobi(mats) -> list:
     """(w, V) of each Hermitian matrix of the sequence ``mats``, of any
     dimensions.  The matrices of a ring size n = d + d % 2 of the circle
     method share one ``eigh_stack`` when both dimensions n - 1 and n are
@@ -295,13 +294,13 @@ def _jacobi(mats, max_sweeps: int = MAX_SWEEPS) -> list:
             for i, (j, d) in enumerate(zip(stack, dims)):
                 A[i, :d, :d] = mats[j]
             try:
-                w, V = eigh_stack(A, max_sweeps, dims)
+                w, V = eigh_stack(A, dims)
             except ConvergenceError as err:
                 residuals.append(err.residual)
                 continue
             for i, (j, d) in enumerate(zip(stack, dims)):
                 out[j] = w[i, :d], V[i, :d, :d]
-    _raise_unconverged(residuals, max_sweeps)
+    _raise_unconverged(residuals)
     return out
 
 
@@ -327,13 +326,13 @@ def _round_robin(d: int):
     return tuple(rounds)
 
 
-def _jacobi_chunk(A, dims, max_sweeps: int):
+def _jacobi_chunk(A, dims):
     """(evals, V, residual) of a chunk A (k, n, n) of ``eigh_stack``'s stack
     with dimensions ``dims``, rotated on the schedule of its largest
     dimension m: a chunk of dimension n - 1 alone is solved unpadded.  A
     sits on top of V in one (k, 2m, m) buffer, so one column update rotates
     both.  The residual is None on convergence, else the worst relative
-    off-diagonal mass left after ``max_sweeps`` sweeps."""
+    off-diagonal mass left after MAX_SWEEPS sweeps."""
     k, n, _ = A.shape
     m = int(dims.max()) if k else n
     AV = np.zeros((k, 2 * m, m), dtype=complex)
@@ -360,7 +359,7 @@ def _jacobi_chunk(A, dims, max_sweeps: int):
 
     rounds = _round_robin(m)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # a converged matrix gets no more rotations, so its result does not
         # depend on the other matrices of the stack
         active = off_mass() > OFF_DIAG_TARGET * scale

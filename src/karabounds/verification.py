@@ -11,7 +11,9 @@ and its checker share.
 
 ``run_suite`` is the one trial loop.  A suite is a draw, a build and a
 score function and its default params, run in three phases.  The draw
-makes trial i's rng calls on its own stream, that of
+alone reads params, exactly the keys its defaults name, and a key no
+suite reads raises DomainError.  The draw makes trial i's rng calls on
+its own stream, that of
 ``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and returns raw
 Gaussian and uniform arrays.  A suite seeds all its trials in one pass
 (``_trial_rngs``): it hashes the seed once, the trials' spawn keys as whole
@@ -129,7 +131,8 @@ class InequalityVerdict:
 @dataclass
 class TrialReport:
     """A suite's summary; ``_scored`` keeps its ``_table`` and trial contexts
-    for ``verdict_csv_rows``, and ``to_dict`` leaves it out."""
+    for ``verdict_csv_rows``, and ``to_dict`` leaves it and ``elapsed_ms``
+    out."""
 
     suite_id: str
     trials: int
@@ -139,26 +142,15 @@ class TrialReport:
     elapsed_ms: int
     _scored: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "suite_id": self.suite_id,
-            "trials": self.trials,
-            "failures": self.failures,
-            "min_margin": self.min_margin,
-            "worst_context": self.worst_context,
-        }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
+    def to_dict(self) -> dict:
+        return {"suite_id": self.suite_id, "trials": self.trials, "failures": self.failures,
+                "min_margin": self.min_margin, "worst_context": self.worst_context}
 
 
-def report_to_json(reports, include_timing: bool = False) -> str:
-    """Deterministic JSON for a report or list of reports (timing excluded
-    by default so identical seeds give byte-identical output)."""
-    if isinstance(reports, TrialReport):
-        reports = [reports]
-    payload = [r.to_dict(include_timing) for r in reports]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def report_to_json(reports: Sequence[TrialReport]) -> str:
+    """Deterministic JSON for a list of reports: no timing, so identical
+    seeds give byte-identical output."""
+    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n"
 
 
 _CSV_FIELDS = ("suite_id", "trial", "margin", "pass",
@@ -505,11 +497,10 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
     return _build_equal_map_sums([_draw_equal_map_sum(n, dim, iv, family_kind, rng)])[0]
 
 
-def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random.Generator,
-                              cap: int = _REDRAW_CAP):
+def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random.Generator):
     """(p, q) with components in [eps, 1] and the declared inner-product
-    condition; rejection sampling over floored Dirichlet draws (cap 1e5
-    pairs).
+    condition; rejection sampling over floored Dirichlet draws (at most
+    _REDRAW_CAP pairs).
 
     Pairs are drawn in blocks of doubling size from _PAIR_BLOCK, p and q
     interleaved (2k draws of size n give the same numbers as one (2k, n)
@@ -523,12 +514,10 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
         rng, lambda k: eps + (1.0 - n * eps) * rng.dirichlet(ones, size=2 * k),
         lambda D: np.flatnonzero(ce._condition_gap(D[0::2], D[1::2], direction)
                                  <= ce.PROB_TOL),
-        lambda D, j: (D[2 * j].copy(), D[2 * j + 1].copy()), cap, _PAIR_BLOCK, 2 * n)
+        lambda D, j: (D[2 * j].copy(), D[2 * j + 1].copy()), _REDRAW_CAP, _PAIR_BLOCK, 2 * n)
     if pair is not None:
         return pair
-    raise GeneratorExhausted(
-        f"no ({direction}) pair with floor {eps} after {cap} draws"
-    )
+    raise GeneratorExhausted(f"no ({direction}) pair with floor {eps} after {_REDRAW_CAP} draws")
 
 
 def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
@@ -1095,17 +1084,20 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class _Suite:
-    """``draw(i, rng, params, ctx)`` makes trial i's rng calls on its own rng,
-    given the base context {trial, seed}, and returns the raw arrays, then the
-    trial's context; ``build(draws)`` turns the draws into instances, one stack
-    per step (scalar and eigensolver draws are instances); ``score(instances,
-    params)`` runs the batch kernel once on them all and returns ``_table``
-    blocks, instance i as trial i; ``defaults`` fill in the params left out."""
+    """``draw(i, rng, params)`` makes trial i's rng calls on its own rng and
+    returns the raw arrays, then the trial's context, which ``run_suite``
+    puts after {trial, seed}; ``build(draws)`` turns the draws into
+    instances, one stack per step (scalar and eigensolver draws are
+    instances); ``score(instances)`` runs the batch kernel once on them all
+    and returns ``_table`` blocks, instance i as trial i.  ``defaults`` name
+    the params that the draw reads and fill in those left out; a suite not
+    ``in_all`` runs only when named, never under ``--suite all``."""
 
     draw: Callable
     score: Callable
     defaults: dict = field(default_factory=dict)
     build: Callable = lambda draws: draws
+    in_all: bool = True
 
 
 def _built(build):
@@ -1141,7 +1133,7 @@ def _scalar_score(kernel):
     margin per stacked row and the kernel's own tol, which become the
     group's blocks with its trials, stacked as one more column.  A kernel
     gives a row the bits of a batch of one, so the grouping does not show."""
-    def score(instances, params=None):
+    def score(instances):
         rows, keys, *_ = zip(*instances)
         blocks = []
 
@@ -1182,10 +1174,10 @@ def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     return _build_jensen_instances([_draw_jensen_instance(n, dim, iv, rng)])[0]
 
 
-def _draw_jensen(i, rng, params, ctx):
+def _draw_jensen(i, rng, params):
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
-    return _draw_jensen_instance(_MAP_N, dim, f.domain, rng), f, dict(ctx, dim=dim, f=f.name)
+    return _draw_jensen_instance(_MAP_N, dim, f.domain, rng), f, dict(dim=dim, f=f.name)
 
 
 _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
@@ -1233,17 +1225,17 @@ def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gener
     return _build_weighted_instances([_draw_weighted_instance(n, dim, iv, kind, rng)])[0]
 
 
-def _draw_map_sum(i, rng, params, ctx, draw, kind):
+def _draw_map_sum(i, rng, params, draw, kind):
     """A map-sum trial's draw(n, dim, f.domain, kind, rng), which the suite
     builds into (As, Bs, family)."""
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
     alpha = _cycle(params["alphas"], i)
     return (draw(_MAP_N, dim, f.domain, kind, rng), f, alpha,
-            dict(ctx, dim=dim, f=f.name, alpha=alpha, family=kind))
+            dict(dim=dim, f=f.name, alpha=alpha, family=kind))
 
 
-def _draw_scalar_corollary(i, rng, params, ctx):
+def _draw_scalar_corollary(i, rng, params):
     """Equal weighted means, or on odd trials with decreasing f the relaxed
     sum p x <= sum p y."""
     n = _SCALAR_N
@@ -1259,7 +1251,7 @@ def _draw_scalar_corollary(i, rng, params, ctx):
     else:
         x, y, p = gen_equal_weighted_mean_scalars(n, iv, rng)
         mode = MODE_EQUAL
-    return (p, x, y), (f, alpha, mode), dict(ctx, dim=n, alpha=alpha, f=f.name, mode=mode)
+    return (p, x, y), (f, alpha, mode), dict(dim=n, alpha=alpha, f=f.name, mode=mode)
 
 
 _PREFIX_INTERVAL = Interval(-1.0, 2.0)
@@ -1267,36 +1259,36 @@ _PREFIX_INTERVAL = Interval(-1.0, 2.0)
 
 @functools.lru_cache(maxsize=None)
 def _fuchs_fs():
-    """The fuchs functions, convex around _PREFIX_INTERVAL, built on first use:
-    a custom FunctionSpec's convexity scan imports numpy.random."""
+    """The fuchs functions, the convex test family of
+    ``mj.karamata_forward_holds`` on an interval around _PREFIX_INTERVAL,
+    built on first use: a custom FunctionSpec's convexity scan imports
+    numpy.random."""
     dom = Interval(_PREFIX_INTERVAL.m - 0.5, _PREFIX_INTERVAL.M + 0.5)
-    return tuple(FunctionSpec.custom(g, "convex", dom, name) for g, name in (
-        (lambda t: np.asarray(t, dtype=float) ** 2, "t^2"),
-        (lambda t: np.exp(np.asarray(t, dtype=float)), "exp(t)"),
-        (lambda t: np.abs(np.asarray(t, dtype=float) - 1.0), "|t-1|")))
+    return tuple(FunctionSpec.custom(g, "convex", dom, name)
+                 for name, g in mj._FORWARD_FAMILY.items())
 
 
-def _draw_fuchs(i, rng, params, ctx):
+def _draw_fuchs(i, rng, params):
     f = _cycle(_fuchs_fs(), i)
     x_y_p = gen_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng)
-    return x_y_p, f, dict(ctx, dim=_PREFIX_N, f=f.name)
+    return x_y_p, f, dict(dim=_PREFIX_N, f=f.name)
 
 
-def _draw_moment(i, rng, params, ctx):
+def _draw_moment(i, rng, params):
     order = _cycle(_MOMENT_ORDERS, i)
     x_y_p = gen_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng)
-    return x_y_p, order, dict(ctx, dim=_PREFIX_N, r=order)
+    return x_y_p, order, dict(dim=_PREFIX_N, r=order)
 
 
-def _draw_density_pair(i, rng, params, ctx):
+def _draw_density_pair(i, rng, params):
     """(Gaussians of A and B, alpha, r = None, context): the draws of two
     random density matrices, which the suite builds into their spectra."""
     dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
-    return oc._gaussian(dim, rng, 2), alpha, None, dict(ctx, dim=dim, alpha=alpha)
+    return oc._gaussian(dim, rng, 2), alpha, None, dict(dim=dim, alpha=alpha)
 
 
-def _draw_tsallis_pair(i, rng, params, ctx):
-    G, alpha, _, ctx = _draw_density_pair(i, rng, params, ctx)
+def _draw_tsallis_pair(i, rng, params):
+    G, alpha, _, ctx = _draw_density_pair(i, rng, params)
     r = _cycle(params["rs"], i)
     return G, alpha, r, dict(ctx, r=r)
 
@@ -1312,12 +1304,12 @@ def _build_entropy_instances(draws) -> list:
         _per_group(spectra, None, [G for G, *_ in draws]), draws)]
 
 
-def _draw_prob_pair(i, rng, params, ctx):
+def _draw_prob_pair(i, rng, params):
     """((p, q), r, context): two Dirichlet draws floored at 1e-12."""
     n, r = _cycle(_INFO_SIZES, i), _cycle(params["rs"], i)
     p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
     q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
-    return (p / p.sum(), q / q.sum()), r, dict(ctx, dim=n, r=r)
+    return (p / p.sum(), q / q.sum()), r, dict(dim=n, r=r)
 
 
 def _info_inequality_kernel(r, P, Q):
@@ -1335,17 +1327,17 @@ def _info_inequality_kernel(r, P, Q):
             ("tsallis_forms_agree", 1e-10 - np.abs(weighted_p - naive_p), 0.0)]
 
 
-def _draw_conditioned_pair(i, rng, params, ctx):
+def _draw_conditioned_pair(i, rng, params):
     """((p, q), (eps, direction), context): a floored pair whose dominance
     tag alternates."""
     n, eps = _cycle(_REVERSE_SIZES, i), params["eps"]
     direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
     p, q = gen_conditioned_prob_pair(n, eps, direction, rng)
-    return (p, q), (eps, direction), dict(ctx, dim=n, eps=eps, direction=direction)
+    return (p, q), (eps, direction), dict(dim=n, eps=eps, direction=direction)
 
 
-def _draw_parametric_pair(i, rng, params, ctx):
-    pq, (eps, direction), ctx = _draw_conditioned_pair(i, rng, params, ctx)
+def _draw_parametric_pair(i, rng, params):
+    pq, (eps, direction), ctx = _draw_conditioned_pair(i, rng, params)
     r = _cycle(params["rs"], i)
     return pq, (eps, r, direction), dict(ctx, r=r)
 
@@ -1388,25 +1380,25 @@ def _gen_mean_instance(rng, dim, iv, n):
     return _build_mean_instances([_draw_mean_instance(rng, dim, iv, n)])[0]
 
 
-def _draw_mean(i, rng, params, ctx):
+def _draw_mean(i, rng, params):
     dim, r = _cycle(params["dims"], i), _cycle(params["rs"], i)
     n = 1 if i % 2 == 0 else 2
     iv = Interval(*params["interval"])
-    return _draw_mean_instance(rng, dim, iv, n), r, iv, dict(ctx, dim=dim, r=r, n=n)
+    return _draw_mean_instance(rng, dim, iv, n), r, iv, dict(dim=dim, r=r, n=n)
 
 
 def _mean_score(forms):
     """Score the named ``forms`` of each built (Z, As, Bs, w, r, iv, context)
     instance, in ``_mean_blocks`` (forms that do not apply at an instance's r
     are skipped)."""
-    return lambda instances, params: _mean_blocks([inst[:-1] for inst in instances], forms)
+    return lambda instances: _mean_blocks([inst[:-1] for inst in instances], forms)
 
 
-def _draw_hermitian(i, rng, params, ctx):
+def _draw_hermitian(i, rng, params):
     """(G + G*)/2 with G complex Gaussian, dimension cycling through dims."""
     dim = _cycle(params["dims"], i)
     G = oc._gaussian(dim, rng)
-    return (G + G.conj().T) / 2.0, dict(ctx, dim=dim)
+    return (G + G.conj().T) / 2.0, dict(dim=dim)
 
 
 _jacobi_last = {}
@@ -1434,7 +1426,7 @@ def _jacobi_residuals(A, w, V):
     return np.stack([rec_res, uni_res], axis=1)
 
 
-def _score_eigensolver(instances, params):
+def _score_eigensolver(instances):
     # the margin is _EIG_RESIDUAL_TOL - residual, with tol 0
     mats = [M for M, *_ in instances]
     residuals = np.array(_per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_cached(mats))))
@@ -1458,7 +1450,7 @@ def _crosscheck(A, w):
     return np.stack([diff, bound], axis=1)
 
 
-def _score_crosscheck(instances, params):
+def _score_crosscheck(instances):
     mats = [M for M, *_ in instances]
     evals = [w for w, _ in _jacobi_cached(mats)]
     diff, bound = np.array(_per_group(_crosscheck, None, mats, evals)).T
@@ -1471,24 +1463,23 @@ _REVERSE_DEFAULTS = {"eps": 0.05}
 _MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1)}
 _EIG_DIMS = {"dims": tuple(range(2, 17))}
 
-# A suite's draw reads only the params it names, and no score reads any: the
-# CLI passes one params dict (dims, rs, alphas, eps, interval) to every suite,
-# so reverse_shannon keeps r unset, entropy_vn ignores rs, and fuchs and
-# moment draw from _PREFIX_INTERVAL, not the operator-mean "interval".
+# The CLI passes one params dict to every suite, and a suite's draw reads
+# only the keys its defaults name: so reverse_shannon keeps r unset,
+# entropy_vn ignores rs, and fuchs and moment draw from _PREFIX_INTERVAL,
+# not the operator-mean "interval".  No score reads params.
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
-        _draw_jensen, lambda insts, p: _jensen_blocks(insts),
-        {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS},
+        _draw_jensen, _jensen_blocks, {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS},
         _built(_build_jensen_instances)),
     "theorem_beta": _Suite(
-        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_equal_map_sum,
-                                             _cycle(_BETA_FAMILIES, i)),
-        lambda insts, p: _map_sum_blocks(insts, "theorem_beta"),
+        lambda i, rng, p: _draw_map_sum(i, rng, p, _draw_equal_map_sum,
+                                        _cycle(_BETA_FAMILIES, i)),
+        lambda insts: _map_sum_blocks(insts, "theorem_beta"),
         _MAP_SUM_DEFAULTS, _built(_build_equal_map_sums)),
     "corollary_weighted": _Suite(
-        lambda i, rng, p, ctx: _draw_map_sum(i, rng, p, ctx, _draw_weighted_instance,
-                                             _cycle(_WEIGHT_VARIANTS, i)),
-        lambda insts, p: _map_sum_blocks(insts, "corollary_weighted"),
+        lambda i, rng, p: _draw_map_sum(i, rng, p, _draw_weighted_instance,
+                                        _cycle(_WEIGHT_VARIANTS, i)),
+        lambda insts: _map_sum_blocks(insts, "corollary_weighted"),
         _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
@@ -1526,20 +1517,21 @@ _SUITES: Dict[str, _Suite] = {
                           {**_MEAN_DEFAULTS, "rs": (0.3,)}, _built(_build_mean_instances)),
     "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, _EIG_DIMS),
     "eigensolver_crosscheck": _Suite(_draw_hermitian, _score_crosscheck, _EIG_DIMS),
-}
-
-#: excluded from "all": the C-term-on-the-left orientation of the 0 < r < 1
-#: difference bound fails by construction whenever X = Y (the C-term is
-#: negative in this regime), and is reported separately for inspection
-_EXTRA_SUITES: Dict[str, _Suite] = {
+    # not in "all": the C-term-on-the-left orientation of the 0 < r < 1
+    # difference bound fails by construction whenever X = Y (the C-term is
+    # negative in this regime), and is reported separately for inspection
     "mean_c_lhs_variant": _Suite(_draw_mean, _mean_score((MEAN_FORM_C_LHS,)),
                                  {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)},
-                                 _built(_build_mean_instances)),
+                                 _built(_build_mean_instances), in_all=False),
 }
+
+# every key some suite reads: dims, fs, alphas, rs, eps and interval
+_PARAM_KEYS = frozenset(key for suite in _SUITES.values() for key in suite.defaults)
 
 
 def suite_ids(include_extra: bool = False):
-    return list(_SUITES) + (list(_EXTRA_SUITES) if include_extra else [])
+    """The suites of ``--suite all``, and with ``include_extra`` every suite."""
+    return [sid for sid, suite in _SUITES.items() if include_extra or suite.in_all]
 
 
 def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = None,
@@ -1548,23 +1540,27 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     trials, trial i from the stream of ``SeedSequence(seed,
     spawn_key=(i,))``, all the trials seeded in one pass; build their
     instances, the blocks of one shape in one stack per step; and score
-    them in one batch.  Returns a TrialReport that keeps the scored columns;
-    with ``keep_verdicts`` it carries the verdict list as ``report.verdicts``."""
-    suite = _SUITES.get(suite_id) or _EXTRA_SUITES.get(suite_id)
+    them in one batch.  ``params`` may set any key that some suite reads
+    (``_PARAM_KEYS``); any other raises DomainError.  Returns a TrialReport
+    that keeps the scored columns and trial contexts; with ``keep_verdicts``
+    it carries the verdict list as ``report.verdicts``."""
+    suite = _SUITES.get(suite_id)
     if suite is None:
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
     if trials < 0:
         raise DomainError("trials must be >= 0")
     if seed < 0:
         raise DomainError("seed must be >= 0")
+    unread = [key for key in params or () if key not in _PARAM_KEYS]
+    if unread:
+        raise DomainError(f"no suite reads the params {unread}; known: {sorted(_PARAM_KEYS)}")
     params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
-    draws = [suite.draw(i, rng, params, {"trial": i, "seed": seed})
-             for i, rng in enumerate(_trial_rngs(seed, range(trials)))]
-    table = _, _, margins, tols, _ = _table(suite.score(suite.build(draws), params) if draws
+    draws = [suite.draw(i, rng, params) for i, rng in enumerate(_trial_rngs(seed, range(trials)))]
+    table = _, _, margins, tols, _ = _table(suite.score(suite.build(draws)) if draws
                                             else [(np.zeros(0, dtype=int), "", np.zeros(0), 0.0)])
     elapsed = int((time.perf_counter() - t0) * 1000)
-    contexts = [draw[-1] for draw in draws]
+    contexts = [{"trial": i, "seed": seed, **draw[-1]} for i, draw in enumerate(draws)]
     report = TrialReport(suite_id, trials, int(np.count_nonzero(~(margins >= -tols))), None, {},
                          elapsed, (table, contexts))
     if margins.size:  # the worst row: the first least margin in trial order

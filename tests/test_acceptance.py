@@ -152,13 +152,14 @@ def test_criterion_07_map_sum_and_scalar_suites():
     for suite in ("theorem_beta", "corollary_weighted", "scalar_corollary"):
         for dim in (2, 4, 8):
             for fname in ("t_log_t", "neg_log", "power2", "tsallis_05"):
-                params = {"dims": (dim,), "fs": (fname,), "tol": 1e-8}
+                params = {"dims": (dim,), "fs": (fname,)}
                 rep = vf.run_suite(suite, 1000, SEED, params)
                 total_failures += rep.failures
                 worst = min(worst, rep.min_margin)
     ok = total_failures == 0
     _line(7, ok, f"map-sum/corollary/scalar suites 36x1000 trials, "
-                 f"failures={total_failures}, min margin {worst:.2e} (tol 1e-8)")
+                 f"failures={total_failures}, min margin {worst:.2e} "
+                 f"(tol {vf.OPERATOR_TOL:g} map sums, {vf.SCALAR_TOL:g} scalar)")
     assert ok
 
 
@@ -196,7 +197,7 @@ def test_criterion_10_operator_mean_bounds():
     worst = math.inf
     for name, rs in regimes.items():
         rep = vf.run_suite("operator_means", 1000, SEED,
-                           {"dims": (2, 3, 4, 5, 6), "rs": rs, "tol": 1e-8})
+                           {"dims": (2, 3, 4, 5, 6), "rs": rs})
         failures += rep.failures
         worst = min(worst, rep.min_margin)
     rep_lim = vf.run_suite("mean_limits", 1000, SEED, {"dims": (2, 3, 4, 5, 6)})
@@ -206,8 +207,8 @@ def test_criterion_10_operator_mean_bounds():
                             {"dims": (2, 3, 4, 5, 6)})
     ok = failures == 0
     _line(10, ok, f"operator-mean bounds 3 regimes + limits, failures={failures}, "
-                  f"min margin {worst:.2e}; flipped-C difference form reported "
-                  f"separately: {rep_flip.failures}/{rep_flip.trials} failures "
+                  f"min margin {worst:.2e} (tol {vf.OPERATOR_TOL:g}); flipped-C difference "
+                  f"form reported separately: {rep_flip.failures}/{rep_flip.trials} failures "
                   f"(min margin {rep_flip.min_margin:.2e})")
     assert ok
     assert rep_flip.trials == 1000  # separate report exists
@@ -232,11 +233,11 @@ def test_criterion_11_reverse_suites_and_example_pairs():
 
 def test_criterion_12_eigensolver_residuals():
     rep = vf.run_suite("eigensolver", 15_000, SEED,
-                       {"dims": tuple(range(2, 17)), "tol": 1e-10})
+                       {"dims": tuple(range(2, 17))})
     ok = rep.failures == 0
     _line(12, ok, f"Jacobi eigensolver 10^3 matrices per dim 2..16: "
                   f"failures={rep.failures}, min margin {rep.min_margin:.2e} "
-                  f"(residual tol 1e-10)")
+                  f"(residual tol {vf._EIG_RESIDUAL_TOL:g})")
     assert ok
 
 

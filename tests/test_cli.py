@@ -377,9 +377,3 @@ class TestReportSchema:
         payload = json.loads(out.read_text())
         assert [rep["suite_id"] for rep in payload] == vf.suite_ids()
         validator.validate(payload)
-
-    def test_timed_report_matches_schema(self, validator):
-        reports = [vf.run_suite(sid, 2, 0) for sid in ("fuchs", "operator_means")]
-        payload = json.loads(vf.report_to_json(reports, include_timing=True))
-        assert all("elapsed_ms" in rep for rep in payload)
-        validator.validate(payload)

@@ -138,9 +138,9 @@ class TestJacobiEigh:
         # stack each, so that no d = 3 matrix is padded
         solve, seen = oc.eigh_stack, []
 
-        def spy(A, max_sweeps, dims):
+        def spy(A, dims):
             seen.append((A.shape, sorted(dims)))
-            return solve(A, max_sweeps, dims)
+            return solve(A, dims)
 
         monkeypatch.setattr(oc, "eigh_stack", spy)
         rng = np.random.default_rng(12)
@@ -169,19 +169,20 @@ class TestJacobiEigh:
         with pytest.raises(DomainError):
             oc.eigh_stack(ring, dims=[5, 6])
 
-    def test_mixed_dimensions_sweep_cap_raises_the_worst_residual(self):
+    def test_mixed_dimensions_sweep_cap_raises_the_worst_residual(self, monkeypatch):
         # rings 4 and 8 each hold an odd and an even dimension
+        monkeypatch.setattr(oc, "MAX_SWEEPS", 1)
         rng = np.random.default_rng(5)
         mats = [rand_herm(d, rng) for d in (2, 3, 4, 7, 8)]
         single = []
         for M in mats:
             try:
-                oc.eigh_stack(M[None], max_sweeps=1)
+                oc.eigh_stack(M[None])
             except ConvergenceError as err:
                 single.append(err.residual)
         assert len(single) == 4  # one sweep solves a 2 x 2 matrix exactly
         with pytest.raises(ConvergenceError) as err:
-            oc._jacobi(mats, max_sweeps=1)
+            oc._jacobi(mats)
         assert err.value.residual == max(single)
 
     def test_repeated_eigenvalues(self):
@@ -221,10 +222,11 @@ class TestJacobiEigh:
         with pytest.raises(DomainError):
             oc.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_sweep_cap_raises_with_residual(self):
+    def test_sweep_cap_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(oc, "MAX_SWEEPS", 1)
         A = rand_herm(6)
-        with pytest.raises(ConvergenceError) as err:
-            oc.eigh_stack(A[None], max_sweeps=1)
+        with pytest.raises(ConvergenceError, match="in 1 sweeps") as err:
+            oc.eigh_stack(A[None])
         assert err.value.residual is not None
 
 

@@ -247,8 +247,9 @@ class TestGenerators:
         return None
 
     @pytest.mark.parametrize("cap", [vf._REDRAW_CAP, 0, 1, 5, 20])
-    def test_block_drawn_pairs_match_plain_loop(self, cap):
+    def test_block_drawn_pairs_match_plain_loop(self, cap, monkeypatch):
         # a cap of 20 ends inside the second block; 0, 1 and 5 inside the first
+        monkeypatch.setattr(vf, "_REDRAW_CAP", cap)
         for n in (2, 3, 4, 6):
             for direction in (ce.SELF_DOMINATED, ce.CROSS_DOMINATED):
                 for seed in range(200):
@@ -256,9 +257,9 @@ class TestGenerators:
                     want = self.plain_conditioned_pair(n, 0.05, direction, rng_b, cap)
                     if want is None:
                         with pytest.raises(GeneratorExhausted):
-                            vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a, cap)
+                            vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a)
                     else:
-                        got = vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a, cap)
+                        got = vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a)
                         assert all(np.array_equal(a, b) for a, b in zip(got, want)), \
                             (n, direction, seed)
                     assert rng_a.random() == rng_b.random(), (n, direction, seed)
@@ -267,11 +268,10 @@ class TestGenerators:
         with pytest.raises(DomainError):
             vf.gen_conditioned_prob_pair(4, 0.3, "self_dominated", vf.trial_rng(0, 0))
 
-    def test_generator_exhaustion_reported(self):
-        import karabounds.classical_entropy as ce
-        with pytest.raises(GeneratorExhausted):
-            vf.gen_conditioned_prob_pair(3, 0.05, ce.SELF_DOMINATED,
-                                         vf.trial_rng(0, 0), cap=0)
+    def test_generator_exhaustion_reported(self, monkeypatch):
+        monkeypatch.setattr(vf, "_REDRAW_CAP", 0)
+        with pytest.raises(GeneratorExhausted, match="after 0 draws"):
+            vf.gen_conditioned_prob_pair(3, 0.05, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
 
     def test_fuchs_instance_contract(self):
         from karabounds.majorization import is_p_majorized
@@ -742,9 +742,9 @@ class TestSuites:
     def test_determinism_byte_identical(self):
         a = vf.run_suite("theorem_beta", 30, 42)
         b = vf.run_suite("theorem_beta", 30, 42)
-        assert vf.report_to_json(a) == vf.report_to_json(b)
+        assert vf.report_to_json([a]) == vf.report_to_json([b])
         c = vf.run_suite("theorem_beta", 30, 43)
-        assert vf.report_to_json(a) != vf.report_to_json(c)
+        assert vf.report_to_json([a]) != vf.report_to_json([c])
 
     def test_all_sound_suites_pass_briefly(self):
         for sid in vf.suite_ids():
@@ -789,11 +789,11 @@ class TestSuites:
         # blocks may list their trials in any order: the rows are sorted by
         # trial, each trial's rows in block order, and of equal least
         # margins the first in that order is the worst
-        def score(instances, params):
+        def score(instances):
             return [(np.array([1, 0]), "a", np.array([-1.0, 0.0]), 0.0),
                     (np.array([0, 1]), "b", np.array([-1.0, -1.0]), 0.0)]
 
-        monkeypatch.setitem(vf._SUITES, "ties", vf._Suite(lambda i, rng, p, ctx: (ctx,), score, {}))
+        monkeypatch.setitem(vf._SUITES, "ties", vf._Suite(lambda i, rng, p: ({},), score, {}))
         rep = vf.run_suite("ties", 2, 0, keep_verdicts=True)
         assert [(v.context["trial"], v.inequality_id, v.margin, v.passed) for v in rep.verdicts] \
             == [(0, "a", 0.0, True), (0, "b", -1.0, False), (1, "a", -1.0, False),
@@ -830,27 +830,11 @@ class TestSuites:
     @pytest.mark.parametrize("suite, unread", [
         ("reverse_shannon", {"rs": (0.7,)}),
         ("entropy_vn", {"rs": (0.7,)}),
-        ("corollary_weighted", {"families": ("normalized_trace",)}),
         ("scalar_corollary", {"dims": (3,)}),
         ("fuchs", {"dims": (3,)}),
         # --m/--M set the operator-mean interval, which the prefix suites ignore
         ("fuchs", {"interval": (1.8, 4.0)}),
         ("moment", {"interval": (1.8, 4.0)}),
-        ("eigensolver_crosscheck", {"tol": -1.0}),
-        # instance sizes, vector lengths, moment orders and map families are
-        # module constants, not params
-        ("theorem_beta", {"n": 7}),
-        ("scalar_corollary", {"n": 7}),
-        ("fuchs", {"n": 7}),
-        ("info_inequality", {"sizes": (9,)}),
-        ("reverse_shannon", {"sizes": (9,)}),
-        ("moment", {"orders": (3,)}),
-        ("theorem_beta", {"families": ("normalized_trace",)}),
-        # each kernel owns its tolerance, so a "tol" param moves no passed
-        # flag and no eigensolver margin
-        ("theorem_beta", {"tol": -1.0}),
-        ("entropy_vn", {"tol": -1.0}),
-        ("eigensolver", {"tol": 1e-6}),
     ])
     def test_params_a_suite_does_not_read_leave_its_verdicts_unchanged(self, suite, unread):
         # the CLI passes one params dict (dims, rs, alphas, eps, interval) to
@@ -860,6 +844,26 @@ class TestSuites:
             return [(v.inequality_id, v.margin, v.passed, v.context) for v in rep.verdicts]
 
         assert verdicts(unread) == verdicts(None)
+
+    @pytest.mark.parametrize("suite", vf.suite_ids(include_extra=True))
+    def test_run_suite_rejects_params_no_suite_reads(self, suite):
+        # a suite reads exactly the keys its defaults name, and run_suite
+        # takes any key some suite reads; every other key raises, naming
+        # itself: a misspelt key, a tolerance (each kernel owns its own),
+        # and the instance sizes, vector lengths, moment orders and map
+        # families, which are module constants
+        for unread, key in [({"tol": 1e-8}, "tol"), ({"dim": (2,)}, "dim"),
+                            ({"alpha": 1.0}, "alpha"), ({"n": 7}, "n"),
+                            ({"sizes": (9,)}, "sizes"), ({"orders": (3,)}, "orders"),
+                            ({"families": ("normalized_trace",)}, "families"),
+                            ({"rs": (0.5,), "tol": 1e-8}, "tol")]:
+            with pytest.raises(DomainError, match=f"'{key}'"):
+                vf.run_suite(suite, 2, 0, unread)
+        known = {"dims": (2, 3), "fs": ("power2",), "alphas": (0.5,), "rs": (0.5,),
+                 "eps": 0.1, "interval": (1.7, 5.1)}
+        assert set(known) == vf._PARAM_KEYS
+        assert set(vf._SUITES[suite].defaults) <= vf._PARAM_KEYS
+        assert vf.run_suite(suite, 4, 0, known).trials == 4
 
     def test_batched_suite_matches_per_instance_checker(self):
         # each suite and its checker share one kernel, and eigh_stack results
@@ -1382,10 +1386,12 @@ class TestSuites:
             (_, ids, _, tols, _), _ = rep._scored
             assert tols.tolist() == [tol(name) for name in ids]
 
-    def test_report_json_excludes_timing_by_default(self):
+    def test_report_json_excludes_timing(self):
+        # the report keeps its time for the CLI's stderr line, and no JSON
+        # holds it
         rep = vf.run_suite("fuchs", 5, 0)
-        assert "elapsed_ms" not in vf.report_to_json(rep)
-        assert "elapsed_ms" in vf.report_to_json(rep, include_timing=True)
+        assert isinstance(rep.elapsed_ms, int)
+        assert "elapsed_ms" not in vf.report_to_json([rep])
 
 
 # lambda_min is unitarily invariant and every form is built covariantly, so a
@@ -1505,7 +1511,7 @@ class TestPermutationInvariance:
         params = vf._SUITES["scalar_corollary"].defaults
         for i in range(self.TRIALS):
             (p, x, y), (f, alpha, mode), _ = vf._draw_scalar_corollary(
-                i, vf.trial_rng(seed, i), params, {})
+                i, vf.trial_rng(seed, i), params)
             a, b = ([v.margin for v in vf.check_scalar_corollary(*pxy, f, alpha, mode=mode)]
                     for pxy in ((p, x, y), _permuted(seed, i, p, x, y)))
             try:
@@ -1523,7 +1529,7 @@ class TestPermutationInvariance:
     def test_info_inequality_margins_survive_a_permutation(self, seed):
         params = vf._SUITES["info_inequality"].defaults
         for i in range(self.TRIALS):
-            (p, q), r, _ = vf._draw_prob_pair(i, vf.trial_rng(seed, i), params, {})
+            (p, q), r, _ = vf._draw_prob_pair(i, vf.trial_rng(seed, i), params)
             a, b = ([ce.information_inequality_margin(u, v), *ce.tsallis_cross_terms(u, v, r)]
                     for u, v in ((p, q), _permuted(seed, i, p, q)))
             bound = _permutation_bound(len(p), p * np.log(p), p * np.log(q),
@@ -1535,7 +1541,7 @@ class TestPermutationInvariance:
         params = vf._SUITES["reverse_shannon"].defaults
         for i in range(self.TRIALS):
             (p, q), (eps, direction), _ = vf._draw_conditioned_pair(
-                i, vf.trial_rng(seed, i), params, {})
+                i, vf.trial_rng(seed, i), params)
             a, b = (ce.reverse_shannon_margins(u, v, eps, direction)
                     for u, v in ((p, q), _permuted(seed, i, p, q)))
             big_k = math.log(eps) / (eps - 1.0)
@@ -1548,7 +1554,7 @@ class TestPermutationInvariance:
         params = vf._SUITES["parametric_reverse"].defaults
         for i in range(self.TRIALS):
             (p, q), (eps, r, direction), _ = vf._draw_parametric_pair(
-                i, vf.trial_rng(seed, i), params, {})
+                i, vf.trial_rng(seed, i), params)
             a, b = (ce.parametric_reverse_margins(u, v, eps, r, direction)
                     for u, v in ((p, q), _permuted(seed, i, p, q)))
             c1 = ln_r(r, 1.0 / eps) / (1.0 - eps)
