@@ -67,10 +67,21 @@ trial i (the generators' instance sizes, the suite's default dims, f, alpha
 and r cycles), in a line ``<sha256>  <checker>  trials=24 seed=7``.  Their
 arguments are passed by position, and ``mode`` by name, which every version
 of the checkers takes.
+
+Last, the public rejection and construction samplers, whose documented rng
+position is part of their contract: per sampler of ``SAMPLERS``, the bytes
+of each instance drawn from a fresh ``trial_rng(7, i)`` followed by the
+bytes of that rng's next ``random()``, which pins where the sampler leaves
+the stream, in a line ``<sha256>  <sampler>  trials=60 seed=7``.
+``gen_conditioned_prob_pair`` draws at n = 2, 3, 4 and 6 in both
+directions (eps 0.05), ``gen_equal_weighted_mean_scalars`` at n = 2, 3, 4
+and 7 (interval [0.05, 1]), and ``gen_fuchs_instance`` at n = 5 (interval
+[-1, 2]).
 """
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import io
 import itertools
@@ -283,6 +294,29 @@ def checker_digest(checker, trials, seed):
     return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
+SAMPLERS = {
+    "gen_conditioned_prob_pair": [
+        functools.partial(verification.gen_conditioned_prob_pair, n, 0.05, direction)
+        for n in (2, 3, 4, 6) for direction in ("self_dominated", "cross_dominated")],
+    "gen_equal_weighted_mean_scalars": [
+        functools.partial(verification.gen_equal_weighted_mean_scalars, n, Interval(0.05, 1.0))
+        for n in (2, 3, 4, 7)],
+    "gen_fuchs_instance": [
+        functools.partial(verification.gen_fuchs_instance, 5, Interval(-1.0, 2.0))],
+}
+
+
+def sampler_digest(sampler, trials, seed):
+    sha = hashlib.sha256()
+    for i in range(trials):
+        for draw in SAMPLERS[sampler]:
+            rng = verification.trial_rng(seed, i)
+            for a in draw(rng):
+                sha.update(a.tobytes())
+            sha.update(np.float64(rng.random()).tobytes())
+    return sha.hexdigest()
+
+
 def _openblas_core():
     """The core name of numpy's bundled OpenBLAS, or ``unknown``."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -334,6 +368,8 @@ def main():
               f"limits={limits} trials=24 seed=7")
     for checker in CHECKERS:
         print(f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7")
+    for sampler in SAMPLERS:
+        print(f"{sampler_digest(sampler, 60, 7)}  {sampler}  trials=60 seed=7")
 
 
 if __name__ == "__main__":

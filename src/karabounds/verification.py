@@ -11,11 +11,13 @@ and its checker share.
 
 ``run_suite`` is the one trial loop.  A suite is a draw, a build and a
 score function and its default params, run in three phases.  The draw
-alone reads params, exactly the keys its defaults name, and a key no
-suite reads raises DomainError.  The draw makes trial i's rng calls on
-its own stream, that of
-``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and returns raw
-Gaussian and uniform arrays.  A suite seeds all its trials in one pass
+alone reads params, exactly the keys its defaults name; a key no suite
+reads, or a value ``_PARAM_CHECKS`` rejects, raises DomainError.  The
+draw makes trial i's rng calls on its own stream, that of
+``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and nothing else: it
+returns raw Gaussian, uniform and Dirichlet arrays, and a rejection
+sampler's draw stops after its first block of candidates and keeps the
+generator state.  A suite seeds all its trials in one pass
 (``_trial_rngs``): it hashes the seed once, the trials' spawn keys as whole
 uint32 arrays, and sets each trial's PCG64 state on one reused Generator,
 bit for bit the stream of numpy's own seeding, which ``trial_rng(seed, i)``
@@ -23,10 +25,15 @@ uses.  The build turns all the trials' draws into instances, the blocks of
 one shape (say, the n matrices of each trial's tuple) in one stack per step
 (``operator_calculus._build_haar`` and ``_build_densities``, the Sinkhorn
 sweeps of all the start matrices of one n, then the mixes and weighted
-means).  The score runs the suite's batch margin kernel once on all the
-instances; the map sums of the map-sum and Jensen suites run in one stack
-per family key (``operator_calculus._map_family_sums``), and their two
-kernels check the bounds' hypotheses on each: f convex, each family unital
+means; the rejection screens of the conditioned pairs and equal-mean
+scalars, the prefix suites' sorts and averaging steps, and the
+probability pairs' floors and normalisations).  A trial whose first
+block holds no accepted draw resumes its own stream from the saved state,
+with the one-trial sampler's next blocks, cap and fallback.  The score
+runs the suite's batch margin kernel once on all the instances; the map
+sums of the map-sum and Jensen suites run in one stack per family key
+(``operator_calculus._map_family_sums``), and their two kernels check the
+bounds' hypotheses on each: f convex, each family unital
 (``_check_unital``), and unit vectors (Jensen) or equal map sums of A and B
 (map-sum); the operator-mean kernel checks equal weighted sums of the
 Z-relative A_i and B_i per tuple shape, and its mean step is that of the
@@ -40,7 +47,9 @@ takes every spectral image of that matrix from the same (w, V); the
 lambda_min reductions go through ``operator_calculus._eigvalsh``.  Every
 build and kernel step gives a matrix the same bits in any stack, so reports
 do not depend on batching, and the public generators are batches of one of
-their draw and build.  A public ``check_*`` function validates the rest
+their draw and build (the two rejection samplers then replay their draws
+from the state they started at, so the rng ends where the one-draw loop
+would).  A public ``check_*`` function validates the rest
 of its input (the map checkers: Hermitian matrices, shapes, one matrix per
 map, finite vectors) and runs the same kernel on a batch of one, so its
 margins and spectral errors equal the suite's.  The Jacobi solver is not on
@@ -277,10 +286,73 @@ _REDRAW_CAP = 100_000
 # most doubles one block of redraws holds: 32 KB keeps the screen's
 # temporaries small, and a run of all 1e5 redraws (n = 4) still takes ~8 ms
 _REDRAW_BLOCK = 1 << 12
-# first block of conditioned pairs: a Dirichlet call has a fixed cost of
-# about a hundred rows, and about one pair in nine is accepted; first blocks
-# of 8 to 32 pairs timed fastest on the reverse suites' draws (1 to 128 tried)
-_PAIR_BLOCK = 16
+# first block of either rejection sampler: a Dirichlet call has a fixed
+# cost of about a hundred rows, and about one pair in nine is accepted;
+# first blocks of 8 to 32 pairs timed fastest on the reverse suites' draws
+# (1 to 128 tried).  A uniform call's fixed cost, too, exceeds that of 16
+# rows of x, and 16 rows leave 14% of scalar_corollary's equal-mean trials
+# to resume, where one row left 63% (20 seeds of 384 trials; 15% of pairs)
+_FIRST_BLOCK = 16
+
+
+# A suite trial's stream ends at its rejection sampler, so a suite never
+# rewinds: only the public samplers, batches of one of the suites' draw and
+# build, rewind (``_redraw``) to end where the one-draw loop would.
+
+
+def _first_block(first, width):
+    """The size of a rejection sampler's first block: ``first`` draws, or
+    fewer where _REDRAW_CAP or _REDRAW_BLOCK doubles of ``width`` per draw
+    bound it (one draw at the least, but none under a cap of 0)."""
+    return min(first, _REDRAW_CAP, max(1, _REDRAW_BLOCK // width))
+
+
+def _resume_rng() -> np.random.Generator:
+    """A generator for the trials that resume: each sets its saved state on it."""
+    return np.random.Generator(np.random.PCG64(_unseeded()))
+
+
+def _first_accepted(rng, draw, candidates, accept, done, width):
+    """(item, draws) of the first of draws ``done`` to _REDRAW_CAP that
+    ``accept`` takes, with the count of draws up to it; (None, _REDRAW_CAP)
+    where none is taken.  Draws 0 to ``done`` are the first block, which the
+    build screened, and the rng stands at the state saved after it.
+
+    ``draw(k)`` makes k draws in one call, which gives the same numbers as k
+    single draws, and returns them as a block.  The blocks double from the
+    first block's size, capped at _REDRAW_BLOCK doubles of ``width`` per
+    draw.  ``candidates(block)`` gives, in order, the indices of a block that
+    may pass; ``accept(block, j)`` returns draw j's item, or None where the
+    one-draw expression rejects it.  The rng ends after the last block."""
+    cap, k = _REDRAW_CAP, 2 * done
+    while done < cap:
+        k = min(k, cap - done, max(1, _REDRAW_BLOCK // width))
+        block = draw(k)
+        for j in candidates(block):
+            item = accept(block, j)
+            if item is not None:
+                return item, done + j + 1
+        done += k
+        k *= 2
+    return None, done
+
+
+def _redraw(draw, count, width):
+    """Make ``count`` draws of ``width`` doubles each, the numbers of
+    ``count`` single draws, in calls of at most _REDRAW_BLOCK doubles (one
+    draw at the least): the rewind of a public sampler, which replays the
+    one-draw loop's calls from the state it started at."""
+    step = max(1, _REDRAW_BLOCK // width)
+    for done in range(0, count, step):
+        draw(min(step, count - done))
+
+
+def _first_hits(hits) -> np.ndarray:
+    """The index of the first True of each row of a (k, b) mask, -1 where
+    a row has none."""
+    if not hits.shape[-1]:
+        return np.full(len(hits), -1)
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
 
 def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generator):
@@ -291,16 +363,103 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     A tiny p_0 can exhaust the cap.  Then x is built one coordinate at a
     time in increasing weight, each drawn from the range that still lets the
     remaining weight reach the target, and the heaviest is solved last.
+
+    A batch of one of scalar_corollary's sampler: ``_draw_equal_mean``
+    makes the rng calls up to the first block of x draws and saves the
+    state after it, and ``_equal_means`` screens that block and resumes from
+    the saved state.  The rng then replays the one-draw loop's calls from
+    where it started, so it ends where that loop would.
     """
+    start = rng.bit_generator.state
+    (x, y, p), doubles = _equal_means([_draw_equal_mean(n, iv, rng)], [iv])[0]
+    rng.bit_generator.state = start
+    rng.dirichlet(np.ones(n))
+    _redraw(rng.random, doubles, 1)
+    return x, y, p
+
+
+def _draw_equal_mean(n: int, iv: Interval, rng: np.random.Generator):
+    """The draw phase of the equal-mean sampler: p, y, the first block of x
+    draws (k, n) and the rng state after it."""
     if n < 2:
         raise DomainError(f"need n >= 2 scalars, got {n}")
     p = rng.dirichlet(np.ones(n))
     y = rng.uniform(iv.m, iv.M, size=n)
-    target = float(np.dot(p, y))
-    x = _redraw_solved_x(n, iv, p, target, rng)
+    X = rng.uniform(iv.m, iv.M, size=(_first_block(_FIRST_BLOCK, n), n))
+    return p, y, X, rng.bit_generator.state
+
+
+def _x0_screen(X, P, T, iv) -> np.ndarray:
+    """The mask (k, b) of the draws of the blocks X (k, b, n) whose solved
+    x_0 = (t - sum_{i>0} p_i x_i) / p_0 may lie in [m, M], for weights P
+    (k, n) and targets T (k,): one matrix product per block.  The slack is
+    far above any rounding difference from the one-row expression
+    (``_solved_x``), which decides acceptance and sets x_0."""
+    w, p0, t = P[:, 1:, None], P[:, :1], T[:, None]
+    x0 = (t - (X[..., 1:] @ w)[..., 0]) / p0
+    slack = 1e-9 * ((np.abs(t) + (np.abs(X[..., 1:]) @ w)[..., 0]) / p0
+                    + max(abs(iv.m), abs(iv.M)))
+    return (x0 >= iv.m - slack) & (x0 <= iv.M + slack)
+
+
+def _solved_x(X, j, p, target, iv):
+    """Draw j of the block X with x_0 solved for, or None where x_0 falls
+    outside [m, M]: the one-row expression."""
+    x0 = (target - float(np.dot(p[1:], X[j, 1:]))) / p[0]
+    if not iv.m <= x0 <= iv.M:
+        return None
+    x = X[j].copy()
+    x[0] = x0
+    return x
+
+
+def _equal_means(draws, ivs) -> list:
+    """((x, y, p), doubles) of each ``_draw_equal_mean`` draw with its
+    interval; doubles counts the one-draw loop's uniform draws after p: y,
+    the x draws up to the one taken, and those of the construction.
+
+    The target sum p y is each trial's one-row ``np.dot``.  The first blocks
+    of one interval and shape are screened in one stack (``_x0_screen``),
+    and the one-row expression decides among the draws it passes.  A trial
+    whose first block holds no accepted draw resumes from its saved state
+    (``_first_accepted``); one that exhausts _REDRAW_CAP draws builds x
+    coordinate-wise (``_construct_x``) on the same stream."""
+    targets = [float(np.dot(p, y)) for p, y, *_ in draws]
+    rng = _resume_rng()
+
+    def solve(iv, idx, X, P):
+        hits = _x0_screen(X, P, np.array([targets[t] for t in idx]), iv)
+        return [_equal_mean(draws[t], targets[t], iv, row, rng)
+                for t, row in zip(idx.tolist(), hits)]
+
+    return _per_group(solve, ivs, range(len(draws)), [X for _, _, X, _ in draws],
+                      [p for p, *_ in draws])
+
+
+def _equal_mean(draw, target, iv, hits, rng):
+    """One trial of ``_equal_means``, whose first-block draws ``hits`` passed
+    the screen."""
+    p, y, X, state = draw
+    n = len(p)
+    for j in np.flatnonzero(hits).tolist():
+        x = _solved_x(X, j, p, target, iv)
+        if x is not None:
+            return (x, y, p), n * (j + 2)
+    rng.bit_generator.state = state
+    x, rows = _first_accepted(
+        rng, lambda k: rng.uniform(iv.m, iv.M, size=(k, n)),
+        lambda B: np.flatnonzero(_x0_screen(B[None], p[None], np.array([target]), iv)[0]),
+        lambda B, j: _solved_x(B, j, p, target, iv), len(X), n)
     if x is not None:
-        return x, y, p
-    x = np.empty(n)
+        return (x, y, p), n * (rows + 1)
+    return (_construct_x(iv, p, target, rng), y, p), n * (rows + 2) - 1
+
+
+def _construct_x(iv, p, target, rng) -> np.ndarray:
+    """x with sum p x = target and entries in [m, M], built one coordinate at
+    a time in increasing weight, each drawn from the range that still lets
+    the remaining weight reach the target; the heaviest is solved last."""
+    x = np.empty(len(p))
     order = np.argsort(p)
     rest = np.cumsum(p[order][::-1])[::-1]  # rest[k]: weight of order[k:]
     fixed = 0.0
@@ -311,62 +470,7 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
         fixed += p[i] * x[i]
     last = order[-1]
     x[last] = min(max((target - fixed) / p[last], iv.m), iv.M)
-    return x, y, p
-
-
-def _first_accepted(rng, draw, candidates, accept, cap, first, width):
-    """The first item of up to ``cap`` draws that ``accept`` takes, or None;
-    the rng ends where the one-draw-at-a-time loop would.
-
-    ``draw(k)`` makes k draws in one call, which gives the same numbers as k
-    single draws, and returns them as a block.  Blocks start at ``first``
-    draws and double, capped at _REDRAW_BLOCK doubles of ``width`` per draw.
-    ``candidates(block)`` gives, in order, the indices of a block that may
-    pass; ``accept(block, j)`` returns draw j's item, or None where the
-    one-draw expression rejects it.  After an accepted
-    draw j the rng is rewound and j + 1 draws are redone, which gives back
-    the draws after it."""
-    done, k = 0, first
-    while done < cap:
-        k = min(k, cap - done, max(1, _REDRAW_BLOCK // width))
-        state = rng.bit_generator.state
-        block = draw(k)
-        for j in candidates(block):
-            item = accept(block, j)
-            if item is not None:
-                if j + 1 < k:
-                    rng.bit_generator.state = state
-                    draw(j + 1)
-                return item
-        done += k
-        k *= 2
-    return None
-
-
-def _redraw_solved_x(n, iv, p, target, rng):
-    """The first of up to _REDRAW_CAP draws x whose solved x_0 lies in
-    [m, M], with x_0 set, or None; the rng ends where the one-draw-at-a-time
-    loop would.
-
-    A block of draws is screened with a matrix-vector product.  The screen's
-    slack is far above any rounding difference from the one-row expression,
-    which decides acceptance and sets x_0."""
-    def candidates(X):
-        x0 = (target - X[:, 1:] @ p[1:]) / p[0]
-        slack = 1e-9 * ((abs(target) + np.abs(X[:, 1:]) @ p[1:]) / p[0]
-                        + max(abs(iv.m), abs(iv.M)))
-        return np.flatnonzero((x0 >= iv.m - slack) & (x0 <= iv.M + slack))
-
-    def accept(X, j):
-        x0 = (target - float(np.dot(p[1:], X[j, 1:]))) / p[0]
-        if not iv.m <= x0 <= iv.M:
-            return None
-        x = X[j].copy()
-        x[0] = x0
-        return x
-
-    return _first_accepted(rng, lambda k: rng.uniform(iv.m, iv.M, size=(k, n)),
-                           candidates, accept, _REDRAW_CAP, 1, n)
+    return x
 
 
 def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 200) -> np.ndarray:
@@ -427,9 +531,14 @@ def _weighted_sums(W, A) -> np.ndarray:
 
 def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
     """(G (k, d, d), w (k, d)): the draws of k = len(ivs) matrices with
-    spectra in the intervals ivs, one ``oc._draw_spectrum`` each."""
-    G, w = zip(*(oc._draw_spectrum(dim, iv, rng) for iv in ivs))
-    return np.stack(G), np.stack(w)
+    spectra in the intervals ivs, the numbers of one ``oc._draw_spectrum``
+    each (a Gaussian's real and imaginary parts, then the spectrum), drawn
+    into preallocated buffers."""
+    X, w = np.empty((len(ivs), 2, dim, dim)), np.empty((len(ivs), dim))
+    for Xj, wj, iv in zip(X, w, ivs):
+        rng.standard_normal(out=Xj)
+        wj[:] = rng.uniform(iv.m, iv.M, size=dim)
+    return X[:, 0] + 1j * X[:, 1], w
 
 
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
@@ -500,42 +609,114 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
 def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random.Generator):
     """(p, q) with components in [eps, 1] and the declared inner-product
     condition; rejection sampling over floored Dirichlet draws (at most
-    _REDRAW_CAP pairs).
+    _REDRAW_CAP pairs), p and q interleaved (2k draws of size n give the
+    same numbers as one (2k, n) draw).  The first pair whose
+    ``ce._condition_gap`` is at most PROB_TOL is taken, which is the pair
+    ``condition_tag_holds`` takes.
 
-    Pairs are drawn in blocks of doubling size from _PAIR_BLOCK, p and q
-    interleaved (2k draws of size n give the same numbers as one (2k, n)
-    draw).  The first row whose ``ce._condition_gap`` is at most PROB_TOL is
-    taken, which is the pair ``condition_tag_holds`` takes, and the rng ends
-    where the one-pair-at-a-time loop would."""
+    A batch of one of the reverse suites' sampler: ``_draw_pair_block``
+    draws the first block of _FIRST_BLOCK pairs and saves the state after it,
+    and ``_conditioned_pairs`` screens that block and resumes from the saved
+    state.  The rng then replays the pairs up to the one taken from where it
+    started, so it ends where the one-pair-at-a-time loop would."""
+    start = rng.bit_generator.state
+    pair, pairs = _conditioned_pairs([_draw_pair_block(n, eps, rng)], [(eps, direction)])[0]
+    rng.bit_generator.state = start
+    _redraw(lambda k: rng.dirichlet(np.ones(n), size=2 * k), pairs, 2 * n)
+    return _taken(pair, eps, direction)
+
+
+def _draw_pair_block(n: int, eps: float, rng: np.random.Generator):
+    """The draw phase of the conditioned-pair sampler: the first block of
+    Dirichlet draws (2k, n), p and q interleaved, and the rng state after it."""
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
-    ones = np.ones(n)
-    pair = _first_accepted(
-        rng, lambda k: eps + (1.0 - n * eps) * rng.dirichlet(ones, size=2 * k),
-        lambda D: np.flatnonzero(ce._condition_gap(D[0::2], D[1::2], direction)
-                                 <= ce.PROB_TOL),
-        lambda D, j: (D[2 * j].copy(), D[2 * j + 1].copy()), _REDRAW_CAP, _PAIR_BLOCK, 2 * n)
-    if pair is not None:
-        return pair
-    raise GeneratorExhausted(f"no ({direction}) pair with floor {eps} after {_REDRAW_CAP} draws")
+    D = rng.dirichlet(np.ones(n), size=2 * _first_block(_FIRST_BLOCK, 2 * n))
+    return D, rng.bit_generator.state
+
+
+def _pair_screen(D, eps, direction):
+    """The floored pairs F = eps + (1 - n eps) D of blocks of Dirichlet
+    draws D (..., 2k, n), p and q interleaved, and the mask (..., k) of the
+    pairs whose ``ce._condition_gap`` is at most PROB_TOL."""
+    F = eps + (1.0 - D.shape[-1] * eps) * D
+    return F, ce._condition_gap(F[..., 0::2, :], F[..., 1::2, :], direction) <= ce.PROB_TOL
+
+
+def _conditioned_pairs(draws, keys) -> list:
+    """((p, q), pairs) of each ``_draw_pair_block`` draw with its key (eps,
+    direction), pairs counting the draws up to the one taken, or (None,
+    _REDRAW_CAP) where none is.  The first blocks of one key and shape are
+    screened in one stack (``_pair_screen``), and a trial whose first block
+    holds no accepted pair resumes from its saved state
+    (``_first_accepted``)."""
+    rng = _resume_rng()
+
+    def solve(key, idx, D):
+        (eps, direction), (_, two_b, n) = key, D.shape
+        F, hits = _pair_screen(D, eps, direction)
+        first = _first_hits(hits)
+        hit = np.flatnonzero(first >= 0)
+        taken = zip(F[hit, 2 * first[hit]], F[hit, 2 * first[hit] + 1])
+        out = []
+        for t, j in zip(idx.tolist(), first.tolist()):
+            if j >= 0:
+                out.append((next(taken), j + 1))
+                continue
+            rng.bit_generator.state = draws[t][1]
+            pair, pairs = _first_accepted(
+                rng, lambda m: _pair_screen(rng.dirichlet(np.ones(n), size=2 * m), eps, direction),
+                lambda block: np.flatnonzero(block[1]),
+                lambda block, j: (block[0][2 * j].copy(), block[0][2 * j + 1].copy()),
+                two_b // 2, 2 * n)
+            out.append((pair, pairs))
+        return out
+
+    return _per_group(solve, keys, range(len(draws)), [D for D, _ in draws])
+
+
+def _taken(pair, eps, direction):
+    """The pair a conditioned-pair sampler took; GeneratorExhausted where it took none."""
+    if pair is None:
+        raise GeneratorExhausted(
+            f"no ({direction}) pair with floor {eps} after {_REDRAW_CAP} draws")
+    return pair
 
 
 def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     """(x, y, p) satisfying the weighted prefix conditions by construction:
     y decreasing, p positive, and x built from y by averaging n random
     adjacent pairs (weighted), which preserves the weighted total and can
-    only lower prefix sums.  All three arrays are C-contiguous."""
+    only lower prefix sums.  All three arrays are C-contiguous.  A batch of
+    one of the prefix suites' draw and build."""
+    return _build_fuchs_instances([_draw_fuchs_instance(n, iv, rng)])[0]
+
+
+def _draw_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
+    """The draws of ``gen_fuchs_instance``: y unsorted, p, and the n pair
+    indices of the averaging steps."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    y = np.sort(rng.uniform(iv.m, iv.M, size=n))[::-1].copy()
-    p = rng.uniform(0.2, 1.0, size=n)
-    x = y.copy()
-    for i in rng.integers(0, n - 1, size=n).tolist():
-        w = p[i] + p[i + 1]
-        avg = (p[i] * x[i] + p[i + 1] * x[i + 1]) / w
-        x[i] = avg
-        x[i + 1] = avg
-    return x, y, p
+    return (rng.uniform(iv.m, iv.M, size=n), rng.uniform(0.2, 1.0, size=n),
+            rng.integers(0, n - 1, size=n))
+
+
+def _build_fuchs_instances(draws) -> list:
+    """(x, y, p) of each ``_draw_fuchs_instance`` draw, one stack per n: y
+    sorted decreasing, and each averaging step on every row at once, with
+    the one-row arithmetic."""
+    def build(Y, P, steps):
+        Y = np.ascontiguousarray(np.sort(Y, axis=-1)[:, ::-1])
+        X, rows = Y.copy(), np.arange(len(Y))
+        for i in steps.T:
+            a, b = P[rows, i], P[rows, i + 1]
+            w = a + b
+            avg = (a * X[rows, i] + b * X[rows, i + 1]) / w
+            X[rows, i] = avg
+            X[rows, i + 1] = avg
+        return zip(X, Y, P)
+
+    return _per_group(build, None, *zip(*draws))
 
 
 # ---------------------------------------------------------------------------
@@ -1085,10 +1266,15 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class _Suite:
     """``draw(i, rng, params)`` makes trial i's rng calls on its own rng and
-    returns the raw arrays, then the trial's context, which ``run_suite``
-    puts after {trial, seed}; ``build(draws)`` turns the draws into
-    instances, one stack per step (scalar and eigensolver draws are
-    instances); ``score(instances)`` runs the batch kernel once on them all
+    nothing else, and returns the raw arrays (a rejection sampler's first
+    block of candidates, with the generator state saved after it), then the
+    trial's context, which ``run_suite`` puts after {trial, seed};
+    ``build(draws)`` turns the draws into instances, one stack per step and
+    shape: the scalar and classical suites' rejection screens, prefix
+    constructions, floors and normalisations too, where a trial whose first
+    block holds no accepted draw resumes its own stream from its saved state
+    (the eigensolver pair's draws are instances); ``score(instances)`` runs
+    the batch kernel once on them all
     and returns ``_table`` blocks, instance i as trial i.  ``defaults`` name
     the params that the draw reads and fill in those left out; a suite not
     ``in_all`` runs only when named, never under ``--suite all``."""
@@ -1107,6 +1293,15 @@ def _built(build):
     def run(draws):
         heads = build([raw for raw, *_ in draws])
         return [(*head, *rest) for head, (_, *rest) in zip(heads, draws)]
+    return run
+
+
+def _rows_built(build):
+    """The build phase of a scalar suite whose draws are (raw, key, *rest):
+    ``build(raws, keys)`` gives each instance's rows, which replace its raw."""
+    def run(draws):
+        rows = build([raw for raw, *_ in draws], [key for _, key, *_ in draws])
+        return [(row, *rest) for row, (_, *rest) in zip(rows, draws)]
     return run
 
 
@@ -1236,22 +1431,37 @@ def _draw_map_sum(i, rng, params, draw, kind):
 
 
 def _draw_scalar_corollary(i, rng, params):
-    """Equal weighted means, or on odd trials with decreasing f the relaxed
-    sum p x <= sum p y."""
+    """Equal weighted means (``_draw_equal_mean``), or on odd trials with
+    decreasing f the draws x, y, p of the relaxed sum p x <= sum p y."""
     n = _SCALAR_N
     f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
     if i % 2 == 1 and _is_decreasing(f, iv):
-        x = rng.uniform(iv.m, iv.M, size=n)
-        y = rng.uniform(iv.m, iv.M, size=n)
-        p = rng.dirichlet(np.ones(n))
-        if float(np.dot(p, x)) > float(np.dot(p, y)):
-            x, y = y, x
+        raw = (rng.uniform(iv.m, iv.M, size=n), rng.uniform(iv.m, iv.M, size=n),
+               rng.dirichlet(np.ones(n)))
         mode = MODE_RELAXED
     else:
-        x, y, p = gen_equal_weighted_mean_scalars(n, iv, rng)
-        mode = MODE_EQUAL
-    return (p, x, y), (f, alpha, mode), dict(dim=n, alpha=alpha, f=f.name, mode=mode)
+        raw, mode = _draw_equal_mean(n, iv, rng), MODE_EQUAL
+    return raw, (f, alpha, mode), dict(dim=n, alpha=alpha, f=f.name, mode=mode)
+
+
+def _build_scalar_corollary(raws, keys) -> list:
+    """(p, x, y) of each scalar_corollary draw with its key (f, alpha,
+    mode): the equal-mean instances from ``_equal_means``, and each relaxed
+    draw with x and y swapped where sum p x > sum p y."""
+    equal = [j for j, (_, _, mode) in enumerate(keys) if mode == MODE_EQUAL]
+    built = dict(zip(equal, _equal_means([raws[j] for j in equal],
+                                         [keys[j][0].domain for j in equal])))
+    out = []
+    for j, raw in enumerate(raws):
+        if j in built:
+            (x, y, p), _ = built[j]
+        else:
+            x, y, p = raw
+            if float(np.dot(p, x)) > float(np.dot(p, y)):
+                x, y = y, x
+        out.append((p, x, y))
+    return out
 
 
 _PREFIX_INTERVAL = Interval(-1.0, 2.0)
@@ -1270,14 +1480,14 @@ def _fuchs_fs():
 
 def _draw_fuchs(i, rng, params):
     f = _cycle(_fuchs_fs(), i)
-    x_y_p = gen_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng)
-    return x_y_p, f, dict(dim=_PREFIX_N, f=f.name)
+    return (_draw_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng), f,
+            dict(dim=_PREFIX_N, f=f.name))
 
 
 def _draw_moment(i, rng, params):
     order = _cycle(_MOMENT_ORDERS, i)
-    x_y_p = gen_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng)
-    return x_y_p, order, dict(dim=_PREFIX_N, r=order)
+    return (_draw_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng), order,
+            dict(dim=_PREFIX_N, r=order))
 
 
 def _draw_density_pair(i, rng, params):
@@ -1305,11 +1515,18 @@ def _build_entropy_instances(draws) -> list:
 
 
 def _draw_prob_pair(i, rng, params):
-    """((p, q), r, context): two Dirichlet draws floored at 1e-12."""
+    """(Dirichlet draws (2, n) of p and q, r, context)."""
     n, r = _cycle(_INFO_SIZES, i), _cycle(params["rs"], i)
-    p = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
-    q = np.maximum(rng.dirichlet(np.ones(n)), 1e-12)
-    return (p / p.sum(), q / q.sum()), r, dict(dim=n, r=r)
+    return rng.dirichlet(np.ones(n), size=2), r, dict(dim=n, r=r)
+
+
+def _build_prob_pairs(draws) -> list:
+    """(p, q) of each (2, n) block of Dirichlet draws, floored at 1e-12 and
+    normalized, one stack per n."""
+    def build(D):
+        F = np.maximum(D, 1e-12)
+        return map(tuple, F / np.sum(F, axis=-1, keepdims=True))
+    return _per_group(build, None, draws)
 
 
 def _info_inequality_kernel(r, P, Q):
@@ -1328,18 +1545,24 @@ def _info_inequality_kernel(r, P, Q):
 
 
 def _draw_conditioned_pair(i, rng, params):
-    """((p, q), (eps, direction), context): a floored pair whose dominance
-    tag alternates."""
+    """(first block and saved state of ``_draw_pair_block``, (eps,
+    direction), context): a floored pair whose dominance tag alternates."""
     n, eps = _cycle(_REVERSE_SIZES, i), params["eps"]
     direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
-    p, q = gen_conditioned_prob_pair(n, eps, direction, rng)
-    return (p, q), (eps, direction), dict(dim=n, eps=eps, direction=direction)
+    return (_draw_pair_block(n, eps, rng), (eps, direction),
+            dict(dim=n, eps=eps, direction=direction))
 
 
 def _draw_parametric_pair(i, rng, params):
-    pq, (eps, direction), ctx = _draw_conditioned_pair(i, rng, params)
+    raw, (eps, direction), ctx = _draw_conditioned_pair(i, rng, params)
     r = _cycle(params["rs"], i)
-    return pq, (eps, r, direction), dict(ctx, r=r)
+    return raw, (eps, r, direction), dict(ctx, r=r)
+
+
+def _build_conditioned_pairs(raws, keys) -> list:
+    """(p, q) of each reverse suite's draw, keyed (eps, ..., direction)."""
+    keys = [(key[0], key[-1]) for key in keys]
+    return [_taken(pair, *key) for (pair, _), key in zip(_conditioned_pairs(raws, keys), keys)]
 
 
 def _ratio_diff_kernel(suite_id, rows):
@@ -1483,16 +1706,18 @@ _SUITES: Dict[str, _Suite] = {
         _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
-        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}),
+        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}, _rows_built(_build_scalar_corollary)),
     "fuchs": _Suite(
         _draw_fuchs,
         _scalar_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
-                                           SCALAR_TOL)])),
+                                           SCALAR_TOL)]),
+        build=_rows_built(lambda raws, _: _build_fuchs_instances(raws))),
     "moment": _Suite(
         _draw_moment,
         _scalar_score(lambda order, X, Y, P: [(
             "moment_margin",
-            mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)])),
+            mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)]),
+        build=_rows_built(lambda raws, _: _build_fuchs_instances(raws))),
     "entropy_vn": _Suite(_draw_density_pair, _scalar_score(_entropy_kernel), _DENSITY_DEFAULTS,
                          _build_entropy_instances),
     "entropy_tsallis": _Suite(_draw_tsallis_pair, _scalar_score(_entropy_kernel),
@@ -1500,15 +1725,16 @@ _SUITES: Dict[str, _Suite] = {
                               _build_entropy_instances),
     "info_inequality": _Suite(
         _draw_prob_pair, _scalar_score(_info_inequality_kernel),
-        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)}),
+        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)},
+        _rows_built(lambda raws, _: _build_prob_pairs(raws))),
     "reverse_shannon": _Suite(
         _draw_conditioned_pair,
         _scalar_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
-        _REVERSE_DEFAULTS),
+        _REVERSE_DEFAULTS, _rows_built(_build_conditioned_pairs)),
     "parametric_reverse": _Suite(
         _draw_parametric_pair,
         _scalar_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
-        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}),
+        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}, _rows_built(_build_conditioned_pairs)),
     "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
                              {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)},
                              _built(_build_mean_instances)),
@@ -1529,6 +1755,46 @@ _SUITES: Dict[str, _Suite] = {
 _PARAM_KEYS = frozenset(key for suite in _SUITES.values() for key in suite.defaults)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _entries(value, ok) -> bool:
+    """Whether value is a non-empty sequence, not a string, of entries that pass ``ok``."""
+    return (isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, (str, bytes))
+            and len(value) > 0 and all(ok(v) for v in value))
+
+
+# what each key's value must be, and its test.  The kernels check the
+# domains of alphas and rs, which differ from suite to suite, and the mean
+# kernel that m > 0, so that a suite and its checker raise one error
+_PARAM_CHECKS = {
+    "dims": ("a non-empty sequence of integers >= 1",
+             lambda v: _entries(v, lambda d: isinstance(d, (int, np.integer))
+                                and not isinstance(d, bool) and d >= 1)),
+    "fs": (f"a non-empty sequence of the names {sorted(_CATALOG)}",
+           lambda v: _entries(v, lambda name: isinstance(name, str) and name in _CATALOG)),
+    "alphas": ("a non-empty sequence of real numbers", lambda v: _entries(v, _is_real)),
+    "rs": ("a non-empty sequence of real numbers", lambda v: _entries(v, _is_real)),
+    "eps": ("a real number in (0, 1)", lambda v: _is_real(v) and 0.0 < v < 1.0),
+    "interval": ("a pair (m, M) of finite reals with m < M",
+                 lambda v: (_entries(v, _is_real) and len(v) == 2
+                            and -math.inf < v[0] < v[1] < math.inf)),
+}
+
+
+def _check_params(params: dict):
+    """DomainError naming the first key of ``params`` that no suite reads,
+    or whose value ``_PARAM_CHECKS`` rejects."""
+    unread = [key for key in params if key not in _PARAM_KEYS]
+    if unread:
+        raise DomainError(f"no suite reads the params {unread}; known: {sorted(_PARAM_KEYS)}")
+    for key, value in params.items():
+        what, ok = _PARAM_CHECKS[key]
+        if not ok(value):
+            raise DomainError(f"params[{key!r}] must be {what}, got {value!r}")
+
+
 def suite_ids(include_extra: bool = False):
     """The suites of ``--suite all``, and with ``include_extra`` every suite."""
     return [sid for sid, suite in _SUITES.items() if include_extra or suite.in_all]
@@ -1541,7 +1807,8 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     spawn_key=(i,))``, all the trials seeded in one pass; build their
     instances, the blocks of one shape in one stack per step; and score
     them in one batch.  ``params`` may set any key that some suite reads
-    (``_PARAM_KEYS``); any other raises DomainError.  Returns a TrialReport
+    (``_PARAM_KEYS``) to a value that ``_PARAM_CHECKS`` takes; any other key
+    or value raises DomainError naming the key.  Returns a TrialReport
     that keeps the scored columns and trial contexts; with ``keep_verdicts``
     it carries the verdict list as ``report.verdicts``."""
     suite = _SUITES.get(suite_id)
@@ -1551,9 +1818,7 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
         raise DomainError("trials must be >= 0")
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    unread = [key for key in params or () if key not in _PARAM_KEYS]
-    if unread:
-        raise DomainError(f"no suite reads the params {unread}; known: {sorted(_PARAM_KEYS)}")
+    _check_params(params or {})
     params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
     draws = [suite.draw(i, rng, params) for i, rng in enumerate(_trial_rngs(seed, range(trials)))]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -306,6 +307,100 @@ class TestGenerators:
                 want = self.plain_fuchs_instance(n, iv, rng_b)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, seed)
                 assert rng_a.random() == rng_b.random(), (n, seed)
+
+
+    def test_spectra_buffers_match_one_draw_per_matrix(self):
+        # the buffers of _draw_spectra hold the numbers of one
+        # oc._draw_spectrum per interval, and the rng ends where those draws do
+        ivs = (Interval(0.5, 2.0), Interval(1.7, 5.1), Interval(-1.0, 0.5), Interval(0.0, 1.0))
+        for dim in (1, 2, 3, 4, 8):
+            for k in (1, 2, 4):
+                rng_a, rng_b = vf.trial_rng(dim, k), vf.trial_rng(dim, k)
+                G, w = vf._draw_spectra(dim, ivs[:k], rng_a)
+                want = [oc._draw_spectrum(dim, iv, rng_b) for iv in ivs[:k]]
+                assert np.array_equal(G, np.stack([g for g, _ in want])), (dim, k)
+                assert np.array_equal(w, np.stack([v for _, v in want])), (dim, k)
+                assert G.flags.c_contiguous and w.flags.c_contiguous
+                assert rng_a.random() == rng_b.random()
+
+
+class TestSuiteSamplers:
+    # the rejection-sampled suites draw each trial's first block, screen all
+    # the blocks in one stack and resume a trial that found nothing from
+    # the state saved after its block; trial by trial, they must give the
+    # public samplers' instances and exhaust where those do
+    SUITES = ("reverse_shannon", "parametric_reverse", "scalar_corollary")
+    CAP = vf._REDRAW_CAP
+
+    @staticmethod
+    def public_rows(suite, seed, i):
+        """Trial i's rows from the public sampler, or None for a relaxed
+        scalar_corollary trial, which draws no sample to reject."""
+        rng = vf.trial_rng(seed, i)
+        if suite == "scalar_corollary":
+            f = vf.function_catalog(vf._cycle(vf._DEFAULT_FS, i))
+            if i % 2 == 1 and vf._is_decreasing(f, f.domain):
+                return None
+            x, y, p = vf.gen_equal_weighted_mean_scalars(vf._SCALAR_N, f.domain, rng)
+            return p, x, y
+        direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
+        return vf.gen_conditioned_prob_pair(vf._cycle(vf._REVERSE_SIZES, i), 0.05, direction, rng)
+
+    @staticmethod
+    def suite_rows(monkeypatch, suite, seed, trials):
+        """Each trial's rows as run_suite scores them, and the items of the
+        trials that resumed."""
+        scored, resumed = [], []
+        inner, first_accepted = vf._SUITES[suite], vf._first_accepted
+
+        def score(instances):
+            scored.extend(rows for rows, *_ in instances)
+            return inner.score(instances)
+
+        def recording(*args):
+            item, count = first_accepted(*args)
+            resumed.append(item)
+            return item, count
+
+        monkeypatch.setitem(vf._SUITES, suite, dataclasses.replace(inner, score=score))
+        monkeypatch.setattr(vf, "_first_accepted", recording)
+        vf.run_suite(suite, trials, seed)
+        return scored, resumed
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 20, CAP])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suite_draws_honour_the_cap_and_the_first_block(self, suite, cap, monkeypatch):
+        # a cap of 0 draws nothing, 1 and 5 end inside the first block, 20
+        # inside the first resumed block; scalar_corollary never exhausts, it
+        # builds x coordinate-wise on the trial's stream
+        monkeypatch.setattr(vf, "_REDRAW_CAP", cap)
+        seed, trials = 5, 96
+        want, exhausted = [], False
+        for i in range(trials):
+            try:
+                want.append(self.public_rows(suite, seed, i))
+            except GeneratorExhausted:
+                exhausted = True
+        if exhausted:
+            with pytest.raises(GeneratorExhausted):
+                vf.run_suite(suite, trials, seed)
+            return
+        got, resumed = self.suite_rows(monkeypatch, suite, seed, trials)
+        assert len(got) == trials
+        for i, (rows, public) in enumerate(zip(got, want)):
+            if public is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(rows, public)), (suite, cap, i)
+        if cap == self.CAP:
+            # some trial found no accepted draw in its first block and took
+            # one from the blocks after it
+            assert any(item is not None for item in resumed), suite
+
+    def test_infeasible_floor_raises_a_domain_error(self):
+        # eps = 0.4 leaves no room at n = 3, the second trial's size
+        with pytest.raises(DomainError, match="infeasible"):
+            vf.run_suite("reverse_shannon", 4, 0, {"eps": 0.4})
+        with pytest.raises(DomainError, match="infeasible"):
+            vf.gen_conditioned_prob_pair(3, 0.4, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
 
 
 def _seed_sequence_rng(seed, trial):
@@ -864,6 +959,46 @@ class TestSuites:
         assert set(known) == vf._PARAM_KEYS
         assert set(vf._SUITES[suite].defaults) <= vf._PARAM_KEYS
         assert vf.run_suite(suite, 4, 0, known).trials == 4
+
+    @pytest.mark.parametrize("suite, params, key", [
+        # each of these used to fail with an untyped error inside a draw
+        ("eigensolver", {"dims": ()}, "dims"),
+        ("entropy_tsallis", {"rs": ()}, "rs"),
+        ("eigensolver", {"dims": 3}, "dims"),
+        ("operator_means", {"interval": (2.0,)}, "interval"),
+        ("entropy_vn", {"dims": (0,)}, "dims"),
+        ("entropy_vn", {"dims": (2.5,)}, "dims"),
+        ("entropy_vn", {"dims": (True,)}, "dims"),
+        ("lemma_jensen", {"dims": "23"}, "dims"),
+        ("lemma_jensen", {"fs": ()}, "fs"),
+        ("lemma_jensen", {"fs": ("exp",)}, "fs"),
+        ("scalar_corollary", {"fs": "power2"}, "fs"),
+        ("scalar_corollary", {"alphas": ()}, "alphas"),
+        ("scalar_corollary", {"alphas": ("1",)}, "alphas"),
+        ("parametric_reverse", {"rs": 0.5}, "rs"),
+        ("reverse_shannon", {"eps": 0.0}, "eps"),
+        ("reverse_shannon", {"eps": 1.0}, "eps"),
+        ("reverse_shannon", {"eps": float("nan")}, "eps"),
+        ("reverse_shannon", {"eps": (0.1,)}, "eps"),
+        ("operator_means", {"interval": (3.0, 2.0)}, "interval"),
+        ("operator_means", {"interval": (float("nan"), 2.0)}, "interval"),
+        ("operator_means", {"interval": (1.0, float("inf"))}, "interval"),
+        ("operator_means", {"interval": (1.0, 2.0, 3.0)}, "interval"),
+        # a value is checked even where the suite does not read its key
+        ("fuchs", {"dims": ()}, "dims"),
+    ])
+    def test_run_suite_rejects_bad_param_values(self, suite, params, key):
+        with pytest.raises(DomainError, match=f"params\\['{key}'\\]"):
+            vf.run_suite(suite, 3, 0, params)
+
+    def test_every_param_key_has_a_value_check(self):
+        assert set(vf._PARAM_CHECKS) == vf._PARAM_KEYS
+        # the defaults pass their own checks, as numpy scalars do
+        for suite in vf._SUITES.values():
+            for key, value in suite.defaults.items():
+                assert vf._PARAM_CHECKS[key][1](value), key
+        assert vf.run_suite("entropy_vn", 3, 0, {"dims": np.array([2, 3]),
+                                                 "alphas": [np.float64(0.5)]}).trials == 3
 
     def test_batched_suite_matches_per_instance_checker(self):
         # each suite and its checker share one kernel, and eigh_stack results
@@ -1498,6 +1633,13 @@ def _permutation_bound(n, *terms):
     return _PERMUTATION_ULPS * n * np.finfo(float).eps * max(1.0, total)
 
 
+def _suite_instance(suite_id, seed, i):
+    """Trial i of a suite at its default params: its draw on the trial's
+    stream, built as a batch of one."""
+    suite = vf._SUITES[suite_id]
+    return suite.build([suite.draw(i, vf.trial_rng(seed, i), suite.defaults)])[0]
+
+
 def _permuted(seed, i, *entries):
     perm = vf.trial_rng(seed + 1, i).permutation(len(entries[0]))
     return [e[perm] for e in entries]
@@ -1508,10 +1650,8 @@ class TestPermutationInvariance:
 
     @pytest.mark.parametrize("seed", [7, 1000])
     def test_scalar_corollary_margins_survive_a_permutation(self, seed):
-        params = vf._SUITES["scalar_corollary"].defaults
         for i in range(self.TRIALS):
-            (p, x, y), (f, alpha, mode), _ = vf._draw_scalar_corollary(
-                i, vf.trial_rng(seed, i), params)
+            (p, x, y), (f, alpha, mode), _ = _suite_instance("scalar_corollary", seed, i)
             a, b = ([v.margin for v in vf.check_scalar_corollary(*pxy, f, alpha, mode=mode)]
                     for pxy in ((p, x, y), _permuted(seed, i, p, x, y)))
             try:
@@ -1527,9 +1667,8 @@ class TestPermutationInvariance:
 
     @pytest.mark.parametrize("seed", [7, 1000])
     def test_info_inequality_margins_survive_a_permutation(self, seed):
-        params = vf._SUITES["info_inequality"].defaults
         for i in range(self.TRIALS):
-            (p, q), r, _ = vf._draw_prob_pair(i, vf.trial_rng(seed, i), params)
+            (p, q), r, _ = _suite_instance("info_inequality", seed, i)
             a, b = ([ce.information_inequality_margin(u, v), *ce.tsallis_cross_terms(u, v, r)]
                     for u, v in ((p, q), _permuted(seed, i, p, q)))
             bound = _permutation_bound(len(p), p * np.log(p), p * np.log(q),
@@ -1538,10 +1677,8 @@ class TestPermutationInvariance:
 
     @pytest.mark.parametrize("seed", [7, 1000])
     def test_reverse_shannon_margins_survive_a_permutation(self, seed):
-        params = vf._SUITES["reverse_shannon"].defaults
         for i in range(self.TRIALS):
-            (p, q), (eps, direction), _ = vf._draw_conditioned_pair(
-                i, vf.trial_rng(seed, i), params)
+            (p, q), (eps, direction), _ = _suite_instance("reverse_shannon", seed, i)
             a, b = (ce.reverse_shannon_margins(u, v, eps, direction)
                     for u, v in ((p, q), _permuted(seed, i, p, q)))
             big_k = math.log(eps) / (eps - 1.0)
@@ -1551,10 +1688,8 @@ class TestPermutationInvariance:
 
     @pytest.mark.parametrize("seed", [7, 1000])
     def test_parametric_reverse_margins_survive_a_permutation(self, seed):
-        params = vf._SUITES["parametric_reverse"].defaults
         for i in range(self.TRIALS):
-            (p, q), (eps, r, direction), _ = vf._draw_parametric_pair(
-                i, vf.trial_rng(seed, i), params)
+            (p, q), (eps, r, direction), _ = _suite_instance("parametric_reverse", seed, i)
             a, b = (ce.parametric_reverse_margins(u, v, eps, r, direction)
                     for u, v in ((p, q), _permuted(seed, i, p, q)))
             c1 = ln_r(r, 1.0 / eps) / (1.0 - eps)
