@@ -77,6 +77,16 @@ the stream, in a line ``<sha256>  <sampler>  trials=60 seed=7``.
 directions (eps 0.05), ``gen_equal_weighted_mean_scalars`` at n = 2, 3, 4
 and 7 (interval [0.05, 1]), and ``gen_fuchs_instance`` at n = 5 (interval
 [-1, 2]).
+
+Finally, the public oracles, each a batch of one of the stacked zoom that
+the ``oracle`` runs above take through: the ``repr`` of ``beta_oracle``,
+``ratio_oracle`` and ``diff_oracle`` over the grids of the oracle sweep,
+one call per row, one line per call with the function's name and the
+interval, in a line ``<sha256>  <oracle>  sweep grids``; and the ``repr``
+of the (argmax, value) of ``interval_max`` and ``interval_min`` on fixed
+objectives, in a line ``<sha256>  <function>  <kind>``, where ``kind`` is
+``vectorized`` or ``scalar-only`` (objectives that fail on an array, so
+that every point is a call of its own).
 """
 
 import contextlib
@@ -86,6 +96,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -98,7 +109,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import harness  # noqa: E402
 from karabounds import cli, verification  # noqa: E402
 from karabounds import operator_calculus as oc  # noqa: E402
-from karabounds.functions import Interval  # noqa: E402
+from karabounds import scalar_bounds as sb  # noqa: E402
+from karabounds.functions import FunctionSpec, Interval  # noqa: E402
 
 # trials per suite in the benchmark workloads; the two suites that no
 # workload runs take the count of the suite whose draws they share
@@ -317,6 +329,66 @@ def sampler_digest(sampler, trials, seed):
     return sha.hexdigest()
 
 
+# the grids of the oracle sweep, spelled out so that the script runs on any
+# checkout
+ORACLE_ALPHAS, TSALLIS_RS = (0.0, 0.5, 1.0, 2.0), (0.1, 0.3, 0.5, 0.7, 0.9)
+EPS_GRID = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+LN_R_RS = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
+H_GRID = (1.1, 1.5, 2.0, 5.0, 10.0, 50.0, 100.0)
+POWER_RS = (-2.0, -1.0, 0.3, 0.5, 0.7, 2.0, 3.0)
+
+
+def _oracle_calls():
+    """(oracle, f, interval, extra args) of each one-row oracle call."""
+    iv01 = Interval(0.0, 1.0)
+    for alpha in ORACLE_ALPHAS:
+        yield "beta_oracle", FunctionSpec.t_log_t(iv01), iv01, (alpha,)
+        for r in TSALLIS_RS:
+            yield "beta_oracle", FunctionSpec.tsallis_f(r, iv01), iv01, (alpha,)
+    for eps in EPS_GRID:
+        iv = Interval(eps, 1.0)
+        for f in (FunctionSpec.neg_log(iv), *(FunctionSpec.ln_r_reciprocal(r, iv) for r in LN_R_RS)):
+            yield "ratio_oracle", f, iv, ()
+            yield "diff_oracle", f, iv, ()
+    for h in H_GRID:
+        iv = Interval(1.0, h)
+        for r in POWER_RS:
+            yield "ratio_oracle", FunctionSpec.power(r, iv), iv, ()
+            yield "diff_oracle", FunctionSpec.power(r, iv), iv, ()
+
+
+def oracle_digest(oracle):
+    rows = (f"{f.name}\t{iv!r}\t{args!r}\t{getattr(sb, name)(f, iv, *args)!r}\n"
+            for name, f, iv, args in _oracle_calls() if name == oracle)
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+
+
+def _arr(t):
+    return np.asarray(t, dtype=float)
+
+
+OBJECTIVES = {
+    "vectorized": [
+        (lambda t: -_arr(t) * np.log(np.maximum(_arr(t), 1e-300)), Interval(1e-12, 1.0)),
+        (lambda t: -(_arr(t) - 0.1 * np.pi) ** 2, Interval(0.0, 1.0)),
+        (lambda t: np.minimum(_arr(t), 0.5), Interval(0.0, 1.0)),
+        (lambda t: np.full_like(_arr(t), 2.5), Interval(0.25, 4.0)),
+        (lambda t: -(_arr(t) - (1e6 + 0.3)) ** 2, Interval(1e6, 1e6 + 1.0)),
+        (lambda t: np.sin(3.0 * _arr(t)) * np.exp(-0.1 * _arr(t)), Interval(-5.0, 20.0)),
+    ],
+    "scalar-only": [
+        (lambda t: -math.log(t) - t, Interval(0.5, 2.0)),
+        (lambda t: math.sin(3.0 * t) * math.exp(-0.1 * t), Interval(-5.0, 20.0)),
+        (lambda t: -math.fabs(t - 0.3), Interval(0.0, 1.0)),
+    ],
+}
+
+
+def extremum_digest(fn, kind):
+    rows = (f"{iv!r}\t{getattr(sb, fn)(g, iv)!r}\n" for g, iv in OBJECTIVES[kind])
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+
+
 def _openblas_core():
     """The core name of numpy's bundled OpenBLAS, or ``unknown``."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -370,6 +442,11 @@ def main():
         print(f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7")
     for sampler in SAMPLERS:
         print(f"{sampler_digest(sampler, 60, 7)}  {sampler}  trials=60 seed=7")
+    for oracle in ("beta_oracle", "ratio_oracle", "diff_oracle"):
+        print(f"{oracle_digest(oracle)}  {oracle}  sweep grids")
+    for fn in ("interval_max", "interval_min"):
+        for kind in OBJECTIVES:
+            print(f"{extremum_digest(fn, kind)}  {fn}  {kind}")
 
 
 if __name__ == "__main__":

@@ -284,6 +284,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _null_non_finite(obj):
+    """obj with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_null_non_finite(value) for value in obj]
+    return obj
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     tol = args.tol
     rows, worst = vf.oracle_sweep()
@@ -295,6 +306,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                  "abs_diff": r["abs_diff"]} for r in rows]
         _emit(_rows_to_output(flat, args.format), args.out)
     else:
+        if not math.isfinite(worst):
+            payload = _null_non_finite(payload)
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     print(f"oracle sweep: {len(rows)} comparisons, worst |diff| = {worst:.3e} "
           f"(tol {tol:g})", file=sys.stderr)

@@ -31,6 +31,9 @@ SINGULAR_TOL = 1e-12
 #: absolute slack for the midpoint convexity test (double-precision secant noise)
 CONVEXITY_TOL = 1e-10
 
+#: what evaluating a function where it is undefined raises (``defined_at``)
+UNDEFINED_ERRORS = (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError)
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -213,7 +216,7 @@ class FunctionSpec:
         """True when the evaluator accepts t (convention points included)."""
         try:
             v = self(float(t))
-        except (DomainError, FloatingPointError, ValueError, ZeroDivisionError, OverflowError):
+        except UNDEFINED_ERRORS:
             return False
         return math.isfinite(v)
 
@@ -254,11 +257,49 @@ def chord_coeffs(f: FunctionSpec, iv: Interval) -> ChordCoeffs:
     return ChordCoeffs(slope, intercept)
 
 
+def _values(f: FunctionSpec, ts):
+    """f at each entry of the array ts, from one call of f on ts flattened (a
+    custom f may give one value for all)."""
+    vals = np.asarray(f(ts.ravel()), dtype=float)
+    return vals.reshape(ts.shape) if vals.size == ts.size else np.broadcast_to(vals, ts.shape)
+
+
+def _defined(f: FunctionSpec, ts):
+    """``f.defined_at`` at each entry of the array ts, from one call of f
+    when that call succeeds."""
+    try:
+        return np.isfinite(_values(f, ts))
+    except UNDEFINED_ERRORS:
+        return np.array([f.defined_at(t) for t in ts.ravel()]).reshape(ts.shape)
+
+
+def _check_rows(lo, hi):
+    """Interval's check of each row [lo[i], hi[i]]: the first failing row
+    raises its own DomainError."""
+    if not (lo < hi).all():
+        for a, b in zip(lo, hi):
+            Interval(float(a), float(b))
+
+
+#: the open-interval convention's step of the endpoints m and M inward
+_INWARD = np.array([[1e-12], [-1e-12]])
+
+
+def _open_rows(ends, takes):
+    """(lo, hi) arrays of the rows [m[i], M[i]] of ends = [m, M] under the
+    open-interval convention: each endpoint that f does not take (False in
+    takes, as ``_defined`` gives it) moved 1e-12 inward."""
+    lo, hi = np.where(takes, ends, ends + _INWARD)
+    _check_rows(lo, hi)
+    return lo, hi
+
+
 def _open_interval(f: FunctionSpec, iv: Interval) -> Interval:
-    """iv with each endpoint that f cannot take moved 1e-12 inward (the
-    open-interval convention)."""
-    return Interval(iv.m if f.defined_at(iv.m) else iv.m + 1e-12,
-                    iv.M if f.defined_at(iv.M) else iv.M - 1e-12)
+    """iv under the open-interval convention: a batch of one of
+    ``_open_rows``."""
+    ends = np.array([[iv.m], [iv.M]])
+    lo, hi = _open_rows(ends, _defined(f, ends))
+    return Interval(float(lo[0]), float(hi[0]))
 
 
 def _midpoint_convex(eval_fn, lo: float, hi: float, n_samples: int) -> bool:

@@ -7,6 +7,15 @@ its difference companion C(h, r); -log gives log of the Specht ratio; the
 r-deformed logarithm gives ls_r.  Every closed form here is shadowed by
 ``interval_max``, a dense-grid scan refined by a grid zoom, used as the
 independent check.
+
+There is one zoom loop, ``_zoom_max``, which maximizes a stack of maps,
+each row on its own interval with its own bracket, best point and stop,
+in one objective call per level (and chunk of STACK_POINTS points).  The
+oracle sweep stacks the rows of one function, one kind and one r, through
+``_beta_rows`` and ``_ratio_rows``, which also set up all rows in one call
+of f per step.  ``interval_max``, ``interval_min``, ``beta_oracle``,
+``ratio_oracle`` and ``diff_oracle`` are batches of one of these, and every
+row gets the bits and the errors it gets alone.
 """
 
 from __future__ import annotations
@@ -21,7 +30,11 @@ from .functions import (
     FunctionSpec,
     Interval,
     SINGULAR_TOL,
-    _open_interval,
+    UNDEFINED_ERRORS,
+    _check_rows,
+    _defined,
+    _open_rows,
+    _values,
     chord_coeffs,
     convexity_check,
     ln_r,
@@ -49,6 +62,10 @@ __all__ = [
 ]
 
 GRID_POINTS = 4096
+# points per objective call of a zoom stack: 4 rows of the first scan.  A
+# stack of 8 such rows raised a fresh process's peak RSS by 0.5 MB, one of 4
+# by nothing.
+STACK_POINTS = 4 * GRID_POINTS
 # points per zoom level: each level narrows the bracket 128-fold, so a unit
 # interval takes 5 levels.  Anywhere from 129 to 1025 points timed the same
 # oracle sweep within noise (fewer points need more levels, more points cost
@@ -58,6 +75,18 @@ ZOOM_XTOL = 1e-12
 # what an objective raises at a point where it is undefined; anything else
 # (a NameError, say) is a bug in the objective and propagates
 _EVAL_ERRORS = (TypeError, ValueError, ArithmeticError)
+
+
+def _grid(lo, hi, n):
+    """A (k, n) array whose row i is ``np.linspace(lo[i], hi[i], n)``, bit
+    for bit: arange(n) * step + lo, with the last point set to hi."""
+    step = [(b - a) / (n - 1) for a, b in zip(lo, hi)]
+    if 0.0 in step:  # a subnormal width, which linspace divides before it scales
+        return np.array([np.linspace(a, b, n) for a, b in zip(lo, hi)])
+    ts = np.arange(n, dtype=float) * np.array(step)[:, None]
+    ts += np.array(lo)[:, None]
+    ts[:, -1] = hi
+    return ts
 
 
 def _eval_objective(g, ts):
@@ -77,36 +106,75 @@ def _eval_objective(g, ts):
                 vals[i] = float(g(float(t)))
             except _EVAL_ERRORS as exc:
                 raise DomainError(f"objective undefined at t={float(t)!r}: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         bad = float(ts[np.flatnonzero(~np.isfinite(vals))[0]])
         raise DomainError(f"objective not finite at t={bad!r}")
     return vals
 
 
+def _eval_rows(g, ts, rows):
+    """The rows of values of the stacked map g on ts, row i at the map of
+    rows[i], from one call g(ts, rows as a column).  If that call fails,
+    gives the wrong shape or meets a non-finite value, or the stack has one
+    row, each row is evaluated alone by ``_eval_objective``, so an error is
+    the first failing row's own."""
+    if len(rows) > 1:
+        try:
+            vals = np.asarray(g(ts, np.array(rows)[:, None]), dtype=float)
+        except Exception:
+            # as in _eval_objective: the row-by-row calls raise a real error again
+            vals = None
+        if vals is not None and vals.shape == ts.shape and np.isfinite(vals).all():
+            return vals
+    return [_eval_objective(lambda t: g(t, row), row_ts) for row, row_ts in zip(rows, ts)]
+
+
+def _zoom_max(g, lo, hi):
+    """[(argmax, max)] of a stack of scalar maps, map i on [lo[i], hi[i]]:
+    the scan and zoom of ``interval_max``, with all rows of one level in one
+    objective call per chunk of at most STACK_POINTS points.
+
+    ``g(t, rows)`` gives the maps of an index column rows at a (k, n) stack
+    t, and the map of an index rows at a 1-D array or a float t.  Each row
+    keeps its own bracket and best point and leaves the stack when it
+    stops, so its result is that of the row alone.
+    """
+    best = [(math.nan, -math.inf)] * len(lo)
+    live, n = [(row, float(a), float(b)) for row, (a, b) in enumerate(zip(lo, hi))], GRID_POINTS
+    while live:
+        per, zoom = max(1, STACK_POINTS // n), []
+        for c in range(0, len(live), per):
+            rows, los, his = zip(*live[c:c + per])
+            ts = _grid(los, his, n)
+            for row, row_ts, row_vals in zip(rows, ts, _eval_rows(g, ts, rows)):
+                j = int(row_vals.argmax())  # first max: leftmost tie
+                t, v = float(row_ts[j]), float(row_vals[j])
+                arg, val = best[row]
+                if v > val or (v == val and t < arg):
+                    best[row] = t, v
+                a, b = float(row_ts[max(j - 1, 0)]), float(row_ts[min(j + 1, n - 1)])
+                # stop at the target width, or once rounding keeps the bracket
+                # from shrinking (neighbouring points an ulp apart at a large t)
+                if ZOOM_XTOL < b - a < row_ts[-1] - row_ts[0]:
+                    zoom.append((row, a, b))
+        live, n = zoom, ZOOM_POINTS
+    return best
+
+
 def interval_max(g, iv: Interval):
     """Maximize a scalar map on [m, M]: a 4096-point grid scan, then a grid
     zoom that rescans the bracket between the best point's neighbours with
-    ZOOM_POINTS points until the bracket is at most ZOOM_XTOL (1e-12) wide.
+    ZOOM_POINTS points until the bracket is at most ZOOM_XTOL (1e-12) wide,
+    or until rounding keeps it from shrinking.  A batch of one of the
+    stacked zoom that the oracle sweep runs on all rows of one function.
 
     Returns (argmax, value), the best point of every scan.  Ties break
     toward the smaller t.  Every point goes through the same evaluation, so
     an undefined or non-finite value anywhere raises DomainError carrying
-    the offending point.
+    the offending point.  g is called on 1-D arrays, and on floats when it
+    fails on an array.
     """
-    ts = np.linspace(iv.m, iv.M, GRID_POINTS)
-    arg, val = None, -math.inf
-    while True:
-        vals = _eval_objective(g, ts)
-        best = int(np.argmax(vals))  # first max: leftmost tie
-        t, v = float(ts[best]), float(vals[best])
-        if v > val or (v == val and t < arg):
-            arg, val = t, v
-        lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
-        # stop at the target width, or once rounding keeps the bracket from
-        # shrinking (neighbouring points an ulp apart at a large t)
-        if hi - lo <= ZOOM_XTOL or hi - lo >= ts[-1] - ts[0]:
-            return arg, val
-        ts = np.linspace(lo, hi, ZOOM_POINTS)
+    return _zoom_max(lambda t, rows: g(t), [iv.m], [iv.M])[0]
 
 
 def interval_min(g, iv: Interval):
@@ -124,19 +192,27 @@ def beta_oracle(f: FunctionSpec, iv: Interval, alpha: float) -> float:
     """Brute-force value of max/min over [m, M] of chord(t) - alpha*f(t).
 
     Independent of the closed forms in ``beta_constant``: pure grid scan +
-    grid zoom.  Concave f takes the dual minimum.
+    grid zoom.  Concave f takes the dual minimum.  A batch of one of
+    ``_beta_rows``.
     """
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
-    ch = chord_coeffs(f, iv)
-    scan = _open_interval(f, iv)
+    return float(_beta_rows(f, [iv], [alpha])[0])
 
-    def objective(t):
-        return ch(t) - alpha * np.asarray(f(t), dtype=float)
 
-    if f.is_convex:
-        return interval_max(objective, scan)[1]
-    return interval_min(objective, scan)[1]
+def _beta_rows(f: FunctionSpec, ivs, alphas):
+    """``beta_oracle`` of f on each row (ivs[i], alphas[i]), with the set-up
+    of all rows in one call of f per step and one zoom stack."""
+    for alpha in alphas:
+        if not 0.0 <= alpha < math.inf:
+            raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
+    ends, vals, takes = _endpoints(f, ivs)
+    _, _, slope, intercept = _chords(f, ivs, ends, vals)
+    lo, hi = _open_rows(ends, takes)
+    alpha = np.asarray(alphas, dtype=float)
+
+    def objective(t, rows):
+        return slope[rows] * t + intercept[rows] - alpha[rows] * f(t)
+
+    return _extremes(objective, lo, hi, f.is_convex)
 
 
 def beta_constant(f: FunctionSpec, iv: Interval, alpha: float) -> float:
@@ -228,48 +304,100 @@ def ratio_oracle(f: FunctionSpec, iv: Interval) -> float:
     Endpoints where f vanishes are treated as open and clamped inward by
     1e-12 (the ratio extends continuously there).  The chord is evaluated
     anchored at the nearest interpolation node, which avoids catastrophic
-    cancellation where chord and f vanish together."""
-    _validate_positive(f, iv)
-    ch = chord_coeffs(f, iv)
-    fm, fM = float(f(iv.m)) if f.defined_at(iv.m) else None, float(f(iv.M))
-    if fm is None:
-        fm = ch.slope * iv.m + ch.intercept
-    mid = 0.5 * (iv.m + iv.M)
+    cancellation where chord and f vanish together.  A batch of one of
+    ``_ratio_rows``."""
+    return float(_ratio_rows(f, [iv])[0])
 
-    def chord_anchored(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= mid,
-                        fm + ch.slope * (t - iv.m),
-                        fM + ch.slope * (t - iv.M))
 
-    scan = _open_interval(f, iv)
-    lo, hi = scan.m, scan.M
+def _ratio_rows(f: FunctionSpec, ivs):
+    """``ratio_oracle`` of f on each interval of ivs, with the set-up of all
+    rows in one call of f per step and one zoom stack."""
+    ends, vals, takes = _endpoints(f, ivs)
+    lo, hi = _open_rows(ends, takes)
+    _validate_rows(f, lo, hi)
+    fm, fM, slope, intercept = _chords(f, ivs, ends, vals)
+    m, M = ends
+    # where f(m) is not finite, the chord's own value at m anchors it
+    fm = np.where(np.isfinite(fm), fm, slope * m + intercept)
+    mid = 0.5 * (m + M)
     # a zero of f at an endpoint is a removable 0/0 of the ratio: step one ulp
     # inward so the scan value tracks the limit instead of biasing it
-    if abs(float(f(hi))) < 1e-300:
-        hi = float(np.nextafter(hi, lo))
-    if abs(float(f(lo))) < 1e-300:
-        lo = float(np.nextafter(lo, hi))
-    scan = Interval(lo, hi)
+    hi = np.where(np.abs(_f_at(f, hi)) < 1e-300, np.nextafter(hi, lo), hi)
+    lo = np.where(np.abs(_f_at(f, lo)) < 1e-300, np.nextafter(lo, hi), lo)
+    _check_rows(lo, hi)
 
-    def objective(t):
-        return chord_anchored(t) / np.asarray(f(t), dtype=float)
+    def objective(t, rows):
+        return np.where(t <= mid[rows],
+                        fm[rows] + slope[rows] * (t - m[rows]),
+                        fM[rows] + slope[rows] * (t - M[rows])) / f(t)
 
-    if f.is_convex:
-        return interval_max(objective, scan)[1]
-    return interval_min(objective, scan)[1]
+    return _extremes(objective, lo, hi, f.is_convex)
 
 
-def _validate_positive(f: FunctionSpec, iv: Interval, n: int = 1024):
-    scan = _open_interval(f, iv)
-    ts = np.linspace(scan.m, scan.M, n)[1:-1]  # endpoint zeros are tolerated
-    vals = np.asarray(f(ts), dtype=float)
-    if np.any(vals <= 0.0):
-        bad = float(ts[np.flatnonzero(vals <= 0.0)[0]])
+def _validate_positive(f: FunctionSpec, iv: Interval):
+    ends, _, takes = _endpoints(f, [iv])
+    _validate_rows(f, *_open_rows(ends, takes))
+
+
+def _validate_rows(f: FunctionSpec, lo, hi, n: int = 1024):
+    """PreconditionError unless f > 0 inside each row's [lo, hi], checked
+    at the inner points of an n-point grid (endpoint zeros are tolerated);
+    the first failing row names its first non-positive point."""
+    ts = _grid(lo, hi, n)[:, 1:-1]
+    bad = _f_at(f, ts) <= 0.0
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise PreconditionError(
             f"ratio constant needs f > 0 on the interval; {f.name or f.kind} "
-            f"is non-positive at t={bad!r}"
+            f"is non-positive at t={float(ts[i, j])!r}"
         )
+
+
+# ---------------------------------------------------------------------------
+# stacked set-up of the oracles: each step is one call of f on all rows, and
+# a failing call is made again row by row, so an error is a row's own (the
+# open-interval rows are ``functions._open_rows``)
+# ---------------------------------------------------------------------------
+
+
+def _endpoints(f: FunctionSpec, ivs):
+    """The rows' endpoints as a (2, k) array [m, M], f at them from one call
+    of f (None if that call fails) and which of them f takes."""
+    ends = np.array([[iv.m for iv in ivs], [iv.M for iv in ivs]], dtype=float)
+    try:
+        vals = _values(f, ends)
+    except UNDEFINED_ERRORS:
+        return ends, None, _defined(f, ends)
+    return ends, vals, np.isfinite(vals)
+
+
+def _f_at(f: FunctionSpec, ts):
+    """``_values`` of f at ts; if that call raises DomainError, f on each
+    entry of ts's first axis in turn raises the first failing one's own."""
+    try:
+        return _values(f, ts)
+    except DomainError:
+        for t in ts:
+            f(t)
+        raise
+
+
+def _chords(f: FunctionSpec, ivs, ends, vals):
+    """(f(m), f(M), slope, intercept) of each row's ``chord_coeffs``, from
+    ``_endpoints``."""
+    if vals is None:
+        for iv in ivs:
+            chord_coeffs(f, iv)  # the first failing row raises its own error
+        vals = np.array([[float(f(float(t))) for t in row] for row in ends])
+    (m, M), (fm, fM) = ends, vals
+    return fm, fM, (fM - fm) / (M - m), (M * fm - m * fM) / (M - m)
+
+
+def _extremes(g, lo, hi, convex: bool):
+    """The max of each row of the stacked map g (the min if not convex)."""
+    if convex:
+        return np.array([val for _, val in _zoom_max(g, lo, hi)])
+    return -np.array([val for _, val in _zoom_max(lambda t, rows: -g(t, rows), lo, hi)])
 
 
 def _ratio_closed_form(f: FunctionSpec, iv: Interval):

@@ -1844,6 +1844,9 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
 _EPS_GRID = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 _R_GRID = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
 _H_GRID = (1.1, 1.5, 2.0, 5.0, 10.0, 50.0, 100.0)
+_ALPHAS = (0.0, 0.5, 1.0, 2.0)
+_TSALLIS_R = (0.1, 0.3, 0.5, 0.7, 0.9)
+_POWER_R = (-2.0, -1.0, 0.3, 0.5, 0.7, 2.0, 3.0)
 
 
 def oracle_row(name: str, params: dict, closed, oracle) -> dict:
@@ -1855,43 +1858,50 @@ def oracle_row(name: str, params: dict, closed, oracle) -> dict:
 
 def _sweep_cases():
     """(name, params, closed form, oracle value) of every cataloged closed
-    form.  Two closed forms of one oracle value (log S(eps) and C(eps, -log))
-    share one oracle call."""
+    form.  The oracle values of one function, one kind and one r, come
+    from one stacked oracle call, a row per interval and alpha
+    (``scalar_bounds._beta_rows`` and ``_ratio_rows``), on the f whose
+    domain is the widest row's (f's values do not depend on its domain);
+    two closed forms of one oracle value (log S(eps) and C(eps, -log))
+    share one row."""
     iv01 = Interval(0.0, 1.0)
     f_tlogt = FunctionSpec.t_log_t(iv01)
-    for alpha in (0.0, 0.5, 1.0, 2.0):
+    tsallis = [FunctionSpec.tsallis_f(r, iv01) for r in _TSALLIS_R]
+    betas = {f: sb._beta_rows(f, [iv01] * len(_ALPHAS), _ALPHAS) for f in (f_tlogt, *tsallis)}
+    for i, alpha in enumerate(_ALPHAS):
         yield ("beta_t_log_t", {"alpha": alpha},
-               sb.beta_constant(f_tlogt, iv01, alpha), sb.beta_oracle(f_tlogt, iv01, alpha))
-        for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-            f = FunctionSpec.tsallis_f(r, iv01)
+               sb.beta_constant(f_tlogt, iv01, alpha), betas[f_tlogt][i])
+        for r, f in zip(_TSALLIS_R, tsallis):
             yield ("beta_tsallis", {"alpha": alpha, "r": r},
-                   sb.beta_constant(f, iv01, alpha), sb.beta_oracle(f, iv01, alpha))
-    for eps in _EPS_GRID:
-        ive = Interval(eps, 1.0)
-        f = FunctionSpec.neg_log(ive)
+                   sb.beta_constant(f, iv01, alpha), betas[f][i])
+    ives = [Interval(eps, 1.0) for eps in _EPS_GRID]
+    f_neglog = FunctionSpec.neg_log(ives[0])
+    ln_rs = [FunctionSpec.ln_r_reciprocal(r, ives[0]) for r in _R_GRID]
+    ratios = {f: sb._ratio_rows(f, ives) for f in (f_neglog, *ln_rs)}
+    diffs = {f: sb._beta_rows(f, ives, [1.0] * len(ives)) for f in (f_neglog, *ln_rs)}
+    for i, (eps, ive) in enumerate(zip(_EPS_GRID, ives)):
         yield ("ratio_neg_log", {"eps": eps},
-               sb.ratio_constant(f, ive), sb.ratio_oracle(f, ive))
-        diff = sb.diff_oracle(f, ive)
-        yield ("diff_neg_log", {"eps": eps}, sb.diff_constant(f, ive), diff)
-        yield ("log_specht_via_diff", {"eps": eps}, math.log(sb.specht(eps)), diff)
-        for r in _R_GRID:
-            fr = FunctionSpec.ln_r_reciprocal(r, ive)
+               sb.ratio_constant(f_neglog, ive), ratios[f_neglog][i])
+        yield ("diff_neg_log", {"eps": eps}, sb.diff_constant(f_neglog, ive), diffs[f_neglog][i])
+        yield ("log_specht_via_diff", {"eps": eps}, math.log(sb.specht(eps)), diffs[f_neglog][i])
+        for r, fr in zip(_R_GRID, ln_rs):
             yield ("ratio_ln_r", {"eps": eps, "r": r},
-                   sb.ratio_constant(fr, ive), sb.ratio_oracle(fr, ive))
-            yield ("ls_r_via_diff", {"eps": eps, "r": r},
-                   sb.ls_r_constant(eps, r), sb.diff_oracle(fr, ive))
-    for h in _H_GRID:
-        for r in (-2.0, -1.0, 0.3, 0.5, 0.7, 2.0, 3.0):
-            ivh = Interval(1.0, h)
-            fp = FunctionSpec.power(r, ivh)
-            yield ("kantorovich", {"h": h, "r": r},
-                   sb.kantorovich(h, r), sb.ratio_oracle(fp, ivh))
-            yield ("c_of_hr", {"h": h, "r": r, "m": 1.0},
-                   sb.c_of_hr(1.0, h, r), sb.diff_oracle(fp, ivh))
+                   sb.ratio_constant(fr, ive), ratios[fr][i])
+            yield ("ls_r_via_diff", {"eps": eps, "r": r}, sb.ls_r_constant(eps, r), diffs[fr][i])
+    ivhs = [Interval(1.0, h) for h in _H_GRID]
+    powers = [FunctionSpec.power(r, ivhs[-1]) for r in _POWER_R]
+    ratios = {f: sb._ratio_rows(f, ivhs) for f in powers}
+    diffs = {f: sb._beta_rows(f, ivhs, [1.0] * len(ivhs)) for f in powers}
+    for i, h in enumerate(_H_GRID):
+        for r, fp in zip(_POWER_R, powers):
+            yield ("kantorovich", {"h": h, "r": r}, sb.kantorovich(h, r), ratios[fp][i])
+            yield ("c_of_hr", {"h": h, "r": r, "m": 1.0}, sb.c_of_hr(1.0, h, r), diffs[fp][i])
 
 
 def oracle_sweep():
     """(``oracle_row`` of every cataloged closed form against the grid-zoom
-    oracle ``scalar_bounds.interval_max``, worst abs_diff)."""
+    oracle of ``scalar_bounds``, worst abs_diff).  A row whose closed form
+    or oracle value is not finite has a NaN or infinite abs_diff, and the
+    worst is NaN if any row's is, so such a row fails any tolerance."""
     rows = [oracle_row(*case) for case in _sweep_cases()]
-    return rows, max(row["abs_diff"] for row in rows)
+    return rows, float(np.max([row["abs_diff"] for row in rows]))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,26 @@ class TestOracleCommand:
         monkeypatch.setattr(vf.sb, "specht", lambda h: 1.0)
         out = tmp_path / "o.json"
         assert run(["oracle", "--out", str(out)]) == 1
+
+    def test_non_finite_closed_form_fails_with_null_values(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vf.sb, "kantorovich", lambda h, r: math.nan)
+        out = tmp_path / "o.json"
+        assert run(["oracle", "--out", str(out)]) == 1
+
+        def reject(token):
+            raise AssertionError(f"bare {token} in the JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["pass"] is False and payload["worst_abs_diff"] is None
+        bad = [r for r in payload["rows"] if r["name"] == "kantorovich"]
+        assert len(bad) == 49
+        assert all(r["closed_form"] is None and r["abs_diff"] is None
+                   and isinstance(r["oracle_value"], float) for r in bad)
+        csv_out = tmp_path / "o.csv"
+        assert run(["oracle", "--format", "csv", "--out", str(csv_out)]) == 1
+        with open(csv_out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(r["closed_form"] == r["abs_diff"] == "nan" for r in rows) == 49
 
 
 class TestReportSchema:

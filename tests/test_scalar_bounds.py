@@ -117,6 +117,113 @@ class TestIntervalMax:
         assert arg == pytest.approx(0.3, abs=1e-6)
 
 
+# a stack of five maps min(-w (t - c)^2, cap) that stop at different zoom
+# levels: a peak inside [0, 1]; a peak near t = 1e6, whose grid neighbours
+# an ulp apart stop the zoom by the rounding rule; a constant map and a
+# plateau, whose ties break toward the left; and a peak on a wide interval
+_W = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+_C = np.array([0.1 * math.pi, 1e6 + 0.3, 0.0, 0.9, 17.0])
+_CAP = np.array([np.inf, np.inf, np.inf, -0.16, np.inf])
+_LO = np.array([0.0, 1e6, 0.25, 0.0, -40.0])
+_HI = np.array([1.0, 1e6 + 1.0, 4.0, 1.0, 60.0])
+
+
+def _stacked(t, rows):
+    return np.minimum(-_W[rows] * (t - _C[rows]) ** 2, _CAP[rows])
+
+
+def _alone(i):
+    return lambda t: np.minimum(-_W[i] * (np.asarray(t) - _C[i]) ** 2, _CAP[i])
+
+
+class TestStackedZoom:
+    def test_grid_rows_are_linspace(self):
+        lo = np.array([0.0, 0.3, 1e6, -2.5, 0.0])
+        hi = np.array([1.0, 0.3 + 1e-11, 1e6 + 1.0, 7.0, 1e-320])  # last: subnormal step
+        for n in (sb.GRID_POINTS, sb.ZOOM_POINTS, 1024):
+            ts = sb._grid(lo, hi, n)
+            for i in range(lo.size):
+                assert ts[i].tobytes() == np.linspace(lo[i], hi[i], n).tobytes()
+
+    def test_each_row_equals_its_batch_of_one(self):
+        calls = []
+
+        def g(t, rows):
+            calls.append(np.size(rows) if np.ndim(t) == 2 else 1)
+            return _stacked(t, rows)
+
+        stacked = sb._zoom_max(g, _LO, _HI)
+        for i in range(_LO.size):
+            assert stacked[i] == sb.interval_max(_alone(i), Interval(_LO[i], _HI[i]))
+        assert stacked[2] == (0.25, -0.0)  # the constant map's leftmost tie
+        assert 0.5 <= stacked[3][0] <= 0.5 + 1e-9  # the plateau's left edge
+        # the first scan runs in chunks of STACK_POINTS points (4 rows, then
+        # 1), and rows leave the stack as they stop
+        zoom = calls[2:]
+        assert calls[:2] == [4, 1]
+        assert zoom == sorted(zoom, reverse=True) and len(set(zoom)) >= 3
+
+    def test_rounding_rule_stops_the_large_t_row(self):
+        grids = []
+
+        def g(t):
+            grids.append(t)
+            return _alone(1)(t)
+
+        arg, _ = sb.interval_max(g, Interval(_LO[1], _HI[1]))
+        last = grids[-1]
+        j = int(np.argmax(_alone(1)(last)))
+        # the last bracket is wider than ZOOM_XTOL: rounding stopped the zoom
+        assert last[min(j + 1, last.size - 1)] - last[max(j - 1, 0)] > sb.ZOOM_XTOL
+        assert arg == pytest.approx(1e6 + 0.3, abs=1e-9)
+
+    def test_interval_min_equals_its_stacked_row(self):
+        stacked = sb._zoom_max(_stacked, _LO, _HI)
+        for i, (arg, val) in enumerate(stacked):
+            assert sb.interval_min(lambda t, i=i: -_alone(i)(t),
+                                   Interval(_LO[i], _HI[i])) == (arg, -val)
+
+    def test_nan_near_a_peak_in_a_stack_is_that_rows_error(self):
+        # row 1's NaN lies between grid points, so only the zoom meets it
+        bad = np.array([False, True, False])
+        c = np.array([0.7, 0.3, 0.1])
+
+        def stacked(t, rows):
+            return np.where(bad[rows] & (np.abs(t - c[rows]) < 1e-6), np.nan,
+                            -(t - c[rows]) ** 2)
+
+        with pytest.raises(DomainError, match="not finite at t=") as alone:
+            sb.interval_max(lambda t: stacked(np.asarray(t), 1), IV01)
+        with pytest.raises(DomainError) as in_stack:
+            sb._zoom_max(stacked, [0.0] * 3, [1.0] * 3)
+        assert str(in_stack.value) == str(alone.value)
+
+    def test_ratio_row_failing_positivity_raises_its_own_error(self):
+        f = FunctionSpec.neg_log(Interval(0.1, 2.0))
+        ivs = [Interval(0.1, 1.0), Interval(0.5, 2.0), Interval(0.3, 3.0)]
+        with pytest.raises(PreconditionError, match="non-positive") as alone:
+            sb.ratio_oracle(f, ivs[1])
+        with pytest.raises(PreconditionError) as in_stack:
+            sb._ratio_rows(f, ivs)
+        assert str(in_stack.value) == str(alone.value)
+
+    def test_beta_row_failing_at_an_endpoint_raises_its_own_error(self):
+        f = FunctionSpec.power(-1.0, Interval(1.0, 2.0))
+        ivs = [Interval(1.0, 2.0), Interval(0.0, 2.0), Interval(1.0, 3.0)]
+        with pytest.raises(DomainError, match="endpoint") as alone:
+            sb.beta_oracle(f, ivs[1], 0.5)
+        with pytest.raises(DomainError) as in_stack:
+            sb._beta_rows(f, ivs, [0.5] * 3)
+        assert str(in_stack.value) == str(alone.value)
+
+    def test_stacked_oracles_equal_their_batches_of_one(self):
+        ivs = [Interval(eps, 1.0) for eps in (0.01, 0.2, 0.9)]
+        f = FunctionSpec.ln_r_reciprocal(0.7, ivs[0])
+        assert list(sb._ratio_rows(f, ivs)) == [sb.ratio_oracle(f, iv) for iv in ivs]
+        assert list(sb._beta_rows(f, ivs, [0.0, 1.0, 2.5])) == [
+            sb.beta_oracle(f, iv, alpha) for iv, alpha in zip(ivs, (0.0, 1.0, 2.5))]
+
+
 class TestBetaConstant:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_t_log_t_closed_form(self, alpha):

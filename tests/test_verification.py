@@ -1875,3 +1875,34 @@ class TestOracleSweep:
         monkeypatch.setattr(vf.sb, "kantorovich", lambda h, r: 1.0)
         _, worst = vf.oracle_sweep()
         assert worst > 1e-7
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sweep_fails_on_a_non_finite_closed_form(self, monkeypatch, value):
+        # 49 kantorovich rows are non-finite; a NaN that is not the first
+        # row's must still reach the worst
+        monkeypatch.setattr(vf.sb, "kantorovich", lambda h, r: value)
+        rows, worst = vf.oracle_sweep()
+        assert rows[0]["name"] != "kantorovich"
+        assert not math.isfinite(worst) and not worst <= 1e-7
+        assert sum(not math.isfinite(row["abs_diff"]) for row in rows) == 49
+
+    def test_sweep_oracle_values_equal_the_one_row_oracles(self):
+        # every oracle value of the stacked sweep, against the public oracle
+        # on the same (f, interval, alpha), one row at a time
+        sb = vf.sb
+        for row in vf.oracle_sweep()[0]:
+            name, p = row["name"], row["params"]
+            if name in ("beta_t_log_t", "beta_tsallis"):
+                iv = Interval(0.0, 1.0)
+                f = FunctionSpec.t_log_t(iv) if "r" not in p else FunctionSpec.tsallis_f(p["r"], iv)
+                oracle = sb.beta_oracle(f, iv, p["alpha"])
+            elif "eps" in p:
+                iv = Interval(p["eps"], 1.0)
+                f = (FunctionSpec.neg_log(iv) if "r" not in p
+                     else FunctionSpec.ln_r_reciprocal(p["r"], iv))
+                oracle = (sb.ratio_oracle if name.startswith("ratio") else sb.diff_oracle)(f, iv)
+            else:
+                iv = Interval(1.0, p["h"])
+                f = FunctionSpec.power(p["r"], iv)
+                oracle = (sb.ratio_oracle if name == "kantorovich" else sb.diff_oracle)(f, iv)
+            assert row["oracle_value"] == oracle, row
