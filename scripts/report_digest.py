@@ -30,6 +30,12 @@ dimension holds tuples of both lengths n = 1 and n = 2; and the two
 eigensolver suites at dimensions 1, 2, 3 and at 5, 6, 15, 16, where the
 Jacobi oracle solves odd and even dimensions in one ring-size stack.
 
+Then one run's report is taken from standard output instead of ``--out``:
+``verify --suite all --trials 48 --seed 7 --format csv`` in a fresh
+interpreter, whose stdout bytes must give the digest of the same run's
+``--out`` file above, in a line ``<sha256>  exit=<code>  <command line>
+[stdout]``.
+
 Last come the verdict lists, which no CLI report shows whole: for every
 suite, at its benchmark trial count and seed 7, the digest of
 ``run_suite(..., keep_verdicts=True).verdicts``, one line per verdict with
@@ -97,6 +103,8 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -174,6 +182,19 @@ def digest(argv, out):
     with contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--out", str(out)])
     return hashlib.sha256(out.read_bytes()).hexdigest(), code
+
+
+STDOUT_RUN = ["verify", "--suite", "all", "--trials", "48", "--seed", "7", "--format", "csv"]
+
+
+def stdout_digest(argv):
+    """The digest of a CLI run's standard output, in a fresh interpreter
+    that imports karabounds from this checkout, and its exit code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "karabounds.cli", *argv], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
 
 
 def verdict_digest(suite, trials, seed):
@@ -424,6 +445,8 @@ def main():
                 cfg.write_text(json.dumps({key[2:]: value for key, value in flags.items()}))
                 sha, code = digest(words + ["--config", str(cfg)], out)
                 print(f"{sha}  exit={code}  {' '.join(argv)} [config]")
+    sha, code = stdout_digest(STDOUT_RUN)
+    print(f"{sha}  exit={code}  {' '.join(STDOUT_RUN)} [stdout]")
     for suite in verification.suite_ids(include_extra=True):
         trials = SUITE_TRIALS[suite]
         print(f"{verdict_digest(suite, trials, 7)}  verdicts  {suite} trials={trials} seed=7")

@@ -244,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
-            csv.writer(fh).writerows(vf.verdict_csv_rows(reports))
+            fh.writelines(vf.verdict_csv_rows(reports))
     else:
         _emit(vf.report_to_json(reports), args.out)
     failures = sum(rep.failures for rep in reports)

@@ -437,10 +437,13 @@ def kantorovich(h: float, r: float) -> float:
         raise DomainError(f"kantorovich needs h > 1, got {h}")
     if abs(r) < SINGULAR_TOL or abs(r - 1.0) < SINGULAR_TOL:
         return 1.0
-    hr = h ** r
-    lead = (hr - h) / ((r - 1.0) * (h - 1.0))
-    inner = (r - 1.0) / r * (hr - 1.0) / (hr - h)
-    return lead * inner ** r
+    try:
+        hr = h ** r
+        lead = (hr - h) / ((r - 1.0) * (h - 1.0))
+        inner = (r - 1.0) / r * (hr - 1.0) / (hr - h)
+        return lead * inner ** r
+    except OverflowError:
+        raise DomainError(f"kantorovich overflows a float at h = {h}, r = {r}") from None
 
 
 def c_of_hr(m: float, h: float, r: float) -> float:
@@ -463,9 +466,12 @@ def c_of_hr(m: float, h: float, r: float) -> float:
         raise DomainError(f"c_of_hr needs h > 1, got {h}")
     if abs(r) < SINGULAR_TOL or abs(r - 1.0) < SINGULAR_TOL:
         return 0.0
-    hr = h ** r
-    inner = (hr - 1.0) / (r * (h - 1.0))
-    return m ** r * ((h - hr) / (h - 1.0) + (r - 1.0) * inner ** (r / (r - 1.0)))
+    try:
+        hr = h ** r
+        inner = (hr - 1.0) / (r * (h - 1.0))
+        return m ** r * ((h - hr) / (h - 1.0) + (r - 1.0) * inner ** (r / (r - 1.0)))
+    except OverflowError:
+        raise DomainError(f"c_of_hr overflows a float at m = {m}, h = {h}, r = {r}") from None
 
 
 def specht(h: float) -> float:

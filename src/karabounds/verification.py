@@ -38,8 +38,10 @@ bounds' hypotheses on each: f convex, each family unital
 (map-sum); the operator-mean kernel checks equal weighted sums of the
 Z-relative A_i and B_i per tuple shape, and its mean step is that of the
 public means (``operator_calculus._mean_step``).  Every stacked step groups
-its entries through ``_per_group``, by an optional key and by the shapes of
-the entries, so a stack is rectangular and no caller builds a shape key.
+its entries through ``_groups``, by an optional key and by the shapes of
+the entries, so a stack is rectangular and no caller builds a shape key;
+``_per_group`` hands a step's results back entry by entry, where a later
+step takes them one instance at a time.
 A kernel decomposes each distinct input matrix once, in one LAPACK stack
 per dimension, or per tuple shape (n, d) for the operator means
 (``operator_calculus._eigh``), rejects a spectrum outside its interval, and
@@ -57,20 +59,25 @@ this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
 exercise it, on matrices they draw directly, and share one Jacobi run.
 
 Eight suites share one score, ``_scalar_score``: the six scalar and
-classical suites, and the two entropy suites, built into spectra.  Trials
-are grouped by key and row length, each group is stacked into (k, n) arrays,
-validated once and scored in one pass by the stacked kernel of
-``check_scalar_corollary``, ``majorization``, ``classical_entropy`` or
-``_entropy_kernel``, which computes its constants once per group and
-returns (inequality id, margins, tol) columns.  Rows are reduced with
-``np.sum``/``np.cumsum`` along the last axis, which gives a row the bits of
-the 1-d call, so the checkers, each a batch of one of its kernel, equal the
-suites bit for bit.  A hypothesis, too, has one row-wise expression:
+classical suites, and the two entropy suites, built into spectra.  Their
+instances stay stacks from build to score: the build gives each trial's key
+and, per row shape, the trial indices and one (k, n) array per column; a
+trial built on its own (a relaxed scalar_corollary draw, a draw that
+resumed after its first block, an equal-mean fallback) gives its row of its
+stack.  The score splits each stack by key, one fancy index per column and
+key, and each part is validated once and scored in one pass by the stacked
+kernel of ``check_scalar_corollary``, ``majorization``,
+``classical_entropy`` or ``_entropy_kernel``, which computes its constants
+once per part and returns (inequality id, margins, tol) columns.  Rows are
+reduced with ``np.sum``/``np.cumsum`` along the last axis, which gives a
+row the bits of the 1-d call, so the checkers, each a batch of one of its
+kernel given one-row stacks, equal the suites bit for bit.  A hypothesis, too, has one row-wise expression:
 weighted means are row sums, and the inner-product condition is
 ``classical_entropy._condition_gap``, in a block of draws and for one pair.
 Every score returns such columns plus each row's trial, ``_table`` sorts
 them into trial order, ``run_suite`` reduces them and keeps them for
-``verdict_csv_rows``, and ``_view`` alone builds ``InequalityVerdict``s.
+``verdict_csv_rows``, which writes them as CSV text, and ``_view`` alone
+builds ``InequalityVerdict``s.
 """
 
 from __future__ import annotations
@@ -164,23 +171,60 @@ def report_to_json(reports: Sequence[TrialReport]) -> str:
 
 _CSV_FIELDS = ("suite_id", "trial", "margin", "pass",
                "dim", "r", "alpha", "eps", "seed", "inequality_id")
+_CSV_CHUNK = 1024  # rows per chunk of verdict_csv_rows' text
+
+
+def _csv_cell(value) -> str:
+    """A value as ``csv.writer``'s excel dialect writes it: None empty, a
+    float (a numpy float64 too) by float's own ``repr``, anything else by
+    ``str``, and quoted, with its quotes doubled, where it holds a comma, a
+    quote or a line break."""
+    text = "" if value is None else float.__repr__(value) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _context_cells(contexts, keys) -> list:
+    """Each context's CSV cells of ``keys``, joined by commas.  The cells
+    of one tuple of value objects are formatted once: the contexts keep
+    those objects alive meanwhile, so no other tuple has their ids."""
+    memo, out = {}, []
+    for ctx in contexts:
+        ids = tuple([id(ctx.get(key, "")) for key in keys])
+        cells = memo.get(ids)
+        if cells is None:
+            cells = memo[ids] = ",".join([_csv_cell(ctx.get(key, "")) for key in keys])
+        out.append(cells)
+    return out
 
 
 def verdict_csv_rows(reports: Sequence[TrialReport]):
-    """Streaming-friendly CSV rows of ``run_suite`` reports, the header once,
-    then each report's rows from its scored columns and each trial's context
-    cells; the inequality id comes last, after the documented columns.  A
-    report that ``run_suite`` did not make has no columns: DomainError."""
-    yield _CSV_FIELDS
+    """CSV text of ``run_suite`` reports, byte for byte what ``csv.writer``
+    writes of their rows: the header line, then each report's rows, in
+    chunks of at most _CSV_CHUNK lines, each ended by CRLF.  A row is its
+    report's suite id, its trial's context cells, its margin's ``repr`` and
+    pass flag from the report's scored columns, and last the inequality id,
+    after the documented columns; each trial's cells and each id's are
+    formatted once.  A report that ``run_suite`` did not make has no
+    columns: DomainError."""
+    yield ",".join(_CSV_FIELDS) + "\r\n"
+    flags = (",0,", ",1,")
     for rep in reports:
         if rep._scored is None:
             raise DomainError(f"suite {rep.suite_id!r}: only run_suite's reports have CSV rows")
         (trial, ids, margins, tols, _), contexts = rep._scored
-        head = [(rep.suite_id, ctx.get("trial", "")) for ctx in contexts]
-        tail = [tuple(ctx.get(key, "") for key in _CSV_FIELDS[4:9]) for ctx in contexts]
-        for t, name, margin, passed in zip(trial.tolist(), ids, margins.tolist(),
-                                           (margins >= -tols).tolist()):
-            yield (*head[t], repr(margin), int(passed), *tail[t], name)
+        suite = _csv_cell(rep.suite_id)
+        # the cells before the margin, and those after the pass flag up to the id
+        heads = [f"{suite},{_csv_cell(ctx.get('trial', ''))}," for ctx in contexts]
+        tails = [cells + "," for cells in _context_cells(contexts, _CSV_FIELDS[4:9])]
+        ends = {name: _csv_cell(name) + "\r\n" for name in set(ids)}
+        trial, margins, passed = trial.tolist(), margins.tolist(), (margins >= -tols).tolist()
+        for start in range(0, len(margins), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            yield "".join([f"{heads[t]}{margin!r}{flags[ok]}{tails[t]}{ends[name]}"
+                           for t, margin, ok, name in zip(trial[rows], margins[rows],
+                                                          passed[rows], ids[rows])])
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -371,11 +415,11 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     where it started, so it ends where that loop would.
     """
     start = rng.bit_generator.state
-    (x, y, p), doubles = _equal_means([_draw_equal_mean(n, iv, rng)], [iv])[0]
+    ((_, P, X, Y, doubles),) = _equal_means([_draw_equal_mean(n, iv, rng)], [iv])
     rng.bit_generator.state = start
     rng.dirichlet(np.ones(n))
-    _redraw(rng.random, doubles, 1)
-    return x, y, p
+    _redraw(rng.random, int(doubles[0]), 1)
+    return X[0], Y[0], P[0]
 
 
 def _draw_equal_mean(n: int, iv: Interval, rng: np.random.Generator):
@@ -414,9 +458,10 @@ def _solved_x(X, j, p, target, iv):
 
 
 def _equal_means(draws, ivs) -> list:
-    """((x, y, p), doubles) of each ``_draw_equal_mean`` draw with its
-    interval; doubles counts the one-draw loop's uniform draws after p: y,
-    the x draws up to the one taken, and those of the construction.
+    """(trials, P, X, Y, doubles) of the ``_draw_equal_mean`` draws of each
+    interval and shape, row j that of draw trials[j]; doubles counts the
+    one-draw loop's uniform draws after p: y, the x draws up to the one
+    taken, and those of the construction.
 
     The target sum p y is each trial's one-row ``np.dot``.  The first blocks
     of one interval and shape are screened in one stack (``_x0_screen``),
@@ -426,33 +471,34 @@ def _equal_means(draws, ivs) -> list:
     coordinate-wise (``_construct_x``) on the same stream."""
     targets = [float(np.dot(p, y)) for p, y, *_ in draws]
     rng = _resume_rng()
-
-    def solve(iv, idx, X, P):
-        hits = _x0_screen(X, P, np.array([targets[t] for t in idx]), iv)
-        return [_equal_mean(draws[t], targets[t], iv, row, rng)
-                for t, row in zip(idx.tolist(), hits)]
-
-    return _per_group(solve, ivs, range(len(draws)), [X for _, _, X, _ in draws],
-                      [p for p, *_ in draws])
+    out = []
+    for (iv,), trials, X, P, Y in _groups(ivs, [X for _, _, X, _ in draws],
+                                           [p for p, *_ in draws], [y for _, y, *_ in draws]):
+        hits = _x0_screen(X, P, np.array([targets[t] for t in trials.tolist()]), iv)
+        rows = [_equal_mean(draws[t], targets[t], iv, row, rng)
+                for t, row in zip(trials.tolist(), hits)]
+        out.append((trials, P, np.array([x for x, _ in rows]), Y,
+                    np.array([doubles for _, doubles in rows])))
+    return out
 
 
 def _equal_mean(draw, target, iv, hits, rng):
-    """One trial of ``_equal_means``, whose first-block draws ``hits`` passed
-    the screen."""
-    p, y, X, state = draw
+    """(x, doubles) of one trial of ``_equal_means``, whose first-block
+    draws ``hits`` passed the screen."""
+    p, _, X, state = draw
     n = len(p)
     for j in np.flatnonzero(hits).tolist():
         x = _solved_x(X, j, p, target, iv)
         if x is not None:
-            return (x, y, p), n * (j + 2)
+            return x, n * (j + 2)
     rng.bit_generator.state = state
     x, rows = _first_accepted(
         rng, lambda k: rng.uniform(iv.m, iv.M, size=(k, n)),
         lambda B: np.flatnonzero(_x0_screen(B[None], p[None], np.array([target]), iv)[0]),
         lambda B, j: _solved_x(B, j, p, target, iv), len(X), n)
     if x is not None:
-        return (x, y, p), n * (rows + 1)
-    return (_construct_x(iv, p, target, rng), y, p), n * (rows + 2) - 1
+        return x, n * (rows + 1)
+    return _construct_x(iv, p, target, rng), n * (rows + 2) - 1
 
 
 def _construct_x(iv, p, target, rng) -> np.ndarray:
@@ -620,10 +666,12 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
     state.  The rng then replays the pairs up to the one taken from where it
     started, so it ends where the one-pair-at-a-time loop would."""
     start = rng.bit_generator.state
-    pair, pairs = _conditioned_pairs([_draw_pair_block(n, eps, rng)], [(eps, direction)])[0]
+    ((trials, P, Q, pairs),) = _conditioned_pairs([_draw_pair_block(n, eps, rng)],
+                                                  [(eps, direction)])
     rng.bit_generator.state = start
-    _redraw(lambda k: rng.dirichlet(np.ones(n), size=2 * k), pairs, 2 * n)
-    return _taken(pair, eps, direction)
+    _redraw(lambda k: rng.dirichlet(np.ones(n), size=2 * k), int(pairs[0]), 2 * n)
+    _check_taken([(eps, direction)], [(trials, P)])
+    return P[0], Q[0]
 
 
 def _draw_pair_block(n: int, eps: float, rng: np.random.Generator):
@@ -644,43 +692,43 @@ def _pair_screen(D, eps, direction):
 
 
 def _conditioned_pairs(draws, keys) -> list:
-    """((p, q), pairs) of each ``_draw_pair_block`` draw with its key (eps,
-    direction), pairs counting the draws up to the one taken, or (None,
-    _REDRAW_CAP) where none is.  The first blocks of one key and shape are
-    screened in one stack (``_pair_screen``), and a trial whose first block
-    holds no accepted pair resumes from its saved state
-    (``_first_accepted``)."""
+    """(trials, P, Q, pairs) of the ``_draw_pair_block`` draws of each key
+    (eps, direction) and shape, row j that of draw trials[j]: the pair
+    taken, and the count of draws up to it.  A trial that takes none has
+    NaN rows and a count of _REDRAW_CAP.  The first blocks of one key and
+    shape are screened in one stack (``_pair_screen``), and a trial whose
+    first block holds no accepted pair resumes from its saved state
+    (``_first_accepted``) and writes its row into the stack."""
     rng = _resume_rng()
-
-    def solve(key, idx, D):
-        (eps, direction), (_, two_b, n) = key, D.shape
+    out = []
+    for ((eps, direction),), trials, D in _groups(keys, [D for D, _ in draws]):
+        n = D.shape[-1]
         F, hits = _pair_screen(D, eps, direction)
         first = _first_hits(hits)
         hit = np.flatnonzero(first >= 0)
-        taken = zip(F[hit, 2 * first[hit]], F[hit, 2 * first[hit] + 1])
-        out = []
-        for t, j in zip(idx.tolist(), first.tolist()):
-            if j >= 0:
-                out.append((next(taken), j + 1))
-                continue
-            rng.bit_generator.state = draws[t][1]
-            pair, pairs = _first_accepted(
+        P, Q, pairs = np.empty((len(D), n)), np.empty((len(D), n)), first + 1
+        P[hit], Q[hit] = F[hit, 2 * first[hit]], F[hit, 2 * first[hit] + 1]
+        for j in np.flatnonzero(first < 0).tolist():
+            rng.bit_generator.state = draws[trials[j]][1]
+            pair, pairs[j] = _first_accepted(
                 rng, lambda m: _pair_screen(rng.dirichlet(np.ones(n), size=2 * m), eps, direction),
                 lambda block: np.flatnonzero(block[1]),
-                lambda block, j: (block[0][2 * j].copy(), block[0][2 * j + 1].copy()),
-                two_b // 2, 2 * n)
-            out.append((pair, pairs))
-        return out
+                lambda block, k: (block[0][2 * k], block[0][2 * k + 1]),
+                D.shape[1] // 2, 2 * n)
+            P[j], Q[j] = (np.nan, np.nan) if pair is None else pair
+        out.append((trials, P, Q, pairs))
+    return out
 
-    return _per_group(solve, keys, range(len(draws)), [D for D, _ in draws])
 
-
-def _taken(pair, eps, direction):
-    """The pair a conditioned-pair sampler took; GeneratorExhausted where it took none."""
-    if pair is None:
+def _check_taken(keys, stacks):
+    """GeneratorExhausted naming the key (eps, ..., direction) of the first
+    trial, in trial order, whose conditioned-pair sampler took no pair:
+    a NaN row of the (trials, P, ...) stacks."""
+    missing = [t for trials, P, *_ in stacks for t in trials[np.isnan(P[:, 0])].tolist()]
+    if missing:
+        eps, *_, direction = keys[min(missing)]
         raise GeneratorExhausted(
             f"no ({direction}) pair with floor {eps} after {_REDRAW_CAP} draws")
-    return pair
 
 
 def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
@@ -689,7 +737,8 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     adjacent pairs (weighted), which preserves the weighted total and can
     only lower prefix sums.  All three arrays are C-contiguous.  A batch of
     one of the prefix suites' draw and build."""
-    return _build_fuchs_instances([_draw_fuchs_instance(n, iv, rng)])[0]
+    ((_, X, Y, P),) = _build_fuchs_stacks([_draw_fuchs_instance(n, iv, rng)])
+    return X[0], Y[0], P[0]
 
 
 def _draw_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
@@ -701,11 +750,12 @@ def _draw_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
             rng.integers(0, n - 1, size=n))
 
 
-def _build_fuchs_instances(draws) -> list:
-    """(x, y, p) of each ``_draw_fuchs_instance`` draw, one stack per n: y
-    sorted decreasing, and each averaging step on every row at once, with
-    the one-row arithmetic."""
-    def build(Y, P, steps):
+def _build_fuchs_stacks(draws) -> list:
+    """(trials, X, Y, P) of the ``_draw_fuchs_instance`` draws of each n,
+    row j that of draw trials[j]: y sorted decreasing, and each averaging
+    step on every row at once, with the one-row arithmetic."""
+    out = []
+    for _, trials, Y, P, steps in _groups(None, *zip(*draws)):
         Y = np.ascontiguousarray(np.sort(Y, axis=-1)[:, ::-1])
         X, rows = Y.copy(), np.arange(len(Y))
         for i in steps.T:
@@ -714,9 +764,8 @@ def _build_fuchs_instances(draws) -> list:
             avg = (a * X[rows, i] + b * X[rows, i + 1]) / w
             X[rows, i] = avg
             X[rows, i + 1] = avg
-        return zip(X, Y, P)
-
-    return _per_group(build, None, *zip(*draws))
+        out.append((trials, X, Y, P))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -751,17 +800,15 @@ def _view(table, contexts) -> List[InequalityVerdict]:
         ids, margins.tolist(), (margins >= -tols).tolist(), _contexts(contexts, table))]
 
 
-def _per_group(solve, keys, *columns) -> list:
-    """The results of ``solve(*stacks)``, or ``solve(key, *stacks)`` when
-    ``keys`` are given, for each entry, in entry order.  An entry's group is
-    its key and the shapes of its values, one per column; ``solve`` is
-    called once per group, on the ``np.stack`` of the group's entries of
-    each column, and returns one result per entry it was given.  Each stack
-    is rectangular by construction.  An entry whose first value is None is
-    left out and gets None.  Every kernel gives a row the same bits in any
-    stack, so the grouping does not show."""
-    out = [None] * len(columns[0])
-    heads = [()] * len(out) if keys is None else [(key,) for key in keys]
+def _groups(keys, *columns):
+    """Yield (head, entries, *stacks) for each group of entries, in the
+    order of their first entries.  An entry's group is its key (when
+    ``keys`` are given) and the shapes of its values, one per column; head
+    is ``(key,)``, or ``()`` without keys, entries the group's entry
+    indices as an int array, and each stack the ``np.stack`` of the group's
+    values of a column, rectangular by construction.  An entry whose first
+    value is None is left out."""
+    heads = [()] * len(columns[0]) if keys is None else [(key,) for key in keys]
     groups = defaultdict(list)
     # an array's own .shape: np.shape's dispatch would cost more per entry
     # than the rest of the grouping
@@ -771,7 +818,19 @@ def _per_group(solve, keys, *columns) -> list:
         if columns[0][j] is not None:
             groups[group].append(j)
     for (head, *_), idxs in groups.items():
-        for j, res in zip(idxs, solve(*head, *(np.stack([col[j] for j in idxs]) for col in columns))):
+        yield (head, np.array(idxs), *(np.stack([col[j] for j in idxs]) for col in columns))
+
+
+def _per_group(solve, keys, *columns) -> list:
+    """The results of ``solve(*stacks)``, or ``solve(key, *stacks)`` when
+    ``keys`` are given, for each entry, in entry order: ``solve`` is called
+    once per group of ``_groups`` and returns one result per entry it was
+    given.  An entry whose first value is None gets None.  Every kernel
+    gives a row the same bits in any stack, so the grouping does not
+    show."""
+    out = [None] * len(columns[0])
+    for head, idxs, *stacks in _groups(keys, *columns):
+        for j, res in zip(idxs.tolist(), solve(*head, *stacks)):
             out[j] = res
     return out
 
@@ -1163,7 +1222,8 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float, mode: str = M
     row = tuple(np.asarray(a, dtype=float) for a in (p, x, y))
     if not (row[0].shape == row[1].shape == row[2].shape):
         raise ShapeError("p, x, y must share a length")
-    blocks = _scalar_score(_scalar_corollary_kernel)([(row, (f, alpha, mode))])
+    stacks = [(np.zeros(1, dtype=int), *(a[None] for a in row))]
+    blocks = _scalar_score(_scalar_corollary_kernel)(([(f, alpha, mode)], stacks))
     return _view(_table(blocks), [{"alpha": alpha, "f": f.name, "mode": mode}])
 
 
@@ -1181,7 +1241,8 @@ def check_entropy_tsallis(A, B, alpha: float, r: float):
     if A.shape != B.shape:
         raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
     ctx = {"dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
-    return _view(_table(_scalar_score(_entropy_kernel)([((wa, wb, alpha), r)])), [ctx])
+    stacks = [(np.zeros(1, dtype=int), wa[None], wb[None], np.array([alpha]))]
+    return _view(_table(_scalar_score(_entropy_kernel)(([r], stacks))), [ctx])
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -1275,9 +1336,12 @@ class _Suite:
     block holds no accepted draw resumes its own stream from its saved state
     (the eigensolver pair's draws are instances); ``score(instances)`` runs
     the batch kernel once on them all
-    and returns ``_table`` blocks, instance i as trial i.  ``defaults`` name
-    the params that the draw reads and fill in those left out; a suite not
-    ``in_all`` runs only when named, never under ``--suite all``."""
+    and returns ``_table`` blocks, instance i as trial i.  The eight suites
+    of ``_scalar_score`` keep their instances as stacks: their build gives
+    each trial's key and, per row shape, the trial indices and one (k, n)
+    array per column (``_stacks_built``).  ``defaults`` name the params that
+    the draw reads and fill in those left out; a suite not ``in_all`` runs
+    only when named, never under ``--suite all``."""
 
     draw: Callable
     score: Callable
@@ -1296,12 +1360,14 @@ def _built(build):
     return run
 
 
-def _rows_built(build):
-    """The build phase of a scalar suite whose draws are (raw, key, *rest):
-    ``build(raws, keys)`` gives each instance's rows, which replace its raw."""
+def _stacks_built(build):
+    """The build phase of a scalar suite whose draws are (raw, key,
+    context): (keys, stacks), each trial's key and the (trials, *columns)
+    stacks that ``build(raws, keys)`` makes, row j of each column that of
+    trial trials[j]."""
     def run(draws):
-        rows = build([raw for raw, *_ in draws], [key for _, key, *_ in draws])
-        return [(row, *rest) for row, (_, *rest) in zip(rows, draws)]
+        keys = [key for _, key, _ in draws]
+        return keys, build([raw for raw, *_ in draws], keys)
     return run
 
 
@@ -1322,21 +1388,23 @@ _MOMENT_ORDERS = (1, 2, 4)
 
 
 def _scalar_score(kernel):
-    """The score of a suite whose instances are (rows, key, ...): trials
-    are grouped by key and row shape and stacked into (k, n) arrays, and
-    ``kernel(key, *stacks)`` returns [(inequality id, margins, tol)], one
-    margin per stacked row and the kernel's own tol, which become the
-    group's blocks with its trials, stacked as one more column.  A kernel
-    gives a row the bits of a batch of one, so the grouping does not show."""
-    def score(instances):
-        rows, keys, *_ = zip(*instances)
+    """The score of a suite built by ``_stacks_built``: the rows of each
+    stack are split by their trials' keys, one fancy index per column and
+    key, and ``kernel(key, *columns)`` returns [(inequality id, margins,
+    tol)], one margin per row and the kernel's own tol, which become blocks
+    with the rows' trials.  A kernel gives a row the bits of a batch of one,
+    so neither the stacks nor the split show."""
+    def score(built):
+        keys, stacks = built
         blocks = []
-
-        def solve(key, trials, *stacks):
-            blocks.extend((trials, *form) for form in kernel(key, *stacks))
-            return trials
-
-        _per_group(solve, keys, range(len(rows)), *zip(*rows))
+        for trials, *columns in stacks:
+            groups = defaultdict(list)
+            for j, t in enumerate(trials.tolist()):
+                groups[keys[t]].append(j)
+            for key, rows in groups.items():
+                rows = np.array(rows)
+                blocks.extend((trials[rows], *form)
+                              for form in kernel(key, *(column[rows] for column in columns)))
         return blocks
     return score
 
@@ -1446,22 +1514,22 @@ def _draw_scalar_corollary(i, rng, params):
 
 
 def _build_scalar_corollary(raws, keys) -> list:
-    """(p, x, y) of each scalar_corollary draw with its key (f, alpha,
-    mode): the equal-mean instances from ``_equal_means``, and each relaxed
-    draw with x and y swapped where sum p x > sum p y."""
+    """(trials, P, X, Y) stacks of the scalar_corollary draws with their
+    keys (f, alpha, mode): those of ``_equal_means`` for the equal-mean
+    draws, and one per n of the relaxed draws, each trial's row with x and
+    y swapped where sum p x > sum p y."""
     equal = [j for j, (_, _, mode) in enumerate(keys) if mode == MODE_EQUAL]
-    built = dict(zip(equal, _equal_means([raws[j] for j in equal],
-                                         [keys[j][0].domain for j in equal])))
-    out = []
-    for j, raw in enumerate(raws):
-        if j in built:
-            (x, y, p), _ = built[j]
-        else:
-            x, y, p = raw
-            if float(np.dot(p, x)) > float(np.dot(p, y)):
-                x, y = y, x
-        out.append((p, x, y))
-    return out
+    relaxed = [j for j, (_, _, mode) in enumerate(keys) if mode != MODE_EQUAL]
+    stacks = [(np.array(equal)[trials], P, X, Y) for trials, P, X, Y, _ in _equal_means(
+        [raws[j] for j in equal], [keys[j][0].domain for j in equal])]
+    rows = []
+    for j in relaxed:
+        x, y, p = raws[j]
+        rows.append((p, y, x) if float(np.dot(p, x)) > float(np.dot(p, y)) else (p, x, y))
+    if rows:
+        stacks += [(np.array(relaxed)[trials], *PXY)
+                   for _, trials, *PXY in _groups(None, *zip(*rows))]
+    return stacks
 
 
 _PREFIX_INTERVAL = Interval(-1.0, 2.0)
@@ -1491,27 +1559,28 @@ def _draw_moment(i, rng, params):
 
 
 def _draw_density_pair(i, rng, params):
-    """(Gaussians of A and B, alpha, r = None, context): the draws of two
+    """((Gaussians of A and B, alpha), r = None, context): the draws of two
     random density matrices, which the suite builds into their spectra."""
     dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
-    return oc._gaussian(dim, rng, 2), alpha, None, dict(dim=dim, alpha=alpha)
+    return (oc._gaussian(dim, rng, 2), alpha), None, dict(dim=dim, alpha=alpha)
 
 
 def _draw_tsallis_pair(i, rng, params):
-    G, alpha, _, ctx = _draw_density_pair(i, rng, params)
+    raw, _, ctx = _draw_density_pair(i, rng, params)
     r = _cycle(params["rs"], i)
-    return G, alpha, r, dict(ctx, r=r)
+    return raw, r, dict(ctx, r=r)
 
 
-def _build_entropy_instances(draws) -> list:
-    """((w_A, w_B, alpha), r, context) of each (G, alpha, r, context) draw:
-    the spectra of its density pair, from one ``oc._build_densities`` and
-    one ``oc._eigvalsh`` per dimension, on a (k, 2, d, d) stack."""
-    def spectra(G):
+def _build_entropy_stacks(raws, _) -> list:
+    """(trials, W_A, W_B, alphas) of the (G, alpha) draws of each dimension:
+    the spectra of the density pairs, from one ``oc._build_densities`` and
+    one ``oc._eigvalsh`` on the (k, 2, d, d) stack."""
+    out = []
+    for _, trials, G in _groups(None, [G for G, _ in raws]):
         rho = oc._build_densities(G)
-        return oc._eigvalsh(rho.reshape(-1, *rho.shape[-2:])).reshape(G.shape[:-1])
-    return [((wa, wb, alpha), r, ctx) for (wa, wb), (_, alpha, r, ctx) in zip(
-        _per_group(spectra, None, [G for G, *_ in draws]), draws)]
+        W = oc._eigvalsh(rho.reshape(-1, *rho.shape[-2:])).reshape(G.shape[:-1])
+        out.append((trials, W[:, 0], W[:, 1], np.array([raws[t][1] for t in trials.tolist()])))
+    return out
 
 
 def _draw_prob_pair(i, rng, params):
@@ -1520,13 +1589,15 @@ def _draw_prob_pair(i, rng, params):
     return rng.dirichlet(np.ones(n), size=2), r, dict(dim=n, r=r)
 
 
-def _build_prob_pairs(draws) -> list:
-    """(p, q) of each (2, n) block of Dirichlet draws, floored at 1e-12 and
-    normalized, one stack per n."""
-    def build(D):
+def _build_prob_pairs(raws, _) -> list:
+    """(trials, P, Q) of the (2, n) blocks of Dirichlet draws of each n,
+    floored at 1e-12 and normalized."""
+    out = []
+    for _, trials, D in _groups(None, raws):
         F = np.maximum(D, 1e-12)
-        return map(tuple, F / np.sum(F, axis=-1, keepdims=True))
-    return _per_group(build, None, draws)
+        F = F / np.sum(F, axis=-1, keepdims=True)
+        out.append((trials, F[:, 0], F[:, 1]))
+    return out
 
 
 def _info_inequality_kernel(r, P, Q):
@@ -1560,9 +1631,11 @@ def _draw_parametric_pair(i, rng, params):
 
 
 def _build_conditioned_pairs(raws, keys) -> list:
-    """(p, q) of each reverse suite's draw, keyed (eps, ..., direction)."""
-    keys = [(key[0], key[-1]) for key in keys]
-    return [_taken(pair, *key) for (pair, _), key in zip(_conditioned_pairs(raws, keys), keys)]
+    """(trials, P, Q) stacks of the reverse suites' draws, keyed (eps, ...,
+    direction); GeneratorExhausted where a trial takes no pair."""
+    stacks = _conditioned_pairs(raws, [(key[0], key[-1]) for key in keys])
+    _check_taken(keys, stacks)
+    return [(trials, P, Q) for trials, P, Q, _ in stacks]
 
 
 def _ratio_diff_kernel(suite_id, rows):
@@ -1706,35 +1779,34 @@ _SUITES: Dict[str, _Suite] = {
         _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
     "scalar_corollary": _Suite(
         _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
-        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}, _rows_built(_build_scalar_corollary)),
+        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}, _stacks_built(_build_scalar_corollary)),
     "fuchs": _Suite(
         _draw_fuchs,
         _scalar_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
                                            SCALAR_TOL)]),
-        build=_rows_built(lambda raws, _: _build_fuchs_instances(raws))),
+        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws))),
     "moment": _Suite(
         _draw_moment,
         _scalar_score(lambda order, X, Y, P: [(
             "moment_margin",
             mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)]),
-        build=_rows_built(lambda raws, _: _build_fuchs_instances(raws))),
+        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws))),
     "entropy_vn": _Suite(_draw_density_pair, _scalar_score(_entropy_kernel), _DENSITY_DEFAULTS,
-                         _build_entropy_instances),
+                         _stacks_built(_build_entropy_stacks)),
     "entropy_tsallis": _Suite(_draw_tsallis_pair, _scalar_score(_entropy_kernel),
                               {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)},
-                              _build_entropy_instances),
+                              _stacks_built(_build_entropy_stacks)),
     "info_inequality": _Suite(
         _draw_prob_pair, _scalar_score(_info_inequality_kernel),
-        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)},
-        _rows_built(lambda raws, _: _build_prob_pairs(raws))),
+        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)}, _stacks_built(_build_prob_pairs)),
     "reverse_shannon": _Suite(
         _draw_conditioned_pair,
         _scalar_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
-        _REVERSE_DEFAULTS, _rows_built(_build_conditioned_pairs)),
+        _REVERSE_DEFAULTS, _stacks_built(_build_conditioned_pairs)),
     "parametric_reverse": _Suite(
         _draw_parametric_pair,
         _scalar_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
-        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}, _rows_built(_build_conditioned_pairs)),
+        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}, _stacks_built(_build_conditioned_pairs)),
     "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
                              {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)},
                              _built(_build_mean_instances)),

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -104,6 +105,20 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_csv_of_every_suite_to_stdout_matches_out_file(self, tmp_path, capsys):
+        # the text chunks reach stdout as they reach a file: CRLF rows, no
+        # newline translation, the same bytes as csv.writer's
+        out = tmp_path / "rows.csv"
+        argv = ["verify", "--suite", "all", "--trials", "12", "--seed", "7", "--format", "csv"]
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert text.encode("utf-8") == out.read_bytes()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert {row[0] for row in rows[1:]} == set(vf.suite_ids())
+        assert text.count("\r\n") == len(rows) and "\n" not in text.replace("\r\n", "")
 
     def test_verify_builds_no_verdicts(self, tmp_path, monkeypatch):
         # a JSON report is reduced from the margin columns and CSV rows are
@@ -291,6 +306,17 @@ class TestBadInputIsAUsageError:
     ])
     def test_abbreviated_flag(self, argv, capsys):
         _traceless_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--h", "1e200", "--r", "3"],
+        ["constants", "--h", "1e300", "--r", "2"],
+        ["scan", "kantorovich", "--h", "1e200", "--start", "3", "--stop", "4", "--steps", "2"],
+    ])
+    def test_overflowing_constant(self, argv, tmp_path, capsys):
+        # K(h, r) or C(h, r) leaves the float range: a typed error, no traceback
+        out = tmp_path / "rows.json"
+        _traceless_usage_error(argv + ["--out", str(out)], capsys)
+        assert not out.exists()
 
 
 class TestConstantsCommand:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +348,18 @@ class TestKantorovich:
         with pytest.raises(DomainError):
             sb.kantorovich(-1.0, 2.0)
 
+    @pytest.mark.parametrize("h, r", [(1e200, 3.0), (1e10, 40.0), (1e200, -3.0)])
+    def test_overflow_is_a_domain_error_naming_h_and_r(self, h, r):
+        # h^r, or the inner power at r < 0, leaves the float range
+        with pytest.raises(DomainError, match=re.escape(f"h = {h}, r = {r}")):
+            sb.kantorovich(h, r)
+
+    @pytest.mark.parametrize("h, r", [(1e100, 3.0), (1e10, 30.0), (1e200, -1.0), (7.5, 0.3)])
+    def test_large_finite_values_keep_the_closed_form(self, h, r):
+        hr = h ** r
+        want = (hr - h) / ((r - 1.0) * (h - 1.0)) * ((r - 1.0) / r * (hr - 1.0) / (hr - h)) ** r
+        assert sb.kantorovich(h, r) == want
+
 
 class TestCOfHr:
     def test_limits_vanish(self):
@@ -372,6 +385,19 @@ class TestCOfHr:
     def test_m_must_be_positive(self):
         with pytest.raises(DomainError):
             sb.c_of_hr(0.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("m, h, r", [(1.0, 1e300, 2.0), (1e300, 2.0, 2.0), (1.0, 1e10, 40.0)])
+    def test_overflow_is_a_domain_error_naming_h_and_r(self, m, h, r):
+        # h^r or m^r leaves the float range
+        with pytest.raises(DomainError, match=re.escape(f"m = {m}, h = {h}, r = {r}")):
+            sb.c_of_hr(m, h, r)
+
+    @pytest.mark.parametrize("m, h, r", [(1.0, 1e100, 3.0), (1e100, 2.0, 2.0), (0.5, 7.5, 0.3)])
+    def test_large_finite_values_keep_the_closed_form(self, m, h, r):
+        hr = h ** r
+        want = m ** r * ((h - hr) / (h - 1.0)
+                         + (r - 1.0) * ((hr - 1.0) / (r * (h - 1.0))) ** (r / (r - 1.0)))
+        assert sb.c_of_hr(m, h, r) == want
 
 
 class TestSpecht:

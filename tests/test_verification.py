@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import functools
+import io
 import math
 import re
 import subprocess
@@ -353,9 +355,12 @@ class TestSuiteSamplers:
         scored, resumed = [], []
         inner, first_accepted = vf._SUITES[suite], vf._first_accepted
 
-        def score(instances):
-            scored.extend(rows for rows, *_ in instances)
-            return inner.score(instances)
+        def score(built):
+            keys, stacks = built
+            rows = {t: tuple(column[j] for column in columns)
+                    for trials, *columns in stacks for j, t in enumerate(trials.tolist())}
+            scored.extend(rows[t] for t in range(len(keys)))
+            return inner.score(built)
 
         def recording(*args):
             item, count = first_accepted(*args)
@@ -394,6 +399,14 @@ class TestSuiteSamplers:
             # some trial found no accepted draw in its first block and took
             # one from the blocks after it
             assert any(item is not None for item in resumed), suite
+
+    @pytest.mark.parametrize("suite", ["reverse_shannon", "parametric_reverse"])
+    def test_exhaustion_names_the_first_trial_that_took_no_pair(self, suite, monkeypatch):
+        # with a cap of 0 no trial takes a pair; trial 0 is self-dominated
+        monkeypatch.setattr(vf, "_REDRAW_CAP", 0)
+        with pytest.raises(GeneratorExhausted,
+                           match=r"^no \(self_dominated\) pair with floor 0.05 after 0 draws$"):
+            vf.run_suite(suite, 8, 3)
 
     def test_infeasible_floor_raises_a_domain_error(self):
         # eps = 0.4 leaves no room at n = 3, the second trial's size
@@ -865,6 +878,38 @@ class TestSuites:
             return out
 
         assert margins(24) == margins(48)
+
+    @pytest.mark.parametrize("suite", ["scalar_corollary", "fuchs", "moment", "info_inequality",
+                                       "reverse_shannon", "parametric_reverse", "entropy_vn",
+                                       "entropy_tsallis"])
+    def test_scalar_score_does_not_depend_on_its_stacks(self, suite, monkeypatch):
+        # one build scored whole, in halves of each stack and one row at a
+        # time gives every row the same margin bits; at seed 7 some trial of
+        # each rejection-sampled suite resumes after its first block, and
+        # writes its row into its stack on its own
+        resumed, first_accepted = [], vf._first_accepted
+
+        def recording(*args):
+            resumed.append(args)
+            return first_accepted(*args)
+
+        monkeypatch.setattr(vf, "_first_accepted", recording)
+        spec = vf._SUITES[suite]
+        draws = [spec.draw(i, rng, spec.defaults) for i, rng in enumerate(vf._trial_rngs(7, range(48)))]
+        keys, stacks = spec.build(draws)
+        assert bool(resumed) == (suite in ("scalar_corollary", "reverse_shannon",
+                                           "parametric_reverse"))
+        halves = [(trials[rows], *(column[rows] for column in columns))
+                  for trials, *columns in stacks
+                  for rows in (slice(None, len(trials) // 2), slice(len(trials) // 2, None))]
+        rows = [(trials[j:j + 1], *(column[j:j + 1] for column in columns))
+                for trials, *columns in stacks for j in range(len(trials))]
+        whole, *split = (vf._table(spec.score((keys, parts))) for parts in (stacks, halves, rows))
+        assert sorted(set(whole[0].tolist())) == list(range(48))
+        for table in split:
+            assert table[0].tolist() == whole[0].tolist() and table[1] == whole[1]
+            assert table[2].view(np.uint64).tolist() == whole[2].view(np.uint64).tolist()
+            assert table[3].tolist() == whole[3].tolist()
 
     @pytest.mark.parametrize("suite", vf.suite_ids(include_extra=True))
     @pytest.mark.parametrize("seed", [7, 1000])
@@ -1480,14 +1525,20 @@ class TestSuites:
 
     def test_csv_rows_shape(self):
         rep = vf.run_suite("entropy_vn", 5, 0, keep_verdicts=True)
-        rows = list(vf.verdict_csv_rows([rep]))
-        assert rows[0] == ("suite_id", "trial", "margin", "pass", "dim", "r",
-                           "alpha", "eps", "seed", "inequality_id")
+        chunks = list(vf.verdict_csv_rows([rep]))
+        assert chunks[0] == "suite_id,trial,margin,pass,dim,r,alpha,eps,seed,inequality_id\r\n"
+        rows = list(csv.reader(io.StringIO("".join(chunks), newline="")))
         assert len(rows) == 1 + len(rep.verdicts)
 
+    @staticmethod
+    def csv_writer_text(rows):
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+
     def test_csv_rows_match_the_verdicts(self):
-        # the rows come from each report's scored columns; they equal the
-        # rows written from its verdict list, one verdict at a time
+        # the text comes from each report's scored columns; it is csv.writer's
+        # text of the rows written from its verdict list, one verdict at a time
         suites = vf.suite_ids(include_extra=True)
         for seed in (0, 7):
             reports = [vf.run_suite(suite, 14, seed, keep_verdicts=True) for suite in suites]
@@ -1497,8 +1548,46 @@ class TestSuites:
                 want += [(rep.suite_id, v.context.get("trial", ""), repr(v.margin), int(v.passed),
                           *(v.context.get(key, "") for key in ("dim", "r", "alpha", "eps", "seed")),
                           v.inequality_id) for v in rep.verdicts]
-            assert list(vf.verdict_csv_rows(reports)) == want
+            assert "".join(vf.verdict_csv_rows(reports)) == self.csv_writer_text(want)
             assert {row[0] for row in want[1:]} == set(suites)
+
+    def test_csv_cells_are_quoted_as_csv_writer_quotes_them(self):
+        # a hand-made report whose cells hold commas, quotes, line breaks,
+        # empty values, None and floats of both kinds
+        table = vf._table([(np.array([1, 0, 1]), 'id "a", b', np.array([0.5, -1e-12, -2.0]), 1e-9),
+                           (np.array([0]), "plain", np.array([3.0]), 0.0)])
+        contexts = [{"trial": 0, "seed": 5, "dim": "2,3", "r": '"q"', "alpha": "", "eps": None},
+                    {"trial": 1, "seed": 5, "dim": 4, "r": np.float64(0.25), "alpha": -0.0,
+                     "eps": "line\nbreak\r"}]
+        rep = vf.TrialReport('suite, "x"', 2, 1, -2.0, {}, 0, (table, contexts))
+        want = [vf._CSV_FIELDS]
+        for t, name, margin, tol in zip(table[0].tolist(), table[1], table[2].tolist(),
+                                        table[3].tolist()):
+            ctx = contexts[t]
+            want.append((rep.suite_id, ctx["trial"], repr(margin), int(margin >= -tol),
+                         *(ctx.get(key, "") for key in ("dim", "r", "alpha", "eps", "seed")),
+                         name))
+        text = "".join(vf.verdict_csv_rows([rep]))
+        assert text == self.csv_writer_text(want)
+        assert '"2,3","""q""",,,5,"id ""a"", b"' in text and ",4,0.25,-0.0," in text
+
+    def test_csv_cell_matches_csv_writer(self):
+        values = [None, "", " ", "a b", "a,b", 'a"b', "a\rb", "a\nb", "\r\n", "é;ü\t", 0, -3,
+                  True, 1.0, -0.0, 1e300, 5e-324, float("nan"), float("-inf"), np.float64(0.1),
+                  np.float32(0.1), np.int64(7), (1, 2), [0.5]]
+        for value in values:
+            assert vf._csv_cell(value) + ",\r\n" == self.csv_writer_text([(value, "")]), value
+
+    def test_csv_of_no_trials_is_the_header(self):
+        rep = vf.run_suite("fuchs", 0, 3)
+        assert list(vf.verdict_csv_rows([rep])) == [self.csv_writer_text([vf._CSV_FIELDS])]
+
+    def test_csv_rows_come_in_bounded_chunks(self):
+        # 400 info_inequality trials give 1,200 rows: a chunk of 1,024 and one of 176
+        rep = vf.run_suite("info_inequality", 400, 2)
+        chunks = list(vf.verdict_csv_rows([rep, rep]))
+        assert [chunk.count("\r\n") for chunk in chunks] == [1, 1024, 176, 1024, 176]
+        assert all(chunk.endswith("\r\n") for chunk in chunks)
 
     def test_csv_rows_of_a_report_without_columns_raise_a_typed_error(self):
         # only run_suite keeps a report's scored columns
@@ -1634,10 +1723,12 @@ def _permutation_bound(n, *terms):
 
 
 def _suite_instance(suite_id, seed, i):
-    """Trial i of a suite at its default params: its draw on the trial's
-    stream, built as a batch of one."""
+    """(rows, key, context) of trial i of a suite at its default params:
+    its draw on the trial's stream, built as a batch of one."""
     suite = vf._SUITES[suite_id]
-    return suite.build([suite.draw(i, vf.trial_rng(seed, i), suite.defaults)])[0]
+    draw = suite.draw(i, vf.trial_rng(seed, i), suite.defaults)
+    (key,), ((_, *columns),) = suite.build([draw])
+    return tuple(column[0] for column in columns), key, draw[-1]
 
 
 def _permuted(seed, i, *entries):
