@@ -75,10 +75,13 @@ arguments are passed by position, and ``mode`` by name, which every version
 of the checkers takes.
 
 Last, the public rejection and construction samplers, whose documented rng
-position is part of their contract: per sampler of ``SAMPLERS``, the bytes
-of each instance drawn from a fresh ``trial_rng(7, i)`` followed by the
-bytes of that rng's next ``random()``, which pins where the sampler leaves
-the stream, in a line ``<sha256>  <sampler>  trials=60 seed=7``.
+position is part of their contract: the two rejection samplers leave the
+rng after the last block of draws they made (after the equal-mean
+construction, where it runs), and ``gen_fuchs_instance`` after its draws.
+Per sampler of ``SAMPLERS``, the bytes of each instance drawn from a fresh
+``trial_rng(7, i)`` followed by the bytes of that rng's next ``random()``,
+which pins where the sampler leaves the stream, in a line ``<sha256>
+<sampler>  trials=60 seed=7``.
 ``gen_conditioned_prob_pair`` draws at n = 2, 3, 4 and 6 in both
 directions (eps 0.05), ``gen_equal_weighted_mean_scalars`` at n = 2, 3, 4
 and 7 (interval [0.05, 1]), and ``gen_fuchs_instance`` at n = 5 (interval

@@ -469,9 +469,12 @@ def c_of_hr(m: float, h: float, r: float) -> float:
     try:
         hr = h ** r
         inner = (hr - 1.0) / (r * (h - 1.0))
-        return m ** r * ((h - hr) / (h - 1.0) + (r - 1.0) * inner ** (r / (r - 1.0)))
+        out = m ** r * ((h - hr) / (h - 1.0) + (r - 1.0) * inner ** (r / (r - 1.0)))
     except OverflowError:
-        raise DomainError(f"c_of_hr overflows a float at m = {m}, h = {h}, r = {r}") from None
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"c_of_hr overflows a float at m = {m}, h = {h}, r = {r}")
+    return out
 
 
 def specht(h: float) -> float:

@@ -27,11 +27,14 @@ one shape (say, the n matrices of each trial's tuple) in one stack per step
 sweeps of all the start matrices of one n, then the mixes and weighted
 means; the rejection screens of the conditioned pairs and equal-mean
 scalars, the prefix suites' sorts and averaging steps, and the
-probability pairs' floors and normalisations).  A trial whose first
-block holds no accepted draw resumes its own stream from the saved state,
-with the one-trial sampler's next blocks, cap and fallback.  The score
-runs the suite's batch margin kernel once on all the instances; the map
-sums of the map-sum and Jensen suites run in one stack per family key
+probability pairs' floors and normalisations).  A rejection screen
+accepts a draw by one row-wise expression on the whole stack, with no
+BLAS call, so a draw gets the bits of its one-draw expression in any
+stack.  A trial whose first block holds no accepted draw resumes its own
+stream from the saved state, with the one-trial sampler's next blocks,
+cap and fallback.  The score runs the suite's batch margin kernel once on
+all the instances; the map sums of the map-sum and Jensen suites run in
+one stack per family key
 (``operator_calculus._map_family_sums``), and their two kernels check the
 bounds' hypotheses on each: f convex, each family unital
 (``_check_unital``), and unit vectors (Jensen) or equal map sums of A and B
@@ -49,9 +52,9 @@ takes every spectral image of that matrix from the same (w, V); the
 lambda_min reductions go through ``operator_calculus._eigvalsh``.  Every
 build and kernel step gives a matrix the same bits in any stack, so reports
 do not depend on batching, and the public generators are batches of one of
-their draw and build (the two rejection samplers then replay their draws
-from the state they started at, so the rng ends where the one-draw loop
-would).  A public ``check_*`` function validates the rest
+their draw and build on the caller's rng (the two rejection samplers give
+the one-draw loop's values, and leave the rng after the last block they
+drew).  A public ``check_*`` function validates the rest
 of its input (the map checkers: Hermitian matrices, shapes, one matrix per
 map, finite vectors) and runs the same kernel on a batch of one, so its
 margins and spectral errors equal the suite's.  The Jacobi solver is not on
@@ -230,8 +233,9 @@ def verdict_csv_rows(reports: Sequence[TrialReport]):
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """numpy's ``default_rng(SeedSequence(seed, spawn_key=(trial,)))``, the stream
     of trial ``trial`` in ``run_suite``, which spawns that sequence's children."""
-    if seed < 0 or trial < 0:
-        raise DomainError(f"seed and trial must be >= 0, got seed {seed} and trial {trial}")
+    if not (_is_int(seed) and _is_int(trial)) or seed < 0 or trial < 0:
+        raise DomainError(f"seed and trial must be integers >= 0, got seed {seed!r} "
+                          f"and trial {trial!r}")
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(trial),)))
 
 
@@ -339,11 +343,6 @@ _REDRAW_BLOCK = 1 << 12
 _FIRST_BLOCK = 16
 
 
-# A suite trial's stream ends at its rejection sampler, so a suite never
-# rewinds: only the public samplers, batches of one of the suites' draw and
-# build, rewind (``_redraw``) to end where the one-draw loop would.
-
-
 def _first_block(first, width):
     """The size of a rejection sampler's first block: ``first`` draws, or
     fewer where _REDRAW_CAP or _REDRAW_BLOCK doubles of ``width`` per draw
@@ -352,43 +351,34 @@ def _first_block(first, width):
 
 
 def _resume_rng() -> np.random.Generator:
-    """A generator for the trials that resume: each sets its saved state on it."""
+    """A generator for the suite trials that resume: each sets its saved
+    state on it."""
     return np.random.Generator(np.random.PCG64(_unseeded()))
 
 
-def _first_accepted(rng, draw, candidates, accept, done, width):
-    """(item, draws) of the first of draws ``done`` to _REDRAW_CAP that
-    ``accept`` takes, with the count of draws up to it; (None, _REDRAW_CAP)
-    where none is taken.  Draws 0 to ``done`` are the first block, which the
-    build screened, and the rng stands at the state saved after it.
+def _first_accepted(rng, draw, screen, done, width):
+    """The item of the first of draws ``done`` to _REDRAW_CAP that
+    ``screen`` accepts, or None where it accepts none.  Draws 0 to ``done``
+    are the first block, which the build screened, and ``rng`` stands at the
+    state saved after it.
 
-    ``draw(k)`` makes k draws in one call, which gives the same numbers as k
-    single draws, and returns them as a block.  The blocks double from the
-    first block's size, capped at _REDRAW_BLOCK doubles of ``width`` per
-    draw.  ``candidates(block)`` gives, in order, the indices of a block that
-    may pass; ``accept(block, j)`` returns draw j's item, or None where the
-    one-draw expression rejects it.  The rng ends after the last block."""
+    ``draw(rng, k)`` makes k draws in one call, which gives the same numbers
+    as k single draws, and returns them as a block; ``screen(block)``
+    returns the block's items and the mask of those it accepts, by the
+    row-wise expression that screened the first block.  The blocks double
+    from the first block's size, capped at _REDRAW_BLOCK doubles of
+    ``width`` per draw.  The rng ends after the last block: after the one
+    that holds the item, or after draw _REDRAW_CAP, where the one-draw loop
+    would end too."""
     cap, k = _REDRAW_CAP, 2 * done
     while done < cap:
         k = min(k, cap - done, max(1, _REDRAW_BLOCK // width))
-        block = draw(k)
-        for j in candidates(block):
-            item = accept(block, j)
-            if item is not None:
-                return item, done + j + 1
+        items, ok = screen(draw(rng, k))
+        if ok.any():
+            return items[ok.argmax()]
         done += k
         k *= 2
-    return None, done
-
-
-def _redraw(draw, count, width):
-    """Make ``count`` draws of ``width`` doubles each, the numbers of
-    ``count`` single draws, in calls of at most _REDRAW_BLOCK doubles (one
-    draw at the least): the rewind of a public sampler, which replays the
-    one-draw loop's calls from the state it started at."""
-    step = max(1, _REDRAW_BLOCK // width)
-    for done in range(0, count, step):
-        draw(min(step, count - done))
+    return None
 
 
 def _first_hits(hits) -> np.ndarray:
@@ -408,17 +398,14 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     time in increasing weight, each drawn from the range that still lets the
     remaining weight reach the target, and the heaviest is solved last.
 
-    A batch of one of scalar_corollary's sampler: ``_draw_equal_mean``
-    makes the rng calls up to the first block of x draws and saves the
-    state after it, and ``_equal_means`` screens that block and resumes from
-    the saved state.  The rng then replays the one-draw loop's calls from
-    where it started, so it ends where that loop would.
+    A batch of one of scalar_corollary's sampler on ``rng``:
+    ``_draw_equal_mean`` draws p, y and the first block of x draws, and
+    ``_equal_means`` screens that block and draws further blocks while none
+    is accepted.  The values are those of the one-draw loop; the rng ends
+    after the last block drawn (or after the construction), which can lie
+    past the one-draw loop's accepted draw.
     """
-    start = rng.bit_generator.state
-    ((_, P, X, Y, doubles),) = _equal_means([_draw_equal_mean(n, iv, rng)], [iv])
-    rng.bit_generator.state = start
-    rng.dirichlet(np.ones(n))
-    _redraw(rng.random, int(doubles[0]), 1)
+    ((_, P, X, Y),) = _equal_means([_draw_equal_mean(n, iv, rng)], [iv], rng)
     return X[0], Y[0], P[0]
 
 
@@ -433,72 +420,45 @@ def _draw_equal_mean(n: int, iv: Interval, rng: np.random.Generator):
     return p, y, X, rng.bit_generator.state
 
 
-def _x0_screen(X, P, T, iv) -> np.ndarray:
-    """The mask (k, b) of the draws of the blocks X (k, b, n) whose solved
-    x_0 = (t - sum_{i>0} p_i x_i) / p_0 may lie in [m, M], for weights P
-    (k, n) and targets T (k,): one matrix product per block.  The slack is
-    far above any rounding difference from the one-row expression
-    (``_solved_x``), which decides acceptance and sets x_0."""
-    w, p0, t = P[:, 1:, None], P[:, :1], T[:, None]
-    x0 = (t - (X[..., 1:] @ w)[..., 0]) / p0
-    slack = 1e-9 * ((np.abs(t) + (np.abs(X[..., 1:]) @ w)[..., 0]) / p0
-                    + max(abs(iv.m), abs(iv.M)))
-    return (x0 >= iv.m - slack) & (x0 <= iv.M + slack)
+def _x0_screen(X, P, T, iv):
+    """The draws X (..., b, n) with x_0 = (t - sum_{i>0} p_i x_i) / p_0
+    solved for, and the mask (..., b) of those whose x_0 lies in [m, M],
+    for weights P (..., n) and targets T (...).  Row sums, not a matrix
+    product: a draw gets the bits of its one-draw expression in any
+    stack."""
+    x0 = (T[..., None] - np.sum(P[..., None, 1:] * X[..., 1:], axis=-1)) / P[..., :1]
+    X = X.copy()
+    X[..., 0] = x0
+    return X, (iv.m <= x0) & (x0 <= iv.M)
 
 
-def _solved_x(X, j, p, target, iv):
-    """Draw j of the block X with x_0 solved for, or None where x_0 falls
-    outside [m, M]: the one-row expression."""
-    x0 = (target - float(np.dot(p[1:], X[j, 1:]))) / p[0]
-    if not iv.m <= x0 <= iv.M:
-        return None
-    x = X[j].copy()
-    x[0] = x0
-    return x
+def _equal_means(draws, ivs, rng) -> list:
+    """(trials, P, X, Y) of the ``_draw_equal_mean`` draws of each interval
+    and shape, row j that of draw trials[j].
 
-
-def _equal_means(draws, ivs) -> list:
-    """(trials, P, X, Y, doubles) of the ``_draw_equal_mean`` draws of each
-    interval and shape, row j that of draw trials[j]; doubles counts the
-    one-draw loop's uniform draws after p: y, the x draws up to the one
-    taken, and those of the construction.
-
-    The target sum p y is each trial's one-row ``np.dot``.  The first blocks
-    of one interval and shape are screened in one stack (``_x0_screen``),
-    and the one-row expression decides among the draws it passes.  A trial
-    whose first block holds no accepted draw resumes from its saved state
-    (``_first_accepted``); one that exhausts _REDRAW_CAP draws builds x
-    coordinate-wise (``_construct_x``) on the same stream."""
-    targets = [float(np.dot(p, y)) for p, y, *_ in draws]
-    rng = _resume_rng()
+    Each trial's target is its row sum of p y.  The first blocks of one
+    interval and shape are screened in one stack (``_x0_screen``).  A trial
+    whose first block holds no accepted draw sets its saved state on
+    ``rng`` and draws further blocks (``_first_accepted``); one that
+    exhausts _REDRAW_CAP draws builds x coordinate-wise (``_construct_x``)
+    on the same stream."""
     out = []
-    for (iv,), trials, X, P, Y in _groups(ivs, [X for _, _, X, _ in draws],
-                                           [p for p, *_ in draws], [y for _, y, *_ in draws]):
-        hits = _x0_screen(X, P, np.array([targets[t] for t in trials.tolist()]), iv)
-        rows = [_equal_mean(draws[t], targets[t], iv, row, rng)
-                for t, row in zip(trials.tolist(), hits)]
-        out.append((trials, P, np.array([x for x, _ in rows]), Y,
-                    np.array([doubles for _, doubles in rows])))
+    for (iv,), trials, P, Y, B in _groups(ivs, *([draw[c] for draw in draws] for c in range(3))):
+        n = P.shape[-1]
+        T = np.sum(P * Y, axis=-1)
+        solved, ok = _x0_screen(B, P, T, iv)
+        first = _first_hits(ok)
+        hit = np.flatnonzero(first >= 0)
+        X = np.empty_like(P)
+        X[hit] = solved[hit, first[hit]]
+        for j in np.flatnonzero(first < 0).tolist():
+            p, t = P[j], T[j]
+            rng.bit_generator.state = draws[trials[j]][3]
+            x = _first_accepted(rng, lambda rng, k: rng.uniform(iv.m, iv.M, size=(k, n)),
+                                lambda block: _x0_screen(block, p, t, iv), B.shape[1], n)
+            X[j] = _construct_x(iv, p, t, rng) if x is None else x
+        out.append((trials, P, X, Y))
     return out
-
-
-def _equal_mean(draw, target, iv, hits, rng):
-    """(x, doubles) of one trial of ``_equal_means``, whose first-block
-    draws ``hits`` passed the screen."""
-    p, _, X, state = draw
-    n = len(p)
-    for j in np.flatnonzero(hits).tolist():
-        x = _solved_x(X, j, p, target, iv)
-        if x is not None:
-            return x, n * (j + 2)
-    rng.bit_generator.state = state
-    x, rows = _first_accepted(
-        rng, lambda k: rng.uniform(iv.m, iv.M, size=(k, n)),
-        lambda B: np.flatnonzero(_x0_screen(B[None], p[None], np.array([target]), iv)[0]),
-        lambda B, j: _solved_x(B, j, p, target, iv), len(X), n)
-    if x is not None:
-        return x, n * (rows + 1)
-    return _construct_x(iv, p, target, rng), n * (rows + 2) - 1
 
 
 def _construct_x(iv, p, target, rng) -> np.ndarray:
@@ -660,23 +620,28 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
     ``ce._condition_gap`` is at most PROB_TOL is taken, which is the pair
     ``condition_tag_holds`` takes.
 
-    A batch of one of the reverse suites' sampler: ``_draw_pair_block``
-    draws the first block of _FIRST_BLOCK pairs and saves the state after it,
-    and ``_conditioned_pairs`` screens that block and resumes from the saved
-    state.  The rng then replays the pairs up to the one taken from where it
-    started, so it ends where the one-pair-at-a-time loop would."""
-    start = rng.bit_generator.state
-    ((trials, P, Q, pairs),) = _conditioned_pairs([_draw_pair_block(n, eps, rng)],
-                                                  [(eps, direction)])
-    rng.bit_generator.state = start
-    _redraw(lambda k: rng.dirichlet(np.ones(n), size=2 * k), int(pairs[0]), 2 * n)
-    _check_taken([(eps, direction)], [(trials, P)])
+    A batch of one of the reverse suites' sampler on ``rng``:
+    ``_draw_pair_block`` draws the first block of _FIRST_BLOCK pairs, and
+    ``_conditioned_pairs`` screens that block and draws further blocks
+    while none is accepted.  The pair is that of the one-pair-at-a-time
+    loop; the rng ends after the last block drawn, which can lie past the
+    pair taken."""
+    keys = [(eps, direction)]
+    stacks = _conditioned_pairs([_draw_pair_block(n, eps, rng)], keys, rng)
+    _check_taken(keys, stacks)
+    ((_, P, Q),) = stacks
     return P[0], Q[0]
 
 
 def _draw_pair_block(n: int, eps: float, rng: np.random.Generator):
     """The draw phase of the conditioned-pair sampler: the first block of
-    Dirichlet draws (2k, n), p and q interleaved, and the rng state after it."""
+    Dirichlet draws (2k, n), p and q interleaved, and the rng state after
+    it.  n must be an integer >= 1 and eps a finite floor with 0 < eps and
+    n eps < 1."""
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"need an integer n >= 1, got {n!r}")
+    if not (_is_real(eps) and 0.0 < eps < math.inf):
+        raise DomainError(f"need a finite floor eps > 0, got {eps!r}")
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
     D = rng.dirichlet(np.ones(n), size=2 * _first_block(_FIRST_BLOCK, 2 * n))
@@ -684,39 +649,37 @@ def _draw_pair_block(n: int, eps: float, rng: np.random.Generator):
 
 
 def _pair_screen(D, eps, direction):
-    """The floored pairs F = eps + (1 - n eps) D of blocks of Dirichlet
-    draws D (..., 2k, n), p and q interleaved, and the mask (..., k) of the
-    pairs whose ``ce._condition_gap`` is at most PROB_TOL."""
-    F = eps + (1.0 - D.shape[-1] * eps) * D
-    return F, ce._condition_gap(F[..., 0::2, :], F[..., 1::2, :], direction) <= ce.PROB_TOL
+    """The floored pairs F (..., k, 2, n) = eps + (1 - n eps) D of blocks of
+    Dirichlet draws D (..., 2k, n), p and q interleaved, and the mask
+    (..., k) of the pairs whose ``ce._condition_gap`` is at most PROB_TOL."""
+    n = D.shape[-1]
+    F = (eps + (1.0 - n * eps) * D).reshape(*D.shape[:-2], -1, 2, n)
+    return F, ce._condition_gap(F[..., 0, :], F[..., 1, :], direction) <= ce.PROB_TOL
 
 
-def _conditioned_pairs(draws, keys) -> list:
-    """(trials, P, Q, pairs) of the ``_draw_pair_block`` draws of each key
-    (eps, direction) and shape, row j that of draw trials[j]: the pair
-    taken, and the count of draws up to it.  A trial that takes none has
-    NaN rows and a count of _REDRAW_CAP.  The first blocks of one key and
+def _conditioned_pairs(draws, keys, rng) -> list:
+    """(trials, P, Q) of the ``_draw_pair_block`` draws of each key (eps,
+    direction) and shape, row j that of draw trials[j]: the pair taken, or
+    NaN rows where a trial takes none.  The first blocks of one key and
     shape are screened in one stack (``_pair_screen``), and a trial whose
-    first block holds no accepted pair resumes from its saved state
-    (``_first_accepted``) and writes its row into the stack."""
-    rng = _resume_rng()
+    first block holds no accepted pair sets its saved state on ``rng`` and
+    draws further blocks (``_first_accepted``)."""
     out = []
     for ((eps, direction),), trials, D in _groups(keys, [D for D, _ in draws]):
         n = D.shape[-1]
-        F, hits = _pair_screen(D, eps, direction)
-        first = _first_hits(hits)
+        F, ok = _pair_screen(D, eps, direction)
+        first = _first_hits(ok)
         hit = np.flatnonzero(first >= 0)
-        P, Q, pairs = np.empty((len(D), n)), np.empty((len(D), n)), first + 1
-        P[hit], Q[hit] = F[hit, 2 * first[hit]], F[hit, 2 * first[hit] + 1]
+        P, Q = np.full((len(D), n), np.nan), np.full((len(D), n), np.nan)
+        P[hit], Q[hit] = F[hit, first[hit], 0], F[hit, first[hit], 1]
         for j in np.flatnonzero(first < 0).tolist():
             rng.bit_generator.state = draws[trials[j]][1]
-            pair, pairs[j] = _first_accepted(
-                rng, lambda m: _pair_screen(rng.dirichlet(np.ones(n), size=2 * m), eps, direction),
-                lambda block: np.flatnonzero(block[1]),
-                lambda block, k: (block[0][2 * k], block[0][2 * k + 1]),
-                D.shape[1] // 2, 2 * n)
-            P[j], Q[j] = (np.nan, np.nan) if pair is None else pair
-        out.append((trials, P, Q, pairs))
+            pair = _first_accepted(rng, lambda rng, k: rng.dirichlet(np.ones(n), size=2 * k),
+                                   lambda block: _pair_screen(block, eps, direction),
+                                   F.shape[1], 2 * n)
+            if pair is not None:
+                P[j], Q[j] = pair
+        out.append((trials, P, Q))
     return out
 
 
@@ -1517,18 +1480,16 @@ def _build_scalar_corollary(raws, keys) -> list:
     """(trials, P, X, Y) stacks of the scalar_corollary draws with their
     keys (f, alpha, mode): those of ``_equal_means`` for the equal-mean
     draws, and one per n of the relaxed draws, each trial's row with x and
-    y swapped where sum p x > sum p y."""
+    y swapped where the row sum of p x exceeds that of p y."""
     equal = [j for j, (_, _, mode) in enumerate(keys) if mode == MODE_EQUAL]
     relaxed = [j for j, (_, _, mode) in enumerate(keys) if mode != MODE_EQUAL]
-    stacks = [(np.array(equal)[trials], P, X, Y) for trials, P, X, Y, _ in _equal_means(
-        [raws[j] for j in equal], [keys[j][0].domain for j in equal])]
-    rows = []
-    for j in relaxed:
-        x, y, p = raws[j]
-        rows.append((p, y, x) if float(np.dot(p, x)) > float(np.dot(p, y)) else (p, x, y))
-    if rows:
-        stacks += [(np.array(relaxed)[trials], *PXY)
-                   for _, trials, *PXY in _groups(None, *zip(*rows))]
+    stacks = [(np.array(equal)[trials], P, X, Y) for trials, P, X, Y in _equal_means(
+        [raws[j] for j in equal], [keys[j][0].domain for j in equal], _resume_rng())]
+    if relaxed:
+        for _, trials, X, Y, P in _groups(None, *zip(*(raws[j] for j in relaxed))):
+            swap = (np.sum(P * X, axis=-1) > np.sum(P * Y, axis=-1))[:, None]
+            stacks.append((np.array(relaxed)[trials], P,
+                           np.where(swap, Y, X), np.where(swap, X, Y)))
     return stacks
 
 
@@ -1633,9 +1594,9 @@ def _draw_parametric_pair(i, rng, params):
 def _build_conditioned_pairs(raws, keys) -> list:
     """(trials, P, Q) stacks of the reverse suites' draws, keyed (eps, ...,
     direction); GeneratorExhausted where a trial takes no pair."""
-    stacks = _conditioned_pairs(raws, [(key[0], key[-1]) for key in keys])
+    stacks = _conditioned_pairs(raws, [(key[0], key[-1]) for key in keys], _resume_rng())
     _check_taken(keys, stacks)
-    return [(trials, P, Q) for trials, P, Q, _ in stacks]
+    return stacks
 
 
 def _ratio_diff_kernel(suite_id, rows):
@@ -1827,6 +1788,10 @@ _SUITES: Dict[str, _Suite] = {
 _PARAM_KEYS = frozenset(key for suite in _SUITES.values() for key in suite.defaults)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
@@ -1842,8 +1807,7 @@ def _entries(value, ok) -> bool:
 # kernel that m > 0, so that a suite and its checker raise one error
 _PARAM_CHECKS = {
     "dims": ("a non-empty sequence of integers >= 1",
-             lambda v: _entries(v, lambda d: isinstance(d, (int, np.integer))
-                                and not isinstance(d, bool) and d >= 1)),
+             lambda v: _entries(v, lambda d: _is_int(d) and d >= 1)),
     "fs": (f"a non-empty sequence of the names {sorted(_CATALOG)}",
            lambda v: _entries(v, lambda name: isinstance(name, str) and name in _CATALOG)),
     "alphas": ("a non-empty sequence of real numbers", lambda v: _entries(v, _is_real)),
@@ -1886,10 +1850,10 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
-    if trials < 0:
-        raise DomainError("trials must be >= 0")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
+    if not _is_int(trials) or trials < 0:
+        raise DomainError(f"trials must be an integer >= 0, got {trials!r}")
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     _check_params(params or {})
     params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()

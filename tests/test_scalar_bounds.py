@@ -392,6 +392,24 @@ class TestCOfHr:
         with pytest.raises(DomainError, match=re.escape(f"m = {m}, h = {h}, r = {r}")):
             sb.c_of_hr(m, h, r)
 
+    @pytest.mark.parametrize("m, h, r", [(1e200, 1e100, 1.5),
+                                         (9.392352494441158e+133, 9.206317625462599e+265,
+                                          0.8562824361203099)])
+    def test_overflowing_product_is_a_domain_error(self, m, h, r):
+        # every power is finite, but m^r times the bracket is +inf (and -inf
+        # at the second point, from a random search over finite inputs)
+        with pytest.raises(DomainError, match=re.escape(f"m = {m}, h = {h}, r = {r}")):
+            sb.c_of_hr(m, h, r)
+
+    def test_finite_inputs_give_a_finite_constant_or_a_domain_error(self):
+        rnd = np.random.default_rng(35)
+        for h, r, m in zip(10.0 ** rnd.uniform(0, 300, 2000), rnd.uniform(-40, 40, 2000),
+                           10.0 ** rnd.uniform(-300, 300, 2000)):
+            try:
+                assert math.isfinite(sb.c_of_hr(float(m), float(h), float(r)))
+            except DomainError:
+                pass
+
     @pytest.mark.parametrize("m, h, r", [(1.0, 1e100, 3.0), (1e100, 2.0, 2.0), (0.5, 7.5, 0.3)])
     def test_large_finite_values_keep_the_closed_form(self, m, h, r):
         hr = h ** r

@@ -3,10 +3,12 @@ import dataclasses
 import functools
 import io
 import math
+import os
 import re
 import subprocess
 import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,10 +63,10 @@ class TestGenerators:
         # one redraw per loop pass, then the coordinate-wise construction
         p = rng.dirichlet(np.ones(n))
         y = rng.uniform(iv.m, iv.M, size=n)
-        target = float(np.dot(p, y))
+        target = np.sum(p * y)
         for _ in range(vf._REDRAW_CAP):
             x = rng.uniform(iv.m, iv.M, size=n)
-            x0 = (target - float(np.dot(p[1:], x[1:]))) / p[0]
+            x0 = (target - np.sum(p[1:] * x[1:])) / p[0]
             if iv.m <= x0 <= iv.M:
                 x[0] = x0
                 return x, y, p
@@ -87,7 +89,6 @@ class TestGenerators:
         want = self.plain_equal_weighted_mean(n, iv, rng_b)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), (n, seed, trial)
-        assert rng_a.random() == rng_b.random()
 
     def test_block_redraws_match_plain_loop(self):
         # seeds 1016 and 107004 of scalar_corollary include trials that need
@@ -265,11 +266,73 @@ class TestGenerators:
                         got = vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a)
                         assert all(np.array_equal(a, b) for a, b in zip(got, want)), \
                             (n, direction, seed)
-                    assert rng_a.random() == rng_b.random(), (n, direction, seed)
+
+    @staticmethod
+    def block_end(count, width):
+        """The draws up to the end of the rejection block that holds draw
+        ``count`` (1-based): a first block of _FIRST_BLOCK draws, then
+        blocks that double, each of at most _REDRAW_BLOCK doubles of
+        ``width`` per draw and none past _REDRAW_CAP."""
+        step = max(1, vf._REDRAW_BLOCK // width)
+        done = min(vf._FIRST_BLOCK, vf._REDRAW_CAP, step)
+        k = 2 * done
+        while done < count:
+            k = min(k, vf._REDRAW_CAP - done, step)
+            done += k
+            k *= 2
+        return done
+
+    def test_public_samplers_end_after_the_block_that_holds_their_draw(self):
+        # the one-draw loops, run on a generator that counts their calls,
+        # stop after the draw taken; the public samplers stop at the end of
+        # its block, and after the equal-mean construction where the loop does
+        cap = vf._REDRAW_CAP
+        for n in (2, 3, 4, 6):
+            for seed in range(100):
+                direction = (ce.SELF_DOMINATED, ce.CROSS_DOMINATED)[seed % 2]
+                rng_a, rng_b = vf.trial_rng(seed, n), vf.trial_rng(seed, n)
+                vf.gen_conditioned_prob_pair(n, 0.05, direction, rng_a)
+                counting = CountingRng(rng_b)
+                self.plain_conditioned_pair(n, 0.05, direction, counting, cap)
+                count = counting.calls // 2
+                rng_b.dirichlet(np.ones(n), size=2 * (self.block_end(count, 2 * n) - count))
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state, (n, seed)
+        cases = [(4, vf.function_catalog(vf._cycle(vf._DEFAULT_FS, i)).domain, seed, i)
+                 for seed, trials in ((1016, (20, 115, 167, 247, 366)), (107004, (2, 139, 220)),
+                                      (0, range(100))) for i in trials]
+        cases += [(n, Interval(-1.0, 2.0), n, i) for n in (2, 3, 7) for i in range(100)]
+        for n, iv, seed, i in cases:
+            rng_a, rng_b = vf.trial_rng(seed, i), vf.trial_rng(seed, i)
+            vf.gen_equal_weighted_mean_scalars(n, iv, rng_a)
+            counting = CountingRng(rng_b)
+            self.plain_equal_weighted_mean(n, iv, counting)
+            count = counting.calls - 2  # the x draws after p and y
+            if count <= cap:
+                rng_b.random((self.block_end(count, n) - count, n))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state, (n, seed, i)
 
     def test_conditioned_pair_infeasible_floor(self):
         with pytest.raises(DomainError):
             vf.gen_conditioned_prob_pair(4, 0.3, "self_dominated", vf.trial_rng(0, 0))
+
+    @pytest.mark.parametrize("n", [0, -2, 2.0, True])
+    def test_conditioned_pair_needs_an_integer_n_of_at_least_one(self, n):
+        # n = 0 divided by zero in the first block's size
+        with pytest.raises(DomainError, match="integer n >= 1"):
+            vf.gen_conditioned_prob_pair(n, 0.05, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
+
+    def test_conditioned_pair_needs_a_finite_floor(self, monkeypatch):
+        # a NaN floor accepts no pair, so it drew all _REDRAW_CAP pairs
+        monkeypatch.setattr(vf, "_REDRAW_CAP", 1)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite floor"):
+                vf.gen_conditioned_prob_pair(3, eps, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, -0.0])
+    def test_conditioned_pair_needs_a_positive_floor(self, eps):
+        # eps = -1 gave p = [1.48, -0.43, -0.06] at n = 3
+        with pytest.raises(DomainError, match="eps > 0"):
+            vf.gen_conditioned_prob_pair(3, eps, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
 
     def test_generator_exhaustion_reported(self, monkeypatch):
         monkeypatch.setattr(vf, "_REDRAW_CAP", 0)
@@ -363,9 +426,9 @@ class TestSuiteSamplers:
             return inner.score(built)
 
         def recording(*args):
-            item, count = first_accepted(*args)
+            item = first_accepted(*args)
             resumed.append(item)
-            return item, count
+            return item
 
         monkeypatch.setitem(vf._SUITES, suite, dataclasses.replace(inner, score=score))
         monkeypatch.setattr(vf, "_first_accepted", recording)
@@ -408,12 +471,100 @@ class TestSuiteSamplers:
                            match=r"^no \(self_dominated\) pair with floor 0.05 after 0 draws$"):
             vf.run_suite(suite, 8, 3)
 
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_acceptance_expressions_give_a_row_the_same_bits_in_any_layout(self, n):
+        # the equal-mean target and solve, the pair screen and the relaxed
+        # swap give a row the same bits on a view of a block row (at an
+        # offset of 8 n bytes, which shifts its alignment where n is odd),
+        # on a fresh copy of it and inside a stack of other rows
+        rng, iv, k, b = np.random.default_rng(n), Interval(-1.0, 2.0), 9, 5
+        P, Y = rng.dirichlet(np.ones(n), size=k), rng.uniform(iv.m, iv.M, size=(k, n))
+        X, D = rng.uniform(iv.m, iv.M, size=(k, b, n)), rng.dirichlet(np.ones(n), size=(k, 2 * b))
+        T = np.sum(P * Y, axis=-1)
+        solved, ok = vf._x0_screen(X, P, T, iv)
+        direction = (ce.SELF_DOMINATED, ce.CROSS_DOMINATED)[n % 2]
+        F, hits = vf._pair_screen(D, 0.5 / n, direction)
+        gaps = ce._condition_gap(F[..., 0, :], F[..., 1, :], direction)
+        raws = [(X[j, 0], X[j, 1], P[j]) for j in range(k)]
+        keys = [(None, None, vf.MODE_RELAXED)] * k
+        ((_, _, SX, SY),) = vf._build_scalar_corollary(raws, keys)
+        for j in range(k):
+            for layout in (lambda a: a, np.copy):
+                p, x, d = layout(P[j]), layout(X[j]), layout(D[j])
+                t = np.sum(p * layout(Y[j]))
+                assert _bits(t) == _bits(T[j]), (n, j)
+                row, row_ok = vf._x0_screen(x, p, t, iv)
+                assert _bits(row) == _bits(solved[j]) and row_ok.tolist() == ok[j].tolist()
+                for i in range(b):
+                    x0 = (t - np.sum(p[1:] * layout(X[j, i])[1:])) / p[0]
+                    assert _bits(x0) == _bits(solved[j, i, 0]), (n, j, i)
+                f, f_ok = vf._pair_screen(d, 0.5 / n, direction)
+                assert _bits(f) == _bits(F[j]) and f_ok.tolist() == hits[j].tolist()
+                gap = ce._condition_gap(f[..., 0, :], f[..., 1, :], direction)
+                assert _bits(gap) == _bits(gaps[j]), (n, j)
+                ((_, _, sx, sy),) = vf._build_scalar_corollary(
+                    [tuple(map(layout, raws[j]))], keys[:1])
+                assert _bits(sx) == _bits(SX[j]) and _bits(sy) == _bits(SY[j]), (n, j)
+                assert _bits(np.sum(p * x[0])) == _bits(np.sum(P * X[:, 0], axis=-1)[j])
+
     def test_infeasible_floor_raises_a_domain_error(self):
         # eps = 0.4 leaves no room at n = 3, the second trial's size
         with pytest.raises(DomainError, match="infeasible"):
             vf.run_suite("reverse_shannon", 4, 0, {"eps": 0.4})
         with pytest.raises(DomainError, match="infeasible"):
             vf.gen_conditioned_prob_pair(3, 0.4, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
+
+
+# the work of the kernel test below: scalar_corollary's CSV, then each
+# public rejection sampler's values and the rng's next double after it
+_SAMPLER_WORK = """
+import sys
+import numpy as np
+from karabounds import cli, verification as vf
+from karabounds.functions import Interval
+cli.main(["verify", "--suite", "scalar_corollary", "--trials", "96", "--format", "csv"])
+for n in (2, 3, 4, 7):
+    for i in range(100):
+        for direction in ("self_dominated", "cross_dominated"):
+            rng = vf.trial_rng(n, i)
+            pair = vf.gen_conditioned_prob_pair(n, 0.05, direction, rng)
+            print(*(a.tobytes().hex() for a in pair), np.float64(rng.random()).tobytes().hex())
+        rng = vf.trial_rng(n, i)
+        xyp = vf.gen_equal_weighted_mean_scalars(n, Interval(-1.0, 2.0), rng)
+        print(*(a.tobytes().hex() for a in xyp), np.float64(rng.random()).tobytes().hex())
+"""
+
+
+def test_samplers_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE=Prescott selects OpenBLAS's SSE2 kernels, under
+    # which a BLAS dot of a short vector depends on its operand's alignment;
+    # the rejection samplers and scalar_corollary call no BLAS, so their
+    # bytes are the same under the machine's kernels and under those
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    runs = [subprocess.Popen([sys.executable, "-c", _SAMPLER_WORK], env=dict(env, **extra),
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    (out, _), (prescott, _) = (run.communicate(timeout=60) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    # a header, 240 verdict rows and 1,200 sampler lines
+    assert out.count(b"\n") == 1 + 240 + 1200 and out == prescott
+
+
+class CountingRng:
+    """A generator's proxy that counts the draw calls made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
 
 
 def _seed_sequence_rng(seed, trial):
@@ -493,6 +644,12 @@ class TestTrialSeeds:
     def test_negative_seed_or_trial_raises_a_typed_error(self, seed, trial):
         # numpy's SeedSequence raises a bare ValueError here
         with pytest.raises(DomainError):
+            vf.trial_rng(seed, trial)
+
+    @pytest.mark.parametrize("seed, trial", [(1.5, 0), (0, 1.5), (1.0, 0), (True, 0), (0, False)])
+    def test_a_seed_or_trial_that_is_not_an_integer_raises_a_typed_error(self, seed, trial):
+        # trial_rng(1.5, 0) would otherwise give seed 1's stream
+        with pytest.raises(DomainError, match="integers"):
             vf.trial_rng(seed, trial)
 
 
@@ -793,6 +950,21 @@ class TestSuites:
     def test_negative_seed(self):
         with pytest.raises(DomainError, match="seed"):
             vf.run_suite("fuchs", 2, -1)
+
+    @pytest.mark.parametrize("trials", [1.5, 2.0, True, "2"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(DomainError, match="trials must be an integer"):
+            vf.run_suite("fuchs", trials, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, 0.0, False, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            vf.run_suite("fuchs", 2, seed)
+
+    def test_numpy_integers_are_integers(self):
+        want = vf.run_suite("fuchs", 4, 3)
+        got = vf.run_suite("fuchs", np.int64(4), np.uint32(3))
+        assert (got.trials, got.min_margin) == (want.trials, want.min_margin)
 
     @pytest.mark.parametrize("suite, params, check", [
         ("entropy_vn", {"alphas": (-1.0,)},
