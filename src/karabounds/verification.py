@@ -15,13 +15,16 @@ alone reads params, exactly the keys its defaults name; a key no suite
 reads, or a value ``_PARAM_CHECKS`` rejects, raises DomainError.  The
 draw makes trial i's rng calls on its own stream, that of
 ``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and nothing else: it
-returns raw Gaussian, uniform and Dirichlet arrays, and a rejection
-sampler's draw stops after its first block of candidates and keeps the
-generator state.  A suite seeds all its trials in one pass
-(``_trial_rngs``): it hashes the seed once, the trials' spawn keys as whole
-uint32 arrays, and sets each trial's PCG64 state on one reused Generator,
-bit for bit the stream of numpy's own seeding, which ``trial_rng(seed, i)``
-uses.  The build turns all the trials' draws into instances, the blocks of
+returns raw arrays, and a rejection sampler's draw stops after its first
+block of candidates and keeps the generator state.  A Dirichlet draw, and
+each uniform draw of the scalar and classical suites, makes only numpy's
+primitive call (``standard_exponential``, ``random``); the build maps
+them in one stack (``_dirichlet_rows``, ``_uniform``), bit for bit what
+``dirichlet`` and ``uniform`` return on the same stream.  A suite seeds
+all its trials in one pass (``_trial_rngs``): it hashes the seed once, the
+trials' spawn keys as whole uint32 arrays, and sets each trial's PCG64
+state on one reused Generator, bit for bit the stream of numpy's own
+seeding, which ``trial_rng(seed, i)`` uses.  The build turns all the trials' draws into instances, the blocks of
 one shape (say, the n matrices of each trial's tuple) in one stack per step
 (``operator_calculus._build_haar`` and ``_build_densities``, the Sinkhorn
 sweeps of all the start matrices of one n, then the mixes and weighted
@@ -334,13 +337,36 @@ _REDRAW_CAP = 100_000
 # most doubles one block of redraws holds: 32 KB keeps the screen's
 # temporaries small, and a run of all 1e5 redraws (n = 4) still takes ~8 ms
 _REDRAW_BLOCK = 1 << 12
-# first block of either rejection sampler: a Dirichlet call has a fixed
-# cost of about a hundred rows, and about one pair in nine is accepted;
-# first blocks of 8 to 32 pairs timed fastest on the reverse suites' draws
-# (1 to 128 tried).  A uniform call's fixed cost, too, exceeds that of 16
-# rows of x, and 16 rows leave 14% of scalar_corollary's equal-mean trials
-# to resume, where one row left 63% (20 seeds of 384 trials; 15% of pairs)
+# first block of either rejection sampler: a standard_exponential or
+# random call has a fixed cost of about 0.7 us, that of some 40 to 60 rows
+# of 4 doubles, and about one pair in nine is accepted.  16 rows leave 14%
+# of scalar_corollary's equal-mean trials to resume, where one row left 63%
+# (20 seeds of 384 trials; 15% of pairs).  First blocks of 8 to 32 timed
+# fastest on the three rejection suites (1 to 128 tried, 384 trials)
 _FIRST_BLOCK = 16
+
+
+def _dirichlet_rows(E) -> np.ndarray:
+    """Dirichlet(1, ..., 1) rows from rows of standard exponentials E
+    (..., n): each row times 1 / its sum, the sum added column by column
+    in index order.  On the numbers of ``Generator.standard_exponential``
+    this is bit for bit ``Generator.dirichlet`` with all-ones alpha on the
+    same stream, which draws those numbers and maps each row so;
+    ``np.sum``'s pairwise order gives other bits from n = 8 on."""
+    acc = E[..., 0]
+    for j in range(1, E.shape[-1]):
+        acc = acc + E[..., j]
+    return E * (1.0 / acc)[..., None]
+
+
+def _uniform(U, lo: float, hi: float) -> np.ndarray:
+    """lo + (hi - lo) U: on the doubles U of ``Generator.random`` this is
+    bit for bit ``Generator.uniform(lo, hi)`` on the same stream.  A width
+    hi - lo that overflows raises DomainError, where numpy raises
+    OverflowError."""
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the width of [{lo}, {hi}] overflows a float")
+    return lo + (hi - lo) * U
 
 
 def _first_block(first, width):
@@ -405,19 +431,18 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     after the last block drawn (or after the construction), which can lie
     past the one-draw loop's accepted draw.
     """
-    ((_, P, X, Y),) = _equal_means([_draw_equal_mean(n, iv, rng)], [iv], rng)
+    ((_, P, X, Y),) = _equal_means([_draw_equal_mean(n, rng)], [iv], rng)
     return X[0], Y[0], P[0]
 
 
-def _draw_equal_mean(n: int, iv: Interval, rng: np.random.Generator):
-    """The draw phase of the equal-mean sampler: p, y, the first block of x
-    draws (k, n) and the rng state after it."""
-    if n < 2:
-        raise DomainError(f"need n >= 2 scalars, got {n}")
-    p = rng.dirichlet(np.ones(n))
-    y = rng.uniform(iv.m, iv.M, size=n)
-    X = rng.uniform(iv.m, iv.M, size=(_first_block(_FIRST_BLOCK, n), n))
-    return p, y, X, rng.bit_generator.state
+def _draw_equal_mean(n: int, rng: np.random.Generator):
+    """The draw phase of the equal-mean sampler, for an integer n >= 2: the
+    exponentials of p, the doubles of y and of the first block of x draws
+    (k, n), and the rng state after them."""
+    if not _is_int(n) or n < 2:
+        raise DomainError(f"need an integer n >= 2 scalars, got {n!r}")
+    return (rng.standard_exponential(n), rng.random(n),
+            rng.random((_first_block(_FIRST_BLOCK, n), n)), rng.bit_generator.state)
 
 
 def _x0_screen(X, P, T, iv):
@@ -436,15 +461,17 @@ def _equal_means(draws, ivs, rng) -> list:
     """(trials, P, X, Y) of the ``_draw_equal_mean`` draws of each interval
     and shape, row j that of draw trials[j].
 
-    Each trial's target is its row sum of p y.  The first blocks of one
-    interval and shape are screened in one stack (``_x0_screen``).  A trial
-    whose first block holds no accepted draw sets its saved state on
-    ``rng`` and draws further blocks (``_first_accepted``); one that
-    exhausts _REDRAW_CAP draws builds x coordinate-wise (``_construct_x``)
-    on the same stream."""
+    The draws of one interval and shape are mapped in one stack, p by
+    ``_dirichlet_rows`` and y and the first blocks of x by ``_uniform``,
+    and the first blocks are screened in one stack (``_x0_screen``), each
+    trial's target its row sum of p y.  A trial whose first block holds no
+    accepted draw sets its saved state on ``rng`` and draws further blocks
+    (``_first_accepted``); one that exhausts _REDRAW_CAP draws builds x
+    coordinate-wise (``_construct_x``) on the same stream."""
     out = []
-    for (iv,), trials, P, Y, B in _groups(ivs, *([draw[c] for draw in draws] for c in range(3))):
-        n = P.shape[-1]
+    for (iv,), trials, E, U, B in _groups(ivs, *([draw[c] for draw in draws] for c in range(3))):
+        n = E.shape[-1]
+        P, Y, B = _dirichlet_rows(E), _uniform(U, iv.m, iv.M), _uniform(B, iv.m, iv.M)
         T = np.sum(P * Y, axis=-1)
         solved, ok = _x0_screen(B, P, T, iv)
         first = _first_hits(ok)
@@ -454,7 +481,7 @@ def _equal_means(draws, ivs, rng) -> list:
         for j in np.flatnonzero(first < 0).tolist():
             p, t = P[j], T[j]
             rng.bit_generator.state = draws[trials[j]][3]
-            x = _first_accepted(rng, lambda rng, k: rng.uniform(iv.m, iv.M, size=(k, n)),
+            x = _first_accepted(rng, lambda rng, k: _uniform(rng.random((k, n)), iv.m, iv.M),
                                 lambda block: _x0_screen(block, p, t, iv), B.shape[1], n)
             X[j] = _construct_x(iv, p, t, rng) if x is None else x
         out.append((trials, P, X, Y))
@@ -555,8 +582,8 @@ def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
     """The draws of ``gen_equal_map_sum_operators``: (kind, G, w, extra) with
     the family's unitary and the A_i's Gaussians G and spectra w and the
     permutation or the Sinkhorn start matrix extra; or, for
-    normalized_trace, the 2n Gaussians G of the densities and the family
-    weights w."""
+    normalized_trace, the 2n Gaussians G of the densities and the
+    exponentials w of the family weights."""
     if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
         G = oc._gaussian(dim, rng, 1)
         Gs, w = _draw_spectra(dim, (iv,) * n, rng)
@@ -567,7 +594,7 @@ def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
         if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
             raise DomainError("normalized_trace inputs are density matrices; "
                               "the interval must cover [0, 1]")
-        w = rng.dirichlet(np.ones(n))
+        w = rng.standard_exponential(n)
         return family_kind, oc._gaussian(dim, rng, 2 * n), w, None
     raise DomainError(f"unknown family kind {family_kind!r}")
 
@@ -576,6 +603,8 @@ def _build_equal_map_sums(draws) -> list:
     """(As, Bs, family) of each ``_draw_equal_map_sum`` draw.  A permuted B_i
     is the A_j object itself."""
     traced = [kind == "normalized_trace" for kind, *_ in draws]
+    weights = _per_group(_dirichlet_rows, None,
+                         [w if t else None for t, (_, _, w, _) in zip(traced, draws)])
     haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                       [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
                       [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
@@ -585,10 +614,10 @@ def _build_equal_map_sums(draws) -> list:
     densities = _per_group(oc._build_densities, None,
                            [G if t else None for t, (_, G, *_) in zip(traced, draws)])
     out = []
-    for (kind, G, w, extra), h, B, rho in zip(draws, haar, mixes, densities):
+    for (kind, G, w, extra), h, B, rho, p in zip(draws, haar, mixes, densities, weights):
         n, dim = len(w), G.shape[-1]
         if rho is not None:
-            maps = tuple(oc.NormalizedTrace(float(wi)) for wi in w)
+            maps = tuple(oc.NormalizedTrace(float(pi)) for pi in p)
             As, Bs = list(rho[:n]), list(rho[n:])
         else:
             U, H = h
@@ -634,18 +663,18 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
 
 
 def _draw_pair_block(n: int, eps: float, rng: np.random.Generator):
-    """The draw phase of the conditioned-pair sampler: the first block of
-    Dirichlet draws (2k, n), p and q interleaved, and the rng state after
-    it.  n must be an integer >= 1 and eps a finite floor with 0 < eps and
-    n eps < 1."""
+    """The draw phase of the conditioned-pair sampler: the exponentials
+    (2k, n) of the first block of Dirichlet draws, p and q interleaved, and
+    the rng state after them.  n must be an integer >= 1 and eps a finite
+    floor with 0 < eps and n eps < 1."""
     if not _is_int(n) or n < 1:
         raise DomainError(f"need an integer n >= 1, got {n!r}")
     if not (_is_real(eps) and 0.0 < eps < math.inf):
         raise DomainError(f"need a finite floor eps > 0, got {eps!r}")
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
-    D = rng.dirichlet(np.ones(n), size=2 * _first_block(_FIRST_BLOCK, 2 * n))
-    return D, rng.bit_generator.state
+    return (rng.standard_exponential((2 * _first_block(_FIRST_BLOCK, 2 * n), n)),
+            rng.bit_generator.state)
 
 
 def _pair_screen(D, eps, direction):
@@ -661,20 +690,22 @@ def _conditioned_pairs(draws, keys, rng) -> list:
     """(trials, P, Q) of the ``_draw_pair_block`` draws of each key (eps,
     direction) and shape, row j that of draw trials[j]: the pair taken, or
     NaN rows where a trial takes none.  The first blocks of one key and
-    shape are screened in one stack (``_pair_screen``), and a trial whose
-    first block holds no accepted pair sets its saved state on ``rng`` and
-    draws further blocks (``_first_accepted``)."""
+    shape are mapped (``_dirichlet_rows``) and screened (``_pair_screen``)
+    in one stack, and a trial whose first block holds no accepted pair sets
+    its saved state on ``rng`` and draws further blocks
+    (``_first_accepted``)."""
     out = []
-    for ((eps, direction),), trials, D in _groups(keys, [D for D, _ in draws]):
-        n = D.shape[-1]
-        F, ok = _pair_screen(D, eps, direction)
+    for ((eps, direction),), trials, E in _groups(keys, [E for E, _ in draws]):
+        n = E.shape[-1]
+        F, ok = _pair_screen(_dirichlet_rows(E), eps, direction)
         first = _first_hits(ok)
         hit = np.flatnonzero(first >= 0)
-        P, Q = np.full((len(D), n), np.nan), np.full((len(D), n), np.nan)
+        P, Q = np.full((len(E), n), np.nan), np.full((len(E), n), np.nan)
         P[hit], Q[hit] = F[hit, first[hit], 0], F[hit, first[hit], 1]
         for j in np.flatnonzero(first < 0).tolist():
             rng.bit_generator.state = draws[trials[j]][1]
-            pair = _first_accepted(rng, lambda rng, k: rng.dirichlet(np.ones(n), size=2 * k),
+            pair = _first_accepted(rng, lambda rng, k: _dirichlet_rows(
+                                       rng.standard_exponential((2 * k, n))),
                                    lambda block: _pair_screen(block, eps, direction),
                                    F.shape[1], 2 * n)
             if pair is not None:
@@ -700,26 +731,27 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     adjacent pairs (weighted), which preserves the weighted total and can
     only lower prefix sums.  All three arrays are C-contiguous.  A batch of
     one of the prefix suites' draw and build."""
-    ((_, X, Y, P),) = _build_fuchs_stacks([_draw_fuchs_instance(n, iv, rng)])
+    ((_, X, Y, P),) = _build_fuchs_stacks([_draw_fuchs_instance(n, rng)], iv)
     return X[0], Y[0], P[0]
 
 
-def _draw_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
-    """The draws of ``gen_fuchs_instance``: y unsorted, p, and the n pair
-    indices of the averaging steps."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return (rng.uniform(iv.m, iv.M, size=n), rng.uniform(0.2, 1.0, size=n),
-            rng.integers(0, n - 1, size=n))
+def _draw_fuchs_instance(n: int, rng: np.random.Generator):
+    """The draws of ``gen_fuchs_instance``, for an integer n >= 2: the
+    doubles of y and of p, and the n pair indices of the averaging steps."""
+    if not _is_int(n) or n < 2:
+        raise DomainError(f"need an integer n >= 2, got {n!r}")
+    return rng.random(n), rng.random(n), rng.integers(0, n - 1, size=n)
 
 
-def _build_fuchs_stacks(draws) -> list:
+def _build_fuchs_stacks(draws, iv: Interval) -> list:
     """(trials, X, Y, P) of the ``_draw_fuchs_instance`` draws of each n,
-    row j that of draw trials[j]: y sorted decreasing, and each averaging
-    step on every row at once, with the one-row arithmetic."""
+    row j that of draw trials[j]: y uniform on iv (``_uniform``) and sorted
+    decreasing, p uniform on [0.2, 1], and each averaging step on every
+    row at once, with the one-row arithmetic."""
     out = []
-    for _, trials, Y, P, steps in _groups(None, *zip(*draws)):
-        Y = np.ascontiguousarray(np.sort(Y, axis=-1)[:, ::-1])
+    for _, trials, U, P, steps in _groups(None, *zip(*draws)):
+        Y = np.ascontiguousarray(np.sort(_uniform(U, iv.m, iv.M), axis=-1)[:, ::-1])
+        P = _uniform(P, 0.2, 1.0)
         X, rows = Y.copy(), np.arange(len(Y))
         for i in steps.T:
             a, b = P[rows, i], P[rows, i + 1]
@@ -1290,11 +1322,13 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class _Suite:
     """``draw(i, rng, params)`` makes trial i's rng calls on its own rng and
-    nothing else, and returns the raw arrays (a rejection sampler's first
-    block of candidates, with the generator state saved after it), then the
-    trial's context, which ``run_suite`` puts after {trial, seed};
-    ``build(draws)`` turns the draws into instances, one stack per step and
-    shape: the scalar and classical suites' rejection screens, prefix
+    nothing else, and returns the raw arrays (numpy's standard exponentials
+    for Dirichlet rows and ``random`` doubles for the scalar and classical
+    suites' uniforms; a rejection sampler's first block of candidates, with
+    the generator state saved after it), then the trial's context, which
+    ``run_suite`` puts after {trial, seed}; ``build(draws)`` turns the draws
+    into instances, one stack per step and shape: the Dirichlet and uniform
+    maps, the scalar and classical suites' rejection screens, prefix
     constructions, floors and normalisations too, where a trial whose first
     block holds no accepted draw resumes its own stream from its saved state
     (the eigensolver pair's draws are instances); ``score(instances)`` runs
@@ -1373,9 +1407,10 @@ def _scalar_score(kernel):
 
 
 def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
-    """The draws of ``_gen_jensen_instance``: (weights, Gaussians of the n
-    unitaries, Gaussians and spectra of the n matrices, vectors)."""
-    weights = rng.dirichlet(np.ones(n))
+    """The draws of ``_gen_jensen_instance``: (exponentials of the weights,
+    Gaussians of the n unitaries, Gaussians and spectra of the n matrices,
+    vectors)."""
+    weights = rng.standard_exponential(n)
     Gu = oc._gaussian(dim, rng, n)
     Gs, w = _draw_spectra(dim, (iv,) * n, rng)
     raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
@@ -1388,8 +1423,9 @@ def _build_jensen_instances(draws) -> list:
     out = []
     haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                       *zip(*(d[1:4] for d in draws)))
-    for (weights, *_, vecs), (U, H) in zip(draws, haar):
-        maps = tuple(oc.WeightedConjugation(float(wi), Ui) for wi, Ui in zip(weights, U))
+    weights = _per_group(_dirichlet_rows, None, [d[0] for d in draws])
+    for (*_, vecs), w, (U, H) in zip(draws, weights, haar):
+        maps = tuple(oc.WeightedConjugation(float(wi), Ui) for wi, Ui in zip(w, U))
         out.append((oc.MapFamily(maps, U.shape[-1]), list(H), vecs))
     return out
 
@@ -1410,10 +1446,10 @@ _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
 
 
 def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Generator):
-    """The draws of ``_gen_weighted_instance``: (kind, weights, Gaussians and
-    spectra of the A_i, Sinkhorn start matrix of the weights_v2 mix or
-    None)."""
-    w = rng.dirichlet(np.ones(n))
+    """The draws of ``_gen_weighted_instance``: (kind, exponentials of the
+    weights, Gaussians and spectra of the A_i, Sinkhorn start matrix of the
+    weights_v2 mix or None)."""
+    w = rng.standard_exponential(n)
     Gs, spectra = _draw_spectra(dim, (iv,) * n, rng)
     S = None if kind in ("weights_v0", "weights_v1") else _sinkhorn_start(n, rng)
     return kind, w, Gs, spectra, S
@@ -1422,6 +1458,7 @@ def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gene
 def _build_weighted_instances(draws) -> list:
     """(As, Bs, family) of each ``_draw_weighted_instance`` draw."""
     kinds, ws, Gs, spectra, Ss = zip(*draws)
+    ws = _per_group(_dirichlet_rows, None, ws)
     H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
                                   [G[:0] for G in Gs], Gs, spectra)]
     means = _per_group(_weighted_sums, None,
@@ -1463,30 +1500,33 @@ def _draw_map_sum(i, rng, params, draw, kind):
 
 def _draw_scalar_corollary(i, rng, params):
     """Equal weighted means (``_draw_equal_mean``), or on odd trials with
-    decreasing f the draws x, y, p of the relaxed sum p x <= sum p y."""
+    decreasing f the draws of the relaxed sum p x <= sum p y: the doubles
+    of x and y and the exponentials of p."""
     n = _SCALAR_N
     f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
     if i % 2 == 1 and _is_decreasing(f, iv):
-        raw = (rng.uniform(iv.m, iv.M, size=n), rng.uniform(iv.m, iv.M, size=n),
-               rng.dirichlet(np.ones(n)))
+        raw = rng.random(n), rng.random(n), rng.standard_exponential(n)
         mode = MODE_RELAXED
     else:
-        raw, mode = _draw_equal_mean(n, iv, rng), MODE_EQUAL
+        raw, mode = _draw_equal_mean(n, rng), MODE_EQUAL
     return raw, (f, alpha, mode), dict(dim=n, alpha=alpha, f=f.name, mode=mode)
 
 
 def _build_scalar_corollary(raws, keys) -> list:
     """(trials, P, X, Y) stacks of the scalar_corollary draws with their
     keys (f, alpha, mode): those of ``_equal_means`` for the equal-mean
-    draws, and one per n of the relaxed draws, each trial's row with x and
-    y swapped where the row sum of p x exceeds that of p y."""
+    draws, and one per interval and n of the relaxed draws, mapped by
+    ``_uniform`` and ``_dirichlet_rows``, each trial's row with x and y
+    swapped where the row sum of p x exceeds that of p y."""
     equal = [j for j, (_, _, mode) in enumerate(keys) if mode == MODE_EQUAL]
     relaxed = [j for j, (_, _, mode) in enumerate(keys) if mode != MODE_EQUAL]
     stacks = [(np.array(equal)[trials], P, X, Y) for trials, P, X, Y in _equal_means(
         [raws[j] for j in equal], [keys[j][0].domain for j in equal], _resume_rng())]
     if relaxed:
-        for _, trials, X, Y, P in _groups(None, *zip(*(raws[j] for j in relaxed))):
+        ivs = [keys[j][0].domain for j in relaxed]
+        for (iv,), trials, X, Y, E in _groups(ivs, *zip(*(raws[j] for j in relaxed))):
+            X, Y, P = _uniform(X, iv.m, iv.M), _uniform(Y, iv.m, iv.M), _dirichlet_rows(E)
             swap = (np.sum(P * X, axis=-1) > np.sum(P * Y, axis=-1))[:, None]
             stacks.append((np.array(relaxed)[trials], P,
                            np.where(swap, Y, X), np.where(swap, X, Y)))
@@ -1509,14 +1549,12 @@ def _fuchs_fs():
 
 def _draw_fuchs(i, rng, params):
     f = _cycle(_fuchs_fs(), i)
-    return (_draw_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng), f,
-            dict(dim=_PREFIX_N, f=f.name))
+    return _draw_fuchs_instance(_PREFIX_N, rng), f, dict(dim=_PREFIX_N, f=f.name)
 
 
 def _draw_moment(i, rng, params):
     order = _cycle(_MOMENT_ORDERS, i)
-    return (_draw_fuchs_instance(_PREFIX_N, _PREFIX_INTERVAL, rng), order,
-            dict(dim=_PREFIX_N, r=order))
+    return _draw_fuchs_instance(_PREFIX_N, rng), order, dict(dim=_PREFIX_N, r=order)
 
 
 def _draw_density_pair(i, rng, params):
@@ -1545,17 +1583,17 @@ def _build_entropy_stacks(raws, _) -> list:
 
 
 def _draw_prob_pair(i, rng, params):
-    """(Dirichlet draws (2, n) of p and q, r, context)."""
+    """(exponentials (2, n) of the Dirichlet draws of p and q, r, context)."""
     n, r = _cycle(_INFO_SIZES, i), _cycle(params["rs"], i)
-    return rng.dirichlet(np.ones(n), size=2), r, dict(dim=n, r=r)
+    return rng.standard_exponential((2, n)), r, dict(dim=n, r=r)
 
 
 def _build_prob_pairs(raws, _) -> list:
-    """(trials, P, Q) of the (2, n) blocks of Dirichlet draws of each n,
-    floored at 1e-12 and normalized."""
+    """(trials, P, Q) of the (2, n) blocks of exponentials of each n: their
+    Dirichlet rows (``_dirichlet_rows``), floored at 1e-12 and normalized."""
     out = []
-    for _, trials, D in _groups(None, raws):
-        F = np.maximum(D, 1e-12)
+    for _, trials, E in _groups(None, raws):
+        F = np.maximum(_dirichlet_rows(E), 1e-12)
         F = F / np.sum(F, axis=-1, keepdims=True)
         out.append((trials, F[:, 0], F[:, 1]))
     return out
@@ -1745,13 +1783,13 @@ _SUITES: Dict[str, _Suite] = {
         _draw_fuchs,
         _scalar_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
                                            SCALAR_TOL)]),
-        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws))),
+        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws, _PREFIX_INTERVAL))),
     "moment": _Suite(
         _draw_moment,
         _scalar_score(lambda order, X, Y, P: [(
             "moment_margin",
             mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)]),
-        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws))),
+        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws, _PREFIX_INTERVAL))),
     "entropy_vn": _Suite(_draw_density_pair, _scalar_score(_entropy_kernel), _DENSITY_DEFAULTS,
                          _stacks_built(_build_entropy_stacks)),
     "entropy_tsallis": _Suite(_draw_tsallis_pair, _scalar_score(_entropy_kernel),

@@ -321,6 +321,29 @@ class TestGenerators:
         with pytest.raises(DomainError, match="integer n >= 1"):
             vf.gen_conditioned_prob_pair(n, 0.05, ce.SELF_DOMINATED, vf.trial_rng(0, 0))
 
+    @pytest.mark.parametrize("sampler", ["gen_equal_weighted_mean_scalars", "gen_fuchs_instance"])
+    @pytest.mark.parametrize("n", [2.5, 3.5, True, 1])
+    def test_construction_samplers_need_an_integer_n_of_at_least_two(self, sampler, n):
+        # n = 2.5 and 3.5 raised numpy's untyped TypeError, and n = True
+        # passed the check as 1
+        with pytest.raises(DomainError, match="integer n >= 2"):
+            getattr(vf, sampler)(n, Interval(0.1, 1.0), vf.trial_rng(0, 0))
+
+    @pytest.mark.parametrize("sampler", ["gen_equal_weighted_mean_scalars", "gen_fuchs_instance"])
+    def test_construction_samplers_take_a_numpy_integer_n(self, sampler):
+        iv = Interval(0.1, 1.0)
+        rng_a, rng_b = vf.trial_rng(0, 0), vf.trial_rng(0, 0)
+        got = getattr(vf, sampler)(np.int64(3), iv, rng_a)
+        want = getattr(vf, sampler)(3, iv, rng_b)
+        assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("sampler", ["gen_equal_weighted_mean_scalars", "gen_fuchs_instance"])
+    def test_construction_samplers_reject_an_interval_whose_width_overflows(self, sampler):
+        # numpy's uniform raised an untyped OverflowError here
+        with pytest.raises(DomainError, match="overflows"):
+            getattr(vf, sampler)(3, Interval(-1e308, 1e308), vf.trial_rng(0, 0))
+
     def test_conditioned_pair_needs_a_finite_floor(self, monkeypatch):
         # a NaN floor accepts no pair, so it drew all _REDRAW_CAP pairs
         monkeypatch.setattr(vf, "_REDRAW_CAP", 1)
@@ -387,6 +410,32 @@ class TestGenerators:
                 assert np.array_equal(w, np.stack([v for _, v in want])), (dim, k)
                 assert G.flags.c_contiguous and w.flags.c_contiguous
                 assert rng_a.random() == rng_b.random()
+
+
+class TestPrimitiveMaps:
+    # the draws make numpy's primitive calls and the builds map them; if a
+    # numpy release changes how Generator.dirichlet or Generator.uniform
+    # map those numbers, these fail instead of the reports moving silently
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_dirichlet_rows_are_numpys_dirichlet(self, n):
+        for seed in range(20):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for s in (1, 2, 16, 32):
+                got = vf._dirichlet_rows(rng_a.standard_exponential((s, n)))
+                assert _bits(got) == _bits(rng_b.dirichlet(np.ones(n), size=s)), (n, seed, s)
+                assert got.shape == (s, n)
+            assert rng_a.random() == rng_b.random(), (n, seed)
+
+    @pytest.mark.parametrize("bounds", [*((f.domain.m, f.domain.M) for f in vf._CATALOG.values()),
+                                        (-1.0, 2.0), (0.2, 1.0), (1.7, 5.1)])
+    def test_uniform_is_numpys_uniform(self, bounds):
+        lo, hi = bounds
+        for seed in range(20):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1, 4, (16, 5), 1000):
+                got = vf._uniform(rng_a.random(size), lo, hi)
+                assert _bits(got) == _bits(rng_b.uniform(lo, hi, size)), (bounds, seed, size)
+            assert rng_a.random() == rng_b.random(), (bounds, seed)
 
 
 class TestSuiteSamplers:
@@ -473,23 +522,30 @@ class TestSuiteSamplers:
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_acceptance_expressions_give_a_row_the_same_bits_in_any_layout(self, n):
-        # the equal-mean target and solve, the pair screen and the relaxed
-        # swap give a row the same bits on a view of a block row (at an
-        # offset of 8 n bytes, which shifts its alignment where n is odd),
-        # on a fresh copy of it and inside a stack of other rows
-        rng, iv, k, b = np.random.default_rng(n), Interval(-1.0, 2.0), 9, 5
-        P, Y = rng.dirichlet(np.ones(n), size=k), rng.uniform(iv.m, iv.M, size=(k, n))
-        X, D = rng.uniform(iv.m, iv.M, size=(k, b, n)), rng.dirichlet(np.ones(n), size=(k, 2 * b))
+        # the Dirichlet and uniform maps, the equal-mean target and solve,
+        # the pair screen and the relaxed build give a row the same bits on
+        # a view of a block row (at an offset of 8 n bytes, which shifts its
+        # alignment where n is odd), on a fresh copy of it and inside a
+        # stack of other rows
+        f = vf.function_catalog("neg_log")  # decreasing, so relaxed draws take it
+        rng, iv, k, b = np.random.default_rng(n), f.domain, 9, 5
+        EP, UY = rng.standard_exponential((k, n)), rng.random((k, n))
+        UX, ED = rng.random((k, b, n)), rng.standard_exponential((k, 2 * b, n))
+        P, Y = vf._dirichlet_rows(EP), vf._uniform(UY, iv.m, iv.M)
+        X, D = vf._uniform(UX, iv.m, iv.M), vf._dirichlet_rows(ED)
         T = np.sum(P * Y, axis=-1)
         solved, ok = vf._x0_screen(X, P, T, iv)
         direction = (ce.SELF_DOMINATED, ce.CROSS_DOMINATED)[n % 2]
         F, hits = vf._pair_screen(D, 0.5 / n, direction)
         gaps = ce._condition_gap(F[..., 0, :], F[..., 1, :], direction)
-        raws = [(X[j, 0], X[j, 1], P[j]) for j in range(k)]
-        keys = [(None, None, vf.MODE_RELAXED)] * k
+        raws = [(UX[j, 0], UX[j, 1], EP[j]) for j in range(k)]
+        keys = [(f, 0.5, vf.MODE_RELAXED)] * k
         ((_, _, SX, SY),) = vf._build_scalar_corollary(raws, keys)
         for j in range(k):
             for layout in (lambda a: a, np.copy):
+                assert _bits(vf._dirichlet_rows(layout(EP[j]))) == _bits(P[j]), (n, j)
+                assert _bits(vf._dirichlet_rows(layout(ED[j]))) == _bits(D[j]), (n, j)
+                assert _bits(vf._uniform(layout(UX[j]), iv.m, iv.M)) == _bits(X[j]), (n, j)
                 p, x, d = layout(P[j]), layout(X[j]), layout(D[j])
                 t = np.sum(p * layout(Y[j]))
                 assert _bits(t) == _bits(T[j]), (n, j)
