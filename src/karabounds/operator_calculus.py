@@ -37,6 +37,7 @@ eigenvalues with LAPACK's.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -489,20 +490,26 @@ def spectrum_in(A, iv: Interval) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Each map kind applies its maps to a stack: ``_apply_stack(maps, X)`` is
-# (Phi_j(X_j)) for the maps Phi_j of one kind whose operands share their
-# shapes (``_key``) and the matrices X_j of a stack X (k, d, d).  A kind is
-# its fields, ``_apply_stack``, ``_key`` and ``out_dim``.  Every step treats
-# each matrix on its own (BLAS per matrix, with the operands laid out as for
-# a single matrix, and elementwise arithmetic), so a matrix gets the same
-# bits in any stack.  A family's Phi(I) is its map sum on I (``_unital_residuals``).
+# A family of n maps is stacked as its kinds, one class per map, and its
+# params: each map's fields, stacked over the k families, in map order and
+# flat.  That is weights (k,) and unitaries (k, d, d) for a
+# WeightedConjugation, weights (k,) for a NormalizedTrace, and operator
+# stacks (k, m, d_in, d_out) for a KrausMap.  ``kind._apply_stack(X,
+# *fields)`` is (Phi_j(X_j)) for the k maps of one kind on a stack X (k, d,
+# d).  Every step treats each matrix on its own (BLAS per matrix, with the
+# operands laid out as for a single matrix, and elementwise arithmetic), so a
+# matrix gets the same bits in any stack.
 
 
 class PositiveMap:
     """A positive linear map kind; Phi(X) is a batch of one of ``_apply_stack``."""
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self._apply_stack((self,), np.asarray(X)[None])[0]
+        return self._apply_stack(np.asarray(X)[None], *self._fields())[0]
+
+    def _fields(self) -> tuple:
+        """Its fields as stacks of one."""
+        return tuple(np.array([getattr(self, f.name)]) for f in dataclasses.fields(self))
 
 
 @dataclass(frozen=True)
@@ -513,14 +520,9 @@ class WeightedConjugation(PositiveMap):
     unitary: np.ndarray
 
     @staticmethod
-    def _apply_stack(maps, X) -> np.ndarray:
-        U = np.stack([phi.unitary for phi in maps])
-        w = np.array([phi.weight for phi in maps], dtype=float)[:, None, None]
-        return w * (np.swapaxes(U.conj(), -1, -2) @ X @ U)
-
-    @property
-    def _key(self) -> tuple:
-        return type(self), self.unitary.shape
+    def _apply_stack(X, weight, unitary) -> np.ndarray:
+        w = np.asarray(weight, dtype=float)[:, None, None]
+        return w * (unitary.conj().swapaxes(-1, -2) @ X @ unitary)
 
     def out_dim(self, dim: int) -> int:
         return dim
@@ -533,14 +535,9 @@ class KrausMap(PositiveMap):
     operators: tuple
 
     @staticmethod
-    def _apply_stack(maps, X) -> np.ndarray:
+    def _apply_stack(X, operators) -> np.ndarray:
         # Python's sum, from 0, over each map's k-th operators in k order
-        return sum(np.swapaxes(V.conj(), -1, -2) @ X @ V
-                   for V in map(np.stack, zip(*(phi.operators for phi in maps))))
-
-    @property
-    def _key(self) -> tuple:
-        return (type(self), *(V.shape for V in self.operators))
+        return sum(V.conj().swapaxes(-1, -2) @ X @ V for V in operators.swapaxes(0, 1))
 
     def out_dim(self, dim: int) -> int:
         return self.operators[0].shape[1]
@@ -553,14 +550,9 @@ class NormalizedTrace(PositiveMap):
     weight: float
 
     @staticmethod
-    def _apply_stack(maps, X) -> np.ndarray:
-        w = np.array([phi.weight for phi in maps], dtype=float)
-        trace = np.trace(X, axis1=-2, axis2=-1)
-        return (w * trace / X.shape[-1]).astype(complex)[:, None, None]
-
-    @property
-    def _key(self) -> tuple:
-        return (type(self),)
+    def _apply_stack(X, weight) -> np.ndarray:
+        w = np.asarray(weight, dtype=float)
+        return (w * np.trace(X, axis1=-2, axis2=-1) / X.shape[-1]).astype(complex)[:, None, None]
 
     def out_dim(self, dim: int) -> int:
         return 1
@@ -583,36 +575,49 @@ class MapFamily:
         return self.maps[0].out_dim(self.input_dim)
 
     def unital_residual(self) -> float:
-        return float(_unital_residuals([self])[0])
+        """||sum_i Phi_i(I) - I||_F: its map sum on identities, less I."""
+        d = self.input_dim
+        eyes = np.broadcast_to(np.eye(d), (1, len(self.maps), d, d))
+        total = _map_family_sums(*_family_stack(self), eyes)[0]
+        return float(_frob_rows(total - np.eye(total.shape[-1])))
 
 
-def _family_key(family: MapFamily) -> tuple:
-    """What the families of one ``_map_family_sums`` stack share: the input
-    dimension, and per map its kind and the shapes of its operands."""
-    return family.input_dim, tuple(phi._key for phi in family.maps)
+@functools.lru_cache(maxsize=None)
+def _arity(kind) -> int:
+    """The number of a map kind's fields: its params in a family stack."""
+    return len(dataclasses.fields(kind))
 
 
-def _map_family_sums(families, mats) -> np.ndarray:
-    """hermitize(sum_i Phi_i(A_i)) of each family of ``families`` on its row
-    of the (k, n, d, d) stack ``mats``, as a (k, e, e) stack.  The families
-    share one ``_family_key``.  Each map index i runs one ``_apply_stack`` of
-    its k maps on the stack of the k A_i's, the terms are added in map
-    order, and the sum is hermitized in one stack (with a drift threshold
-    per matrix), so a family's sum does not depend on the rest of the stack.
-    A non-finite sum raises ``hermitize``'s DomainError, not numpy's warnings."""
-    out = None
+def _family_stack(family: MapFamily):
+    """(kinds, params) of a family, as a stack of one."""
+    return tuple(map(type, family.maps)), tuple(p for phi in family.maps for p in phi._fields())
+
+
+def _family_of(kinds, params, dim: int) -> MapFamily:
+    """The family of row 0 of a family stack, on dim x dim matrices."""
+    maps, at = [], 0
+    for kind in kinds:
+        arity = _arity(kind)
+        maps.append(kind(*(p[0].tolist() if p.ndim == 1 else p[0] for p in params[at:at + arity])))
+        at += arity
+    return MapFamily(tuple(maps), dim)
+
+
+def _map_family_sums(kinds, params, mats) -> np.ndarray:
+    """hermitize(sum_i Phi_i(A_i)) of each family of a family stack (kinds,
+    params) on its row of the (k, n, d, d) stack ``mats``, as a (k, e, e)
+    stack.  Each map index i runs one ``_apply_stack`` of its k maps on the
+    stack of the k A_i's, the terms are added in map order, and the sum is
+    hermitized in one stack (with a drift threshold per matrix), so a
+    family's sum does not depend on the rest of the stack.  A non-finite sum
+    raises ``hermitize``'s DomainError, not numpy's warnings."""
+    out, at = None, 0
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, maps in enumerate(zip(*(family.maps for family in families))):
-            term = type(maps[0])._apply_stack(maps, mats[:, i])
-            out = term if out is None else out + term
+        for i, kind in enumerate(kinds):
+            arity = _arity(kind)
+            term = kind._apply_stack(mats[:, i], *params[at:at + arity])
+            out, at = term if out is None else out + term, at + arity
     return hermitize(out)
-
-
-def _unital_residuals(families) -> np.ndarray:
-    """||sum_i Phi_i(I) - I||_F of each family of one ``_family_key`` stack."""
-    n, d = len(families[0].maps), families[0].input_dim
-    sums = _map_family_sums(families, np.broadcast_to(np.eye(d), (len(families), n, d, d)))
-    return _frob_rows(sums - np.eye(sums.shape[-1]))
 
 
 def _family_operands(family: MapFamily, mats) -> list:
@@ -630,8 +635,9 @@ def _family_operands(family: MapFamily, mats) -> list:
 def apply_map_family(family: MapFamily, mats: Sequence[np.ndarray]) -> np.ndarray:
     """sum_i Phi_i(A_i) for matching lists of maps and Hermitian matrices,
     hermitized: a batch of one of ``_map_family_sums``, the kernel that the
-    map-sum and Jensen suites run on the families of one key."""
-    return _map_family_sums([family], np.stack(_family_operands(family, mats))[None])[0]
+    map-sum and Jensen suites run on their family stacks."""
+    mats = np.stack(_family_operands(family, mats))[None]
+    return _map_family_sums(*_family_stack(family), mats)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +645,20 @@ def apply_map_family(family: MapFamily, mats: Sequence[np.ndarray]) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _check_pd(w: np.ndarray, what: str) -> None:
+    """DomainError unless every spectrum of w (..., d) is positive definite
+    relative to its own scale: lambda_max > 0 and lambda_min > EIG_FLOOR
+    lambda_max, so that c A passes for every c > 0 that A passes for."""
+    lo, hi = w.min(axis=-1), w.max(axis=-1)
+    bad = ~((hi > 0.0) & (lo > EIG_FLOOR * hi))  # so NaN fails
+    if bad.any():
+        j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(f"{what} needs a positive definite matrix, eigenvalues above "
+                          f"{EIG_FLOOR} times the largest; got [{lo[j]:.3e}, {hi[j]:.3e}]")
+
+
 def _power_of_psd(w: np.ndarray, r: float) -> np.ndarray:
-    if w.min() < EIG_FLOOR:
-        raise DomainError(
-            f"matrix must be positive definite (eigenvalue floor {EIG_FLOOR}); "
-            f"min eigenvalue {w.min():.3e}"
-        )
+    _check_pd(w, "a matrix power")
     return w ** r
 
 
@@ -655,14 +669,12 @@ def _sqrt_of_psd(w: np.ndarray) -> np.ndarray:
 
 
 def _invsqrt_of_pd(w: np.ndarray) -> np.ndarray:
-    if w.min() < EIG_FLOOR:
-        raise DomainError(f"invsqrtm needs eigenvalues > {EIG_FLOOR}, got {w.min():.3e}")
+    _check_pd(w, "invsqrtm")
     return 1.0 / np.sqrt(w)
 
 
 def _log_of_pd(w: np.ndarray) -> np.ndarray:
-    if w.min() < EIG_FLOOR:
-        raise DomainError(f"log needs eigenvalues > {EIG_FLOOR}, got {w.min():.3e}")
+    _check_pd(w, "log")
     return np.log(w)
 
 
@@ -706,10 +718,10 @@ def _mean_step(zw, zV, w, V, weights, rs) -> np.ndarray:
     treats a matrix on its own, so a row gets the bits of a batch of one."""
     k, n, d = w.shape
     spectra = w.reshape(-1, d)
-    keys = list(dict.fromkeys(rs))
-    row_key = np.repeat([keys.index(r) for r in rs], n)
+    keys = {r: j for j, r in enumerate(dict.fromkeys(rs))}
+    row_key = np.repeat([keys[r] for r in rs], n)
     images = np.empty_like(spectra)
-    for j, r in enumerate(keys):
+    for r, j in keys.items():
         rows = row_key == j
         images[rows] = _log_of_pd(spectra[rows]) if r is None else _power_of_psd(spectra[rows], r)
     X = _recompose(np.concatenate([_sqrt_of_psd(zw), images]),

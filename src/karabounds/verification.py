@@ -9,77 +9,40 @@ rest.  A check never "fixes up" its inputs: hypothesis violations raise, and
 so do parameters outside an inequality's domain, in the kernel that a suite
 and its checker share.
 
-``run_suite`` is the one trial loop.  A suite is a draw, a build and a
-score function and its default params, run in three phases.  The draw
-alone reads params, exactly the keys its defaults name; a key no suite
-reads, or a value ``_PARAM_CHECKS`` rejects, raises DomainError.  The
+``run_suite`` is the one trial loop.  A suite (``_Suite``) is a draw, a
+build and a score function and its default params, run in three phases.
+The draw alone reads params, exactly the keys its defaults name; a key no
+suite reads, or a value ``_PARAM_CHECKS`` rejects, raises DomainError.  The
 draw makes trial i's rng calls on its own stream, that of
-``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and nothing else: it
-returns raw arrays, and a rejection sampler's draw stops after its first
-block of candidates and keeps the generator state.  A Dirichlet draw, and
-each uniform draw of the scalar and classical suites, makes only numpy's
-primitive call (``standard_exponential``, ``random``); the build maps
-them in one stack (``_dirichlet_rows``, ``_uniform``), bit for bit what
-``dirichlet`` and ``uniform`` return on the same stream.  A suite seeds
-all its trials in one pass (``_trial_rngs``): it hashes the seed once, the
-trials' spawn keys as whole uint32 arrays, and sets each trial's PCG64
-state on one reused Generator, bit for bit the stream of numpy's own
-seeding, which ``trial_rng(seed, i)`` uses.  The build turns all the trials' draws into instances, the blocks of
-one shape (say, the n matrices of each trial's tuple) in one stack per step
-(``operator_calculus._build_haar`` and ``_build_densities``, the Sinkhorn
-sweeps of all the start matrices of one n, then the mixes and weighted
-means; the rejection screens of the conditioned pairs and equal-mean
-scalars, the prefix suites' sorts and averaging steps, and the
-probability pairs' floors and normalisations).  A rejection screen
-accepts a draw by one row-wise expression on the whole stack, with no
-BLAS call, so a draw gets the bits of its one-draw expression in any
-stack.  A trial whose first block holds no accepted draw resumes its own
-stream from the saved state, with the one-trial sampler's next blocks,
-cap and fallback.  The score runs the suite's batch margin kernel once on
-all the instances; the map sums of the map-sum and Jensen suites run in
-one stack per family key
-(``operator_calculus._map_family_sums``), and their two kernels check the
-bounds' hypotheses on each: f convex, each family unital
-(``_check_unital``), and unit vectors (Jensen) or equal map sums of A and B
-(map-sum); the operator-mean kernel checks equal weighted sums of the
-Z-relative A_i and B_i per tuple shape, and its mean step is that of the
-public means (``operator_calculus._mean_step``).  Every stacked step groups
-its entries through ``_groups``, by an optional key and by the shapes of
-the entries, so a stack is rectangular and no caller builds a shape key;
-``_per_group`` hands a step's results back entry by entry, where a later
-step takes them one instance at a time.
-A kernel decomposes each distinct input matrix once, in one LAPACK stack
-per dimension, or per tuple shape (n, d) for the operator means
-(``operator_calculus._eigh``), rejects a spectrum outside its interval, and
-takes every spectral image of that matrix from the same (w, V); the
-lambda_min reductions go through ``operator_calculus._eigvalsh``.  Every
-build and kernel step gives a matrix the same bits in any stack, so reports
-do not depend on batching, and the public generators are batches of one of
-their draw and build on the caller's rng (the two rejection samplers give
-the one-draw loop's values, and leave the rng after the last block they
-drew).  A public ``check_*`` function validates the rest
-of its input (the map checkers: Hermitian matrices, shapes, one matrix per
-map, finite vectors) and runs the same kernel on a batch of one, so its
-margins and spectral errors equal the suite's.  The Jacobi solver is not on
-this path; the ``eigensolver`` and ``eigensolver_crosscheck`` suites
-exercise it, on matrices they draw directly, and share one Jacobi run.
+``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and nothing else, and
+returns the raw arrays, the trial's key and its context.  A suite seeds all
+its trials in one pass (``_trial_rngs``), bit for bit numpy's own seeding.
 
-Eight suites share one score, ``_scalar_score``: the six scalar and
-classical suites, and the two entropy suites, built into spectra.  Their
-instances stay stacks from build to score: the build gives each trial's key
-and, per row shape, the trial indices and one (k, n) array per column; a
-trial built on its own (a relaxed scalar_corollary draw, a draw that
-resumed after its first block, an equal-mean fallback) gives its row of its
-stack.  The score splits each stack by key, one fancy index per column and
-key, and each part is validated once and scored in one pass by the stacked
-kernel of ``check_scalar_corollary``, ``majorization``,
-``classical_entropy`` or ``_entropy_kernel``, which computes its constants
-once per part and returns (inequality id, margins, tol) columns.  Rows are
-reduced with ``np.sum``/``np.cumsum`` along the last axis, which gives a
-row the bits of the 1-d call, so the checkers, each a batch of one of its
-kernel given one-row stacks, equal the suites bit for bit.  A hypothesis, too, has one row-wise expression:
-weighted means are row sums, and the inner-product condition is
-``classical_entropy._condition_gap``, in a block of draws and for one pair.
+Every suite keeps its instances as stacks from build to score.  The build
+(``_stacks_built``) gives each trial's key and, per row shape, the trial
+indices and one array per column, made one stacked step at a time: the
+Dirichlet and uniform maps of numpy's primitive draws (``_dirichlet_rows``,
+``_uniform``); the rejection screens, where a trial whose first block holds
+no accepted draw resumes its own stream from its saved state
+(``_first_accepted``); the prefix constructions, the Sinkhorn sweeps
+(``_sinkhorn``) and ``operator_calculus``' QR-built matrices and densities.
+A matrix suite's build also decomposes all its matrices, one ``oc._eigh``
+per dimension (``_decomposed``), and the eigensolver pair's build runs the
+Jacobi oracle once for both suites (``_build_jacobi``).  ``_groups`` forms
+the stacks, grouping entries by key and shape.  The score
+(``_stack_score``) splits each stack by key and runs the suite's kernel
+once per part, which validates the part, computes its constants once and
+returns (inequality id, margins, tol) columns.  A map-sum row holds the
+index of each B_i among its matrices, so a permuted B_i is its A_j, and an
+operator-mean row with n = 1 has no B_i, so Q = P.  Every build and kernel
+step treats a row on its own (reductions along its own axis, BLAS and LAPACK
+matrix, elementwise arithmetic), so a row gets the bits of a batch of one
+in any stack or part and reports do not depend on batching.  The public
+generators are batches of one of their suite's draw and build on the
+caller's rng, and a public ``check_*`` function validates the rest of its
+input and runs its suite's kernel on a stack of one row, so its margins and
+errors equal the suite's.
+
 Every score returns such columns plus each row's trial, ``_table`` sorts
 them into trial order, ``run_suite`` reduces them and keeps them for
 ``verdict_csv_rows``, which writes them as CSV text, and ``_view`` alone
@@ -579,11 +542,13 @@ FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trac
 
 def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
                         rng: np.random.Generator):
-    """The draws of ``gen_equal_map_sum_operators``: (kind, G, w, extra) with
-    the family's unitary and the A_i's Gaussians G and spectra w and the
-    permutation or the Sinkhorn start matrix extra; or, for
-    normalized_trace, the 2n Gaussians G of the densities and the
+    """The draws of ``gen_equal_map_sum_operators``, for integers n, dim >= 1:
+    (kind, G, w, extra) with the family's unitary and the A_i's Gaussians G
+    and spectra w and the permutation or the Sinkhorn start matrix extra;
+    or, for normalized_trace, the 2n Gaussians G of the densities and the
     exponentials w of the family weights."""
+    if not (_is_int(n) and _is_int(dim)) or n < 1 or dim < 1:
+        raise DomainError(f"need integers n >= 1 and dim >= 1, got n={n!r} and dim={dim!r}")
     if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
         G = oc._gaussian(dim, rng, 1)
         Gs, w = _draw_spectra(dim, (iv,) * n, rng)
@@ -599,33 +564,36 @@ def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
     raise DomainError(f"unknown family kind {family_kind!r}")
 
 
-def _build_equal_map_sums(draws) -> list:
-    """(As, Bs, family) of each ``_draw_equal_map_sum`` draw.  A permuted B_i
-    is the A_j object itself."""
-    traced = [kind == "normalized_trace" for kind, *_ in draws]
-    weights = _per_group(_dirichlet_rows, None,
-                         [w if t else None for t, (_, _, w, _) in zip(traced, draws)])
-    haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
-                      [None if t else G[:1] for t, (_, G, *_) in zip(traced, draws)],
-                      [G[1:] for _, G, _, _ in draws], [w for _, _, w, _ in draws])
-    starts = [extra if kind == "doubly_stochastic_mix" else None for kind, *_, extra in draws]
-    mixes = _per_group(_weighted_sums, None, _per_group(_sinkhorn, None, starts),
-                       [None if h is None else h[1] for h in haar])
-    densities = _per_group(oc._build_densities, None,
-                           [G if t else None for t, (_, G, *_) in zip(traced, draws)])
+def _build_equal_map_sums(raws) -> list:
+    """(trials, M, bidx, *params) of the ``_draw_equal_map_sum`` draws of
+    each kind and shape, row j that of draw trials[j].  M (k, m, d, d) holds
+    a row's A_i and then those of its B_i that are no A_j, bidx (k, n) the
+    index of each B_i in M (a permuted B_i is its A_j), and params is the
+    family stack of the rows' maps (``oc._map_family_sums``)."""
     out = []
-    for (kind, G, w, extra), h, B, rho, p in zip(draws, haar, mixes, densities, weights):
-        n, dim = len(w), G.shape[-1]
-        if rho is not None:
-            maps = tuple(oc.NormalizedTrace(float(pi)) for pi in p)
-            As, Bs = list(rho[:n]), list(rho[n:])
+    for (kind,), trials, G, w in _groups([raw[0] for raw in raws], [raw[1] for raw in raws],
+                                         [raw[2] for raw in raws]):
+        k, n = w.shape[:2]
+        own = np.broadcast_to(np.arange(n, 2 * n), (k, n))
+        if kind == "normalized_trace":
+            p = _dirichlet_rows(w)
+            out.append((trials, oc._build_densities(G), own, *p.T))
+            continue
+        U, H = oc._build_haar(G[:, :1], G[:, 1:], w)
+        extra = np.stack([raws[t][3] for t in trials.tolist()])
+        if kind == "uniform_permutation":
+            M, bidx = H, extra
         else:
-            U, H = h
-            maps = tuple(oc.WeightedConjugation(1.0 / n, U[0]) for _ in range(n))
-            As = list(H)
-            Bs = [As[k] for k in extra] if B is None else list(B)
-        out.append((As, Bs, oc.MapFamily(maps, dim)))
+            M, bidx = np.concatenate([H, _weighted_sums(_sinkhorn(extra), H)], axis=1), own
+        out.append((trials, M, bidx, *[np.full(k, 1.0 / n), U[:, 0]] * n))
     return out
+
+
+def _map_sum_instance(kinds, M, bidx, params):
+    """(As, Bs, family) of row 0 of a map-sum stack: a batch of one back to
+    its matrices and maps."""
+    n = bidx.shape[1]
+    return list(M[0, :n]), list(M[0, bidx[0]]), oc._family_of(kinds, params, M.shape[-1])
 
 
 def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str,
@@ -636,9 +604,13 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
     B a permutation of A.  doubly_stochastic_mix: same maps, B_i a doubly
     stochastic mixture of the A_j (spectra stay inside [m, M]).
     normalized_trace: trace maps with density-matrix inputs, where the
-    constraint holds automatically.
+    constraint holds automatically.  n and dim must be integers >= 1, else
+    DomainError.
     """
-    return _build_equal_map_sums([_draw_equal_map_sum(n, dim, iv, family_kind, rng)])[0]
+    ((_, M, bidx, *params),) = _build_equal_map_sums(
+        [_draw_equal_map_sum(n, dim, iv, family_kind, rng)])
+    kind = oc.NormalizedTrace if family_kind == "normalized_trace" else oc.WeightedConjugation
+    return _map_sum_instance((kind,) * n, M, bidx, params)
 
 
 def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random.Generator):
@@ -801,8 +773,7 @@ def _groups(keys, *columns):
     ``keys`` are given) and the shapes of its values, one per column; head
     is ``(key,)``, or ``()`` without keys, entries the group's entry
     indices as an int array, and each stack the ``np.stack`` of the group's
-    values of a column, rectangular by construction.  An entry whose first
-    value is None is left out."""
+    values of a column, rectangular by construction."""
     heads = [()] * len(columns[0]) if keys is None else [(key,) for key in keys]
     groups = defaultdict(list)
     # an array's own .shape: np.shape's dispatch would cost more per entry
@@ -810,100 +781,83 @@ def _groups(keys, *columns):
     shapes = ([v.shape if type(v) is np.ndarray else () if type(v) in (float, int) else np.shape(v)
                for v in col] for col in columns)
     for j, group in enumerate(zip(heads, *shapes)):
-        if columns[0][j] is not None:
-            groups[group].append(j)
+        groups[group].append(j)
     for (head, *_), idxs in groups.items():
         yield (head, np.array(idxs), *(np.stack([col[j] for j in idxs]) for col in columns))
 
 
-def _per_group(solve, keys, *columns) -> list:
-    """The results of ``solve(*stacks)``, or ``solve(key, *stacks)`` when
-    ``keys`` are given, for each entry, in entry order: ``solve`` is called
-    once per group of ``_groups`` and returns one result per entry it was
-    given.  An entry whose first value is None gets None.  Every kernel
-    gives a row the same bits in any stack, so the grouping does not
-    show."""
-    out = [None] * len(columns[0])
-    for head, idxs, *stacks in _groups(keys, *columns):
-        for j, res in zip(idxs.tolist(), solve(*head, *stacks)):
-            out[j] = res
-    return out
-
-
 def _check_spectra(w, lo, hi):
     """Raise PreconditionError for the first row of the ascending spectra w
-    (k, d) more than 1e-10 (``oc.apply_function_stack``'s slack) outside its
-    interval [lo, hi]; the bounds are scalars or one per row."""
+    (k, d) more than 1e-10 (``oc.apply_function_stack``'s slack) outside
+    [lo, hi]."""
     bad = (w[:, 0] < lo - 1e-10) | (w[:, -1] > hi + 1e-10)
     if bad.any():
         j = np.argmax(bad)
-        lo, hi = np.broadcast_to(lo, bad.shape)[j], np.broadcast_to(hi, bad.shape)[j]
         raise PreconditionError(f"spectrum [{w[j, 0]:.6g}, {w[j, -1]:.6g}] escapes [{lo}, {hi}]")
 
 
-def _function_images(entries) -> list:
-    """[f(M) for M in mats] for each (mats, f) entry.  Each distinct matrix
-    object is decomposed once, in one ``oc._eigh`` per dimension; a spectrum
-    outside f's interval raises PreconditionError (``_check_spectra``); the
-    images are recomposed in one
-    ``oc._function_image`` per (dimension, f).  Each step treats a matrix on
-    its own, so an image does not depend on the rest of the batch."""
-    # objects are keyed by id(), which hashes faster than a FunctionSpec
-    distinct = {id(M): M for mats, _ in entries for M in mats}
-    fs = {id(f): f for _, f in entries}
-    eig = dict(zip(distinct, _per_group(lambda S: list(zip(*oc._eigh(S))), None,
-                                        list(distinct.values()))))
-    keys = list(dict.fromkeys((id(M), id(f)) for mats, f in entries for M in mats))
-
-    def images(key, w, V):
-        f = fs[key]
-        _check_spectra(w, f.domain.m, f.domain.M)
-        return oc._function_image(f, w, V)
-
-    image = dict(zip(keys, _per_group(images, [j for _, j in keys],
-                                      *zip(*(eig[i] for i, _ in keys)))))
-    return [[image[id(M), id(f)] for M in mats] for mats, f in entries]
+def _decomposed(stacks) -> list:
+    """(trials, M, w, V, *rest) of (trials, M, *rest) stacks: the (w, V) of
+    every matrix of each M (k, m, d, d), from one ``oc._eigh`` per dimension
+    over all the stacks.  A matrix gets the bits of its own decomposition in
+    any stack, so the build of a batch of one gives a suite's row."""
+    dims = defaultdict(list)
+    for j, (_, M, *_) in enumerate(stacks):
+        dims[M.shape[-1]].append(j)
+    out = list(stacks)
+    for d, idx in dims.items():
+        w, V = oc._eigh(np.concatenate([stacks[j][1].reshape(-1, d, d) for j in idx]))
+        at = 0
+        for j in idx:
+            trials, M, *rest = stacks[j]
+            size = M.shape[0] * M.shape[1]
+            out[j] = (trials, M, w[at:at + size].reshape(M.shape[:-1]),
+                      V[at:at + size].reshape(M.shape), *rest)
+            at += size
+    return out
 
 
-def _check_unital(families):
-    """DomainError unless each family of a stack has ||sum_i Phi_i(I) - I||_F <= 1e-10."""
-    res = oc._unital_residuals(families)
+def _images(f, w, V) -> np.ndarray:
+    """f of every matrix of a stack from its (w, V), (..., d) and (..., d,
+    d), in one ``oc._function_image``, after PreconditionError for a
+    spectrum outside f's interval (``_check_spectra``)."""
+    d = V.shape[-1]
+    w = w.reshape(-1, d)
+    _check_spectra(w, f.domain.m, f.domain.M)
+    return oc._function_image(f, w, V.reshape(-1, d, d)).reshape(V.shape)
+
+
+def _family_sums(kinds, params, *stacks) -> list:
+    """The map sums of a family stack on I and on each of ``stacks`` (k, n,
+    d, d), from one ``oc._map_family_sums`` over their concatenation, after
+    DomainError unless each family's sum on I lies within 1e-10 of I in
+    Frobenius norm (a unital family)."""
+    k, n, d = stacks[0].shape[:3]
+    eye = np.broadcast_to(np.eye(d, dtype=complex), (k, n, d, d))
+    sums = oc._map_family_sums(kinds, [np.concatenate([p] * (1 + len(stacks))) for p in params],
+                               np.concatenate([eye, *stacks]))
+    res = oc._frob_rows(sums[:k] - np.eye(sums.shape[-1]))
     if not (res <= 1e-10).all():  # so NaN fails
         raise DomainError(f"map family is not unital-sum: residual {res.max():.3e}")
+    return np.split(sums[k:], len(stacks))
 
 
-def _jensen_blocks(instances) -> list:
-    """A block of Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A x, x>)
-    and vector indices per (family, mats, vectors, f, ...) instance.  The
-    instances of one family key and vector count are scored in one stack,
-    after the hypotheses' checks: their map sums of A and of f(A)
-    (``oc._map_family_sums``), the quadratic forms on the (k, vectors, d)
-    stack of their vectors, and f on the rows of each f."""
-    if not all(f.is_convex for _, _, _, f, *_ in instances):
+def _jensen_kernel(key, M, w, V, X, *params):
+    """[("lemma_jensen", margins (k, v), SCALAR_TOL)] for the key (f, kinds):
+    the vector-state Jensen margins <Phi-sum of f(A) x, x> - f(<Phi-sum of A
+    x, x>) of each row's A_i (M, with their (w, V)), unit vectors X (k, v, d)
+    and family stack (kinds, params), after the hypotheses' checks: f
+    convex, each spectrum in f's interval, each family unital and each
+    vector of unit norm within 1e-10."""
+    f, kinds = key
+    if not f.is_convex:
         raise PreconditionError("the vector-state Jensen bound needs convex f")
-    images = _function_images([(mats, f) for _, mats, _, f, *_ in instances])
-
-    def margins(_, idx):
-        group = [instances[j] for j in idx.tolist()]
-        families = [family for family, *_ in group]
-        _check_unital(families)
-        X = np.array([vecs for _, _, vecs, *_ in group], dtype=complex)
-        off = np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-10
-        if off.any():
-            raise PreconditionError(f"vector {np.argwhere(off)[0, 1]} is not unit norm")
-        A = np.array([mats for _, mats, *_ in group])
-        FA = np.array([images[j] for j in idx])
-        means = _quadratic_forms(oc._map_family_sums(families, A), X)
-        lifted = _quadratic_forms(oc._map_family_sums(families, FA), X)
-        fs = [f for _, _, _, f, *_ in group]
-        for f in {id(f): f for f in fs}.values():
-            rows = np.array([g is f for g in fs])
-            lifted[rows] -= f(np.clip(means[rows], f.domain.m, f.domain.M))
-        return lifted
-
-    keys = [(oc._family_key(family), len(vecs)) for family, _, vecs, *_ in instances]
-    return [(np.full(len(m), j), "lemma_jensen", m, SCALAR_TOL, range(len(m)))
-            for j, m in enumerate(_per_group(margins, keys, range(len(instances))))]
+    sum_a, sum_fa = _family_sums(kinds, params, M, _images(f, w, V))
+    off = np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-10
+    if off.any():
+        raise PreconditionError(f"vector {np.argwhere(off)[0, 1]} is not unit norm")
+    means, lifted = _quadratic_forms(sum_a, X), _quadratic_forms(sum_fa, X)
+    return [("lemma_jensen", lifted - f(np.clip(means, f.domain.m, f.domain.M)), SCALAR_TOL)]
 
 
 def _quadratic_forms(M, X) -> np.ndarray:
@@ -911,41 +865,32 @@ def _quadratic_forms(M, X) -> np.ndarray:
     return np.real(np.sum(X.conj() * (X @ np.swapaxes(M, -1, -2)), axis=-1))
 
 
-def _map_sum_blocks(instances, inequality_id) -> list:
-    """The block of map-sum margins lambda_min(beta*I + alpha * Phi-sum of
-    f(B) - Phi-sum of f(A)) of (As, Bs, family, f, alpha, ...) instances.
-    The instances of one family key (dimension and map kinds) are scored in
-    one stack: the hypotheses' three ``oc._map_family_sums`` and the
-    margins' two, beta and alpha broadcast per row, and one lambda_min."""
-    if not all(f.is_convex for _, _, _, f, *_ in instances):
-        raise PreconditionError("the map-sum reverse bound needs convex f")
-    images = _function_images([((*As, *Bs), f) for As, Bs, _, f, *_ in instances])
-    # one constant per (f, alpha); id(f) hashes faster than a FunctionSpec
-    betas = {(id(f), alpha): (f, alpha) for _, _, _, f, alpha, *_ in instances}
-    betas = {key: sb.beta_constant(f, f.domain, alpha) for key, (f, alpha) in betas.items()}
-
-    def margins(_, idx):
-        group = [instances[j] for j in idx.tolist()]
-        families = [family for _, _, family, *_ in group]
-        n = len(families[0].maps)
-        _check_unital(families)
-        sum_a, sum_b = (oc._map_family_sums(families, np.array([inst[j] for inst in group]))
-                        for j in (0, 1))
+def _map_sum_kernel(inequality_id):
+    """The kernel of the map-sum reverse bound Phi-sum of f(A) <= beta*I +
+    alpha * Phi-sum of f(B), scored under ``inequality_id``, for the key
+    (f, alpha, kinds) on rows of M, its (w, V), bidx and the family stack
+    (``_build_equal_map_sums``).  After the hypotheses' checks (f convex,
+    each spectrum in f's interval, each family unital, and equal map sums
+    of A and B within 1e-8 max(1, ||Phi-sum of A||_F)) each row's margin is
+    lambda_min(beta*I + alpha * Phi-sum of f(B) - Phi-sum of f(A)), with
+    beta computed once."""
+    def kernel(key, M, w, V, bidx, *params):
+        f, alpha, kinds = key
+        if not f.is_convex:
+            raise PreconditionError("the map-sum reverse bound needs convex f")
+        images = _images(f, w, V)
+        beta = sb.beta_constant(f, f.domain, alpha)
+        n, b = bidx.shape[1], bidx[:, :, None, None]
+        sum_a, sum_b, lhs, rhs = _family_sums(
+            kinds, params, M[:, :n], np.take_along_axis(M, b, axis=1),
+            images[:, :n], np.take_along_axis(images, b, axis=1))
         res = oc._frob_rows(sum_a - sum_b)
         unequal = res > 1e-8 * np.maximum(1.0, oc._frob_rows(sum_a))
         if unequal.any():
             raise PreconditionError(f"map sums differ: residual {res[unequal].max():.3e}")
-        img = np.array([images[j] for j in idx])
-        beta = np.array([betas[id(inst[3]), inst[4]] for inst in group], dtype=float)
-        alpha = np.array([inst[4] for inst in group], dtype=float)[:, None, None]
-        lhs = oc._map_family_sums(families, img[:, :n])
-        rhs = beta[:, None, None] * np.eye(lhs.shape[-1], dtype=complex) \
-            + alpha * oc._map_family_sums(families, img[:, n:])
-        return oc._eigvalsh(rhs - lhs)[:, 0]
-
-    keys = [oc._family_key(family) for _, _, family, *_ in instances]
-    lam_min = np.array(_per_group(margins, keys, range(len(instances))), dtype=float)
-    return [(np.arange(len(instances)), inequality_id, lam_min, OPERATOR_TOL)]
+        margin = beta * np.eye(lhs.shape[-1], dtype=complex) + alpha * rhs - lhs
+        return [(inequality_id, oc._eigvalsh(margin)[:, 0], OPERATOR_TOL)]
+    return kernel
 
 
 MEAN_FORMS_SOUND = ("mean_ratio", "mean_diff", "sr_k_form", "sr_k_form_x_both", "sr_c_form")
@@ -953,99 +898,70 @@ MEAN_FORMS_LIMIT = ("s0_nonneg", "s0_pair_vs_z")
 MEAN_FORM_C_LHS = "sr_c_form_lhs_variant"
 
 
-def _mean_blocks(instances, forms, z_eigs=None) -> list:
-    """A block of margins lambda_min(rhs - lhs) per named form of the
-    operator-mean and relative-entropy bounds on (Z, As, Bs, w, r, iv)
-    instances: Z-relative tuples As, Bs with weights w, equal weighted sums
-    and spectra in iv, built from P = Z^(1/2) (sum w A_i^r) Z^(1/2) and Q
-    likewise for B.  A form that does not apply at an instance's r gets no
-    row for it.  The instances of one tuple shape (n, d) are scored in one
-    stack: ``_mean_forms``, then one ``oc._eigvalsh`` over its stacks.
-    ``z_eigs`` holds the (w, V) of every instance's Z when the caller has
-    them.  The mean suites' score runs it on all their instances, and
-    ``check_operator_mean_bounds`` on a batch of one; an instance gets the
-    same bits in any batch."""
-    for *_, r, iv in instances:
-        if not math.isfinite(r):
-            raise DomainError(f"r must be finite, got {r}")
-        if abs(r) < 1e-12:
-            raise DomainError("r = 0 is degenerate here; use the limit checks")
-        if iv.m <= 0.0:
-            raise DomainError("the interval must be positive (m > 0)")
-    blocks = []
-
-    def solve(idx, As):
-        stacks = _mean_forms([instances[j] for j in idx], As, z_eigs and [z_eigs[j] for j in idx],
-                             forms)
-        margins = oc._eigvalsh(np.concatenate([M for *_, M in stacks]))[:, 0]
-        cuts = np.cumsum([len(M) for *_, M in stacks])[:-1]
-        blocks.extend((idx[rows], name, m, OPERATOR_TOL)
-                      for (name, rows, _), m in zip(stacks, np.split(margins, cuts)))
-        return idx
-
-    _per_group(solve, None, range(len(instances)), [inst[1] for inst in instances])
-    return blocks
+def _mean_kernel(forms):
+    """The kernel of the operator-mean suites: for the key iv, the margins
+    lambda_min(rhs - lhs) of the named ``forms`` (``_mean_forms``), all in
+    one ``oc._eigvalsh``; the C-term-on-the-left form scores only the rows
+    where it applies."""
+    def kernel(iv, *columns):
+        stacks = _mean_forms(iv, *columns, forms)
+        margins = oc._eigvalsh(np.concatenate([S for *_, S in stacks]))[:, 0]
+        cuts = np.cumsum([len(S) for *_, S in stacks])[:-1]
+        return [(name, m, OPERATOR_TOL, rows)
+                for (name, rows, _), m in zip(stacks, np.split(margins, cuts))]
+    return kernel
 
 
-def _mean_forms(group, As, z_eigs, forms) -> list:
-    """(form id, rows, stack of margin matrices rhs - lhs) of each named form,
-    for ``_mean_blocks``' instances of one tuple shape (n, d), with As the
-    (k, n, d, d) stack of their A tuples.  The rows are all k but for the
+def _mean_forms(iv, M, w, V, weights, r, forms) -> list:
+    """(form id, rows, stack of margin matrices rhs - lhs) of each named form
+    of the operator-mean and relative-entropy bounds.  A row is Z, then the
+    Z-relative A_1..A_n, then B_1..B_n or no B at all (Q = P), in M (k, m,
+    d, d) with their (w, V), the weights (k, n) and its r, and iv holds
+    every A_i's and B_i's spectrum.  The rows are all k but for the
     C-term-on-the-left form, which applies at 0 < r < 1 only.
 
-    An instance whose Bs is its As object (n = 1 in the suites) takes
-    Q = P; every other must have equal weighted sums sum w_i A_i and
-    sum w_i B_i, within 1e-8 max(1, ||sum w_i A_i||_F), else
-    PreconditionError.  One ``oc._eigh`` decomposes every Z (unless
-    ``z_eigs`` holds their (w, V)), A_i and B_i; the spectra of the A_i and
-    B_i must lie in iv (``_check_spectra``).  P, Q and, if a limit form is
-    named, their log variants come from one ``oc._mean_step``; the forms are
-    assembled on the stack, with r and the constants K(h, r), C(m, h, r)
-    broadcast per row and each r regime a row mask.  Every step treats a
-    matrix on its own, so an instance's margins do not depend on the rest of
-    the batch."""
-    k, include_limits = len(group), any(name in MEAN_FORMS_LIMIT for name in forms)
-    Z = np.stack([np.asarray(inst[0], dtype=complex) for inst in group])
-    own_b = [j for j, inst in enumerate(group) if inst[2] is not inst[1]]
-    # the (n, d, d) tuples: each instance's As, then the Bs of own_b, with
-    # the instance that owns each
-    tuples = np.concatenate([np.asarray(As, dtype=complex)]
-                            + [np.asarray(group[j][2], dtype=complex)[None] for j in own_b])
-    owner = np.array([*range(k), *own_b])
-    n, d = tuples.shape[1:3]
-    weights = np.stack([np.asarray(inst[3], dtype=float) for inst in group])[owner]
-    if own_b:
-        sums = sum(weights[:, i, None, None] * tuples[:, i] for i in range(n))
-        sum_a = sums[own_b]
-        res = oc._frob_rows(sum_a - sums[k:])
+    r must be finite and nonzero and iv positive, else DomainError; the
+    weighted sums sum w_i A_i and sum w_i B_i must agree within 1e-8 max(1,
+    ||sum w_i A_i||_F), else PreconditionError, and the spectra must lie in
+    iv (``_check_spectra``).  P = Z^(1/2) (sum w_i A_i^r) Z^(1/2), Q likewise
+    for the B_i and, if a limit form is named, their log variants come from
+    one ``oc._mean_step``.  The forms are assembled on the stack, with r and
+    the constants K(h, r) and C(m, h, r) broadcast per row, each constant
+    computed once per distinct r, and each r regime a row mask.  Every step
+    treats a matrix on its own, so a row's margins do not depend on the rest
+    of the stack."""
+    bad = ~np.isfinite(r) | (np.abs(r) < 1e-12)
+    if bad.any():
+        r_bad = r[np.argmax(bad)]
+        raise DomainError(f"r must be finite, got {r_bad}" if not math.isfinite(r_bad)
+                          else "r = 0 is degenerate here; use the limit checks")
+    if iv.m <= 0.0:
+        raise DomainError("the interval must be positive (m > 0)")
+    (k, n), d = weights.shape, M.shape[-1]
+    t = (M.shape[1] - 1) // n  # tuples per row: the A_i, then any B_i
+    if t == 2:
+        sum_a, sum_b = (sum(weights[:, i, None, None] * M[:, 1 + j * n + i] for i in range(n))
+                        for j in (0, 1))
+        res = oc._frob_rows(sum_a - sum_b)
         if not (res <= 1e-8 * np.maximum(1.0, oc._frob_rows(sum_a))).all():  # so NaN fails
             raise PreconditionError("weighted A/B sums differ in Z-relative terms")
-    # rows of (w, V): the k Z's, then the tuples' matrices
-    rows = tuples.reshape(-1, d, d)
-    if z_eigs is None:
-        w, V = oc._eigh(np.concatenate([Z, rows]))
-    else:
-        w, V = (np.concatenate([np.stack(z), x]) for z, x in zip(zip(*z_eigs), oc._eigh(rows)))
-    spectra = w[k:]
-    ivs = [inst[5] for inst in group]
-    _check_spectra(spectra, *np.repeat(np.array([(iv.m, iv.M) for iv in ivs])[owner], n, 0).T)
+    _check_spectra(w[:, 1:].reshape(-1, d), iv.m, iv.M)
 
-    # one step row per tuple and exponent: each tuple's r, then with the
-    # limits each tuple's log; each instance's B row is its own or its A's
-    rs, m = [inst[4] for inst in group], len(owner)
-    tile = np.arange(m * (2 if include_limits else 1)) % m
-    z_row = owner[tile]
-    S = oc._mean_step(w[z_row], V[z_row], spectra.reshape(m, n, d)[tile],
-                      V[k:].reshape(m, n, d, d)[tile], weights[tile],
-                      [rs[j] for j in owner] + [None] * (len(tile) - m))
-    b_row = np.arange(k)
-    b_row[own_b] = k + np.arange(len(own_b))
-    P, Q = S[:k], S[b_row]
-    r = np.array(rs, dtype=float)[:, None, None]
-    h = [iv.M / iv.m for iv in ivs]
-    big_k = np.array([sb.kantorovich(hj, rj) for hj, rj in zip(h, rs)])[:, None, None]
-    c_const = np.array([sb.c_of_hr(iv.m, hj, rj)
-                        for iv, hj, rj in zip(ivs, h, rs)])[:, None, None]
+    # one step row per tuple and exponent: the A tuples, then any B tuples,
+    # each with its row's r, then with the limit forms the same with log
+    include_limits = any(name in MEAN_FORMS_LIMIT for name in forms)
+    tw = w[:, 1:].reshape(k, t, n, d).swapaxes(0, 1).reshape(t * k, n, d)
+    tV = V[:, 1:].reshape(k, t, n, d, d).swapaxes(0, 1).reshape(t * k, n, d, d)
+    tile = np.arange(t * k * (2 if include_limits else 1)) % (t * k)
+    z_row = tile % k
+    rs = r.tolist()
+    S = oc._mean_step(w[z_row, 0], V[z_row, 0], tw[tile], tV[tile], weights[z_row],
+                      rs * t + [None] * (len(tile) - t * k))
+    Z, P, Q = M[:, 0], S[:k], S[(t - 1) * k:t * k]
+    h = iv.M / iv.m
+    consts = {rj: (sb.kantorovich(h, rj), sb.c_of_hr(iv.m, h, rj)) for rj in dict.fromkeys(rs)}
+    big_k, c_const = (np.array(c)[:, None, None] for c in zip(*[consts[rj] for rj in rs]))
+    r = r[:, None, None]
     inside = (0.0 < r) & (r < 1.0)
     above = r >= 1.0
     kq, cz = big_k * Q, c_const * Z
@@ -1064,9 +980,10 @@ def _mean_forms(group, As, z_eigs, forms) -> list:
         MEAN_FORM_C_LHS: sr_x + c_r - sr_y,
     }
     if include_limits:
-        s0x, s0y = S[m:][:k], S[m:][b_row]
+        logs = S[t * k:]
+        s0x = logs[:k]
         mats["s0_nonneg"] = s0x
-        mats["s0_pair_vs_z"] = s0x + s0y - Z
+        mats["s0_pair_vs_z"] = s0x + logs[(t - 1) * k:] - Z
     c_lhs = np.flatnonzero(inside[:, 0, 0])
     return [(name, c_lhs, mats[name][c_lhs]) if name == MEAN_FORM_C_LHS
             else (name, slice(None), mats[name]) for name in forms]
@@ -1116,7 +1033,10 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors):
             raise ShapeError(f"vector {j} has shape {x.shape}, expected ({dim},)")
         if not np.isfinite(x).all():
             raise DomainError(f"vector {j} has non-finite entries")
-    return _view(_table(_jensen_blocks([(family, mats, vecs, f)])), [{}])
+    kinds, params = oc._family_stack(family)
+    stacks = _decomposed([(np.zeros(1, dtype=int), np.stack(mats)[None], np.stack(vecs)[None],
+                           *params)])
+    return _view(_table(_stack_score(_jensen_kernel)(([(f, kinds)], stacks))), [{}])
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec,
@@ -1127,11 +1047,20 @@ def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec,
 
 
 def _check_map_sum(inequality_id, family, As, Bs, f, alpha) -> InequalityVerdict:
-    """``check_theorem_beta``, scored under ``inequality_id``."""
-    As = oc._family_operands(family, [oc.assert_hermitian(A) for A in As])
-    Bs = oc._family_operands(family, [oc.assert_hermitian(B) for B in Bs])
-    return _view(_table(_map_sum_blocks([(As, Bs, family, f, alpha)], inequality_id)),
-                 [{"alpha": alpha, "f": f.name}])[0]
+    """``check_theorem_beta``, scored under ``inequality_id``: the kernel
+    on the map-sum stack of one row, where a B_i equal to a matrix before it
+    is that matrix's index, so it is decomposed once."""
+    mats = oc._family_operands(family, [oc.assert_hermitian(A) for A in As])
+    bidx = []
+    for B in oc._family_operands(family, [oc.assert_hermitian(B) for B in Bs]):
+        j = next((j for j, A in enumerate(mats) if np.array_equal(A, B)), len(mats))
+        mats += [B] if j == len(mats) else []
+        bidx.append(j)
+    kinds, params = oc._family_stack(family)
+    stacks = _decomposed([(np.zeros(1, dtype=int), np.stack(mats)[None], np.array([bidx]),
+                           *params)])
+    blocks = _stack_score(_map_sum_kernel(inequality_id))(([(f, alpha, kinds)], stacks))
+    return _view(_table(blocks), [{"alpha": alpha, "f": f.name}])[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float) -> InequalityVerdict:
@@ -1218,7 +1147,7 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float, mode: str = M
     if not (row[0].shape == row[1].shape == row[2].shape):
         raise ShapeError("p, x, y must share a length")
     stacks = [(np.zeros(1, dtype=int), *(a[None] for a in row))]
-    blocks = _scalar_score(_scalar_corollary_kernel)(([(f, alpha, mode)], stacks))
+    blocks = _stack_score(_scalar_corollary_kernel)(([(f, alpha, mode)], stacks))
     return _view(_table(blocks), [{"alpha": alpha, "f": f.name, "mode": mode}])
 
 
@@ -1237,7 +1166,7 @@ def check_entropy_tsallis(A, B, alpha: float, r: float):
         raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
     ctx = {"dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
     stacks = [(np.zeros(1, dtype=int), wa[None], wb[None], np.array([alpha]))]
-    return _view(_table(_scalar_score(_entropy_kernel)(([r], stacks))), [ctx])
+    return _view(_table(_stack_score(_entropy_kernel)(([r], stacks))), [ctx])
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -1268,7 +1197,7 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
     gives the A_i = Z^(-1/2) X_i Z^(-1/2) and B_i (``oc._z_relative``) and
     Z^(1/2).  The verdicts, the sound forms, the C-term-on-the-left form at
     0 < r < 1, then the limit forms, come from the suites' kernel,
-    ``_mean_blocks``, on a batch of one, which also checks the equal
+    ``_mean_kernel``, on a stack of one row, which also checks the equal
     weighted sums and that the spectra of the A_i and B_i lie in iv.
     """
     Z = oc.assert_hermitian(Z, "Z")
@@ -1285,9 +1214,12 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
             for name, tup in (("X", Xs), ("Y", Ys)) for i, M in enumerate(tup)]
     if any(M.shape != Z.shape for M in mats):
         raise ShapeError(f"every X_i and Y_i must have Z's shape {Z.shape}")
-    z_eig, rel = oc._z_relative(Z, mats)
+    (zw, zV), rel = oc._z_relative(Z, mats)
+    rw, rV = oc._eigh(np.stack(rel))
+    row = (np.stack([Z, *rel])[None], np.concatenate([zw[None], rw])[None],
+           np.concatenate([zV[None], rV])[None], w[None], np.array([r], dtype=float))
     forms = MEAN_FORMS_SOUND + (MEAN_FORM_C_LHS,) + (MEAN_FORMS_LIMIT if include_limits else ())
-    blocks = _mean_blocks([(Z, rel[:w.size], rel[w.size:], w, r, iv)], forms, [z_eig])
+    blocks = _stack_score(_mean_kernel(forms))(([iv], [(np.zeros(1, dtype=int), *row)]))
     return _view(_table(blocks), [{"r": r, "m": iv.m, "M": iv.M}])
 
 
@@ -1322,23 +1254,16 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class _Suite:
     """``draw(i, rng, params)`` makes trial i's rng calls on its own rng and
-    nothing else, and returns the raw arrays (numpy's standard exponentials
-    for Dirichlet rows and ``random`` doubles for the scalar and classical
-    suites' uniforms; a rejection sampler's first block of candidates, with
-    the generator state saved after it), then the trial's context, which
-    ``run_suite`` puts after {trial, seed}; ``build(draws)`` turns the draws
-    into instances, one stack per step and shape: the Dirichlet and uniform
-    maps, the scalar and classical suites' rejection screens, prefix
-    constructions, floors and normalisations too, where a trial whose first
-    block holds no accepted draw resumes its own stream from its saved state
-    (the eigensolver pair's draws are instances); ``score(instances)`` runs
-    the batch kernel once on them all
-    and returns ``_table`` blocks, instance i as trial i.  The eight suites
-    of ``_scalar_score`` keep their instances as stacks: their build gives
-    each trial's key and, per row shape, the trial indices and one (k, n)
-    array per column (``_stacks_built``).  ``defaults`` name the params that
-    the draw reads and fill in those left out; a suite not ``in_all`` runs
-    only when named, never under ``--suite all``."""
+    nothing else, and returns (raw, key, context): the raw arrays (numpy's
+    standard exponentials for Dirichlet rows and ``random`` doubles for the
+    scalar and classical suites' uniforms; a rejection sampler's first block
+    of candidates, with the generator state saved after it), the trial's
+    key, and its context, which ``run_suite`` puts after {trial, seed}.
+    ``build(draws)`` gives the trials' keys and stacks (``_stacks_built``),
+    and ``score`` scores them (``_stack_score``) and returns ``_table``
+    blocks.  ``defaults`` name the params that the draw reads and fill in
+    those left out; a suite not ``in_all`` runs only when named, never under
+    ``--suite all``."""
 
     draw: Callable
     score: Callable
@@ -1347,25 +1272,22 @@ class _Suite:
     in_all: bool = True
 
 
-def _built(build):
-    """The build phase of a suite whose draws are (raw, *rest): ``build``
-    turns the list of raws into instance heads, and each instance is its
-    head followed by the draw's rest."""
-    def run(draws):
-        heads = build([raw for raw, *_ in draws])
-        return [(*head, *rest) for head, (_, *rest) in zip(heads, draws)]
-    return run
-
-
 def _stacks_built(build):
-    """The build phase of a scalar suite whose draws are (raw, key,
-    context): (keys, stacks), each trial's key and the (trials, *columns)
-    stacks that ``build(raws, keys)`` makes, row j of each column that of
-    trial trials[j]."""
+    """The build phase of a suite: (keys, stacks), each trial's key and the
+    (trials, *columns) stacks that ``build(raws, keys)`` makes of the
+    trials' raw draws, one per row shape (or per finer group), row j of each
+    column that of trial trials[j].  A build maps, screens and constructs
+    whole stacks, and a matrix suite's build also decomposes its matrices
+    (``_decomposed``) or runs the Jacobi oracle on them (``_build_jacobi``)."""
     def run(draws):
         keys = [key for _, key, _ in draws]
         return keys, build([raw for raw, *_ in draws], keys)
     return run
+
+
+def _decomposed_built(build):
+    """``_stacks_built`` of a matrix suite's ``build(raws)``, decomposed."""
+    return _stacks_built(lambda raws, _: _decomposed(build(raws)))
 
 
 def _cycle(seq, i):
@@ -1384,13 +1306,15 @@ _BETA_FAMILIES = ("uniform_permutation", "doubly_stochastic_mix")
 _MOMENT_ORDERS = (1, 2, 4)
 
 
-def _scalar_score(kernel):
+def _stack_score(kernel):
     """The score of a suite built by ``_stacks_built``: the rows of each
     stack are split by their trials' keys, one fancy index per column and
     key, and ``kernel(key, *columns)`` returns [(inequality id, margins,
-    tol)], one margin per row and the kernel's own tol, which become blocks
-    with the rows' trials.  A kernel gives a row the bits of a batch of one,
-    so neither the stacks nor the split show."""
+    tol[, rows])], which become blocks with the rows' trials.  The margins
+    are one per row, or one per row and vector (k, v), each with its vector
+    index; ``rows`` picks the rows that a form scores, all of them when left
+    out.  A kernel gives a row the bits of a batch of one, so neither the
+    stacks nor the split show."""
     def score(built):
         keys, stacks = built
         blocks = []
@@ -1400,8 +1324,14 @@ def _scalar_score(kernel):
                 groups[keys[t]].append(j)
             for key, rows in groups.items():
                 rows = np.array(rows)
-                blocks.extend((trials[rows], *form)
-                              for form in kernel(key, *(column[rows] for column in columns)))
+                for name, margins, tol, *sub in kernel(key, *[column[rows] for column in columns]):
+                    t = trials[rows][sub[0]] if sub else trials[rows]
+                    if margins.ndim == 1:
+                        blocks.append((t, name, margins, tol))
+                    else:
+                        v = margins.shape[1]
+                        blocks.append((t.repeat(v), name, margins.ravel(), tol,
+                                       np.arange(v * len(t)) % v))
         return blocks
     return score
 
@@ -1409,37 +1339,42 @@ def _scalar_score(kernel):
 def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     """The draws of ``_gen_jensen_instance``: (exponentials of the weights,
     Gaussians of the n unitaries, Gaussians and spectra of the n matrices,
-    vectors)."""
+    the unit vectors (dim + 16, dim))."""
     weights = rng.standard_exponential(n)
     Gu = oc._gaussian(dim, rng, n)
     Gs, w = _draw_spectra(dim, (iv,) * n, rng)
     raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
-    vecs = [v for v in np.eye(dim)] + [v / np.linalg.norm(v) for v in raw]
+    vecs = np.array([*np.eye(dim)] + [v / np.linalg.norm(v) for v in raw], dtype=complex)
     return weights, Gu, Gs, w, vecs
 
 
-def _build_jensen_instances(draws) -> list:
-    """(family, mats, vectors) of each ``_draw_jensen_instance`` draw."""
+def _build_jensen_stacks(raws) -> list:
+    """(trials, M, X, *params) of the ``_draw_jensen_instance`` draws of each
+    shape: the matrices M (k, n, d, d), the vectors X (k, v, d) and the
+    family stack of the n weighted unitary conjugations."""
     out = []
-    haar = _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
-                      *zip(*(d[1:4] for d in draws)))
-    weights = _per_group(_dirichlet_rows, None, [d[0] for d in draws])
-    for (*_, vecs), w, (U, H) in zip(draws, weights, haar):
-        maps = tuple(oc.WeightedConjugation(float(wi), Ui) for wi, Ui in zip(w, U))
-        out.append((oc.MapFamily(maps, U.shape[-1]), list(H), vecs))
+    for _, trials, E, Gu, Gs, w, X in _groups(None, *zip(*raws)):
+        U, H = oc._build_haar(Gu, Gs, w)
+        W = _dirichlet_rows(E)
+        out.append((trials, H, X, *[c for i in range(W.shape[1]) for c in (W[:, i], U[:, i])]))
     return out
 
 
 def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     """(family, mats, vectors): n weighted unitary conjugations, n matrices
     with spectra in iv, the standard basis plus 16 random unit vectors."""
-    return _build_jensen_instances([_draw_jensen_instance(n, dim, iv, rng)])[0]
+    ((_, M, X, *params),) = _build_jensen_stacks([_draw_jensen_instance(n, dim, iv, rng)])
+    return oc._family_of((oc.WeightedConjugation,) * n, params, dim), list(M[0]), list(X[0])
+
+
+_CONJUGATIONS = (oc.WeightedConjugation,) * _MAP_N  # the map kinds of every suite family
 
 
 def _draw_jensen(i, rng, params):
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
-    return _draw_jensen_instance(_MAP_N, dim, f.domain, rng), f, dict(dim=dim, f=f.name)
+    return (_draw_jensen_instance(_MAP_N, dim, f.domain, rng), (f, _CONJUGATIONS),
+            dict(dim=dim, f=f.name))
 
 
 _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
@@ -1455,28 +1390,29 @@ def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gene
     return kind, w, Gs, spectra, S
 
 
-def _build_weighted_instances(draws) -> list:
-    """(As, Bs, family) of each ``_draw_weighted_instance`` draw."""
-    kinds, ws, Gs, spectra, Ss = zip(*draws)
-    ws = _per_group(_dirichlet_rows, None, ws)
-    H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
-                                  [G[:0] for G in Gs], Gs, spectra)]
-    means = _per_group(_weighted_sums, None,
-                       [w[None] if kind == "weights_v0" else None for kind, w in zip(kinds, ws)], H)
-    mixes = _per_group(_weighted_sums, None, _per_group(_sinkhorn, None, Ss), H)
+def _build_weighted_stacks(raws) -> list:
+    """(trials, M, bidx, *params) of the ``_draw_weighted_instance`` draws of
+    each kind and shape, laid out as ``_build_equal_map_sums``' stacks, with
+    the maps Phi_i(X) = w_i X.  The B_i are all the weighted mean of the A_i
+    (weights_v0), the A_i themselves (weights_v1) or a doubly stochastic mix
+    of them under uniform weights (weights_v2), which keeps only
+    uniform-weight sums."""
     out = []
-    for w, A, mean, mix in zip(ws, H, means, mixes):
-        As = list(A)
-        n, dim = len(As), A.shape[-1]
-        if mean is not None:
-            Bs = [mean[0]] * n
-        elif mix is not None:
-            # doubly stochastic mixing preserves uniform-weight sums only
-            Bs = list(mix)
-            w = np.full(n, 1.0 / n)
+    for (kind,), trials, E, Gs, w in _groups([raw[0] for raw in raws],
+                                             *[[raw[c] for raw in raws] for c in (1, 2, 3)]):
+        (k, n), d = E.shape, w.shape[-1]
+        W, (_, H) = _dirichlet_rows(E), oc._build_haar(Gs[:, :0], Gs, w)
+        if kind == "weights_v0":
+            M = np.concatenate([H, _weighted_sums(W[:, None], H)], axis=1)
+            bidx = np.full((k, n), n)
+        elif kind == "weights_v1":
+            M, bidx = H, np.broadcast_to(np.arange(n), (k, n))
         else:
-            Bs = list(As)
-        out.append((As, Bs, _scalar_weight_family(w, dim)))
+            S = np.stack([raws[t][4] for t in trials.tolist()])
+            M = np.concatenate([H, _weighted_sums(_sinkhorn(S), H)], axis=1)
+            bidx, W = np.broadcast_to(np.arange(n, 2 * n), (k, n)), np.full((k, n), 1.0 / n)
+        eye = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
+        out.append((trials, M, bidx, *[c for i in range(n) for c in (W[:, i], eye)]))
     return out
 
 
@@ -1485,16 +1421,18 @@ def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gener
     all-equal-to-the-weighted-mean reduction (weights_v0), a copy of A
     (weights_v1) or a doubly stochastic mix under uniform weights
     (weights_v2)."""
-    return _build_weighted_instances([_draw_weighted_instance(n, dim, iv, kind, rng)])[0]
+    ((_, M, bidx, *params),) = _build_weighted_stacks(
+        [_draw_weighted_instance(n, dim, iv, kind, rng)])
+    return _map_sum_instance((oc.WeightedConjugation,) * n, M, bidx, params)
 
 
 def _draw_map_sum(i, rng, params, draw, kind):
-    """A map-sum trial's draw(n, dim, f.domain, kind, rng), which the suite
-    builds into (As, Bs, family)."""
+    """A map-sum trial's draw(n, dim, f.domain, kind, rng) and its key (f,
+    alpha, kinds)."""
     dim = _cycle(params["dims"], i)
     f = function_catalog(_cycle(params["fs"], i))
     alpha = _cycle(params["alphas"], i)
-    return (draw(_MAP_N, dim, f.domain, kind, rng), f, alpha,
+    return (draw(_MAP_N, dim, f.domain, kind, rng), (f, alpha, _CONJUGATIONS),
             dict(dim=dim, f=f.name, alpha=alpha, family=kind))
 
 
@@ -1651,82 +1589,86 @@ def _draw_mean_instance(rng, dim, iv, n):
     return G, w, _sinkhorn_start(n, rng) if n > 1 else None
 
 
-def _build_mean_instances(draws) -> list:
-    """(Z, As, Bs, w) of each ``_draw_mean_instance`` draw, with As and Bs
-    stacks (n, d, d).  With n = 1, Bs is the As object itself (which lets
-    ``_mean_forms`` take Q = P); otherwise B is a doubly stochastic mix
-    of the A_i under uniform weights."""
-    G, w, S = zip(*draws)
-    H = [h for _, h in _per_group(lambda *draw: zip(*oc._build_haar(*draw)), None,
-                                  [g[:0] for g in G], G, w)]
-    mixes = _per_group(_weighted_sums, None, _per_group(_sinkhorn, None, S),
-                       [h[1:] for h in H])
+def _build_mean_stacks(raws) -> list:
+    """(trials, M, weights) of the ``_draw_mean_instance`` draws of each
+    shape: M (k, m, d, d) holds Z, then the A_i, then for n > 1 the B_i, a
+    doubly stochastic mix of the A_i under uniform weights.  With n = 1 a
+    row has no B_i, which makes Q = P."""
     out = []
-    for h, B in zip(H, mixes):
-        As = h[1:]
-        out.append((h[0], As, As, np.ones(1)) if B is None
-                   else (h[0], As, B, np.full(len(As), 1.0 / len(As))))
+    for _, trials, G, w in _groups(None, [raw[0] for raw in raws], [raw[1] for raw in raws]):
+        n = w.shape[1] - 1
+        _, H = oc._build_haar(G[:, :0], G, w)
+        if n > 1:
+            S = np.stack([raws[t][2] for t in trials.tolist()])
+            H = np.concatenate([H, _weighted_sums(_sinkhorn(S), H[:, 1:])], axis=1)
+        out.append((trials, H, np.full((len(H), n), 1.0 / n)))
     return out
 
 
 def _gen_mean_instance(rng, dim, iv, n):
     """(Z, As, Bs, w): Z with spectrum in [0.5, 2], n matrices A_i with
-    spectra in iv, and B_i with the same weighted sum."""
-    return _build_mean_instances([_draw_mean_instance(rng, dim, iv, n)])[0]
+    spectra in iv, and B_i with the same weighted sum (Bs is As for n = 1)."""
+    ((_, M, weights),) = _build_mean_stacks([_draw_mean_instance(rng, dim, iv, n)])
+    As = M[0, 1:n + 1]
+    return M[0, 0], As, As if n == 1 else M[0, n + 1:], weights[0]
 
 
 def _draw_mean(i, rng, params):
+    """((the draws of ``_draw_mean_instance``, r), iv, context)."""
     dim, r = _cycle(params["dims"], i), _cycle(params["rs"], i)
     n = 1 if i % 2 == 0 else 2
     iv = Interval(*params["interval"])
-    return _draw_mean_instance(rng, dim, iv, n), r, iv, dict(dim=dim, r=r, n=n)
+    return (*_draw_mean_instance(rng, dim, iv, n), r), iv, dict(dim=dim, r=r, n=n)
 
 
-def _mean_score(forms):
-    """Score the named ``forms`` of each built (Z, As, Bs, w, r, iv, context)
-    instance, in ``_mean_blocks`` (forms that do not apply at an instance's r
-    are skipped)."""
-    return lambda instances: _mean_blocks([inst[:-1] for inst in instances], forms)
+def _build_mean_suite(raws, _) -> list:
+    """The mean suites' stacks: those of ``_build_mean_stacks``, decomposed,
+    with each row's r last."""
+    return [(*stack, np.array([raws[t][3] for t in stack[0].tolist()], dtype=float))
+            for stack in _decomposed(_build_mean_stacks(raws))]
 
 
 def _draw_hermitian(i, rng, params):
     """(G + G*)/2 with G complex Gaussian, dimension cycling through dims."""
     dim = _cycle(params["dims"], i)
     G = oc._gaussian(dim, rng)
-    return (G + G.conj().T) / 2.0, dict(dim=dim)
+    return (G + G.conj().T) / 2.0, None, dict(dim=dim)
 
 
 _jacobi_last = {}
 
 
-def _jacobi_cached(mats) -> list:
-    """(w, V) of each matrix by the Jacobi oracle, in one ``oc._jacobi`` call
-    (one ``oc.eigh_stack`` per ring size).  The last input and its result
-    are kept: under ``--suite all`` the eigensolver and
-    eigensolver_crosscheck suites solve the same draws, and Jacobi runs
-    once."""
-    key = (oc._jacobi, oc.eigh_stack, tuple(M.tobytes() for M in mats))
-    if _jacobi_last.get("key") != key:
-        _jacobi_last.update(key=key, value=oc._jacobi(mats))
-    return _jacobi_last["value"]
+def _build_jacobi(raws, _) -> list:
+    """(trials, A, w, V) of the drawn matrices of each dimension, with the
+    Jacobi oracle's (w, V) of each, all from one ``oc._jacobi`` call (one
+    ``oc.eigh_stack`` per ring size).  The last stacks are kept and reused
+    when the drawn stacks equal them: under ``--suite all`` the eigensolver
+    and eigensolver_crosscheck suites draw the same matrices, and Jacobi
+    runs once."""
+    stacks = [(trials, A) for _, trials, A in _groups(None, raws)]
+    solvers = (oc._jacobi, oc.eigh_stack)
+    last = _jacobi_last.get(solvers)
+    if last is None or len(last) != len(stacks) or not all(
+            np.array_equal(t, u) and np.array_equal(A, B)
+            for (t, A), (u, B, *_) in zip(stacks, last)):
+        solved = iter(oc._jacobi([M for _, A in stacks for M in A]))
+        last = [(t, A, *map(np.stack, zip(*[next(solved) for _ in A]))) for t, A in stacks]
+        _jacobi_last.clear()
+        _jacobi_last[solvers] = last
+    return last
 
 
-def _jacobi_residuals(A, w, V):
-    """(reconstruction, unitarity) residuals of Jacobi's (w, V) for a stack A."""
+def _jacobi_residuals(_, A, w, V):
+    """The eigensolver suite's kernel: the reconstruction and unitarity
+    residuals of Jacobi's (w, V) for a stack A, each scored by its margin
+    _EIG_RESIDUAL_TOL - residual with tol 0."""
     rec = V @ (w[:, :, None] * np.swapaxes(V, 1, 2).conj()) - A
     rec_res = np.linalg.norm(rec, axis=(1, 2)) / np.maximum(
         1.0, np.linalg.norm(A, axis=(1, 2)))
     uni_res = np.linalg.norm(V @ np.swapaxes(V, 1, 2).conj() - np.eye(A.shape[1]),
                              axis=(1, 2))
-    return np.stack([rec_res, uni_res], axis=1)
-
-
-def _score_eigensolver(instances):
-    # the margin is _EIG_RESIDUAL_TOL - residual, with tol 0
-    mats = [M for M, *_ in instances]
-    residuals = np.array(_per_group(_jacobi_residuals, None, mats, *zip(*_jacobi_cached(mats))))
-    return [(np.arange(len(mats)), name, _EIG_RESIDUAL_TOL - res, 0.0)
-            for name, res in zip(("eig_reconstruction", "eig_unitarity"), residuals.T)]
+    return [("eig_reconstruction", _EIG_RESIDUAL_TOL - rec_res, 0.0),
+            ("eig_unitarity", _EIG_RESIDUAL_TOL - uni_res, 0.0)]
 
 
 # Jacobi and LAPACK eigenvalues must agree within 16 d eps max(1, ||A||_F);
@@ -1735,21 +1677,14 @@ def _score_eigensolver(instances):
 _CROSSCHECK_ULPS = 16.0
 
 
-def _crosscheck(A, w):
-    """(max_i |w_J,i - w_L,i|, 16 d eps max(1, ||A||_F)) for a stack A with
-    Jacobi eigenvalues w: Jacobi (the oracle) against LAPACK (the margin
-    path) and the bound on their distance."""
+def _crosscheck(_, A, w, V):
+    """The crosscheck suite's kernel: max_i |w_J,i - w_L,i| of the Jacobi
+    eigenvalues w of a stack A (the oracle) against LAPACK's (the margin
+    path), scored by its margin 16 d eps max(1, ||A||_F) - that, tol 0."""
     diff = np.abs(w - oc._eigvalsh(A)).max(axis=1)
     bound = _CROSSCHECK_ULPS * A.shape[1] * np.finfo(float).eps * np.maximum(
         1.0, np.linalg.norm(A, axis=(1, 2)))
-    return np.stack([diff, bound], axis=1)
-
-
-def _score_crosscheck(instances):
-    mats = [M for M, *_ in instances]
-    evals = [w for w, _ in _jacobi_cached(mats)]
-    diff, bound = np.array(_per_group(_crosscheck, None, mats, evals)).T
-    return [(np.arange(len(mats)), "eig_crosscheck", bound - diff, 0.0)]
+    return [("eig_crosscheck", bound - diff, 0.0)]
 
 
 _MAP_SUM_DEFAULTS = {"dims": (2, 4, 8), "fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}
@@ -1764,62 +1699,65 @@ _EIG_DIMS = {"dims": tuple(range(2, 17))}
 # not the operator-mean "interval".  No score reads params.
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
-        _draw_jensen, _jensen_blocks, {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS},
-        _built(_build_jensen_instances)),
+        _draw_jensen, _stack_score(_jensen_kernel), {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS},
+        _decomposed_built(_build_jensen_stacks)),
     "theorem_beta": _Suite(
         lambda i, rng, p: _draw_map_sum(i, rng, p, _draw_equal_map_sum,
                                         _cycle(_BETA_FAMILIES, i)),
-        lambda insts: _map_sum_blocks(insts, "theorem_beta"),
-        _MAP_SUM_DEFAULTS, _built(_build_equal_map_sums)),
+        _stack_score(_map_sum_kernel("theorem_beta")),
+        _MAP_SUM_DEFAULTS, _decomposed_built(_build_equal_map_sums)),
     "corollary_weighted": _Suite(
         lambda i, rng, p: _draw_map_sum(i, rng, p, _draw_weighted_instance,
                                         _cycle(_WEIGHT_VARIANTS, i)),
-        lambda insts: _map_sum_blocks(insts, "corollary_weighted"),
-        _MAP_SUM_DEFAULTS, _built(_build_weighted_instances)),
+        _stack_score(_map_sum_kernel("corollary_weighted")),
+        _MAP_SUM_DEFAULTS, _decomposed_built(_build_weighted_stacks)),
     "scalar_corollary": _Suite(
-        _draw_scalar_corollary, _scalar_score(_scalar_corollary_kernel),
+        _draw_scalar_corollary, _stack_score(_scalar_corollary_kernel),
         {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}, _stacks_built(_build_scalar_corollary)),
     "fuchs": _Suite(
         _draw_fuchs,
-        _scalar_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
-                                           SCALAR_TOL)]),
+        _stack_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
+                                          SCALAR_TOL)]),
         build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws, _PREFIX_INTERVAL))),
     "moment": _Suite(
         _draw_moment,
-        _scalar_score(lambda order, X, Y, P: [(
+        _stack_score(lambda order, X, Y, P: [(
             "moment_margin",
             mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)]),
         build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws, _PREFIX_INTERVAL))),
-    "entropy_vn": _Suite(_draw_density_pair, _scalar_score(_entropy_kernel), _DENSITY_DEFAULTS,
+    "entropy_vn": _Suite(_draw_density_pair, _stack_score(_entropy_kernel), _DENSITY_DEFAULTS,
                          _stacks_built(_build_entropy_stacks)),
-    "entropy_tsallis": _Suite(_draw_tsallis_pair, _scalar_score(_entropy_kernel),
+    "entropy_tsallis": _Suite(_draw_tsallis_pair, _stack_score(_entropy_kernel),
                               {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)},
                               _stacks_built(_build_entropy_stacks)),
     "info_inequality": _Suite(
-        _draw_prob_pair, _scalar_score(_info_inequality_kernel),
+        _draw_prob_pair, _stack_score(_info_inequality_kernel),
         {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)}, _stacks_built(_build_prob_pairs)),
     "reverse_shannon": _Suite(
         _draw_conditioned_pair,
-        _scalar_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
+        _stack_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
         _REVERSE_DEFAULTS, _stacks_built(_build_conditioned_pairs)),
     "parametric_reverse": _Suite(
         _draw_parametric_pair,
-        _scalar_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
+        _stack_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
         {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}, _stacks_built(_build_conditioned_pairs)),
-    "operator_means": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND),
+    "operator_means": _Suite(_draw_mean, _stack_score(_mean_kernel(MEAN_FORMS_SOUND)),
                              {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)},
-                             _built(_build_mean_instances)),
+                             _stacks_built(_build_mean_suite)),
     # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
-    "mean_limits": _Suite(_draw_mean, _mean_score(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT),
-                          {**_MEAN_DEFAULTS, "rs": (0.3,)}, _built(_build_mean_instances)),
-    "eigensolver": _Suite(_draw_hermitian, _score_eigensolver, _EIG_DIMS),
-    "eigensolver_crosscheck": _Suite(_draw_hermitian, _score_crosscheck, _EIG_DIMS),
+    "mean_limits": _Suite(_draw_mean,
+                          _stack_score(_mean_kernel(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT)),
+                          {**_MEAN_DEFAULTS, "rs": (0.3,)}, _stacks_built(_build_mean_suite)),
+    "eigensolver": _Suite(_draw_hermitian, _stack_score(_jacobi_residuals), _EIG_DIMS,
+                          _stacks_built(_build_jacobi)),
+    "eigensolver_crosscheck": _Suite(_draw_hermitian, _stack_score(_crosscheck), _EIG_DIMS,
+                                     _stacks_built(_build_jacobi)),
     # not in "all": the C-term-on-the-left orientation of the 0 < r < 1
     # difference bound fails by construction whenever X = Y (the C-term is
     # negative in this regime), and is reported separately for inspection
-    "mean_c_lhs_variant": _Suite(_draw_mean, _mean_score((MEAN_FORM_C_LHS,)),
+    "mean_c_lhs_variant": _Suite(_draw_mean, _stack_score(_mean_kernel((MEAN_FORM_C_LHS,))),
                                  {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)},
-                                 _built(_build_mean_instances), in_all=False),
+                                 _stacks_built(_build_mean_suite), in_all=False),
 }
 
 # every key some suite reads: dims, fs, alphas, rs, eps and interval

@@ -1,7 +1,9 @@
-"""The six scalar and classical suites against their golden report,
-``tests/golden/scalar_classical.csv`` (written by scripts/make_golden.py).
+"""The verification suites against their golden reports,
+``tests/golden/scalar_classical.csv`` for the six scalar and classical
+suites and ``tests/golden/matrix.csv`` for the rest (both written by
+scripts/make_golden.py).
 
-Where the environment line at the top of the file is this environment's,
+Where the environment line at the top of a file is this environment's,
 the regenerated reports must equal the file byte for byte.  Elsewhere a
 margin may move in its last bits: then every row must keep its suite,
 trial, context, inequality id, place and pass flag, and its margin must lie
@@ -42,15 +44,20 @@ def _mismatch(golden: str, text: str):
     return None
 
 
-@pytest.fixture(scope="module")
-def golden():
-    head, _, body = make_golden.GOLDEN.read_bytes().decode("utf-8").partition("\n")
+def _golden(path):
+    head, _, body = path.read_bytes().decode("utf-8").partition("\n")
     return head, body
 
 
-def test_suites_reproduce_their_golden_report(golden):
-    head, body = golden
-    regenerated = make_golden.reports()
+@pytest.fixture(scope="module")
+def golden():
+    return _golden(next(iter(make_golden.GOLDENS)))
+
+
+@pytest.mark.parametrize("path", list(make_golden.GOLDENS), ids=lambda path: path.name)
+def test_suites_reproduce_their_golden_report(path):
+    head, body = _golden(path)
+    regenerated = make_golden.reports(make_golden.GOLDENS[path])
     if head == make_golden.header():
         assert regenerated == body
     else:

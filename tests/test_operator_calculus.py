@@ -528,6 +528,12 @@ class TestMapFamilies:
         return oc.MapFamily(maps, dim)
 
     @staticmethod
+    def stacked(fams):
+        """The family stack (kinds, params) of families of one layout."""
+        kinds = oc._family_stack(fams[0])[0]
+        return kinds, [np.concatenate(col) for col in zip(*(oc._family_stack(f)[1] for f in fams))]
+
+    @staticmethod
     def term(phi, A):
         """Phi(A), written out for one matrix."""
         if isinstance(phi, oc.WeightedConjugation):
@@ -551,7 +557,7 @@ class TestMapFamilies:
         for dim in (2, 3, 5):
             fams = [self.family(kind, dim, rng) for _ in range(9)]
             mats = np.stack([[rand_herm(dim, rng) for _ in range(3)] for _ in fams])
-            stack = oc._map_family_sums(fams, mats)
+            stack = oc._map_family_sums(*self.stacked(fams), mats)
             for fam, row, A in zip(fams, stack, mats):
                 public = oc.apply_map_family(fam, list(A))
                 assert np.array_equal(_bits(row), _bits(public)), (kind, dim)
@@ -570,10 +576,10 @@ class TestMapFamilies:
         drift = np.linalg.norm(total - total.conj().T)
         assert drift > 1e-8 * max(1.0, np.linalg.norm(total))
         with pytest.raises(DomainError, match=f"drifted too far from Hermitian: {drift:.3e}"):
-            oc._map_family_sums(fams, mats)
+            oc._map_family_sums(*self.stacked(fams), mats)
         with pytest.raises(DomainError, match=f"drifted too far from Hermitian: {drift:.3e}"):
             oc.apply_map_family(fams[4], list(mats[4]))
-        oc._map_family_sums(fams[:4] + fams[5:], np.delete(mats, 4, axis=0))
+        oc._map_family_sums(*self.stacked(fams[:4] + fams[5:]), np.delete(mats, 4, axis=0))
 
     def test_shape_mismatch(self):
         eye = np.eye(2, dtype=complex)
@@ -692,6 +698,34 @@ class TestConjugateByRoot:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             oc.relative_operator_entropy(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+
+class TestRelativeEigenvalueFloor:
+    @pytest.mark.parametrize("c", [10.0 ** e for e in range(-15, 16, 2)])
+    def test_scaled_identity_is_positive_definite_at_any_scale(self, c):
+        # the floor is relative to each spectrum's largest eigenvalue, so
+        # c I passes for every c > 0
+        X, eye = c * np.eye(2), np.eye(2)
+        for got, want in ((oc.mat_power(X, 0.5), math.sqrt(c) * eye),
+                          (oc.mat_log(X), math.log(c) * eye),
+                          (oc.invsqrtm_pd(X), eye / math.sqrt(c)),
+                          (oc.natural_power_mean(X, 2.0 * X, 0.5), math.sqrt(2.0) * X),
+                          (oc.relative_operator_entropy(X, 2.0 * X), math.log(2.0) * X)):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), c
+
+    @pytest.mark.parametrize("A", [np.diag([1e-13, 1.0]), np.diag([1e-28, 1e-15]),
+                                   np.zeros((2, 2)), np.diag([-1.0, 1.0]), -np.eye(2)])
+    def test_floor_rejects_a_spectrum_near_singular_for_its_scale(self, A):
+        for image in (lambda A: oc.mat_power(A, 0.5), oc.mat_log, oc.invsqrtm_pd):
+            with pytest.raises(DomainError, match="positive definite"):
+                image(A)
+
+    def test_floor_holds_per_row_of_a_stack(self):
+        # a row far below another's scale passes on its own scale
+        w = np.array([[1e-14, 2e-14], [1.0, 2.0]])
+        assert np.array_equal(oc._power_of_psd(w, 0.5), w ** 0.5)
+        with pytest.raises(DomainError, match=r"\[1\.000e-13, 1\.000e\+00\]"):
+            oc._log_of_pd(np.array([[1.0, 2.0], [1e-13, 1.0]]))
 
 
 class TestMeanStep:

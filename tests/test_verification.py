@@ -231,6 +231,23 @@ class TestGenerators:
             vf.gen_equal_map_sum_operators(2, 2, Interval(0.0, 1.0), "bogus",
                                            vf.trial_rng(0, 0))
 
+    @pytest.mark.parametrize("kind", vf.FAMILY_KINDS)
+    @pytest.mark.parametrize("n, dim", [(0, 2), (2.5, 2), (True, 2), (2, 2.5), (2, -1), (2, 0),
+                                        (2, True)])
+    def test_equal_map_sum_operators_need_integers_of_at_least_one(self, kind, n, dim):
+        with pytest.raises(DomainError, match=r"need integers n >= 1 and dim >= 1"):
+            vf.gen_equal_map_sum_operators(n, dim, Interval(0.0, 1.0), kind, vf.trial_rng(0, 0))
+
+    @pytest.mark.parametrize("kind", vf.FAMILY_KINDS)
+    def test_equal_map_sum_operators_take_numpy_integers(self, kind):
+        iv = Interval(0.0, 1.0)
+        want = vf.gen_equal_map_sum_operators(2, 3, iv, kind, vf.trial_rng(0, 0))
+        got = vf.gen_equal_map_sum_operators(np.int64(2), np.int64(3), iv, kind,
+                                             vf.trial_rng(0, 0))
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(a, b)
+        assert got[2] == want[2] if kind == "normalized_trace" else len(got[2].maps) == 2
+
     def test_conditioned_pair_tags(self):
         import karabounds.classical_entropy as ce
         for i in range(2000):
@@ -1109,7 +1126,10 @@ class TestSuites:
 
     @pytest.mark.parametrize("suite", ["scalar_corollary", "fuchs", "moment", "info_inequality",
                                        "reverse_shannon", "parametric_reverse", "entropy_vn",
-                                       "entropy_tsallis"])
+                                       "entropy_tsallis", "lemma_jensen", "theorem_beta",
+                                       "corollary_weighted", "operator_means", "mean_limits",
+                                       "mean_c_lhs_variant", "eigensolver",
+                                       "eigensolver_crosscheck"])
     def test_scalar_score_does_not_depend_on_its_stacks(self, suite, monkeypatch):
         # one build scored whole, in halves of each stack and one row at a
         # time gives every row the same margin bits; at seed 7 some trial of
@@ -1169,25 +1189,25 @@ class TestSuites:
         assert (rep.failures, rep.min_margin, rep.worst_context) == (3, -1.0, {"trial": 0, "seed": 0})
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-    def test_per_group_stacks_each_shape_apart(self, seed):
-        # one key over rows of lengths 2 and 3: one solve per length, on a
-        # rectangular stack, results in entry order (shuffled but for seed
-        # None), and None for the entry whose first value is None
-        rows = [np.arange(n, dtype=float) + j for j, n in enumerate((2, 3, 2, 3, 3))] + [None]
+    def test_groups_stack_each_shape_apart(self, seed):
+        # one key over rows of lengths 2 and 3: one group per length, in the
+        # order of first entries, each a rectangular stack of its entries
+        # (shuffled but for seed None) with their indices
+        rows = [np.arange(n, dtype=float) + j for j, n in enumerate((2, 3, 2, 3, 3))]
         order = range(len(rows)) if seed is None else \
             np.random.default_rng(seed).permutation(len(rows)).tolist()
-        calls = []
-
-        def solve(key, X, tags):
-            calls.append((key, X.shape))
-            return [(key, x.tolist(), t) for x, t in zip(X, tags.tolist())]
-
-        out = vf._per_group(solve, ["k"] * len(rows), [rows[j] for j in order], list(order))
-        assert sorted(calls) == [("k", (2, 2)), ("k", (3, 3))]
-        assert out == [None if rows[j] is None else ("k", rows[j].tolist(), j) for j in order]
-        # without keys, solve gets the stacks alone
-        sums = vf._per_group(lambda X: X.sum(axis=-1).tolist(), None, [rows[j] for j in order])
-        assert sums == [None if rows[j] is None else rows[j].sum() for j in order]
+        entries = [rows[j] for j in order]
+        groups = list(vf._groups(["k"] * len(entries), entries, list(order)))
+        shapes = {2: (2, 2), 3: (3, 3)}  # (entries, length) of each length
+        assert [(head, X.shape) for head, _, X, _ in groups] == \
+            [(("k",), shapes[n]) for n in dict.fromkeys(len(e) for e in entries)]
+        for _, idxs, X, tags in groups:
+            assert X.tolist() == [entries[j].tolist() for j in idxs.tolist()]
+            assert tags.tolist() == [order[j] for j in idxs.tolist()]
+        # without keys the head is empty; entries of different keys never
+        # share a group
+        assert [head for head, *_ in vf._groups(None, entries)] == [(), ()]
+        assert len(list(vf._groups(list(range(len(entries))), entries))) == len(entries)
 
     @pytest.mark.parametrize("suite, forms", [("eigensolver", 2), ("eigensolver_crosscheck", 1)])
     def test_eigensolver_suites_list_verdicts_in_trial_order(self, suite, forms):
@@ -1526,26 +1546,27 @@ class TestSuites:
     ])
     def test_mean_suites_independent_of_batching(self, suite, rs, forms):
         # a suite decomposes all its trials in one stack per tuple shape
-        # (n, d); the kernel run on each trial's instance alone gives the
-        # same margins.  Dims (2, 3, 5) against the even/odd n = 1, 2 cycle
-        # put both tuple lengths into every dimension; the default dims never
+        # (n, d); each trial built and scored on its own gives the same
+        # margins.  Dims (2, 3, 5) against the even/odd n = 1, 2 cycle put
+        # both tuple lengths into every dimension; the default dims never
         # mix them
-        iv = Interval(1.7, 5.1)
+        spec = vf._SUITES[suite]
         for dims, trials, seed in (((2, 3, 4, 6), 28, 2024), ((2, 3, 5), 30, 0),
                                    ((2, 3, 5), 30, 2024)):
             rep = vf.run_suite(suite, trials, seed, {"dims": dims}, keep_verdicts=True)
             alone = []
             for i in range(trials):
-                Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), dims[i % len(dims)],
-                                                     iv, 1 if i % 2 == 0 else 2)
-                blocks = vf._mean_blocks([(Z, As, Bs, w, rs[i % len(rs)], iv)], forms)
+                draw = spec.draw(i, vf.trial_rng(seed, i), {**spec.defaults, "dims": dims})
+                assert draw[-1]["r"] == rs[i % len(rs)]
+                blocks = spec.score(spec.build([draw]))
+                assert [name for _, name, *_ in blocks] == list(forms)
                 alone += [(name, margin) for _, name, margins, _ in blocks
                           for margin in margins.tolist()]
             assert [(v.inequality_id, v.margin) for v in rep.verdicts] == alone, (dims, seed)
 
     @pytest.mark.parametrize("suite", ["operator_means", "mean_limits"])
     def test_mean_suites_decompose_each_matrix_once(self, suite, monkeypatch):
-        # 28 trials: 28 Z, one A (B is the same object) in each of the 14
+        # 28 trials: 28 Z, one A (and no B) in each of the 14
         # n = 1 trials and A_1, A_2, B_1, B_2 in each of the 14 n = 2 trials.
         # Z^(1/2), A^r and log A all come from that one decomposition; the
         # lambda_min reduction goes through _eigvalsh and is not counted.
@@ -1558,7 +1579,7 @@ class TestSuites:
     @pytest.mark.parametrize("suite, distinct", [("theorem_beta", 216),
                                                  ("corollary_weighted", 208)])
     def test_map_sum_suites_decompose_each_matrix_once(self, suite, distinct, monkeypatch):
-        # 48 trials of n = 3: a uniform_permutation B_i is an A_j object
+        # 48 trials of n = 3: a uniform_permutation B_i is an index of an A_j
         # (3 matrices), a doubly_stochastic_mix has 6 (theorem_beta: 72 +
         # 144); weights_v0 repeats the mean (4), weights_v1 reuses the A_i
         # (3) and weights_v2 mixes them (6) (corollary_weighted: 64 + 48 + 96)
@@ -1880,10 +1901,16 @@ class TestUnitaryInvariance:
             Z, As, Bs, w = vf._gen_mean_instance(vf.trial_rng(seed, i), dim, iv, n)
             V = oc.rand_unitary(dim, vf.trial_rng(seed + 1, i))
             moved_as = [_rotated(V, A) for A in As]
-            moved_bs = moved_as if n == 1 else [_rotated(V, B) for B in Bs]
-            mats, moved = (vf._mean_forms([inst], np.array([inst[1]]), None, forms)
-                           for inst in ((Z, As, Bs, w, r, iv),
-                                        (_rotated(V, Z), moved_as, moved_bs, w, r, iv)))
+            moved_bs = [] if n == 1 else [_rotated(V, B) for B in Bs]
+
+            def margin_mats(*mats):
+                # one row of Z, the A_i and, for n = 2, the B_i
+                wm, Vm = oc._eigh(np.stack(mats))
+                return vf._mean_forms(iv, np.stack(mats)[None], wm[None], Vm[None], w[None],
+                                      np.array([r]), forms)
+
+            mats = margin_mats(Z, *As, *([] if n == 1 else Bs))
+            moved = margin_mats(_rotated(V, Z), *moved_as, *moved_bs)
             assert [(name, len(M)) for name, _, M in mats] == \
                 [(name, len(M)) for name, _, M in moved]
             for (name, _, Ms), (_, _, Ns) in zip(mats, moved):
