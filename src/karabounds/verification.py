@@ -1054,7 +1054,8 @@ def _check_map_sum(inequality_id, family, As, Bs, f, alpha) -> InequalityVerdict
     bidx = []
     for B in oc._family_operands(family, [oc.assert_hermitian(B) for B in Bs]):
         j = next((j for j, A in enumerate(mats) if np.array_equal(A, B)), len(mats))
-        mats += [B] if j == len(mats) else []
+        if j == len(mats):
+            mats.append(B)
         bidx.append(j)
     kinds, params = oc._family_stack(family)
     stacks = _decomposed([(np.zeros(1, dtype=int), np.stack(mats)[None], np.array([bidx]),
