@@ -1,17 +1,20 @@
-"""The verification suites against their golden reports,
-``tests/golden/scalar_classical.csv`` for the six scalar and classical
-suites and ``tests/golden/matrix.csv`` for the rest (both written by
+"""The verification suites and the oracle sweep against their golden
+reports, ``tests/golden/scalar_classical.csv`` for the six scalar and
+classical suites, ``tests/golden/matrix.csv`` for the rest and
+``tests/golden/oracle.json`` for ``karabounds oracle`` (all written by
 scripts/make_golden.py).
 
 Where the environment line at the top of a file is this environment's,
 the regenerated reports must equal the file byte for byte.  Elsewhere a
-margin may move in its last bits: then every row must keep its suite,
-trial, context, inequality id, place and pass flag, and its margin must lie
-within 1e-12 max(1, |m|) of the golden one."""
+number may move in its last bits: then every verdict row must keep its
+suite, trial, context, inequality id, place and pass flag, every oracle row
+its name and params, and each margin or oracle number must lie within
+1e-12 max(1, |v|) of the golden one."""
 
 import csv
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,30 @@ def _mismatch(golden: str, text: str):
             m, n = float(a[MARGIN]), float(b[MARGIN])
             if not abs(m - n) <= 1e-12 * max(1.0, abs(m)):
                 return j, a, b
+    return None
+
+
+def _oracle_mismatch(golden: str, text: str):
+    """The first part of the oracle report ``text`` that does not match
+    ``golden`` up to a number's last bits, as "report" or "rows[j]", or
+    None.  Names, params, flags and nulls must be equal."""
+    want, got = json.loads(golden), json.loads(text)
+    if want.keys() != got.keys() or len(want["rows"]) != len(got["rows"]):
+        return "report"
+    pairs = [("report", want, got)] + [
+        (f"rows[{j}]", a, b) for j, (a, b) in enumerate(zip(want["rows"], got["rows"]))]
+    for where, a, b in pairs:
+        if a.keys() != b.keys():
+            return where
+        for key, v in a.items():
+            w = b[key]
+            if key == "rows":
+                continue
+            if isinstance(v, float) and type(w) in (int, float):
+                if not abs(v - w) <= 1e-12 * max(1.0, abs(v)):
+                    return where
+            elif v != w or type(v) is not type(w):
+                return where
     return None
 
 
@@ -87,3 +114,42 @@ def test_tolerant_comparison_allows_last_bits_only(golden):
     assert _mismatch(body, moved(2, flag="0"))[0] == 2
     assert _mismatch(body, text(rows[:-1])) is not None
     assert _mismatch(body, text([rows[0], rows[2], rows[1], *rows[3:]]))[0] == 1
+
+
+def test_oracle_reproduces_its_golden_report():
+    head, body = _golden(make_golden.ORACLE)
+    regenerated = make_golden.oracle_report()
+    if head == make_golden.header():
+        assert regenerated == body
+    else:
+        assert _oracle_mismatch(body, regenerated) is None
+
+
+def test_tolerant_oracle_comparison_allows_last_bits_only():
+    body = _golden(make_golden.ORACLE)[1]
+    assert _oracle_mismatch(body, body) is None
+
+    def moved(change):
+        report = json.loads(body)
+        change(report)
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    def scale(key, factor):
+        def change(report):
+            report["rows"][24][key] *= factor
+        return change
+
+    def set_row(key, value):
+        def change(report):
+            report["rows"][24][key] = value
+        return change
+
+    assert json.loads(body)["rows"][24]["closed_form"] != 0.0
+    assert _oracle_mismatch(body, moved(scale("closed_form", 1 + 1e-13))) is None
+    assert _oracle_mismatch(body, moved(scale("closed_form", 1 + 1e-11))) == "rows[24]"
+    assert _oracle_mismatch(body, moved(set_row("name", "ratio_ln_r"))) == "rows[24]"
+    assert _oracle_mismatch(body, moved(set_row("params", {"eps": 0.02}))) == "rows[24]"
+    assert _oracle_mismatch(body, moved(set_row("oracle_value", None))) == "rows[24]"
+    assert _oracle_mismatch(body, moved(lambda report: report.update(rows=report["rows"][1:]))) \
+        == "report"
+    assert _oracle_mismatch(body, moved(lambda report: report.update({"pass": False}))) == "report"
