@@ -122,16 +122,26 @@ def _check_reverse_rows(P, Q, eps: float, direction: str):
         raise PreconditionError(f"declared condition {direction!r} does not hold")
 
 
-def _cross_rows(P, Q) -> np.ndarray:
-    """-sum p log q of each row pair; +inf where some q_i = 0 meets p_i > 0.
-    A row sums only its entries with p_i > 0, as a 1-d call on them would,
-    so at Q = P it is the entropy -sum p log p with 0 log 0 = 0."""
+def _cross_rows(P, Q, r: float | None = None) -> np.ndarray:
+    """The entropy row kernel: -sum p log q of each row pair, or for r given
+    sum p ln_r(1/q) = sum p expm1(-r log q)/r, accurate as r -> 0; +inf where
+    some q_i = 0 meets p_i > 0.  A row sums only its entries with p_i > 0, as
+    a 1-d call on them would, so at Q = P it is the entropy H(p) or H_r(p)
+    (0 log 0 = 0); every entropy of the package is a batch of one of it."""
+
+    def sums(P, Q):
+        if r is None:
+            return -np.sum(P * np.log(Q), axis=-1)
+        return np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
+
+    if P.min(initial=1.0) > 0.0 and (Q is P or Q.min(initial=1.0) > 0.0):
+        return sums(P, Q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.sum(P * np.log(Q), axis=-1)
+        out = sums(P, Q)
     for j in np.flatnonzero(np.any((P <= 0.0) | (Q <= 0.0), axis=-1)):
         mask = P[j] > 0.0
         p, q = P[j][mask], Q[j][mask]
-        out[j] = math.inf if np.any(q <= 0.0) else -np.sum(p * np.log(q))
+        out[j] = math.inf if np.any(q <= 0.0) else sums(p, q)
     return out
 
 
@@ -151,10 +161,9 @@ def cross_term(p, q) -> float:
 
 def _tsallis_rows(P, Q, r: float):
     """Arrays (-sum p^(1-r) ln_r q, sum p ln_r(1/q)) for each row pair of
-    stacks of positive entries, r != 0; at Q = P, the two forms of H_r."""
-    weighted = -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1)
-    naive = np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
-    return weighted, naive
+    stacks of positive entries, r != 0; at Q = P, the two forms of H_r.
+    The naive form is the entropy row kernel ``_cross_rows(P, Q, r)``."""
+    return -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1), _cross_rows(P, Q, r)
 
 
 def tsallis_entropy(p, r: float) -> float:
@@ -248,8 +257,7 @@ def _parametric_reverse_rows(P, Q, eps: float, r: float, direction: str):
     _check_reverse_rows(P, Q, eps, direction)
     c1 = ln_r(r, 1.0 / eps) / (1.0 - eps)
     c2 = ls_r_constant(eps, r)
-    t_p = np.sum(P * np.expm1(-r * np.log(P)) / r, axis=-1)
-    t_q = np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
+    t_p, t_q = _cross_rows(P, P, r), _cross_rows(P, Q, r)
     if direction == SELF_DOMINATED:
         return c1 * t_q - t_p, c2 + t_q - t_p
     return t_p - t_q / c1, t_p - t_q + c2

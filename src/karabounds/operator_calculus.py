@@ -777,28 +777,19 @@ def _spectrum_row(w) -> np.ndarray:
 
 def von_neumann_entropy_from_evals(w) -> float:
     """-sum w log w over the positive entries of a spectrum (0 log 0 = 0): a
-    batch of one of the Shannon row kernel ``_cross_rows(W, W)``."""
+    batch of one of the entropy row kernel ``_cross_rows(W, W)``."""
     W = _spectrum_row(w)
     return float(_cross_rows(W, W)[0])
 
 
-def _tsallis_spectra_rows(W, r: float) -> np.ndarray:
-    """(sum w^(1-r) - 1)/r of each row of a stack of spectra, summed over
-    the row's positive entries as a 1-d call on them would."""
-    with np.errstate(invalid="ignore"):
-        out = (np.sum(W ** (1.0 - r), axis=-1) - 1.0) / r
-    for j in np.flatnonzero(np.any(W <= 0.0, axis=-1)):
-        pos = W[j][W[j] > 0.0]
-        out[j] = (np.sum(pos ** (1.0 - r)) - 1.0) / r
-    return out
-
-
 def tsallis_entropy_from_evals(w, r: float) -> float:
-    """(sum w^(1-r) - 1)/r over the positive entries of a spectrum, for r in
-    (0, 1]: a batch of one of ``_tsallis_spectra_rows``."""
+    """sum w ln_r(1/w) = (sum w^(1-r) - sum w)/r over the positive entries
+    of a spectrum, for r in (0, 1]: a batch of one of the entropy row kernel
+    ``_cross_rows(W, W, r)``, accurate as r -> 0."""
     if not 0.0 < r <= 1.0:
         raise DomainError(f"Tsallis entropy needs r in (0, 1], got {r}")
-    return float(_tsallis_spectra_rows(_spectrum_row(w), r)[0])
+    W = _spectrum_row(w)
+    return float(_cross_rows(W, W, r)[0])
 
 
 def von_neumann_entropy(rho) -> float:

@@ -993,21 +993,19 @@ def _entropy_kernel(r, WA, WB, alpha):
     """alpha H(B) <= H(A) + alpha c dim and |H(A) - H(B)| <= c dim for the
     stacks WA, WB (k, dim) of the spectra of density pairs (A, B), with one
     alpha per row: von Neumann's H with c = 1/e (r = None), or the Tsallis
-    H_r, r in (0, 1], with c = (1-r)^((1-r)/r).  H is the classical row
-    kernel of the spectra, ``ce._cross_rows(W, W)`` or
-    ``oc._tsallis_spectra_rows``, so a row gets the bits of a batch of one."""
+    H_r, r in (0, 1], with c = (1-r)^((1-r)/r).  Both H are the entropy row
+    kernel of the spectra, ``ce._cross_rows(W, W, r)``, so a row gets the
+    bits of a batch of one, the public quantum entropies'."""
     bad = ~((0.0 <= alpha) & (alpha < math.inf)) | (r is not None and not 0.0 < r <= 1.0)
+    if bad.any():
+        raise DomainError("alpha must be finite and >= 0" if r is None else
+                          f"needs a finite alpha >= 0 and r in (0, 1], "
+                          f"got {alpha[np.argmax(bad)]} and {r}")
     dim, W = WA.shape[-1], np.concatenate([WA, WB])
+    ha, hb = ce._cross_rows(W, W, r).reshape(2, -1)
     if r is None:
-        if bad.any():
-            raise DomainError("alpha must be finite and >= 0")
-        ha, hb = ce._cross_rows(W, W).reshape(2, -1)
         return [("entropy_vn_alpha", ha + alpha / math.e * dim - alpha * hb, SCALAR_TOL),
                 ("entropy_vn_symmetric", dim / math.e - np.abs(ha - hb), SCALAR_TOL)]
-    if bad.any():
-        raise DomainError(f"needs a finite alpha >= 0 and r in (0, 1], "
-                          f"got {alpha[np.argmax(bad)]} and {r}")
-    ha, hb = oc._tsallis_spectra_rows(W, r).reshape(2, -1)
     fac = 1.0 if abs(1.0 - r) < 1e-12 else (1.0 - r) ** ((1.0 - r) / r)
     return [("entropy_tsallis_alpha", ha + alpha * fac * dim - alpha * hb, SCALAR_TOL),
             ("entropy_tsallis_symmetric", fac * dim - np.abs(ha - hb), SCALAR_TOL)]

@@ -1476,7 +1476,7 @@ class TestSuites:
 
         def tsallis(w, r):
             pos = w[w > 0.0]
-            return float((np.sum(pos ** (1 - r)) - 1) / r)
+            return float(np.sum(pos * np.expm1(-r * np.log(pos)) / r))
 
         rng = np.random.default_rng(18)
         alphas = np.array([0.0, 0.5, 1.0, 2.0])
