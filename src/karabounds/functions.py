@@ -225,13 +225,18 @@ class FunctionSpec:
         return self.convexity == "convex"
 
 
+def _is_int(v) -> bool:
+    """Whether v is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _moment_convexity(order, center: float, iv: Interval) -> str:
     """The convexity of (t - center)^order on iv: convex for order 1 and for
     even orders; an odd order >= 3 is convex when m >= center and concave
     when M <= center.  An order that is not an integer >= 1 or a non-finite
     center raises DomainError, and an odd order >= 3 whose center lies
     inside iv, where the curvature changes sign, PreconditionError."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+    if not _is_int(order) or order < 1:
         raise DomainError(f"central_moment needs an integer order >= 1, got {order!r}")
     if not math.isfinite(center):
         raise DomainError(f"central_moment needs a finite center, got {center}")

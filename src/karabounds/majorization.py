@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ShapeError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, _is_int
 
 __all__ = [
     "is_majorized",
@@ -41,6 +41,14 @@ def _as_1d(name, x):
     return arr
 
 
+def _as_pair(x, y):
+    """x and y as ``_as_1d`` tuples of one length, else ShapeError."""
+    x, y = _as_1d("x", x), _as_1d("y", y)
+    if x.shape != y.shape:
+        raise ShapeError(f"length mismatch: {x.size} vs {y.size}")
+    return x, y
+
+
 def is_majorized(x, y) -> bool:
     """True iff x is majorized by y: after sorting both decreasing, every
     prefix sum of x is <= the matching prefix sum of y, and the totals agree.
@@ -48,10 +56,7 @@ def is_majorized(x, y) -> bool:
     Comparisons use an absolute tolerance of 1e-10 after normalizing by
     max(1, max|y|), so the predicate is stable across scales.
     """
-    x = _as_1d("x", x)
-    y = _as_1d("y", y)
-    if x.shape != y.shape:
-        raise ShapeError(f"length mismatch: {x.size} vs {y.size}")
+    x, y = _as_pair(x, y)
     xs = np.sort(x)[::-1]
     ys = np.sort(y)[::-1]
     scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
@@ -128,8 +133,8 @@ def _moment_rows(P, X, Y, order: int) -> np.ndarray:
     """``moment_margin`` for each row of the (k, n) stacks P, X, Y."""
     if not (X.shape == Y.shape == P.shape):
         raise ShapeError("x, y, p must share a length")
-    if order < 1:
-        raise DomainError(f"moment order must be >= 1, got {order}")
+    if not _is_int(order) or order < 1:
+        raise DomainError(f"moment order must be an integer >= 1, got {order!r}")
     if np.any(P <= 0.0) or np.any(np.abs(np.sum(P, axis=-1) - 1.0) > 1e-12):
         raise DomainError("p must be a probability vector (positive, sum 1)")
     xc = X - np.sum(P * X, axis=-1, keepdims=True)
@@ -184,9 +189,9 @@ _FORWARD_FAMILY = {
 
 def karamata_forward_holds(x, y) -> bool:
     """Sum-comparison over the test family {t^2, e^t, |t-1|}: the forward
-    half of the majorization equivalence."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    half of the majorization equivalence.  x and y must be finite 1-d
+    tuples of one length, as for ``is_majorized``."""
+    x, y = _as_pair(x, y)
     return all(float(np.sum(f(x))) <= float(np.sum(f(y))) + 1e-9
                for f in _FORWARD_FAMILY.values())
 
@@ -197,10 +202,10 @@ def karamata_witness(x, y):
     Witnesses come from the complete family of hinges t -> max(t - c, 0)
     anchored at the entries of y, plus +/- identity for unequal totals.
     Returns (description, gap) or None when no witness exists (i.e. the pair
-    is actually majorized).
+    is actually majorized).  x and y must be finite 1-d tuples of one
+    length, as for ``is_majorized``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _as_pair(x, y)
     sx, sy = float(x.sum()), float(y.sum())
     if sx > sy + 1e-12:
         return "t", sx - sy

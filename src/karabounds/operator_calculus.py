@@ -1,5 +1,7 @@
 """Finite-dimensional Hermitian calculus: eigensolvers, f(A), positive map
-families, operator means, and the matrix entropies.
+families, operator means, and the matrix entropies.  Each matrix entropy,
+von Neumann's or Tsallis', is the classical entropy of the spectrum: a
+batch of one of the one entropy row kernel ``classical_entropy._cross_rows``.
 
 Every eigensolve of the library goes through one LAPACK pair, the private
 ``_eigh`` / ``_eigvalsh`` over ``numpy.linalg.eigh`` / ``eigvalsh``: the
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,7 +50,7 @@ import numpy as np
 
 from .classical_entropy import _cross_rows
 from .errors import ConvergenceError, DomainError, ShapeError
-from .functions import FunctionSpec, Interval
+from .functions import FunctionSpec, Interval, _is_int
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -689,7 +692,9 @@ def invsqrtm_pd(A: np.ndarray) -> np.ndarray:
 
 
 def mat_power(A: np.ndarray, r: float) -> np.ndarray:
-    """A^r for positive definite A (any real r)."""
+    """A^r for positive definite A (any finite real r)."""
+    if not np.isfinite(r):
+        raise DomainError(f"mat_power needs a finite r, got {r}")
     w, V = _eigh_one(A)
     return _recompose(_power_of_psd(w, r), V)
 
@@ -766,9 +771,12 @@ def relative_operator_entropy(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_row(w) -> np.ndarray:
-    """w as one row (1, d), rejecting a non-finite entry or one below -1e-10,
-    the slack of ``_density_evals``: no density matrix has such a spectrum."""
+    """w as one row (1, d), rejecting an empty spectrum and a non-finite
+    entry or one below -1e-10, the slack of ``_density_evals``: no density
+    matrix has such a spectrum."""
     W = np.asarray(w, dtype=float).reshape(1, -1)
+    if not W.size:
+        raise DomainError("a spectrum needs at least one entry")
     bad = ~np.isfinite(W) | (W < -1e-10)
     if bad.any():
         raise DomainError(f"spectrum entries must be finite and >= -1e-10, got {W[bad][0]}")
@@ -828,15 +836,28 @@ def trace_distance_l1(A, B) -> float:
 
 def _gaussian(dim: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
     """The draw of every ensemble: a complex Gaussian (dim, dim) matrix, or
-    k of them as a (k, dim, dim) stack from one rng call, the numbers of k draws."""
+    k of them as a (k, dim, dim) stack from one rng call, the numbers of k draws.
+    dim must be an integer >= 1, else DomainError."""
+    if not _is_int(dim) or dim < 1:
+        raise DomainError(f"need an integer dim >= 1, got {dim!r}")
     X = rng.standard_normal((2, dim, dim) if k is None else (k, 2, dim, dim))
     return X[0] + 1j * X[1] if k is None else X[:, 0] + 1j * X[:, 1]
 
 
 def _draw_spectrum(dim: int, iv: Interval, rng: np.random.Generator):
     """The draw of ``rand_hermitian_spectrum_in``: a Gaussian G and a
-    spectrum w uniform in iv."""
+    spectrum w uniform in iv (DomainError, before any draw, where iv's
+    width overflows)."""
+    _width(iv.m, iv.M)
     return _gaussian(dim, rng), rng.uniform(iv.m, iv.M, size=dim)
+
+
+def _width(lo: float, hi: float) -> float:
+    """hi - lo, the width of a uniform draw on [lo, hi]; DomainError where it
+    overflows a float, where numpy's uniform sampler raises OverflowError."""
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the width of [{lo}, {hi}] overflows a float")
+    return hi - lo
 
 
 def _unitaries(G: np.ndarray) -> np.ndarray:
@@ -897,7 +918,14 @@ def matrix_to_json(A: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
+    """The matrix of a {dim, re, im} object: DomainError for a missing key,
+    a dim that is not an integer >= 1 or a non-finite entry, ShapeError for
+    re or im not of dim^2 entries."""
+    if not isinstance(obj, dict) or not {"dim", "re", "im"} <= obj.keys():
+        raise DomainError("matrix JSON must be an object with the keys dim, re and im")
+    dim = obj["dim"]
+    if not _is_int(dim) or dim < 1:
+        raise DomainError(f"matrix JSON needs an integer dim >= 1, got {dim!r}")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.size != dim * dim or im.size != dim * dim:

@@ -66,7 +66,7 @@ from . import majorization as mj
 from . import operator_calculus as oc
 from . import scalar_bounds as sb
 from .errors import DomainError, GeneratorExhausted, PreconditionError, ShapeError
-from .functions import FunctionSpec, Interval, _open_interval
+from .functions import FunctionSpec, Interval, _is_int, _open_interval
 
 __all__ = [
     "InequalityVerdict",
@@ -325,11 +325,8 @@ def _dirichlet_rows(E) -> np.ndarray:
 def _uniform(U, lo: float, hi: float) -> np.ndarray:
     """lo + (hi - lo) U: on the doubles U of ``Generator.random`` this is
     bit for bit ``Generator.uniform(lo, hi)`` on the same stream.  A width
-    hi - lo that overflows raises DomainError, where numpy raises
-    OverflowError."""
-    if not math.isfinite(hi - lo):
-        raise DomainError(f"the width of [{lo}, {hi}] overflows a float")
-    return lo + (hi - lo) * U
+    hi - lo that overflows raises DomainError (``oc._width``)."""
+    return lo + oc._width(lo, hi) * U
 
 
 def _first_block(first, width):
@@ -472,11 +469,14 @@ def _construct_x(iv, p, target, rng) -> np.ndarray:
 def sinkhorn_doubly_stochastic(n: int, rng: np.random.Generator, iters: int = 200) -> np.ndarray:
     """Doubly stochastic matrix via Sinkhorn normalization of a positive
     random matrix (full support): ``iters`` row-then-column sweeps and a
-    final row normalization.
+    final row normalization.  n must be an integer >= 1 and iters an
+    integer >= 0, else DomainError.
 
     The draw is ``_sinkhorn_start``; the sweeps are a batch of one of
     ``_sinkhorn``, which the suites run in their build phase on the start
     matrices of all their trials of one n."""
+    if not (_is_int(n) and _is_int(iters)) or n < 1 or iters < 0:
+        raise DomainError(f"need integers n >= 1 and iters >= 0, got n={n!r} and iters={iters!r}")
     return _sinkhorn(_sinkhorn_start(n, rng)[None], iters)[0]
 
 
@@ -529,7 +529,10 @@ def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
     """(G (k, d, d), w (k, d)): the draws of k = len(ivs) matrices with
     spectra in the intervals ivs, the numbers of one ``oc._draw_spectrum``
     each (a Gaussian's real and imaginary parts, then the spectrum), drawn
-    into preallocated buffers."""
+    into preallocated buffers.  An interval whose width overflows raises
+    DomainError before any draw."""
+    for iv in ivs:
+        oc._width(iv.m, iv.M)
     X, w = np.empty((len(ivs), 2, dim, dim)), np.empty((len(ivs), dim))
     for Xj, wj, iv in zip(X, w, ivs):
         rng.standard_normal(out=Xj)
@@ -1170,11 +1173,12 @@ def check_entropy_tsallis(A, B, alpha: float, r: float):
 
 def check_fannes_comparison(dims: Sequence[int]):
     """Per-dimension comparison of the two |H(A) - H(B)| upper bounds at
-    unit trace distance: ours = dim/e versus log(dim) + 1/e."""
+    unit trace distance: ours = dim/e versus log(dim) + 1/e.  Each dim must
+    be an integer >= 1, else DomainError."""
     rows = []
     for dim in dims:
-        if dim < 1:
-            raise DomainError(f"dims must be >= 1, got {dim}")
+        if not _is_int(dim) or dim < 1:
+            raise DomainError(f"dims must be integers >= 1, got {dim!r}")
         ours = dim / math.e
         weak = math.log(dim) + 1.0 / math.e
         tighter = ("equal" if abs(ours - weak) <= 1e-12
@@ -1761,10 +1765,6 @@ _SUITES: Dict[str, _Suite] = {
 
 # every key some suite reads: dims, fs, alphas, rs, eps and interval
 _PARAM_KEYS = frozenset(key for suite in _SUITES.values() for key in suite.defaults)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:

@@ -1,3 +1,4 @@
+import fractions
 import json
 import math
 
@@ -788,6 +789,37 @@ class TestMatrixEntropies:
             for r in (0.3, 0.9):
                 got = oc.quantum_tsallis_entropy(np.eye(d) / d, r)
                 assert got == pytest.approx(ln_r(r, float(d)), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e-11, 1e-7, 1e-3, 0.1, 0.5, 0.9])
+    def test_tsallis_matches_a_50_digit_reference(self, r):
+        # spectra of entries k / 2^40 with integers k summing to 2^40, so
+        # that their float entries sum to exactly 1; the power form
+        # (sum w^(1-r) - 1)/r cancels to about 1e-16/r as r -> 0
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(38)
+        for d in (2, 3, 5, 8, 16):
+            k = rng.integers(1, 2 ** 36, size=d)
+            k[-1] = 2 ** 40 - k[:-1].sum()
+            w = k / 2.0 ** 40
+            assert sum(map(fractions.Fraction, w.tolist())) == 1
+            with mpmath.workdps(50):
+                rm = mpmath.mpf(r)
+                want = float(mpmath.fsum(x * mpmath.expm1(-rm * mpmath.log(x))
+                                         for x in map(mpmath.mpf, w.tolist())) / rm)
+            rho = np.diag(rng.permutation(w)).astype(complex)
+            for got in (oc.tsallis_entropy_from_evals(w, r), oc.quantum_tsallis_entropy(rho, r)):
+                assert abs(got - want) <= 1e-14 * abs(want), (d, got, want)
+
+    @pytest.mark.parametrize("r", [1e-11, 0.5, 1.0])
+    def test_quantum_entropies_are_the_classical_ones_of_the_spectrum(self, r):
+        # bit for bit, as README promises: all are batches of one of the one
+        # entropy row kernel
+        rng = np.random.default_rng(38)
+        for d in (1, 2, 3, 8, 9, 16):
+            rho = oc.rand_density(d, rng)
+            w = oc._eigvalsh(rho[None])[0]
+            assert oc.von_neumann_entropy(rho) == ce.shannon_entropy(w)
+            assert oc.quantum_tsallis_entropy(rho, r) == ce.tsallis_cross_terms(w, w, r)[1]
 
     def test_rejects_non_density(self):
         with pytest.raises(DomainError):

@@ -2094,6 +2094,54 @@ _SPEC_PARAMETERS = {
     "central_moment(order": lambda k: FunctionSpec.central_moment(k, 1.0, _PAIR),
 }
 
+_HUGE = Interval(-1e308, 1e308)  # finite ends, but the width overflows a float
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# (id, call, error) of public boundaries that take a size, an order, an
+# exponent, an interval or a pair of tuples, each at a value it must reject
+_BAD_BOUNDARY_CALLS = [
+    ("von_neumann_entropy_from_evals-empty", lambda: oc.von_neumann_entropy_from_evals([]),
+     DomainError),
+    ("tsallis_entropy_from_evals-empty", lambda: oc.tsallis_entropy_from_evals([], 0.5),
+     DomainError),
+    ("moment_margin-order-2.5", lambda: mj.moment_margin([0.5, 0.5], [1, 0], [1, 0], 2.5),
+     DomainError),
+    ("moment_margin-order-True", lambda: mj.moment_margin([0.5, 0.5], [1, 0], [1, 0], True),
+     DomainError),
+    ("mat_power-inf", lambda: oc.mat_power(2.0 * _EYE2, _INF), DomainError),
+    ("mat_power-nan", lambda: oc.mat_power(_EYE2, _NAN), DomainError),
+    ("sinkhorn-n-2.5", lambda: vf.sinkhorn_doubly_stochastic(2.5, _rng()), DomainError),
+    ("sinkhorn-n-True", lambda: vf.sinkhorn_doubly_stochastic(True, _rng()), DomainError),
+    ("sinkhorn-n-0", lambda: vf.sinkhorn_doubly_stochastic(0, _rng()), DomainError),
+    ("sinkhorn-iters--1", lambda: vf.sinkhorn_doubly_stochastic(2, _rng(), -1), DomainError),
+    ("sinkhorn-iters-2.5", lambda: vf.sinkhorn_doubly_stochastic(2, _rng(), 2.5), DomainError),
+    ("rand_density-2.5", lambda: oc.rand_density(2.5, _rng()), DomainError),
+    ("rand_density-0", lambda: oc.rand_density(0, _rng()), DomainError),
+    ("rand_unitary--1", lambda: oc.rand_unitary(-1, _rng()), DomainError),
+    ("fannes-2.5", lambda: vf.check_fannes_comparison([2.5]), DomainError),
+    ("fannes-True", lambda: vf.check_fannes_comparison([True]), DomainError),
+    ("fannes-nan", lambda: vf.check_fannes_comparison([_NAN]), DomainError),
+    ("matrix_from_json-dim-2.5",
+     lambda: oc.matrix_from_json({"dim": 2.5, "re": [1.0] * 4, "im": [0.0] * 4}), DomainError),
+    ("matrix_from_json-no-im", lambda: oc.matrix_from_json({"dim": 1, "re": [1.0]}),
+     DomainError),
+    ("rand_hermitian_spectrum_in-overflow",
+     lambda: oc.rand_hermitian_spectrum_in(2, _HUGE, _rng()), DomainError),
+    *((f"gen_equal_map_sum_operators-{kind}-overflow",
+       lambda kind=kind: vf.gen_equal_map_sum_operators(2, 2, _HUGE, kind, _rng()), DomainError)
+      for kind in ("uniform_permutation", "doubly_stochastic_mix")),
+    ("karamata_witness-nan", lambda: mj.karamata_witness([_NAN], [1.0]), DomainError),
+    ("karamata_forward_holds-nan", lambda: mj.karamata_forward_holds([_NAN], [1.0]),
+     DomainError),
+    ("karamata_witness-lengths", lambda: mj.karamata_witness([1.0, 0.0], [1.0]), ShapeError),
+    ("karamata_forward_holds-lengths", lambda: mj.karamata_forward_holds([1.0], [1.0, 0.0]),
+     ShapeError),
+]
+
 
 @pytest.mark.parametrize("call, error", [
     (lambda: ce.as_prob_vector([_NAN]), DomainError),
@@ -2148,6 +2196,7 @@ _SPEC_PARAMETERS = {
     (lambda: oc.natural_power_mean(_DIAG23, _DIAG41, _NAN), DomainError),
     (lambda: oc.tsallis_relative_operator_entropy(_DIAG23, _DIAG41, _INF), DomainError),
     (lambda: oc.matrix_from_json({"dim": 1, "re": [_NAN], "im": [0.0]}), DomainError),
+    *(pytest.param(call, error, id=name) for name, call, error in _BAD_BOUNDARY_CALLS),
     *(pytest.param(lambda M=M: oc.assert_hermitian(M), DomainError, id=f"assert_hermitian-{name}")
       for name, M in _NON_FINITE_MATRICES.items()),
     *(pytest.param(lambda M=M: oc.hermitize(np.stack([_EYE2, M])), DomainError,
