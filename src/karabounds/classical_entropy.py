@@ -134,7 +134,7 @@ def _cross_rows(P, Q, r: float | None = None) -> np.ndarray:
             return -np.sum(P * np.log(Q), axis=-1)
         return np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
 
-    if P.min(initial=1.0) > 0.0 and (Q is P or Q.min(initial=1.0) > 0.0):
+    if P.min(initial=1.0) > 0.0 and Q.min(initial=1.0) > 0.0:
         return sums(P, Q)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = sums(P, Q)
@@ -163,7 +163,8 @@ def _tsallis_rows(P, Q, r: float):
     """Arrays (-sum p^(1-r) ln_r q, sum p ln_r(1/q)) for each row pair of
     stacks of positive entries, r != 0; at Q = P, the two forms of H_r.
     The naive form is the entropy row kernel ``_cross_rows(P, Q, r)``."""
-    return -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1), _cross_rows(P, Q, r)
+    weighted = -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1)
+    return weighted, _cross_rows(P, Q, r)
 
 
 def tsallis_entropy(p, r: float) -> float:
