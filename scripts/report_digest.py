@@ -4,6 +4,18 @@ Run it from any directory, with no flags:
 
     python3 scripts/report_digest.py > digests.txt
 
+or check this checkout against a digest file, such as the committed
+``tests/golden/digests.txt``, which the first form wrote:
+
+    python3 scripts/report_digest.py --check tests/golden/digests.txt
+
+``--check FILE`` compares FILE's first line with this environment's header
+line first: where they differ it prints both and exits 2, having run
+nothing.  Otherwise it makes every digest line and compares the two texts
+line by line; it exits 0 when all are equal, and 1 after printing the
+command line of each line that differs, that only FILE has or that only
+this run has.
+
 karabounds is imported from the ``src/`` of the checkout that holds this
 script.  The first line names what the report bytes depend on besides the
 source: ``numpy=<version>  dispatch=<targets>  openblas=<core>``, the numpy
@@ -12,8 +24,9 @@ of numpy's bundled OpenBLAS (``unknown`` when it cannot be asked).  Diff
 two outputs only when their first lines agree.  Each later line is
 ``<sha256>  exit=<code>  <command line>``; runs made
 through ``--config`` are marked ``[config]`` and must give the digest of the
-same run made with flags.  Run the script in two checkouts and ``diff`` the
-two outputs: no difference means every report of the set is byte-identical.
+same run made with flags.  No difference between two checkouts' outputs,
+or a ``--check`` that exits 0, means every report of the set is
+byte-identical.
 
 The set: ``verify --suite all`` as JSON and as CSV at 48 and 100 trials and
 seeds 0, 7 and 1000, and at 48 trials and the seeds 4294967296 and
@@ -436,44 +449,85 @@ def header():
             f"openblas={_openblas_core()}")
 
 
-def main():
-    print(header())
+def lines():
+    """The header line, then each digest line of the set, made one at a
+    time: a caller that stops after the header runs nothing."""
+    yield header()
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
         for argv in RUNS:
             sha, code = digest(argv, out)
-            print(f"{sha}  exit={code}  {' '.join(argv)}")
+            yield f"{sha}  exit={code}  {' '.join(argv)}"
             words, flags = _split(argv)
             if flags:
                 cfg.write_text(json.dumps({key[2:]: value for key, value in flags.items()}))
                 sha, code = digest(words + ["--config", str(cfg)], out)
-                print(f"{sha}  exit={code}  {' '.join(argv)} [config]")
+                yield f"{sha}  exit={code}  {' '.join(argv)} [config]"
     sha, code = stdout_digest(STDOUT_RUN)
-    print(f"{sha}  exit={code}  {' '.join(STDOUT_RUN)} [stdout]")
+    yield f"{sha}  exit={code}  {' '.join(STDOUT_RUN)} [stdout]"
     for suite in verification.suite_ids(include_extra=True):
         trials = SUITE_TRIALS[suite]
-        print(f"{verdict_digest(suite, trials, 7)}  verdicts  {suite} trials={trials} seed=7")
+        yield f"{verdict_digest(suite, trials, 7)}  verdicts  {suite} trials={trials} seed=7"
     for kind in verification.FAMILY_KINDS:
-        print(f"{map_sum_digest(kind, 60, 7)}  apply_map_family  {kind} trials=60 seed=7")
+        yield f"{map_sum_digest(kind, 60, 7)}  apply_map_family  {kind} trials=60 seed=7"
     for n in (2, 3, 4, 5):
         for iters in (0, 1, 61, 200):
-            print(f"{sinkhorn_digest(n, iters, 60, 7)}  sinkhorn_doubly_stochastic  "
-                  f"n={n} iters={iters} trials=60 seed=7")
+            yield (f"{sinkhorn_digest(n, iters, 60, 7)}  sinkhorn_doubly_stochastic  "
+                   f"n={n} iters={iters} trials=60 seed=7")
     for mean in MEANS:
-        print(f"{mean_digest(mean, 60, 7)}  {mean}  trials=60 seed=7")
+        yield f"{mean_digest(mean, 60, 7)}  {mean}  trials=60 seed=7"
     for limits in (False, True):
-        print(f"{mean_check_digest(limits, 7)}  check_operator_mean_bounds  "
-              f"limits={limits} trials=24 seed=7")
+        yield (f"{mean_check_digest(limits, 7)}  check_operator_mean_bounds  "
+               f"limits={limits} trials=24 seed=7")
     for checker in CHECKERS:
-        print(f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7")
+        yield f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7"
     for sampler in SAMPLERS:
-        print(f"{sampler_digest(sampler, 60, 7)}  {sampler}  trials=60 seed=7")
+        yield f"{sampler_digest(sampler, 60, 7)}  {sampler}  trials=60 seed=7"
     for oracle in ("beta_oracle", "ratio_oracle", "diff_oracle"):
-        print(f"{oracle_digest(oracle)}  {oracle}  sweep grids")
+        yield f"{oracle_digest(oracle)}  {oracle}  sweep grids"
     for fn in ("interval_max", "interval_min"):
         for kind in OBJECTIVES:
-            print(f"{extremum_digest(fn, kind)}  {fn}  {kind}")
+            yield f"{extremum_digest(fn, kind)}  {fn}  {kind}"
+
+
+def _command(line):
+    """A digest line's command line: what follows its digest."""
+    return line.partition("  ")[2]
+
+
+def check(want, got):
+    """(exit code, report lines) of comparing the digest lines ``got``,
+    header first, with the lines ``want`` of a digest file.  Under another
+    header: 2, with both headers, and no more of ``got`` is made.  Else 0
+    when every line is equal, or 1 with the command line of each line that
+    differs (``differs``), that only the file has (``missing``) or that
+    only ``got`` has (``new``)."""
+    got = iter(got)
+    head = next(got)
+    if not want or want[0] != head:
+        return 2, [f"file header:  {want[0] if want else ''}", f"this header:  {head}"]
+    want, got = want[1:], list(got)
+    report = [f"differs: {_command(a)}" for a, b in zip(want, got) if a != b]
+    report += [f"missing: {_command(a)}" for a in want[len(got):]]
+    report += [f"new: {_command(b)}" for b in got[len(want):]]
+    if report:
+        return 1, report + [f"{len(report)} of {max(len(want), len(got))} lines differ"]
+    return 0, [f"all {len(want)} lines equal"]
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if args and (args[0] != "--check" or len(args) != 2):
+        print("usage: report_digest.py [--check FILE]", file=sys.stderr)
+        return 2
+    if not args:
+        for line in lines():
+            print(line, flush=True)
+        return 0
+    code, report = check(Path(args[1]).read_text().splitlines(), lines())
+    print("\n".join(report))
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -122,17 +122,31 @@ def _check_reverse_rows(P, Q, eps: float, direction: str):
         raise PreconditionError(f"declared condition {direction!r} does not hold")
 
 
+# log(DBL_MAX): exp of a larger exponent overflows
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def _cross_rows(P, Q, r: float | None = None) -> np.ndarray:
     """The entropy row kernel: -sum p log q of each row pair, or for r given
     sum p ln_r(1/q) = sum p expm1(-r log q)/r, accurate as r -> 0; +inf where
     some q_i = 0 meets p_i > 0.  A row sums only its entries with p_i > 0, as
     a 1-d call on them would, so at Q = P it is the entropy H(p) or H_r(p)
-    (0 log 0 = 0); every entropy of the package is a batch of one of it."""
+    (0 log 0 = 0); every entropy of the package is a batch of one of it.
+    An entry whose -r log q exceeds log(DBL_MAX), a tiny or subnormal q,
+    is taken as (exp(log p - r log q) - p)/r, whose exponent stays small
+    where p is near q; expm1 would overflow there."""
 
     def sums(P, Q):
         if r is None:
             return -np.sum(P * np.log(Q), axis=-1)
-        return np.sum(P * np.expm1(-r * np.log(Q)) / r, axis=-1)
+        L = -r * np.log(Q)
+        big = L > _LOG_MAX
+        if not big.any():
+            return np.sum(P * np.expm1(L) / r, axis=-1)
+        with np.errstate(over="ignore"):
+            terms = P * np.expm1(L) / r
+        terms[big] = (np.exp(np.log(P[big]) + L[big]) - P[big]) / r
+        return np.sum(terms, axis=-1)
 
     if P.min(initial=1.0) > 0.0 and Q.min(initial=1.0) > 0.0:
         return sums(P, Q)
@@ -159,12 +173,17 @@ def cross_term(p, q) -> float:
     return float(_cross_rows(P, Q)[0])
 
 
+def _weighted_rows(P, Q, r: float) -> np.ndarray:
+    """-sum p^(1-r) ln_r q for each row pair of stacks of positive entries,
+    r != 0."""
+    return -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1)
+
+
 def _tsallis_rows(P, Q, r: float):
     """Arrays (-sum p^(1-r) ln_r q, sum p ln_r(1/q)) for each row pair of
     stacks of positive entries, r != 0; at Q = P, the two forms of H_r.
     The naive form is the entropy row kernel ``_cross_rows(P, Q, r)``."""
-    weighted = -np.sum(P ** (1.0 - r) * ln_r(r, Q), axis=-1)
-    return weighted, _cross_rows(P, Q, r)
+    return _weighted_rows(P, Q, r), _cross_rows(P, Q, r)
 
 
 def tsallis_entropy(p, r: float) -> float:
@@ -190,12 +209,17 @@ def _tsallis_cross_rows(P, Q, r: float):
     """``tsallis_cross_terms`` for each row pair of the stacks P, Q:
     arrays (weighted, naive)."""
     _check_pair_rows(P, Q)
+    weighted = _weighted_cross_rows(P, Q, r)
+    return weighted, weighted if abs(r) < 1e-15 else _cross_rows(P, Q, r)
+
+
+def _weighted_cross_rows(P, Q, r: float) -> np.ndarray:
+    """The weighted cross term of ``tsallis_cross_terms`` for each row pair
+    of the stacks P, Q, which the caller has checked as probability rows:
+    DomainError unless q > 0, and the Shannon cross term for |r| < 1e-15."""
     if np.any(Q <= 0.0):
         raise DomainError("q must be strictly positive")
-    if abs(r) < 1e-15:
-        cross = _cross_rows(P, Q)
-        return cross, cross
-    return _tsallis_rows(P, Q, r)
+    return _cross_rows(P, Q) if abs(r) < 1e-15 else _weighted_rows(P, Q, r)
 
 
 def tsallis_cross_terms(p, q, r: float):
@@ -210,14 +234,16 @@ def tsallis_cross_terms(p, q, r: float):
 
 
 def _information_rows(P, Q) -> np.ndarray:
-    """``information_inequality_margin`` for each row pair of the stacks P, Q."""
-    _check_pair_rows(P, Q)
+    """``information_inequality_margin`` for each row pair of the stacks P,
+    Q, which the caller has checked (``_check_pair_rows``)."""
     return _cross_rows(P, Q) - _cross_rows(P, P)
 
 
 def information_inequality_margin(p, q) -> float:
     """Slack of H(p) <= -sum p log q; nonnegative, zero iff p = q."""
-    return float(_information_rows(_as_row(p), _as_row(q))[0])
+    P, Q = _as_row(p), _as_row(q)
+    _check_pair_rows(P, Q)
+    return float(_information_rows(P, Q)[0])
 
 
 def _reverse_shannon_rows(P, Q, eps: float, direction: str):

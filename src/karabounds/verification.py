@@ -22,10 +22,12 @@ Every suite keeps its instances as stacks from build to score.  The build
 (``_stacks_built``) gives each trial's key and, per row shape, the trial
 indices and one array per column, made one stacked step at a time: the
 Dirichlet and uniform maps of numpy's primitive draws (``_dirichlet_rows``,
-``_uniform``); the rejection screens, where a trial whose first block holds
-no accepted draw resumes its own stream from its saved state
-(``_first_accepted``); the prefix constructions, the Sinkhorn sweeps
-(``_sinkhorn``) and ``operator_calculus``' QR-built matrices and densities.
+``_uniform``); the rejection screens, where the trials whose first blocks
+hold no accepted draw resume their own streams from their saved states, in
+rounds screened one stack at a time (``_first_accepted``); the prefix
+steps of raw PCG64 words (``_steps``), the prefix constructions, the
+Sinkhorn sweeps (``_sinkhorn``) and ``operator_calculus``' QR-built
+matrices and densities.
 A matrix suite's build also decomposes all its matrices, one ``oc._eigh``
 per dimension (``_decomposed``), and the eigensolver pair's build runs the
 Jacobi oracle once for both suites (``_build_jacobi``).  ``_groups`` forms
@@ -172,26 +174,30 @@ def verdict_csv_rows(reports: Sequence[TrialReport]):
     """CSV text of ``run_suite`` reports, byte for byte what ``csv.writer``
     writes of their rows: the header line, then each report's rows, in
     chunks of at most _CSV_CHUNK lines, each ended by CRLF.  A row is its
-    report's suite id, its trial's context cells, its margin's ``repr`` and
-    pass flag from the report's scored columns, and last the inequality id,
-    after the documented columns; each trial's cells and each id's are
-    formatted once.  A report that ``run_suite`` did not make has no
-    columns: DomainError."""
+    report's suite id, its trial, its margin's ``repr`` and pass flag from
+    the report's scored columns, its trial's context cells of dim, r, alpha
+    and eps, the seed, and last the inequality id, after the documented
+    columns.  A row's trial cell is its trial index, which ``run_suite``
+    puts in that trial's context, and the seed cell, the same in every
+    context of a run, is formatted once per report, each trial's context
+    cells once per trial and each id's once.  A report that ``run_suite``
+    did not make has no columns: DomainError."""
     yield ",".join(_CSV_FIELDS) + "\r\n"
     flags = (",0,", ",1,")
     for rep in reports:
         if rep._scored is None:
             raise DomainError(f"suite {rep.suite_id!r}: only run_suite's reports have CSV rows")
         (trial, ids, margins, tols, _), contexts = rep._scored
-        suite = _csv_cell(rep.suite_id)
-        # the cells before the margin, and those after the pass flag up to the id
-        heads = [f"{suite},{_csv_cell(ctx.get('trial', ''))}," for ctx in contexts]
-        tails = [cells + "," for cells in _context_cells(contexts, _CSV_FIELDS[4:9])]
+        if not contexts:
+            continue
+        suite, seed = _csv_cell(rep.suite_id), _csv_cell(contexts[0]["seed"])
+        # the cells after the pass flag up to the id
+        tails = [f"{cells},{seed}," for cells in _context_cells(contexts, _CSV_FIELDS[4:8])]
         ends = {name: _csv_cell(name) + "\r\n" for name in set(ids)}
         trial, margins, passed = trial.tolist(), margins.tolist(), (margins >= -tols).tolist()
         for start in range(0, len(margins), _CSV_CHUNK):
             rows = slice(start, start + _CSV_CHUNK)
-            yield "".join([f"{heads[t]}{margin!r}{flags[ok]}{tails[t]}{ends[name]}"
+            yield "".join([f"{suite},{t},{margin!r}{flags[ok]}{tails[t]}{ends[name]}"
                            for t, margin, ok, name in zip(trial[rows], margins[rows],
                                                           passed[rows], ids[rows])])
 
@@ -342,29 +348,47 @@ def _resume_rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_unseeded()))
 
 
-def _first_accepted(rng, draw, screen, done, width):
-    """The item of the first of draws ``done`` to _REDRAW_CAP that
-    ``screen`` accepts, or None where it accepts none.  Draws 0 to ``done``
-    are the first block, which the build screened, and ``rng`` stands at the
-    state saved after it.
+def _first_accepted(rng, states, draw, screen, items, done, width):
+    """Resume the trials of one stack whose first blocks held no accepted
+    draw: write into ``items[j]`` the item of the first of trial j's draws
+    ``done`` to _REDRAW_CAP that the screen accepts, leaving the row as it
+    is where it accepts none, and return the list ``states``, which held
+    the trials' states saved after their first blocks, holding each trial's
+    state after its last block.  Draws 0 to ``done`` are the first blocks,
+    which the build screened.
 
-    ``draw(rng, k)`` makes k draws in one call, which gives the same numbers
-    as k single draws, and returns them as a block; ``screen(block)``
-    returns the block's items and the mask of those it accepts, by the
-    row-wise expression that screened the first block.  The blocks double
-    from the first block's size, capped at _REDRAW_BLOCK doubles of
-    ``width`` per draw.  The rng ends after the last block: after the one
-    that holds the item, or after draw _REDRAW_CAP, where the one-draw loop
-    would end too."""
+    The trials resume in rounds of one block each, all of one size.  In a
+    round each trial still searching sets its state on ``rng``, makes its
+    block of k draws in one call, ``draw(rng, k)``, which gives the numbers
+    of k single draws, and saves its state after it; then ``screen(blocks,
+    rows)`` maps and screens the round's blocks, stacked in the order of
+    their trials' indices ``rows``, in one step and returns their items and
+    the mask of those it accepts, by the row-wise expressions that screened
+    the first blocks, so each draw gets the bits of its one-draw expression.
+    The blocks double from the first block's size, capped at _REDRAW_BLOCK
+    doubles of ``width`` per draw.  A trial's stream ends after its last
+    block: the one that holds its item, or the one that ends at draw
+    _REDRAW_CAP, where the one-draw loop would end too; ``rng`` is left at
+    the state of the last trial drawn, so a batch of one leaves it where
+    its trial's stream ends."""
+    bit_gen = rng.bit_generator
+    left = np.arange(len(states))
     cap, k = _REDRAW_CAP, 2 * done
-    while done < cap:
+    while left.size and done < cap:
         k = min(k, cap - done, max(1, _REDRAW_BLOCK // width))
-        items, ok = screen(draw(rng, k))
-        if ok.any():
-            return items[ok.argmax()]
+        blocks = []
+        for j in left.tolist():
+            bit_gen.state = states[j]
+            blocks.append(draw(rng, k))
+            states[j] = bit_gen.state
+        found, ok = screen(np.stack(blocks), left)
+        first = _first_hits(ok)
+        hit = first >= 0
+        items[left[hit]] = found[hit, first[hit]]
+        left = left[~hit]
         done += k
         k *= 2
-    return None
+    return states
 
 
 def _first_hits(hits) -> np.ndarray:
@@ -389,18 +413,25 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     ``_equal_means`` screens that block and draws further blocks while none
     is accepted.  The values are those of the one-draw loop; the rng ends
     after the last block drawn (or after the construction), which can lie
-    past the one-draw loop's accepted draw.
+    past the one-draw loop's accepted draw.  n must be an integer >= 2,
+    else DomainError.
     """
+    _check_mean_size(n)
     ((_, P, X, Y),) = _equal_means([_draw_equal_mean(n, rng)], [iv], rng)
     return X[0], Y[0], P[0]
 
 
-def _draw_equal_mean(n: int, rng: np.random.Generator):
-    """The draw phase of the equal-mean sampler, for an integer n >= 2: the
-    exponentials of p, the doubles of y and of the first block of x draws
-    (k, n), and the rng state after them."""
+def _check_mean_size(n):
+    """DomainError unless n is an integer >= 2, the equal-mean sampler's
+    size."""
     if not _is_int(n) or n < 2:
         raise DomainError(f"need an integer n >= 2 scalars, got {n!r}")
+
+
+def _draw_equal_mean(n: int, rng: np.random.Generator):
+    """The draw phase of the equal-mean sampler, for a size n that
+    ``_check_mean_size`` takes: the exponentials of p, the doubles of y and
+    of the first block of x draws (k, n), and the rng state after them."""
     return (rng.standard_exponential(n), rng.random(n),
             rng.random((_first_block(_FIRST_BLOCK, n), n)), rng.bit_generator.state)
 
@@ -424,10 +455,12 @@ def _equal_means(draws, ivs, rng) -> list:
     The draws of one interval and shape are mapped in one stack, p by
     ``_dirichlet_rows`` and y and the first blocks of x by ``_uniform``,
     and the first blocks are screened in one stack (``_x0_screen``), each
-    trial's target its row sum of p y.  A trial whose first block holds no
-    accepted draw sets its saved state on ``rng`` and draws further blocks
-    (``_first_accepted``); one that exhausts _REDRAW_CAP draws builds x
-    coordinate-wise (``_construct_x``) on the same stream."""
+    trial's target its row sum of p y.  The trials whose first blocks hold
+    no accepted draw resume together from their saved states, each block
+    drawn by ``rng.random((k, n))`` and every round's blocks mapped and
+    screened in one stack (``_first_accepted``); a trial that exhausts
+    _REDRAW_CAP draws sets its state after its last block on ``rng`` and
+    builds x coordinate-wise (``_construct_x``) on its own stream."""
     out = []
     for (iv,), trials, E, U, B in _groups(ivs, *([draw[c] for draw in draws] for c in range(3))):
         n = E.shape[-1]
@@ -435,15 +468,21 @@ def _equal_means(draws, ivs, rng) -> list:
         T = np.sum(P * Y, axis=-1)
         solved, ok = _x0_screen(B, P, T, iv)
         first = _first_hits(ok)
-        hit = np.flatnonzero(first >= 0)
-        X = np.empty_like(P)
+        hit, miss = np.flatnonzero(first >= 0), np.flatnonzero(first < 0)
+        X = np.full_like(P, np.nan)
         X[hit] = solved[hit, first[hit]]
-        for j in np.flatnonzero(first < 0).tolist():
-            p, t = P[j], T[j]
-            rng.bit_generator.state = draws[trials[j]][3]
-            x = _first_accepted(rng, lambda rng, k: _uniform(rng.random((k, n)), iv.m, iv.M),
-                                lambda block: _x0_screen(block, p, t, iv), B.shape[1], n)
-            X[j] = _construct_x(iv, p, t, rng) if x is None else x
+        if miss.size:
+            resumed = X[miss]
+            states = _first_accepted(
+                rng, [draws[t][3] for t in trials[miss].tolist()],
+                lambda rng, k: rng.random((k, n)),
+                lambda blocks, rows: _x0_screen(_uniform(blocks, iv.m, iv.M), P[miss[rows]],
+                                                T[miss[rows]], iv),
+                resumed, B.shape[1], n)
+            for j in np.flatnonzero(np.isnan(resumed[:, 0])).tolist():
+                rng.bit_generator.state = states[j]
+                resumed[j] = _construct_x(iv, P[miss[j]], T[miss[j]], rng)
+            X[miss] = resumed
         out.append((trials, P, X, Y))
     return out
 
@@ -630,24 +669,29 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
     while none is accepted.  The pair is that of the one-pair-at-a-time
     loop; the rng ends after the last block drawn, which can lie past the
     pair taken."""
+    _check_pair_args(n, eps)
     keys = [(eps, direction)]
-    stacks = _conditioned_pairs([_draw_pair_block(n, eps, rng)], keys, rng)
+    stacks = _conditioned_pairs([_draw_pair_block(n, rng)], keys, rng)
     _check_taken(keys, stacks)
     ((_, P, Q),) = stacks
     return P[0], Q[0]
 
 
-def _draw_pair_block(n: int, eps: float, rng: np.random.Generator):
-    """The draw phase of the conditioned-pair sampler: the exponentials
-    (2k, n) of the first block of Dirichlet draws, p and q interleaved, and
-    the rng state after them.  n must be an integer >= 1 and eps a finite
-    floor with 0 < eps and n eps < 1."""
+def _check_pair_args(n, eps):
+    """DomainError unless n is an integer >= 1 and eps a finite floor with
+    0 < eps and n eps < 1: the conditioned-pair sampler's arguments."""
     if not _is_int(n) or n < 1:
         raise DomainError(f"need an integer n >= 1, got {n!r}")
     if not (_is_real(eps) and 0.0 < eps < math.inf):
         raise DomainError(f"need a finite floor eps > 0, got {eps!r}")
     if n * eps >= 1.0:
         raise DomainError(f"floor {eps} is infeasible for n={n}")
+
+
+def _draw_pair_block(n: int, rng: np.random.Generator):
+    """The draw phase of the conditioned-pair sampler, for a size n that
+    ``_check_pair_args`` takes: the exponentials (2k, n) of the first block
+    of Dirichlet draws, p and q interleaved, and the rng state after them."""
     return (rng.standard_exponential((2 * _first_block(_FIRST_BLOCK, 2 * n), n)),
             rng.bit_generator.state)
 
@@ -666,25 +710,25 @@ def _conditioned_pairs(draws, keys, rng) -> list:
     direction) and shape, row j that of draw trials[j]: the pair taken, or
     NaN rows where a trial takes none.  The first blocks of one key and
     shape are mapped (``_dirichlet_rows``) and screened (``_pair_screen``)
-    in one stack, and a trial whose first block holds no accepted pair sets
-    its saved state on ``rng`` and draws further blocks
-    (``_first_accepted``)."""
+    in one stack.  The trials whose first blocks hold no accepted pair
+    resume together from their saved states, each block drawn by
+    ``rng.standard_exponential((2k, n))`` and every round's blocks mapped
+    and screened in one stack (``_first_accepted``)."""
     out = []
     for ((eps, direction),), trials, E in _groups(keys, [E for E, _ in draws]):
         n = E.shape[-1]
         F, ok = _pair_screen(_dirichlet_rows(E), eps, direction)
         first = _first_hits(ok)
-        hit = np.flatnonzero(first >= 0)
+        hit, miss = np.flatnonzero(first >= 0), np.flatnonzero(first < 0)
         P, Q = np.full((len(E), n), np.nan), np.full((len(E), n), np.nan)
         P[hit], Q[hit] = F[hit, first[hit], 0], F[hit, first[hit], 1]
-        for j in np.flatnonzero(first < 0).tolist():
-            rng.bit_generator.state = draws[trials[j]][1]
-            pair = _first_accepted(rng, lambda rng, k: _dirichlet_rows(
-                                       rng.standard_exponential((2 * k, n))),
-                                   lambda block: _pair_screen(block, eps, direction),
-                                   F.shape[1], 2 * n)
-            if pair is not None:
-                P[j], Q[j] = pair
+        if miss.size:
+            resumed = np.full((miss.size, 2, n), np.nan)
+            _first_accepted(rng, [draws[t][1] for t in trials[miss].tolist()],
+                            lambda rng, k: rng.standard_exponential((2 * k, n)),
+                            lambda blocks, _: _pair_screen(_dirichlet_rows(blocks), eps, direction),
+                            resumed, F.shape[1], 2 * n)
+            P[miss], Q[miss] = resumed[:, 0], resumed[:, 1]
         out.append((trials, P, Q))
     return out
 
@@ -705,7 +749,9 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     y decreasing, p positive, and x built from y by averaging n random
     adjacent pairs (weighted), which preserves the weighted total and can
     only lower prefix sums.  All three arrays are C-contiguous.  A batch of
-    one of the prefix suites' draw and build."""
+    one of the prefix suites' build; its draw takes the steps from
+    ``rng.integers`` for every n, which leaves ``rng`` where that call does,
+    its buffered 32-bit half included."""
     ((_, X, Y, P),) = _build_fuchs_stacks([_draw_fuchs_instance(n, rng)], iv)
     return X[0], Y[0], P[0]
 
@@ -718,17 +764,51 @@ def _draw_fuchs_instance(n: int, rng: np.random.Generator):
     return rng.random(n), rng.random(n), rng.integers(0, n - 1, size=n)
 
 
+def _draw_prefix(n: int, rng: np.random.Generator):
+    """A prefix suite trial's draws, on a stream of ``_trial_rngs``: the
+    doubles of y and of p, and the steps' draws of ``_draw_steps``."""
+    return rng.random(n), rng.random(n), _draw_steps(n, rng)
+
+
+def _draw_steps(n: int, rng: np.random.Generator):
+    """The draws of n averaging steps on a stream that holds no buffered
+    32-bit half, as ``_trial_rngs`` sets them and ``random`` keeps them.
+    Where n - 1 is a power of two, the raw PCG64 words that
+    ``rng.integers(0, n - 1, size=n)`` would take, ceil(n / 2) of them and
+    none for n = 2, whose steps are all 0; ``_steps`` maps them.  Elsewhere
+    that call's steps."""
+    if (n - 1) & (n - 2):  # n - 1 is no power of two
+        return rng.integers(0, n - 1, size=n)
+    return rng.bit_generator.random_raw((n + 1) // 2 if n > 2 else 0)
+
+
+def _steps(S, n: int) -> np.ndarray:
+    """The steps (k, n) of the draws S of ``_draw_steps`` or of
+    ``_draw_fuchs_instance``: S itself where it holds steps, and for raw
+    words (k, w) the steps that ``integers`` makes of them, where n - 1 is
+    a power of two.  That call takes a word's low 32-bit half and then its
+    high one, and maps each half u by Lemire's multiply-shift (u (n - 1))
+    >> 32, which rejects no u when n - 1 divides 2^32."""
+    if S.dtype != np.uint64:
+        return S
+    k, w = S.shape
+    halves = np.zeros((k, max(n, 2 * w)), dtype=np.uint64)  # n = 2 draws no word
+    halves[:, 0:2 * w:2], halves[:, 1:2 * w:2] = S & _MASK32, S >> 32
+    return (halves[:, :n] * (n - 1) >> 32).astype(np.intp)
+
+
 def _build_fuchs_stacks(draws, iv: Interval) -> list:
-    """(trials, X, Y, P) of the ``_draw_fuchs_instance`` draws of each n,
-    row j that of draw trials[j]: y uniform on iv (``_uniform``) and sorted
-    decreasing, p uniform on [0.2, 1], and each averaging step on every
-    row at once, with the one-row arithmetic."""
+    """(trials, X, Y, P) of the ``_draw_fuchs_instance`` or ``_draw_prefix``
+    draws of each n and kind of step draw, row j that of draw trials[j]: y
+    uniform on iv (``_uniform``) and sorted decreasing, p uniform on [0.2,
+    1], the steps of each stack from one ``_steps``, and each averaging
+    step on every row at once, with the one-row arithmetic."""
     out = []
     for _, trials, U, P, steps in _groups(None, *zip(*draws)):
         Y = np.ascontiguousarray(np.sort(_uniform(U, iv.m, iv.M), axis=-1)[:, ::-1])
         P = _uniform(P, 0.2, 1.0)
         X, rows = Y.copy(), np.arange(len(Y))
-        for i in steps.T:
+        for i in _steps(steps, Y.shape[1]).T:
             a, b = P[rows, i], P[rows, i + 1]
             w = a + b
             avg = (a * X[rows, i] + b * X[rows, i + 1]) / w
@@ -1444,6 +1524,8 @@ def _draw_scalar_corollary(i, rng, params):
     decreasing f the draws of the relaxed sum p x <= sum p y: the doubles
     of x and y and the exponentials of p."""
     n = _SCALAR_N
+    if i == 0:  # trial 0 draws equal means; its size is every trial's
+        _check_mean_size(n)
     f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
     if i % 2 == 1 and _is_decreasing(f, iv):
@@ -1490,12 +1572,12 @@ def _fuchs_fs():
 
 def _draw_fuchs(i, rng, params):
     f = _cycle(_fuchs_fs(), i)
-    return _draw_fuchs_instance(_PREFIX_N, rng), f, dict(dim=_PREFIX_N, f=f.name)
+    return _draw_prefix(_PREFIX_N, rng), f, dict(dim=_PREFIX_N, f=f.name)
 
 
 def _draw_moment(i, rng, params):
     order = _cycle(_MOMENT_ORDERS, i)
-    return _draw_fuchs_instance(_PREFIX_N, rng), order, dict(dim=_PREFIX_N, r=order)
+    return _draw_prefix(_PREFIX_N, rng), order, dict(dim=_PREFIX_N, r=order)
 
 
 def _draw_density_pair(i, rng, params):
@@ -1546,10 +1628,11 @@ def _info_inequality_kernel(r, P, Q):
     within 1e-10, of the two r-deformed forms of the self term."""
     if not 0.0 < r <= 1.0:
         raise DomainError(f"info_inequality needs r in (0, 1], got {r}")
+    ce._check_pair_rows(P, Q)  # once, for both inequalities
     info = ce._information_rows(P, Q)
     # ln_r rejects a zero of p, so every entry of p counts in the sums
     weighted_p, naive_p = ce._tsallis_rows(P, P, r)
-    weighted_q, _ = ce._tsallis_cross_rows(P, Q, r)
+    weighted_q = ce._weighted_cross_rows(P, Q, r)
     return [("info_inequality", info, SCALAR_TOL),
             ("r_extended_info_inequality", weighted_q - weighted_p, SCALAR_TOL),
             ("tsallis_forms_agree", 1e-10 - np.abs(weighted_p - naive_p), 0.0)]
@@ -1557,10 +1640,14 @@ def _info_inequality_kernel(r, P, Q):
 
 def _draw_conditioned_pair(i, rng, params):
     """(first block and saved state of ``_draw_pair_block``, (eps,
-    direction), context): a floored pair whose dominance tag alternates."""
+    direction), context): a floored pair whose dominance tag alternates.
+    The first cycle of sizes checks each size with the run's eps once
+    (``_check_pair_args``), so a run checks the sizes it draws."""
     n, eps = _cycle(_REVERSE_SIZES, i), params["eps"]
+    if i < len(_REVERSE_SIZES):
+        _check_pair_args(n, eps)
     direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
-    return (_draw_pair_block(n, eps, rng), (eps, direction),
+    return (_draw_pair_block(n, rng), (eps, direction),
             dict(dim=n, eps=eps, direction=direction))
 
 

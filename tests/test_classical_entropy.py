@@ -80,6 +80,12 @@ class TestTsallis:
         assert worst <= 1e-10
         assert ce.tsallis_entropy(np.array([0.2, 0.3, 0.5]), 0.4) >= 0.0
 
+    @pytest.mark.parametrize("q", [1e-310, 5e-324])
+    def test_subnormal_entry_keeps_both_forms_finite(self, q):
+        # -log q > log(DBL_MAX): expm1(-r log q) overflowed the naive form
+        # to inf, and the forms' guard raised "1.0 vs inf"
+        assert ce.tsallis_entropy([1.0, q], 1.0) == pytest.approx(1.0, rel=1e-12)
+
     def test_r_out_of_range(self):
         with pytest.raises(DomainError):
             ce.tsallis_entropy([0.5, 0.5], 1.2)

@@ -790,25 +790,31 @@ class TestMatrixEntropies:
                 got = oc.quantum_tsallis_entropy(np.eye(d) / d, r)
                 assert got == pytest.approx(ln_r(r, float(d)), rel=1e-12)
 
-    @pytest.mark.parametrize("r", [1e-11, 1e-7, 1e-3, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("r", [1e-11, 1e-7, 1e-3, 0.1, 0.5, 0.9, 0.995, 1.0])
     def test_tsallis_matches_a_50_digit_reference(self, r):
         # spectra of entries k / 2^40 with integers k summing to 2^40, so
         # that their float entries sum to exactly 1; the power form
-        # (sum w^(1-r) - 1)/r cancels to about 1e-16/r as r -> 0
+        # (sum w^(1-r) - 1)/r cancels to about 1e-16/r as r -> 0.  Near
+        # r = 1, a subnormal entry q has -r log q > log(DBL_MAX), where
+        # expm1 overflows; there the exponent's own rounding is about 1e-13
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(38)
+        cases = []
         for d in (2, 3, 5, 8, 16):
             k = rng.integers(1, 2 ** 36, size=d)
             k[-1] = 2 ** 40 - k[:-1].sum()
-            w = k / 2.0 ** 40
-            assert sum(map(fractions.Fraction, w.tolist())) == 1
+            cases.append((k / 2.0 ** 40, 1e-14))
+            assert sum(map(fractions.Fraction, cases[-1][0].tolist())) == 1
+        if r >= 0.995:
+            cases += [(np.array([1.0, q]), 1e-12) for q in (1e-310, 5e-324)]
+        for w, tol in cases:
             with mpmath.workdps(50):
                 rm = mpmath.mpf(r)
                 want = float(mpmath.fsum(x * mpmath.expm1(-rm * mpmath.log(x))
                                          for x in map(mpmath.mpf, w.tolist())) / rm)
             rho = np.diag(rng.permutation(w)).astype(complex)
             for got in (oc.tsallis_entropy_from_evals(w, r), oc.quantum_tsallis_entropy(rho, r)):
-                assert abs(got - want) <= 1e-14 * abs(want), (d, got, want)
+                assert abs(got - want) <= tol * abs(want), (w, got, want)
 
     @pytest.mark.parametrize("r", [1e-11, 0.5, 1.0])
     def test_quantum_entropies_are_the_classical_ones_of_the_spectrum(self, r):

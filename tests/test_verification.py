@@ -413,6 +413,60 @@ class TestGenerators:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, seed)
                 assert rng_a.random() == rng_b.random(), (n, seed)
 
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_suite_prefix_steps_are_numpys_integers(self, n):
+        # the prefix suites draw raw words where n - 1 is a power of two
+        # (n = 2, 3, 5, 9, 17) and call integers elsewhere; on the trials'
+        # own streams, both give the steps of rng.integers(0, n - 1, size=n)
+        # and leave the stream where that call does
+        for seed in (0, 7, 2**40 + 1):
+            draws, nexts = [], []
+            for rng in vf._trial_rngs(seed, range(200)):
+                draws.append(vf._draw_prefix(n, rng))
+                nexts.append(rng.random())
+            got = vf._steps(np.stack([steps for *_, steps in draws]), n)
+            assert got.shape == (200, n)
+            for i, (U, P, _) in enumerate(draws):
+                rng = vf.trial_rng(seed, i)
+                assert _bits(U) == _bits(rng.random(n)) and _bits(P) == _bits(rng.random(n))
+                assert got[i].tolist() == rng.integers(0, n - 1, size=n).tolist(), (n, seed, i)
+                assert rng.random() == nexts[i], (n, seed, i)
+        # a first word with low half 0, which Lemire's map rejects unless
+        # n - 1 is a power of two: integers then takes one more half
+        for word in (0, 5 << 32, 1 << 63):
+            rng_a, rng_b = _pcg64_before(word), _pcg64_before(word)
+            got = vf._steps(vf._draw_steps(n, rng_a)[None], n)[0]
+            assert got.tolist() == rng_b.integers(0, n - 1, size=n).tolist(), (n, word)
+            assert rng_a.random() == rng_b.random(), (n, word)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_public_fuchs_instance_keeps_integers_stream(self, n):
+        # gen_fuchs_instance takes its steps from rng.integers for every n,
+        # on any generator: a fresh one, and one holding a buffered 32-bit
+        # half, which raw words would skip
+        def old(n, iv, rng):
+            U, P, steps = rng.random(n), rng.random(n), rng.integers(0, n - 1, size=n)
+            y = np.sort(iv.m + (iv.M - iv.m) * U)[::-1]
+            p = 0.2 + (1.0 - 0.2) * P
+            x = y.copy()
+            for i in steps.tolist():
+                w = p[i] + p[i + 1]
+                x[i] = x[i + 1] = (p[i] * x[i] + p[i + 1] * x[i + 1]) / w
+            return x, y, p
+
+        iv = Interval(-1.0, 2.0)
+        for buffered in (False, True):
+            for i in range(50):
+                rng_a, rng_b = vf.trial_rng(3, i), vf.trial_rng(3, i)
+                if buffered:
+                    rng_a.integers(0, 7)
+                    rng_b.integers(0, 7)
+                got, want = vf.gen_fuchs_instance(n, iv, rng_a), old(n, iv, rng_b)
+                assert all(_bits(a) == _bits(b) for a, b in zip(got, want)), (n, buffered, i)
+                assert (rng_a.integers(0, 1000, size=3).tolist()
+                        == rng_b.integers(0, 1000, size=3).tolist()), (n, buffered, i)
+                assert rng_a.random() == rng_b.random(), (n, buffered, i)
+
 
     def test_spectra_buffers_match_one_draw_per_matrix(self):
         # the buffers of _draw_spectra hold the numbers of one
@@ -638,6 +692,18 @@ class CountingRng:
 
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
+
+
+def _pcg64_before(word, inc=0xDA3E39CB94B95BDB):
+    """A Generator whose next raw PCG64 word is ``word`` (< 2^64): its
+    state is one LCG step before the state with high half 0 and low half
+    ``word``, which PCG64's XSL RR output returns unrotated."""
+    modulus = 1 << 128
+    state = (word - inc) * pow(vf._PCG64_MULT, -1, modulus) % modulus
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _seed_sequence_rng(seed, trial):
