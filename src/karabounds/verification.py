@@ -352,10 +352,10 @@ def _first_accepted(rng, states, draw, screen, items, done, width):
     """Resume the trials of one stack whose first blocks held no accepted
     draw: write into ``items[j]`` the item of the first of trial j's draws
     ``done`` to _REDRAW_CAP that the screen accepts, leaving the row as it
-    is where it accepts none, and return the list ``states``, which held
-    the trials' states saved after their first blocks, holding each trial's
-    state after its last block.  Draws 0 to ``done`` are the first blocks,
-    which the build screened.
+    is where it accepts none, and set ``states[j]``, trial j's state saved
+    after its first block, to its state after its last block.  Return the
+    rows of ``items`` taken in this call, or None where no trial took one.
+    Draws 0 to ``done`` are the first blocks, which the build screened.
 
     The trials resume in rounds of one block each, all of one size.  In a
     round each trial still searching sets its state on ``rng``, makes its
@@ -388,7 +388,7 @@ def _first_accepted(rng, states, draw, screen, items, done, width):
         left = left[~hit]
         done += k
         k *= 2
-    return states
+    return np.delete(items, left, axis=0) if left.size < len(states) else None
 
 
 def _first_hits(hits) -> np.ndarray:
@@ -472,10 +472,9 @@ def _equal_means(draws, ivs, rng) -> list:
         X = np.full_like(P, np.nan)
         X[hit] = solved[hit, first[hit]]
         if miss.size:
-            resumed = X[miss]
-            states = _first_accepted(
-                rng, [draws[t][3] for t in trials[miss].tolist()],
-                lambda rng, k: rng.random((k, n)),
+            resumed, states = X[miss], [draws[t][3] for t in trials[miss].tolist()]
+            _first_accepted(
+                rng, states, lambda rng, k: rng.random((k, n)),
                 lambda blocks, rows: _x0_screen(_uniform(blocks, iv.m, iv.M), P[miss[rows]],
                                                 T[miss[rows]], iv),
                 resumed, B.shape[1], n)
@@ -1524,8 +1523,6 @@ def _draw_scalar_corollary(i, rng, params):
     decreasing f the draws of the relaxed sum p x <= sum p y: the doubles
     of x and y and the exponentials of p."""
     n = _SCALAR_N
-    if i == 0:  # trial 0 draws equal means; its size is every trial's
-        _check_mean_size(n)
     f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
     if i % 2 == 1 and _is_decreasing(f, iv):
