@@ -14,7 +14,8 @@ line first: where they differ it prints both and exits 2, having run
 nothing.  Otherwise it makes every digest line and compares the two texts
 line by line; it exits 0 when all are equal, and 1 after printing the
 command line of each line that differs, that only FILE has or that only
-this run has.
+this run has.  ``lines(draw_path=True)`` makes only the lines that check
+the draws, which tests/test_report_digest.py compares in Tier-1.
 
 karabounds is imported from the ``src/`` of the checkout that holds this
 script.  The first line names what the report bytes depend on besides the
@@ -449,22 +450,29 @@ def header():
             f"openblas={_openblas_core()}")
 
 
-def lines():
+def lines(draw_path=False):
     """The header line, then each digest line of the set, made one at a
-    time: a caller that stops after the header runs nothing."""
+    time: a caller that stops after the header runs nothing.  With
+    ``draw_path`` only the lines that a change to the suites' draws and
+    builds or to the public generators and samplers would move: the
+    ``verify`` runs made with flags, the verdict lists, the map-sum
+    generator, the Sinkhorn matrices and the samplers, in the same order."""
     yield header()
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "out", Path(tmp) / "cfg.json"
         for argv in RUNS:
+            if draw_path and argv[0] != "verify":
+                continue
             sha, code = digest(argv, out)
             yield f"{sha}  exit={code}  {' '.join(argv)}"
             words, flags = _split(argv)
-            if flags:
+            if flags and not draw_path:
                 cfg.write_text(json.dumps({key[2:]: value for key, value in flags.items()}))
                 sha, code = digest(words + ["--config", str(cfg)], out)
                 yield f"{sha}  exit={code}  {' '.join(argv)} [config]"
-    sha, code = stdout_digest(STDOUT_RUN)
-    yield f"{sha}  exit={code}  {' '.join(STDOUT_RUN)} [stdout]"
+    if not draw_path:
+        sha, code = stdout_digest(STDOUT_RUN)
+        yield f"{sha}  exit={code}  {' '.join(STDOUT_RUN)} [stdout]"
     for suite in verification.suite_ids(include_extra=True):
         trials = SUITE_TRIALS[suite]
         yield f"{verdict_digest(suite, trials, 7)}  verdicts  {suite} trials={trials} seed=7"
@@ -474,20 +482,28 @@ def lines():
         for iters in (0, 1, 61, 200):
             yield (f"{sinkhorn_digest(n, iters, 60, 7)}  sinkhorn_doubly_stochastic  "
                    f"n={n} iters={iters} trials=60 seed=7")
-    for mean in MEANS:
-        yield f"{mean_digest(mean, 60, 7)}  {mean}  trials=60 seed=7"
-    for limits in (False, True):
-        yield (f"{mean_check_digest(limits, 7)}  check_operator_mean_bounds  "
-               f"limits={limits} trials=24 seed=7")
-    for checker in CHECKERS:
-        yield f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7"
+    if not draw_path:
+        for mean in MEANS:
+            yield f"{mean_digest(mean, 60, 7)}  {mean}  trials=60 seed=7"
+        for limits in (False, True):
+            yield (f"{mean_check_digest(limits, 7)}  check_operator_mean_bounds  "
+                   f"limits={limits} trials=24 seed=7")
+        for checker in CHECKERS:
+            yield f"{checker_digest(checker, 24, 7)}  {checker}  trials=24 seed=7"
     for sampler in SAMPLERS:
         yield f"{sampler_digest(sampler, 60, 7)}  {sampler}  trials=60 seed=7"
-    for oracle in ("beta_oracle", "ratio_oracle", "diff_oracle"):
-        yield f"{oracle_digest(oracle)}  {oracle}  sweep grids"
-    for fn in ("interval_max", "interval_min"):
-        for kind in OBJECTIVES:
-            yield f"{extremum_digest(fn, kind)}  {fn}  {kind}"
+    if not draw_path:
+        for oracle in ("beta_oracle", "ratio_oracle", "diff_oracle"):
+            yield f"{oracle_digest(oracle)}  {oracle}  sweep grids"
+        for fn in ("interval_max", "interval_min"):
+            for kind in OBJECTIVES:
+                yield f"{extremum_digest(fn, kind)}  {fn}  {kind}"
+
+
+def label(line):
+    """A digest line's label: what follows its digest and exit code."""
+    rest = line.partition("  ")[2]
+    return rest.partition("  ")[2] if rest.startswith("exit=") else rest
 
 
 def _command(line):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, PreconditionError
 from .functions import ln_r
-from .scalar_bounds import ls_r_constant, specht
+from .scalar_bounds import _log_specht, ls_r_constant
 
 __all__ = [
     "SELF_DOMINATED",
@@ -251,7 +251,7 @@ def _reverse_shannon_rows(P, Q, eps: float, direction: str):
     arrays (ratio, diff), with K and log S(eps) computed once."""
     _check_reverse_rows(P, Q, eps, direction)
     big_k = math.log(eps) / (eps - 1.0)
-    log_s = math.log(specht(eps))
+    log_s = _log_specht(eps)
     h = _cross_rows(P, P)
     cross = _cross_rows(P, Q)
     if direction == CROSS_DOMINATED:

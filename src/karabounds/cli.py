@@ -181,7 +181,7 @@ def _constant_cases(eps, r, alpha, h, m):
     yield ("ratio_neg_log", {"eps": eps},
            sb.ratio_constant(f_neglog, ive), sb.ratio_oracle(f_neglog, ive))
     yield ("diff_neg_log_logS", {"eps": eps},
-           math.log(sb.specht(eps)), sb.diff_oracle(f_neglog, ive))
+           sb._log_specht(eps), sb.diff_oracle(f_neglog, ive))
     if r > 0.0:
         f_lnr = FunctionSpec.ln_r_reciprocal(r, ive)
         yield ("ratio_ln_r", {"eps": eps, "r": r},

@@ -57,7 +57,6 @@ __all__ = [
     "is_hermitian",
     "assert_hermitian",
     "hermitize",
-    "assert_density",
     "eigh_stack",
     "jacobi_eigh",
     "eigvals_stack",
@@ -142,10 +141,6 @@ def _frob_rows(A: np.ndarray):
     """Frobenius norm of each matrix of a stack (..., d, d)."""
     flat = A.reshape(A.shape[:-2] + (-1,))
     return np.sqrt(np.einsum("...i,...i->...", flat.conj(), flat).real)
-
-
-def assert_density(rho, name: str = "density matrix") -> np.ndarray:
-    return _density_evals(rho, name)[0]
 
 
 def _density_evals(rho, name: str = "density matrix"):

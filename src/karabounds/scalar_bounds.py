@@ -481,13 +481,43 @@ def specht(h: float) -> float:
     """Specht ratio S(h) = h^(1/(h-1)) / (e log h^(1/(h-1))), S(1) = 1.
 
     Computed as exp(u - 1)/u with u = log(h)/(h - 1), which makes the
-    symmetry S(h) = S(1/h) explicit."""
+    symmetry S(h) = S(1/h) explicit, and as exp(u - 1 - log u) where
+    exp(u - 1) overflows a float (h below about 2e-309); DomainError where
+    S itself does (h below about 3e-312)."""
+    u = _specht_u(h)
+    if u is None:
+        return 1.0
+    try:
+        return math.exp(u - 1.0) / u
+    except OverflowError:
+        pass
+    try:
+        return math.exp(u - 1.0 - math.log(u))
+    except OverflowError:
+        raise DomainError(f"specht({h}) overflows a float") from None
+
+
+def _specht_u(h: float):
+    """u = log(h)/(h - 1) of S(h), None at h = 1 (within SINGULAR_TOL);
+    DomainError unless h is finite and positive."""
     if not 0.0 < h < math.inf:
         raise DomainError(f"specht needs a finite h > 0, got {h}")
     if abs(h - 1.0) < SINGULAR_TOL:
-        return 1.0
-    u = math.log(h) / (h - 1.0)
-    return math.exp(u - 1.0) / u
+        return None
+    return math.log(h) / (h - 1.0)
+
+
+def _log_specht(h: float) -> float:
+    """log S(h): ``math.log(specht(h))`` bit for bit wherever exp(u - 1)
+    is finite, and (u - 1) - log u beyond, finite where S itself
+    overflows."""
+    u = _specht_u(h)
+    if u is None:
+        return 0.0
+    try:
+        return math.log(math.exp(u - 1.0) / u)
+    except OverflowError:
+        return u - 1.0 - math.log(u)
 
 
 def ls_r_constant(eps: float, r: float) -> float:

@@ -9,41 +9,41 @@ rest.  A check never "fixes up" its inputs: hypothesis violations raise, and
 so do parameters outside an inequality's domain, in the kernel that a suite
 and its checker share.
 
-``run_suite`` is the one trial loop.  A suite (``_Suite``) is a draw, a
-build and a score function and its default params, run in three phases.
-The draw alone reads params, exactly the keys its defaults name; a key no
-suite reads, or a value ``_PARAM_CHECKS`` rejects, raises DomainError.  The
-draw makes trial i's rng calls on its own stream, that of
-``numpy.random.SeedSequence(seed, spawn_key=(i,))``, and nothing else, and
-returns the raw arrays, the trial's key and its context.  A suite seeds all
-its trials in one pass (``_trial_rngs``), bit for bit numpy's own seeding.
+``run_suite`` is the one trial loop.  A suite (``_Suite``) is a layout,
+a fill, a build and a score function and its default params.  The layout
+alone reads params, exactly the keys its defaults name; a key no suite
+reads, or a value ``_PARAM_CHECKS`` rejects, raises DomainError.  The
+trials fall into classes, which share a key, a context, a group and the
+shapes of their raw arrays, laid out once per class; in one loop, trial i
+makes its rng calls on its own stream, that of
+``numpy.random.SeedSequence(seed, spawn_key=(i,))``, into its rows of its
+class's stacks (``_drawn``), all the trials seeded in one pass
+(``_trial_rngs``), bit for bit numpy's own seeding.
 
-Every suite keeps its instances as stacks from build to score.  The build
-(``_stacks_built``) gives each trial's key and, per row shape, the trial
-indices and one array per column, made one stacked step at a time: the
-Dirichlet and uniform maps of numpy's primitive draws (``_dirichlet_rows``,
-``_uniform``); the rejection screens, where the trials whose first blocks
-hold no accepted draw resume their own streams from their saved states, in
-rounds screened one stack at a time (``_first_accepted``); the prefix
-steps of raw PCG64 words (``_steps``), the prefix constructions, the
-Sinkhorn sweeps (``_sinkhorn``) and ``operator_calculus``' QR-built
-matrices and densities.
-A matrix suite's build also decomposes all its matrices, one ``oc._eigh``
-per dimension (``_decomposed``), and the eigensolver pair's build runs the
-Jacobi oracle once for both suites (``_build_jacobi``).  ``_groups`` forms
-the stacks, grouping entries by key and shape.  The score
-(``_stack_score``) splits each stack by key and runs the suite's kernel
-once per part, which validates the part, computes its constants once and
-returns (inequality id, margins, tol) columns.  A map-sum row holds the
-index of each B_i among its matrices, so a permuted B_i is its A_j, and an
-operator-mean row with n = 1 has no B_i, so Q = P.  Every build and kernel
-step treats a row on its own (reductions along its own axis, BLAS and LAPACK
-matrix, elementwise arithmetic), so a row gets the bits of a batch of one
-in any stack or part and reports do not depend on batching.  The public
-generators are batches of one of their suite's draw and build on the
-caller's rng, and a public ``check_*`` function validates the rest of its
-input and runs its suite's kernel on a stack of one row, so its margins and
-errors equal the suite's.
+Every suite keeps its instances as stacks from fill to score.  The build
+maps whole stacks: the complex Gaussians of the drawn normals
+(``_complex``), the Dirichlet and uniform maps of numpy's primitive draws
+(``_dirichlet_rows``, ``_uniform``, ``_spectra``); the rejection screens,
+where the trials whose first blocks hold no accepted draw resume their
+own streams from their saved states, in rounds screened one stack at a
+time (``_first_accepted``); the prefix steps of raw PCG64 words
+(``_steps``), the prefix constructions, the Sinkhorn sweeps (``_sinkhorn``)
+and ``operator_calculus``' QR-built matrices and densities.  A matrix
+suite's build also decomposes all its matrices, one ``oc._eigh`` per
+dimension (``_decomposed``), and the eigensolver pair's build runs the
+Jacobi oracle once for both suites (``_build_jacobi``).
+The score (``_stack_score``) splits each stack by key and runs the suite's
+kernel once per part, which validates the part, computes its constants
+once and returns (inequality id, margins, tol) columns.  A map-sum row
+holds the index of each B_i among its matrices, so a permuted B_i is its
+A_j, and an operator-mean row with n = 1 has no B_i, so Q = P.  Every
+build and kernel step treats a row on its own (reductions along its own
+axis, BLAS and LAPACK matrix, elementwise arithmetic), so a row gets the
+bits of a batch of one in any stack or part and reports do not depend on
+batching.  The public generators are batches of one of their suite's fill
+and build on the caller's rng (``_drawn_one``), and a public ``check_*``
+function validates the rest of its input and runs its suite's kernel on a
+stack of one row, so its margins and errors equal the suite's.
 
 Every score returns such columns plus each row's trial, ``_table`` sorts
 them into trial order, ``run_suite`` reduces them and keeps them for
@@ -54,6 +54,7 @@ builds ``InequalityVerdict``s.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -156,20 +157,6 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _context_cells(contexts, keys) -> list:
-    """Each context's CSV cells of ``keys``, joined by commas.  The cells
-    of one tuple of value objects are formatted once: the contexts keep
-    those objects alive meanwhile, so no other tuple has their ids."""
-    memo, out = {}, []
-    for ctx in contexts:
-        ids = tuple([id(ctx.get(key, "")) for key in keys])
-        cells = memo.get(ids)
-        if cells is None:
-            cells = memo[ids] = ",".join([_csv_cell(ctx.get(key, "")) for key in keys])
-        out.append(cells)
-    return out
-
-
 def verdict_csv_rows(reports: Sequence[TrialReport]):
     """CSV text of ``run_suite`` reports, byte for byte what ``csv.writer``
     writes of their rows: the header line, then each report's rows, in
@@ -177,29 +164,30 @@ def verdict_csv_rows(reports: Sequence[TrialReport]):
     report's suite id, its trial, its margin's ``repr`` and pass flag from
     the report's scored columns, its trial's context cells of dim, r, alpha
     and eps, the seed, and last the inequality id, after the documented
-    columns.  A row's trial cell is its trial index, which ``run_suite``
-    puts in that trial's context, and the seed cell, the same in every
-    context of a run, is formatted once per report, each trial's context
-    cells once per trial and each id's once.  A report that ``run_suite``
-    did not make has no columns: DomainError."""
+    columns.  A row's trial cell is its trial index, its context cells are
+    those of its trial's class, formatted once per class with the seed
+    cell, and each id's cell is formatted once.  A report that
+    ``run_suite`` did not make has no columns: DomainError."""
     yield ",".join(_CSV_FIELDS) + "\r\n"
     flags = (",0,", ",1,")
     for rep in reports:
         if rep._scored is None:
             raise DomainError(f"suite {rep.suite_id!r}: only run_suite's reports have CSV rows")
-        (trial, ids, margins, tols, _), contexts = rep._scored
-        if not contexts:
+        (trial, ids, margins, tols, _), (seed, classes) = rep._scored
+        if not classes:
             continue
-        suite, seed = _csv_cell(rep.suite_id), _csv_cell(contexts[0]["seed"])
-        # the cells after the pass flag up to the id
-        tails = [f"{cells},{seed}," for cells in _context_cells(contexts, _CSV_FIELDS[4:8])]
+        suite, seed = _csv_cell(rep.suite_id), _csv_cell(seed)
+        # each class's cells after the pass flag up to the id
+        tails = [",".join([_csv_cell(ctx.get(key, "")) for key in _CSV_FIELDS[4:8]]) + f",{seed},"
+                 for ctx in classes]
         ends = {name: _csv_cell(name) + "\r\n" for name in set(ids)}
+        tails = [tails[c] for c in (trial % len(classes)).tolist()]
         trial, margins, passed = trial.tolist(), margins.tolist(), (margins >= -tols).tolist()
         for start in range(0, len(margins), _CSV_CHUNK):
             rows = slice(start, start + _CSV_CHUNK)
-            yield "".join([f"{suite},{t},{margin!r}{flags[ok]}{tails[t]}{ends[name]}"
-                           for t, margin, ok, name in zip(trial[rows], margins[rows],
-                                                          passed[rows], ids[rows])])
+            yield "".join([f"{suite},{t},{margin!r}{flags[ok]}{tail}{ends[name]}"
+                           for t, margin, ok, tail, name in zip(
+                               trial[rows], margins[rows], passed[rows], tails[rows], ids[rows])])
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -315,6 +303,34 @@ _REDRAW_BLOCK = 1 << 12
 _FIRST_BLOCK = 16
 
 
+def _drawn(fill, rngs, layouts, n: int):
+    """The raw stacks of n trials, trial t of class ``layouts[t %
+    len(layouts)]``, and what ``fill(rngs, rows)`` saved.  A class's layout
+    is (key, context, group, columns, values), columns the (shape, dtype) of
+    one row of each raw array.  The classes of one group and columns share
+    a stack (trials, group, values, *arrays), rows in trial order and
+    values their classes'.  In its one loop the fill makes trial t's rng
+    calls on the t-th generator into rows[t], (group, *its rows); an
+    ``out=`` call gives the numbers of the matching ``size=`` call."""
+    slots, rows, stacks = {}, [None] * n, []
+    slot = [slots.setdefault((group, columns), len(slots)) for _, _, group, columns, _ in layouts]
+    cls = np.arange(n) % len(layouts)
+    slot_of = np.array(slot)[cls]
+    for (group, columns), s in slots.items():
+        trials = np.flatnonzero(slot_of == s)
+        arrays = [np.empty((len(trials), *shape), dtype) for shape, dtype in columns]
+        for t, row in zip(trials.tolist(), zip(itertools.repeat(group), *arrays)):
+            rows[t] = row
+        values = np.array([layouts[c][4] for c in cls[trials].tolist()])
+        stacks.append((trials, group, values, *arrays))
+    return stacks, fill(rngs, rows)
+
+
+def _drawn_one(fill, rng, group, columns, values=()):
+    """``_drawn`` of a public generator's batch of one on ``rng``."""
+    return _drawn(fill, [rng], [(None, None, group, columns, values)], 1)
+
+
 def _dirichlet_rows(E) -> np.ndarray:
     """Dirichlet(1, ..., 1) rows from rows of standard exponentials E
     (..., n): each row times 1 / its sum, the sum added column by column
@@ -333,6 +349,19 @@ def _uniform(U, lo: float, hi: float) -> np.ndarray:
     bit for bit ``Generator.uniform(lo, hi)`` on the same stream.  A width
     hi - lo that overflows raises DomainError (``oc._width``)."""
     return lo + oc._width(lo, hi) * U
+
+
+def _spectra(U, values) -> np.ndarray:
+    """``_uniform`` of the doubles U (k, ..., d) with row j's bounds
+    values[j, :2], whose widths the layouts checked."""
+    lo, hi = values[:, :2].T.reshape(2, -1, *[1] * (U.ndim - 1))
+    return lo + (hi - lo) * U
+
+
+def _complex(G) -> np.ndarray:
+    """The complex Gaussians of standard normals G (..., 2, d, d), real
+    parts first: bit for bit ``oc._gaussian``'s matrices."""
+    return G[..., 0, :, :] + 1j * G[..., 1, :, :]
 
 
 def _first_block(first, width):
@@ -408,16 +437,17 @@ def gen_equal_weighted_mean_scalars(n: int, iv: Interval, rng: np.random.Generat
     time in increasing weight, each drawn from the range that still lets the
     remaining weight reach the target, and the heaviest is solved last.
 
-    A batch of one of scalar_corollary's sampler on ``rng``:
-    ``_draw_equal_mean`` draws p, y and the first block of x draws, and
-    ``_equal_means`` screens that block and draws further blocks while none
-    is accepted.  The values are those of the one-draw loop; the rng ends
-    after the last block drawn (or after the construction), which can lie
-    past the one-draw loop's accepted draw.  n must be an integer >= 2,
-    else DomainError.
+    A batch of one of scalar_corollary's sampler on ``rng``: its fill draws
+    p, y and the first block of x draws, and ``_equal_means`` screens that
+    block and draws further blocks while none is accepted.  The values are
+    those of the one-draw loop; the rng ends after the last block drawn (or
+    after the construction), which can lie past the one-draw loop's
+    accepted draw.  n must be an integer >= 2, else DomainError.
     """
     _check_mean_size(n)
-    ((_, P, X, Y),) = _equal_means([_draw_equal_mean(n, rng)], [iv], rng)
+    ((trials, _, _, *draws),), states = _drawn_one(
+        _fill_scalar_corollary, rng, (MODE_EQUAL, iv), _equal_mean_columns(n))
+    P, X, Y = _equal_means(trials, iv, *draws, states, rng)
     return X[0], Y[0], P[0]
 
 
@@ -428,12 +458,27 @@ def _check_mean_size(n):
         raise DomainError(f"need an integer n >= 2 scalars, got {n!r}")
 
 
-def _draw_equal_mean(n: int, rng: np.random.Generator):
-    """The draw phase of the equal-mean sampler, for a size n that
-    ``_check_mean_size`` takes: the exponentials of p, the doubles of y and
-    of the first block of x draws (k, n), and the rng state after them."""
-    return (rng.standard_exponential(n), rng.random(n),
-            rng.random((_first_block(_FIRST_BLOCK, n), n)), rng.bit_generator.state)
+def _equal_mean_columns(n: int):
+    """The exponentials of p, the doubles of y and of the first block of x
+    draws (k, n) of an equal-mean trial."""
+    return (((n,), float), ((n,), float), ((_first_block(_FIRST_BLOCK, n), n), float))
+
+
+def _fill_scalar_corollary(rngs, rows):
+    """An equal-mean trial's ``_equal_mean_columns`` and then its state,
+    saved by trial; a relaxed one's doubles of x and y, exponentials of p."""
+    states = {}
+    for t, (rng, ((mode, _), A, B, C)) in enumerate(zip(rngs, rows)):
+        if mode == MODE_EQUAL:
+            rng.standard_exponential(out=A)
+            rng.random(out=B)
+            rng.random(out=C)
+            states[t] = rng.bit_generator.state
+        else:
+            rng.random(out=A)
+            rng.random(out=B)
+            rng.standard_exponential(out=C)
+    return states
 
 
 def _x0_screen(X, P, T, iv):
@@ -448,42 +493,39 @@ def _x0_screen(X, P, T, iv):
     return X, (iv.m <= x0) & (x0 <= iv.M)
 
 
-def _equal_means(draws, ivs, rng) -> list:
-    """(trials, P, X, Y) of the ``_draw_equal_mean`` draws of each interval
-    and shape, row j that of draw trials[j].
+def _equal_means(trials, iv, E, U, B, states, rng):
+    """(P, X, Y) of a stack of equal-mean draws on iv, row j that of trial
+    trials[j], whose state after its first block is states[trials[j]].
 
-    The draws of one interval and shape are mapped in one stack, p by
-    ``_dirichlet_rows`` and y and the first blocks of x by ``_uniform``,
-    and the first blocks are screened in one stack (``_x0_screen``), each
-    trial's target its row sum of p y.  The trials whose first blocks hold
-    no accepted draw resume together from their saved states, each block
-    drawn by ``rng.random((k, n))`` and every round's blocks mapped and
-    screened in one stack (``_first_accepted``); a trial that exhausts
-    _REDRAW_CAP draws sets its state after its last block on ``rng`` and
-    builds x coordinate-wise (``_construct_x``) on its own stream."""
-    out = []
-    for (iv,), trials, E, U, B in _groups(ivs, *([draw[c] for draw in draws] for c in range(3))):
-        n = E.shape[-1]
-        P, Y, B = _dirichlet_rows(E), _uniform(U, iv.m, iv.M), _uniform(B, iv.m, iv.M)
-        T = np.sum(P * Y, axis=-1)
-        solved, ok = _x0_screen(B, P, T, iv)
-        first = _first_hits(ok)
-        hit, miss = np.flatnonzero(first >= 0), np.flatnonzero(first < 0)
-        X = np.full_like(P, np.nan)
-        X[hit] = solved[hit, first[hit]]
-        if miss.size:
-            resumed, states = X[miss], [draws[t][3] for t in trials[miss].tolist()]
-            _first_accepted(
-                rng, states, lambda rng, k: rng.random((k, n)),
-                lambda blocks, rows: _x0_screen(_uniform(blocks, iv.m, iv.M), P[miss[rows]],
-                                                T[miss[rows]], iv),
-                resumed, B.shape[1], n)
-            for j in np.flatnonzero(np.isnan(resumed[:, 0])).tolist():
-                rng.bit_generator.state = states[j]
-                resumed[j] = _construct_x(iv, P[miss[j]], T[miss[j]], rng)
-            X[miss] = resumed
-        out.append((trials, P, X, Y))
-    return out
+    p is mapped by ``_dirichlet_rows`` and y and the first blocks of x by
+    ``_uniform``, and the first blocks are screened in one step
+    (``_x0_screen``), each trial's target its row sum of p y.  The trials
+    whose first blocks hold no accepted draw resume together from their
+    saved states, each block drawn by ``rng.random((k, n))`` and every
+    round's blocks mapped and screened in one stack (``_first_accepted``);
+    a trial that exhausts _REDRAW_CAP draws sets its state after its last
+    block on ``rng`` and builds x coordinate-wise (``_construct_x``) on its
+    own stream."""
+    n = E.shape[-1]
+    P, Y, B = _dirichlet_rows(E), _uniform(U, iv.m, iv.M), _uniform(B, iv.m, iv.M)
+    T = np.sum(P * Y, axis=-1)
+    solved, ok = _x0_screen(B, P, T, iv)
+    first = _first_hits(ok)
+    hit, miss = np.flatnonzero(first >= 0), np.flatnonzero(first < 0)
+    X = np.full_like(P, np.nan)
+    X[hit] = solved[hit, first[hit]]
+    if miss.size:
+        resumed, states = X[miss], [states[t] for t in trials[miss].tolist()]
+        _first_accepted(
+            rng, states, lambda rng, k: rng.random((k, n)),
+            lambda blocks, rows: _x0_screen(_uniform(blocks, iv.m, iv.M), P[miss[rows]],
+                                            T[miss[rows]], iv),
+            resumed, B.shape[1], n)
+        for j in np.flatnonzero(np.isnan(resumed[:, 0])).tolist():
+            rng.bit_generator.state = states[j]
+            resumed[j] = _construct_x(iv, P[miss[j]], T[miss[j]], rng)
+        X[miss] = resumed
+    return P, X, Y
 
 
 def _construct_x(iv, p, target, rng) -> np.ndarray:
@@ -563,69 +605,63 @@ def _weighted_sums(W, A) -> np.ndarray:
     return oc.hermitize(sum(W[:, :, j, None, None] * A[:, None, j] for j in range(A.shape[1])))
 
 
-def _draw_spectra(dim: int, ivs, rng: np.random.Generator):
-    """(G (k, d, d), w (k, d)): the draws of k = len(ivs) matrices with
-    spectra in the intervals ivs, the numbers of one ``oc._draw_spectrum``
-    each (a Gaussian's real and imaginary parts, then the spectrum), drawn
-    into preallocated buffers.  An interval whose width overflows raises
-    DomainError before any draw."""
-    for iv in ivs:
-        oc._width(iv.m, iv.M)
-    X, w = np.empty((len(ivs), 2, dim, dim)), np.empty((len(ivs), dim))
-    for Xj, wj, iv in zip(X, w, ivs):
-        rng.standard_normal(out=Xj)
-        wj[:] = rng.uniform(iv.m, iv.M, size=dim)
-    return X[:, 0] + 1j * X[:, 1], w
+def _spectra_columns(dim, weights, unitaries, n, extra=((0, 0), float), vectors=0):
+    """The raw rows of a matrix trial: the exponentials of its weights, the
+    normals of its unitaries' Gaussians (..., 2, d, d), those of its n
+    matrices and their spectra's doubles, an extra row (a permutation or a
+    Sinkhorn start's doubles) and its random vectors' normals (2, vectors,
+    d); an empty row draws nothing."""
+    return (((weights,), float), ((unitaries, 2, dim, dim), float), ((n, 2, dim, dim), float),
+            ((n, dim), float), extra, ((2, vectors, dim), float))
+
+
+def _fill_spectra(rngs, rows):
+    """Matrix trials' draws in ``_spectra_columns``' order, each matrix's
+    normals then its spectrum's doubles; an int extra row is a permutation."""
+    for rng, (_, E, Gu, G, w, S, R) in zip(rngs, rows):
+        rng.standard_exponential(out=E)
+        rng.standard_normal(out=Gu)
+        for g, u in zip(G, w):
+            rng.standard_normal(out=g)
+            rng.random(out=u)
+        if S.dtype == np.int64:
+            S[:] = rng.permutation(len(S))
+        else:
+            rng.random(out=S)
+        rng.standard_normal(out=R)
 
 
 FAMILY_KINDS = ("uniform_permutation", "doubly_stochastic_mix", "normalized_trace")
 
 
-def _draw_equal_map_sum(n: int, dim: int, iv: Interval, family_kind: str,
-                        rng: np.random.Generator):
-    """The draws of ``gen_equal_map_sum_operators``, for integers n, dim >= 1:
-    (kind, G, w, extra) with the family's unitary and the A_i's Gaussians G
-    and spectra w and the permutation or the Sinkhorn start matrix extra;
-    or, for normalized_trace, the 2n Gaussians G of the densities and the
-    exponentials w of the family weights."""
-    if not (_is_int(n) and _is_int(dim)) or n < 1 or dim < 1:
-        raise DomainError(f"need integers n >= 1 and dim >= 1, got n={n!r} and dim={dim!r}")
-    if family_kind in ("uniform_permutation", "doubly_stochastic_mix"):
-        G = oc._gaussian(dim, rng, 1)
-        Gs, w = _draw_spectra(dim, (iv,) * n, rng)
-        extra = (rng.permutation(n) if family_kind == "uniform_permutation"
-                 else _sinkhorn_start(n, rng))
-        return family_kind, np.concatenate([G, Gs]), w, extra
-    if family_kind == "normalized_trace":
-        if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
-            raise DomainError("normalized_trace inputs are density matrices; "
-                              "the interval must cover [0, 1]")
-        w = rng.standard_exponential(n)
-        return family_kind, oc._gaussian(dim, rng, 2 * n), w, None
-    raise DomainError(f"unknown family kind {family_kind!r}")
+def _equal_map_sum_columns(n: int, dim: int, kind: str):
+    """The family's unitary, the A_i and the permutation or Sinkhorn start;
+    for normalized_trace the family weights and the 2n densities."""
+    if kind == "normalized_trace":
+        return _spectra_columns(dim, n, 2 * n, 0)
+    return _spectra_columns(dim, 0, 1, n, ((n,), np.int64) if kind == "uniform_permutation"
+                            else ((n, n), float))
 
 
-def _build_equal_map_sums(raws) -> list:
-    """(trials, M, bidx, *params) of the ``_draw_equal_map_sum`` draws of
-    each kind and shape, row j that of draw trials[j].  M (k, m, d, d) holds
-    a row's A_i and then those of its B_i that are no A_j, bidx (k, n) the
-    index of each B_i in M (a permuted B_i is its A_j), and params is the
-    family stack of the rows' maps (``oc._map_family_sums``)."""
+def _build_equal_map_sums(stacks) -> list:
+    """(trials, M, bidx, *params) of the equal-map-sum stacks, grouped by
+    kind, the spectra on the bounds of each row's class values.  M (k, m, d,
+    d) holds a row's A_i and then those of its B_i that are no A_j, bidx
+    (k, n) the index of each B_i in M (a permuted B_i is its A_j), and
+    params is the family stack of the rows' maps (``oc._map_family_sums``)."""
     out = []
-    for (kind,), trials, G, w in _groups([raw[0] for raw in raws], [raw[1] for raw in raws],
-                                         [raw[2] for raw in raws]):
-        k, n = w.shape[:2]
+    for trials, kind, values, E, Gu, G, w, S, _ in stacks:
+        k, n = E.shape if kind == "normalized_trace" else w.shape[:2]
         own = np.broadcast_to(np.arange(n, 2 * n), (k, n))
         if kind == "normalized_trace":
-            p = _dirichlet_rows(w)
-            out.append((trials, oc._build_densities(G), own, *p.T))
+            out.append((trials, oc._build_densities(_complex(Gu)), own, *_dirichlet_rows(E).T))
             continue
-        U, H = oc._build_haar(G[:, :1], G[:, 1:], w)
-        extra = np.stack([raws[t][3] for t in trials.tolist()])
+        U, H = oc._build_haar(_complex(Gu), _complex(G), _spectra(w, values))
         if kind == "uniform_permutation":
-            M, bidx = H, extra
+            M, bidx = H, S
         else:
-            M, bidx = np.concatenate([H, _weighted_sums(_sinkhorn(extra), H)], axis=1), own
+            S = _sinkhorn(_uniform(S, 0.5, 1.5))
+            M, bidx = np.concatenate([H, _weighted_sums(S, H)], axis=1), own
         out.append((trials, M, bidx, *[np.full(k, 1.0 / n), U[:, 0]] * n))
     return out
 
@@ -646,10 +682,22 @@ def gen_equal_map_sum_operators(n: int, dim: int, iv: Interval, family_kind: str
     stochastic mixture of the A_j (spectra stay inside [m, M]).
     normalized_trace: trace maps with density-matrix inputs, where the
     constraint holds automatically.  n and dim must be integers >= 1, else
-    DomainError.
+    DomainError; so must iv's width be finite, before any draw.  A batch of
+    one of theorem_beta's fill and build.
     """
-    ((_, M, bidx, *params),) = _build_equal_map_sums(
-        [_draw_equal_map_sum(n, dim, iv, family_kind, rng)])
+    if not (_is_int(n) and _is_int(dim)) or n < 1 or dim < 1:
+        raise DomainError(f"need integers n >= 1 and dim >= 1, got n={n!r} and dim={dim!r}")
+    if family_kind == "normalized_trace":
+        if not (iv.m <= 0.0 + 1e-12 and iv.M >= 1.0 - 1e-12):
+            raise DomainError("normalized_trace inputs are density matrices; "
+                              "the interval must cover [0, 1]")
+    elif family_kind in FAMILY_KINDS:
+        oc._width(iv.m, iv.M)
+    else:
+        raise DomainError(f"unknown family kind {family_kind!r}")
+    stacks, _ = _drawn_one(_fill_spectra, rng, family_kind,
+                           _equal_map_sum_columns(n, dim, family_kind), (iv.m, iv.M))
+    ((_, M, bidx, *params),) = _build_equal_map_sums(stacks)
     kind = oc.NormalizedTrace if family_kind == "normalized_trace" else oc.WeightedConjugation
     return _map_sum_instance((kind,) * n, M, bidx, params)
 
@@ -662,15 +710,15 @@ def gen_conditioned_prob_pair(n: int, eps: float, direction: str, rng: np.random
     ``ce._condition_gap`` is at most PROB_TOL is taken, which is the pair
     ``condition_tag_holds`` takes.
 
-    A batch of one of the reverse suites' sampler on ``rng``:
-    ``_draw_pair_block`` draws the first block of _FIRST_BLOCK pairs, and
-    ``_conditioned_pairs`` screens that block and draws further blocks
-    while none is accepted.  The pair is that of the one-pair-at-a-time
-    loop; the rng ends after the last block drawn, which can lie past the
-    pair taken."""
+    A batch of one of the reverse suites' sampler on ``rng``: ``_fill_pairs``
+    draws the first block of _FIRST_BLOCK pairs, and ``_conditioned_pairs``
+    screens that block and draws further blocks while none is accepted.  The
+    pair is that of the one-pair-at-a-time loop; the rng ends after the last
+    block drawn, which can lie past the pair taken."""
     _check_pair_args(n, eps)
     keys = [(eps, direction)]
-    stacks = _conditioned_pairs([_draw_pair_block(n, rng)], keys, rng)
+    ((trials, _, _, E),), states = _drawn_one(_fill_pairs, rng, keys[0], _pair_columns(n))
+    stacks = [(trials, *_conditioned_pairs(trials, eps, direction, E, states, rng))]
     _check_taken(keys, stacks)
     ((_, P, Q),) = stacks
     return P[0], Q[0]
@@ -687,12 +735,18 @@ def _check_pair_args(n, eps):
         raise DomainError(f"floor {eps} is infeasible for n={n}")
 
 
-def _draw_pair_block(n: int, rng: np.random.Generator):
-    """The draw phase of the conditioned-pair sampler, for a size n that
-    ``_check_pair_args`` takes: the exponentials (2k, n) of the first block
-    of Dirichlet draws, p and q interleaved, and the rng state after them."""
-    return (rng.standard_exponential((2 * _first_block(_FIRST_BLOCK, 2 * n), n)),
-            rng.bit_generator.state)
+def _pair_columns(n: int):
+    """The exponentials (2k, n) of a conditioned-pair trial's first block."""
+    return (((2 * _first_block(_FIRST_BLOCK, 2 * n), n), float),)
+
+
+def _fill_pairs(rngs, rows):
+    """Each trial's first block and then its state, saved by trial."""
+    states = {}
+    for t, (rng, (_, E)) in enumerate(zip(rngs, rows)):
+        rng.standard_exponential(out=E)
+        states[t] = rng.bit_generator.state
+    return states
 
 
 def _pair_screen(D, eps, direction):
@@ -704,32 +758,29 @@ def _pair_screen(D, eps, direction):
     return F, ce._condition_gap(F[..., 0, :], F[..., 1, :], direction) <= ce.PROB_TOL
 
 
-def _conditioned_pairs(draws, keys, rng) -> list:
-    """(trials, P, Q) of the ``_draw_pair_block`` draws of each key (eps,
-    direction) and shape, row j that of draw trials[j]: the pair taken, or
-    NaN rows where a trial takes none.  The first blocks of one key and
-    shape are mapped (``_dirichlet_rows``) and screened (``_pair_screen``)
-    in one stack.  The trials whose first blocks hold no accepted pair
-    resume together from their saved states, each block drawn by
-    ``rng.standard_exponential((2k, n))`` and every round's blocks mapped
+def _conditioned_pairs(trials, eps, direction, E, states, rng):
+    """(P, Q) of a stack of first blocks E of one floor eps and direction,
+    row j that of trial trials[j], whose state after its first block is
+    states[trials[j]]: the pair taken, or NaN rows where a trial takes none.
+    The first blocks are mapped (``_dirichlet_rows``) and screened
+    (``_pair_screen``) in one step.  The trials whose first blocks hold no
+    accepted pair resume together from their saved states, each block drawn
+    by ``rng.standard_exponential((2k, n))`` and every round's blocks mapped
     and screened in one stack (``_first_accepted``)."""
-    out = []
-    for ((eps, direction),), trials, E in _groups(keys, [E for E, _ in draws]):
-        n = E.shape[-1]
-        F, ok = _pair_screen(_dirichlet_rows(E), eps, direction)
-        first = _first_hits(ok)
-        hit, miss = np.flatnonzero(first >= 0), np.flatnonzero(first < 0)
-        P, Q = np.full((len(E), n), np.nan), np.full((len(E), n), np.nan)
-        P[hit], Q[hit] = F[hit, first[hit], 0], F[hit, first[hit], 1]
-        if miss.size:
-            resumed = np.full((miss.size, 2, n), np.nan)
-            _first_accepted(rng, [draws[t][1] for t in trials[miss].tolist()],
-                            lambda rng, k: rng.standard_exponential((2 * k, n)),
-                            lambda blocks, _: _pair_screen(_dirichlet_rows(blocks), eps, direction),
-                            resumed, F.shape[1], 2 * n)
-            P[miss], Q[miss] = resumed[:, 0], resumed[:, 1]
-        out.append((trials, P, Q))
-    return out
+    n = E.shape[-1]
+    F, ok = _pair_screen(_dirichlet_rows(E), eps, direction)
+    first = _first_hits(ok)
+    hit, miss = np.flatnonzero(first >= 0), np.flatnonzero(first < 0)
+    P, Q = np.full((len(E), n), np.nan), np.full((len(E), n), np.nan)
+    P[hit], Q[hit] = F[hit, first[hit], 0], F[hit, first[hit], 1]
+    if miss.size:
+        resumed = np.full((miss.size, 2, n), np.nan)
+        _first_accepted(rng, [states[t] for t in trials[miss].tolist()],
+                        lambda rng, k: rng.standard_exponential((2 * k, n)),
+                        lambda blocks, _: _pair_screen(_dirichlet_rows(blocks), eps, direction),
+                        resumed, F.shape[1], 2 * n)
+        P[miss], Q[miss] = resumed[:, 0], resumed[:, 1]
+    return P, Q
 
 
 def _check_taken(keys, stacks):
@@ -748,46 +799,46 @@ def gen_fuchs_instance(n: int, iv: Interval, rng: np.random.Generator):
     y decreasing, p positive, and x built from y by averaging n random
     adjacent pairs (weighted), which preserves the weighted total and can
     only lower prefix sums.  All three arrays are C-contiguous.  A batch of
-    one of the prefix suites' build; its draw takes the steps from
+    one of the prefix suites' fill and build; it takes the steps from
     ``rng.integers`` for every n, which leaves ``rng`` where that call does,
-    its buffered 32-bit half included."""
-    ((_, X, Y, P),) = _build_fuchs_stacks([_draw_fuchs_instance(n, rng)], iv)
+    its buffered 32-bit half included.  n must be an integer >= 2, else
+    DomainError."""
+    if not _is_int(n) or n < 2:
+        raise DomainError(f"need an integer n >= 2, got {n!r}")
+    stacks, _ = _drawn_one(_fill_prefix, rng, False, _prefix_columns(n, False))
+    ((_, X, Y, P),) = _build_fuchs_stacks(stacks, iv)
     return X[0], Y[0], P[0]
 
 
-def _draw_fuchs_instance(n: int, rng: np.random.Generator):
-    """The draws of ``gen_fuchs_instance``, for an integer n >= 2: the
-    doubles of y and of p, and the n pair indices of the averaging steps."""
-    if not _is_int(n) or n < 2:
-        raise DomainError(f"need an integer n >= 2, got {n!r}")
-    return rng.random(n), rng.random(n), rng.integers(0, n - 1, size=n)
-
-
-def _draw_prefix(n: int, rng: np.random.Generator):
-    """A prefix suite trial's draws, on a stream of ``_trial_rngs``: the
-    doubles of y and of p, and the steps' draws of ``_draw_steps``."""
-    return rng.random(n), rng.random(n), _draw_steps(n, rng)
-
-
-def _draw_steps(n: int, rng: np.random.Generator):
-    """The draws of n averaging steps on a stream that holds no buffered
-    32-bit half, as ``_trial_rngs`` sets them and ``random`` keeps them.
-    Where n - 1 is a power of two, the raw PCG64 words that
-    ``rng.integers(0, n - 1, size=n)`` would take, ceil(n / 2) of them and
-    none for n = 2, whose steps are all 0; ``_steps`` maps them.  Elsewhere
+def _prefix_columns(n: int, raw: bool):
+    """The doubles of y and of p of a prefix trial of size n, and its n
+    steps: with ``raw`` (where n - 1 is a power of two, on a stream that
+    holds no buffered 32-bit half, as ``_trial_rngs`` sets them and
+    ``random`` keeps them) the ceil(n / 2) raw PCG64 words, none for n = 2,
+    that ``rng.integers(0, n - 1, size=n)`` would take (``_steps``), else
     that call's steps."""
-    if (n - 1) & (n - 2):  # n - 1 is no power of two
-        return rng.integers(0, n - 1, size=n)
-    return rng.bit_generator.random_raw((n + 1) // 2 if n > 2 else 0)
+    return (((n,), float), ((n,), float),
+            (((n + 1) // 2 if n > 2 else 0,), np.uint64) if raw else ((n,), np.int64))
+
+
+def _fill_prefix(rngs, rows):
+    """Prefix trials' draws, grouped by ``_prefix_columns``' raw."""
+    for rng, (raw, U, P, S) in zip(rngs, rows):
+        rng.random(out=U)
+        rng.random(out=P)
+        if raw:
+            S[:] = rng.bit_generator.random_raw(len(S))
+        else:
+            S[:] = rng.integers(0, len(U) - 1, size=len(U))
 
 
 def _steps(S, n: int) -> np.ndarray:
-    """The steps (k, n) of the draws S of ``_draw_steps`` or of
-    ``_draw_fuchs_instance``: S itself where it holds steps, and for raw
-    words (k, w) the steps that ``integers`` makes of them, where n - 1 is
-    a power of two.  That call takes a word's low 32-bit half and then its
-    high one, and maps each half u by Lemire's multiply-shift (u (n - 1))
-    >> 32, which rejects no u when n - 1 divides 2^32."""
+    """The steps (k, n) of the step draws S of ``_fill_prefix``: S itself
+    where it holds steps, and for raw words (k, w) the steps that
+    ``integers`` makes of them, where n - 1 is a power of two.  That call
+    takes a word's low 32-bit half and then its high one, and maps each
+    half u by Lemire's multiply-shift (u (n - 1)) >> 32, which rejects no u
+    when n - 1 divides 2^32."""
     if S.dtype != np.uint64:
         return S
     k, w = S.shape
@@ -796,14 +847,14 @@ def _steps(S, n: int) -> np.ndarray:
     return (halves[:, :n] * (n - 1) >> 32).astype(np.intp)
 
 
-def _build_fuchs_stacks(draws, iv: Interval) -> list:
-    """(trials, X, Y, P) of the ``_draw_fuchs_instance`` or ``_draw_prefix``
-    draws of each n and kind of step draw, row j that of draw trials[j]: y
-    uniform on iv (``_uniform``) and sorted decreasing, p uniform on [0.2,
-    1], the steps of each stack from one ``_steps``, and each averaging
-    step on every row at once, with the one-row arithmetic."""
+def _build_fuchs_stacks(stacks, iv: Interval) -> list:
+    """(trials, X, Y, P) of ``_fill_prefix``' stacks, row j that of trial
+    trials[j]: y uniform on iv (``_uniform``) and sorted decreasing, p
+    uniform on [0.2, 1], the steps of each stack from one ``_steps``, and
+    each averaging step on every row at once, with the one-row
+    arithmetic."""
     out = []
-    for _, trials, U, P, steps in _groups(None, *zip(*draws)):
+    for trials, _, _, U, P, steps in stacks:
         Y = np.ascontiguousarray(np.sort(_uniform(U, iv.m, iv.M), axis=-1)[:, ::-1])
         P = _uniform(P, 0.2, 1.0)
         X, rows = Y.copy(), np.arange(len(Y))
@@ -834,12 +885,21 @@ def _table(blocks):
             np.concatenate(vectors[0])[order] if vectors else None)
 
 
+def _context(contexts, t) -> dict:
+    """Trial t's context of a run's (seed, class contexts): {trial, seed,
+    **its class's}; a checker's (None, [context]) is its context."""
+    seed, classes = contexts
+    ctx = classes[t % len(classes)]
+    return ctx if seed is None else {"trial": t, "seed": seed, **ctx}
+
+
 def _contexts(contexts, table, rows=slice(None)):
     """The context of each of the table's ``rows``: its trial's, plus its vector index if any."""
     trial, *_, vector = table
     if vector is None:
-        return [contexts[t] for t in trial[rows].tolist()]
-    return [{**contexts[t], "vector": j} for t, j in zip(trial[rows].tolist(), vector[rows].tolist())]
+        return [_context(contexts, t) for t in trial[rows].tolist()]
+    return [{**_context(contexts, t), "vector": j}
+            for t, j in zip(trial[rows].tolist(), vector[rows].tolist())]
 
 
 def _view(table, contexts) -> List[InequalityVerdict]:
@@ -847,25 +907,6 @@ def _view(table, contexts) -> List[InequalityVerdict]:
     _, ids, margins, tols, _ = table
     return [InequalityVerdict(*row) for row in zip(
         ids, margins.tolist(), (margins >= -tols).tolist(), _contexts(contexts, table))]
-
-
-def _groups(keys, *columns):
-    """Yield (head, entries, *stacks) for each group of entries, in the
-    order of their first entries.  An entry's group is its key (when
-    ``keys`` are given) and the shapes of its values, one per column; head
-    is ``(key,)``, or ``()`` without keys, entries the group's entry
-    indices as an int array, and each stack the ``np.stack`` of the group's
-    values of a column, rectangular by construction."""
-    heads = [()] * len(columns[0]) if keys is None else [(key,) for key in keys]
-    groups = defaultdict(list)
-    # an array's own .shape: np.shape's dispatch would cost more per entry
-    # than the rest of the grouping
-    shapes = ([v.shape if type(v) is np.ndarray else () if type(v) in (float, int) else np.shape(v)
-               for v in col] for col in columns)
-    for j, group in enumerate(zip(heads, *shapes)):
-        groups[group].append(j)
-    for (head, *_), idxs in groups.items():
-        yield (head, np.array(idxs), *(np.stack([col[j] for j in idxs]) for col in columns))
 
 
 def _check_spectra(w, lo, hi):
@@ -1116,7 +1157,7 @@ def check_lemma_jensen(family: oc.MapFamily, mats, f: FunctionSpec, vectors):
     kinds, params = oc._family_stack(family)
     stacks = _decomposed([(np.zeros(1, dtype=int), np.stack(mats)[None], np.stack(vecs)[None],
                            *params)])
-    return _view(_table(_stack_score(_jensen_kernel)(([(f, kinds)], stacks))), [{}])
+    return _view(_table(_stack_score(_jensen_kernel)(([(f, kinds)], stacks))), (None, [{}]))
 
 
 def check_theorem_beta(family: oc.MapFamily, As, Bs, f: FunctionSpec,
@@ -1141,7 +1182,7 @@ def _check_map_sum(inequality_id, family, As, Bs, f, alpha) -> InequalityVerdict
     stacks = _decomposed([(np.zeros(1, dtype=int), np.stack(mats)[None], np.array([bidx]),
                            *params)])
     blocks = _stack_score(_map_sum_kernel(inequality_id))(([(f, alpha, kinds)], stacks))
-    return _view(_table(blocks), [{"alpha": alpha, "f": f.name}])[0]
+    return _view(_table(blocks), (None, [{"alpha": alpha, "f": f.name}]))[0]
 
 
 def check_corollary_weighted(ps, As, Bs, f: FunctionSpec, alpha: float) -> InequalityVerdict:
@@ -1229,7 +1270,7 @@ def check_scalar_corollary(p, x, y, f: FunctionSpec, alpha: float, mode: str = M
         raise ShapeError("p, x, y must share a length")
     stacks = [(np.zeros(1, dtype=int), *(a[None] for a in row))]
     blocks = _stack_score(_scalar_corollary_kernel)(([(f, alpha, mode)], stacks))
-    return _view(_table(blocks), [{"alpha": alpha, "f": f.name, "mode": mode}])
+    return _view(_table(blocks), (None, [{"alpha": alpha, "f": f.name, "mode": mode}]))
 
 
 def check_entropy_vonneumann(A, B, alpha: float):
@@ -1247,7 +1288,7 @@ def check_entropy_tsallis(A, B, alpha: float, r: float):
         raise ShapeError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
     ctx = {"dim": A.shape[0], "alpha": alpha, **({} if r is None else {"r": r})}
     stacks = [(np.zeros(1, dtype=int), wa[None], wb[None], np.array([alpha]))]
-    return _view(_table(_stack_score(_entropy_kernel)(([r], stacks))), [ctx])
+    return _view(_table(_stack_score(_entropy_kernel)(([r], stacks))), (None, [ctx]))
 
 
 def check_fannes_comparison(dims: Sequence[int]):
@@ -1302,7 +1343,7 @@ def check_operator_mean_bounds(Z, Xs, Ys, weights, iv: Interval, r: float,
            np.concatenate([zV[None], rV])[None], w[None], np.array([r], dtype=float))
     forms = MEAN_FORMS_SOUND + (MEAN_FORM_C_LHS,) + (MEAN_FORMS_LIMIT if include_limits else ())
     blocks = _stack_score(_mean_kernel(forms))(([iv], [(np.zeros(1, dtype=int), *row)]))
-    return _view(_table(blocks), [{"r": r, "m": iv.m, "M": iv.M}])
+    return _view(_table(blocks), (None, [{"r": r, "m": iv.m, "M": iv.M}]))
 
 
 # ---------------------------------------------------------------------------
@@ -1335,41 +1376,40 @@ _DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class _Suite:
-    """``draw(i, rng, params)`` makes trial i's rng calls on its own rng and
-    nothing else, and returns (raw, key, context): the raw arrays (numpy's
-    standard exponentials for Dirichlet rows and ``random`` doubles for the
-    scalar and classical suites' uniforms; a rejection sampler's first block
-    of candidates, with the generator state saved after it), the trial's
-    key, and its context, which ``run_suite`` puts after {trial, seed}.
-    ``build(draws)`` gives the trials' keys and stacks (``_stacks_built``),
-    and ``score`` scores them (``_stack_score``) and returns ``_table``
-    blocks.  ``defaults`` name the params that the draw reads and fill in
-    those left out; a suite not ``in_all`` runs only when named, never under
-    ``--suite all``."""
+    """``layout(i, params)`` gives trial i's class (``_drawn``), which
+    follows from i through the params cycles and repeats with a period of
+    the lcm of ``period`` and the cycles' lengths.  ``fill(rngs, rows)``
+    makes each trial's rng calls into its rows and nothing else (numpy's
+    standard exponentials for Dirichlet rows, ``random`` doubles for
+    uniforms, a rejection sampler's first block and its state saved after
+    it).  ``build(keys, stacks, saved)`` maps, screens and constructs whole
+    stacks into the (trials, *columns) stacks that ``score`` scores
+    (``_stack_score``).  ``defaults`` name the params that the layout reads
+    and fill in those left out; a suite not ``in_all`` runs only when
+    named, never under ``--suite all``."""
 
-    draw: Callable
+    layout: Callable
+    fill: Callable
+    build: Callable
     score: Callable
     defaults: dict = field(default_factory=dict)
-    build: Callable = lambda draws: draws
+    period: int = 1
     in_all: bool = True
 
 
-def _stacks_built(build):
-    """The build phase of a suite: (keys, stacks), each trial's key and the
-    (trials, *columns) stacks that ``build(raws, keys)`` makes of the
-    trials' raw draws, one per row shape (or per finer group), row j of each
-    column that of trial trials[j].  A build maps, screens and constructs
-    whole stacks, and a matrix suite's build also decomposes its matrices
-    (``_decomposed``) or runs the Jacobi oracle on them (``_build_jacobi``)."""
-    def run(draws):
-        keys = [key for _, key, _ in draws]
-        return keys, build([raw for raw, *_ in draws], keys)
-    return run
+_CYCLED = ("dims", "fs", "alphas", "rs")  # the params whose entries the trials cycle through
 
 
-def _decomposed_built(build):
-    """``_stacks_built`` of a matrix suite's ``build(raws)``, decomposed."""
-    return _stacks_built(lambda raws, _: _decomposed(build(raws)))
+def _suite_stacks(suite: _Suite, seed: int, trials: range, params: dict):
+    """(keys, class contexts, built stacks) of a suite's ``trials`` at full
+    ``params``, trial t (from trials.start) of class t % len(contexts), laid
+    out once per class, in trial order, so that the layout raises for the
+    first trial whose params it rejects.  One trial is its batch of one."""
+    period = math.lcm(suite.period, *(len(params[k]) for k in _CYCLED if k in suite.defaults))
+    layouts = [suite.layout(i, params) for i in trials[:period]]
+    stacks, saved = _drawn(suite.fill, _trial_rngs(seed, trials), layouts, len(trials))
+    keys = ([key for key, *_ in layouts] * -(-len(trials) // len(layouts)))[:len(trials)]
+    return keys, [ctx for _, ctx, *_ in layouts], suite.build(keys, stacks, saved)
 
 
 def _cycle(seq, i):
@@ -1389,11 +1429,11 @@ _MOMENT_ORDERS = (1, 2, 4)
 
 
 def _stack_score(kernel):
-    """The score of a suite built by ``_stacks_built``: the rows of each
-    stack are split by their trials' keys, one fancy index per column and
-    key, and ``kernel(key, *columns)`` returns [(inequality id, margins,
-    tol[, rows])], which become blocks with the rows' trials.  The margins
-    are one per row, or one per row and vector (k, v), each with its vector
+    """The score of a suite's built stacks: the rows of each stack are
+    split by their trials' keys, one fancy index per column and key, and
+    ``kernel(key, *columns)`` returns [(inequality id, margins, tol[,
+    rows])], which become blocks with the rows' trials.  The margins are
+    one per row, or one per row and vector (k, v), each with its vector
     index; ``rows`` picks the rows that a form scores, all of them when left
     out.  A kernel gives a row the bits of a batch of one, so neither the
     stacks nor the split show."""
@@ -1418,26 +1458,20 @@ def _stack_score(kernel):
     return score
 
 
-def _draw_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
-    """The draws of ``_gen_jensen_instance``: (exponentials of the weights,
-    Gaussians of the n unitaries, Gaussians and spectra of the n matrices,
-    the unit vectors (dim + 16, dim))."""
-    weights = rng.standard_exponential(n)
-    Gu = oc._gaussian(dim, rng, n)
-    Gs, w = _draw_spectra(dim, (iv,) * n, rng)
-    raw = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
-    vecs = np.array([*np.eye(dim)] + [v / np.linalg.norm(v) for v in raw], dtype=complex)
-    return weights, Gu, Gs, w, vecs
-
-
-def _build_jensen_stacks(raws) -> list:
-    """(trials, M, X, *params) of the ``_draw_jensen_instance`` draws of each
-    shape: the matrices M (k, n, d, d), the vectors X (k, v, d) and the
-    family stack of the n weighted unitary conjugations."""
+def _build_jensen_stacks(stacks) -> list:
+    """(trials, M, X, *params) of the Jensen stacks: the matrices M (k, n, d,
+    d) with spectra on the bounds of their class values, the vectors X (k,
+    v, d), the standard basis and then the random vectors over their norms
+    (the sums of squares of real and imaginary parts, bit for bit
+    ``np.linalg.norm``'s), and the family stack of the n weighted unitary
+    conjugations."""
     out = []
-    for _, trials, E, Gu, Gs, w, X in _groups(None, *zip(*raws)):
-        U, H = oc._build_haar(Gu, Gs, w)
-        W = _dirichlet_rows(E)
+    for trials, _, values, E, Gu, G, w, _, R in stacks:
+        U, H = oc._build_haar(_complex(Gu), _complex(G), _spectra(w, values))
+        W, raw = _dirichlet_rows(E), R[:, 0] + 1j * R[:, 1]
+        norms = np.sqrt(np.vecdot(raw.real, raw.real) + np.vecdot(raw.imag, raw.imag))
+        eye = np.broadcast_to(np.eye(H.shape[-1], dtype=complex), (len(H), *H.shape[-2:]))
+        X = np.concatenate([eye, raw / norms[..., None]], axis=1)
         out.append((trials, H, X, *[c for i in range(W.shape[1]) for c in (W[:, i], U[:, i])]))
     return out
 
@@ -1445,53 +1479,46 @@ def _build_jensen_stacks(raws) -> list:
 def _gen_jensen_instance(n, dim, iv: Interval, rng: np.random.Generator):
     """(family, mats, vectors): n weighted unitary conjugations, n matrices
     with spectra in iv, the standard basis plus 16 random unit vectors."""
-    ((_, M, X, *params),) = _build_jensen_stacks([_draw_jensen_instance(n, dim, iv, rng)])
+    stacks, _ = _drawn_one(_fill_spectra, rng, None, _spectra_columns(dim, n, n, n, vectors=16),
+                           (iv.m, iv.M))
+    ((_, M, X, *params),) = _build_jensen_stacks(stacks)
     return oc._family_of((oc.WeightedConjugation,) * n, params, dim), list(M[0]), list(X[0])
 
 
 _CONJUGATIONS = (oc.WeightedConjugation,) * _MAP_N  # the map kinds of every suite family
 
 
-def _draw_jensen(i, rng, params):
-    dim = _cycle(params["dims"], i)
-    f = function_catalog(_cycle(params["fs"], i))
-    return (_draw_jensen_instance(_MAP_N, dim, f.domain, rng), (f, _CONJUGATIONS),
-            dict(dim=dim, f=f.name))
+def _jensen_layout(i, params):
+    dim, f = _cycle(params["dims"], i), function_catalog(_cycle(params["fs"], i))
+    return ((f, _CONJUGATIONS), dict(dim=dim, f=f.name), None,
+            _spectra_columns(dim, _MAP_N, _MAP_N, _MAP_N, vectors=16), (f.domain.m, f.domain.M))
 
 
 _WEIGHT_VARIANTS = ("weights_v0", "weights_v1", "weights_v2")
 
 
-def _draw_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Generator):
-    """The draws of ``_gen_weighted_instance``: (kind, exponentials of the
-    weights, Gaussians and spectra of the A_i, Sinkhorn start matrix of the
-    weights_v2 mix or None)."""
-    w = rng.standard_exponential(n)
-    Gs, spectra = _draw_spectra(dim, (iv,) * n, rng)
-    S = None if kind in ("weights_v0", "weights_v1") else _sinkhorn_start(n, rng)
-    return kind, w, Gs, spectra, S
+def _weighted_columns(n, dim, kind):
+    return _spectra_columns(dim, n, 0, n, ((n, n) if kind == "weights_v2" else (0, 0), float))
 
 
-def _build_weighted_stacks(raws) -> list:
-    """(trials, M, bidx, *params) of the ``_draw_weighted_instance`` draws of
-    each kind and shape, laid out as ``_build_equal_map_sums``' stacks, with
-    the maps Phi_i(X) = w_i X.  The B_i are all the weighted mean of the A_i
-    (weights_v0), the A_i themselves (weights_v1) or a doubly stochastic mix
-    of them under uniform weights (weights_v2), which keeps only
-    uniform-weight sums."""
+def _build_weighted_stacks(stacks) -> list:
+    """(trials, M, bidx, *params) of the weighted stacks, grouped by kind and
+    laid out as ``_build_equal_map_sums``' stacks, with the maps Phi_i(X) =
+    w_i X.  The B_i are all the weighted mean of the A_i (weights_v0), the
+    A_i themselves (weights_v1) or a doubly stochastic mix of them under
+    uniform weights (weights_v2), which keeps only uniform-weight sums."""
     out = []
-    for (kind,), trials, E, Gs, w in _groups([raw[0] for raw in raws],
-                                             *[[raw[c] for raw in raws] for c in (1, 2, 3)]):
+    for trials, kind, values, E, Gu, G, w, S, _ in stacks:
         (k, n), d = E.shape, w.shape[-1]
-        W, (_, H) = _dirichlet_rows(E), oc._build_haar(Gs[:, :0], Gs, w)
+        W = _dirichlet_rows(E)
+        _, H = oc._build_haar(_complex(Gu), _complex(G), _spectra(w, values))
         if kind == "weights_v0":
             M = np.concatenate([H, _weighted_sums(W[:, None], H)], axis=1)
             bidx = np.full((k, n), n)
         elif kind == "weights_v1":
             M, bidx = H, np.broadcast_to(np.arange(n), (k, n))
         else:
-            S = np.stack([raws[t][4] for t in trials.tolist()])
-            M = np.concatenate([H, _weighted_sums(_sinkhorn(S), H)], axis=1)
+            M = np.concatenate([H, _weighted_sums(_sinkhorn(_uniform(S, 0.5, 1.5)), H)], axis=1)
             bidx, W = np.broadcast_to(np.arange(n, 2 * n), (k, n)), np.full((k, n), 1.0 / n)
         eye = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
         out.append((trials, M, bidx, *[c for i in range(n) for c in (W[:, i], eye)]))
@@ -1503,54 +1530,51 @@ def _gen_weighted_instance(n, dim, iv: Interval, kind: str, rng: np.random.Gener
     all-equal-to-the-weighted-mean reduction (weights_v0), a copy of A
     (weights_v1) or a doubly stochastic mix under uniform weights
     (weights_v2)."""
-    ((_, M, bidx, *params),) = _build_weighted_stacks(
-        [_draw_weighted_instance(n, dim, iv, kind, rng)])
+    stacks, _ = _drawn_one(_fill_spectra, rng, kind, _weighted_columns(n, dim, kind),
+                           (iv.m, iv.M))
+    ((_, M, bidx, *params),) = _build_weighted_stacks(stacks)
     return _map_sum_instance((oc.WeightedConjugation,) * n, M, bidx, params)
 
 
-def _draw_map_sum(i, rng, params, draw, kind):
-    """A map-sum trial's draw(n, dim, f.domain, kind, rng) and its key (f,
-    alpha, kinds)."""
-    dim = _cycle(params["dims"], i)
-    f = function_catalog(_cycle(params["fs"], i))
-    alpha = _cycle(params["alphas"], i)
-    return (draw(_MAP_N, dim, f.domain, kind, rng), (f, alpha, _CONJUGATIONS),
-            dict(dim=dim, f=f.name, alpha=alpha, family=kind))
+def _map_sum_layout(kinds, columns):
+    """The layout of a map-sum suite whose trials cycle through ``kinds``,
+    grouped by kind, with key (f, alpha, kinds) and f's domain as the
+    bounds of the spectra."""
+    def layout(i, params):
+        dim, kind = _cycle(params["dims"], i), _cycle(kinds, i)
+        f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
+        return ((f, alpha, _CONJUGATIONS), dict(dim=dim, f=f.name, alpha=alpha, family=kind),
+                kind, columns(_MAP_N, dim, kind), (f.domain.m, f.domain.M))
+    return layout
 
 
-def _draw_scalar_corollary(i, rng, params):
-    """Equal weighted means (``_draw_equal_mean``), or on odd trials with
-    decreasing f the draws of the relaxed sum p x <= sum p y: the doubles
-    of x and y and the exponentials of p."""
+def _scalar_corollary_layout(i, params):
+    """Equal weighted means, or on odd trials with decreasing f the relaxed
+    sum p x <= sum p y, grouped (mode, f's domain)."""
     n = _SCALAR_N
     f, alpha = function_catalog(_cycle(params["fs"], i)), _cycle(params["alphas"], i)
     iv = f.domain
     if i % 2 == 1 and _is_decreasing(f, iv):
-        raw = rng.random(n), rng.random(n), rng.standard_exponential(n)
-        mode = MODE_RELAXED
+        mode, columns = MODE_RELAXED, (((n,), float),) * 3
     else:
-        raw, mode = _draw_equal_mean(n, rng), MODE_EQUAL
-    return raw, (f, alpha, mode), dict(dim=n, alpha=alpha, f=f.name, mode=mode)
+        mode, columns = MODE_EQUAL, _equal_mean_columns(n)
+    return (f, alpha, mode), dict(dim=n, alpha=alpha, f=f.name, mode=mode), (mode, iv), columns, ()
 
 
-def _build_scalar_corollary(raws, keys) -> list:
-    """(trials, P, X, Y) stacks of the scalar_corollary draws with their
-    keys (f, alpha, mode): those of ``_equal_means`` for the equal-mean
-    draws, and one per interval and n of the relaxed draws, mapped by
-    ``_uniform`` and ``_dirichlet_rows``, each trial's row with x and y
-    swapped where the row sum of p x exceeds that of p y."""
-    equal = [j for j, (_, _, mode) in enumerate(keys) if mode == MODE_EQUAL]
-    relaxed = [j for j, (_, _, mode) in enumerate(keys) if mode != MODE_EQUAL]
-    stacks = [(np.array(equal)[trials], P, X, Y) for trials, P, X, Y in _equal_means(
-        [raws[j] for j in equal], [keys[j][0].domain for j in equal], _resume_rng())]
-    if relaxed:
-        ivs = [keys[j][0].domain for j in relaxed]
-        for (iv,), trials, X, Y, E in _groups(ivs, *zip(*(raws[j] for j in relaxed))):
-            X, Y, P = _uniform(X, iv.m, iv.M), _uniform(Y, iv.m, iv.M), _dirichlet_rows(E)
-            swap = (np.sum(P * X, axis=-1) > np.sum(P * Y, axis=-1))[:, None]
-            stacks.append((np.array(relaxed)[trials], P,
-                           np.where(swap, Y, X), np.where(swap, X, Y)))
-    return stacks
+def _build_scalar_corollary(keys, stacks, states) -> list:
+    """(trials, P, X, Y) of the scalar_corollary stacks: ``_equal_means``'
+    for the equal-mean ones, and for the relaxed ones the doubles mapped by
+    ``_uniform`` and the exponentials by ``_dirichlet_rows``, each row with
+    x and y swapped where its sum of p x exceeds that of p y."""
+    out, rng = [], _resume_rng()
+    for trials, (mode, iv), _, A, B, C in stacks:
+        if mode == MODE_EQUAL:
+            out.append((trials, *_equal_means(trials, iv, A, B, C, states, rng)))
+            continue
+        X, Y, P = _uniform(A, iv.m, iv.M), _uniform(B, iv.m, iv.M), _dirichlet_rows(C)
+        swap = (np.sum(P * X, axis=-1) > np.sum(P * Y, axis=-1))[:, None]
+        out.append((trials, P, np.where(swap, Y, X), np.where(swap, X, Y)))
+    return out
 
 
 _PREFIX_INTERVAL = Interval(-1.0, 2.0)
@@ -1567,52 +1591,59 @@ def _fuchs_fs():
                  for name, g in mj._FORWARD_FAMILY.items())
 
 
-def _draw_fuchs(i, rng, params):
-    f = _cycle(_fuchs_fs(), i)
-    return _draw_prefix(_PREFIX_N, rng), f, dict(dim=_PREFIX_N, f=f.name)
+def _prefix_layout(keys, context):
+    """The layout of a prefix suite whose trials cycle through ``keys()``,
+    with the context ``context(key)``; _PREFIX_N - 1 is a power of two, so
+    the steps come from raw words."""
+    def layout(i, params):
+        key = _cycle(keys(), i)
+        return key, dict(dim=_PREFIX_N, **context(key)), True, _prefix_columns(_PREFIX_N, True), ()
+    return layout
 
 
-def _draw_moment(i, rng, params):
-    order = _cycle(_MOMENT_ORDERS, i)
-    return _draw_prefix(_PREFIX_N, rng), order, dict(dim=_PREFIX_N, r=order)
+def _fill_row(rngs, rows):
+    """One row per trial, drawn by the ``Generator`` method its group names."""
+    for rng, (method, A) in zip(rngs, rows):
+        getattr(rng, method)(out=A)
 
 
-def _draw_density_pair(i, rng, params):
-    """((Gaussians of A and B, alpha), r = None, context): the draws of two
-    random density matrices, which the suite builds into their spectra."""
+def _density_layout(i, params):
+    """A density pair: key r = None, alpha as class value, and the normals
+    (2, 2, d, d) of the two Gaussians."""
     dim, alpha = _cycle(params["dims"], i), _cycle(params["alphas"], i)
-    return (oc._gaussian(dim, rng, 2), alpha), None, dict(dim=dim, alpha=alpha)
+    return (None, dict(dim=dim, alpha=alpha), "standard_normal", (((2, 2, dim, dim), float),),
+            (alpha,))
 
 
-def _draw_tsallis_pair(i, rng, params):
-    raw, _, ctx = _draw_density_pair(i, rng, params)
+def _tsallis_layout(i, params):
+    _, ctx, *rest = _density_layout(i, params)
     r = _cycle(params["rs"], i)
-    return raw, r, dict(ctx, r=r)
+    return (r, dict(ctx, r=r), *rest)
 
 
-def _build_entropy_stacks(raws, _) -> list:
-    """(trials, W_A, W_B, alphas) of the (G, alpha) draws of each dimension:
-    the spectra of the density pairs, from one ``oc._build_densities`` and
-    one ``oc._eigvalsh`` on the (k, 2, d, d) stack."""
+def _build_entropy_stacks(keys, stacks, _) -> list:
+    """(trials, W_A, W_B, alphas) of the density pairs' stacks: their
+    spectra, from one ``oc._build_densities`` and one ``oc._eigvalsh`` on
+    each (k, 2, d, d) stack."""
     out = []
-    for _, trials, G in _groups(None, [G for G, _ in raws]):
-        rho = oc._build_densities(G)
-        W = oc._eigvalsh(rho.reshape(-1, *rho.shape[-2:])).reshape(G.shape[:-1])
-        out.append((trials, W[:, 0], W[:, 1], np.array([raws[t][1] for t in trials.tolist()])))
+    for trials, _, values, G in stacks:
+        rho = oc._build_densities(_complex(G))
+        W = oc._eigvalsh(rho.reshape(-1, *rho.shape[-2:])).reshape(rho.shape[:-1])
+        out.append((trials, W[:, 0], W[:, 1], values[:, 0]))
     return out
 
 
-def _draw_prob_pair(i, rng, params):
-    """(exponentials (2, n) of the Dirichlet draws of p and q, r, context)."""
+def _info_layout(i, params):
+    """The exponentials (2, n) of the Dirichlet draws of p and q, key r."""
     n, r = _cycle(_INFO_SIZES, i), _cycle(params["rs"], i)
-    return rng.standard_exponential((2, n)), r, dict(dim=n, r=r)
+    return r, dict(dim=n, r=r), "standard_exponential", (((2, n), float),), ()
 
 
-def _build_prob_pairs(raws, _) -> list:
+def _build_prob_pairs(keys, stacks, _) -> list:
     """(trials, P, Q) of the (2, n) blocks of exponentials of each n: their
     Dirichlet rows (``_dirichlet_rows``), floored at 1e-12 and normalized."""
     out = []
-    for _, trials, E in _groups(None, raws):
+    for trials, _, _, E in stacks:
         F = np.maximum(_dirichlet_rows(E), 1e-12)
         F = F / np.sum(F, axis=-1, keepdims=True)
         out.append((trials, F[:, 0], F[:, 1]))
@@ -1635,31 +1666,30 @@ def _info_inequality_kernel(r, P, Q):
             ("tsallis_forms_agree", 1e-10 - np.abs(weighted_p - naive_p), 0.0)]
 
 
-def _draw_conditioned_pair(i, rng, params):
-    """(first block and saved state of ``_draw_pair_block``, (eps,
-    direction), context): a floored pair whose dominance tag alternates.
-    The first cycle of sizes checks each size with the run's eps once
-    (``_check_pair_args``), so a run checks the sizes it draws."""
+def _conditioned_layout(i, params):
+    """A floored pair whose dominance tag alternates, key and group (eps,
+    direction), after ``_check_pair_args`` of its size and the run's eps."""
     n, eps = _cycle(_REVERSE_SIZES, i), params["eps"]
-    if i < len(_REVERSE_SIZES):
-        _check_pair_args(n, eps)
+    _check_pair_args(n, eps)
     direction = ce.SELF_DOMINATED if i % 2 == 0 else ce.CROSS_DOMINATED
-    return (_draw_pair_block(n, rng), (eps, direction),
-            dict(dim=n, eps=eps, direction=direction))
+    return ((eps, direction), dict(dim=n, eps=eps, direction=direction), (eps, direction),
+            _pair_columns(n), ())
 
 
-def _draw_parametric_pair(i, rng, params):
-    raw, (eps, direction), ctx = _draw_conditioned_pair(i, rng, params)
+def _parametric_layout(i, params):
+    (eps, direction), ctx, *rest = _conditioned_layout(i, params)
     r = _cycle(params["rs"], i)
-    return raw, (eps, r, direction), dict(ctx, r=r)
+    return ((eps, r, direction), dict(ctx, r=r), *rest)
 
 
-def _build_conditioned_pairs(raws, keys) -> list:
-    """(trials, P, Q) stacks of the reverse suites' draws, keyed (eps, ...,
+def _build_conditioned_pairs(keys, stacks, states) -> list:
+    """(trials, P, Q) stacks of the reverse suites' stacks, keyed (eps, ...,
     direction); GeneratorExhausted where a trial takes no pair."""
-    stacks = _conditioned_pairs(raws, [(key[0], key[-1]) for key in keys], _resume_rng())
-    _check_taken(keys, stacks)
-    return stacks
+    rng = _resume_rng()
+    built = [(trials, *_conditioned_pairs(trials, eps, direction, E, states, rng))
+             for trials, (eps, direction), _, E in stacks]
+    _check_taken(keys, built)
+    return built
 
 
 def _ratio_diff_kernel(suite_id, rows):
@@ -1669,70 +1699,71 @@ def _ratio_diff_kernel(suite_id, rows):
                               zip(("_ratio", "_diff"), rows(P, Q, *key))]
 
 
-def _draw_mean_instance(rng, dim, iv, n):
-    """The draws of ``_gen_mean_instance``: Gaussians and spectra of Z and the
-    A_i, and the Sinkhorn start matrix of the B_i (None for n = 1)."""
-    G, w = _draw_spectra(dim, (Interval(0.5, 2.0),) + (iv,) * n, rng)
-    return G, w, _sinkhorn_start(n, rng) if n > 1 else None
-
-
-def _build_mean_stacks(raws) -> list:
-    """(trials, M, weights) of the ``_draw_mean_instance`` draws of each
-    shape: M (k, m, d, d) holds Z, then the A_i, then for n > 1 the B_i, a
-    doubly stochastic mix of the A_i under uniform weights.  With n = 1 a
-    row has no B_i, which makes Q = P."""
+def _build_mean_stacks(stacks) -> list:
+    """(trials, M, weights) of the operator-mean stacks, grouped by the A_i's
+    interval iv: M (k, m, d, d) holds Z, with spectrum in [0.5, 2], then the
+    A_i, then for n > 1 the B_i, a doubly stochastic mix of the A_i under
+    uniform weights.  With n = 1 a row has no B_i, which makes Q = P."""
     out = []
-    for _, trials, G, w in _groups(None, [raw[0] for raw in raws], [raw[1] for raw in raws]):
-        n = w.shape[1] - 1
-        _, H = oc._build_haar(G[:, :0], G, w)
+    for trials, iv, _, _, Gu, G, u, S, _ in stacks:
+        n = u.shape[1] - 1
+        w = np.concatenate([_uniform(u[:, :1], 0.5, 2.0), _uniform(u[:, 1:], iv.m, iv.M)], axis=1)
+        _, H = oc._build_haar(_complex(Gu), _complex(G), w)
         if n > 1:
-            S = np.stack([raws[t][2] for t in trials.tolist()])
-            H = np.concatenate([H, _weighted_sums(_sinkhorn(S), H[:, 1:])], axis=1)
+            S = _sinkhorn(_uniform(S, 0.5, 1.5))
+            H = np.concatenate([H, _weighted_sums(S, H[:, 1:])], axis=1)
         out.append((trials, H, np.full((len(H), n), 1.0 / n)))
     return out
+
+
+def _mean_columns(n, dim):
+    return _spectra_columns(dim, 0, 0, n + 1, ((n, n) if n > 1 else (0, 0), float))
 
 
 def _gen_mean_instance(rng, dim, iv, n):
     """(Z, As, Bs, w): Z with spectrum in [0.5, 2], n matrices A_i with
     spectra in iv, and B_i with the same weighted sum (Bs is As for n = 1)."""
-    ((_, M, weights),) = _build_mean_stacks([_draw_mean_instance(rng, dim, iv, n)])
+    stacks, _ = _drawn_one(_fill_spectra, rng, iv, _mean_columns(n, dim))
+    ((_, M, weights),) = _build_mean_stacks(stacks)
     As = M[0, 1:n + 1]
     return M[0, 0], As, As if n == 1 else M[0, n + 1:], weights[0]
 
 
-def _draw_mean(i, rng, params):
-    """((the draws of ``_draw_mean_instance``, r), iv, context)."""
+def _mean_layout(i, params):
+    """Key and group iv, r as class value, n = 1 on even trials and 2 on odd
+    ones, after DomainError where iv's width overflows."""
     dim, r = _cycle(params["dims"], i), _cycle(params["rs"], i)
     n = 1 if i % 2 == 0 else 2
     iv = Interval(*params["interval"])
-    return (*_draw_mean_instance(rng, dim, iv, n), r), iv, dict(dim=dim, r=r, n=n)
+    oc._width(iv.m, iv.M)
+    return iv, dict(dim=dim, r=r, n=n), iv, _mean_columns(n, dim), (r,)
 
 
-def _build_mean_suite(raws, _) -> list:
+def _build_mean_suite(keys, stacks, _) -> list:
     """The mean suites' stacks: those of ``_build_mean_stacks``, decomposed,
     with each row's r last."""
-    return [(*stack, np.array([raws[t][3] for t in stack[0].tolist()], dtype=float))
-            for stack in _decomposed(_build_mean_stacks(raws))]
+    return [(*built, np.array(values[:, 0], dtype=float))
+            for built, (_, _, values, *_) in zip(_decomposed(_build_mean_stacks(stacks)), stacks)]
 
 
-def _draw_hermitian(i, rng, params):
-    """(G + G*)/2 with G complex Gaussian, dimension cycling through dims."""
+def _eigensolver_layout(i, params):
+    """The normals of G, built into (G + G*)/2, dimension cycling through dims."""
     dim = _cycle(params["dims"], i)
-    G = oc._gaussian(dim, rng)
-    return (G + G.conj().T) / 2.0, None, dict(dim=dim)
+    return None, dict(dim=dim), "standard_normal", (((2, dim, dim), float),), ()
 
 
 _jacobi_last = {}
 
 
-def _build_jacobi(raws, _) -> list:
-    """(trials, A, w, V) of the drawn matrices of each dimension, with the
-    Jacobi oracle's (w, V) of each, all from one ``oc._jacobi`` call (one
-    ``oc.eigh_stack`` per ring size).  The last stacks are kept and reused
-    when the drawn stacks equal them: under ``--suite all`` the eigensolver
-    and eigensolver_crosscheck suites draw the same matrices, and Jacobi
-    runs once."""
-    stacks = [(trials, A) for _, trials, A in _groups(None, raws)]
+def _build_jacobi(keys, stacks, _) -> list:
+    """(trials, A, w, V) of the drawn matrices (G + G*)/2 of each dimension,
+    with the Jacobi oracle's (w, V) of each, all from one ``oc._jacobi``
+    call (one ``oc.eigh_stack`` per ring size).  The last stacks are kept
+    and reused when the drawn stacks equal them: under ``--suite all`` the
+    eigensolver and eigensolver_crosscheck suites draw the same matrices,
+    and Jacobi runs once."""
+    stacks = [(trials, _complex(G)) for trials, _, _, G in stacks]
+    stacks = [(trials, (G + np.swapaxes(G, -1, -2).conj()) / 2.0) for trials, G in stacks]
     solvers = (oc._jacobi, oc.eigh_stack)
     last = _jacobi_last.get(solvers)
     if last is None or len(last) != len(stacks) or not all(
@@ -1784,67 +1815,73 @@ _EIG_DIMS = {"dims": tuple(range(2, 17))}
 # only the keys its defaults name: so reverse_shannon keeps r unset,
 # entropy_vn ignores rs, and fuchs and moment draw from _PREFIX_INTERVAL,
 # not the operator-mean "interval".  No score reads params.
+def _decomposed_build(build):
+    """A matrix suite's build: ``build(stacks)``, decomposed (``_decomposed``)."""
+    return lambda keys, stacks, saved: _decomposed(build(stacks))
+
+
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
-        _draw_jensen, _stack_score(_jensen_kernel), {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS},
-        _decomposed_built(_build_jensen_stacks)),
+        _jensen_layout, _fill_spectra, _decomposed_build(_build_jensen_stacks),
+        _stack_score(_jensen_kernel), {"dims": (2, 3, 4, 6, 8), "fs": _DEFAULT_FS}),
     "theorem_beta": _Suite(
-        lambda i, rng, p: _draw_map_sum(i, rng, p, _draw_equal_map_sum,
-                                        _cycle(_BETA_FAMILIES, i)),
-        _stack_score(_map_sum_kernel("theorem_beta")),
-        _MAP_SUM_DEFAULTS, _decomposed_built(_build_equal_map_sums)),
+        _map_sum_layout(_BETA_FAMILIES, _equal_map_sum_columns), _fill_spectra,
+        _decomposed_build(_build_equal_map_sums), _stack_score(_map_sum_kernel("theorem_beta")),
+        _MAP_SUM_DEFAULTS, len(_BETA_FAMILIES)),
     "corollary_weighted": _Suite(
-        lambda i, rng, p: _draw_map_sum(i, rng, p, _draw_weighted_instance,
-                                        _cycle(_WEIGHT_VARIANTS, i)),
-        _stack_score(_map_sum_kernel("corollary_weighted")),
-        _MAP_SUM_DEFAULTS, _decomposed_built(_build_weighted_stacks)),
+        _map_sum_layout(_WEIGHT_VARIANTS, _weighted_columns), _fill_spectra,
+        _decomposed_build(_build_weighted_stacks),
+        _stack_score(_map_sum_kernel("corollary_weighted")), _MAP_SUM_DEFAULTS,
+        len(_WEIGHT_VARIANTS)),
     "scalar_corollary": _Suite(
-        _draw_scalar_corollary, _stack_score(_scalar_corollary_kernel),
-        {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}, _stacks_built(_build_scalar_corollary)),
+        _scalar_corollary_layout, _fill_scalar_corollary, _build_scalar_corollary,
+        _stack_score(_scalar_corollary_kernel), {"fs": _DEFAULT_FS, "alphas": _DEFAULT_ALPHAS}, 2),
     "fuchs": _Suite(
-        _draw_fuchs,
+        _prefix_layout(_fuchs_fs, lambda f: dict(f=f.name)), _fill_prefix,
+        lambda keys, stacks, _: _build_fuchs_stacks(stacks, _PREFIX_INTERVAL),
         _stack_score(lambda f, X, Y, P: [("fuchs_margin", mj._fuchs_rows(f, X, Y, P),
                                           SCALAR_TOL)]),
-        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws, _PREFIX_INTERVAL))),
+        period=len(mj._FORWARD_FAMILY)),
     "moment": _Suite(
-        _draw_moment,
+        _prefix_layout(lambda: _MOMENT_ORDERS, lambda order: dict(r=order)), _fill_prefix,
+        lambda keys, stacks, _: _build_fuchs_stacks(stacks, _PREFIX_INTERVAL),
         _stack_score(lambda order, X, Y, P: [(
             "moment_margin",
             mj._moment_rows(P / np.sum(P, axis=-1, keepdims=True), X, Y, order), SCALAR_TOL)]),
-        build=_stacks_built(lambda raws, _: _build_fuchs_stacks(raws, _PREFIX_INTERVAL))),
-    "entropy_vn": _Suite(_draw_density_pair, _stack_score(_entropy_kernel), _DENSITY_DEFAULTS,
-                         _stacks_built(_build_entropy_stacks)),
-    "entropy_tsallis": _Suite(_draw_tsallis_pair, _stack_score(_entropy_kernel),
-                              {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)},
-                              _stacks_built(_build_entropy_stacks)),
+        period=len(_MOMENT_ORDERS)),
+    "entropy_vn": _Suite(_density_layout, _fill_row, _build_entropy_stacks,
+                         _stack_score(_entropy_kernel), _DENSITY_DEFAULTS),
+    "entropy_tsallis": _Suite(_tsallis_layout, _fill_row, _build_entropy_stacks,
+                              _stack_score(_entropy_kernel),
+                              {**_DENSITY_DEFAULTS, "rs": (0.1, 0.5, 0.9)}),
     "info_inequality": _Suite(
-        _draw_prob_pair, _stack_score(_info_inequality_kernel),
-        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)}, _stacks_built(_build_prob_pairs)),
+        _info_layout, _fill_row, _build_prob_pairs, _stack_score(_info_inequality_kernel),
+        {"rs": (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)}, len(_INFO_SIZES)),
     "reverse_shannon": _Suite(
-        _draw_conditioned_pair,
+        _conditioned_layout, _fill_pairs, _build_conditioned_pairs,
         _stack_score(_ratio_diff_kernel("reverse_shannon", ce._reverse_shannon_rows)),
-        _REVERSE_DEFAULTS, _stacks_built(_build_conditioned_pairs)),
+        _REVERSE_DEFAULTS, math.lcm(len(_REVERSE_SIZES), 2)),
     "parametric_reverse": _Suite(
-        _draw_parametric_pair,
+        _parametric_layout, _fill_pairs, _build_conditioned_pairs,
         _stack_score(_ratio_diff_kernel("parametric_reverse", ce._parametric_reverse_rows)),
-        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}, _stacks_built(_build_conditioned_pairs)),
-    "operator_means": _Suite(_draw_mean, _stack_score(_mean_kernel(MEAN_FORMS_SOUND)),
-                             {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)},
-                             _stacks_built(_build_mean_suite)),
+        {**_REVERSE_DEFAULTS, "rs": (0.1, 0.5, 1.0, 2.0)}, math.lcm(len(_REVERSE_SIZES), 2)),
+    "operator_means": _Suite(_mean_layout, _fill_spectra, _build_mean_suite,
+                             _stack_score(_mean_kernel(MEAN_FORMS_SOUND)),
+                             {**_MEAN_DEFAULTS, "rs": (1.0, 1.7, 3.0, -0.8, -2.0, 0.3, 0.6)}, 2),
     # the default interval has m >= sqrt(e), so both r -> 0 limit claims hold
-    "mean_limits": _Suite(_draw_mean,
+    "mean_limits": _Suite(_mean_layout, _fill_spectra, _build_mean_suite,
                           _stack_score(_mean_kernel(MEAN_FORMS_SOUND + MEAN_FORMS_LIMIT)),
-                          {**_MEAN_DEFAULTS, "rs": (0.3,)}, _stacks_built(_build_mean_suite)),
-    "eigensolver": _Suite(_draw_hermitian, _stack_score(_jacobi_residuals), _EIG_DIMS,
-                          _stacks_built(_build_jacobi)),
-    "eigensolver_crosscheck": _Suite(_draw_hermitian, _stack_score(_crosscheck), _EIG_DIMS,
-                                     _stacks_built(_build_jacobi)),
+                          {**_MEAN_DEFAULTS, "rs": (0.3,)}, 2),
+    "eigensolver": _Suite(_eigensolver_layout, _fill_row, _build_jacobi,
+                          _stack_score(_jacobi_residuals), _EIG_DIMS),
+    "eigensolver_crosscheck": _Suite(_eigensolver_layout, _fill_row, _build_jacobi,
+                                     _stack_score(_crosscheck), _EIG_DIMS),
     # not in "all": the C-term-on-the-left orientation of the 0 < r < 1
     # difference bound fails by construction whenever X = Y (the C-term is
     # negative in this regime), and is reported separately for inspection
-    "mean_c_lhs_variant": _Suite(_draw_mean, _stack_score(_mean_kernel((MEAN_FORM_C_LHS,))),
-                                 {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)},
-                                 _stacks_built(_build_mean_suite), in_all=False),
+    "mean_c_lhs_variant": _Suite(_mean_layout, _fill_spectra, _build_mean_suite,
+                                 _stack_score(_mean_kernel((MEAN_FORM_C_LHS,))),
+                                 {**_MEAN_DEFAULTS, "rs": (0.3, 0.6)}, 2, in_all=False),
 }
 
 # every key some suite reads: dims, fs, alphas, rs, eps and interval
@@ -1897,15 +1934,16 @@ def suite_ids(include_extra: bool = False):
 
 def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = None,
               keep_verdicts: bool = False):
-    """Run a named suite in three phases: draw ``trials`` independent
-    trials, trial i from the stream of ``SeedSequence(seed,
-    spawn_key=(i,))``, all the trials seeded in one pass; build their
-    instances, the blocks of one shape in one stack per step; and score
-    them in one batch.  ``params`` may set any key that some suite reads
-    (``_PARAM_KEYS``) to a value that ``_PARAM_CHECKS`` takes; any other key
-    or value raises DomainError naming the key.  Returns a TrialReport
-    that keeps the scored columns and trial contexts; with ``keep_verdicts``
-    it carries the verdict list as ``report.verdicts``."""
+    """Run a named suite in three phases: lay out and draw ``trials``
+    independent trials, trial i from the stream of ``SeedSequence(seed,
+    spawn_key=(i,))``, all the trials seeded in one pass, each making its
+    rng calls into its rows of its class's stacks; build their instances,
+    one step per stack; and score them in one batch (``_suite_stacks``).
+    ``params`` may set any key that some suite reads (``_PARAM_KEYS``) to a
+    value that ``_PARAM_CHECKS`` takes; any other key or value raises
+    DomainError naming the key.  Returns a TrialReport that keeps the scored
+    columns and the run's (seed, class contexts); with ``keep_verdicts`` it
+    carries the verdict list as ``report.verdicts``."""
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise DomainError(f"unknown suite {suite_id!r}; known: {suite_ids(True)}")
@@ -1916,11 +1954,11 @@ def run_suite(suite_id: str, trials: int, seed: int, params: Optional[dict] = No
     _check_params(params or {})
     params = {**suite.defaults, **(params or {})}
     t0 = time.perf_counter()
-    draws = [suite.draw(i, rng, params) for i, rng in enumerate(_trial_rngs(seed, range(trials)))]
-    table = _, _, margins, tols, _ = _table(suite.score(suite.build(draws)) if draws
-                                            else [(np.zeros(0, dtype=int), "", np.zeros(0), 0.0)])
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    contexts = [{"trial": i, "seed": seed, **draw[-1]} for i, draw in enumerate(draws)]
+    keys, classes, stacks = (_suite_stacks(suite, seed, range(trials), params) if trials
+                             else ([], [], []))
+    table = _, _, margins, tols, _ = _table(suite.score((keys, stacks)) if trials else [
+        (np.zeros(0, dtype=int), "", np.zeros(0), 0.0)])
+    elapsed, contexts = int((time.perf_counter() - t0) * 1000), (seed, classes)
     report = TrialReport(suite_id, trials, int(np.count_nonzero(~(margins >= -tols))), None, {},
                          elapsed, (table, contexts))
     if margins.size:  # the worst row: the first least margin in trial order
@@ -1978,7 +2016,7 @@ def _sweep_cases():
         yield ("ratio_neg_log", {"eps": eps},
                sb.ratio_constant(f_neglog, ive), ratios[f_neglog][i])
         yield ("diff_neg_log", {"eps": eps}, sb.diff_constant(f_neglog, ive), diffs[f_neglog][i])
-        yield ("log_specht_via_diff", {"eps": eps}, math.log(sb.specht(eps)), diffs[f_neglog][i])
+        yield ("log_specht_via_diff", {"eps": eps}, sb._log_specht(eps), diffs[f_neglog][i])
         for r, fr in zip(_R_GRID, ln_rs):
             yield ("ratio_ln_r", {"eps": eps, "r": r},
                    sb.ratio_constant(fr, ive), ratios[fr][i])

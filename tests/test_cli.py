@@ -307,6 +307,22 @@ class TestBadInputIsAUsageError:
     def test_abbreviated_flag(self, argv, capsys):
         _traceless_usage_error(argv, capsys)
 
+    @pytest.mark.parametrize("eps", ["1e-320", "1e-310"])
+    def test_reverse_shannon_at_a_floor_whose_specht_ratio_overflows(self, eps, tmp_path):
+        # S(eps) overflows a float at 1e-320, but log S(eps) ~ 729.2 does not
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "reverse_shannon", "--trials", "3", "--eps", eps,
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[0]["failures"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "specht", "--start", "1e-320", "--stop", "1e-300"],
+        ["constants", "--eps", "1e-320"],
+    ])
+    def test_tiny_floor_is_a_typed_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        _traceless_usage_error(argv + ["--out", str(out)], capsys)
+
     @pytest.mark.parametrize("argv", [
         ["constants", "--h", "1e200", "--r", "3"],
         ["constants", "--h", "1e300", "--r", "2"],
@@ -385,7 +401,7 @@ class TestOracleCommand:
 
     def test_injected_error_exits_one(self, tmp_path, monkeypatch):
         from karabounds import verification as vf
-        monkeypatch.setattr(vf.sb, "specht", lambda h: 1.0)
+        monkeypatch.setattr(vf.sb, "_log_specht", lambda h: 0.0)  # log S(eps) = log 1
         out = tmp_path / "o.json"
         assert run(["oracle", "--out", str(out)]) == 1
 

@@ -1,7 +1,10 @@
-"""``scripts/report_digest.py --check``'s comparison, on small texts."""
+"""``scripts/report_digest.py --check``'s comparison, on small texts, and
+its draw-path lines against the committed digests."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "report_digest", Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py")
@@ -48,6 +51,22 @@ def test_committed_digests_are_digest_lines_under_a_header():
     lines = (Path(__file__).resolve().parent / "golden" / "digests.txt").read_text().splitlines()
     assert lines[0].startswith("numpy=") and " dispatch=" in lines[0] and " openblas=" in lines[0]
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines[1:])
+
+
+def test_draw_path_lines_equal_the_committed_digests():
+    # the part of --check that a change to the suites' draws and builds or
+    # to the public generators and samplers would move, in about 3 s: every
+    # verify run made with flags, each suite's verdict list, the map-sum
+    # generator, the Sinkhorn matrices and the samplers
+    want = (Path(__file__).resolve().parent / "golden" / "digests.txt").read_text().splitlines()
+    got = report_digest.lines(draw_path=True)
+    head = next(got)
+    if head != want[0]:
+        pytest.skip(f"the digests are of {want[0]}, not of {head}")
+    got = list(got)
+    labels = {report_digest.label(line) for line in got}
+    assert len(labels) == len(got) > 150
+    assert got == [line for line in want[1:] if report_digest.label(line) in labels]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -448,6 +448,25 @@ class TestSpecht:
         with pytest.raises(DomainError):
             sb.specht(0.0)
 
+    def test_finite_where_its_exponential_overflows(self):
+        # exp(u - 1) overflows below h ~ 2e-309, yet S(1e-310) ~ 5.15e306
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            h = mpmath.mpf(1e-310)
+            u = mpmath.log(h) / (h - 1)
+            want = float(mpmath.exp(u - 1) / u)
+        assert sb.specht(1e-310) == pytest.approx(want, rel=1e-13)
+
+    def test_overflow_is_a_domain_error(self):
+        # log S(1e-320) ~ 729.2 leaves the float range
+        with pytest.raises(DomainError, match="overflows"):
+            sb.specht(1e-320)
+        assert sb._log_specht(1e-320) == pytest.approx(729.2249, rel=1e-6)
+
+    @pytest.mark.parametrize("h", [1e-300, 2.1e-309, 0.05, 0.5, 1.0, 1.0 + 1e-14, 3.0, 1e300])
+    def test_log_is_the_log_of_the_ratio(self, h):
+        assert sb._log_specht(h) == math.log(sb.specht(h))
+
 
 class TestLsR:
     def test_matches_diff_constant(self):

@@ -413,6 +413,15 @@ class TestGenerators:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, seed)
                 assert rng_a.random() == rng_b.random(), (n, seed)
 
+    @staticmethod
+    def suite_prefix_draws(n, rng):
+        """(U, P, steps) of a prefix suite trial of size n on ``rng``,
+        drawn by the suites' fill: raw words where n - 1 is a power of two."""
+        raw = not (n - 1) & (n - 2)
+        ((_, _, _, U, P, S),), _ = vf._drawn_one(vf._fill_prefix, rng, raw,
+                                                 vf._prefix_columns(n, raw))
+        return U[0], P[0], S
+
     @pytest.mark.parametrize("n", range(2, 18))
     def test_suite_prefix_steps_are_numpys_integers(self, n):
         # the prefix suites draw raw words where n - 1 is a power of two
@@ -422,9 +431,9 @@ class TestGenerators:
         for seed in (0, 7, 2**40 + 1):
             draws, nexts = [], []
             for rng in vf._trial_rngs(seed, range(200)):
-                draws.append(vf._draw_prefix(n, rng))
+                draws.append(self.suite_prefix_draws(n, rng))
                 nexts.append(rng.random())
-            got = vf._steps(np.stack([steps for *_, steps in draws]), n)
+            got = vf._steps(np.concatenate([steps for *_, steps in draws]), n)
             assert got.shape == (200, n)
             for i, (U, P, _) in enumerate(draws):
                 rng = vf.trial_rng(seed, i)
@@ -434,8 +443,10 @@ class TestGenerators:
         # a first word with low half 0, which Lemire's map rejects unless
         # n - 1 is a power of two: integers then takes one more half
         for word in (0, 5 << 32, 1 << 63):
-            rng_a, rng_b = _pcg64_before(word), _pcg64_before(word)
-            got = vf._steps(vf._draw_steps(n, rng_a)[None], n)[0]
+            # the fill's 2n doubles of y and p come first
+            rng_a, rng_b = _pcg64_before(word, skip=2 * n), _pcg64_before(word, skip=2 * n)
+            rng_b.random(2 * n)
+            got = vf._steps(self.suite_prefix_draws(n, rng_a)[2], n)[0]
             assert got.tolist() == rng_b.integers(0, n - 1, size=n).tolist(), (n, word)
             assert rng_a.random() == rng_b.random(), (n, word)
 
@@ -466,21 +477,6 @@ class TestGenerators:
                 assert (rng_a.integers(0, 1000, size=3).tolist()
                         == rng_b.integers(0, 1000, size=3).tolist()), (n, buffered, i)
                 assert rng_a.random() == rng_b.random(), (n, buffered, i)
-
-
-    def test_spectra_buffers_match_one_draw_per_matrix(self):
-        # the buffers of _draw_spectra hold the numbers of one
-        # oc._draw_spectrum per interval, and the rng ends where those draws do
-        ivs = (Interval(0.5, 2.0), Interval(1.7, 5.1), Interval(-1.0, 0.5), Interval(0.0, 1.0))
-        for dim in (1, 2, 3, 4, 8):
-            for k in (1, 2, 4):
-                rng_a, rng_b = vf.trial_rng(dim, k), vf.trial_rng(dim, k)
-                G, w = vf._draw_spectra(dim, ivs[:k], rng_a)
-                want = [oc._draw_spectrum(dim, iv, rng_b) for iv in ivs[:k]]
-                assert np.array_equal(G, np.stack([g for g, _ in want])), (dim, k)
-                assert np.array_equal(w, np.stack([v for _, v in want])), (dim, k)
-                assert G.flags.c_contiguous and w.flags.c_contiguous
-                assert rng_a.random() == rng_b.random()
 
 
 class TestPrimitiveMaps:
@@ -609,9 +605,9 @@ class TestSuiteSamplers:
         direction = (ce.SELF_DOMINATED, ce.CROSS_DOMINATED)[n % 2]
         F, hits = vf._pair_screen(D, 0.5 / n, direction)
         gaps = ce._condition_gap(F[..., 0, :], F[..., 1, :], direction)
-        raws = [(UX[j, 0], UX[j, 1], EP[j]) for j in range(k)]
-        keys = [(f, 0.5, vf.MODE_RELAXED)] * k
-        ((_, _, SX, SY),) = vf._build_scalar_corollary(raws, keys)
+        group, keys = (vf.MODE_RELAXED, iv), [(f, 0.5, vf.MODE_RELAXED)] * k
+        ((_, _, SX, SY),) = vf._build_scalar_corollary(
+            keys, [(np.arange(k), group, np.zeros((k, 0)), UX[:, 0], UX[:, 1], EP)], {})
         for j in range(k):
             for layout in (lambda a: a, np.copy):
                 assert _bits(vf._dirichlet_rows(layout(EP[j]))) == _bits(P[j]), (n, j)
@@ -629,8 +625,9 @@ class TestSuiteSamplers:
                 assert _bits(f) == _bits(F[j]) and f_ok.tolist() == hits[j].tolist()
                 gap = ce._condition_gap(f[..., 0, :], f[..., 1, :], direction)
                 assert _bits(gap) == _bits(gaps[j]), (n, j)
-                ((_, _, sx, sy),) = vf._build_scalar_corollary(
-                    [tuple(map(layout, raws[j]))], keys[:1])
+                ((_, _, sx, sy),) = vf._build_scalar_corollary(keys[:1], [(
+                    np.arange(1), group, np.zeros((1, 0)),
+                    *(layout(a[j])[None] for a in (UX[:, 0], UX[:, 1], EP)))], {})
                 assert _bits(sx) == _bits(SX[j]) and _bits(sy) == _bits(SY[j]), (n, j)
                 assert _bits(np.sum(p * x[0])) == _bits(np.sum(P * X[:, 0], axis=-1)[j])
 
@@ -694,12 +691,15 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def _pcg64_before(word, inc=0xDA3E39CB94B95BDB):
-    """A Generator whose next raw PCG64 word is ``word`` (< 2^64): its
-    state is one LCG step before the state with high half 0 and low half
-    ``word``, which PCG64's XSL RR output returns unrotated."""
+def _pcg64_before(word, inc=0xDA3E39CB94B95BDB, skip=0):
+    """A Generator whose raw PCG64 word after the next ``skip`` ones is
+    ``word`` (< 2^64): its state is 1 + skip LCG steps before the state
+    with high half 0 and low half ``word``, which PCG64's XSL RR output
+    returns unrotated."""
     modulus = 1 << 128
-    state = (word - inc) * pow(vf._PCG64_MULT, -1, modulus) % modulus
+    state = word
+    for _ in range(1 + skip):
+        state = (state - inc) * pow(vf._PCG64_MULT, -1, modulus) % modulus
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
@@ -1209,8 +1209,7 @@ class TestSuites:
 
         monkeypatch.setattr(vf, "_first_accepted", recording)
         spec = vf._SUITES[suite]
-        draws = [spec.draw(i, rng, spec.defaults) for i, rng in enumerate(vf._trial_rngs(7, range(48)))]
-        keys, stacks = spec.build(draws)
+        keys, _, stacks = vf._suite_stacks(spec, 7, range(48), dict(spec.defaults))
         assert bool(resumed) == (suite in ("scalar_corollary", "reverse_shannon",
                                            "parametric_reverse"))
         halves = [(trials[rows], *(column[rows] for column in columns))
@@ -1247,33 +1246,48 @@ class TestSuites:
             return [(np.array([1, 0]), "a", np.array([-1.0, 0.0]), 0.0),
                     (np.array([0, 1]), "b", np.array([-1.0, -1.0]), 0.0)]
 
-        monkeypatch.setitem(vf._SUITES, "ties", vf._Suite(lambda i, rng, p: ({},), score, {}))
+        monkeypatch.setitem(vf._SUITES, "ties", vf._Suite(
+            lambda i, params: (None, {}, None, (), ()), lambda rngs, rows: None,
+            lambda keys, stacks, saved: stacks, score))
         rep = vf.run_suite("ties", 2, 0, keep_verdicts=True)
         assert [(v.context["trial"], v.inequality_id, v.margin, v.passed) for v in rep.verdicts] \
             == [(0, "a", 0.0, True), (0, "b", -1.0, False), (1, "a", -1.0, False),
                 (1, "b", -1.0, False)]
         assert (rep.failures, rep.min_margin, rep.worst_context) == (3, -1.0, {"trial": 0, "seed": 0})
 
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-    def test_groups_stack_each_shape_apart(self, seed):
-        # one key over rows of lengths 2 and 3: one group per length, in the
-        # order of first entries, each a rectangular stack of its entries
-        # (shuffled but for seed None) with their indices
-        rows = [np.arange(n, dtype=float) + j for j, n in enumerate((2, 3, 2, 3, 3))]
-        order = range(len(rows)) if seed is None else \
-            np.random.default_rng(seed).permutation(len(rows)).tolist()
-        entries = [rows[j] for j in order]
-        groups = list(vf._groups(["k"] * len(entries), entries, list(order)))
-        shapes = {2: (2, 2), 3: (3, 3)}  # (entries, length) of each length
-        assert [(head, X.shape) for head, _, X, _ in groups] == \
-            [(("k",), shapes[n]) for n in dict.fromkeys(len(e) for e in entries)]
-        for _, idxs, X, tags in groups:
-            assert X.tolist() == [entries[j].tolist() for j in idxs.tolist()]
-            assert tags.tolist() == [order[j] for j in idxs.tolist()]
-        # without keys the head is empty; entries of different keys never
-        # share a group
-        assert [head for head, *_ in vf._groups(None, entries)] == [(), ()]
-        assert len(list(vf._groups(list(range(len(entries))), entries))) == len(entries)
+    @pytest.mark.parametrize("suite", vf.suite_ids(include_extra=True))
+    @pytest.mark.parametrize("seed", [7, 1000])
+    def test_built_stacks_match_each_trial_alone(self, suite, seed, monkeypatch):
+        # a run lays its trials out into classes, fills their rows of the
+        # classes' stacks on the trials' own streams and builds whole
+        # stacks; each trial built as a batch of one, from its own layout
+        # and stream, has the bits of its rows.  At seed 7 some trial of
+        # each rejection-sampled suite resumes after its first block
+        resumed, first_accepted = [], vf._first_accepted
+
+        def recording(*args):
+            item = first_accepted(*args)
+            resumed.append(item)
+            return item
+
+        monkeypatch.setattr(vf, "_first_accepted", recording)
+        spec, trials = vf._SUITES[suite], 48
+        params = dict(spec.defaults)
+        keys, classes, stacks = vf._suite_stacks(spec, seed, range(trials), params)
+        rows = {t: [column[j] for column in columns]
+                for ts, *columns in stacks for j, t in enumerate(ts.tolist())}
+        assert sorted(rows) == list(range(trials))
+        if seed == 7 and suite in TestSuiteSamplers.SUITES:
+            assert any(item is not None for item in resumed), suite
+        for i in range(trials):
+            (key,), (ctx,), alone = vf._suite_stacks(spec, seed, range(i, i + 1), params)
+            ((t, *columns),) = alone
+            assert t.tolist() == [0] and key == keys[i], (suite, i)
+            assert ctx == classes[i % len(classes)], (suite, i)
+            assert len(columns) == len(rows[i])
+            for a, b in zip(columns, rows[i]):
+                assert a.shape[1:] == b.shape and a.dtype == b.dtype, (suite, i)
+                assert a[0].tobytes() == b.tobytes(), (suite, seed, i)
 
     @pytest.mark.parametrize("suite, forms", [("eigensolver", 2), ("eigensolver_crosscheck", 1)])
     def test_eigensolver_suites_list_verdicts_in_trial_order(self, suite, forms):
@@ -1622,9 +1636,10 @@ class TestSuites:
             rep = vf.run_suite(suite, trials, seed, {"dims": dims}, keep_verdicts=True)
             alone = []
             for i in range(trials):
-                draw = spec.draw(i, vf.trial_rng(seed, i), {**spec.defaults, "dims": dims})
-                assert draw[-1]["r"] == rs[i % len(rs)]
-                blocks = spec.score(spec.build([draw]))
+                keys, (ctx,), stacks = vf._suite_stacks(spec, seed, range(i, i + 1),
+                                                 {**spec.defaults, "dims": dims})
+                assert ctx["r"] == rs[i % len(rs)]
+                blocks = spec.score((keys, stacks))
                 assert [name for _, name, *_ in blocks] == list(forms)
                 alone += [(name, margin) for _, name, margins, _ in blocks
                           for margin in margins.tolist()]
@@ -1833,7 +1848,7 @@ class TestSuites:
         # log S(eps) -> 0 leaves the cross_dominated diff margin H(p) - cross,
         # and ls_r -> -1 the self_dominated one t_q - t_p - 1: both fail on
         # most draws, so the suites must take the constants they are given
-        monkeypatch.setattr(ce, "specht", lambda h: 1.0)
+        monkeypatch.setattr(ce, "_log_specht", lambda h: 0.0)
         assert vf.run_suite("reverse_shannon", 60, 5).failures > 0
         monkeypatch.setattr(ce, "ls_r_constant", lambda eps, r: -1.0)
         assert vf.run_suite("parametric_reverse", 60, 5).failures > 0
@@ -1871,14 +1886,14 @@ class TestSuites:
         # empty values, None and floats of both kinds
         table = vf._table([(np.array([1, 0, 1]), 'id "a", b', np.array([0.5, -1e-12, -2.0]), 1e-9),
                            (np.array([0]), "plain", np.array([3.0]), 0.0)])
-        contexts = [{"trial": 0, "seed": 5, "dim": "2,3", "r": '"q"', "alpha": "", "eps": None},
-                    {"trial": 1, "seed": 5, "dim": 4, "r": np.float64(0.25), "alpha": -0.0,
-                     "eps": "line\nbreak\r"}]
-        rep = vf.TrialReport('suite, "x"', 2, 1, -2.0, {}, 0, (table, contexts))
+        # a run's (seed, class contexts): trial t of class t % 2
+        classes = [{"dim": "2,3", "r": '"q"', "alpha": "", "eps": None},
+                   {"dim": 4, "r": np.float64(0.25), "alpha": -0.0, "eps": "line\nbreak\r"}]
+        rep = vf.TrialReport('suite, "x"', 2, 1, -2.0, {}, 0, (table, (5, classes)))
         want = [vf._CSV_FIELDS]
         for t, name, margin, tol in zip(table[0].tolist(), table[1], table[2].tolist(),
                                         table[3].tolist()):
-            ctx = contexts[t]
+            ctx = {"trial": t, "seed": 5, **classes[t]}
             want.append((rep.suite_id, ctx["trial"], repr(margin), int(margin >= -tol),
                          *(ctx.get(key, "") for key in ("dim", "r", "alpha", "eps", "seed")),
                          name))
@@ -2047,9 +2062,9 @@ def _suite_instance(suite_id, seed, i):
     """(rows, key, context) of trial i of a suite at its default params:
     its draw on the trial's stream, built as a batch of one."""
     suite = vf._SUITES[suite_id]
-    draw = suite.draw(i, vf.trial_rng(seed, i), suite.defaults)
-    (key,), ((_, *columns),) = suite.build([draw])
-    return tuple(column[0] for column in columns), key, draw[-1]
+    (key,), (ctx,), ((_, *columns),) = vf._suite_stacks(suite, seed, range(i, i + 1),
+                                                 dict(suite.defaults))
+    return tuple(column[0] for column in columns), key, ctx
 
 
 def _permuted(seed, i, *entries):
