@@ -1811,15 +1811,16 @@ _REVERSE_DEFAULTS = {"eps": 0.05}
 _MEAN_DEFAULTS = {"dims": (2, 3, 4, 6), "interval": (1.7, 5.1)}
 _EIG_DIMS = {"dims": tuple(range(2, 17))}
 
-# The CLI passes one params dict to every suite, and a suite's draw reads
-# only the keys its defaults name: so reverse_shannon keeps r unset,
-# entropy_vn ignores rs, and fuchs and moment draw from _PREFIX_INTERVAL,
-# not the operator-mean "interval".  No score reads params.
+
 def _decomposed_build(build):
     """A matrix suite's build: ``build(stacks)``, decomposed (``_decomposed``)."""
     return lambda keys, stacks, saved: _decomposed(build(stacks))
 
 
+# The CLI passes one params dict to every suite, and a suite's layout reads
+# only the keys its defaults name: so reverse_shannon keeps r unset,
+# entropy_vn ignores rs, and fuchs and moment draw from _PREFIX_INTERVAL,
+# not the operator-mean "interval".  No score reads params.
 _SUITES: Dict[str, _Suite] = {
     "lemma_jensen": _Suite(
         _jensen_layout, _fill_spectra, _decomposed_build(_build_jensen_stacks),
